@@ -27,7 +27,7 @@ def as_matrix(a, name="matrix"):
     m = np.asarray(a, dtype=float)
     if m.ndim != 2:
         raise DimensionMismatch(f"{name} must be 2-D, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError(f"{name} has non-finite entries")
     return m
 
@@ -35,7 +35,7 @@ def as_matrix(a, name="matrix"):
 def as_vector(v, name="vector"):
     """Coerce to a 1-D float array and require finite entries."""
     x = np.asarray(v, dtype=float).reshape(-1)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError(f"{name} has non-finite entries")
     return x
 

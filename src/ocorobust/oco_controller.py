@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .denseqp import PrefactoredQp
-from .errors import InfeasibleError, InitializationError, StepError
+from .errors import InfeasibleError, InitializationError, OcoRobustError, StepError
 from .matlin import as_vector
 from .plant import membership_zu, stage_values, stage_values_linear
 
@@ -193,7 +193,8 @@ def additional_input_optimized(model, theta_hat, pred_state, rollout_qp, c_g,
 
     Minimizes the supplied rollout objective subject to S_c g = theta - pred;
     soft rows add one slack variable. Falls back to the explicit solution
-    when the QP fails or the norm cap is violated, reporting the fallback.
+    when the solver fails or the norm cap is violated, reporting the
+    fallback; any other error (e.g. a malformed ``rollout_qp``) propagates.
     """
     d = as_vector(theta_hat) - as_vector(pred_state)
     nv = model.mu * model.m
@@ -208,7 +209,7 @@ def additional_input_optimized(model, theta_hat, pred_state, rollout_qp, c_g,
                             eq_offsets=d, tol=qp_tol)
         else:
             sol = pre.solve(rollout_qp.linear, eq_offsets=d, tol=qp_tol)
-    except Exception:
+    except (OcoRobustError, np.linalg.LinAlgError):
         return additional_input_explicit(model, theta_hat, pred_state), None, True
     g = sol.x[:nv]
     if sol.status != "optimal" or np.linalg.norm(g) > c_g * np.linalg.norm(d) * (1 + 1e-9):
@@ -254,16 +255,16 @@ def max_beta(tables, model, x_meas, base_seq, g, tol=None, _base=None):
     x_meas = as_vector(x_meas, "x_meas")
     base_seq = as_vector(base_seq, "base_seq")
     g = as_vector(g, "g")
-    sv, iv = _base if _base is not None else stage_values(tables, model, x_meas, base_seq)
-    base_vals = np.concatenate([sv.ravel(), iv.ravel()])
+    if _base is None:
+        _base = stage_values(tables, model, x_meas, base_seq)
+    base_vals = _base.flat
     worst = float(base_vals.max(initial=-np.inf))
     if worst > tol:
         raise InfeasibleError(
             f"candidate input sequence infeasible by {worst:.3e}; feasibility invariant broken")
     if not np.any(g):
         return 1.0
-    gv_s, gv_i = stage_values_linear(tables, model, g)
-    growth = np.concatenate([gv_s.ravel(), gv_i.ravel()])
+    growth = stage_values_linear(tables, model, g).flat
     slack = np.maximum(-base_vals, 0.0)
     scale = max(1.0, float(np.abs(growth).max()))
     mask = growth > 1e-14 * scale
@@ -305,8 +306,7 @@ def step(state, model, tables, manifold, x_meas, grad_prev, options):
         x_meas = as_vector(x_meas, "x_meas")
         candidate = _shift_candidate(state, model)
         base_vals = stage_values(tables, model, x_meas, candidate)
-        worst = float(max(v.max(initial=-np.inf) for v in base_vals))
-        cand_ok = worst <= model.membership_tol
+        cand_ok = float(base_vals.flat.max()) <= model.membership_tol
         pred = model.predict_terminal(x_meas, candidate)
 
         theta_hat, eta_hat = ogd_step(state, model, manifold, grad_prev,

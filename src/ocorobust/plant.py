@@ -95,14 +95,6 @@ class PlantModel:
         self._sx, self._su, self._px, self._pu = sx, su, px, pu
         self.a_k_powers = powers
 
-    def stage_states(self, x, useq):
-        """Disturbance-free stage states x_1..x_mu of the stabilized rollout."""
-        return (self._sx @ x + self._su @ useq).reshape(self.mu, self.n)
-
-    def stage_states_from0(self, x, useq):
-        """Stage states x_0..x_{mu-1} (x_0 = x)."""
-        return (self._px @ x + self._pu @ useq).reshape(self.mu, self.n)
-
     def tube_margin(self, dev):
         """Signed Euclidean margin of ``dev`` against the tail set (<=0 inside)."""
         return self._tube.margin(dev)
@@ -231,18 +223,35 @@ def _controllability(a_k, b, mu):
 
 @dataclass
 class TighteningTables:
-    """Stage constraint sets of the tightened mu-step rollout."""
+    """Stage constraint sets of the tightened mu-step rollout.
+
+    The residuals of all stage constraints are affine in the measured state x
+    and the input sequence useq: ``residual_x @ x + residual_u @ useq -
+    residual_offsets``, stacked as the mu state stages (fx rows each) and then
+    the mu input stages (fu rows each).
+    """
 
     state_stage: list
     input_stage: list
-    state_offsets: np.ndarray = field(default=None, repr=False)  # (mu, fx) tightened
-    input_offsets: np.ndarray = field(default=None, repr=False)  # (mu, fu) tightened
+    residual_x: np.ndarray = field(repr=False)        # (mu*(fx+fu), n)
+    residual_u: np.ndarray = field(repr=False)        # (mu*(fx+fu), mu*m)
+    state_offsets: np.ndarray = field(repr=False)     # (mu, fx) tightened
+    input_offsets: np.ndarray = field(repr=False)     # (mu, fu) tightened
+    residual_offsets: np.ndarray = field(repr=False)  # both, flattened
 
-    def __post_init__(self):
-        if self.state_offsets is None:
-            self.state_offsets = np.stack([t.offsets for t in self.state_stage])
-        if self.input_offsets is None:
-            self.input_offsets = np.stack([t.offsets for t in self.input_stage])
+
+class StageValues(tuple):
+    """``(state, input)`` stage residuals of shapes (mu, fx) and (mu, fu).
+
+    Both are views of ``flat``, the stacked residual vector.
+    """
+
+    def __new__(cls, flat, tables):
+        mu, fx = tables.state_offsets.shape
+        values = super().__new__(cls, (flat[:mu * fx].reshape(mu, fx),
+                                       flat[mu * fx:].reshape(tables.input_offsets.shape)))
+        values.flat = flat
+        return values
 
 
 def build_tightening(model):
@@ -269,38 +278,41 @@ def build_tightening(model):
     for tau, stage in enumerate(input_stage):
         if polytope_is_empty(stage.normals, stage.offsets):
             raise InfeasibleError(f"tightened input constraint set empty at stage tau={tau}")
-    return TighteningTables(state_stage=state_stage, input_stage=input_stage)
+    # Stage tau checks the state x_{tau+1} and the input u_tau + K x_tau.
+    eye = np.eye(mu)
+    hx = np.kron(eye, model.x_set.normals)
+    hu = np.kron(eye, model.u_set.normals)
+    kb = np.kron(eye, model.k)
+    state_offsets = np.stack([t.offsets for t in state_stage])
+    input_offsets = np.stack([t.offsets for t in input_stage])
+    return TighteningTables(
+        state_stage=state_stage,
+        input_stage=input_stage,
+        residual_x=np.vstack([hx @ model._sx, hu @ kb @ model._px]),
+        residual_u=np.vstack([hx @ model._su,
+                              hu @ (np.eye(mu * model.m) + kb @ model._pu)]),
+        state_offsets=state_offsets,
+        input_offsets=input_offsets,
+        residual_offsets=np.concatenate([state_offsets.ravel(), input_offsets.ravel()]),
+    )
 
 
 def stage_values(tables, model, x, useq):
     """Signed stage constraint residuals (state, input) for a rollout from x."""
     x = np.asarray(x, float).reshape(-1)
     useq = np.asarray(useq, float).reshape(-1)
-    xs = (model._sx @ x + model._su @ useq).reshape(model.mu, model.n)
-    xin = np.vstack([x[None, :], xs[:-1]])
-    uin = useq.reshape(model.mu, model.m) + xin @ model.k.T
-    hx = tables.state_stage[0].normals
-    hu = tables.input_stage[0].normals
-    sv = xs @ hx.T - tables.state_offsets
-    iv = uin @ hu.T - tables.input_offsets
-    return sv, iv
+    return StageValues(tables.residual_x @ x + tables.residual_u @ useq
+                       - tables.residual_offsets, tables)
 
 
 def stage_values_linear(tables, model, useq):
     """Linear part of the stage residuals in the input sequence (x = 0, no offsets)."""
-    useq = np.asarray(useq, float).reshape(-1)
-    xs = (model._su @ useq).reshape(model.mu, model.n)
-    xin = np.vstack([np.zeros((1, model.n)), xs[:-1]])
-    uin = useq.reshape(model.mu, model.m) + xin @ model.k.T
-    hx = tables.state_stage[0].normals
-    hu = tables.input_stage[0].normals
-    return xs @ hx.T, uin @ hu.T
+    return StageValues(tables.residual_u @ np.asarray(useq, float).reshape(-1), tables)
 
 
 def membership_zu(tables, model, x, useq, tol=None):
     """Check the tightened mu-step constraints; returns (ok, worst residual)."""
-    sv, iv = stage_values(tables, model, x, useq)
-    worst = float(max(sv.max(initial=-np.inf), iv.max(initial=-np.inf)))
+    worst = float(stage_values(tables, model, x, useq).flat.max())
     if tol is None:
         tol = model.membership_tol
     return worst <= tol, worst

@@ -328,3 +328,23 @@ class TestStep:
 
         with pytest.raises(StepError, match="t=1"):
             oco.step(state, model, tables, manifold, np.zeros(2), Broken(), options)
+
+    def test_malformed_rollout_qp_raises(self, di_bundle):
+        # A wrong-length linear term is a programming error, not a solver
+        # failure: it must surface instead of falling back to the explicit input.
+        model, tables, manifold = di_bundle
+        nv = model.mu * model.m
+        zeta = steady_pair(model, manifold, [0.2])
+        state = oco.initialize(model, tables, manifold, zeta, zeta[0])
+        cost = QuadraticCost(np.eye(2), np.eye(1), [0.5, 0.0], np.zeros(1))
+
+        class WrongLength:
+            def build(self, ctx):
+                return oco.RolloutQp(hessian=2 * np.eye(nv), linear=np.zeros(nv + 1))
+
+        options = oco.ControllerConfig(gamma=0.2, variant="optimized",
+                                       rollout_builder=WrongLength())
+        with pytest.raises(StepError) as info:
+            oco.step(state, model, tables, manifold, zeta[0], cost, options)
+        assert isinstance(info.value.cause, ValueError)
+

@@ -1,8 +1,16 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from ocorobust.convexsets import HPolytope
-from ocorobust.denseqp import QpProblem, polytope_is_empty, project_polytope, solve_qp
+from ocorobust.denseqp import (
+    PrefactoredQp,
+    QpProblem,
+    polytope_is_empty,
+    project_polytope,
+    solve_qp,
+)
 from ocorobust.errors import FactorizationError, InfeasibleError
 
 from conftest import random_spd
@@ -207,3 +215,144 @@ class TestCrossSolver:
             assert ref["status"] == "optimal"
             x_ref = np.asarray(ref["x"]).ravel()
             assert np.linalg.norm(sol.x - x_ref) <= 1e-5 * (1 + np.linalg.norm(x_ref))
+
+
+def oracle_qp(h, q, ineq_n, ineq_b, eq_n, eq_b, tol=1e-9):
+    """Exact minimizer by active-set enumeration, or None when infeasible.
+
+    For every subset of the inequality rows, solve the KKT system with those
+    rows held as equalities (least squares, so dependent rows are allowed)
+    and accept the first exact, primal and dual feasible point. The QP is
+    strictly convex with linear constraints, so a feasible QP has such a
+    point on some subset, and its x is the unique minimizer.
+    """
+    n, mi, me = q.size, ineq_b.size, eq_b.size
+    for size in range(mi + 1):
+        for subset in itertools.combinations(range(mi), size):
+            rows = np.vstack([eq_n, ineq_n[list(subset)]])
+            rhs = np.concatenate([eq_b, ineq_b[list(subset)]])
+            k = rows.shape[0]
+            kkt = np.block([[h, rows.T], [rows, np.zeros((k, k))]])
+            sol = np.linalg.lstsq(kkt, np.concatenate([-q, rhs]), rcond=None)[0]
+            scale = 1.0 + np.abs(rhs).max(initial=0.0) + np.abs(q).max()
+            if np.abs(kkt @ sol - np.concatenate([-q, rhs])).max() > tol * scale:
+                continue  # inconsistent rows
+            x, lam = sol[:n], sol[n + me:]
+            if np.all(ineq_n @ x - ineq_b <= tol * scale) and np.all(lam >= -tol * scale):
+                return x
+    return None
+
+
+def check_against_oracle(h, q, ineq_n, ineq_b, eq_n, eq_b, tol=1e-8):
+    pre = PrefactoredQp(h, ineq_normals=ineq_n, eq_normals=eq_n)
+    sol = pre.solve(q, ineq_offsets=ineq_b, eq_offsets=eq_b, tol=tol)
+    want = oracle_qp(h, q, ineq_n, ineq_b, eq_n, eq_b)
+    assert sol.ineq_multipliers.shape == (ineq_b.size,)
+    assert sol.eq_multipliers.shape == (eq_b.size,)
+    if want is None:
+        assert sol.status == "infeasible"
+    else:
+        assert sol.status == "optimal"
+        assert np.allclose(sol.x, want, rtol=0.0, atol=1e-8)
+        assert sol.kkt_residual <= tol
+    return pre, sol
+
+
+class TestPrefactoredQpOracle:
+    """PrefactoredQp against exact active-set enumeration (n <= 4, <= 6 rows)."""
+
+    def test_random_instances(self):
+        rng = np.random.default_rng(30)
+        for trial in range(150):
+            n = int(rng.integers(1, 5))
+            me = int(rng.integers(0, n))
+            mi = int(rng.integers(0, 7 - me))
+            h = 2 * random_spd(rng, n)
+            q = rng.standard_normal(n) * 2
+            x_feas = rng.standard_normal(n) * 0.3
+            ineq_n = rng.standard_normal((mi, n))
+            eq_n = rng.standard_normal((me, n))
+            # a few offsets at zero slack put the known point on the boundary
+            slack = np.where(rng.random(mi) < 0.3, 0.0, rng.uniform(0.0, 1.0, mi))
+            check_against_oracle(h, q, ineq_n, ineq_n @ x_feas + slack, eq_n, eq_n @ x_feas)
+
+    def test_equality_only_closed_form(self):
+        rng = np.random.default_rng(31)
+        for _ in range(60):
+            n = int(rng.integers(1, 5))
+            me = int(rng.integers(0, n + 1))
+            h = 2 * random_spd(rng, n)
+            eq_n = rng.standard_normal((me, n))
+            pre, _ = check_against_oracle(h, rng.standard_normal(n), np.zeros((0, n)),
+                                          np.zeros(0), eq_n, rng.standard_normal(me))
+            assert pre.closed_form
+            # the precomputed operators are reused across right-hand sides
+            for _ in range(3):
+                q, b = rng.standard_normal(n), rng.standard_normal(me)
+                sol = pre.solve(q, eq_offsets=b)
+                want = oracle_qp(h, q, np.zeros((0, n)), np.zeros(0), eq_n, b)
+                assert sol.status == "optimal"
+                assert np.allclose(sol.x, want, rtol=0.0, atol=1e-8)
+
+    def test_duplicate_and_parallel_inequalities(self):
+        rng = np.random.default_rng(32)
+        for _ in range(80):
+            n = int(rng.integers(1, 5))
+            h = 2 * random_spd(rng, n)
+            base = rng.standard_normal((3, n))
+            x_feas = rng.standard_normal(n) * 0.3
+            b = base @ x_feas + rng.uniform(0.0, 0.5, 3)
+            # exact duplicate, scaled copy (same halfspace), and a parallel
+            # row with a looser offset
+            ineq_n = np.vstack([base, base[:1], 2.5 * base[1:2], base[2:3]])
+            ineq_b = np.concatenate([b, b[:1], 2.5 * b[1:2], b[2:3] + 0.2])
+            pre, _ = check_against_oracle(h, rng.standard_normal(n) * 3, ineq_n, ineq_b,
+                                          np.zeros((0, n)), np.zeros(0))
+            assert not pre.closed_form
+
+    def test_rank_deficient_consistent_equalities(self):
+        rng = np.random.default_rng(33)
+        for _ in range(60):
+            n = int(rng.integers(2, 5))
+            h = 2 * random_spd(rng, n)
+            row = rng.standard_normal((1, n))
+            eq_n = np.vstack([row, -3.0 * row, rng.standard_normal((1, n))])
+            x_feas = rng.standard_normal(n)
+            mi = int(rng.integers(0, 4))
+            ineq_n = rng.standard_normal((mi, n))
+            pre, _ = check_against_oracle(h, rng.standard_normal(n), ineq_n,
+                                          ineq_n @ x_feas + rng.uniform(0.0, 1.0, mi),
+                                          eq_n, eq_n @ x_feas)
+            assert not pre.closed_form
+
+    def test_redundant_equalities_match_solve_qp(self):
+        h, q = 2 * np.eye(2), -2 * np.array([3.0, 0.0])
+        eq_n, eq_b = np.array([[1.0, 0.0], [2.0, 0.0]]), np.array([1.0, 2.0])
+        pre, sol = check_against_oracle(h, q, np.zeros((0, 2)), np.zeros(0), eq_n, eq_b)
+        assert not pre.closed_form
+        assert np.allclose(sol.x, [1.0, 0.0], atol=1e-9)
+
+    def test_inconsistent_equalities_infeasible(self):
+        rng = np.random.default_rng(34)
+        for _ in range(40):
+            n = int(rng.integers(1, 5))
+            row = rng.standard_normal((1, n))
+            eq_n = np.vstack([row, 2.0 * row])
+            eq_b = np.array([1.0, 2.0 + rng.uniform(0.1, 1.0)])
+            pre, sol = check_against_oracle(2 * random_spd(rng, n), rng.standard_normal(n),
+                                            np.zeros((0, n)), np.zeros(0), eq_n, eq_b)
+            assert not pre.closed_form
+            assert sol.status == "infeasible"
+
+    def test_empty_polytope_infeasible(self):
+        rng = np.random.default_rng(35)
+        for _ in range(40):
+            n = int(rng.integers(1, 5))
+            a = rng.standard_normal((2, n))
+            # a.x <= -1 and -a.x <= -1 for the first row: an empty slab
+            ineq_n = np.vstack([a[:1], -a[:1], a[1:]])
+            ineq_b = np.array([-1.0, -1.0, 1.0])
+            _, sol = check_against_oracle(2 * random_spd(rng, n), rng.standard_normal(n),
+                                          ineq_n, ineq_b, np.zeros((0, n)), np.zeros(0))
+            assert sol.status == "infeasible"
+

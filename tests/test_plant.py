@@ -13,6 +13,8 @@ from ocorobust.plant import (
     cost_curvature,
     membership_zu,
     optimal_steady_state,
+    stage_values,
+    stage_values_linear,
     steady_state_manifold,
 )
 
@@ -142,6 +144,51 @@ class TestTightening:
         model = build_model(cfg)
         with pytest.raises(InfeasibleError, match="tau"):
             build_tightening(model)
+
+
+def rollout_stage_values(tables, model, x, useq, offsets=True):
+    """Stage residuals by stepping x+ = A_K x + B u with input v = u + K x."""
+    us = useq.reshape(model.mu, model.m)
+    sv, iv = [], []
+    for tau in range(model.mu):
+        v = us[tau] + model.k @ x
+        x = model.a_k @ x + model.b @ us[tau]
+        state, inp = tables.state_stage[tau], tables.input_stage[tau]
+        sv.append(state.normals @ x - (state.offsets if offsets else 0.0))
+        iv.append(inp.normals @ v - (inp.offsets if offsets else 0.0))
+    return np.array(sv), np.array(iv)
+
+
+class TestStageValues:
+    @pytest.fixture(params=["scalar", "di", "vehicle"])
+    def bundle(self, request, scalar_bundle, di_bundle):
+        if request.param == "vehicle":
+            from ocorobust import vehicle
+
+            setup = vehicle.vehicle_setup(vehicle.VehicleParams())
+            return setup.model, setup.tables
+        return (scalar_bundle if request.param == "scalar" else di_bundle)[:2]
+
+    def test_matches_stepwise_rollout(self, bundle):
+        model, tables = bundle
+        rng = np.random.default_rng(42)
+        for _ in range(20):
+            x = rng.standard_normal(model.n)
+            useq = rng.standard_normal(model.mu * model.m)
+            for got, want in (
+                (stage_values(tables, model, x, useq),
+                 rollout_stage_values(tables, model, x, useq)),
+                (stage_values_linear(tables, model, useq),
+                 rollout_stage_values(tables, model, np.zeros(model.n), useq,
+                                      offsets=False)),
+            ):
+                assert len(got) == 2
+                for g, w in zip(got, want):
+                    assert g.shape == w.shape
+                    scale = max(1.0, float(np.abs(w).max()))
+                    assert np.allclose(g, w, rtol=1e-12, atol=1e-12 * scale)
+                assert np.array_equal(got.flat, np.concatenate([got[0].ravel(),
+                                                                got[1].ravel()]))
 
 
 class TestMembershipZu:

@@ -28,6 +28,7 @@ from .plant import (
     build_tightening,
     cost_curvature,
     membership_zu,
+    optimal_steady_state,
     steady_state_manifold,
 )
 from .simkit import (
@@ -297,7 +298,7 @@ def cmd_run(args):
         model = setup.model
         jobs = [(cfg["controller"]["variant"], base_seed + i, params, horizon)
                 for i in range(n_seeds)]
-        results = replicate_map(vehicle.scenario_worker, jobs)
+        results = replicate_map(vehicle.run_scenario, jobs)
         tables = setup.tables
     else:
         cfg_m = _model_config(cfg)
@@ -412,43 +413,25 @@ def _validation_checks(cfg):
 
     if scenario == "vehicle":
         params = _vehicle_params(cfg)
-        a, b = vehicle.reduced_dynamics()
-        k = (vehicle.default_feedback(params.poles) if params.k is None
-             else np.asarray(params.k, float))
-        x_set = HPolytope.box(
-            [vehicle.LANE_BOUNDS_M[0], vehicle.kmh_to_ms(vehicle.SPEED_BOUNDS_KMH[0]) - vehicle.DELTA_BAR],
-            [vehicle.LANE_BOUNDS_M[1], vehicle.kmh_to_ms(vehicle.SPEED_BOUNDS_KMH[1]) - vehicle.DELTA_BAR])
-        bound = np.array([vehicle.STEER_BOUND_RAD, vehicle.ACCEL_BOUND])
-        u_set = HPolytope.box(-bound, bound)
-        w_set = Zonotope.box([vehicle.W_HALFWIDTH, vehicle.W_HALFWIDTH])
-        v_set = Zonotope.box([vehicle.POS_NOISE_M, vehicle.kmh_to_ms(vehicle.SPEED_NOISE_KMH)])
-        mu = params.mu
+        model_cfg = vehicle.vehicle_model_config(params)
         gamma, shrink = params.gamma, params.shrink
         c_g = params.c_g
-        x0 = np.array([0.0, vehicle.kmh_to_ms(params.initial_speed_kmh) - vehicle.DELTA_BAR])
+        x0 = [0.0, vehicle.kmh_to_ms(params.initial_speed_kmh) - vehicle.DELTA_BAR]
         zeta0_u = None
         cost0 = vehicle.phase_cost(1)
     else:
-        m = cfg["model"]
-        a, b, k = m["a"], m["b"], m["k"]
-        x_set = HPolytope.box(m["x_lb"], m["x_ub"])
-        u_set = HPolytope.box(m["u_lb"], m["u_ub"])
-        w_set = Zonotope.box(m["w_halfwidth"])
-        v_set = Zonotope.box(m["v_halfwidth"])
-        mu = cfg["controller"]["mu"]
+        model_cfg = _model_config(cfg)
         gamma, shrink = cfg["controller"]["gamma"], cfg["controller"]["shrink"]
         c_g = cfg["controller"].get("c_g")
-        x0 = m.get("x0")
-        x0 = np.zeros(np.asarray(a).shape[0]) if x0 is None else np.asarray(x0, float)
+        x0 = cfg["model"].get("x0")
         zeta0_u = cfg["controller"].get("zeta0_u")
-        pieces = cfg["costs"]
-        cost0 = QuadraticCost(pieces[0]["q_x"], pieces[0]["q_u"],
-                              pieces[0]["ref_x"], pieces[0]["ref_u"])
+        cost0 = _schedule(cfg).cost_at(0)
 
-    a = np.asarray(a, float)
-    b = np.asarray(b, float)
-    k = np.asarray(k, float)
+    a, b, k = (np.asarray(mat, float) for mat in (model_cfg.a, model_cfg.b, model_cfg.k))
+    x_set, u_set = model_cfg.x_set, model_cfg.u_set
+    w_set, v_set = model_cfg.w_set, model_cfg.v_set
     n = a.shape[0]
+    x0 = np.zeros(n) if x0 is None else np.asarray(x0, float)
 
     from .plant import _zonotope_full_interior
     record("disturbance sets contain 0 (Assumption on W, V)",
@@ -464,12 +447,11 @@ def _validation_checks(cfg):
                   "" if decay else "no decaying power found"):
         return checks, None
     try:
-        model = build_model(ModelConfig(a=a, b=b, k=k, mu=mu, x_set=x_set, u_set=u_set,
-                                        w_set=w_set, v_set=v_set))
+        model = build_model(model_cfg)
     except OcoRobustError as exc:
         record("model assembly", False, str(exc))
         return checks, None
-    record("horizon covers controllability index (mu >= mu*)", mu >= model.mu_star,
+    record("horizon covers controllability index (mu >= mu*)", model.mu >= model.mu_star,
            f"mu*={model.mu_star}")
     record("S_c full row rank", numeric_rank(model.s_c) == n)
     record("RPI set P inside X", zonotope_in_polytope(model.p_rpi.p, x_set, tol=1e-9))
@@ -490,7 +472,7 @@ def _validation_checks(cfg):
            f"required >= {model.c_g_min:.4g}")
     try:
         if scenario == "vehicle":
-            zeta0 = vehicle.optimal_steady_state(manifold, cost0, model)
+            zeta0 = optimal_steady_state(manifold, cost0, model)
         else:
             u0 = np.zeros(model.m) if zeta0_u is None else np.asarray(zeta0_u, float)
             zeta0 = (model.g_k @ u0, u0)

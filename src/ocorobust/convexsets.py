@@ -263,18 +263,6 @@ class TightenedOffsets:
         return float(np.max(self.normals @ x - self.offsets))
 
 
-def support(z, direction):
-    return z.support(direction)
-
-
-def linear_image(m, z):
-    return z.linear_image(m)
-
-
-def minkowski_sum(a, b):
-    return a.minkowski_sum(b)
-
-
 def pontryagin_deduct(p, z):
     """Pontryagin difference p (-) z as per-facet support deductions.
 
@@ -288,10 +276,6 @@ def pontryagin_deduct(p, z):
     base = p.base if isinstance(p, TightenedOffsets) else p
     prior = p.deductions if isinstance(p, TightenedOffsets) else 0.0
     return TightenedOffsets(base, prior + z.support_batch(base.normals))
-
-
-def contains(t, x, tol=DEFAULT_MEMBERSHIP_TOL):
-    return t.contains(x, tol=tol)
 
 
 def zonotope_in_polytope(z, p, tol=0.0):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionMismatch, FactorizationError, InfeasibleError
+from .errors import DimensionMismatch, FactorizationError
 from .matlin import as_matrix, as_vector, numeric_rank
 
 DEFAULT_TOL = 1e-8
@@ -278,28 +278,6 @@ def _gi_core(qp, x, cd, tol, max_iter):
             active.pop(block)
             mult.pop(block)
             signs.pop(block)
-
-
-def project_polytope(x, target, eq=None, tol=DEFAULT_TOL):
-    """Euclidean projection of x onto {y : target constraints, eq constraints}.
-
-    ``target`` is an HPolytope or TightenedOffsets; ``eq`` an optional
-    (matrix, vector) pair of equality constraints.
-    """
-    x = as_vector(x, "x")
-    eq_n, eq_b = (None, None) if eq is None else (eq[0], eq[1])
-    prob = QpProblem(
-        hessian=2.0 * np.eye(x.size),
-        linear=-2.0 * x,
-        ineq_normals=target.normals,
-        ineq_offsets=target.offsets,
-        eq_normals=eq_n,
-        eq_offsets=eq_b,
-    )
-    sol = solve_qp(prob, tol=tol)
-    if sol.status != "optimal":
-        raise InfeasibleError(f"projection failed with status {sol.status}")
-    return sol.x
 
 
 def polytope_is_empty(normals, offsets, tol=1e-9):

@@ -2,9 +2,9 @@
 
 Everything in the toolkit works on plain ``numpy`` arrays; this module adds
 the validated entry points and the few nonstandard primitives the rest of the
-code relies on: an SPD solve with a residual contract, a pivoted-elimination
-numeric rank, and a finite matrix-power decay certificate used in place of an
-eigensolver to certify Schur stability and to bound symmetric spectra.
+code relies on: a pivoted-elimination numeric rank, and a finite matrix-power
+decay certificate used in place of an eigensolver to certify Schur stability
+and to bound symmetric spectra.
 
 All dimensions in this toolkit are tiny (n <= ~64), so dense algorithms are
 used throughout.
@@ -40,15 +40,6 @@ def as_vector(v, name="vector"):
     return x
 
 
-def matmul(a, b):
-    """Matrix product with an explicit dimension check."""
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionMismatch(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
 def matrix_power(a, k):
     """k-th power of a square matrix; a^0 is the identity."""
     a = as_matrix(a, "a")
@@ -57,28 +48,6 @@ def matrix_power(a, k):
     if k < 0:
         raise ValueError("exponent must be nonnegative")
     return np.linalg.matrix_power(a, int(k))
-
-
-def solve_spd(a, b):
-    """Solve a*x = b for symmetric positive definite a via Cholesky.
-
-    Raises FactorizationError when a is not symmetric or the factorization
-    fails (not positive definite within pivot tolerance).
-    """
-    a = as_matrix(a, "a")
-    b = np.asarray(b, dtype=float)
-    if a.shape[0] != a.shape[1]:
-        raise FactorizationError(f"matrix is not square: {a.shape}")
-    scale = max(1.0, float(np.abs(a).max()))
-    if not np.allclose(a, a.T, atol=1e-10 * scale, rtol=0.0):
-        raise FactorizationError("matrix is not symmetric")
-    if b.shape[0] != a.shape[0]:
-        raise DimensionMismatch(f"rhs dim {b.shape[0]} != matrix dim {a.shape[0]}")
-    try:
-        c, low = scipy.linalg.cho_factor(a, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise FactorizationError(f"Cholesky failed, matrix not SPD: {exc}") from exc
-    return scipy.linalg.cho_solve((c, low), b, check_finite=False)
 
 
 def numeric_rank(a, tol=DEFAULT_RANK_TOL):

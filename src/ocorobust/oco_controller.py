@@ -166,14 +166,8 @@ def project_manifold(manifold, point_x, point_u, tol=1e-9):
 
     Solved in u-coordinates with x = G_K u substituted, which is exact.
     """
-    g = manifold.g_k
-    pre = getattr(manifold, "_proj_solver", None)
-    if pre is None:
-        pre = PrefactoredQp(2.0 * (g.T @ g + np.eye(g.shape[1])),
-                            ineq_normals=manifold.sbar.normals)
-        manifold._proj_solver = pre
-    q = -2.0 * (g.T @ np.asarray(point_x, float) + np.asarray(point_u, float))
-    sol = pre.solve(q, ineq_offsets=manifold.sbar.offsets, tol=tol)
+    q = -2.0 * (manifold.g_k.T @ np.asarray(point_x, float) + np.asarray(point_u, float))
+    sol = manifold.projector.solve(q, ineq_offsets=manifold.sbar.offsets, tol=tol)
     if sol.status != "optimal":
         raise InfeasibleError(f"manifold projection failed: {sol.status}")
     return manifold.zeta_of_u(sol.x)

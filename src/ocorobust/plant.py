@@ -324,13 +324,20 @@ class SteadyStateManifold:
 
     ``u_polytope`` describes S in u-coordinates; ``sbar`` is the same polytope
     with offsets scaled by ``shrink`` and is the set the controller projects
-    onto.
+    onto. ``projector`` is the Euclidean projection QP onto S-bar in
+    u-coordinates, with x = G_K u substituted: Hessian 2 (G_K' G_K + I).
     """
 
     u_polytope: HPolytope
     shrink: float
     sbar: HPolytope
     g_k: np.ndarray
+    projector: PrefactoredQp = field(init=False, repr=False)
+
+    def __post_init__(self):
+        g = self.g_k
+        self.projector = PrefactoredQp(2.0 * (g.T @ g + np.eye(g.shape[1])),
+                                       ineq_normals=self.sbar.normals)
 
     def contains_u(self, u, tol=1e-9):
         return self.sbar.contains(u, tol=tol)
@@ -447,19 +454,7 @@ def cost_curvature(cost, model):
 
 
 def optimal_steady_state(manifold, cost, model):
-    """Benchmark steady state: argmin over S-bar of L(x, u + Kx).
-
-    Unique by strong convexity, so the argmin of a cost object already seen
-    is served from a cache; the cost value itself is always re-evaluated by
-    the callers.
-    """
-    cached = getattr(manifold, "_oss_results", None)
-    if cached is None:
-        cached = manifold._oss_results = {}
-    hit = cached.get(id(cost))
-    if hit is not None and hit[0] is cost:
-        return hit[1]
-
+    """Benchmark steady state: argmin over S-bar of L(x, u + Kx)."""
     solvers = getattr(manifold, "_oss_solvers", None)
     if solvers is None:
         solvers = manifold._oss_solvers = {}
@@ -480,8 +475,4 @@ def optimal_steady_state(manifold, cost, model):
     sol = pre.solve(q, ineq_offsets=manifold.sbar.offsets)
     if sol.status != "optimal":
         raise InfeasibleError(f"steady-state benchmark QP: {sol.status}")
-    result = manifold.zeta_of_u(sol.x)
-    if len(cached) > 64:
-        cached.clear()
-    cached[id(cost)] = (cost, result)
-    return result
+    return manifold.zeta_of_u(sol.x)

@@ -78,9 +78,6 @@ class RegretLedger:
         self.w_energy += float(np.linalg.norm(w))
         self.v_energy += float(np.linalg.norm(v))
 
-    def recompute_regret(self):
-        return float(sum(c - b for c, b, _, _ in self.per_step))
-
 
 @dataclass
 class TraceRecord:
@@ -129,56 +126,51 @@ def _step_flags(model, tables, manifold, x_true, u, x_meas, state, diag, prev_xs
     return flags
 
 
-def run_closed_loop(model, tables, manifold, controller, cost_schedule, dist_policy,
-                    horizon, zeta0=None, x0=None, abort_on_violation=False):
-    """Simulate Eq-style dynamics x+ = Ax + Bu + w with noisy measurements.
+def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
+                abort_on_violation=False):
+    """The online loop for any plant; returns (trace, ledger).
 
-    Returns (trace, ledger). Deterministic for a fixed policy seed and config.
+    ``plant.observe(t)`` returns (x_true, x_meas, v, cost_t) and
+    ``plant.advance(u)`` applies u and returns (w, extra invariant flags).
+    The controller gets cost_t only at step t + 1; the benchmark steady state
+    is re-solved only when cost_t is a new cost object.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    n = model.n
-    x0 = np.zeros(n) if x0 is None else np.asarray(x0, float)
-    if not model.x_set.contains(x0, tol=model.membership_tol):
+    x_true, x_meas, v, cost_t = plant.observe(0)
+    if not model.x_set.contains(x_true, tol=model.membership_tol):
         raise OcoRobustError("x0 violates the state constraints")
-    if controller.effective_c_g(model) < model.c_g_min * (1 - 1e-9):
+    c_g = controller.effective_c_g(model)
+    if c_g < model.c_g_min * (1 - 1e-9):
         raise OcoRobustError(
-            f"c_g={controller.effective_c_g(model):.3g} below the required "
-            f"norm bound {model.c_g_min:.3g}")
-    sampler = _Sampler(dist_policy, model.w_set, model.v_set)
-    if zeta0 is None:
-        zeta0 = (np.zeros(n), np.zeros(model.m))
+            f"c_g={c_g:.3g} below the required norm bound {model.c_g_min:.3g}")
+    state = oco.initialize(model, tables, manifold, zeta0, x_meas)
+    u = oco.control_input(state, model, x_meas)
+    diag = oco.StepDiagnostics(beta=0.0, g_norm=0.0, pred_state=model.g_k @ state.u_ss,
+                               ogd_target=state.zeta_hat, candidate_feasible=True)
 
     trace, ledger = [], RegretLedger()
-    prev_zeta = None
-    prev_xs = None
-
-    v = sampler.next_v()
-    x_true = x0.copy()
-    x_meas = x_true + v
-    state = oco.initialize(model, tables, manifold, zeta0, x_meas)
-
+    prev_zeta = prev_xs = bench_cost = None
     for t in range(horizon):
-        if t == 0:
-            u = oco.control_input(state, model, x_meas)
-            diag = oco.StepDiagnostics(
-                beta=0.0, g_norm=0.0, pred_state=model.g_k @ state.u_ss,
-                ogd_target=state.zeta_hat, candidate_feasible=True)
-        else:
+        if t > 0:
+            prev_cost = cost_t
+            x_true, x_meas, v, cost_t = plant.observe(t)
             try:
                 u, state, diag = oco.step(state, model, tables, manifold, x_meas,
-                                          cost_schedule.cost_at(t - 1), controller)
+                                          prev_cost, controller)
             except OcoRobustError as exc:
                 raise SimulationAborted(str(exc), trace, ledger, t) from exc
 
-        cost_t = cost_schedule.cost_at(t)
-        theta_t, eta_t = optimal_steady_state(manifold, cost_t, model)
+        if cost_t is not bench_cost:
+            theta_t, eta_t = optimal_steady_state(manifold, cost_t, model)
+            bench_cost = cost_t
         cost_val = cost_t.value(x_true, u)
         bench_val = cost_t.value(theta_t, eta_t + model.k @ theta_t)
 
-        w = sampler.next_w()
+        w, extra_flags = plant.advance(u)
         flags = _step_flags(model, tables, manifold, x_true, u, x_meas, state,
-                            diag, prev_xs, c_g=controller.effective_c_g(model))
+                            diag, prev_xs, c_g=c_g)
+        flags.update(extra_flags)
         prev_xs = model.g_k @ state.u_ss
         ledger.record(cost_val, bench_val, theta_t, eta_t, w, v, prev_zeta)
         prev_zeta = np.concatenate([theta_t, eta_t])
@@ -187,12 +179,39 @@ def run_closed_loop(model, tables, manifold, controller, cost_schedule, dist_pol
                                  diagnostics=diag, invariant_flags=flags))
         if abort_on_violation and not all(flags.values()):
             raise SimulationAborted("invariant violation", trace, ledger, t)
-
-        x_true = model.a @ x_true + model.b @ u + w
-        v = sampler.next_v()
-        x_meas = x_true + v
-
     return trace, ledger
+
+
+class _LtiPlant:
+    """x+ = A x + B u + w, measured as x + v, with W/V drawn by a policy."""
+
+    def __init__(self, model, cost_schedule, dist_policy, x0):
+        self.model, self.cost_schedule = model, cost_schedule
+        self.sampler = _Sampler(dist_policy, model.w_set, model.v_set)
+        self.x, self.v = x0, self.sampler.next_v()
+
+    def observe(self, t):
+        return self.x, self.x + self.v, self.v, self.cost_schedule.cost_at(t)
+
+    def advance(self, u):
+        w = self.sampler.next_w()
+        self.x = self.model.a @ self.x + self.model.b @ u + w
+        self.v = self.sampler.next_v()
+        return w, {}
+
+
+def run_closed_loop(model, tables, manifold, controller, cost_schedule, dist_policy,
+                    horizon, zeta0=None, x0=None, abort_on_violation=False):
+    """Simulate Eq-style dynamics x+ = Ax + Bu + w with noisy measurements.
+
+    Returns (trace, ledger). Deterministic for a fixed policy seed and config.
+    """
+    x0 = np.zeros(model.n) if x0 is None else np.asarray(x0, float)
+    if zeta0 is None:
+        zeta0 = (np.zeros(model.n), np.zeros(model.m))
+    plant = _LtiPlant(model, cost_schedule, dist_policy, x0)
+    return closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
+                       abort_on_violation=abort_on_violation)
 
 
 FLAG_NAMES = ("state_ok", "input_ok", "candidate_ok", "plan_ok", "zs_ok",

@@ -33,7 +33,7 @@ from .plant import (
     optimal_steady_state,
     steady_state_manifold,
 )
-from .simkit import RegretLedger, TraceRecord, _step_flags
+from .simkit import closed_loop
 
 TAU = 0.1                      # s
 DELTA_BAR_KMH = 100.0          # linearization speed
@@ -102,8 +102,8 @@ def default_feedback(poles=(0.7, 0.8)):
     return np.linalg.solve(b, np.diag(poles) - a)
 
 
-def build_vehicle_model(params=None):
-    """Reduced 2-state, 2-input model with the scenario constraint boxes.
+def vehicle_model_config(params=None):
+    """Reduced 2-state, 2-input model data with the scenario constraint boxes.
 
     States are (lateral position [m], speed deviation from 100 km/h [m/s]),
     so the origin is interior to every constraint set as required.
@@ -114,14 +114,18 @@ def build_vehicle_model(params=None):
     x_lb = np.array([LANE_BOUNDS_M[0], kmh_to_ms(SPEED_BOUNDS_KMH[0]) - DELTA_BAR])
     x_ub = np.array([LANE_BOUNDS_M[1], kmh_to_ms(SPEED_BOUNDS_KMH[1]) - DELTA_BAR])
     u_bound = np.array([STEER_BOUND_RAD, ACCEL_BOUND])
-    cfg = ModelConfig(
+    return ModelConfig(
         a=a, b=b, k=k, mu=params.mu,
         x_set=HPolytope.box(x_lb, x_ub),
         u_set=HPolytope.box(-u_bound, u_bound),
         w_set=Zonotope.box([W_HALFWIDTH, W_HALFWIDTH]),
         v_set=Zonotope.box([POS_NOISE_M, kmh_to_ms(SPEED_NOISE_KMH)]),
     )
-    return build_model(cfg)
+
+
+def build_vehicle_model(params=None):
+    """The validated vehicle model; see ``vehicle_model_config``."""
+    return build_model(vehicle_model_config(params))
 
 
 @dataclass
@@ -182,21 +186,18 @@ class VehicleRolloutBuilder:
     """
 
     def __init__(self, model, params):
-        self.model = model
         self.params = params
-        mu, n, m = model.mu, model.n, model.m
-        self.e = model._pu                       # states x_0..x_{mu-1} from inputs
-        self.p0 = model._px
-        kb = np.kron(np.eye(mu), model.k)
-        self.kb = kb
-        self.mmap = np.eye(mu * m) + kb @ self.e
+        mu, n = model.mu, model.n
+        # Phases 1 and 2 share their weights; phase 3 weighs speed more.
+        follow = oco.QuadraticRolloutBuilder(model, _Q_STATE, _Q_INPUT)
+        self._phase_builders = {
+            1: follow, 2: follow, 3: oco.QuadraticRolloutBuilder(model, _Q_STATE_P3, _Q_INPUT)}
         speed_rows = np.zeros((mu, mu * n))
         for j in range(mu):
             speed_rows[j, j * n + 1] = 1.0
         self.cum_speed = np.vstack([np.zeros((1, mu * n)),
                                     np.cumsum(speed_rows, axis=0)])  # k = 0..mu
-        self.slack_base = -TAU * (self.cum_speed @ self.e)
-        self._phase_cache = {}
+        self.slack_base = -TAU * (self.cum_speed @ follow.e)
         self.phase = 1
         self.gap_meas = None
         self.est_speed_dev = None
@@ -206,28 +207,14 @@ class VehicleRolloutBuilder:
         self.gap_meas = gap_meas
         self.est_speed_dev = est_speed_dev
 
-    def _weights(self, phase):
-        cached = self._phase_cache.get(phase)
-        if cached is None:
-            cost = phase_cost(phase, target_speed_dev=0.0)
-            qx_bar = np.kron(np.eye(self.model.mu), cost.q_x)
-            qu_bar = np.kron(np.eye(self.model.mu), cost.q_u)
-            h = self.e.T @ qx_bar @ self.e + self.mmap.T @ qu_bar @ self.mmap
-            cached = (0.5 * (h + h.T), qx_bar @ self.e, qu_bar @ self.mmap)
-            self._phase_cache[phase] = cached
-        return cached
-
     def build(self, ctx):
-        h, qxe, qum = self._weights(self.phase)
-        c_x = self.p0 @ ctx.x_meas + self.e @ ctx.candidate
-        c_v = ctx.candidate + self.kb @ c_x
-        refs = np.tile(ctx.theta_hat, self.model.mu)
-        lin = qxe.T @ (c_x - refs) + qum.T @ c_v
+        base = self._phase_builders[self.phase]
+        rollout = base.build(ctx)
         if self.phase != 2:
-            return oco.RolloutQp(hessian=h, linear=lin)
-        rows, offsets = self.soft_safety_rows(c_x)
-        return oco.RolloutQp(hessian=h, linear=lin, slack_rows=rows,
-                             slack_offsets=offsets,
+            return rollout
+        rows, offsets = self.soft_safety_rows(base.p0 @ ctx.x_meas + base.e @ ctx.candidate)
+        return oco.RolloutQp(hessian=rollout.hessian, linear=rollout.linear,
+                             slack_rows=rows, slack_offsets=offsets,
                              slack_weight=self.params.slack_weight)
 
     def soft_safety_rows(self, c_x):
@@ -236,7 +223,7 @@ class VehicleRolloutBuilder:
         The gap prediction assumes the leader holds the estimated speed while
         the own speed follows the rollout, so each row is affine in g.
         """
-        ks = np.arange(self.model.mu + 1)
+        ks = np.arange(len(self.cum_speed))
         base_gap = (self.gap_meas + TAU * ks * self.est_speed_dev
                     - TAU * (self.cum_speed @ c_x))
         offsets = base_gap - self.params.safety_distance_m
@@ -285,6 +272,83 @@ def _linear_truth_step(state, u):
     return np.array([px + TAU * speed, red[0], DELTA_BAR + red[1]])
 
 
+class _RoadPlant:
+    """The overtaking road as a closed-loop plant: RK4 (or ideal linear)
+    truth, a constant-speed leader, the planner phases and the sensors."""
+
+    def __init__(self, model, params, seed, builder):
+        self.model, self.params, self.builder = model, params, builder
+        self.sensors = _Sensors(seed, params.sensor_noise_scale)
+        self.truth_step = _linear_truth_step if params.linear_truth else _rk4_step
+        self.w_membership = ZonotopeMembership(model.w_set)
+        self.truth = np.array([0.0, 0.0, kmh_to_ms(params.initial_speed_kmh)])
+        self.leader_px = params.initial_gap_m
+        self.leader_speed = kmh_to_ms(params.leader_speed_kmh)
+        self.overtake_step = int(round(params.overtake_time_s / TAU))
+        self.detected = False
+        self.gap_meas = self.prev_gap_meas = self.x_true = None
+        self.metrics = {
+            "min_gap_m": np.inf, "resid_violations": 0, "phase2_start": None,
+            "phase3_start": None, "gap_m": [], "speed_kmh": [], "phase": [],
+            "leader_est_kmh": [],
+        }
+
+    def observe(self, t):
+        metrics = self.metrics
+        n_pos, n_speed, n_dist = self.sensors.draw()
+        true_gap = self.leader_px - self.truth[0]
+        self.gap_meas = gap_meas = true_gap + n_dist
+        v = np.array([n_pos, n_speed])
+        self.x_true = x_true = np.array([self.truth[1], self.truth[2] - DELTA_BAR])
+        x_meas = x_true + v
+
+        if t >= self.overtake_step:
+            phase = 3
+        else:
+            if not self.detected and gap_meas <= self.params.detect_gap_m:
+                self.detected = True
+            phase = 2 if self.detected else 1
+        est_speed_dev = None
+        if phase == 2:
+            if self.prev_gap_meas is None:
+                est_abs = x_meas[1] + DELTA_BAR
+            else:
+                est_abs = (gap_meas - self.prev_gap_meas) / TAU + (x_meas[1] + DELTA_BAR)
+            est_speed_dev = est_abs - DELTA_BAR
+            cost_t = phase_cost(2, target_speed_dev=est_speed_dev)
+            metrics["leader_est_kmh"].append(ms_to_kmh(est_abs))
+        else:
+            metrics["leader_est_kmh"].append(None)
+            cost_t = phase_cost(phase)
+        if metrics["phase2_start"] is None and phase == 2:
+            metrics["phase2_start"] = t
+        if metrics["phase3_start"] is None and phase == 3:
+            metrics["phase3_start"] = t
+        if self.builder is not None:
+            self.builder.set_context(phase, gap_meas=gap_meas, est_speed_dev=est_speed_dev)
+
+        metrics["min_gap_m"] = min(metrics["min_gap_m"], true_gap)
+        metrics["gap_m"].append(true_gap)
+        metrics["speed_kmh"].append(ms_to_kmh(self.truth[2]))
+        metrics["phase"].append(phase)
+        return x_true, x_meas, v, cost_t
+
+    def advance(self, u):
+        """Integrate the truth; the process disturbance is the residual of
+        the reduced linear model, checked against the disturbance box."""
+        model = self.model
+        new_truth = self.truth_step(self.truth, u)
+        self.leader_px += TAU * self.leader_speed
+        resid = np.array([new_truth[1], new_truth[2] - DELTA_BAR]) - (
+            model.a @ self.x_true + model.b @ u)
+        resid_ok = self.w_membership.margin(resid) <= model.membership_tol
+        if not resid_ok:
+            self.metrics["resid_violations"] += 1
+        self.truth = new_truth
+        self.prev_gap_meas = self.gap_meas
+        return resid, {"resid_ok": bool(resid_ok)}
+
+
 def run_scenario(variant="optimized", seed=0, params=None, horizon_steps=300,
                  setup=None):
     """Closed-loop overtaking scenario; returns (trace, ledger, metrics).
@@ -305,109 +369,16 @@ def run_scenario(variant="optimized", seed=0, params=None, horizon_steps=300,
     builder = VehicleRolloutBuilder(model, params) if variant == "optimized" else None
     controller = oco.ControllerConfig(gamma=params.gamma, variant=variant,
                                       c_g=params.c_g, rollout_builder=builder)
-    sensors = _Sensors(seed, params.sensor_noise_scale)
-    truth_step = _linear_truth_step if params.linear_truth else _rk4_step
-    w_membership = ZonotopeMembership(model.w_set)
-
-    truth = np.array([0.0, 0.0, kmh_to_ms(params.initial_speed_kmh)])
-    leader_px = params.initial_gap_m
-    leader_speed = kmh_to_ms(params.leader_speed_kmh)
-
-    trace, ledger = [], RegretLedger()
-    metrics = {
-        "variant": variant, "seed": seed, "min_gap_m": np.inf,
-        "resid_violations": 0, "phase2_start": None, "phase3_start": None,
-        "gap_m": [], "speed_kmh": [], "phase": [], "leader_est_kmh": [],
-    }
-    prev_zeta = None
-    prev_xs = None
-    prev_gap_meas = None
-    detected = False
-    state = None
-    prev_cost = None
-    overtake_step = int(round(params.overtake_time_s / TAU))
-
-    for t in range(horizon_steps):
-        n_pos, n_speed, n_dist = sensors.draw()
-        true_gap = leader_px - truth[0]
-        gap_meas = true_gap + n_dist
-        v = np.array([n_pos, n_speed])
-        x_true = np.array([truth[1], truth[2] - DELTA_BAR])
-        x_meas = x_true + v
-
-        if t >= overtake_step:
-            phase = 3
-        else:
-            if not detected and gap_meas <= params.detect_gap_m:
-                detected = True
-            phase = 2 if detected else 1
-        if phase == 2:
-            if prev_gap_meas is None:
-                est_abs = x_meas[1] + DELTA_BAR
-            else:
-                est_abs = (gap_meas - prev_gap_meas) / TAU + (x_meas[1] + DELTA_BAR)
-            cost_t = phase_cost(2, target_speed_dev=est_abs - DELTA_BAR)
-            metrics["leader_est_kmh"].append(ms_to_kmh(est_abs))
-        else:
-            metrics["leader_est_kmh"].append(None)
-            cost_t = phase_cost(phase)
-        if metrics["phase2_start"] is None and phase == 2:
-            metrics["phase2_start"] = t
-        if metrics["phase3_start"] is None and phase == 3:
-            metrics["phase3_start"] = t
-
-        if builder is not None:
-            builder.set_context(phase, gap_meas=gap_meas,
-                                est_speed_dev=(est_abs - DELTA_BAR) if phase == 2 else None)
-
-        if t == 0:
-            zeta0 = optimal_steady_state(manifold, phase_cost(1), model)
-            state = oco.initialize(model, tables, manifold, zeta0, x_meas)
-            u = oco.control_input(state, model, x_meas)
-            diag = oco.StepDiagnostics(beta=0.0, g_norm=0.0,
-                                       pred_state=model.g_k @ state.u_ss,
-                                       ogd_target=state.zeta_hat,
-                                       candidate_feasible=True)
-        else:
-            u, state, diag = oco.step(state, model, tables, manifold, x_meas,
-                                      prev_cost, controller)
-
-        theta_t, eta_t = optimal_steady_state(manifold, cost_t, model)
-        cost_val = cost_t.value(x_true, u)
-        bench_val = cost_t.value(theta_t, eta_t + model.k @ theta_t)
-
-        new_truth = truth_step(truth, u)
-        leader_px += TAU * leader_speed
-        resid = np.array([new_truth[1], new_truth[2] - DELTA_BAR]) - (
-            model.a @ x_true + model.b @ u)
-        resid_ok = w_membership.margin(resid) <= model.membership_tol
-
-        flags = _step_flags(model, tables, manifold, x_true, u, x_meas, state,
-                            diag, prev_xs, c_g=params.c_g)
-        flags["resid_ok"] = bool(resid_ok)
-        prev_xs = model.g_k @ state.u_ss
-        ledger.record(cost_val, bench_val, theta_t, eta_t, resid, v, prev_zeta)
-        prev_zeta = np.concatenate([theta_t, eta_t])
-        trace.append(TraceRecord(t=t, x_true=x_true, x_meas=x_meas, u=u,
-                                 w=resid, v=v, diagnostics=diag,
-                                 invariant_flags=flags))
-
-        metrics["min_gap_m"] = min(metrics["min_gap_m"], true_gap)
-        metrics["gap_m"].append(true_gap)
-        metrics["speed_kmh"].append(ms_to_kmh(truth[2]))
-        metrics["phase"].append(phase)
-        if not resid_ok:
-            metrics["resid_violations"] += 1
-
-        truth = new_truth
-        prev_gap_meas = gap_meas
-        prev_cost = cost_t
-
-    _finalize_metrics(metrics, horizon_steps)
+    plant = _RoadPlant(model, params, seed, builder)
+    zeta0 = optimal_steady_state(manifold, phase_cost(1), model)
+    trace, ledger = closed_loop(model, tables, manifold, controller, plant,
+                                horizon_steps, zeta0)
+    metrics = {"variant": variant, "seed": seed, **plant.metrics}
+    _finalize_metrics(metrics)
     return trace, ledger, metrics
 
 
-def _finalize_metrics(metrics, horizon_steps):
+def _finalize_metrics(metrics):
     window = int(round(5.0 / TAU))
     speeds = np.asarray(metrics["speed_kmh"])
     gaps = np.asarray(metrics["gap_m"])
@@ -422,11 +393,3 @@ def _finalize_metrics(metrics, horizon_steps):
             metrics["phase2_standoff_gap_m"] = None
     else:
         metrics["phase2_standoff_gap_m"] = None
-
-
-def scenario_worker(variant, seed, params_or_none=None, horizon_steps=300):
-    """Top-level worker for multiprocess Monte Carlo replicates."""
-    trace, ledger, metrics = run_scenario(variant=variant, seed=seed,
-                                          params=params_or_none,
-                                          horizon_steps=horizon_steps)
-    return trace, ledger, metrics

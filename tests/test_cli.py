@@ -2,8 +2,15 @@ from pathlib import Path
 
 import pytest
 
-from ocorobust.cli import load_config, main, parse_config_text
+from ocorobust.cli import (
+    _model_config,
+    _validation_checks,
+    load_config,
+    main,
+    parse_config_text,
+)
 from ocorobust.errors import ConfigError
+from ocorobust.plant import build_model
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -130,6 +137,15 @@ class TestExitCodes:
         cfg = write_cfg(tmp_path, broken)
         assert main(["validate", "--config", cfg]) == 1
         assert "Schur" in capsys.readouterr().out
+
+    def test_validate_checks_the_model_run_builds(self, tmp_path):
+        text = MINI_GENERIC.replace("gamma = 0.3\n",
+                                    "gamma = 0.3\nmembership_tol = 1e-6\nrpi_epsilon = 0.01\n")
+        cfg = load_config(write_cfg(tmp_path, text), command="validate")
+        _, model = _validation_checks(cfg)
+        assert model.membership_tol == 1e-6
+        run_model = build_model(_model_config(cfg))
+        assert model.p_rpi.epsilon_bound == run_model.p_rpi.epsilon_bound
 
 
 class TestDeterministicOutput:

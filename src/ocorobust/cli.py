@@ -296,9 +296,9 @@ def cmd_run(args):
         params = _vehicle_params(cfg)
         setup = vehicle.vehicle_setup(params)
         model = setup.model
+        worker = vehicle.run_scenario
         jobs = [(cfg["controller"]["variant"], base_seed + i, params, horizon)
                 for i in range(n_seeds)]
-        results = replicate_map(vehicle.run_scenario, jobs)
         tables = setup.tables
     else:
         cfg_m = _model_config(cfg)
@@ -312,6 +312,7 @@ def cmd_run(args):
         zeta0 = (model.g_k @ u0, u0)
         x0 = cfg["model"].get("x0")
         abort = cfg["experiment"]["abort_on_violation"]
+        worker = _generic_worker
         jobs = []
         for i in range(n_seeds):
             policy = DisturbancePolicy(kind=cfg["disturbance"]["kind"],
@@ -319,13 +320,13 @@ def cmd_run(args):
                                        scale=cfg["disturbance"]["scale"])
             jobs.append((model, tables, manifold, controller, schedule, policy,
                          horizon, zeta0, x0, abort))
-        try:
-            results = replicate_map(_generic_worker, jobs)
-        except SimulationAborted as exc:
-            write_trace_csv(out_dir / "trace_partial.csv", exc.trace, exc.ledger,
-                            model.n, model.m)
-            print(f"aborted: {exc}", file=sys.stderr)
-            return 1
+    try:
+        results = replicate_map(worker, jobs)
+    except SimulationAborted as exc:
+        write_trace_csv(out_dir / "trace_partial.csv", exc.trace, exc.ledger,
+                        model.n, model.m)
+        print(f"aborted: {exc}", file=sys.stderr)
+        return 1
 
     total_violations = 0
     report_lines = []

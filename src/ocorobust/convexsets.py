@@ -57,6 +57,13 @@ class HPolytope:
             raise DimensionMismatch(f"point dim {x.size} != set dim {self.dim}")
         return float(np.max(self.normals @ x - self.offsets))
 
+    def violations(self, points):
+        """``violation`` of each row of the (k, dim) array ``points``.
+
+        A row with a NaN entry gets NaN, which no ``<= tol`` test accepts.
+        """
+        return (points @ self.normals.T - self.offsets).max(axis=1)
+
     def support(self, direction):
         """Support function via LP; raises InfeasibleError when unbounded."""
         d = as_vector(direction, "direction")
@@ -156,6 +163,27 @@ class Zonotope:
         """Drop exactly-zero generator columns (no order reduction)."""
         keep = np.abs(self.generators).max(axis=0) > tol if self.order else np.zeros(0, bool)
         return Zonotope(self.center, self.generators[:, keep])
+
+    def merge_parallel(self, tol=1e-12):
+        """The same set with each group of parallel generators summed into one.
+
+        Columns whose unit directions differ by a sine of at most ``tol``, up
+        to sign, are parallel; signed along the group's first column, their
+        sum spans the same segment as the group. Zero columns are dropped.
+        """
+        g = self.prune().generators
+        unit = g / np.linalg.norm(g, axis=0)
+        left = np.ones(g.shape[1], bool)
+        cols = []
+        for i in range(g.shape[1]):
+            if not left[i]:
+                continue
+            cos = unit[:, i] @ unit
+            sin = np.linalg.norm(unit - np.outer(unit[:, i], cos), axis=0)
+            group = left & (sin <= tol)
+            left &= ~group
+            cols.append(g[:, group] @ np.sign(cos[group]))
+        return Zonotope(self.center, np.array(cols).reshape(-1, self.dim).T)
 
     def radius_upper(self):
         """Upper bound on max ||x|| over the set."""

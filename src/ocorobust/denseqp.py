@@ -87,7 +87,7 @@ class QpProblem:
 class QpSolution:
     x: np.ndarray
     kkt_residual: float
-    status: str  # "optimal" | "infeasible" | "max_iter"
+    status: str  # "optimal" | "infeasible" | "max_iter" | "non_finite"
     ineq_multipliers: np.ndarray = None
     eq_multipliers: np.ndarray = None
 
@@ -177,22 +177,29 @@ class PrefactoredQp:
         return self._assemble(linear, ineq_b, eq_b, x, lam, nu, status, tol)
 
     def _assemble(self, linear, ineq_b, eq_b, x, lam, nu, status, tol):
-        """KKT residual of (x, lam, nu); an "optimal" above tol becomes "max_iter"."""
+        """KKT residual of (x, lam, nu); an "optimal" above tol becomes "max_iter".
+
+        A non-finite x or problem datum makes the residual NaN or inf, and the
+        status "non_finite".
+        """
         grad = self.hessian @ x + linear
         if ineq_b.size:
             grad += self.ineq_normals.T @ lam
         if self.meq:
             grad += self.eq_normals.T @ nu
-        res = float(np.linalg.norm(grad))
+        terms = [float(np.linalg.norm(grad))]
         if ineq_b.size:
             viol = self.ineq_normals @ x - ineq_b
-            res = max(res, float(viol.max(initial=0.0)))
-            res = max(res, float(np.abs(lam * viol).max(initial=0.0)))
-            res = max(res, float(max(0.0, -lam.min(initial=0.0))))
+            terms += [float(viol.max(initial=0.0)),
+                      float(np.abs(lam * viol).max(initial=0.0)),
+                      max(0.0, -float(lam.min(initial=0.0)))]
         if self.meq:
-            res = max(res, float(np.abs(self.eq_normals @ x - eq_b).max()))
-        if status == "optimal" and res > tol:
-            status = "max_iter"
+            terms.append(float(np.abs(self.eq_normals @ x - eq_b).max()))
+        # max() skips a NaN that is not its first argument; the sum does not.
+        total = sum(terms)
+        res = max(terms) if total < np.inf else total
+        if status == "optimal" and not res <= tol:
+            status = "max_iter" if res < np.inf else "non_finite"
         return QpSolution(x=x, kkt_residual=res, status=status, ineq_multipliers=lam,
                           eq_multipliers=nu)
 

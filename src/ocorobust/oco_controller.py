@@ -108,7 +108,6 @@ class QuadraticRolloutBuilder:
 
 def control_input(state, model, x_meas):
     """First planned input plus state feedback."""
-    x_meas = as_vector(x_meas, "x_meas")
     return state.u_pred[: model.m] + model.k @ x_meas
 
 
@@ -150,12 +149,16 @@ def _shift_candidate(state, model):
 
 
 def ogd_step(state, model, manifold, grad_prev, gamma, pred_state):
-    """One projected gradient step on the previous cost."""
+    """One projected gradient step on the previous cost.
+
+    The gradient oracle is outside code, so its output is checked here.
+    """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    pred_state = as_vector(pred_state, "pred_state")
     u_ss = state.u_ss
     gx, gv = grad_prev.grad(pred_state, u_ss + model.k @ pred_state)
+    if not (np.isfinite(gx).all() and np.isfinite(gv).all()):
+        raise ValueError("gradient oracle returned non-finite values")
     step_x = pred_state - gamma * (gx + model.k.T @ gv)
     step_u = u_ss - gamma * gv
     return project_manifold(manifold, step_x, step_u)
@@ -166,7 +169,7 @@ def project_manifold(manifold, point_x, point_u, tol=1e-9):
 
     Solved in u-coordinates with x = G_K u substituted, which is exact.
     """
-    q = -2.0 * (manifold.g_k.T @ np.asarray(point_x, float) + np.asarray(point_u, float))
+    q = -2.0 * (manifold.g_k.T @ point_x + point_u)
     sol = manifold.projector.solve(q, ineq_offsets=manifold.sbar.offsets, tol=tol)
     if sol.status != "optimal":
         raise InfeasibleError(f"manifold projection failed: {sol.status}")
@@ -175,10 +178,21 @@ def project_manifold(manifold, point_x, point_u, tol=1e-9):
 
 def additional_input_explicit(model, theta_hat, pred_state):
     """Least-norm input sequence reaching theta_hat in mu steps."""
-    d = as_vector(theta_hat) - as_vector(pred_state)
-    if np.linalg.norm(d) <= DEGENERATE_TOL:
+    d = _reach_gap(theta_hat, pred_state)
+    if d is None:
         return np.zeros(model.mu * model.m)
     return model.s_c_pinv @ d
+
+
+def _reach_gap(theta_hat, pred_state):
+    """theta_hat - pred_state, or None below DEGENERATE_TOL; rejects NaN/inf."""
+    d = theta_hat - pred_state
+    norm = np.linalg.norm(d)
+    if norm <= DEGENERATE_TOL:
+        return None
+    if not norm < np.inf:
+        raise ValueError("theta_hat or pred_state has non-finite entries")
+    return d
 
 
 def additional_input_optimized(model, theta_hat, pred_state, rollout_qp, c_g,
@@ -190,9 +204,9 @@ def additional_input_optimized(model, theta_hat, pred_state, rollout_qp, c_g,
     when the solver fails or the norm cap is violated, reporting the
     fallback; any other error (e.g. a malformed ``rollout_qp``) propagates.
     """
-    d = as_vector(theta_hat) - as_vector(pred_state)
+    d = _reach_gap(theta_hat, pred_state)
     nv = model.mu * model.m
-    if np.linalg.norm(d) <= DEGENERATE_TOL:
+    if d is None:
         return np.zeros(nv), None, False
     has_slack = rollout_qp.slack_rows is not None and len(rollout_qp.slack_rows) > 0
     try:
@@ -246,21 +260,21 @@ def max_beta(tables, model, x_meas, base_seq, g, tol=None, _base=None):
     """
     if tol is None:
         tol = model.membership_tol
-    x_meas = as_vector(x_meas, "x_meas")
-    base_seq = as_vector(base_seq, "base_seq")
-    g = as_vector(g, "g")
     if _base is None:
         _base = stage_values(tables, model, x_meas, base_seq)
     base_vals = _base.flat
     worst = float(base_vals.max(initial=-np.inf))
-    if worst > tol:
+    if not worst <= tol:  # NaN-safe: a non-finite x_meas or base_seq fails here
         raise InfeasibleError(
             f"candidate input sequence infeasible by {worst:.3e}; feasibility invariant broken")
     if not np.any(g):
         return 1.0
     growth = stage_values_linear(tables, model, g).flat
     slack = np.maximum(-base_vals, 0.0)
-    scale = max(1.0, float(np.abs(growth).max()))
+    peak = float(np.abs(growth).max())
+    if not peak < np.inf:
+        raise ValueError("g has non-finite entries")
+    scale = max(1.0, peak)
     mask = growth > 1e-14 * scale
     if not np.any(mask):
         return 1.0

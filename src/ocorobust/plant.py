@@ -99,13 +99,26 @@ class PlantModel:
         """Signed Euclidean margin of ``dev`` against the tail set (<=0 inside)."""
         return self._tube.margin(dev)
 
+    def tube_margins(self, devs):
+        """``tube_margin`` of each row of the (k, n) array ``devs``."""
+        return self._tube.margins(devs)
+
     def predict_terminal(self, x, useq):
         """mu-step ahead state A_K^mu x + S_c useq."""
         return self.a_k_powers[self.mu] @ x + self.s_c @ useq
 
 
+# Rows per matrix product in the batched checks, so their temporaries stay
+# (ROW_BLOCK, facets) however many rows (steps) there are.
+ROW_BLOCK = 64
+
+
 class ZonotopeMembership:
-    """Point-membership margins for a fixed zonotope (dim <= 3)."""
+    """Point-membership margins for a fixed zonotope (dim <= 3).
+
+    The facet form is built after merging parallel generators, which gives
+    the same set with fewer facets.
+    """
 
     def __init__(self, z):
         self.center = z.center
@@ -121,17 +134,25 @@ class ZonotopeMembership:
             self.extent = float(np.abs(self.axis @ g).sum())
         else:
             self.kind = "facets"
-            self.normals, self.offsets = z.to_halfspaces()
+            self.normals, self.offsets = z.merge_parallel().to_halfspaces()
 
     def margin(self, x):
-        d = np.asarray(x, dtype=float) - self.center
+        return float(self.margins(np.reshape(x, (1, -1)))[0])
+
+    def margins(self, points):
+        """Signed margin of each row of ``points`` (<= 0 inside, NaN for NaN)."""
+        d = np.asarray(points, dtype=float) - self.center
         if self.kind == "point":
-            return float(np.linalg.norm(d))
+            return np.linalg.norm(d, axis=1)
         if self.kind == "segment":
-            along = float(self.axis @ d)
-            perp = float(np.linalg.norm(d - along * self.axis))
-            return max(perp, abs(along) - self.extent)
-        return float(np.max(self.normals @ d - self.offsets))
+            along = d @ self.axis
+            perp = np.linalg.norm(d - np.outer(along, self.axis), axis=1)
+            return np.maximum(perp, np.abs(along) - self.extent)
+        out = np.empty(len(d))
+        for lo in range(0, len(d), ROW_BLOCK):
+            rows = slice(lo, lo + ROW_BLOCK)
+            out[rows] = (d[rows] @ self.normals.T - self.offsets).max(axis=1)
+        return out
 
 
 def build_w_bar(a, w_set, v_set):
@@ -310,6 +331,17 @@ def stage_values_linear(tables, model, useq):
     return StageValues(tables.residual_u @ np.asarray(useq, float).reshape(-1), tables)
 
 
+def worst_stage_residuals(tables, xs, useqs):
+    """The worst stage residual of each rollout from a row of ``xs`` under
+    the same row of ``useqs``: ``membership_zu``'s worst value, batched."""
+    out = np.empty(len(xs))
+    for lo in range(0, len(xs), ROW_BLOCK):
+        rows = slice(lo, lo + ROW_BLOCK)
+        out[rows] = (xs[rows] @ tables.residual_x.T + useqs[rows] @ tables.residual_u.T
+                     - tables.residual_offsets).max(axis=1)
+    return out
+
+
 def membership_zu(tables, model, x, useq, tol=None):
     """Check the tightened mu-step constraints; returns (ok, worst residual)."""
     worst = float(stage_values(tables, model, x, useq).flat.max())
@@ -350,7 +382,6 @@ class SteadyStateManifold:
         return coupled and self.contains_u(eta, tol=tol)
 
     def zeta_of_u(self, u):
-        u = as_vector(u, "u")
         return self.g_k @ u, u
 
 

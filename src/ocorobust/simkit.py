@@ -16,7 +16,7 @@ import numpy as np
 
 from . import oco_controller as oco
 from .errors import OcoRobustError
-from .plant import membership_zu, optimal_steady_state
+from .plant import optimal_steady_state, worst_stage_residuals
 
 TUBE_TOL = 1e-6
 BETA_WINDOW_MARGIN = 1e-6
@@ -101,29 +101,91 @@ class SimulationAborted(OcoRobustError):
         super().__init__(f"simulation aborted at t={t}: {message}")
 
 
-def _step_flags(model, tables, manifold, x_true, u, x_meas, state, diag, prev_xs,
-                c_g=None):
-    flags = {}
-    flags["state_ok"] = model.x_set.contains(x_true, tol=model.membership_tol)
-    flags["input_ok"] = model.u_set.contains(u, tol=model.membership_tol)
-    flags["candidate_ok"] = bool(diag.candidate_feasible)
-    plan_ok, _ = membership_zu(tables, model, x_meas, state.u_pred)
-    flags["plan_ok"] = bool(plan_ok)
-    flags["zs_ok"] = manifold.contains_u(state.u_ss, tol=1e-7)
-    if c_g is None:
-        flags["g_cap_ok"] = True
-    else:
-        dist = float(np.linalg.norm(diag.ogd_target[0] - diag.pred_state))
-        flags["g_cap_ok"] = diag.g_norm <= c_g * dist + 1e-8
-    if prev_xs is None:
-        flags["tube_ok"] = True
-        flags["tube_marginal"] = False
-    else:
-        margin = model.tube_margin(diag.pred_state - prev_xs)
-        flags["tube_ok"] = margin <= TUBE_TOL
-        flags["tube_marginal"] = bool(
-            flags["tube_ok"] and margin > -model.tube_band)
-    return flags
+class _MonitorLog:
+    """Inputs of the per-step invariant monitors of one run.
+
+    Each step writes one row of preallocated (horizon, .) arrays; the trace
+    records hold views of the x_true, x_meas and u rows. ``_step_flags``
+    turns any range of rows into flags in one batched pass.
+    """
+
+    def __init__(self, model, tables, manifold, c_g, horizon):
+        self.model, self.tables, self.manifold, self.c_g = model, tables, manifold, c_g
+        n, m = model.n, model.m
+        self.x_true = np.empty((horizon, n))
+        self.x_meas = np.empty((horizon, n))
+        self.u = np.empty((horizon, m))
+        self.u_pred = np.empty((horizon, model.mu * m))
+        self.u_ss = np.empty((horizon, m))
+        self.pred_state = np.empty((horizon, n))
+        self.theta_hat = np.empty((horizon, n))
+        self.g_norm = np.empty(horizon)
+        self.candidate_ok = np.empty(horizon, bool)
+        self.extra = []  # the plant's extra flags of each step
+        self.flagged = 0  # records of the trace that have their flags
+
+    def record(self, t, x_true, x_meas, u, state, diag, extra):
+        self.x_true[t] = x_true
+        self.x_meas[t] = x_meas
+        self.u[t] = u
+        self.u_pred[t] = state.u_pred
+        self.u_ss[t] = state.u_ss
+        self.pred_state[t] = diag.pred_state
+        self.theta_hat[t] = diag.ogd_target[0]
+        self.g_norm[t] = diag.g_norm
+        self.candidate_ok[t] = diag.candidate_feasible
+        self.extra.append(extra)
+
+    def flag(self, trace):
+        """Set the flags of the records added to ``trace`` since the last call."""
+        lo, hi = self.flagged, len(trace)
+        if lo < hi:
+            for rec, flags in zip(trace[lo:], _step_flags(self, lo, hi)):
+                rec.invariant_flags = flags
+            self.flagged = hi
+
+
+def _step_flags(log, lo, hi):
+    """Invariant flags of steps lo..hi-1 of a run, one dict per step.
+
+    Every monitor is a matrix product over the logged rows: state and input
+    membership against X and U, the plan against the tightened stage-residual
+    map, the steady-state input against S-bar, the c_g cap, and the step's
+    prediction against the previous steady state through the tail-set
+    facets. A NaN input fails its monitor.
+    """
+    model, tables, manifold = log.model, log.tables, log.manifold
+    tol = model.membership_tol
+    rows = slice(lo, hi)
+    plan = worst_stage_residuals(tables, log.x_meas[rows], log.u_pred[rows])
+    dist = np.linalg.norm(log.theta_hat[rows] - log.pred_state[rows], axis=1)
+    # The tube compares step t's prediction with G_K u_ss of step t - 1; step
+    # 0 has no predecessor and passes.
+    tube_ok = np.ones(hi - lo, bool)
+    tube_marginal = np.zeros(hi - lo, bool)
+    first = max(lo, 1)
+    if first < hi:
+        margin = model.tube_margins(log.pred_state[first:hi]
+                                    - log.u_ss[first - 1:hi - 1] @ model.g_k.T)
+        tube_ok[first - lo:] = margin <= TUBE_TOL
+        tube_marginal[first - lo:] = tube_ok[first - lo:] & (margin > -model.tube_band)
+    columns = {
+        "state_ok": model.x_set.violations(log.x_true[rows]) <= tol,
+        "input_ok": model.u_set.violations(log.u[rows]) <= tol,
+        "candidate_ok": log.candidate_ok[rows],
+        "plan_ok": plan <= tol,
+        "zs_ok": manifold.sbar.violations(log.u_ss[rows]) <= 1e-7,
+        "g_cap_ok": log.g_norm[rows] <= log.c_g * dist + 1e-8,
+        "tube_ok": tube_ok,
+        "tube_marginal": tube_marginal,
+    }
+    names = tuple(columns)
+    out = []
+    for values, extra in zip(zip(*(c.tolist() for c in columns.values())), log.extra[rows]):
+        flags = dict(zip(names, values))
+        flags.update(extra)
+        out.append(flags)
+    return out
 
 
 def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
@@ -133,7 +195,10 @@ def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
     ``plant.observe(t)`` returns (x_true, x_meas, v, cost_t) and
     ``plant.advance(u)`` applies u and returns (w, extra invariant flags).
     The controller gets cost_t only at step t + 1; the benchmark steady state
-    is re-solved only when cost_t is a new cost object.
+    is re-solved only when cost_t is a new cost object. The invariant flags
+    are computed in one batched pass after the run, or after each step under
+    ``abort_on_violation``; a ``SimulationAborted`` carries a trace whose
+    records all have their flags.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -149,8 +214,9 @@ def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
     diag = oco.StepDiagnostics(beta=0.0, g_norm=0.0, pred_state=model.g_k @ state.u_ss,
                                ogd_target=state.zeta_hat, candidate_feasible=True)
 
+    log = _MonitorLog(model, tables, manifold, c_g, horizon)
     trace, ledger = [], RegretLedger()
-    prev_zeta = prev_xs = bench_cost = None
+    prev_zeta = bench_cost = None
     for t in range(horizon):
         if t > 0:
             prev_cost = cost_t
@@ -159,6 +225,7 @@ def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
                 u, state, diag = oco.step(state, model, tables, manifold, x_meas,
                                           prev_cost, controller)
             except OcoRobustError as exc:
+                log.flag(trace)
                 raise SimulationAborted(str(exc), trace, ledger, t) from exc
 
         if cost_t is not bench_cost:
@@ -168,17 +235,21 @@ def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
         bench_val = cost_t.value(theta_t, eta_t + model.k @ theta_t)
 
         w, extra_flags = plant.advance(u)
-        flags = _step_flags(model, tables, manifold, x_true, u, x_meas, state,
-                            diag, prev_xs, c_g=c_g)
-        flags.update(extra_flags)
-        prev_xs = model.g_k @ state.u_ss
+        log.record(t, x_true, x_meas, u, state, diag, extra_flags)
         ledger.record(cost_val, bench_val, theta_t, eta_t, w, v, prev_zeta)
         prev_zeta = np.concatenate([theta_t, eta_t])
-        trace.append(TraceRecord(t=t, x_true=x_true.copy(), x_meas=x_meas.copy(),
-                                 u=u.copy(), w=w.copy(), v=v.copy(),
-                                 diagnostics=diag, invariant_flags=flags))
-        if abort_on_violation and not all(flags.values()):
-            raise SimulationAborted("invariant violation", trace, ledger, t)
+        trace.append(TraceRecord(t=t, x_true=log.x_true[t], x_meas=log.x_meas[t],
+                                 u=log.u[t], w=w.copy(), v=v.copy(),
+                                 diagnostics=diag, invariant_flags=None))
+        if abort_on_violation:
+            log.flag(trace)
+            # tube_marginal is an early warning, not a violation
+            violated = [name for name, ok in trace[t].invariant_flags.items()
+                        if not ok and name != "tube_marginal"]
+            if violated:
+                raise SimulationAborted(f"invariant violation: {', '.join(violated)}",
+                                        trace, ledger, t)
+    log.flag(trace)
     return trace, ledger
 
 
@@ -255,10 +326,13 @@ def invariant_report(trace, model, tables, window_margin=BETA_WINDOW_MARGIN,
     counts = {name: 0 for name in FLAG_NAMES}
     marginal = 0
     betas, dists = [], []
-    for rec in trace:
-        rechecked = dict(rec.invariant_flags)
-        rechecked["state_ok"] = model.x_set.contains(rec.x_true, tol=model.membership_tol)
-        rechecked["input_ok"] = model.u_set.contains(rec.u, tol=model.membership_tol)
+    tol = model.membership_tol
+    state_ok = model.x_set.violations(
+        np.array([rec.x_true for rec in trace]).reshape(-1, model.n)) <= tol
+    input_ok = model.u_set.violations(
+        np.array([rec.u for rec in trace]).reshape(-1, model.m)) <= tol
+    for rec, x_ok, u_ok in zip(trace, state_ok.tolist(), input_ok.tolist()):
+        rechecked = dict(rec.invariant_flags, state_ok=x_ok, input_ok=u_ok)
         for name in FLAG_NAMES:
             if not rechecked.get(name, True):
                 counts[name] += 1

@@ -119,6 +119,38 @@ class TestExitCodes:
         lines = (tmp_path / "o" / "trace_0000.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 25
 
+    def test_abort_on_violation_clean_run_completes(self, tmp_path):
+        # tube_marginal is an early warning, not a violation: it must not abort
+        plain = write_cfg(tmp_path, MINI_GENERIC, "plain.cfg")
+        abort = write_cfg(tmp_path, MINI_GENERIC.replace(
+            "seeds = 1\n", "seeds = 1\nabort_on_violation = true\n"), "abort.cfg")
+        assert main(["run", "--config", plain, "--out", str(tmp_path / "a"), "--quiet"]) == 0
+        assert main(["run", "--config", abort, "--out", str(tmp_path / "b"), "--quiet"]) == 0
+        assert not (tmp_path / "b" / "trace_partial.csv").exists()
+        for name in ("trace_0000.csv", "ledger_0000.csv", "invariants.txt"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_vehicle_abort_writes_flagged_partial_trace(self, tmp_path, monkeypatch, capsys):
+        from ocorobust import oco_controller
+        from ocorobust.errors import StepError
+
+        real_step = oco_controller.step
+
+        def failing_step(state, *args, **kwargs):
+            if state.t + 1 == 5:
+                raise StepError(5, RuntimeError("controller died"))
+            return real_step(state, *args, **kwargs)
+
+        monkeypatch.setattr(oco_controller, "step", failing_step)
+        code = main(["run", "--config", str(CONFIGS / "vehicle_explicit.cfg"),
+                     "--out", str(tmp_path / "o"), "--quiet"])
+        assert code == 1
+        assert "aborted" in capsys.readouterr().err
+        header, *rows = (tmp_path / "o" / "trace_partial.csv").read_text().splitlines()
+        assert len(rows) == 5
+        flags = [i for i, col in enumerate(header.split(",")) if col.startswith("flag_")]
+        assert all(row.split(",")[i] in ("0", "1") for row in rows for i in flags)
+
     def test_validate_bundled_configs(self):
         for name in ("double_integrator.cfg", "vehicle_optimized.cfg",
                      "vehicle_explicit.cfg"):

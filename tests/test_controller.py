@@ -348,3 +348,45 @@ class TestStep:
             oco.step(state, model, tables, manifold, zeta[0], cost, options)
         assert isinstance(info.value.cause, ValueError)
 
+
+
+class TestBoundaryChecks:
+    """``step`` validates what comes from outside once, the measured state and
+    the gradient oracle's output; a NaN or inf in either still raises."""
+
+    @pytest.fixture(params=["explicit", "optimized"])
+    def started(self, request, di_bundle):
+        model, tables, manifold = di_bundle
+        zeta = steady_pair(model, manifold, [0.2])
+        state = oco.initialize(model, tables, manifold, zeta, zeta[0])
+        builder = (oco.QuadraticRolloutBuilder(model, np.eye(2), np.eye(1))
+                   if request.param == "optimized" else None)
+        options = oco.ControllerConfig(gamma=0.2, variant=request.param,
+                                       rollout_builder=builder)
+        return model, tables, manifold, state, options, zeta[0]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_measurement(self, started, bad):
+        model, tables, manifold, state, options, x = started
+        cost = QuadraticCost(np.eye(2), np.eye(1), [0.5, 0.0], np.zeros(1))
+        x_meas = x.copy()
+        x_meas[1] = bad
+        with pytest.raises(StepError) as info:
+            oco.step(state, model, tables, manifold, x_meas, cost, options)
+        assert isinstance(info.value.cause, (ValueError, InfeasibleError))
+
+    @pytest.mark.parametrize("which", [0, 1])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gradient(self, started, which, bad):
+        model, tables, manifold, state, options, x = started
+        cost = QuadraticCost(np.eye(2), np.eye(1), [0.5, 0.0], np.zeros(1))
+
+        class BadOracle:
+            def grad(self, x, v):
+                grads = list(cost.grad(x, v))
+                grads[which] = np.full_like(grads[which], bad)
+                return tuple(grads)
+
+        with pytest.raises(StepError) as info:
+            oco.step(state, model, tables, manifold, x, BadOracle(), options)
+        assert isinstance(info.value.cause, (ValueError, InfeasibleError))

@@ -240,3 +240,24 @@ class TestHPolytopeFlags:
     def test_zero_normal_rejected(self):
         with pytest.raises(ValueError):
             HPolytope([[0.0, 0.0]], [1.0])
+
+
+class TestMergeParallel:
+    def test_parallel_columns_merge(self):
+        g = np.array([[1.0, -2.0, 0.0, 0.5, 0.0],
+                      [1.0, -2.0, 1.0, 0.5, 0.0]])
+        merged = Zonotope([0.3, -0.1], g).merge_parallel()
+        assert merged.order == 2
+        assert np.allclose(np.abs(merged.generators).sum(axis=1), [3.5, 4.5])
+
+    def test_same_support(self):
+        rng = np.random.default_rng(61)
+        for _ in range(20):
+            base = rng.standard_normal((3, 4))
+            g = np.hstack([base, base[:, :2] * rng.uniform(-2.0, 2.0, 2)])
+            z = Zonotope(rng.standard_normal(3), g)
+            merged = z.merge_parallel()
+            assert merged.order == 4
+            dirs = rng.standard_normal((50, 3))
+            assert np.allclose(merged.support_batch(dirs), z.support_batch(dirs),
+                               rtol=0.0, atol=1e-12)

@@ -368,3 +368,37 @@ class TestPrefactoredQpOracle:
                                           ineq_n, ineq_b, np.zeros((0, n)), np.zeros(0))
             assert sol.status == "infeasible"
 
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestNonFiniteData:
+    """A NaN or inf in the linear term or the equality right-hand side never
+    comes back "optimal", on the unconstrained, the closed-form equality and
+    the inequality (GI) paths alike."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_linear(self, bad):
+        h = 2.0 * np.eye(2)
+        cases = [
+            PrefactoredQp(h),
+            PrefactoredQp(h, eq_normals=np.array([[1.0, 1.0]])),
+            PrefactoredQp(h, ineq_normals=np.vstack([np.eye(2), -np.eye(2)])),
+        ]
+        for pre in cases:
+            sol = pre.solve(np.array([bad, 0.0]), ineq_offsets=np.ones(pre.ineq_normals.shape[0]))
+            assert sol.status != "optimal"
+            assert not sol.kkt_residual <= 1e-8
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_eq_offsets(self, bad):
+        h = 2.0 * np.eye(3)
+        pre = PrefactoredQp(h, eq_normals=np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]))
+        assert pre.closed_form
+        sol = pre.solve(np.zeros(3), eq_offsets=np.array([bad, 0.5]))
+        assert sol.status != "optimal"
+        assert not sol.kkt_residual <= 1e-8
+
+    def test_finite_data_unchanged(self):
+        sol = PrefactoredQp(2.0 * np.eye(2)).solve(np.array([-2.0, 0.0]))
+        assert sol.status == "optimal"
+        assert np.allclose(sol.x, [1.0, 0.0], atol=1e-12)

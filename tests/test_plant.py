@@ -6,6 +6,7 @@ from ocorobust.errors import AssumptionViolation, InfeasibleError
 from ocorobust.plant import (
     ModelConfig,
     QuadraticCost,
+    ZonotopeMembership,
     build_model,
     build_tightening,
     build_w_bar,
@@ -306,3 +307,37 @@ class TestOptimalSteadyState:
         theta, eta = optimal_steady_state(manifold, di_cost, model)
         assert np.linalg.norm(theta - model.g_k @ eta) <= 1e-9
         assert manifold.contains_u(eta, tol=1e-9)
+
+
+class TestTubeMembership:
+    def test_merged_facets_match_full_facet_form(self, di_bundle):
+        model = di_bundle[0]
+        tail = model.p_tail
+        normals, offsets = tail.to_halfspaces()
+        tube = ZonotopeMembership(tail)
+        assert tube.kind == "facets" and len(tube.normals) < len(normals)
+        rng = np.random.default_rng(60)
+        reach = tail.support_batch(np.eye(model.n)) - tail.center
+        pts = tail.center + rng.uniform(-2.0, 2.0, (500, model.n)) * reach
+        ref = ((pts - tail.center) @ normals.T - offsets).max(axis=1)
+        assert np.any(ref <= 0.0) and np.any(ref > 0.0)
+        assert np.allclose(model.tube_margins(pts), ref, rtol=0.0, atol=1e-12)
+        assert np.allclose([model.tube_margin(p) for p in pts[:20]],
+                           model.tube_margins(pts[:20]), rtol=0.0, atol=1e-15)
+
+    def test_vehicle_tail_set_has_four_facets(self):
+        from ocorobust import vehicle
+
+        tail = vehicle.vehicle_setup(vehicle.VehicleParams()).model.p_tail
+        assert len(tail.to_halfspaces()[0]) == 576
+        assert ZonotopeMembership(tail).normals.shape == (4, 2)
+
+    def test_segment_margins(self, scalar_bundle):
+        model = scalar_bundle[0]
+        tube = ZonotopeMembership(model.p_tail)
+        assert tube.kind == "segment"
+        extent = float(np.abs(model.p_tail.generators).sum())
+        pts = np.array([[0.0], [0.5 * extent], [2.0 * extent], [-3.0 * extent]])
+        # perpendicular distance 0 in 1-D, so inside points read 0
+        want = np.maximum(0.0, np.abs(pts[:, 0] - model.p_tail.center[0]) - extent)
+        assert np.allclose(model.tube_margins(pts), want, rtol=0.0, atol=1e-15)

@@ -1,12 +1,16 @@
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
 
+from ocorobust import oco_controller as oco
 from ocorobust.errors import OcoRobustError
 from ocorobust.oco_controller import ControllerConfig
-from ocorobust.plant import QuadraticCost, optimal_steady_state
+from ocorobust.plant import QuadraticCost, membership_zu, optimal_steady_state
 from ocorobust.simkit import (
+    FLAG_NAMES,
+    TUBE_TOL,
     AlternatingTargetGenerator,
     ConstantSchedule,
     DisturbancePolicy,
@@ -243,6 +247,120 @@ class TestInvariantReport:
                             zeta0=zeta0, x0=zeta0[0])
         assert err.value.t == 7
         assert len(err.value.trace) == 7
+        for rec in err.value.trace:
+            assert all(rec.invariant_flags[name] for name in FLAG_NAMES)
+
+    def test_state_violation_aborts_with_flagged_trace(self, di_bundle, di_cost):
+        model, tables, manifold = di_bundle
+        zeta0 = optimal_steady_state(manifold, di_cost, model)
+        k = 5
+        with pytest.raises(SimulationAborted) as err:
+            closed_loop(model, tables, manifold, ControllerConfig(gamma=0.3),
+                        HeldPlant(model, zeta0[0], di_cost, leave_x_at=k), 20, zeta0,
+                        abort_on_violation=True)
+        trace = err.value.trace
+        assert err.value.t == k
+        assert len(trace) == k + 1
+        assert "state_ok" in str(err.value)
+        for rec in trace[:-1]:
+            assert all(rec.invariant_flags[name] for name in FLAG_NAMES)
+        last = trace[-1].invariant_flags
+        assert last["state_ok"] is False
+        assert all(last[name] for name in FLAG_NAMES if name != "state_ok")
+
+
+class HeldPlant:
+    """Measures the steady state x_hold at every step whatever the input, so
+    a controller started at the optimum holds still. The true state jumps
+    outside X at step ``leave_x_at``."""
+
+    def __init__(self, model, x_hold, cost, leave_x_at=None):
+        self.model, self.x_hold, self.cost = model, x_hold, cost
+        self.leave_x_at = leave_x_at
+
+    def observe(self, t):
+        x_true = self.x_hold.copy()
+        if t == self.leave_x_at:
+            x_true[0] += 10.0
+        return x_true, self.x_hold.copy(), np.zeros(self.model.n), self.cost
+
+    def advance(self, u):
+        return np.zeros(self.model.n), {}
+
+
+class TestBatchedFlags:
+    def test_match_per_step_reference(self, di_bundle, di_cost, monkeypatch):
+        model, tables, manifold = di_bundle
+        controller = ControllerConfig(gamma=0.3)
+        c_g = controller.effective_c_g(model)
+        zeta0 = optimal_steady_state(manifold, di_cost, model)
+        real_initialize, real_step = oco.initialize, oco.step
+        states = []       # the controller state of each step, as the engine saw it
+        held = {}         # the uncorrupted state the controller continues from
+
+        def initialize(*args, **kwargs):
+            held["state"] = real_initialize(*args, **kwargs)
+            states.append(held["state"])
+            return held["state"]
+
+        def step(state, *args, **kwargs):
+            # Corrupt what the engine records at one step per monitor; the
+            # controller itself continues from its own state.
+            u, new, diag = real_step(held["state"], *args, **kwargs)
+            held["state"] = new
+            if new.t == 3:
+                u = u + 10.0
+            if new.t == 4:
+                diag = dataclasses.replace(diag, candidate_feasible=False)
+            if new.t == 5:
+                new = dataclasses.replace(new, u_pred=new.u_pred + 10.0)
+            if new.t == 6:
+                new = dataclasses.replace(new, u_ss=new.u_ss + 10.0)
+            if new.t == 8:
+                diag = dataclasses.replace(diag, g_norm=diag.g_norm + 1.0)
+            if new.t == 10:
+                diag = dataclasses.replace(diag, pred_state=diag.pred_state + 1.0)
+            states.append(new)
+            return u, new, diag
+
+        monkeypatch.setattr(oco, "initialize", initialize)
+        monkeypatch.setattr(oco, "step", step)
+        trace, _ = closed_loop(model, tables, manifold, controller,
+                               HeldPlant(model, zeta0[0], di_cost, leave_x_at=2), 14, zeta0)
+
+        tol = model.membership_tol
+        ref = []
+        for t, rec in enumerate(trace):
+            d, st = rec.diagnostics, states[t]
+            flags = {
+                "state_ok": model.x_set.contains(rec.x_true, tol=tol),
+                "input_ok": model.u_set.contains(rec.u, tol=tol),
+                "candidate_ok": d.candidate_feasible,
+                "plan_ok": membership_zu(tables, model, rec.x_meas, st.u_pred)[0],
+                "zs_ok": manifold.contains_u(st.u_ss, tol=1e-7),
+                "g_cap_ok": d.g_norm <= c_g * np.linalg.norm(d.ogd_target[0] - d.pred_state)
+                + 1e-8,
+                "tube_ok": True,
+                "tube_marginal": False,
+            }
+            if t > 0:
+                margin = model.tube_margin(d.pred_state - model.g_k @ states[t - 1].u_ss)
+                flags["tube_ok"] = margin <= TUBE_TOL
+                flags["tube_marginal"] = flags["tube_ok"] and margin > -model.tube_band
+            ref.append(flags)
+        assert [rec.invariant_flags for rec in trace] == ref
+        broken = {name: [t for t, f in enumerate(ref) if not f[name]] for name in FLAG_NAMES}
+        # zs_ok at 6 also moves the steady state that step 7's tube is centred on
+        assert broken == {"state_ok": [2], "input_ok": [3], "candidate_ok": [4],
+                          "plan_ok": [5], "zs_ok": [6], "g_cap_ok": [8], "tube_ok": [7, 10]}
+
+        # Under abort_on_violation the same monitors run one step at a time.
+        states.clear()
+        with pytest.raises(SimulationAborted) as err:
+            closed_loop(model, tables, manifold, controller,
+                        HeldPlant(model, zeta0[0], di_cost, leave_x_at=2), 14, zeta0,
+                        abort_on_violation=True)
+        assert [rec.invariant_flags for rec in err.value.trace] == ref[:3]
 
 
 class TestRegretScaling:

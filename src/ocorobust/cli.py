@@ -18,9 +18,8 @@ import numpy as np
 
 from . import oco_controller as oco
 from . import vehicle
-from .convexsets import HPolytope, Zonotope, zonotope_in_polytope
-from .errors import ConfigError, InfeasibleError, OcoRobustError
-from .matlin import numeric_rank, power_norm_certificate
+from .convexsets import HPolytope, Zonotope
+from .errors import AssumptionViolation, ConfigError, InfeasibleError, OcoRobustError
 from .plant import (
     ModelConfig,
     QuadraticCost,
@@ -410,7 +409,6 @@ def _validation_checks(cfg):
 
     def record(name, ok, detail=""):
         checks.append((name, "pass" if ok else "FAIL", detail))
-        return ok
 
     if scenario == "vehicle":
         params = _vehicle_params(cfg)
@@ -428,34 +426,19 @@ def _validation_checks(cfg):
         zeta0_u = cfg["controller"].get("zeta0_u")
         cost0 = _schedule(cfg).cost_at(0)
 
-    a, b, k = (np.asarray(mat, float) for mat in (model_cfg.a, model_cfg.b, model_cfg.k))
-    x_set, u_set = model_cfg.x_set, model_cfg.u_set
-    w_set, v_set = model_cfg.w_set, model_cfg.v_set
-    n = a.shape[0]
-    x0 = np.zeros(n) if x0 is None else np.asarray(x0, float)
-
-    from .plant import _zonotope_full_interior
-    record("disturbance sets contain 0 (Assumption on W, V)",
-           _zonotope_full_interior(w_set) and _zonotope_full_interior(v_set))
-    ctrb = np.hstack([np.linalg.matrix_power(a, i) @ b for i in range(n)])
-    record("(A, B) controllable", numeric_rank(ctrb) == n)
-    record("X, U compact with 0 interior",
-           x_set.is_compact() and u_set.is_compact()
-           and x_set.contains_origin_interior() and u_set.contains_origin_interior())
-    a_k = a + b @ k
-    decay = power_norm_certificate(a_k)
-    if not record("A + BK certified Schur", decay is not None,
-                  "" if decay else "no decaying power found"):
-        return checks, None
     try:
         model = build_model(model_cfg)
+    except AssumptionViolation as exc:
+        for label, detail in exc.checks:
+            record(label, True, detail)
+        record(exc.label, False, exc.detail)
+        return checks, None
     except OcoRobustError as exc:
         record("model assembly", False, str(exc))
         return checks, None
-    record("horizon covers controllability index (mu >= mu*)", model.mu >= model.mu_star,
-           f"mu*={model.mu_star}")
-    record("S_c full row rank", numeric_rank(model.s_c) == n)
-    record("RPI set P inside X", zonotope_in_polytope(model.p_rpi.p, x_set, tol=1e-9))
+    for label, detail in model.checks:
+        record(label, True, detail)
+    x0 = np.zeros(model.n) if x0 is None else np.asarray(x0, float)
     try:
         tables = build_tightening(model)
         record("tightened stage sets nonempty", True)
@@ -483,7 +466,7 @@ def _validation_checks(cfg):
                f"worst residual {worst0:.2e}")
     except OcoRobustError as exc:
         record("initial plan feasible (initialization assumption)", False, str(exc))
-    record("x0 inside X", x_set.contains(x0, tol=1e-9))
+    record("x0 inside X", model.x_set.contains(x0, tol=model.membership_tol))
     alpha_k, l_k = cost_curvature(cost0, model)
     bound = 2.0 / (alpha_k + l_k)
     if gamma > bound:

@@ -17,11 +17,16 @@ class AssumptionViolation(OcoRobustError):
     """A standing assumption on the problem data does not hold.
 
     ``name`` identifies which check failed (e.g. "disturbance sets",
-    "constraint sets", "stabilizing feedback", "horizon", "rpi containment").
+    "constraint sets", "stabilizing feedback", "horizon", "rpi containment"),
+    ``label`` is the line ``validate`` prints for it, ``detail`` the message,
+    and ``checks`` the (label, detail) pairs of the checks that passed first.
     """
 
-    def __init__(self, name, message):
+    def __init__(self, name, message, label=None, checks=()):
         self.name = name
+        self.label = label or name
+        self.detail = message
+        self.checks = list(checks)
         super().__init__(f"{name}: {message}")
 
 

@@ -55,7 +55,7 @@ class PlantModel:
     """Validated problem instance with precomputed rollout operators."""
 
     def __init__(self, cfg, a, b, k, a_k, g_k, s_c, s_c_pinv, mu, mu_star,
-                 w_bar, p_rpi, p_tail, decay):
+                 w_bar, p_rpi, p_tail, decay, checks):
         self.a, self.b, self.k = a, b, k
         self.a_k, self.g_k = a_k, g_k
         self.s_c, self.s_c_pinv = s_c, s_c_pinv
@@ -66,6 +66,7 @@ class PlantModel:
         self.w_bar = w_bar
         self.p_rpi, self.p_tail = p_rpi, p_tail
         self.decay = decay
+        self.checks = checks
         self.membership_tol = cfg.membership_tol
         self.k_bar = np.block([
             [np.eye(self.n), np.zeros((self.n, self.m))],
@@ -170,8 +171,12 @@ def _zonotope_full_interior(z, tol=1e-12):
 
 
 def build_model(cfg):
-    """Assemble and validate a PlantModel; raises AssumptionViolation with the
-    name of the first failed check."""
+    """Assemble and validate a PlantModel.
+
+    The standing assumptions are checked in order; ``model.checks`` lists
+    them as (label, detail) pairs. A failed check raises AssumptionViolation
+    with its name and label and the pairs of the checks that passed before it.
+    """
     a = as_matrix(cfg.a, "a")
     b = as_matrix(cfg.b, "b")
     k = as_matrix(cfg.k, "k")
@@ -187,43 +192,51 @@ def build_model(cfg):
     if cfg.u_set.dim != m:
         raise DimensionMismatch(f"u_set dim {cfg.u_set.dim} != m={m}")
 
-    if not (_zonotope_full_interior(cfg.w_set) and _zonotope_full_interior(cfg.v_set)):
-        raise AssumptionViolation(
-            "disturbance sets", "W and V must be full-dimensional and contain 0 in the interior")
+    checks = []
+
+    def check(ok, label, name, message, detail=""):
+        if not ok:
+            raise AssumptionViolation(name, message, label=label, checks=checks)
+        checks.append((label, detail))
+
+    check(_zonotope_full_interior(cfg.w_set) and _zonotope_full_interior(cfg.v_set),
+          "disturbance sets contain 0 (Assumption on W, V)", "disturbance sets",
+          "W and V must be full-dimensional and contain 0 in the interior")
     ctrb = np.hstack([np.linalg.matrix_power(a, i) @ b for i in range(n)])
-    if numeric_rank(ctrb) != n:
-        raise AssumptionViolation("controllability", "(A, B) is not controllable")
+    check(numeric_rank(ctrb) == n, "(A, B) controllable", "controllability",
+          "(A, B) is not controllable")
+    problem = None
     for s, nm in ((cfg.x_set, "X"), (cfg.u_set, "U")):
         if not s.is_compact():
-            raise AssumptionViolation("constraint sets", f"{nm} is not compact")
-        if not s.contains_origin_interior():
-            raise AssumptionViolation(
-                "constraint sets", f"{nm} must contain 0 in its interior")
+            problem = f"{nm} is not compact"
+        elif not s.contains_origin_interior():
+            problem = f"{nm} must contain 0 in its interior"
+        if problem:
+            break
+    check(problem is None, "X, U compact with 0 interior", "constraint sets", problem)
 
     a_k = a + b @ k
     decay = power_norm_certificate(a_k, n_max=cfg.schur_n_max)
-    if decay is None:
-        raise AssumptionViolation(
-            "stabilizing feedback", "A + BK not certified Schur within n_max powers")
+    check(decay is not None, "A + BK certified Schur", "stabilizing feedback",
+          "A + BK not certified Schur within n_max powers")
 
-    mu_star = None
-    for cand in range(1, n + 1):
-        if numeric_rank(_controllability(a_k, b, cand)) == n:
-            mu_star = cand
-            break
+    mu_star = next((cand for cand in range(1, n + 1)
+                    if numeric_rank(_controllability(a_k, b, cand)) == n), None)
+    label = "horizon covers controllability index (mu >= mu*)"
     if mu_star is None:
-        raise AssumptionViolation("controllability", "stabilized pair lost controllability")
-    if cfg.mu < mu_star:
-        raise AssumptionViolation("horizon", f"mu={cfg.mu} below controllability index {mu_star}")
+        raise AssumptionViolation("controllability", "stabilized pair lost controllability",
+                                  label=label, checks=checks)
+    check(cfg.mu >= mu_star, label, "horizon",
+          f"mu={cfg.mu} below controllability index {mu_star}", f"mu*={mu_star}")
 
     s_c = _controllability(a_k, b, cfg.mu)
-    if numeric_rank(s_c) != n:
-        raise AssumptionViolation("horizon", "S_c is rank deficient at the chosen horizon")
+    check(numeric_rank(s_c) == n, "S_c full row rank", "horizon",
+          "S_c is rank deficient at the chosen horizon")
 
     w_bar = build_w_bar(a, cfg.w_set, cfg.v_set)
     p_rpi = invariance.mrpi_outer(a_k, w_bar, epsilon=cfg.rpi_epsilon, s_max=cfg.rpi_s_max)
-    if not zonotope_in_polytope(p_rpi.p, cfg.x_set, tol=cfg.membership_tol):
-        raise AssumptionViolation("rpi containment", "RPI set P is not contained in X")
+    check(zonotope_in_polytope(p_rpi.p, cfg.x_set, tol=cfg.membership_tol),
+          "RPI set P inside X", "rpi containment", "RPI set P is not contained in X")
     p_tail = invariance.tail_set(a_k, w_bar, cfg.mu, p_rpi)
 
     g_k = scipy.linalg.solve(np.eye(n) - a_k, b)
@@ -231,7 +244,7 @@ def build_model(cfg):
     s_c_pinv = scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram), s_c).T
 
     return PlantModel(cfg, a, b, k, a_k, g_k, s_c, s_c_pinv, cfg.mu, mu_star,
-                      w_bar, p_rpi, p_tail, decay)
+                      w_bar, p_rpi, p_tail, decay, checks)
 
 
 def _controllability(a_k, b, mu):

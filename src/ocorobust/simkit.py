@@ -13,6 +13,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import oco_controller as oco
 from .errors import OcoRobustError
@@ -325,7 +326,6 @@ def invariant_report(trace, model, tables, window_margin=BETA_WINDOW_MARGIN,
     """
     counts = {name: 0 for name in FLAG_NAMES}
     marginal = 0
-    betas, dists = [], []
     tol = model.membership_tol
     state_ok = model.x_set.violations(
         np.array([rec.x_true for rec in trace]).reshape(-1, model.n)) <= tol
@@ -338,25 +338,20 @@ def invariant_report(trace, model, tables, window_margin=BETA_WINDOW_MARGIN,
                 counts[name] += 1
         if rec.invariant_flags.get("tube_marginal"):
             marginal += 1
-        if rec.t >= 1:
-            d = rec.diagnostics
-            betas.append(d.beta)
-            theta_hat = d.ogd_target[0]
-            dists.append(float(np.linalg.norm(theta_hat - d.pred_state)))
-    betas = np.asarray(betas)
-    dists = np.asarray(dists)
+    later = [rec.diagnostics for rec in trace if rec.t >= 1]
+    betas = np.array([d.beta for d in later], dtype=float)
+    theta_hats = np.array([d.ogd_target[0] for d in later]).reshape(-1, model.n)
+    preds = np.array([d.pred_state for d in later]).reshape(-1, model.n)
+    dists = np.linalg.norm(theta_hats - preds, axis=1)
     win = model.mu + 1
-    windows = 0
-    win_viol = 0
+    windows = win_viol = 0
     max_active = 0.0
-    for start in range(0, len(betas) - win + 1):
-        prod = float(np.prod(1.0 - betas[start:start + win]))
-        active = bool(np.any(dists[start:start + win] > distance_floor))
-        windows += 1
-        if active:
-            max_active = max(max_active, prod)
-            if prod > 1.0 - window_margin:
-                win_viol += 1
+    if len(betas) >= win:
+        prods = np.prod(sliding_window_view(1.0 - betas, win), axis=1)
+        active = sliding_window_view(dists > distance_floor, win).any(axis=1)
+        windows = len(prods)
+        win_viol = int(np.count_nonzero(active & (prods > 1.0 - window_margin)))
+        max_active = float(prods[active].max(initial=0.0))
     return InvariantReport(
         steps=len(trace),
         violation_counts=counts,

@@ -179,6 +179,66 @@ class TestExitCodes:
         run_model = build_model(_model_config(cfg))
         assert model.p_rpi.epsilon_bound == run_model.p_rpi.epsilon_bound
 
+    def test_validate_misshaped_b_fails_cleanly(self, tmp_path, capsys):
+        broken = MINI_GENERIC.replace("b = [[1.0]]", "b = [[1.0], [1.0]]")
+        cfg = write_cfg(tmp_path, broken)
+        assert main(["validate", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert "[FAIL] model assembly  (b or k shape inconsistent with a)" in captured.out
+        assert "Traceback" not in captured.out + captured.err
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "b or k shape inconsistent with a" in capsys.readouterr().err
+
+    def test_validate_x0_uses_membership_tol(self, tmp_path, capsys):
+        # x0 is 5e-7 outside X, within membership_tol: run accepts it, so
+        # validate must too
+        text = MINI_GENERIC.replace("v_halfwidth = [0.02]\n",
+                                    "v_halfwidth = [0.02]\nx0 = [2.0000005]\n")
+        text = text.replace("gamma = 0.3\n",
+                            "gamma = 0.3\nmembership_tol = 1e-6\nzeta0_u = [0.5]\n")
+        cfg = write_cfg(tmp_path, text)
+        assert main(["validate", "--config", cfg]) == 0
+        assert "[pass] x0 inside X" in capsys.readouterr().out
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 0
+
+    def test_validate_failed_assumption_lists_checks_before_it(self, tmp_path, capsys):
+        broken = MINI_GENERIC.replace("mu = 3", "mu = 3\nrpi_epsilon = 0.01").replace(
+            "x_lb = [-2.0]", "x_lb = [-0.15]").replace("x_ub = [2.0]", "x_ub = [0.15]")
+        assert main(["validate", "--config", write_cfg(tmp_path, broken)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line[:6] for line in lines] == ["[pass]"] * 6 + ["[FAIL]"]
+        assert lines[-1].startswith("[FAIL] RPI set P inside X  (")
+
+
+# Labels and statuses validate prints for the bundled configs, in order.
+GENERIC_CHECKS = [
+    ("pass", "disturbance sets contain 0 (Assumption on W, V)"),
+    ("pass", "(A, B) controllable"),
+    ("pass", "X, U compact with 0 interior"),
+    ("pass", "A + BK certified Schur"),
+    ("pass", "horizon covers controllability index (mu >= mu*)"),
+    ("pass", "S_c full row rank"),
+    ("pass", "RPI set P inside X"),
+    ("pass", "tightened stage sets nonempty"),
+    ("pass", "steady-state manifold nonempty with 0 interior"),
+    ("pass", "c_g covers the explicit-solution norm"),
+    ("pass", "initial plan feasible (initialization assumption)"),
+    ("pass", "x0 inside X"),
+    ("pass", "gamma within contraction range"),
+]
+VEHICLE_CHECKS = GENERIC_CHECKS[:-1] + [("warn", "gamma within contraction range")]
+
+
+@pytest.mark.parametrize("name, expected", [
+    ("double_integrator.cfg", GENERIC_CHECKS),
+    ("regret_sweep.cfg", GENERIC_CHECKS),
+    ("vehicle_optimized.cfg", VEHICLE_CHECKS),
+    ("vehicle_explicit.cfg", VEHICLE_CHECKS),
+])
+def test_validate_check_list_of_bundled_configs(name, expected):
+    cfg = load_config(CONFIGS / name, command="validate")
+    checks, _ = _validation_checks(cfg)
+    assert [(status, label) for label, status, _ in checks] == expected
 
 class TestDeterministicOutput:
     def test_repeat_runs_byte_identical(self, tmp_path):

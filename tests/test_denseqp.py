@@ -2,6 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ocorobust.convexsets import HPolytope
 from ocorobust.denseqp import (
@@ -270,6 +273,27 @@ def check_against_oracle(h, q, ineq_n, ineq_b, eq_n, eq_b, tol=1e-8):
     return pre, sol
 
 
+# Entries on a coarse grid, so drawn instances hit exact degeneracies
+# (zero, duplicate and parallel rows, boundary points) as well as generic ones.
+GRID = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+
+
+@st.composite
+def qp_instances(draw):
+    """A strictly convex QP with n <= 4 and <= 6 rows, feasible at a known point."""
+    n = draw(st.integers(1, 4))
+    me = draw(st.integers(0, n - 1))
+    mi = draw(st.integers(0, 6 - me))
+    root = draw(arrays(float, (n, n), elements=GRID))
+    x_feas = draw(arrays(float, n, elements=GRID))
+    ineq_n = draw(arrays(float, (mi, n), elements=GRID))
+    eq_n = draw(arrays(float, (me, n), elements=GRID))
+    slack = draw(arrays(float, mi, elements=st.sampled_from([0.0, 0.0, 0.25, 1.0])))
+    q = draw(arrays(float, n, elements=GRID))
+    h = 2.0 * (root.T @ root + np.eye(n))
+    return h, 2.0 * q, ineq_n, ineq_n @ x_feas + slack, eq_n, eq_n @ x_feas
+
+
 class TestPrefactoredQpOracle:
     """PrefactoredQp against exact active-set enumeration (n <= 4, <= 6 rows)."""
 
@@ -287,6 +311,11 @@ class TestPrefactoredQpOracle:
             # a few offsets at zero slack put the known point on the boundary
             slack = np.where(rng.random(mi) < 0.3, 0.0, rng.uniform(0.0, 1.0, mi))
             check_against_oracle(h, q, ineq_n, ineq_n @ x_feas + slack, eq_n, eq_n @ x_feas)
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(qp_instances())
+    def test_drawn_instances(self, instance):
+        check_against_oracle(*instance)
 
     def test_equality_only_closed_form(self):
         rng = np.random.default_rng(31)

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from ocorobust.errors import DimensionMismatch
+from ocorobust.errors import FactorizationError
 from ocorobust.matlin import (
-    matrix_power,
     numeric_rank,
     power_norm_certificate,
     spectral_norm_upper,
@@ -11,31 +10,6 @@ from ocorobust.matlin import (
 )
 
 from conftest import random_spd
-
-
-class TestMatrixPower:
-    def test_zero_power(self):
-        a = np.array([[3.0, 1.0], [2.0, 5.0]])
-        assert np.array_equal(matrix_power(a, 0), np.eye(2))
-
-    def test_scalar_exponentiation(self):
-        assert np.allclose(matrix_power(np.diag([0.5, 0.5]), 3), np.diag([0.125, 0.125]))
-
-    def test_nilpotent(self):
-        assert np.array_equal(matrix_power([[0.0, 1.0], [0.0, 0.0]], 2), np.zeros((2, 2)))
-
-    def test_additivity(self):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            a = rng.standard_normal((3, 3)) * 0.6
-            j, k = rng.integers(0, 5, size=2)
-            assert np.allclose(matrix_power(a, j + k),
-                               matrix_power(a, j) @ matrix_power(a, k),
-                               rtol=1e-9, atol=1e-12)
-
-    def test_non_square(self):
-        with pytest.raises(DimensionMismatch):
-            matrix_power(np.ones((2, 3)), 2)
 
 
 class TestNumericRank:
@@ -105,3 +79,21 @@ class TestSpectrumBounds:
             true = np.linalg.norm(m, 2)
             hi = spectral_norm_upper(m)
             assert true - 1e-12 <= hi <= true * 1.05 + 1e-9
+
+    def test_margin_widens_outward(self):
+        # diagonal spectra are computed exactly, so the margin alone shows
+        h = np.diag([-2.0, 0.5, 3.0])
+        lo, hi = symmetric_eig_bounds(h)
+        assert lo < -2.0 and hi > 3.0
+        assert -2.0 - lo == pytest.approx(hi - 3.0) and hi - 3.0 < 1e-12
+        assert 3.0 < spectral_norm_upper(h) < 3.0 + 1e-12
+
+    def test_not_symmetric_rejected(self):
+        with pytest.raises(FactorizationError):
+            symmetric_eig_bounds([[1.0, 0.5], [0.0, 1.0]])
+
+    def test_nonfinite_rejected(self):
+        with pytest.raises(ValueError):
+            symmetric_eig_bounds([[1.0, np.nan], [np.nan, 1.0]])
+        with pytest.raises(ValueError):
+            spectral_norm_upper([[np.inf, 0.0]])

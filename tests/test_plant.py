@@ -90,6 +90,30 @@ class TestBuildModel:
         with pytest.raises(AssumptionViolation, match="rpi containment"):
             build_model(small_cfg(x_set=HPolytope.box([-0.3], [0.3])))
 
+    def test_checks_listed_in_order(self, scalar_bundle):
+        model, _, _ = scalar_bundle
+        assert [label for label, _ in model.checks] == [
+            "disturbance sets contain 0 (Assumption on W, V)",
+            "(A, B) controllable",
+            "X, U compact with 0 interior",
+            "A + BK certified Schur",
+            "horizon covers controllability index (mu >= mu*)",
+            "S_c full row rank",
+            "RPI set P inside X",
+        ]
+        assert dict(model.checks)["horizon covers controllability index (mu >= mu*)"] == \
+            f"mu*={model.mu_star}"
+
+    def test_violation_names_failed_check_and_carries_passed(self):
+        with pytest.raises(AssumptionViolation) as err:
+            build_model(small_cfg(k=[[0.0]]))
+        assert err.value.label == "A + BK certified Schur"
+        assert [label for label, _ in err.value.checks] == [
+            "disturbance sets contain 0 (Assumption on W, V)",
+            "(A, B) controllable",
+            "X, U compact with 0 interior",
+        ]
+
     def test_c_g_floor_holds(self, scalar_bundle):
         model, _, _ = scalar_bundle
         # explicit solution norm bound: ||S_c^T (S_c S_c^T)^-1||

@@ -288,6 +288,78 @@ class HeldPlant:
         return np.zeros(self.model.n), {}
 
 
+def beta_windows_reference(trace, model, margin, floor):
+    """invariant_report's window scores, one window at a time."""
+    later = [rec.diagnostics for rec in trace if rec.t >= 1]
+    betas = [d.beta for d in later]
+    dists = [float(np.linalg.norm(d.ogd_target[0] - d.pred_state)) for d in later]
+    win = model.mu + 1
+    windows = violations = 0
+    max_active = 0.0
+    for start in range(len(betas) - win + 1):
+        prod = float(np.prod(1.0 - np.asarray(betas[start:start + win])))
+        windows += 1
+        if any(d > floor for d in dists[start:start + win]):
+            max_active = max(max_active, prod)
+            violations += prod > 1.0 - margin
+    return windows, violations, max_active
+
+
+class TestBetaWindows:
+    MARGIN, FLOOR = 1e-6, 1e-6
+
+    def with_diagnostics(self, trace, **fields_by_step):
+        out = []
+        for i, rec in enumerate(trace):
+            changes = {name: values[i] for name, values in fields_by_step.items()}
+            out.append(dataclasses.replace(
+                rec, diagnostics=dataclasses.replace(rec.diagnostics, **changes)))
+        return out
+
+    def check(self, trace, model, tables):
+        report = invariant_report(trace, model, tables, window_margin=self.MARGIN,
+                                  distance_floor=self.FLOOR)
+        windows, violations, max_active = beta_windows_reference(
+            trace, model, self.MARGIN, self.FLOOR)
+        assert report.beta_windows == windows
+        assert report.beta_window_violations == violations
+        assert report.max_active_window_product == pytest.approx(max_active, rel=1e-12,
+                                                                 abs=0.0)
+        return report
+
+    def test_short_traces(self, di_bundle, di_run):
+        model, tables, _ = di_bundle
+        trace, _ = di_run(seed=21, horizon=40)
+        win = model.mu + 1
+        # T - 1 betas: fewer than a window, exactly one window, two windows
+        for length, expect in ((1, 0), (win, 0), (win + 1, 1), (win + 2, 2)):
+            assert self.check(trace[:length], model, tables).beta_windows == expect
+
+    def test_all_zero_betas(self, di_bundle, di_run):
+        model, tables, _ = di_bundle
+        trace, _ = di_run(seed=22, horizon=40)
+        zero = self.with_diagnostics(trace, beta=[0.0] * len(trace))
+        report = self.check(zero, model, tables)
+        assert report.max_active_window_product == 1.0
+        assert report.beta_window_violations > 0
+        # no distance above the floor: no window is active
+        idle = self.with_diagnostics(zero, pred_state=[r.diagnostics.ogd_target[0]
+                                                       for r in zero])
+        report = self.check(idle, model, tables)
+        assert report.beta_window_violations == 0
+        assert report.max_active_window_product == 0.0
+
+    def test_random_betas(self, di_bundle, di_run):
+        model, tables, _ = di_bundle
+        trace, _ = di_run(seed=23, horizon=60)
+        rng = np.random.default_rng(24)
+        for _ in range(30):
+            betas = rng.uniform(0.0, 1.0, len(trace))
+            betas[rng.random(len(trace)) < 0.4] = 0.0
+            betas[rng.random(len(trace)) < 0.1] = 1.0
+            self.check(self.with_diagnostics(trace, beta=list(betas)), model, tables)
+
+
 class TestBatchedFlags:
     def test_match_per_step_reference(self, di_bundle, di_cost, monkeypatch):
         model, tables, manifold = di_bundle

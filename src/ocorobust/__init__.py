@@ -31,6 +31,7 @@ from .plant import (
     ModelConfig,
     PlantModel,
     QuadraticCost,
+    SteadyStateBenchmark,
     SteadyStateManifold,
     TighteningTables,
     build_model,

@@ -82,7 +82,7 @@ def _convert(spec, raw, line, field):
         if kind == "int":
             return int(raw)
         if kind == "float":
-            return float(raw)
+            return _finite(float(raw))
         if kind == "bool":
             if raw.lower() in ("true", "1", "yes"):
                 return True
@@ -100,16 +100,23 @@ def _convert(spec, raw, line, field):
             arr = np.asarray(val, dtype=float)
             if arr.ndim != 1:
                 raise ValueError("expected a flat list")
-            return arr
+            return _finite(arr)
         if kind == "matrix":
             val = ast.literal_eval(raw)
             arr = np.asarray(val, dtype=float)
             if arr.ndim != 2:
                 raise ValueError("expected a list of rows")
-            return arr
+            return _finite(arr)
     except (ValueError, SyntaxError) as exc:
         raise ConfigError(f"bad {kind} value ({exc})", line=line, field=field) from exc
     raise ConfigError(f"unknown type {kind} in schema", field=field)
+
+
+def _finite(value):
+    # No schema field has a meaningful inf or NaN (1e999 parses as inf).
+    if not np.isfinite(value).all():
+        raise ValueError("non-finite entry")
+    return value
 
 
 def load_config(path, command="run"):

@@ -276,11 +276,6 @@ class TightenedOffsets:
     def offsets(self):
         return self.base.offsets - self.deductions
 
-    @property
-    def possibly_empty(self):
-        """True when some tightened offset went negative (origin lost)."""
-        return bool(np.any(self.offsets < 0.0))
-
     def contains(self, x, tol=DEFAULT_MEMBERSHIP_TOL):
         return self.violation(x) <= tol
 
@@ -295,7 +290,8 @@ def pontryagin_deduct(p, z):
     """Pontryagin difference p (-) z as per-facet support deductions.
 
     Exact for convex z: {x : a_i.x <= b_i - h_z(a_i)}. Over-tightening is
-    flagged on the result, not raised.
+    not raised: the result may be empty (``denseqp.polytope_is_empty``
+    tells).
     """
     if not isinstance(p, (HPolytope, TightenedOffsets)):
         raise TypeError("first operand must be a polytope")

@@ -7,8 +7,11 @@ so no feasible starting point is needed and the returned active set satisfies
 complementary slackness exactly. Fully deterministic: ties break on the
 lowest constraint index.
 
-Everything that depends only on H and the constraint normals is computed once
-per ``PrefactoredQp``: H^-1 (from the Cholesky factor, symmetrised), H^-1 C'
+``PrefactoredQp`` is the one entry point. It is built once, by the object that
+owns the fixed matrices (H and the constraint normals), and each ``solve``
+passes only the vectors that change: the linear term and the right-hand
+sides. Everything that depends only on the fixed matrices is computed at
+construction: H^-1 (from the Cholesky factor, symmetrised), H^-1 C'
 and the Gram matrix C H^-1 C' of the stacked normals C. Each GI iteration
 then slices these and solves one system the size of the active set. A
 problem with no inequality rows and full-row-rank equalities has a closed
@@ -29,8 +32,6 @@ from .matlin import as_matrix, as_vector, numeric_rank
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 10000
 
-_EMPTY = None
-
 
 def _cholesky(hessian):
     """Cholesky factor of a symmetric positive definite Hessian, or raise."""
@@ -44,59 +45,12 @@ def _cholesky(hessian):
 
 
 @dataclass
-class QpProblem:
-    hessian: np.ndarray
-    linear: np.ndarray
-    ineq_normals: np.ndarray = _EMPTY
-    ineq_offsets: np.ndarray = _EMPTY
-    eq_normals: np.ndarray = _EMPTY
-    eq_offsets: np.ndarray = _EMPTY
-
-    def __post_init__(self):
-        self.hessian = as_matrix(self.hessian, "hessian")
-        self.linear = as_vector(self.linear, "linear")
-        n = self.linear.size
-        if self.hessian.shape != (n, n):
-            raise DimensionMismatch("hessian shape does not match linear term")
-        if self.ineq_normals is None:
-            self.ineq_normals = np.zeros((0, n))
-            self.ineq_offsets = np.zeros(0)
-        else:
-            self.ineq_normals = as_matrix(self.ineq_normals, "ineq_normals")
-            self.ineq_offsets = as_vector(self.ineq_offsets, "ineq_offsets")
-        if self.eq_normals is None:
-            self.eq_normals = np.zeros((0, n))
-            self.eq_offsets = np.zeros(0)
-        else:
-            self.eq_normals = as_matrix(self.eq_normals, "eq_normals")
-            self.eq_offsets = as_vector(self.eq_offsets, "eq_offsets")
-        for mat, off, label in (
-            (self.ineq_normals, self.ineq_offsets, "ineq"),
-            (self.eq_normals, self.eq_offsets, "eq"),
-        ):
-            if mat.shape[1] != n or mat.shape[0] != off.size:
-                raise DimensionMismatch(f"{label} constraint dims inconsistent")
-        _cholesky(self.hessian)
-
-    @property
-    def nvar(self):
-        return self.linear.size
-
-
-@dataclass
 class QpSolution:
     x: np.ndarray
     kkt_residual: float
     status: str  # "optimal" | "infeasible" | "max_iter" | "non_finite"
     ineq_multipliers: np.ndarray = None
     eq_multipliers: np.ndarray = None
-
-
-def solve_qp(p, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
-    """Solve the QP. Status "optimal" guarantees KKT residual <= tol."""
-    pre = PrefactoredQp(p.hessian, ineq_normals=p.ineq_normals, eq_normals=p.eq_normals)
-    return pre.solve(p.linear, ineq_offsets=p.ineq_offsets, eq_offsets=p.eq_offsets,
-                     tol=tol, max_iter=max_iter)
 
 
 class PrefactoredQp:
@@ -287,15 +241,11 @@ def _gi_core(qp, x, cd, tol, max_iter):
             signs.pop(block)
 
 
-def polytope_is_empty(normals, offsets, tol=1e-9):
+def polytope_is_empty(normals, offsets):
     """Exact emptiness test for {x : normals x <= offsets} via a feasibility QP."""
     normals = as_matrix(normals, "normals")
     offsets = as_vector(offsets, "offsets")
-    prob = QpProblem(
-        hessian=2.0 * np.eye(normals.shape[1]),
-        linear=np.zeros(normals.shape[1]),
-        ineq_normals=normals,
-        ineq_offsets=offsets,
-    )
-    sol = solve_qp(prob)
+    n = normals.shape[1]
+    sol = PrefactoredQp(2.0 * np.eye(n), ineq_normals=normals).solve(
+        np.zeros(n), ineq_offsets=offsets)
     return sol.status == "infeasible"

@@ -26,7 +26,6 @@ class ControllerConfig:
     gamma: float
     variant: str = "explicit"  # "explicit" | "optimized"
     c_g: float | None = None
-    qp_tol: float = 1e-8
     rollout_builder: object = None  # builds RolloutQp per step for "optimized"
 
     def effective_c_g(self, model):
@@ -66,23 +65,25 @@ class StepContext:
 
 @dataclass
 class RolloutQp:
-    """Quadratic objective over the additional input sequence g.
+    """One step's rollout QP over the additional input sequence g.
 
-    Optional soft rows encode ``rows @ g + offsets + eps >= 0`` with penalty
-    ``weight * eps^2`` on the slack.
+    ``solver`` is the builder's ``PrefactoredQp``: its first mu*m variables
+    are g, any further ones (e.g. a slack) follow, and its equality rows are
+    S_c padded with zero columns. ``linear`` is the step's linear term at the
+    solver's size and ``ineq_offsets`` the right-hand sides of its
+    inequality rows, if it has any.
     """
 
-    hessian: np.ndarray
+    solver: PrefactoredQp
     linear: np.ndarray
-    slack_rows: np.ndarray = None
-    slack_offsets: np.ndarray = None
-    slack_weight: float = 0.0
+    ineq_offsets: np.ndarray = None
 
 
 class QuadraticRolloutBuilder:
     """Rollout objective with fixed stage weights and the controller's own
     steady-state estimate as target; the generic choice for the optimized
-    additional-input variant."""
+    additional-input variant. The weights fix the Hessian, so the solver is
+    built here once and each step forms only the linear term."""
 
     def __init__(self, model, q_x, q_u):
         self.model = model
@@ -95,6 +96,7 @@ class QuadraticRolloutBuilder:
         qu_bar = np.kron(np.eye(mu), np.asarray(q_u, float))
         h = self.e.T @ qx_bar @ self.e + self.mmap.T @ qu_bar @ self.mmap
         self.hessian = 0.5 * (h + h.T)
+        self.solver = PrefactoredQp(self.hessian, eq_normals=model.s_c)
         self.qxe = qx_bar @ self.e
         self.qum = qu_bar @ self.mmap
 
@@ -103,7 +105,7 @@ class QuadraticRolloutBuilder:
         c_v = ctx.candidate + self.kb @ c_x
         refs = np.tile(ctx.theta_hat, self.model.mu)
         lin = self.qxe.T @ (c_x - refs) + self.qum.T @ c_v
-        return RolloutQp(hessian=self.hessian, linear=lin)
+        return RolloutQp(self.solver, lin)
 
 
 def control_input(state, model, x_meas):
@@ -134,14 +136,6 @@ def initialize(model, tables, manifold, zeta0, x0_meas, tol=None):
             f"initial plan violates tightened constraints by {worst:.3e}; "
             "pick zeta0 closer to the measured initial state")
     return ControllerState(u_pred=u_pred, u_ss=eta0.copy(), zeta_hat=(theta0, eta0), t=0)
-
-
-def predict(state, model, x_meas):
-    """mu-step ahead prediction under the shifted input plan."""
-    if state.t < 1:
-        raise ValueError("predict is defined from t >= 1")
-    candidate = _shift_candidate(state, model)
-    return model.predict_terminal(as_vector(x_meas), candidate)
 
 
 def _shift_candidate(state, model):
@@ -195,60 +189,27 @@ def _reach_gap(theta_hat, pred_state):
     return d
 
 
-def additional_input_optimized(model, theta_hat, pred_state, rollout_qp, c_g,
-                               qp_tol=1e-8):
+def additional_input_optimized(model, theta_hat, pred_state, rollout_qp, c_g):
     """Cost-shaped solution of the reachability constraint.
 
-    Minimizes the supplied rollout objective subject to S_c g = theta - pred;
-    soft rows add one slack variable. Falls back to the explicit solution
-    when the solver fails or the norm cap is violated, reporting the
-    fallback; any other error (e.g. a malformed ``rollout_qp``) propagates.
+    Minimizes the supplied rollout objective subject to S_c g = theta - pred
+    with the rollout's own solver. Falls back to the explicit solution when
+    the solver fails or the norm cap is violated, reporting the fallback;
+    any other error (e.g. a malformed ``rollout_qp``) propagates.
     """
     d = _reach_gap(theta_hat, pred_state)
     nv = model.mu * model.m
     if d is None:
         return np.zeros(nv), None, False
-    has_slack = rollout_qp.slack_rows is not None and len(rollout_qp.slack_rows) > 0
     try:
-        pre = _rollout_solver(model, rollout_qp, nv, has_slack)
-        if has_slack:
-            q = np.concatenate([rollout_qp.linear, [0.0]])
-            sol = pre.solve(q, ineq_offsets=np.asarray(rollout_qp.slack_offsets, float),
-                            eq_offsets=d, tol=qp_tol)
-        else:
-            sol = pre.solve(rollout_qp.linear, eq_offsets=d, tol=qp_tol)
+        sol = rollout_qp.solver.solve(rollout_qp.linear,
+                                      ineq_offsets=rollout_qp.ineq_offsets, eq_offsets=d)
     except (OcoRobustError, np.linalg.LinAlgError):
         return additional_input_explicit(model, theta_hat, pred_state), None, True
     g = sol.x[:nv]
     if sol.status != "optimal" or np.linalg.norm(g) > c_g * np.linalg.norm(d) * (1 + 1e-9):
         return additional_input_explicit(model, theta_hat, pred_state), sol.kkt_residual, True
     return g, sol.kkt_residual, False
-
-
-def _rollout_solver(model, rollout_qp, nv, has_slack):
-    # Hessian and constraint normals are constant across steps for a given
-    # builder phase; factor them once per (hessian, slack rows) pair.
-    cache = getattr(model, "_rollout_solvers", None)
-    if cache is None:
-        cache = model._rollout_solvers = {}
-    key = (id(rollout_qp.hessian), id(rollout_qp.slack_rows), rollout_qp.slack_weight)
-    entry = cache.get(key)
-    if entry is not None and entry[0] is rollout_qp.hessian and entry[1] is rollout_qp.slack_rows:
-        return entry[2]
-    if has_slack:
-        h = np.zeros((nv + 1, nv + 1))
-        h[:nv, :nv] = rollout_qp.hessian
-        h[nv, nv] = 2.0 * rollout_qp.slack_weight
-        ineq_n = np.hstack([-rollout_qp.slack_rows,
-                            -np.ones((len(rollout_qp.slack_rows), 1))])
-        eq_n = np.hstack([model.s_c, np.zeros((model.n, 1))])
-        pre = PrefactoredQp(h, ineq_normals=ineq_n, eq_normals=eq_n)
-    else:
-        pre = PrefactoredQp(rollout_qp.hessian, eq_normals=model.s_c)
-    if len(cache) > 32:
-        cache.clear()
-    cache[key] = (rollout_qp.hessian, rollout_qp.slack_rows, pre)
-    return pre
 
 
 def max_beta(tables, model, x_meas, base_seq, g, tol=None, _base=None):
@@ -281,32 +242,6 @@ def max_beta(tables, model, x_meas, base_seq, g, tol=None, _base=None):
     return float(min(1.0, np.min(slack[mask] / growth[mask])))
 
 
-def max_beta_bisect(tables, model, x_meas, base_seq, g, tol=None, resolution=1e-10):
-    """Bisection solution of the beta problem, kept as a cross-check."""
-    if tol is None:
-        tol = model.membership_tol
-    base_seq = as_vector(base_seq, "base_seq")
-    g = as_vector(g, "g")
-
-    def feasible(beta):
-        _, worst = membership_zu(tables, model, x_meas, base_seq + beta * g, tol=0.0)
-        return worst <= 0.0
-
-    _, worst0 = membership_zu(tables, model, x_meas, base_seq, tol=0.0)
-    if worst0 > tol:
-        raise InfeasibleError("candidate input sequence infeasible")
-    if feasible(1.0):
-        return 1.0
-    lo, hi = 0.0, 1.0
-    while hi - lo > resolution:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 def step(state, model, tables, manifold, x_meas, grad_prev, options):
     """Advance the controller one step; returns (u, new_state, diagnostics)."""
     t = state.t + 1
@@ -328,7 +263,7 @@ def step(state, model, tables, manifold, x_meas, grad_prev, options):
                               eta_hat=eta_hat, candidate=candidate, pred_state=pred)
             rollout = options.rollout_builder.build(ctx)
             g, kkt, fallback = additional_input_optimized(
-                model, theta_hat, pred, rollout, c_g, qp_tol=options.qp_tol)
+                model, theta_hat, pred, rollout, c_g)
         else:
             g = additional_input_explicit(model, theta_hat, pred)
 

@@ -497,26 +497,38 @@ def cost_curvature(cost, model):
     return max(lo, 1e-12), max(hi, lo, 1e-12)
 
 
-def optimal_steady_state(manifold, cost, model):
-    """Benchmark steady state: argmin over S-bar of L(x, u + Kx)."""
-    solvers = getattr(manifold, "_oss_solvers", None)
-    if solvers is None:
-        solvers = manifold._oss_solvers = {}
-    key = (id(cost.q_x), id(cost.q_u))
-    entry = solvers.get(key)
-    if entry is None or entry[0] is not cost.q_x or entry[1] is not cost.q_u:
+class SteadyStateBenchmark:
+    """The benchmark QP for one pair of cost weights (q_x, q_u).
+
+    In u-coordinates (x = G_K u) the Hessian and the S-bar rows depend only
+    on the weights, so the solver and the maps from the references to the
+    linear term are built once; a solve passes only the linear term.
+    """
+
+    def __init__(self, manifold, model, cost):
         g = manifold.g_k
         mmap = np.eye(model.m) + model.k @ g
         h = g.T @ cost.q_x @ g + mmap.T @ cost.q_u @ mmap
-        h = 0.5 * (h + h.T)
-        pre = PrefactoredQp(h, ineq_normals=manifold.sbar.normals)
-        entry = (cost.q_x, cost.q_u, pre, cost.q_x.T @ g, cost.q_u.T @ mmap)
-        if len(solvers) > 64:
-            solvers.clear()
-        solvers[key] = entry
-    _, _, pre, gq, mq = entry
-    q = -(gq.T @ cost.ref_x + mq.T @ cost.ref_u)
-    sol = pre.solve(q, ineq_offsets=manifold.sbar.offsets)
+        self.q_x, self.q_u = cost.q_x, cost.q_u
+        self.solver = PrefactoredQp(0.5 * (h + h.T), ineq_normals=manifold.sbar.normals)
+        self.ref_x_map = cost.q_x.T @ g
+        self.ref_u_map = cost.q_u.T @ mmap
+
+    def serves(self, cost):
+        """True when ``cost`` has this benchmark's weight arrays."""
+        return cost.q_x is self.q_x and cost.q_u is self.q_u
+
+
+def optimal_steady_state(manifold, cost, model, benchmark=None):
+    """Benchmark steady state: argmin over S-bar of L(x, u + Kx).
+
+    ``benchmark`` is a ``SteadyStateBenchmark`` that serves ``cost``; without
+    one, a one-shot benchmark is built.
+    """
+    if benchmark is None:
+        benchmark = SteadyStateBenchmark(manifold, model, cost)
+    q = -(benchmark.ref_x_map.T @ cost.ref_x + benchmark.ref_u_map.T @ cost.ref_u)
+    sol = benchmark.solver.solve(q, ineq_offsets=manifold.sbar.offsets)
     if sol.status != "optimal":
         raise InfeasibleError(f"steady-state benchmark QP: {sol.status}")
     return manifold.zeta_of_u(sol.x)

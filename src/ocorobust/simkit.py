@@ -17,7 +17,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import oco_controller as oco
 from .errors import OcoRobustError
-from .plant import optimal_steady_state, worst_stage_residuals
+from .plant import SteadyStateBenchmark, optimal_steady_state, worst_stage_residuals
 
 TUBE_TOL = 1e-6
 BETA_WINDOW_MARGIN = 1e-6
@@ -196,10 +196,11 @@ def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
     ``plant.observe(t)`` returns (x_true, x_meas, v, cost_t) and
     ``plant.advance(u)`` applies u and returns (w, extra invariant flags).
     The controller gets cost_t only at step t + 1; the benchmark steady state
-    is re-solved only when cost_t is a new cost object. The invariant flags
-    are computed in one batched pass after the run, or after each step under
-    ``abort_on_violation``; a ``SimulationAborted`` carries a trace whose
-    records all have their flags.
+    is re-solved only when cost_t is a new cost object, by one benchmark
+    solver that is rebuilt only when cost_t's weight arrays change. The
+    invariant flags are computed in one batched pass after the run, or after
+    each step under ``abort_on_violation``; a ``SimulationAborted`` carries a
+    trace whose records all have their flags.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -217,7 +218,7 @@ def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
 
     log = _MonitorLog(model, tables, manifold, c_g, horizon)
     trace, ledger = [], RegretLedger()
-    prev_zeta = bench_cost = None
+    prev_zeta = bench_cost = benchmark = None
     for t in range(horizon):
         if t > 0:
             prev_cost = cost_t
@@ -230,7 +231,9 @@ def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
                 raise SimulationAborted(str(exc), trace, ledger, t) from exc
 
         if cost_t is not bench_cost:
-            theta_t, eta_t = optimal_steady_state(manifold, cost_t, model)
+            if benchmark is None or not benchmark.serves(cost_t):
+                benchmark = SteadyStateBenchmark(manifold, model, cost_t)
+            theta_t, eta_t = optimal_steady_state(manifold, cost_t, model, benchmark)
             bench_cost = cost_t
         cost_val = cost_t.value(x_true, u)
         bench_val = cost_t.value(theta_t, eta_t + model.k @ theta_t)

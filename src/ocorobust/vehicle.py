@@ -23,6 +23,7 @@ import numpy as np
 
 from . import oco_controller as oco
 from .convexsets import HPolytope, Zonotope
+from .denseqp import PrefactoredQp
 from .matlin import as_matrix
 from .plant import (
     ModelConfig,
@@ -162,7 +163,7 @@ def phase_cost(phase, target_speed_dev=None):
 
     Phase 2 needs the current leader-speed estimate (as deviation) for its
     velocity target; phases 1 and 3 have fixed targets. Weight matrices are
-    shared module-level arrays so per-step solver caches stay warm.
+    shared module-level arrays, so one benchmark solver serves phases 1 and 2.
     """
     if phase == 1:
         return _PHASE1_COST
@@ -182,7 +183,8 @@ class VehicleRolloutBuilder:
     The stage cost is the active phase cost with the controller's own
     steady-state estimate as target, summed over the mu-step rollout of
     g + candidate under state feedback. In the following phase it adds the
-    soft safety-distance rows on the predicted gap.
+    soft safety-distance rows on the predicted gap, through a slack solver
+    built here once: the rows are fixed, only their offsets change per step.
     """
 
     def __init__(self, model, params):
@@ -198,6 +200,15 @@ class VehicleRolloutBuilder:
         self.cum_speed = np.vstack([np.zeros((1, mu * n)),
                                     np.cumsum(speed_rows, axis=0)])  # k = 0..mu
         self.slack_base = -TAU * (self.cum_speed @ follow.e)
+        # Variables (g, eps): the follow weights plus slack_weight * eps^2,
+        # the soft rows slack_base g + offsets + eps >= 0, and S_c g = d.
+        nv = mu * model.m
+        h = np.zeros((nv + 1, nv + 1))
+        h[:nv, :nv] = follow.hessian
+        h[nv, nv] = 2.0 * params.slack_weight
+        self.slack_solver = PrefactoredQp(
+            h, ineq_normals=np.hstack([-self.slack_base, -np.ones((mu + 1, 1))]),
+            eq_normals=np.hstack([model.s_c, np.zeros((n, 1))]))
         self.phase = 1
         self.gap_meas = None
         self.est_speed_dev = None
@@ -212,22 +223,21 @@ class VehicleRolloutBuilder:
         rollout = base.build(ctx)
         if self.phase != 2:
             return rollout
-        rows, offsets = self.soft_safety_rows(base.p0 @ ctx.x_meas + base.e @ ctx.candidate)
-        return oco.RolloutQp(hessian=rollout.hessian, linear=rollout.linear,
-                             slack_rows=rows, slack_offsets=offsets,
-                             slack_weight=self.params.slack_weight)
+        offsets = self.soft_safety_rows(base.p0 @ ctx.x_meas + base.e @ ctx.candidate)
+        return oco.RolloutQp(self.slack_solver, np.concatenate([rollout.linear, [0.0]]),
+                             offsets)
 
     def soft_safety_rows(self, c_x):
-        """Soft constraint rows: predicted gap >= safety - slack, k = 0..mu.
+        """Offsets of the soft rows predicted gap >= safety - slack, k = 0..mu.
 
         The gap prediction assumes the leader holds the estimated speed while
-        the own speed follows the rollout, so each row is affine in g.
+        the own speed follows the rollout, so each row is affine in g, with
+        the fixed coefficients ``slack_base``.
         """
         ks = np.arange(len(self.cum_speed))
         base_gap = (self.gap_meas + TAU * ks * self.est_speed_dev
                     - TAU * (self.cum_speed @ c_x))
-        offsets = base_gap - self.params.safety_distance_m
-        return self.slack_base, offsets
+        return base_gap - self.params.safety_distance_m
 
 
 class _Sensors:

@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 from ocorobust.convexsets import HPolytope, Zonotope
+from ocorobust.errors import InfeasibleError
+from ocorobust.matlin import as_vector
 from ocorobust.plant import (
     ModelConfig,
     QuadraticCost,
     build_model,
     build_tightening,
+    membership_zu,
     steady_state_manifold,
 )
 
@@ -61,3 +64,29 @@ def box_vertices(z):
         signs = np.array([1.0 if mask & (1 << j) else -1.0 for j in range(q)])
         pts.append(z.center + z.generators @ signs)
     return np.asarray(pts)
+
+
+def max_beta_bisect(tables, model, x_meas, base_seq, g, tol=None, resolution=1e-10):
+    """Bisection solution of the beta problem, the cross-check of ``oco.max_beta``."""
+    if tol is None:
+        tol = model.membership_tol
+    base_seq = as_vector(base_seq, "base_seq")
+    g = as_vector(g, "g")
+
+    def feasible(beta):
+        _, worst = membership_zu(tables, model, x_meas, base_seq + beta * g, tol=0.0)
+        return worst <= 0.0
+
+    _, worst0 = membership_zu(tables, model, x_meas, base_seq, tol=0.0)
+    if worst0 > tol:
+        raise InfeasibleError("candidate input sequence infeasible")
+    if feasible(1.0):
+        return 1.0
+    lo, hi = 0.0, 1.0
+    while hi - lo > resolution:
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo

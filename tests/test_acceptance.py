@@ -15,7 +15,7 @@ from ocorobust.cli import main
 from ocorobust.convexsets import HPolytope, Zonotope, pontryagin_deduct
 from ocorobust.errors import OcoRobustError
 from ocorobust.invariance import certify_rpi, mrpi_outer, tail_set
-from ocorobust.oco_controller import ControllerConfig, max_beta, max_beta_bisect, ogd_step
+from ocorobust.oco_controller import ControllerConfig, max_beta, ogd_step
 from ocorobust import oco_controller as oco
 from ocorobust.plant import (
     QuadraticCost,
@@ -27,6 +27,8 @@ from ocorobust.simkit import (
     invariant_report,
     regret_scaling_experiment,
 )
+
+from conftest import max_beta_bisect
 
 REPO = Path(__file__).resolve().parent.parent
 N_SEEDS = 100

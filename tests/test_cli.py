@@ -84,6 +84,19 @@ class TestParsing:
         with pytest.raises(ConfigError, match="controller.mu"):
             load_config(cfg)
 
+    @pytest.mark.parametrize("old, new, field", [
+        ("gamma = 0.3", "gamma = nan", "controller.gamma"),
+        ("ref_x = [0.4]", "ref_x = [-1e999]", "cost.0.ref_x"),
+        ("a = [[1.0]]", "a = [[1e999]]", "model.a"),
+    ], ids=["float", "vector", "matrix"])
+    def test_non_finite_value_is_config_error(self, tmp_path, old, new, field):
+        cfg = write_cfg(tmp_path, MINI_GENERIC.replace(old, new))
+        with pytest.raises(ConfigError, match=field):
+            load_config(cfg)
+        for command in ("validate", "run"):
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "o"),
+                         "--quiet"]) == 2
+
     def test_bad_matrix_value(self, tmp_path):
         broken = MINI_GENERIC.replace("a = [[1.0]]", "a = [1.0]")
         cfg = write_cfg(tmp_path, broken)

@@ -2,14 +2,26 @@ import numpy as np
 import pytest
 
 from ocorobust import oco_controller as oco
-from ocorobust.denseqp import QpProblem, solve_qp
-from ocorobust.errors import InfeasibleError, InitializationError, StepError
+from ocorobust.denseqp import PrefactoredQp
+from ocorobust.errors import (
+    FactorizationError,
+    InfeasibleError,
+    InitializationError,
+    StepError,
+)
 from ocorobust.plant import QuadraticCost, cost_curvature, membership_zu, optimal_steady_state
+
+from conftest import max_beta_bisect
 
 
 def steady_pair(model, manifold, u):
     u = np.asarray(u, float)
     return (model.g_k @ u, u)
+
+
+def equality_rollout(model, hessian, linear):
+    """A rollout QP over g alone: the given Hessian and S_c g = d."""
+    return oco.RolloutQp(PrefactoredQp(hessian, eq_normals=model.s_c), linear)
 
 
 class TestInitialize:
@@ -45,32 +57,23 @@ class TestInitialize:
 
 
 class TestPredict:
+    """``model.predict_terminal`` on the shifted plan, as ``oco.step`` uses it."""
+
     def test_zero_state_zero_inputs(self, scalar_bundle):
         model, _, _ = scalar_bundle
-        state = oco.ControllerState(u_pred=np.zeros(2), u_ss=np.zeros(1),
-                                    zeta_hat=(np.zeros(1), np.zeros(1)), t=1)
-        assert oco.predict(state, model, np.zeros(1)) == pytest.approx([0.0])
+        assert model.predict_terminal(np.zeros(1), np.zeros(2)) == pytest.approx([0.0])
 
     def test_scalar_mu2(self, scalar_bundle):
         model, _, _ = scalar_bundle
         # A_K = 0.5, mu = 2: prediction from x=4 with zero inputs is 0.25*4 = 1
-        state = oco.ControllerState(u_pred=np.zeros(2), u_ss=np.zeros(1),
-                                    zeta_hat=(np.zeros(1), np.zeros(1)), t=1)
-        assert oco.predict(state, model, np.array([4.0])) == pytest.approx([1.0])
-
-    def test_requires_t_ge_1(self, scalar_bundle):
-        model, _, _ = scalar_bundle
-        state = oco.ControllerState(u_pred=np.zeros(2), u_ss=np.zeros(1),
-                                    zeta_hat=(np.zeros(1), np.zeros(1)), t=0)
-        with pytest.raises(ValueError):
-            oco.predict(state, model, np.zeros(1))
+        assert model.predict_terminal(np.array([4.0]), np.zeros(2)) == pytest.approx([1.0])
 
     def test_steady_state_fixed_point(self, di_bundle):
         model, tables, manifold = di_bundle
         zeta0 = steady_pair(model, manifold, [0.5])
         state = oco.initialize(model, tables, manifold, zeta0, zeta0[0])
-        state.t = 1
-        pred = oco.predict(state, model, zeta0[0])
+        shifted = np.concatenate([state.u_pred[model.m:], state.u_ss])
+        pred = model.predict_terminal(zeta0[0], shifted)
         assert np.allclose(pred, zeta0[0], atol=1e-9)
 
 
@@ -134,15 +137,15 @@ class TestAdditionalInput:
         d = rng.standard_normal(2) * 0.2
         g = oco.additional_input_explicit(model, d, np.zeros(2))
         # oracle: minimum-norm QP subject to S_c g = d
-        sol = solve_qp(QpProblem(hessian=2 * np.eye(model.mu), linear=np.zeros(model.mu),
-                                 eq_normals=model.s_c, eq_offsets=d))
+        sol = PrefactoredQp(2 * np.eye(model.mu), eq_normals=model.s_c).solve(
+            np.zeros(model.mu), eq_offsets=d)
         assert np.allclose(g, sol.x, atol=1e-8)
         assert np.allclose(model.s_c @ g, d, atol=1e-9)
 
     def test_optimized_identity_cost_matches_explicit(self, di_bundle):
         model, _, _ = di_bundle
         nv = model.mu * model.m
-        rollout = oco.RolloutQp(hessian=2 * np.eye(nv), linear=np.zeros(nv))
+        rollout = equality_rollout(model, 2 * np.eye(nv), np.zeros(nv))
         theta, pred = np.array([0.3, -0.1]), np.zeros(2)
         g, kkt, fb = oco.additional_input_optimized(model, theta, pred, rollout,
                                                     c_g=1000.0)
@@ -153,7 +156,7 @@ class TestAdditionalInput:
     def test_optimized_degenerate_zero(self, di_bundle):
         model, _, _ = di_bundle
         nv = model.mu * model.m
-        rollout = oco.RolloutQp(hessian=2 * np.eye(nv), linear=np.ones(nv))
+        rollout = equality_rollout(model, 2 * np.eye(nv), np.ones(nv))
         g, _, _ = oco.additional_input_optimized(model, np.ones(2), np.ones(2),
                                                  rollout, c_g=1000.0)
         assert np.array_equal(g, np.zeros(nv))
@@ -163,9 +166,11 @@ class TestAdditionalInput:
         nv = model.mu * model.m
         rng = np.random.default_rng(52)
         rows = rng.standard_normal((3, nv)) * 0.1
-        rollout = oco.RolloutQp(hessian=2 * np.eye(nv), linear=np.zeros(nv),
-                                slack_rows=rows, slack_offsets=np.array([-1.0, -2.0, 0.5]),
-                                slack_weight=100.0)
+        # variables (g, eps): rows g + offsets + eps >= 0, 100 eps^2, S_c g = d
+        h = np.diag(np.concatenate([np.full(nv, 2.0), [200.0]]))
+        solver = PrefactoredQp(h, ineq_normals=np.hstack([-rows, -np.ones((3, 1))]),
+                               eq_normals=np.hstack([model.s_c, np.zeros((2, 1))]))
+        rollout = oco.RolloutQp(solver, np.zeros(nv + 1), np.array([-1.0, -2.0, 0.5]))
         theta, pred = np.array([0.2, 0.1]), np.zeros(2)
         g, kkt, fb = oco.additional_input_optimized(model, theta, pred, rollout, c_g=1000.0)
         assert not fb
@@ -175,12 +180,30 @@ class TestAdditionalInput:
         model, _, _ = di_bundle
         nv = model.mu * model.m
         # linear term pushes the solution far away; tiny cap forces fallback
-        rollout = oco.RolloutQp(hessian=2e-4 * np.eye(nv), linear=rng_lin(nv))
+        rollout = equality_rollout(model, 2e-4 * np.eye(nv), rng_lin(nv))
         theta, pred = np.array([1e-3, 0.0]), np.zeros(2)
         g, _, fb = oco.additional_input_optimized(model, theta, pred, rollout,
                                                   c_g=model.c_g_min * 1.01)
         assert fb
         assert np.allclose(g, oco.additional_input_explicit(model, theta, pred))
+
+
+class TestRolloutBuilder:
+    def test_solver_serves_every_step(self, di_bundle):
+        model, _, _ = di_bundle
+        builder = oco.QuadraticRolloutBuilder(model, np.eye(2), np.eye(1))
+        nv = model.mu * model.m
+        rollouts = [builder.build(oco.StepContext(
+            t=t, x_meas=np.full(2, 0.1 * t), theta_hat=np.zeros(2), eta_hat=np.zeros(1),
+            candidate=np.zeros(nv), pred_state=np.zeros(2))) for t in (1, 2)]
+        assert all(r.solver is builder.solver for r in rollouts)
+        assert builder.solver.closed_form
+
+    def test_non_pd_hessian_raises_at_construction(self, di_bundle):
+        # q_u = 0 leaves the last input of the rollout unweighted
+        model, _, _ = di_bundle
+        with pytest.raises(FactorizationError):
+            oco.QuadraticRolloutBuilder(model, np.eye(2), np.zeros((1, 1)))
 
 
 def rng_lin(nv):
@@ -228,7 +251,7 @@ class TestMaxBeta:
                 continue
             g = rng.standard_normal(model.mu) * rng.uniform(0.5, 30.0)
             exact = oco.max_beta(tables, model, x, state.u_pred, g)
-            bis = oco.max_beta_bisect(tables, model, x, state.u_pred, g)
+            bis = max_beta_bisect(tables, model, x, state.u_pred, g)
             assert abs(exact - bis) <= 1e-8
             checked += 1
 
@@ -270,7 +293,6 @@ class TestStep:
         u_star = np.clip((2 * px + pu) / 5.0, -umax, umax)
         theta_hat = 2 * u_star
         g_expect = model.s_c_pinv @ (theta_hat - pred)
-        from ocorobust.oco_controller import max_beta_bisect
         beta = max_beta_bisect(tables, model, x1, candidate, g_expect)
         assert diag.pred_state == pytest.approx(pred, abs=1e-12)
         assert diag.ogd_target[0] == pytest.approx(theta_hat, abs=1e-9)
@@ -340,7 +362,7 @@ class TestStep:
 
         class WrongLength:
             def build(self, ctx):
-                return oco.RolloutQp(hessian=2 * np.eye(nv), linear=np.zeros(nv + 1))
+                return equality_rollout(model, 2 * np.eye(nv), np.zeros(nv + 1))
 
         options = oco.ControllerConfig(gamma=0.2, variant="optimized",
                                        rollout_builder=WrongLength())

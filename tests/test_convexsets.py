@@ -122,7 +122,7 @@ class TestPontryagin:
     def test_overtightening_flagged(self):
         p = HPolytope.box([-1.0, -1.0], [1.0, 1.0])
         t = pontryagin_deduct(p, Zonotope.box([3.0, 3.0]))
-        assert t.possibly_empty
+        assert np.any(t.offsets < 0)
 
     def test_difference_plus_sum_contained(self):
         rng = np.random.default_rng(13)
@@ -130,7 +130,7 @@ class TestPontryagin:
             p = random_box_polytope(rng)
             z = random_zonotope(rng, order=2, spread=0.3)
             t = pontryagin_deduct(p, z)
-            if t.possibly_empty:
+            if np.any(t.offsets < 0):
                 continue
             corners = box_vertices(z)
             for _ in range(20):

@@ -7,42 +7,39 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ocorobust.convexsets import HPolytope
-from ocorobust.denseqp import (
-    PrefactoredQp,
-    QpProblem,
-    polytope_is_empty,
-    solve_qp,
-)
+from ocorobust.denseqp import PrefactoredQp, polytope_is_empty
 from ocorobust.errors import FactorizationError, InfeasibleError
 
 from conftest import random_spd
 
 
-def projection_problem(target, lb, ub):
+def solve(h, q, ineq_n=None, ineq_b=None, eq_n=None, eq_b=None):
+    """One solve of a freshly built ``PrefactoredQp``."""
+    return PrefactoredQp(h, ineq_normals=ineq_n, eq_normals=eq_n).solve(
+        q, ineq_offsets=ineq_b, eq_offsets=eq_b)
+
+
+def solve_projection(target, lb, ub):
     n = len(target)
     eye = np.eye(n)
-    return QpProblem(
-        hessian=2.0 * eye,
-        linear=-2.0 * np.asarray(target, float),
-        ineq_normals=np.vstack([eye, -eye]),
-        ineq_offsets=np.concatenate([ub, -np.asarray(lb, float)]),
-    )
+    return solve(2.0 * eye, -2.0 * np.asarray(target, float), np.vstack([eye, -eye]),
+                 np.concatenate([ub, -np.asarray(lb, float)]))
 
 
 class TestSolveQp:
     def test_unconstrained_projection(self):
         c = np.array([0.3, -1.2, 4.0])
-        sol = solve_qp(QpProblem(hessian=2 * np.eye(3), linear=-2 * c))
+        sol = solve(2 * np.eye(3), -2 * c)
         assert sol.status == "optimal"
         assert np.allclose(sol.x, c, atol=1e-10)
 
     def test_clipping(self):
-        sol = solve_qp(projection_problem([2.0, 0.0], [-1.0, -1.0], [1.0, 1.0]))
+        sol = solve_projection([2.0, 0.0], [-1.0, -1.0], [1.0, 1.0])
         assert sol.status == "optimal"
         assert np.allclose(sol.x, [1.0, 0.0], atol=1e-9)
 
     def test_interior_point_unchanged(self):
-        sol = solve_qp(projection_problem([0.3, 0.4], [-1.0, -1.0], [1.0, 1.0]))
+        sol = solve_projection([0.3, 0.4], [-1.0, -1.0], [1.0, 1.0])
         assert np.allclose(sol.x, [0.3, 0.4], atol=1e-10)
 
     def test_kkt_contract_random(self):
@@ -56,45 +53,33 @@ class TestSolveQp:
             # keep the region nonempty: constraints satisfied at a known point
             x_feas = rng.standard_normal(n) * 0.3
             b = an @ x_feas + rng.uniform(0.05, 1.0, m)
-            sol = solve_qp(QpProblem(hessian=h, linear=q, ineq_normals=an, ineq_offsets=b))
+            sol = solve(h, q, an, b)
             assert sol.status == "optimal"
             assert sol.kkt_residual <= 1e-8
             assert np.all(sol.ineq_multipliers >= -1e-10)
 
     def test_equality_constraints(self):
         # min ||x - (0,1)||^2 s.t. x1 = 2 x2, box [-2,2]^2
-        sol = solve_qp(QpProblem(
-            hessian=2 * np.eye(2), linear=-2 * np.array([0.0, 1.0]),
-            ineq_normals=np.vstack([np.eye(2), -np.eye(2)]),
-            ineq_offsets=np.full(4, 2.0),
-            eq_normals=np.array([[1.0, -2.0]]), eq_offsets=np.array([0.0]),
-        ))
+        sol = solve(2 * np.eye(2), -2 * np.array([0.0, 1.0]),
+                    np.vstack([np.eye(2), -np.eye(2)]), np.full(4, 2.0),
+                    np.array([[1.0, -2.0]]), np.array([0.0]))
         # oracle: parametrize x = (2t, t), minimize (2t)^2 + (t-1)^2 -> t = 1/5
         assert sol.status == "optimal"
         assert np.allclose(sol.x, [0.4, 0.2], atol=1e-9)
 
     def test_infeasible_detected(self):
-        sol = solve_qp(QpProblem(
-            hessian=2 * np.eye(1), linear=np.zeros(1),
-            ineq_normals=np.array([[1.0], [-1.0]]),
-            ineq_offsets=np.array([-1.0, -1.0]),  # x <= -1 and x >= 1
-        ))
+        sol = solve(2 * np.eye(1), np.zeros(1), np.array([[1.0], [-1.0]]),
+                    np.array([-1.0, -1.0]))  # x <= -1 and x >= 1
         assert sol.status == "infeasible"
 
     def test_inconsistent_equalities(self):
-        sol = solve_qp(QpProblem(
-            hessian=2 * np.eye(2), linear=np.zeros(2),
-            eq_normals=np.array([[1.0, 0.0], [1.0, 0.0]]),
-            eq_offsets=np.array([0.0, 1.0]),
-        ))
+        sol = solve(2 * np.eye(2), np.zeros(2),
+                    eq_n=np.array([[1.0, 0.0], [1.0, 0.0]]), eq_b=np.array([0.0, 1.0]))
         assert sol.status == "infeasible"
 
     def test_redundant_equalities_ok(self):
-        sol = solve_qp(QpProblem(
-            hessian=2 * np.eye(2), linear=-2 * np.array([3.0, 0.0]),
-            eq_normals=np.array([[1.0, 0.0], [2.0, 0.0]]),
-            eq_offsets=np.array([1.0, 2.0]),
-        ))
+        sol = solve(2 * np.eye(2), -2 * np.array([3.0, 0.0]),
+                    eq_n=np.array([[1.0, 0.0], [2.0, 0.0]]), eq_b=np.array([1.0, 2.0]))
         assert sol.status == "optimal"
         assert np.allclose(sol.x, [1.0, 0.0], atol=1e-9)
 
@@ -104,10 +89,8 @@ class TestSolveQp:
         q = rng.standard_normal(4)
         an = rng.standard_normal((6, 4))
         b = np.abs(rng.standard_normal(6)) + 0.1
-        p1 = QpProblem(hessian=h, linear=q, ineq_normals=an, ineq_offsets=b)
-        p2 = QpProblem(hessian=h.copy(), linear=q.copy(), ineq_normals=an.copy(),
-                       ineq_offsets=b.copy())
-        s1, s2 = solve_qp(p1), solve_qp(p2)
+        s1 = solve(h, q, an, b)
+        s2 = solve(h.copy(), q.copy(), an.copy(), b.copy())
         assert np.array_equal(s1.x, s2.x)
 
     def test_matches_grid_search(self):
@@ -120,10 +103,7 @@ class TestSolveQp:
             q = rng.standard_normal(2)
             lb = rng.uniform(-1.4, -0.3, 2)
             ub = rng.uniform(0.3, 1.4, 2)
-            prob = QpProblem(hessian=h, linear=q,
-                             ineq_normals=np.vstack([np.eye(2), -np.eye(2)]),
-                             ineq_offsets=np.concatenate([ub, -lb]))
-            sol = solve_qp(prob)
+            sol = solve(h, q, np.vstack([np.eye(2), -np.eye(2)]), np.concatenate([ub, -lb]))
             vals = 0.5 * np.einsum("ij,jk,ik->i", pts, h, pts) + pts @ q
             feas = np.all(pts >= lb - 1e-12, axis=1) & np.all(pts <= ub + 1e-12, axis=1)
             vals[~feas] = np.inf
@@ -133,11 +113,11 @@ class TestSolveQp:
 
     def test_non_pd_hessian_rejected(self):
         with pytest.raises(FactorizationError):
-            QpProblem(hessian=np.array([[0.0]]), linear=np.zeros(1))
+            PrefactoredQp(np.array([[0.0]]))
 
     def test_asymmetric_hessian_rejected(self):
         with pytest.raises(FactorizationError):
-            QpProblem(hessian=np.array([[1.0, 0.5], [0.0, 1.0]]), linear=np.zeros(2))
+            PrefactoredQp(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
 def project_polytope(x, target, eq=None):
@@ -145,9 +125,7 @@ def project_polytope(x, target, eq=None):
     solved as a QP."""
     x = np.asarray(x, float)
     eq_n, eq_b = (None, None) if eq is None else eq
-    sol = solve_qp(QpProblem(hessian=2.0 * np.eye(x.size), linear=-2.0 * x,
-                             ineq_normals=target.normals, ineq_offsets=target.offsets,
-                             eq_normals=eq_n, eq_offsets=eq_b))
+    sol = solve(2.0 * np.eye(x.size), -2.0 * x, target.normals, target.offsets, eq_n, eq_b)
     if sol.status != "optimal":
         raise InfeasibleError(f"projection failed with status {sol.status}")
     return sol.x
@@ -192,14 +170,6 @@ class TestProjectPolytope:
             project_polytope([0.0], p)
 
 
-class TestEmptiness:
-    def test_nonempty(self):
-        assert not polytope_is_empty(np.array([[1.0], [-1.0]]), np.array([1.0, 1.0]))
-
-    def test_empty(self):
-        assert polytope_is_empty(np.array([[1.0], [-1.0]]), np.array([-1.0, -1.0]))
-
-
 class TestCrossSolver:
     def test_matches_cvxopt_on_random_problems(self):
         cvxopt = pytest.importorskip("cvxopt")
@@ -218,9 +188,7 @@ class TestCrossSolver:
             use_eq = trial % 3 == 0 and n >= 2
             eq_n = rng.standard_normal((1, n)) if use_eq else None
             eq_b = (eq_n @ x_feas) if use_eq else None
-            sol = solve_qp(QpProblem(hessian=h, linear=q, ineq_normals=an,
-                                     ineq_offsets=b, eq_normals=eq_n,
-                                     eq_offsets=eq_b))
+            sol = solve(h, q, an, b, eq_n, eq_b)
             assert sol.status == "optimal"
             kwargs = {}
             if use_eq:
@@ -366,7 +334,7 @@ class TestPrefactoredQpOracle:
                                           eq_n, eq_n @ x_feas)
             assert not pre.closed_form
 
-    def test_redundant_equalities_match_solve_qp(self):
+    def test_redundant_equalities_take_the_gi_path(self):
         h, q = 2 * np.eye(2), -2 * np.array([3.0, 0.0])
         eq_n, eq_b = np.array([[1.0, 0.0], [2.0, 0.0]]), np.array([1.0, 2.0])
         pre, sol = check_against_oracle(h, q, np.zeros((0, 2)), np.zeros(0), eq_n, eq_b)
@@ -397,6 +365,30 @@ class TestPrefactoredQpOracle:
                                           ineq_n, ineq_b, np.zeros((0, n)), np.zeros(0))
             assert sol.status == "infeasible"
 
+
+@st.composite
+def polytopes(draw):
+    """{x : normals x <= offsets}, n <= 4 and <= 6 rows, empty or not."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 6))
+    return draw(arrays(float, (m, n), elements=GRID)), draw(arrays(float, m, elements=GRID))
+
+
+class TestEmptiness:
+    def test_nonempty(self):
+        assert not polytope_is_empty(np.array([[1.0], [-1.0]]), np.array([1.0, 1.0]))
+
+    def test_empty(self):
+        assert polytope_is_empty(np.array([[1.0], [-1.0]]), np.array([-1.0, -1.0]))
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(polytopes())
+    def test_drawn_polytopes_match_oracle(self, polytope):
+        normals, offsets = polytope
+        n = normals.shape[1]
+        nearest = oracle_qp(2.0 * np.eye(n), np.zeros(n), normals, offsets,
+                            np.zeros((0, n)), np.zeros(0))
+        assert polytope_is_empty(normals, offsets) == (nearest is None)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -6,6 +6,7 @@ from ocorobust.errors import AssumptionViolation, InfeasibleError
 from ocorobust.plant import (
     ModelConfig,
     QuadraticCost,
+    SteadyStateBenchmark,
     ZonotopeMembership,
     build_model,
     build_tightening,
@@ -325,6 +326,18 @@ class TestOptimalSteadyState:
                                 di_cost.ref_x, di_cost.ref_u)
         t2 = optimal_steady_state(manifold, doubled, model)
         assert np.allclose(np.concatenate(t1), np.concatenate(t2), atol=1e-8)
+
+    def test_benchmark_reused_across_costs_with_same_weights(self, di_bundle, di_cost):
+        model, _, manifold = di_bundle
+        benchmark = SteadyStateBenchmark(manifold, model, di_cost)
+        moved = QuadraticCost(di_cost.q_x, di_cost.q_u, [0.4, 0.0], di_cost.ref_u)
+        assert benchmark.serves(moved)
+        assert not benchmark.serves(QuadraticCost(di_cost.q_x.copy(), di_cost.q_u,
+                                                  [0.4, 0.0], di_cost.ref_u))
+        for cost in (di_cost, moved):
+            reused = optimal_steady_state(manifold, cost, model, benchmark)
+            one_shot = optimal_steady_state(manifold, cost, model)
+            assert all(np.array_equal(a, b) for a, b in zip(reused, one_shot))
 
     def test_coupling_residual(self, di_bundle, di_cost):
         model, _, manifold = di_bundle

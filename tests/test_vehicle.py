@@ -3,7 +3,6 @@ import pytest
 
 from ocorobust import vehicle
 from ocorobust.oco_controller import StepContext
-from ocorobust.denseqp import QpProblem, solve_qp
 from ocorobust.errors import OcoRobustError
 
 
@@ -88,25 +87,17 @@ class TestSoftSafety:
                           eta_hat=np.zeros(2), candidate=np.zeros(20),
                           pred_state=np.array([0.0, 0.1]))
         rollout = builder.build(ctx)
-        nv = 20
-        h = np.zeros((nv + 1, nv + 1))
-        h[:nv, :nv] = rollout.hessian
-        h[nv, nv] = 2.0 * rollout.slack_weight
-        sol = solve_qp(QpProblem(
-            hessian=h, linear=np.concatenate([rollout.linear, [0.0]]),
-            ineq_normals=np.hstack([-rollout.slack_rows, -np.ones((11, 1))]),
-            ineq_offsets=rollout.slack_offsets,
-            eq_normals=np.hstack([setup.model.s_c, np.zeros((2, 1))]),
-            eq_offsets=ctx.theta_hat - ctx.pred_state))
+        sol = rollout.solver.solve(rollout.linear, ineq_offsets=rollout.ineq_offsets,
+                                   eq_offsets=ctx.theta_hat - ctx.pred_state)
         assert sol.status == "optimal"
         assert abs(sol.x[-1]) <= 1e-9
 
     def test_gap_at_boundary_row(self, setup):
         builder = vehicle.VehicleRolloutBuilder(setup.model, setup.params)
         builder.set_context(2, gap_meas=50.0, est_speed_dev=0.0)
-        rows, offsets = builder.soft_safety_rows(np.zeros(20))
+        offsets = builder.soft_safety_rows(np.zeros(20))
         # k = 0 row is pure slack: gap - safety = 0
-        assert np.allclose(rows[0], 0.0)
+        assert np.allclose(builder.slack_base[0], 0.0)
         assert offsets[0] == pytest.approx(0.0)
 
     def test_static_shortfall_forces_slack(self, setup):
@@ -117,16 +108,8 @@ class TestSoftSafety:
                           eta_hat=np.zeros(2), candidate=np.zeros(20),
                           pred_state=np.array([0.0, 1e-6]))
         rollout = builder.build(ctx)
-        nv = 20
-        h = np.zeros((nv + 1, nv + 1))
-        h[:nv, :nv] = rollout.hessian
-        h[nv, nv] = 2.0 * rollout.slack_weight
-        sol = solve_qp(QpProblem(
-            hessian=h, linear=np.concatenate([rollout.linear, [0.0]]),
-            ineq_normals=np.hstack([-rollout.slack_rows, -np.ones((11, 1))]),
-            ineq_offsets=rollout.slack_offsets,
-            eq_normals=np.hstack([setup.model.s_c, np.zeros((2, 1))]),
-            eq_offsets=ctx.theta_hat - ctx.pred_state))
+        sol = rollout.solver.solve(rollout.linear, ineq_offsets=rollout.ineq_offsets,
+                                   eq_offsets=ctx.theta_hat - ctx.pred_state)
         assert sol.status == "optimal"
         assert sol.x[-1] >= 5.0 - 1e-6
 

@@ -7,7 +7,7 @@ constraint tightening, plus a closed-loop simulator with dynamic-regret
 accounting and an autonomous-vehicle case study.
 """
 
-from .convexsets import HPolytope, TightenedOffsets, Zonotope
+from .convexsets import HPolytope, Zonotope
 from .errors import (
     AssumptionViolation,
     ConfigError,

@@ -31,6 +31,7 @@ from .plant import (
     steady_state_manifold,
 )
 from .simkit import (
+    FLAG_NAMES,
     AlternatingTargetGenerator,
     DisturbancePolicy,
     PiecewiseSchedule,
@@ -231,8 +232,7 @@ def _fmt(x):
     return repr(float(x))
 
 
-FLAG_COLUMNS = ("state_ok", "input_ok", "candidate_ok", "plan_ok", "zs_ok",
-                "g_cap_ok", "tube_ok", "tube_marginal", "resid_ok")
+FLAG_COLUMNS = FLAG_NAMES + ("tube_marginal", "resid_ok")
 
 
 def write_trace_csv(path, trace, ledger, n, m):
@@ -341,7 +341,7 @@ def cmd_run(args):
         seed = base_seed + i
         write_trace_csv(out_dir / f"trace_{seed:04d}.csv", trace, ledger, model.n, model.m)
         write_ledger_csv(out_dir / f"ledger_{seed:04d}.csv", ledger, model.n, model.m)
-        report = invariant_report(trace, model, tables)
+        report = invariant_report(trace, model)
         resid = metrics["resid_violations"] if metrics else 0
         total_violations += report.total_violations + resid
         regrets.append(ledger.cum_regret)
@@ -474,7 +474,11 @@ def _validation_checks(cfg):
     except OcoRobustError as exc:
         record("initial plan feasible (initialization assumption)", False, str(exc))
     record("x0 inside X", model.x_set.contains(x0, tol=model.membership_tol))
-    alpha_k, l_k = cost_curvature(cost0, model)
+    try:
+        alpha_k, l_k = cost_curvature(cost0, model)
+    except AssumptionViolation as exc:
+        record("gamma within contraction range", False, exc.detail)
+        return checks, model
     bound = 2.0 / (alpha_k + l_k)
     if gamma > bound:
         checks.append(("gamma within contraction range",

@@ -3,13 +3,13 @@
 Constraint sets are halfspace polytopes, disturbance sets are zonotopes.
 That split keeps every operation closed-form: linear images and Minkowski
 sums of zonotopes stay zonotopes, and the Pontryagin difference of a polytope
-and a zonotope reduces to per-facet support deductions. No vertex enumeration
-is performed anywhere.
+and a zonotope is the same polytope with per-facet support deductions, so the
+tightened sets are polytopes too. Point membership in a zonotope has one
+implementation, ``ZonotopeMembership``. No vertex enumeration is performed
+anywhere.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linprog
@@ -193,24 +193,11 @@ class Zonotope:
         return self.contains_point(np.zeros(self.dim), tol=tol)
 
     def contains_point(self, x, tol=DEFAULT_MEMBERSHIP_TOL):
-        """Exact membership for dim <= 3 via the facet form."""
+        """Exact membership for dim <= 3, by ``ZonotopeMembership``'s margin."""
         x = as_vector(x, "x")
         if x.size != self.dim:
             raise DimensionMismatch("point dim mismatch")
-        d = x - self.center
-        g = self.prune(1e-15 * max(1.0, np.abs(self.generators).max(initial=0.0))).generators
-        rank = np.linalg.matrix_rank(g) if g.size else 0
-        if rank == 0:
-            return bool(np.linalg.norm(d, np.inf) <= tol)
-        if rank == 1:
-            u = g[:, np.argmax(np.linalg.norm(g, axis=0))]
-            u = u / np.linalg.norm(u)
-            along = float(u @ d)
-            perp = float(np.linalg.norm(d - along * u))
-            extent = float(np.abs(u @ g).sum())
-            return perp <= tol and abs(along) <= extent + tol
-        normals, offsets = self.to_halfspaces()
-        return bool(np.all(normals @ d <= offsets + tol))
+        return bool(ZonotopeMembership(self).margin(x) <= tol)
 
     def to_halfspaces(self):
         """Facet form (normals, offsets) of the centered zonotope, dim <= 3.
@@ -252,54 +239,66 @@ class Zonotope:
         return f"Zonotope(dim={self.dim}, order={self.order})"
 
 
-@dataclass
-class TightenedOffsets:
-    """A polytope with per-facet support deductions: a_i.x <= b_i - d_i."""
+# Rows per matrix product in the batched checks, so their temporaries stay
+# (ROW_BLOCK, facets) however many rows (steps) there are.
+ROW_BLOCK = 64
 
-    base: HPolytope
-    deductions: np.ndarray = field(default=None)
 
-    def __post_init__(self):
-        self.deductions = as_vector(self.deductions, "deductions")
-        if self.deductions.size != self.base.offsets.size:
-            raise DimensionMismatch("one deduction per facet required")
+class ZonotopeMembership:
+    """Point-membership margins for a fixed zonotope (dim <= 3).
 
-    @property
-    def dim(self):
-        return self.base.dim
+    The facet form is built after merging parallel generators, which gives
+    the same set with fewer facets.
+    """
 
-    @property
-    def normals(self):
-        return self.base.normals
+    def __init__(self, z):
+        self.center = z.center
+        scale = max(1.0, np.abs(z.generators).max(initial=0.0))
+        g = z.prune(1e-14 * scale).generators
+        rank = np.linalg.matrix_rank(g, tol=1e-12 * scale) if g.size else 0
+        if rank == 0:
+            self.kind = "point"
+        elif rank == 1:
+            self.kind = "segment"
+            u = g[:, int(np.argmax(np.linalg.norm(g, axis=0)))]
+            self.axis = u / np.linalg.norm(u)
+            self.extent = float(np.abs(self.axis @ g).sum())
+        else:
+            self.kind = "facets"
+            self.normals, self.offsets = z.merge_parallel().to_halfspaces()
 
-    @property
-    def offsets(self):
-        return self.base.offsets - self.deductions
+    def margin(self, x):
+        return float(self.margins(np.reshape(x, (1, -1)))[0])
 
-    def contains(self, x, tol=DEFAULT_MEMBERSHIP_TOL):
-        return self.violation(x) <= tol
-
-    def violation(self, x):
-        x = as_vector(x, "x")
-        if x.size != self.dim:
-            raise DimensionMismatch("point dim mismatch")
-        return float(np.max(self.normals @ x - self.offsets))
+    def margins(self, points):
+        """Signed margin of each row of ``points`` (<= 0 inside, NaN for NaN)."""
+        d = np.asarray(points, dtype=float) - self.center
+        if self.kind == "point":
+            return np.linalg.norm(d, axis=1)
+        if self.kind == "segment":
+            along = d @ self.axis
+            perp = np.linalg.norm(d - np.outer(along, self.axis), axis=1)
+            return np.maximum(perp, np.abs(along) - self.extent)
+        out = np.empty(len(d))
+        for lo in range(0, len(d), ROW_BLOCK):
+            rows = slice(lo, lo + ROW_BLOCK)
+            out[rows] = (d[rows] @ self.normals.T - self.offsets).max(axis=1)
+        return out
 
 
 def pontryagin_deduct(p, z):
-    """Pontryagin difference p (-) z as per-facet support deductions.
+    """Pontryagin difference p (-) z of a polytope and a convex set.
 
-    Exact for convex z: {x : a_i.x <= b_i - h_z(a_i)}. Over-tightening is
-    not raised: the result may be empty (``denseqp.polytope_is_empty``
+    Exact: the same facets with each offset lowered by the support of z,
+    {x : a_i.x <= b_i - h_z(a_i)}, returned as an ``HPolytope``. Over-tightening
+    is not raised: the result may be empty (``denseqp.polytope_is_empty``
     tells).
     """
-    if not isinstance(p, (HPolytope, TightenedOffsets)):
-        raise TypeError("first operand must be a polytope")
+    if not isinstance(p, HPolytope):
+        raise TypeError("first operand must be an HPolytope")
     if z.dim != p.dim:
         raise DimensionMismatch("dims differ in Pontryagin difference")
-    base = p.base if isinstance(p, TightenedOffsets) else p
-    prior = p.deductions if isinstance(p, TightenedOffsets) else 0.0
-    return TightenedOffsets(base, prior + z.support_batch(base.normals))
+    return HPolytope(p.normals, p.offsets - z.support_batch(p.normals))
 
 
 def zonotope_in_polytope(z, p, tol=0.0):

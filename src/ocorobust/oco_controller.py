@@ -221,16 +221,14 @@ def max_beta(tables, model, x_meas, base_seq, g, tol=None, _base=None):
     """
     if tol is None:
         tol = model.membership_tol
-    if _base is None:
-        _base = stage_values(tables, model, x_meas, base_seq)
-    base_vals = _base.flat
+    base_vals = stage_values(tables, x_meas, base_seq) if _base is None else _base
     worst = float(base_vals.max(initial=-np.inf))
     if not worst <= tol:  # NaN-safe: a non-finite x_meas or base_seq fails here
         raise InfeasibleError(
             f"candidate input sequence infeasible by {worst:.3e}; feasibility invariant broken")
     if not np.any(g):
         return 1.0
-    growth = stage_values_linear(tables, model, g).flat
+    growth = stage_values_linear(tables, g)
     slack = np.maximum(-base_vals, 0.0)
     peak = float(np.abs(growth).max())
     if not peak < np.inf:
@@ -248,8 +246,8 @@ def step(state, model, tables, manifold, x_meas, grad_prev, options):
     try:
         x_meas = as_vector(x_meas, "x_meas")
         candidate = _shift_candidate(state, model)
-        base_vals = stage_values(tables, model, x_meas, candidate)
-        cand_ok = float(base_vals.flat.max()) <= model.membership_tol
+        base_vals = stage_values(tables, x_meas, candidate)
+        cand_ok = float(base_vals.max()) <= model.membership_tol
         pred = model.predict_terminal(x_meas, candidate)
 
         theta_hat, eta_hat = ogd_step(state, model, manifold, grad_prev,

@@ -16,9 +16,10 @@ import scipy.linalg
 
 from . import invariance
 from .convexsets import (
+    ROW_BLOCK,
     HPolytope,
-    TightenedOffsets,
     Zonotope,
+    ZonotopeMembership,
     direction_net,
     pontryagin_deduct,
     zonotope_in_polytope,
@@ -46,8 +47,6 @@ class ModelConfig:
     w_set: Zonotope
     v_set: Zonotope
     rpi_epsilon: float | None = None
-    rpi_s_max: int = 200
-    schur_n_max: int = 200
     membership_tol: float = 1e-9
 
 
@@ -55,7 +54,7 @@ class PlantModel:
     """Validated problem instance with precomputed rollout operators."""
 
     def __init__(self, cfg, a, b, k, a_k, g_k, s_c, s_c_pinv, mu, mu_star,
-                 w_bar, p_rpi, p_tail, decay, checks):
+                 w_bar, p_rpi, p_tail, checks):
         self.a, self.b, self.k = a, b, k
         self.a_k, self.g_k = a_k, g_k
         self.s_c, self.s_c_pinv = s_c, s_c_pinv
@@ -65,7 +64,6 @@ class PlantModel:
         self.w_set, self.v_set = cfg.w_set, cfg.v_set
         self.w_bar = w_bar
         self.p_rpi, self.p_tail = p_rpi, p_tail
-        self.decay = decay
         self.checks = checks
         self.membership_tol = cfg.membership_tol
         self.k_bar = np.block([
@@ -107,53 +105,6 @@ class PlantModel:
     def predict_terminal(self, x, useq):
         """mu-step ahead state A_K^mu x + S_c useq."""
         return self.a_k_powers[self.mu] @ x + self.s_c @ useq
-
-
-# Rows per matrix product in the batched checks, so their temporaries stay
-# (ROW_BLOCK, facets) however many rows (steps) there are.
-ROW_BLOCK = 64
-
-
-class ZonotopeMembership:
-    """Point-membership margins for a fixed zonotope (dim <= 3).
-
-    The facet form is built after merging parallel generators, which gives
-    the same set with fewer facets.
-    """
-
-    def __init__(self, z):
-        self.center = z.center
-        scale = max(1.0, np.abs(z.generators).max(initial=0.0))
-        g = z.prune(1e-14 * scale).generators
-        rank = np.linalg.matrix_rank(g, tol=1e-12 * scale) if g.size else 0
-        if rank == 0:
-            self.kind = "point"
-        elif rank == 1:
-            self.kind = "segment"
-            u = g[:, int(np.argmax(np.linalg.norm(g, axis=0)))]
-            self.axis = u / np.linalg.norm(u)
-            self.extent = float(np.abs(self.axis @ g).sum())
-        else:
-            self.kind = "facets"
-            self.normals, self.offsets = z.merge_parallel().to_halfspaces()
-
-    def margin(self, x):
-        return float(self.margins(np.reshape(x, (1, -1)))[0])
-
-    def margins(self, points):
-        """Signed margin of each row of ``points`` (<= 0 inside, NaN for NaN)."""
-        d = np.asarray(points, dtype=float) - self.center
-        if self.kind == "point":
-            return np.linalg.norm(d, axis=1)
-        if self.kind == "segment":
-            along = d @ self.axis
-            perp = np.linalg.norm(d - np.outer(along, self.axis), axis=1)
-            return np.maximum(perp, np.abs(along) - self.extent)
-        out = np.empty(len(d))
-        for lo in range(0, len(d), ROW_BLOCK):
-            rows = slice(lo, lo + ROW_BLOCK)
-            out[rows] = (d[rows] @ self.normals.T - self.offsets).max(axis=1)
-        return out
 
 
 def build_w_bar(a, w_set, v_set):
@@ -216,9 +167,8 @@ def build_model(cfg):
     check(problem is None, "X, U compact with 0 interior", "constraint sets", problem)
 
     a_k = a + b @ k
-    decay = power_norm_certificate(a_k, n_max=cfg.schur_n_max)
-    check(decay is not None, "A + BK certified Schur", "stabilizing feedback",
-          "A + BK not certified Schur within n_max powers")
+    check(power_norm_certificate(a_k) is not None, "A + BK certified Schur",
+          "stabilizing feedback", "A + BK not certified Schur within n_max powers")
 
     mu_star = next((cand for cand in range(1, n + 1)
                     if numeric_rank(_controllability(a_k, b, cand)) == n), None)
@@ -234,7 +184,7 @@ def build_model(cfg):
           "S_c is rank deficient at the chosen horizon")
 
     w_bar = build_w_bar(a, cfg.w_set, cfg.v_set)
-    p_rpi = invariance.mrpi_outer(a_k, w_bar, epsilon=cfg.rpi_epsilon, s_max=cfg.rpi_s_max)
+    p_rpi = invariance.mrpi_outer(a_k, w_bar, epsilon=cfg.rpi_epsilon)
     check(zonotope_in_polytope(p_rpi.p, cfg.x_set, tol=cfg.membership_tol),
           "RPI set P inside X", "rpi containment", "RPI set P is not contained in X")
     p_tail = invariance.tail_set(a_k, w_bar, cfg.mu, p_rpi)
@@ -244,7 +194,7 @@ def build_model(cfg):
     s_c_pinv = scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram), s_c).T
 
     return PlantModel(cfg, a, b, k, a_k, g_k, s_c, s_c_pinv, cfg.mu, mu_star,
-                      w_bar, p_rpi, p_tail, decay, checks)
+                      w_bar, p_rpi, p_tail, checks)
 
 
 def _controllability(a_k, b, mu):
@@ -257,7 +207,7 @@ def _controllability(a_k, b, mu):
 
 @dataclass
 class TighteningTables:
-    """Stage constraint sets of the tightened mu-step rollout.
+    """The tightened mu-step rollout constraints as one affine residual map.
 
     The residuals of all stage constraints are affine in the measured state x
     and the input sequence useq: ``residual_x @ x + residual_u @ useq -
@@ -265,27 +215,11 @@ class TighteningTables:
     the mu input stages (fu rows each).
     """
 
-    state_stage: list
-    input_stage: list
     residual_x: np.ndarray = field(repr=False)        # (mu*(fx+fu), n)
     residual_u: np.ndarray = field(repr=False)        # (mu*(fx+fu), mu*m)
     state_offsets: np.ndarray = field(repr=False)     # (mu, fx) tightened
     input_offsets: np.ndarray = field(repr=False)     # (mu, fu) tightened
     residual_offsets: np.ndarray = field(repr=False)  # both, flattened
-
-
-class StageValues(tuple):
-    """``(state, input)`` stage residuals of shapes (mu, fx) and (mu, fu).
-
-    Both are views of ``flat``, the stacked residual vector.
-    """
-
-    def __new__(cls, flat, tables):
-        mu, fx = tables.state_offsets.shape
-        values = super().__new__(cls, (flat[:mu * fx].reshape(mu, fx),
-                                       flat[mu * fx:].reshape(tables.input_offsets.shape)))
-        values.flat = flat
-        return values
 
 
 def build_tightening(model):
@@ -296,32 +230,27 @@ def build_tightening(model):
     to tau-1 (the tau = 0 entry is U itself, empty-sum convention).
     """
     mu = model.mu
-    state_stage, input_stage = [], []
+    state_sets, input_sets = [], []
     acc = None
     for tau in range(mu):
         term = model.w_bar.linear_image(model.a_k_powers[tau])
-        if tau == 0:
-            input_stage.append(TightenedOffsets(model.u_set, np.zeros(model.u_set.offsets.size)))
-        else:
-            input_stage.append(pontryagin_deduct(model.u_set, acc.linear_image(model.k)))
+        input_sets.append(model.u_set if tau == 0
+                          else pontryagin_deduct(model.u_set, acc.linear_image(model.k)))
         acc = term if acc is None else acc.minkowski_sum(term).prune()
-        state_stage.append(pontryagin_deduct(model.x_set, acc))
-    for tau, stage in enumerate(state_stage):
-        if polytope_is_empty(stage.normals, stage.offsets):
-            raise InfeasibleError(f"tightened state constraint set empty at stage tau={tau}")
-    for tau, stage in enumerate(input_stage):
-        if polytope_is_empty(stage.normals, stage.offsets):
-            raise InfeasibleError(f"tightened input constraint set empty at stage tau={tau}")
+        state_sets.append(pontryagin_deduct(model.x_set, acc))
+    for kind, stages in (("state", state_sets), ("input", input_sets)):
+        for tau, stage in enumerate(stages):
+            if polytope_is_empty(stage.normals, stage.offsets):
+                raise InfeasibleError(
+                    f"tightened {kind} constraint set empty at stage tau={tau}")
     # Stage tau checks the state x_{tau+1} and the input u_tau + K x_tau.
     eye = np.eye(mu)
     hx = np.kron(eye, model.x_set.normals)
     hu = np.kron(eye, model.u_set.normals)
     kb = np.kron(eye, model.k)
-    state_offsets = np.stack([t.offsets for t in state_stage])
-    input_offsets = np.stack([t.offsets for t in input_stage])
+    state_offsets = np.stack([t.offsets for t in state_sets])
+    input_offsets = np.stack([t.offsets for t in input_sets])
     return TighteningTables(
-        state_stage=state_stage,
-        input_stage=input_stage,
         residual_x=np.vstack([hx @ model._sx, hu @ kb @ model._px]),
         residual_u=np.vstack([hx @ model._su,
                               hu @ (np.eye(mu * model.m) + kb @ model._pu)]),
@@ -331,17 +260,17 @@ def build_tightening(model):
     )
 
 
-def stage_values(tables, model, x, useq):
-    """Signed stage constraint residuals (state, input) for a rollout from x."""
+def stage_values(tables, x, useq):
+    """Signed stage constraint residuals for a rollout from x, as one vector:
+    the mu state stages, then the mu input stages."""
     x = np.asarray(x, float).reshape(-1)
     useq = np.asarray(useq, float).reshape(-1)
-    return StageValues(tables.residual_x @ x + tables.residual_u @ useq
-                       - tables.residual_offsets, tables)
+    return tables.residual_x @ x + tables.residual_u @ useq - tables.residual_offsets
 
 
-def stage_values_linear(tables, model, useq):
+def stage_values_linear(tables, useq):
     """Linear part of the stage residuals in the input sequence (x = 0, no offsets)."""
-    return StageValues(tables.residual_u @ np.asarray(useq, float).reshape(-1), tables)
+    return tables.residual_u @ np.asarray(useq, float).reshape(-1)
 
 
 def worst_stage_residuals(tables, xs, useqs):
@@ -357,7 +286,7 @@ def worst_stage_residuals(tables, xs, useqs):
 
 def membership_zu(tables, model, x, useq, tol=None):
     """Check the tightened mu-step constraints; returns (ok, worst residual)."""
-    worst = float(stage_values(tables, model, x, useq).flat.max())
+    worst = float(stage_values(tables, x, useq).max())
     if tol is None:
         tol = model.membership_tol
     return worst <= tol, worst

@@ -317,7 +317,7 @@ class InvariantReport:
         return out
 
 
-def invariant_report(trace, model, tables, window_margin=BETA_WINDOW_MARGIN,
+def invariant_report(trace, model, window_margin=BETA_WINDOW_MARGIN,
                      distance_floor=BETA_DISTANCE_FLOOR):
     """Re-check and summarize the per-step invariants of a finished run.
 

@@ -22,13 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oco_controller as oco
-from .convexsets import HPolytope, Zonotope
+from .convexsets import HPolytope, Zonotope, ZonotopeMembership
 from .denseqp import PrefactoredQp
 from .matlin import as_matrix
 from .plant import (
     ModelConfig,
     QuadraticCost,
-    ZonotopeMembership,
     build_model,
     build_tightening,
     optimal_steady_state,

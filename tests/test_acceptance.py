@@ -273,7 +273,7 @@ def test_criterion_11_beta_window_monitor(vehicle_mc):
     worst = 0.0
     for variant in ("optimized", "explicit"):
         for trace, _, _ in vehicle_mc[variant]:
-            rep = invariant_report(trace, setup.model, setup.tables)
+            rep = invariant_report(trace, setup.model)
             violations += rep.beta_window_violations
             windows += rep.beta_windows
             worst = max(worst, rep.max_active_window_product)

@@ -222,6 +222,16 @@ class TestExitCodes:
         assert [line[:6] for line in lines] == ["[pass]"] * 6 + ["[FAIL]"]
         assert lines[-1].startswith("[FAIL] RPI set P inside X  (")
 
+    def test_validate_non_pd_cost_is_the_last_failed_check(self, tmp_path, capsys):
+        broken = MINI_GENERIC.replace("q_u = [[1.0]]", "q_u = [[0.0]]")
+        assert main(["validate", "--config", write_cfg(tmp_path, broken)]) == 1
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert [line[:6] for line in lines] == ["[pass]"] * 12 + ["[FAIL]"]
+        assert lines[-1] == ("[FAIL] gamma within contraction range  "
+                             "(closed-loop cost Hessian is not positive definite)")
+        assert captured.err == ""
+
 
 # Labels and statuses validate prints for the bundled configs, in order.
 GENERIC_CHECKS = [

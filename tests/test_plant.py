@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from ocorobust.convexsets import HPolytope, Zonotope
+from ocorobust.convexsets import HPolytope, Zonotope, ZonotopeMembership
 from ocorobust.errors import AssumptionViolation, InfeasibleError
 from ocorobust.plant import (
     ModelConfig,
     QuadraticCost,
     SteadyStateBenchmark,
-    ZonotopeMembership,
     build_model,
     build_tightening,
     build_w_bar,
@@ -173,16 +172,16 @@ class TestTightening:
 
 
 def rollout_stage_values(tables, model, x, useq, offsets=True):
-    """Stage residuals by stepping x+ = A_K x + B u with input v = u + K x."""
+    """Stage residuals by stepping x+ = A_K x + B u with input v = u + K x,
+    the state stages then the input stages."""
     us = useq.reshape(model.mu, model.m)
     sv, iv = [], []
     for tau in range(model.mu):
         v = us[tau] + model.k @ x
         x = model.a_k @ x + model.b @ us[tau]
-        state, inp = tables.state_stage[tau], tables.input_stage[tau]
-        sv.append(state.normals @ x - (state.offsets if offsets else 0.0))
-        iv.append(inp.normals @ v - (inp.offsets if offsets else 0.0))
-    return np.array(sv), np.array(iv)
+        sv.append(model.x_set.normals @ x - (tables.state_offsets[tau] if offsets else 0.0))
+        iv.append(model.u_set.normals @ v - (tables.input_offsets[tau] if offsets else 0.0))
+    return np.concatenate(sv + iv)
 
 
 class TestStageValues:
@@ -202,19 +201,15 @@ class TestStageValues:
             x = rng.standard_normal(model.n)
             useq = rng.standard_normal(model.mu * model.m)
             for got, want in (
-                (stage_values(tables, model, x, useq),
+                (stage_values(tables, x, useq),
                  rollout_stage_values(tables, model, x, useq)),
-                (stage_values_linear(tables, model, useq),
+                (stage_values_linear(tables, useq),
                  rollout_stage_values(tables, model, np.zeros(model.n), useq,
                                       offsets=False)),
             ):
-                assert len(got) == 2
-                for g, w in zip(got, want):
-                    assert g.shape == w.shape
-                    scale = max(1.0, float(np.abs(w).max()))
-                    assert np.allclose(g, w, rtol=1e-12, atol=1e-12 * scale)
-                assert np.array_equal(got.flat, np.concatenate([got[0].ravel(),
-                                                                got[1].ravel()]))
+                assert got.shape == want.shape == (len(tables.residual_offsets),)
+                scale = max(1.0, float(np.abs(want).max()))
+                assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
 
 
 class TestMembershipZu:

@@ -178,25 +178,25 @@ class TestDisturbances:
 
 class TestInvariantReport:
     def test_clean_run(self, di_bundle, di_run):
-        model, tables, _ = di_bundle
+        model = di_bundle[0]
         trace, _ = di_run(seed=11)
-        report = invariant_report(trace, model, tables)
+        report = invariant_report(trace, model)
         assert report.total_violations == 0
         assert report.steps == len(trace)
 
     def test_corrupted_state_detected(self, di_bundle, di_run):
-        model, tables, _ = di_bundle
+        model = di_bundle[0]
         trace, _ = di_run(seed=12)
         bad = copy.deepcopy(trace)
         bad[17].x_true = np.array([99.0, 0.0])
-        report = invariant_report(bad, model, tables)
+        report = invariant_report(bad, model)
         assert report.violation_counts["state_ok"] == 1
         assert report.total_violations == 1
 
     def test_beta_window_products(self, di_bundle, di_run):
-        model, tables, _ = di_bundle
+        model = di_bundle[0]
         trace, _ = di_run(seed=13, horizon=60)
-        report = invariant_report(trace, model, tables)
+        report = invariant_report(trace, model)
         betas = [r.diagnostics.beta for r in trace if r.t >= 1]
         win = model.mu + 1
         manual = max(np.prod(1.0 - np.asarray(betas[i:i + win]))
@@ -316,8 +316,8 @@ class TestBetaWindows:
                 rec, diagnostics=dataclasses.replace(rec.diagnostics, **changes)))
         return out
 
-    def check(self, trace, model, tables):
-        report = invariant_report(trace, model, tables, window_margin=self.MARGIN,
+    def check(self, trace, model):
+        report = invariant_report(trace, model, window_margin=self.MARGIN,
                                   distance_floor=self.FLOOR)
         windows, violations, max_active = beta_windows_reference(
             trace, model, self.MARGIN, self.FLOOR)
@@ -328,36 +328,36 @@ class TestBetaWindows:
         return report
 
     def test_short_traces(self, di_bundle, di_run):
-        model, tables, _ = di_bundle
+        model = di_bundle[0]
         trace, _ = di_run(seed=21, horizon=40)
         win = model.mu + 1
         # T - 1 betas: fewer than a window, exactly one window, two windows
         for length, expect in ((1, 0), (win, 0), (win + 1, 1), (win + 2, 2)):
-            assert self.check(trace[:length], model, tables).beta_windows == expect
+            assert self.check(trace[:length], model).beta_windows == expect
 
     def test_all_zero_betas(self, di_bundle, di_run):
-        model, tables, _ = di_bundle
+        model = di_bundle[0]
         trace, _ = di_run(seed=22, horizon=40)
         zero = self.with_diagnostics(trace, beta=[0.0] * len(trace))
-        report = self.check(zero, model, tables)
+        report = self.check(zero, model)
         assert report.max_active_window_product == 1.0
         assert report.beta_window_violations > 0
         # no distance above the floor: no window is active
         idle = self.with_diagnostics(zero, pred_state=[r.diagnostics.ogd_target[0]
                                                        for r in zero])
-        report = self.check(idle, model, tables)
+        report = self.check(idle, model)
         assert report.beta_window_violations == 0
         assert report.max_active_window_product == 0.0
 
     def test_random_betas(self, di_bundle, di_run):
-        model, tables, _ = di_bundle
+        model = di_bundle[0]
         trace, _ = di_run(seed=23, horizon=60)
         rng = np.random.default_rng(24)
         for _ in range(30):
             betas = rng.uniform(0.0, 1.0, len(trace))
             betas[rng.random(len(trace)) < 0.4] = 0.0
             betas[rng.random(len(trace)) < 0.1] = 1.0
-            self.check(self.with_diagnostics(trace, beta=list(betas)), model, tables)
+            self.check(self.with_diagnostics(trace, beta=list(betas)), model)
 
 
 class TestBatchedFlags:

@@ -5,17 +5,18 @@ That split keeps every operation closed-form: linear images and Minkowski
 sums of zonotopes stay zonotopes, and the Pontryagin difference of a polytope
 and a zonotope is the same polytope with per-facet support deductions, so the
 tightened sets are polytopes too. Point membership in a zonotope has one
-implementation, ``ZonotopeMembership``. No vertex enumeration is performed
-anywhere.
+implementation, ``ZonotopeMembership``. No vertex enumeration and no LP is
+performed anywhere: whether a polytope is compact is decided by exact
+feasibility QPs of ``denseqp.polytope_is_empty``.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linprog
 
-from .errors import DimensionMismatch, InfeasibleError
-from .matlin import as_matrix, as_vector
+from .denseqp import polytope_is_empty
+from .errors import DimensionMismatch
+from .matlin import as_matrix, as_vector, numeric_rank
 
 DEFAULT_MEMBERSHIP_TOL = 1e-9
 
@@ -64,29 +65,20 @@ class HPolytope:
         """
         return (points @ self.normals.T - self.offsets).max(axis=1)
 
-    def support(self, direction):
-        """Support function via LP; raises InfeasibleError when unbounded."""
-        d = as_vector(direction, "direction")
-        if d.size != self.dim:
-            raise DimensionMismatch("direction dim mismatch")
-        res = linprog(-d, A_ub=self.normals, b_ub=self.offsets, bounds=(None, None), method="highs")
-        if res.status == 3:
-            raise InfeasibleError("polytope unbounded along direction")
-        if res.status != 0:
-            raise InfeasibleError(f"support LP failed: {res.message}")
-        return float(-res.fun)
-
     def is_compact(self):
-        """Nonempty and bounded, checked by support finiteness along +-axes."""
-        try:
-            for i in range(self.dim):
-                e = np.zeros(self.dim)
-                e[i] = 1.0
-                self.support(e)
-                self.support(-e)
-        except InfeasibleError:
+        """Nonempty and bounded, by exact feasibility QPs.
+
+        A nonempty polyhedron is bounded iff its recession cone
+        {d : normals d <= 0} is {0}, that is iff for each axis e_i and sign s
+        no d has normals d <= 0 and s d_i >= 1. Any QP status other than
+        "infeasible" reads as nonempty, so a numerical failure rejects the set.
+        """
+        if polytope_is_empty(self.normals, self.offsets):
             return False
-        return True
+        rhs = np.append(np.zeros(len(self.offsets)), -1.0)
+        eye = np.eye(self.dim)
+        return all(polytope_is_empty(np.vstack([self.normals, -row]), rhs)
+                   for row in np.vstack([eye, -eye]))
 
     def contains_origin_interior(self):
         row_norms = np.linalg.norm(self.normals, axis=1)
@@ -192,6 +184,14 @@ class Zonotope:
     def contains_origin(self, tol=DEFAULT_MEMBERSHIP_TOL):
         return self.contains_point(np.zeros(self.dim), tol=tol)
 
+    def contains_origin_interior(self):
+        """Full-dimensional with 0 strictly inside every facet (dim <= 3)."""
+        if numeric_rank(self.generators) != self.dim:
+            return False
+        normals, offsets = self.to_halfspaces()
+        floor = 1e-12 * max(1.0, np.abs(self.generators).max())
+        return bool(np.all(offsets + normals @ self.center > floor))
+
     def contains_point(self, x, tol=DEFAULT_MEMBERSHIP_TOL):
         """Exact membership for dim <= 3, by ``ZonotopeMembership``'s margin."""
         x = as_vector(x, "x")
@@ -247,8 +247,11 @@ ROW_BLOCK = 64
 class ZonotopeMembership:
     """Point-membership margins for a fixed zonotope (dim <= 3).
 
-    The facet form is built after merging parallel generators, which gives
-    the same set with fewer facets.
+    A full-dimensional zonotope is measured by its facet form, built after
+    merging parallel generators, which gives the same set with fewer facets.
+    A flat one (generators of rank below dim) is measured in its span: the
+    margin is the larger of the distance to the span and the facet margin of
+    the zonotope projected onto it; a point's margin is the distance to it.
     """
 
     def __init__(self, z):
@@ -256,16 +259,14 @@ class ZonotopeMembership:
         scale = max(1.0, np.abs(z.generators).max(initial=0.0))
         g = z.prune(1e-14 * scale).generators
         rank = np.linalg.matrix_rank(g, tol=1e-12 * scale) if g.size else 0
-        if rank == 0:
-            self.kind = "point"
-        elif rank == 1:
-            self.kind = "segment"
-            u = g[:, int(np.argmax(np.linalg.norm(g, axis=0)))]
-            self.axis = u / np.linalg.norm(u)
-            self.extent = float(np.abs(self.axis @ g).sum())
+        # orthonormal basis of a flat set's span; None when full-dimensional
+        if rank == z.dim:
+            self.span, facets = None, z
         else:
-            self.kind = "facets"
-            self.normals, self.offsets = z.merge_parallel().to_halfspaces()
+            self.span = np.linalg.svd(g)[0][:, :rank]
+            facets = Zonotope(np.zeros(rank), self.span.T @ g)
+        if rank:
+            self.normals, self.offsets = facets.merge_parallel().to_halfspaces()
 
     def margin(self, x):
         return float(self.margins(np.reshape(x, (1, -1)))[0])
@@ -273,12 +274,13 @@ class ZonotopeMembership:
     def margins(self, points):
         """Signed margin of each row of ``points`` (<= 0 inside, NaN for NaN)."""
         d = np.asarray(points, dtype=float) - self.center
-        if self.kind == "point":
-            return np.linalg.norm(d, axis=1)
-        if self.kind == "segment":
-            along = d @ self.axis
-            perp = np.linalg.norm(d - np.outer(along, self.axis), axis=1)
-            return np.maximum(perp, np.abs(along) - self.extent)
+        if self.span is None:
+            return self._facet_margins(d)
+        along = d @ self.span
+        off_span = np.linalg.norm(d - along @ self.span.T, axis=1)
+        return np.maximum(off_span, self._facet_margins(along)) if along.shape[1] else off_span
+
+    def _facet_margins(self, d):
         out = np.empty(len(d))
         for lo in range(0, len(d), ROW_BLOCK):
             rows = slice(lo, lo + ROW_BLOCK)

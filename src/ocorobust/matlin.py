@@ -6,8 +6,9 @@ code relies on: a pivoted-elimination numeric rank, a finite matrix-power
 decay certificate that certifies Schur stability, and spectral bounds from
 the eigensolver widened by an explicit backward-error margin.
 
-All dimensions in this toolkit are tiny (n <= ~64), so dense algorithms are
-used throughout.
+All dimensions in this toolkit are tiny: ``build_model`` accepts at most
+n = 3 states (the zonotope facet form exists for dim <= 3 only), and inputs
+and horizons are small too, so dense algorithms are used throughout.
 """
 
 from __future__ import annotations

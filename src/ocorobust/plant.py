@@ -20,7 +20,6 @@ from .convexsets import (
     HPolytope,
     Zonotope,
     ZonotopeMembership,
-    direction_net,
     pontryagin_deduct,
     zonotope_in_polytope,
 )
@@ -114,13 +113,6 @@ def build_w_bar(a, w_set, v_set):
     return v_bar.minkowski_sum(w_set).prune()
 
 
-def _zonotope_full_interior(z, tol=1e-12):
-    dirs = direction_net(z.dim)
-    return bool(np.all(z.support_batch(dirs) - dirs @ z.center > tol)) and z.contains_origin(
-        tol=max(tol, 1e-9)
-    )
-
-
 def build_model(cfg):
     """Assemble and validate a PlantModel.
 
@@ -142,6 +134,8 @@ def build_model(cfg):
             raise DimensionMismatch(f"{nm} dim {s.dim} != n={n}")
     if cfg.u_set.dim != m:
         raise DimensionMismatch(f"u_set dim {cfg.u_set.dim} != m={m}")
+    if n > 3:
+        raise DimensionMismatch(f"n={n} states, but the zonotope facet form supports n <= 3 only")
 
     checks = []
 
@@ -150,7 +144,7 @@ def build_model(cfg):
             raise AssumptionViolation(name, message, label=label, checks=checks)
         checks.append((label, detail))
 
-    check(_zonotope_full_interior(cfg.w_set) and _zonotope_full_interior(cfg.v_set),
+    check(cfg.w_set.contains_origin_interior() and cfg.v_set.contains_origin_interior(),
           "disturbance sets contain 0 (Assumption on W, V)", "disturbance sets",
           "W and V must be full-dimensional and contain 0 in the interior")
     ctrb = np.hstack([np.linalg.matrix_power(a, i) @ b for i in range(n)])
@@ -383,7 +377,6 @@ class QuadraticCost:
     q_u: np.ndarray
     ref_x: np.ndarray
     ref_u: np.ndarray
-    note: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "q_x", as_matrix(self.q_x, "q_x"))

@@ -26,12 +26,12 @@ BETA_DISTANCE_FLOOR = 1e-6
 
 @dataclass(frozen=True)
 class DisturbancePolicy:
-    kind: str = "uniform_box"  # zero | uniform_box | worst_corner | seeded_sequence
+    kind: str = "uniform_box"  # zero | uniform_box | worst_corner
     seed: int = 0
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("zero", "uniform_box", "worst_corner", "seeded_sequence"):
+        if self.kind not in ("zero", "uniform_box", "worst_corner"):
             raise ValueError(f"unknown disturbance kind '{self.kind}'")
         if not 0.0 <= self.scale <= 1.0:
             raise ValueError("scale must be in [0, 1] to keep samples inside the sets")

@@ -151,10 +151,10 @@ _Q_STATE_P3 = np.diag([1.0, PHASE3_SPEED_WEIGHT])
 _REF_U = np.zeros(2)
 _PHASE1_COST = QuadraticCost(_Q_STATE, _Q_INPUT,
                              [0.0, kmh_to_ms(PHASE1_TARGET_KMH) - DELTA_BAR],
-                             _REF_U, note="cruise")
+                             _REF_U)
 _PHASE3_COST = QuadraticCost(_Q_STATE_P3, _Q_INPUT,
                              [PHASE3_LANE_M, kmh_to_ms(PHASE3_TARGET_KMH) - DELTA_BAR],
-                             _REF_U, note="overtake")
+                             _REF_U)
 
 
 def phase_cost(phase, target_speed_dev=None):
@@ -170,7 +170,7 @@ def phase_cost(phase, target_speed_dev=None):
         if target_speed_dev is None:
             raise ValueError("phase 2 needs the estimated leader speed")
         return QuadraticCost(_Q_STATE, _Q_INPUT, [0.0, float(target_speed_dev)],
-                             _REF_U, note="follow")
+                             _REF_U)
     if phase == 3:
         return _PHASE3_COST
     raise ValueError(f"unknown phase {phase}")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from ocorobust.convexsets import HPolytope, Zonotope
 from ocorobust.errors import InfeasibleError
@@ -54,6 +55,19 @@ def di_cost():
 def random_spd(rng, n, scale=1.0):
     m = rng.standard_normal((n, n))
     return m.T @ m + scale * np.eye(n)
+
+
+def lp_support(p, d):
+    """Support value of the HPolytope ``p`` along ``d`` by LP; None when unbounded.
+
+    The test-side oracle for the package's QP-based polytope checks.
+    """
+    res = linprog(-np.asarray(d, float), A_ub=p.normals, b_ub=p.offsets,
+                  bounds=(None, None), method="highs")
+    if res.status == 3:
+        return None
+    assert res.status == 0, res.message
+    return float(-res.fun)
 
 
 def box_vertices(z):

@@ -202,6 +202,30 @@ class TestExitCodes:
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert "b or k shape inconsistent with a" in capsys.readouterr().err
 
+    def test_validate_four_states_fails_as_model_assembly(self, tmp_path, capsys):
+        eye4 = str([[0.5 if i == j else 0.0 for j in range(4)] for i in range(4)])
+        text = MINI_GENERIC
+        for old, new in (("a = [[1.0]]", f"a = {eye4}"),
+                         ("b = [[1.0]]", "b = [[1.0], [0.0], [0.0], [0.0]]"),
+                         ("k = [[-0.5]]", "k = [[0.0, 0.0, 0.0, 0.0]]"),
+                         ("x_lb = [-2.0]", "x_lb = [-2.0, -2.0, -2.0, -2.0]"),
+                         ("x_ub = [2.0]", "x_ub = [2.0, 2.0, 2.0, 2.0]"),
+                         ("w_halfwidth = [0.05]", "w_halfwidth = [0.05, 0.05, 0.05, 0.05]"),
+                         ("v_halfwidth = [0.02]", "v_halfwidth = [0.02, 0.02, 0.02, 0.02]"),
+                         ("q_x = [[1.0]]", f"q_x = {eye4}"),
+                         ("ref_x = [0.4]", "ref_x = [0.4, 0.0, 0.0, 0.0]")):
+            text = text.replace(old, new)
+        cfg = write_cfg(tmp_path, text)
+        assert main(["validate", "--config", cfg]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("[FAIL] model assembly  (n=4 states")
+        assert "n <= 3" in out
+
+    def test_unknown_disturbance_kind_exits_2(self, tmp_path):
+        cfg = write_cfg(tmp_path, MINI_GENERIC.replace(
+            "[disturbance]\n", "[disturbance]\nkind = seeded_sequence\n"))
+        assert main(["validate", "--config", cfg]) == 2
+
     def test_validate_x0_uses_membership_tol(self, tmp_path, capsys):
         # x0 is 5e-7 outside X, within membership_tol: run accepts it, so
         # validate must too

@@ -1,15 +1,25 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.optimize import linprog
 
 from ocorobust.convexsets import (
     HPolytope,
     Zonotope,
+    ZonotopeMembership,
     pontryagin_deduct,
     zonotope_in_polytope,
 )
 from ocorobust.errors import DimensionMismatch
 
-from conftest import box_vertices
+from conftest import box_vertices, lp_support
 
 
 def random_zonotope(rng, dim=2, order=3, spread=1.0):
@@ -21,6 +31,27 @@ def random_box_polytope(rng, dim=2):
     lb = rng.uniform(-2.5, -0.5, dim)
     ub = rng.uniform(0.5, 2.5, dim)
     return HPolytope.box(lb, ub)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # one optimizer: the package's own QP answers every set-up question
+    import ocorobust
+
+    env = {**os.environ, "PYTHONPATH": str(Path(ocorobust.__file__).parent.parent)}
+    code = "import sys, ocorobust; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"
+
+
+@st.composite
+def integer_polytopes(draw):
+    """{x : normals x <= offsets}, integer data in [-3, 3], n <= 3 and <= 8 rows."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(0, 8))
+    entries = st.integers(-3, 3)
+    return (draw(arrays(float, (m, n), elements=entries)),
+            draw(arrays(float, m, elements=entries)))
 
 
 class TestSupport:
@@ -162,8 +193,8 @@ class TestContains:
         rng = np.random.default_rng(14)
         for _ in range(10):
             p = random_box_polytope(rng)
-            lb = -np.array([p.support([-1.0, 0.0]), p.support([0.0, -1.0])])
-            ub = np.array([p.support([1.0, 0.0]), p.support([0.0, 1.0])])
+            lb = -np.array([lp_support(p, [-1.0, 0.0]), lp_support(p, [0.0, -1.0])])
+            ub = np.array([lp_support(p, [1.0, 0.0]), lp_support(p, [0.0, 1.0])])
             xs = np.linspace(lb[0] - 0.3, ub[0] + 0.3, 41)
             ys = np.linspace(lb[1] - 0.3, ub[1] + 0.3, 41)
             for x in xs[::5]:
@@ -191,8 +222,6 @@ class TestZonotopeInPolytope:
 
 class TestFacetForm:
     def test_membership_matches_lp_oracle_2d(self):
-        from scipy.optimize import linprog
-
         rng = np.random.default_rng(15)
         for i in range(26):
             z = random_zonotope(rng, order=4, spread=0.8)
@@ -231,6 +260,22 @@ class TestFacetForm:
         assert not z.contains_point([0.5, 0.6])
         assert not z.contains_point([1.5, 1.5])
 
+    def test_planar_set_in_3d(self):
+        # rank 2 in 3-D: measured in its plane, not as the slab of its normal
+        z = Zonotope([0.0, 0.0, 0.0], [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+        assert not z.contains_point([5.0, 5.0, 0.0])
+        assert z.contains_point([0.5, -0.5, 0.0])
+        assert not z.contains_point([0.5, -0.5, 0.1])
+        assert ZonotopeMembership(z).margin([5.0, 5.0, 0.0]) == pytest.approx(4.0)
+
+    def test_1d_margin_is_signed(self):
+        # a full-dimensional 1-D set reads negative inside, like a 2-D box
+        pts = np.array([[0.0], [0.05], [0.3]])
+        margins = ZonotopeMembership(Zonotope.box([0.1])).margins(pts)
+        assert np.allclose(margins, [-0.1, -0.05, 0.2], rtol=0.0, atol=1e-15)
+        assert ZonotopeMembership(Zonotope.box([0.1, 0.1])).margin([0.0, 0.0]) == \
+            pytest.approx(-0.1)
+
 
 class TestHPolytopeFlags:
     def test_box_is_compact(self):
@@ -247,6 +292,36 @@ class TestHPolytopeFlags:
     def test_zero_normal_rejected(self):
         with pytest.raises(ValueError):
             HPolytope([[0.0, 0.0]], [1.0])
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(integer_polytopes())
+    def test_compact_matches_lp_oracle(self, polytope):
+        normals, offsets = polytope
+        keep = np.abs(normals).sum(axis=1) > 0
+        p = HPolytope(normals[keep], offsets[keep])
+        nonempty = linprog(np.zeros(p.dim), A_ub=p.normals, b_ub=p.offsets,
+                           bounds=(None, None), method="highs").status == 0
+        eye = np.eye(p.dim)
+        oracle = nonempty and all(lp_support(p, d) is not None for d in np.vstack([eye, -eye]))
+        assert p.is_compact() == oracle
+
+
+class TestZonotopeInterior:
+    def test_centred_box(self):
+        assert Zonotope.box([0.1, 0.2]).contains_origin_interior()
+        assert Zonotope.box([0.1]).contains_origin_interior()
+
+    def test_flat_set(self):
+        assert not Zonotope([0.0, 0.0], [[1.0], [1.0]]).contains_origin_interior()
+        assert not Zonotope.point([0.0, 0.0]).contains_origin_interior()
+
+    def test_origin_on_boundary(self):
+        assert not Zonotope.box([0.1], center=[0.1]).contains_origin_interior()
+        assert not Zonotope.box([0.1, 0.1], center=[0.1, 0.0]).contains_origin_interior()
+
+    def test_off_centre_with_origin_inside(self):
+        z = Zonotope([0.05, -0.02], [[0.1, 0.02], [0.0, 0.1]])
+        assert z.contains_origin_interior()
 
 
 class TestMergeParallel:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ocorobust.convexsets import HPolytope, Zonotope, ZonotopeMembership
-from ocorobust.errors import AssumptionViolation, InfeasibleError
+from ocorobust.errors import AssumptionViolation, DimensionMismatch, InfeasibleError
 from ocorobust.plant import (
     ModelConfig,
     QuadraticCost,
@@ -18,6 +18,8 @@ from ocorobust.plant import (
     stage_values_linear,
     steady_state_manifold,
 )
+
+from conftest import lp_support
 
 
 def small_cfg(**over):
@@ -70,6 +72,21 @@ class TestBuildModel:
     def test_degenerate_disturbance_rejected(self):
         with pytest.raises(AssumptionViolation, match="disturbance"):
             build_model(small_cfg(w_set=Zonotope.point([0.0])))
+
+    def test_disturbance_origin_on_boundary_rejected(self):
+        with pytest.raises(AssumptionViolation, match="disturbance"):
+            build_model(small_cfg(w_set=Zonotope.box([0.1], center=[0.1])))
+
+    def test_more_than_three_states_rejected(self):
+        cfg = ModelConfig(
+            a=0.5 * np.eye(4), b=np.eye(4)[:, :1], k=np.zeros((1, 4)), mu=4,
+            x_set=HPolytope.box(-np.ones(4), np.ones(4)),
+            u_set=HPolytope.box([-1.0], [1.0]),
+            w_set=Zonotope.box(0.01 * np.ones(4)),
+            v_set=Zonotope.box(0.01 * np.ones(4)),
+        )
+        with pytest.raises(DimensionMismatch, match="n <= 3"):
+            build_model(cfg)
 
     def test_origin_outside_constraints_rejected(self):
         with pytest.raises(AssumptionViolation, match="constraint sets"):
@@ -252,8 +269,8 @@ class TestSteadyStateManifold:
         # oracle: 1-D intersection; G_K u in X (-) P and 0*u in U (-) K P
         p_radius = model.p_rpi.p.support([1.0])
         expected = (2.0 - p_radius) / 2.0
-        assert man.u_polytope.support([1.0]) == pytest.approx(expected, abs=1e-9)
-        assert man.u_polytope.support([-1.0]) == pytest.approx(expected, abs=1e-9)
+        assert lp_support(man.u_polytope, [1.0]) == pytest.approx(expected, abs=1e-9)
+        assert lp_support(man.u_polytope, [-1.0]) == pytest.approx(expected, abs=1e-9)
 
     def test_shrink_one_reproduces_s(self, scalar_bundle):
         model, _, _ = scalar_bundle
@@ -347,7 +364,7 @@ class TestTubeMembership:
         tail = model.p_tail
         normals, offsets = tail.to_halfspaces()
         tube = ZonotopeMembership(tail)
-        assert tube.kind == "facets" and len(tube.normals) < len(normals)
+        assert len(tube.normals) < len(normals)
         rng = np.random.default_rng(60)
         reach = tail.support_batch(np.eye(model.n)) - tail.center
         pts = tail.center + rng.uniform(-2.0, 2.0, (500, model.n)) * reach
@@ -366,10 +383,8 @@ class TestTubeMembership:
 
     def test_segment_margins(self, scalar_bundle):
         model = scalar_bundle[0]
-        tube = ZonotopeMembership(model.p_tail)
-        assert tube.kind == "segment"
         extent = float(np.abs(model.p_tail.generators).sum())
         pts = np.array([[0.0], [0.5 * extent], [2.0 * extent], [-3.0 * extent]])
-        # perpendicular distance 0 in 1-D, so inside points read 0
-        want = np.maximum(0.0, np.abs(pts[:, 0] - model.p_tail.center[0]) - extent)
+        # a full-dimensional 1-D set: signed, negative inside
+        want = np.abs(pts[:, 0] - model.p_tail.center[0]) - extent
         assert np.allclose(model.tube_margins(pts), want, rtol=0.0, atol=1e-15)

@@ -155,7 +155,7 @@ class TestEngine:
 class TestDisturbances:
     def test_membership_all_kinds(self, di_bundle):
         model, _, _ = di_bundle
-        for kind in ("zero", "uniform_box", "worst_corner", "seeded_sequence"):
+        for kind in ("zero", "uniform_box", "worst_corner"):
             sampler = _Sampler(DisturbancePolicy(kind=kind, seed=5, scale=0.8),
                                model.w_set, model.v_set)
             for _ in range(200):

@@ -11,12 +11,12 @@ lowest constraint index.
 owns the fixed matrices (H and the constraint normals), and each ``solve``
 passes only the vectors that change: the linear term and the right-hand
 sides. Everything that depends only on the fixed matrices is computed at
-construction: H^-1 (from the Cholesky factor, symmetrised), H^-1 C'
-and the Gram matrix C H^-1 C' of the stacked normals C. Each GI iteration
-then slices these and solves one system the size of the active set. A
-problem with no inequality rows and full-row-rank equalities has a closed
-form instead: its KKT inverse is precomputed and a solve is two matvecs.
-Both paths report the same KKT residual and status.
+construction: H^-1 (from the Cholesky factor, symmetrised), H^-1 C', the
+Gram matrix C H^-1 C' of the stacked normals C, and the KKT inverse of the
+equality rows alone. In a closed loop the inequality rows rarely bind, so
+``solve`` has one fast path: the equality-constrained optimum, kept when no
+row binds and the KKT check passes; otherwise GI runs cold. No state is kept
+between solves.
 """
 
 from __future__ import annotations
@@ -61,11 +61,14 @@ class PrefactoredQp:
     inequalities, all in ">=" form). Each ``solve`` supplies the linear term
     and the right-hand sides only; no factorization happens per solve.
 
-    With no inequality rows and equality normals of full row rank, the KKT
-    system has a unique solution for every right-hand side, so ``solve`` is
-    the closed form [x; nu] = K_q q + K_b b_eq with the KKT inverse blocks
-    precomputed. Otherwise (inequalities, or rank-deficient and possibly
-    inconsistent equalities) it runs the GI iteration.
+    When the equality normals E have full row rank (as with no equalities),
+    ``eq_optimum`` is True and the KKT inverse blocks of the equality rows
+    alone are precomputed, so the equality-constrained optimum is the closed
+    form [x; nu] = K_q q + K_b b_eq (with no equalities, x = -H^-1 q). ``solve``
+    returns it when no inequality row is violated beyond GI's stopping test
+    and the KKT check passes; in every other case (a binding row, or
+    rank-deficient and possibly inconsistent equalities) it runs the GI
+    iteration from the unconstrained optimum.
     """
 
     def __init__(self, hessian, ineq_normals=None, eq_normals=None):
@@ -82,73 +85,91 @@ class PrefactoredQp:
             raise DimensionMismatch("constraint normals do not match the hessian")
         self.meq = self.eq_normals.shape[0]
         self.cn = np.vstack([self.eq_normals, -self.ineq_normals])
+        # One product gives the gradient's H x and every row residual.
+        self.stacked = np.vstack([self.hessian, self.ineq_normals, self.eq_normals])
         hinv = scipy.linalg.cho_solve(cho, np.eye(n), check_finite=False)
         self.hinv = 0.5 * (hinv + hinv.T)
         self.hinv_cn = self.hinv @ self.cn.T
         gram = self.cn @ self.hinv_cn
         self.gram = 0.5 * (gram + gram.T)
-        self.closed_form = (self.ineq_normals.shape[0] == 0
-                            and numeric_rank(self.eq_normals) == self.meq)
-        if self.closed_form:
+        self.eq_optimum = numeric_rank(self.eq_normals) == self.meq
+        if self.eq_optimum and self.meq:
             # x = -H^-1 q + M (b + E H^-1 q) and nu = -S (b + E H^-1 q), with
-            # S = (E H^-1 E')^-1 and M = H^-1 E' S. Here C = E, so hinv_cn
-            # is H^-1 E' and gram is E H^-1 E'.
+            # S = (E H^-1 E')^-1 and M = H^-1 E' S. The equality rows come
+            # first in C, so H^-1 E' and E H^-1 E' are leading blocks.
+            hinv_e = self.hinv_cn[:, :self.meq]
             try:
-                s = (scipy.linalg.cho_solve(scipy.linalg.cho_factor(self.gram),
-                                            np.eye(self.meq))
-                     if self.meq else np.zeros((0, 0)))
+                s = scipy.linalg.cho_solve(
+                    scipy.linalg.cho_factor(self.gram[:self.meq, :self.meq]),
+                    np.eye(self.meq))
             except scipy.linalg.LinAlgError:
-                self.closed_form = False  # too ill-conditioned; GI handles it
+                self.eq_optimum = False  # too ill-conditioned; GI handles it
             else:
-                m = self.hinv_cn @ s
-                self.kkt_q = np.vstack([m @ self.hinv_cn.T - self.hinv, -m.T])
+                m = hinv_e @ s
+                self.kkt_q = np.vstack([m @ hinv_e.T - self.hinv, -m.T])
                 self.kkt_b = np.vstack([m, -s])
 
     def solve(self, linear, ineq_offsets=None, eq_offsets=None,
               tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
         if tol <= 0:
             raise ValueError("tol must be positive")
-        ineq_b = (np.zeros(self.ineq_normals.shape[0]) if ineq_offsets is None
+        mineq = self.ineq_normals.shape[0]
+        ineq_b = (np.zeros(mineq) if ineq_offsets is None
                   else np.asarray(ineq_offsets, float))
         eq_b = (np.zeros(self.meq) if eq_offsets is None
                 else np.asarray(eq_offsets, float))
         linear = np.asarray(linear, float)
-        if self.closed_form:
-            sol = self.kkt_q @ linear + self.kkt_b @ eq_b
-            n = linear.size
-            return self._assemble(linear, ineq_b, eq_b, sol[:n], np.zeros(0), sol[n:],
-                                  "optimal", tol)
+        n = linear.size
+        if self.eq_optimum:
+            # With no equalities the guess is GI's own start point.
+            sol = (self.kkt_q @ linear + self.kkt_b @ eq_b if self.meq
+                   else -(self.hinv @ linear))
+            x = sol[:n]
+            prod = self.stacked @ x
+            # GI's stopping test on every row: slack b - A x >= -0.1 tol.
+            if not mineq or not (prod[n:n + mineq] - ineq_b > 0.1 * tol).any():
+                guess = self._assemble(prod, linear, ineq_b, eq_b, x, np.zeros(mineq),
+                                       sol[n:], "optimal", tol)
+                if guess.status == "optimal":
+                    return guess
         cd = np.concatenate([eq_b, -ineq_b])
         x, active, mult, signs, status = _gi_core(self, -(self.hinv @ linear), cd,
                                                   tol, max_iter)
-        lam = np.zeros(ineq_b.size)
+        # NaN fails every ratio test in GI, so non-finite data usually ends
+        # "infeasible"; name the actual cause.
+        if status != "optimal" and not (np.isfinite(linear).all() and np.isfinite(cd).all()):
+            status = "non_finite"
+        lam = np.zeros(mineq)
         nu = np.zeros(self.meq)
         for j, u, sigma in zip(active, mult, signs):
             if j < self.meq:
                 nu[j] = -u * sigma
             else:
                 lam[j - self.meq] = u
-        return self._assemble(linear, ineq_b, eq_b, x, lam, nu, status, tol)
+        return self._assemble(self.stacked @ x, linear, ineq_b, eq_b, x, lam, nu, status,
+                              tol)
 
-    def _assemble(self, linear, ineq_b, eq_b, x, lam, nu, status, tol):
+    def _assemble(self, prod, linear, ineq_b, eq_b, x, lam, nu, status, tol):
         """KKT residual of (x, lam, nu); an "optimal" above tol becomes "max_iter".
 
-        A non-finite x or problem datum makes the residual NaN or inf, and the
-        status "non_finite".
+        ``prod`` is ``stacked @ x``: H x, then the inequality and the equality
+        rows. A non-finite x or problem datum makes the residual NaN or inf,
+        and the status "non_finite".
         """
-        grad = self.hessian @ x + linear
-        if ineq_b.size:
+        n, mineq = x.size, ineq_b.size
+        grad = prod[:n] + linear
+        if mineq:
             grad += self.ineq_normals.T @ lam
         if self.meq:
             grad += self.eq_normals.T @ nu
         terms = [float(np.linalg.norm(grad))]
-        if ineq_b.size:
-            viol = self.ineq_normals @ x - ineq_b
+        if mineq:
+            viol = prod[n:n + mineq] - ineq_b
             terms += [float(viol.max(initial=0.0)),
                       float(np.abs(lam * viol).max(initial=0.0)),
                       max(0.0, -float(lam.min(initial=0.0)))]
         if self.meq:
-            terms.append(float(np.abs(self.eq_normals @ x - eq_b).max()))
+            terms.append(float(np.abs(prod[n + mineq:] - eq_b).max()))
         # max() skips a NaN that is not its first argument; the sum does not.
         total = sum(terms)
         res = max(terms) if total < np.inf else total

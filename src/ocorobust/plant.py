@@ -9,6 +9,7 @@ robustly feasible steady states.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -383,6 +384,16 @@ class QuadraticCost:
         object.__setattr__(self, "q_u", as_matrix(self.q_u, "q_u"))
         object.__setattr__(self, "ref_x", as_vector(self.ref_x, "ref_x"))
         object.__setattr__(self, "ref_u", as_vector(self.ref_u, "ref_u"))
+
+    def with_ref_x(self, ref_x):
+        """This cost with another state reference; only ``ref_x`` is validated.
+
+        The weight arrays are the same objects, so a ``SteadyStateBenchmark``
+        that serves this cost serves the result too.
+        """
+        cost = copy.copy(self)
+        object.__setattr__(cost, "ref_x", as_vector(ref_x, "ref_x"))
+        return cost
 
     def value(self, x, v):
         dx = np.asarray(x, float) - self.ref_x

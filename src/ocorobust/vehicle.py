@@ -161,16 +161,16 @@ def phase_cost(phase, target_speed_dev=None):
     """Quadratic tracking cost of the active planner phase.
 
     Phase 2 needs the current leader-speed estimate (as deviation) for its
-    velocity target; phases 1 and 3 have fixed targets. Weight matrices are
-    shared module-level arrays, so one benchmark solver serves phases 1 and 2.
+    velocity target; phases 1 and 3 have fixed targets. Phase 2 is phase 1's
+    cost with a new reference: the same weight arrays, so one benchmark solver
+    serves phases 1 and 2, and only the reference is validated per step.
     """
     if phase == 1:
         return _PHASE1_COST
     if phase == 2:
         if target_speed_dev is None:
             raise ValueError("phase 2 needs the estimated leader speed")
-        return QuadraticCost(_Q_STATE, _Q_INPUT, [0.0, float(target_speed_dev)],
-                             _REF_U)
+        return _PHASE1_COST.with_ref_x([0.0, float(target_speed_dev)])
     if phase == 3:
         return _PHASE3_COST
     raise ValueError(f"unknown phase {phase}")

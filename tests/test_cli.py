@@ -295,6 +295,17 @@ class TestDeterministicOutput:
         for name in ("trace_0000.csv", "ledger_0000.csv", "invariants.txt"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    @pytest.mark.parametrize("stem", ["double_integrator", "vehicle_optimized",
+                                      "vehicle_explicit"])
+    def test_bundled_invariants_match_golden(self, tmp_path, stem):
+        # tests/golden/<stem>/invariants.txt is the recorded output of
+        # `ocorobust run --config configs/<stem>.cfg`; any change to it is a
+        # change of the output contract and must be re-recorded on purpose.
+        assert main(["run", "--config", str(CONFIGS / f"{stem}.cfg"),
+                     "--out", str(tmp_path), "--quiet"]) == 0
+        golden = REPO / "tests" / "golden" / stem / "invariants.txt"
+        assert (tmp_path / "invariants.txt").read_bytes() == golden.read_bytes()
+
     def test_seed_override_changes_output(self, tmp_path):
         cfg = write_cfg(tmp_path, MINI_GENERIC)
         main(["run", "--config", cfg, "--out", str(tmp_path / "a"), "--quiet"])

@@ -197,7 +197,9 @@ class TestRolloutBuilder:
             t=t, x_meas=np.full(2, 0.1 * t), theta_hat=np.zeros(2), eta_hat=np.zeros(1),
             candidate=np.zeros(nv), pred_state=np.zeros(2))) for t in (1, 2)]
         assert all(r.solver is builder.solver for r in rollouts)
-        assert builder.solver.closed_form
+        # equality rows only: the precomputed equality-constrained optimum
+        # answers every solve
+        assert builder.solver.eq_optimum and builder.solver.ineq_normals.shape[0] == 0
 
     def test_non_pd_hessian_raises_at_construction(self, di_bundle):
         # q_u = 0 leaves the last input of the rollout unweighted

@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from ocorobust import denseqp
 from ocorobust.convexsets import HPolytope
-from ocorobust.denseqp import PrefactoredQp, polytope_is_empty
+from ocorobust.denseqp import DEFAULT_MAX_ITER, PrefactoredQp, polytope_is_empty
 from ocorobust.errors import FactorizationError, InfeasibleError
 
 from conftest import random_spd
@@ -226,9 +228,27 @@ def oracle_qp(h, q, ineq_n, ineq_b, eq_n, eq_b, tol=1e-9):
     return None
 
 
+def cold_gi(pre, q, ineq_b, eq_b, tol=1e-8):
+    """(x, status) of the GI iteration run from scratch on ``pre``'s data."""
+    x, _, _, _, status = denseqp._gi_core(pre, -(pre.hinv @ q),
+                                          np.concatenate([eq_b, -ineq_b]), tol,
+                                          DEFAULT_MAX_ITER)
+    return x, status
+
+
+def solve_tracing_gi(pre, q, ineq_b=None, eq_b=None, tol=1e-8):
+    """``pre.solve`` and whether it ran the GI iteration (False: the
+    equality-constrained guess was accepted)."""
+    with mock.patch.object(denseqp, "_gi_core", wraps=denseqp._gi_core) as gi:
+        sol = pre.solve(q, ineq_offsets=ineq_b, eq_offsets=eq_b, tol=tol)
+    return sol, gi.called
+
+
 def check_against_oracle(h, q, ineq_n, ineq_b, eq_n, eq_b, tol=1e-8):
+    """Check one solve against the enumeration oracle and against cold GI;
+    returns the solver, the solution and whether GI ran."""
     pre = PrefactoredQp(h, ineq_normals=ineq_n, eq_normals=eq_n)
-    sol = pre.solve(q, ineq_offsets=ineq_b, eq_offsets=eq_b, tol=tol)
+    sol, ran_gi = solve_tracing_gi(pre, q, ineq_b, eq_b, tol)
     want = oracle_qp(h, q, ineq_n, ineq_b, eq_n, eq_b)
     assert sol.ineq_multipliers.shape == (ineq_b.size,)
     assert sol.eq_multipliers.shape == (eq_b.size,)
@@ -238,7 +258,14 @@ def check_against_oracle(h, q, ineq_n, ineq_b, eq_n, eq_b, tol=1e-8):
         assert sol.status == "optimal"
         assert np.allclose(sol.x, want, rtol=0.0, atol=1e-8)
         assert sol.kkt_residual <= tol
-    return pre, sol
+    x_gi, status_gi = cold_gi(pre, q, ineq_b, eq_b, tol)
+    assert sol.status == status_gi
+    if status_gi == "optimal":
+        assert np.allclose(sol.x, x_gi, rtol=0.0, atol=1e-8)
+    # Without a precomputed guess every solve is GI; with one, GI runs only
+    # when the guess is rejected.
+    assert ran_gi or pre.eq_optimum
+    return pre, sol, ran_gi
 
 
 # Entries on a coarse grid, so drawn instances hit exact degeneracies
@@ -267,6 +294,7 @@ class TestPrefactoredQpOracle:
 
     def test_random_instances(self):
         rng = np.random.default_rng(30)
+        kept = rejected = 0
         for trial in range(150):
             n = int(rng.integers(1, 5))
             me = int(rng.integers(0, n))
@@ -278,7 +306,12 @@ class TestPrefactoredQpOracle:
             eq_n = rng.standard_normal((me, n))
             # a few offsets at zero slack put the known point on the boundary
             slack = np.where(rng.random(mi) < 0.3, 0.0, rng.uniform(0.0, 1.0, mi))
-            check_against_oracle(h, q, ineq_n, ineq_n @ x_feas + slack, eq_n, eq_n @ x_feas)
+            pre, _, ran_gi = check_against_oracle(h, q, ineq_n, ineq_n @ x_feas + slack,
+                                                  eq_n, eq_n @ x_feas)
+            kept += pre.eq_optimum and not ran_gi
+            rejected += pre.eq_optimum and ran_gi
+        # both branches of the guess are exercised: kept, and rejected for GI
+        assert kept > 0 and rejected > 0
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(qp_instances())
@@ -292,16 +325,48 @@ class TestPrefactoredQpOracle:
             me = int(rng.integers(0, n + 1))
             h = 2 * random_spd(rng, n)
             eq_n = rng.standard_normal((me, n))
-            pre, _ = check_against_oracle(h, rng.standard_normal(n), np.zeros((0, n)),
-                                          np.zeros(0), eq_n, rng.standard_normal(me))
-            assert pre.closed_form
+            pre, _, ran_gi = check_against_oracle(h, rng.standard_normal(n),
+                                                  np.zeros((0, n)), np.zeros(0), eq_n,
+                                                  rng.standard_normal(me))
+            assert pre.eq_optimum and not ran_gi
             # the precomputed operators are reused across right-hand sides
             for _ in range(3):
                 q, b = rng.standard_normal(n), rng.standard_normal(me)
-                sol = pre.solve(q, eq_offsets=b)
+                sol, ran_gi = solve_tracing_gi(pre, q, eq_b=b)
                 want = oracle_qp(h, q, np.zeros((0, n)), np.zeros(0), eq_n, b)
-                assert sol.status == "optimal"
+                assert sol.status == "optimal" and not ran_gi
                 assert np.allclose(sol.x, want, rtol=0.0, atol=1e-8)
+
+    def test_inequality_only_guess_is_gi_start(self):
+        # With no equalities the kept guess is bit for bit what cold GI returns.
+        rng = np.random.default_rng(36)
+        kept = 0
+        for _ in range(50):
+            n = int(rng.integers(1, 5))
+            h = 2 * random_spd(rng, n)
+            ineq_n = rng.standard_normal((3, n))
+            q = rng.standard_normal(n)
+            ineq_b = rng.uniform(0.0, 2.0, 3)
+            pre = PrefactoredQp(h, ineq_normals=ineq_n)
+            sol, ran_gi = solve_tracing_gi(pre, q, ineq_b)
+            x_gi, status_gi = cold_gi(pre, q, ineq_b, np.zeros(0))
+            if not ran_gi:
+                kept += 1
+                assert np.array_equal(sol.x, -(pre.hinv @ q))
+                assert np.array_equal(sol.x, x_gi) and status_gi == "optimal"
+        assert kept > 0
+
+    def test_guess_failing_the_kkt_check_runs_gi(self):
+        # No row binds, so the guess passes the row test; a tol below the
+        # rounding of its KKT residual rejects it, and GI answers instead.
+        pre = PrefactoredQp(2.0 * np.eye(2), ineq_normals=np.vstack([np.eye(2), -np.eye(2)]),
+                            eq_normals=np.array([[1.0, 1.0]]))
+        q, ineq_b, eq_b = np.array([-0.3, 0.1]), np.ones(4), np.array([0.2])
+        sol, ran_gi = solve_tracing_gi(pre, q, ineq_b, eq_b)
+        assert sol.status == "optimal" and not ran_gi
+        strict, ran_gi = solve_tracing_gi(pre, q, ineq_b, eq_b, tol=1e-300)
+        assert ran_gi and strict.status == "max_iter"
+        assert np.allclose(strict.x, sol.x, rtol=0.0, atol=1e-12)
 
     def test_duplicate_and_parallel_inequalities(self):
         rng = np.random.default_rng(32)
@@ -315,9 +380,11 @@ class TestPrefactoredQpOracle:
             # row with a looser offset
             ineq_n = np.vstack([base, base[:1], 2.5 * base[1:2], base[2:3]])
             ineq_b = np.concatenate([b, b[:1], 2.5 * b[1:2], b[2:3] + 0.2])
-            pre, _ = check_against_oracle(h, rng.standard_normal(n) * 3, ineq_n, ineq_b,
-                                          np.zeros((0, n)), np.zeros(0))
-            assert not pre.closed_form
+            pre, sol, ran_gi = check_against_oracle(h, rng.standard_normal(n) * 3, ineq_n,
+                                                    ineq_b, np.zeros((0, n)), np.zeros(0))
+            # the unconstrained optimum is kept exactly when no row binds
+            assert pre.eq_optimum
+            assert ran_gi == bool(np.any(sol.ineq_multipliers > 0))
 
     def test_rank_deficient_consistent_equalities(self):
         rng = np.random.default_rng(33)
@@ -329,16 +396,17 @@ class TestPrefactoredQpOracle:
             x_feas = rng.standard_normal(n)
             mi = int(rng.integers(0, 4))
             ineq_n = rng.standard_normal((mi, n))
-            pre, _ = check_against_oracle(h, rng.standard_normal(n), ineq_n,
-                                          ineq_n @ x_feas + rng.uniform(0.0, 1.0, mi),
-                                          eq_n, eq_n @ x_feas)
-            assert not pre.closed_form
+            pre, _, ran_gi = check_against_oracle(h, rng.standard_normal(n), ineq_n,
+                                                  ineq_n @ x_feas + rng.uniform(0.0, 1.0, mi),
+                                                  eq_n, eq_n @ x_feas)
+            assert not pre.eq_optimum and ran_gi
 
     def test_redundant_equalities_take_the_gi_path(self):
         h, q = 2 * np.eye(2), -2 * np.array([3.0, 0.0])
         eq_n, eq_b = np.array([[1.0, 0.0], [2.0, 0.0]]), np.array([1.0, 2.0])
-        pre, sol = check_against_oracle(h, q, np.zeros((0, 2)), np.zeros(0), eq_n, eq_b)
-        assert not pre.closed_form
+        pre, sol, ran_gi = check_against_oracle(h, q, np.zeros((0, 2)), np.zeros(0), eq_n,
+                                                eq_b)
+        assert not pre.eq_optimum and ran_gi
         assert np.allclose(sol.x, [1.0, 0.0], atol=1e-9)
 
     def test_inconsistent_equalities_infeasible(self):
@@ -348,9 +416,10 @@ class TestPrefactoredQpOracle:
             row = rng.standard_normal((1, n))
             eq_n = np.vstack([row, 2.0 * row])
             eq_b = np.array([1.0, 2.0 + rng.uniform(0.1, 1.0)])
-            pre, sol = check_against_oracle(2 * random_spd(rng, n), rng.standard_normal(n),
-                                            np.zeros((0, n)), np.zeros(0), eq_n, eq_b)
-            assert not pre.closed_form
+            pre, sol, ran_gi = check_against_oracle(2 * random_spd(rng, n),
+                                                    rng.standard_normal(n), np.zeros((0, n)),
+                                                    np.zeros(0), eq_n, eq_b)
+            assert not pre.eq_optimum and ran_gi
             assert sol.status == "infeasible"
 
     def test_empty_polytope_infeasible(self):
@@ -361,9 +430,10 @@ class TestPrefactoredQpOracle:
             # a.x <= -1 and -a.x <= -1 for the first row: an empty slab
             ineq_n = np.vstack([a[:1], -a[:1], a[1:]])
             ineq_b = np.array([-1.0, -1.0, 1.0])
-            _, sol = check_against_oracle(2 * random_spd(rng, n), rng.standard_normal(n),
-                                          ineq_n, ineq_b, np.zeros((0, n)), np.zeros(0))
-            assert sol.status == "infeasible"
+            _, sol, ran_gi = check_against_oracle(2 * random_spd(rng, n),
+                                                  rng.standard_normal(n), ineq_n, ineq_b,
+                                                  np.zeros((0, n)), np.zeros(0))
+            assert sol.status == "infeasible" and ran_gi
 
 
 @st.composite
@@ -393,31 +463,49 @@ class TestEmptiness:
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestNonFiniteData:
-    """A NaN or inf in the linear term or the equality right-hand side never
-    comes back "optimal", on the unconstrained, the closed-form equality and
-    the inequality (GI) paths alike."""
+    """A NaN or inf in the linear term or a right-hand side gets the status
+    "non_finite", whether the equality-constrained guess or GI answers: on
+    the unconstrained, equality-only, inequality-only and mixed solvers."""
+
+    H = 2.0 * np.eye(2)
+    BOX = np.vstack([np.eye(2), -np.eye(2)])
+    EQ = np.array([[1.0, 1.0]])
+
+    def solvers(self):
+        return [PrefactoredQp(self.H), PrefactoredQp(self.H, eq_normals=self.EQ),
+                PrefactoredQp(self.H, ineq_normals=self.BOX),
+                PrefactoredQp(self.H, ineq_normals=self.BOX, eq_normals=self.EQ)]
+
+    @staticmethod
+    def assert_non_finite(sol):
+        assert sol.status == "non_finite"
+        assert not sol.kkt_residual <= 1e-8
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_linear(self, bad):
-        h = 2.0 * np.eye(2)
-        cases = [
-            PrefactoredQp(h),
-            PrefactoredQp(h, eq_normals=np.array([[1.0, 1.0]])),
-            PrefactoredQp(h, ineq_normals=np.vstack([np.eye(2), -np.eye(2)])),
-        ]
-        for pre in cases:
-            sol = pre.solve(np.array([bad, 0.0]), ineq_offsets=np.ones(pre.ineq_normals.shape[0]))
-            assert sol.status != "optimal"
-            assert not sol.kkt_residual <= 1e-8
+        for pre in self.solvers():
+            self.assert_non_finite(pre.solve(
+                np.array([bad, 0.0]), ineq_offsets=np.ones(pre.ineq_normals.shape[0]),
+                eq_offsets=np.zeros(pre.meq)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_eq_offsets(self, bad):
-        h = 2.0 * np.eye(3)
-        pre = PrefactoredQp(h, eq_normals=np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]))
-        assert pre.closed_form
-        sol = pre.solve(np.zeros(3), eq_offsets=np.array([bad, 0.5]))
-        assert sol.status != "optimal"
-        assert not sol.kkt_residual <= 1e-8
+        pre = PrefactoredQp(2.0 * np.eye(3), eq_normals=np.array([[1.0, 0.0, 1.0],
+                                                                  [0.0, 1.0, 0.0]]))
+        assert pre.eq_optimum
+        self.assert_non_finite(pre.solve(np.zeros(3), eq_offsets=np.array([bad, 0.5])))
+        mixed = PrefactoredQp(self.H, ineq_normals=self.BOX, eq_normals=self.EQ)
+        self.assert_non_finite(mixed.solve(np.zeros(2), ineq_offsets=np.ones(4),
+                                           eq_offsets=np.array([bad])))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_ineq_offsets(self, bad):
+        for pre in self.solvers()[2:]:
+            for row in range(4):
+                offsets = np.ones(4)
+                offsets[row] = bad
+                self.assert_non_finite(pre.solve(np.zeros(2), ineq_offsets=offsets,
+                                                 eq_offsets=np.zeros(pre.meq)))
 
     def test_finite_data_unchanged(self):
         sol = PrefactoredQp(2.0 * np.eye(2)).solve(np.array([-2.0, 0.0]))

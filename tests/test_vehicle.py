@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from ocorobust import vehicle
+from ocorobust import denseqp, vehicle
 from ocorobust.oco_controller import StepContext
 from ocorobust.errors import OcoRobustError
+from ocorobust.plant import SteadyStateBenchmark
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +68,16 @@ class TestPhaseCosts:
         cost = vehicle.phase_cost(2, target_speed_dev=-4.0)
         assert cost.ref_x[1] == -4.0
 
+    def test_phase2_shares_phase1_weights(self, setup):
+        # the same arrays, so the phase-1 benchmark solver serves phase 2
+        follow = vehicle.phase_cost(1)
+        cost = vehicle.phase_cost(2, target_speed_dev=-4.0)
+        assert cost.q_x is follow.q_x and cost.q_u is follow.q_u
+        assert cost.ref_u is follow.ref_u
+        assert SteadyStateBenchmark(setup.manifold, setup.model, follow).serves(cost)
+        with pytest.raises(ValueError):
+            vehicle.phase_cost(2, target_speed_dev=np.nan)
+
     def test_phase3_weight_ratio(self):
         cost = vehicle.phase_cost(3)
         assert cost.q_x[1, 1] / cost.q_x[0, 0] == 5.0
@@ -112,6 +123,31 @@ class TestSoftSafety:
                                    eq_offsets=ctx.theta_hat - ctx.pred_state)
         assert sol.status == "optimal"
         assert sol.x[-1] >= 5.0 - 1e-6
+
+
+    def test_recorded_run_matches_cold_gi(self, setup, monkeypatch):
+        # Every phase-2 slack QP of a seed-0 optimized run, re-solved by the
+        # GI iteration from scratch.
+        recorded = []
+        real = denseqp.PrefactoredQp.solve
+
+        def record(pre, linear, ineq_offsets=None, eq_offsets=None, **kwargs):
+            sol = real(pre, linear, ineq_offsets=ineq_offsets, eq_offsets=eq_offsets,
+                       **kwargs)
+            if pre.meq and pre.ineq_normals.shape[0]:
+                recorded.append((pre, linear, ineq_offsets, eq_offsets, sol))
+            return sol
+
+        monkeypatch.setattr(denseqp.PrefactoredQp, "solve", record)
+        vehicle.run_scenario("optimized", seed=0, setup=setup)
+        monkeypatch.undo()
+        assert len(recorded) > 100
+        for pre, linear, ineq_b, eq_b, sol in recorded:
+            x, _, _, _, status = denseqp._gi_core(
+                pre, -(pre.hinv @ linear), np.concatenate([eq_b, -ineq_b]),
+                denseqp.DEFAULT_TOL, denseqp.DEFAULT_MAX_ITER)
+            assert sol.status == status == "optimal"
+            assert np.linalg.norm(sol.x - x) <= 1e-12 * np.linalg.norm(x)
 
 
 class TestScenario:

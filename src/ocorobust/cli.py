@@ -129,7 +129,7 @@ def load_config(path, command="run"):
     raw = parse_config_text(text)
     schema = _load_schema()
     cfg = {}
-    cost_pieces = []
+    cost_pieces = {}  # index -> (section name, piece)
     for name, entries in raw.items():
         if name.startswith("cost."):
             spec = schema["repeated_sections"]["cost"]["keys"]
@@ -145,7 +145,9 @@ def load_config(path, command="run"):
                 index = int(name.split(".", 1)[1])
             except ValueError:
                 raise ConfigError(f"bad cost section name [{name}]", field=name)
-            cost_pieces.append((index, piece))
+            if index in cost_pieces:
+                raise ConfigError(f"index repeats [{cost_pieces[index][0]}]", field=name)
+            cost_pieces[index] = (name, piece)
             continue
         if name not in schema["sections"]:
             raise ConfigError(f"unknown section [{name}]", field=name)
@@ -169,7 +171,11 @@ def load_config(path, command="run"):
             for key, kspec in sect["keys"].items():
                 if kspec.get("required") and key not in cfg.get(name, {}):
                     raise ConfigError("missing required key", field=f"{name}.{key}")
-    cfg["costs"] = [p for _, p in sorted(cost_pieces)]
+    ordered = [cost_pieces[index] for index in sorted(cost_pieces)]
+    for (_, prev), (name, piece) in zip(ordered, ordered[1:]):
+        if piece["start"] < prev["start"]:
+            raise ConfigError("start precedes the previous piece's", field=f"{name}.start")
+    cfg["costs"] = [piece for _, piece in ordered]
     if scenario == "generic" or command == "regret-sweep":
         if not cfg["costs"]:
             raise ConfigError("at least one [cost.N] section is required", field="cost.0")
@@ -217,7 +223,7 @@ def _vehicle_params(cfg):
     return vehicle.VehicleParams(
         mu=cfg["controller"]["mu"],
         gamma=cfg["controller"]["gamma"],
-        c_g=cfg["controller"].get("c_g") or 1000.0,
+        c_g=cfg["controller"].get("c_g", 1000.0),
         shrink=cfg["controller"]["shrink"],
         k=k,
         **v,
@@ -458,7 +464,7 @@ def _validation_checks(cfg):
     except InfeasibleError as exc:
         record("steady-state manifold nonempty with 0 interior", False, str(exc))
         return checks, model
-    eff_cg = c_g if c_g is not None else 1.01 * model.c_g_min
+    eff_cg = oco.ControllerConfig(gamma=gamma, c_g=c_g).effective_c_g(model)
     record("c_g covers the explicit-solution norm", eff_cg >= model.c_g_min * (1 - 1e-9),
            f"required >= {model.c_g_min:.4g}")
     try:

@@ -258,7 +258,7 @@ class ZonotopeMembership:
         self.center = z.center
         scale = max(1.0, np.abs(z.generators).max(initial=0.0))
         g = z.prune(1e-14 * scale).generators
-        rank = np.linalg.matrix_rank(g, tol=1e-12 * scale) if g.size else 0
+        rank = numeric_rank(g, tol=1e-12)
         # orthonormal basis of a flat set's span; None when full-dimensional
         if rank == z.dim:
             self.span, facets = None, z

@@ -11,12 +11,12 @@ lowest constraint index.
 owns the fixed matrices (H and the constraint normals), and each ``solve``
 passes only the vectors that change: the linear term and the right-hand
 sides. Everything that depends only on the fixed matrices is computed at
-construction: H^-1 (from the Cholesky factor, symmetrised), H^-1 C', the
-Gram matrix C H^-1 C' of the stacked normals C, and the KKT inverse of the
-equality rows alone. In a closed loop the inequality rows rarely bind, so
-``solve`` has one fast path: the equality-constrained optimum, kept when no
-row binds and the KKT check passes; otherwise GI runs cold. No state is kept
-between solves.
+construction: H^-1 = L^-T L^-1 from the Cholesky factor H = L L' (numpy's,
+symmetrised; ``matlin.spd_inverse``), H^-1 C', the Gram matrix C H^-1 C' of
+the stacked normals C, and the KKT inverse of the equality rows alone. In a
+closed loop the inequality rows rarely bind, so ``solve`` has one fast path:
+the equality-constrained optimum, kept when no row binds and the KKT check
+passes; otherwise GI runs cold. No state is kept between solves.
 """
 
 from __future__ import annotations
@@ -24,24 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatch, FactorizationError
-from .matlin import as_matrix, as_vector, numeric_rank
+from .matlin import as_matrix, as_vector, numeric_rank, spd_inverse
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 10000
-
-
-def _cholesky(hessian):
-    """Cholesky factor of a symmetric positive definite Hessian, or raise."""
-    scale = max(1.0, float(np.abs(hessian).max(initial=0.0)))
-    if not np.allclose(hessian, hessian.T, atol=1e-10 * scale, rtol=0.0):
-        raise FactorizationError("hessian is not symmetric")
-    try:
-        return scipy.linalg.cho_factor(hessian, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise FactorizationError("hessian is not positive definite") from exc
 
 
 @dataclass
@@ -73,10 +61,8 @@ class PrefactoredQp:
 
     def __init__(self, hessian, ineq_normals=None, eq_normals=None):
         self.hessian = as_matrix(hessian, "hessian")
+        self.hinv = spd_inverse(self.hessian, "hessian")
         n = self.hessian.shape[0]
-        if self.hessian.shape != (n, n):
-            raise DimensionMismatch("hessian must be square")
-        cho = _cholesky(self.hessian)
         self.ineq_normals = (np.zeros((0, n)) if ineq_normals is None
                              else as_matrix(ineq_normals, "ineq_normals"))
         self.eq_normals = (np.zeros((0, n)) if eq_normals is None
@@ -87,8 +73,6 @@ class PrefactoredQp:
         self.cn = np.vstack([self.eq_normals, -self.ineq_normals])
         # One product gives the gradient's H x and every row residual.
         self.stacked = np.vstack([self.hessian, self.ineq_normals, self.eq_normals])
-        hinv = scipy.linalg.cho_solve(cho, np.eye(n), check_finite=False)
-        self.hinv = 0.5 * (hinv + hinv.T)
         self.hinv_cn = self.hinv @ self.cn.T
         gram = self.cn @ self.hinv_cn
         self.gram = 0.5 * (gram + gram.T)
@@ -99,10 +83,8 @@ class PrefactoredQp:
             # first in C, so H^-1 E' and E H^-1 E' are leading blocks.
             hinv_e = self.hinv_cn[:, :self.meq]
             try:
-                s = scipy.linalg.cho_solve(
-                    scipy.linalg.cho_factor(self.gram[:self.meq, :self.meq]),
-                    np.eye(self.meq))
-            except scipy.linalg.LinAlgError:
+                s = spd_inverse(self.gram[:self.meq, :self.meq], "equality Gram block")
+            except FactorizationError:
                 self.eq_optimum = False  # too ill-conditioned; GI handles it
             else:
                 m = hinv_e @ s

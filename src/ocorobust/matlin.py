@@ -1,10 +1,10 @@
 """Small dense linear-algebra kernel.
 
-Everything in the toolkit works on plain ``numpy`` arrays; this module adds
-the validated entry points and the few nonstandard primitives the rest of the
-code relies on: a pivoted-elimination numeric rank, a finite matrix-power
-decay certificate that certifies Schur stability, and spectral bounds from
-the eigensolver widened by an explicit backward-error margin.
+The toolkit runs on plain ``numpy`` arrays and numpy's linear algebra alone;
+this module adds the validated entry points and the few primitives the rest
+of the code relies on: an SVD numeric rank, a Cholesky-based SPD inverse, a
+finite matrix-power decay certificate that certifies Schur stability, and
+spectral bounds widened by an explicit backward-error margin.
 
 All dimensions in this toolkit are tiny: ``build_model`` accepts at most
 n = 3 states (the zonotope facet form exists for dim <= 3 only), and inputs
@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatch, FactorizationError
 
@@ -44,20 +43,35 @@ def as_vector(v, name="vector"):
 
 
 def numeric_rank(a, tol=DEFAULT_RANK_TOL):
-    """Numeric rank via elimination with column pivoting.
-
-    Pivots smaller than tol times the largest pivot count as zero.
-    """
+    """Numeric rank: the number of singular values above tol times the largest."""
     a = as_matrix(a, "a")
     if tol <= 0:
         raise ValueError("tol must be positive")
     if a.size == 0:
         return 0
-    r = scipy.linalg.qr(a, mode="r", pivoting=True, check_finite=False)[0]
-    pivots = np.abs(np.diag(r))
-    if pivots.size == 0 or pivots[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(pivots > tol * pivots[0]))
+    sv = np.linalg.svd(a, compute_uv=False)
+    return int(np.count_nonzero(sv > tol * sv[0]))
+
+
+def _require_symmetric(h, name):
+    if h.shape[0] != h.shape[1]:
+        raise DimensionMismatch(f"{name} must be square")
+    if not np.allclose(h, h.T, atol=1e-10 * max(1.0, np.abs(h).max(initial=0.0)), rtol=0.0):
+        raise FactorizationError(f"{name} is not symmetric")
+
+
+def spd_inverse(h, name="matrix"):
+    """Symmetrised inverse of a symmetric positive definite matrix from its
+    Cholesky factor. ``np.linalg.cholesky`` reads one triangle only, so symmetry
+    is checked first; ``FactorizationError`` if h is not symmetric or not PD."""
+    h = as_matrix(h, name)
+    _require_symmetric(h, name)
+    try:
+        linv = np.linalg.inv(np.linalg.cholesky(h))
+    except np.linalg.LinAlgError as exc:
+        raise FactorizationError(f"{name} is not positive definite") from exc
+    inv = linv.T @ linv
+    return 0.5 * (inv + inv.T)
 
 
 @dataclass(frozen=True)
@@ -123,9 +137,7 @@ def symmetric_eig_bounds(h):
     conservative side (lo low, hi high).
     """
     h = as_matrix(h, "h")
-    scale = max(1.0, float(np.abs(h).max()))
-    if not np.allclose(h, h.T, atol=1e-10 * scale, rtol=0.0):
-        raise FactorizationError("matrix is not symmetric")
+    _require_symmetric(h, "matrix")
     ev = np.linalg.eigvalsh(0.5 * (h + h.T))
     margin = _backward_error(h)
     return float(ev[0] - margin), float(ev[-1] + margin)

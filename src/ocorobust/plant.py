@@ -13,7 +13,6 @@ import copy
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import invariance
 from .convexsets import (
@@ -25,12 +24,13 @@ from .convexsets import (
     zonotope_in_polytope,
 )
 from .denseqp import PrefactoredQp, polytope_is_empty
-from .errors import AssumptionViolation, DimensionMismatch, InfeasibleError
+from .errors import AssumptionViolation, DimensionMismatch, FactorizationError, InfeasibleError
 from .matlin import (
     as_matrix,
     as_vector,
     numeric_rank,
     power_norm_certificate,
+    spd_inverse,
     spectral_norm_upper,
     symmetric_eig_bounds,
 )
@@ -184,9 +184,8 @@ def build_model(cfg):
           "RPI set P inside X", "rpi containment", "RPI set P is not contained in X")
     p_tail = invariance.tail_set(a_k, w_bar, cfg.mu, p_rpi)
 
-    g_k = scipy.linalg.solve(np.eye(n) - a_k, b)
-    gram = s_c @ s_c.T
-    s_c_pinv = scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram), s_c).T
+    g_k = np.linalg.solve(np.eye(n) - a_k, b)
+    s_c_pinv = s_c.T @ spd_inverse(s_c @ s_c.T, "S_c S_c'")
 
     return PlantModel(cfg, a, b, k, a_k, g_k, s_c, s_c_pinv, cfg.mu, mu_star,
                       w_bar, p_rpi, p_tail, checks)
@@ -422,10 +421,9 @@ def cost_curvature(cost, model):
     """
     h = closed_loop_hessian(cost, model)
     try:
-        scipy.linalg.cho_factor(h)
-    except scipy.linalg.LinAlgError as exc:
-        raise AssumptionViolation(
-            "cost curvature", "closed-loop cost Hessian is not positive definite") from exc
+        spd_inverse(h, "closed-loop cost Hessian")
+    except FactorizationError as exc:
+        raise AssumptionViolation("cost curvature", str(exc)) from exc
     lo, hi = symmetric_eig_bounds(h)
     return max(lo, 1e-12), max(hi, lo, 1e-12)
 

@@ -130,10 +130,13 @@ def build_vehicle_model(params=None):
 
 @dataclass
 class VehicleSetup:
+    """What runs share. Each ``observe`` sets ``builder``'s context: one run at a time."""
+
     params: VehicleParams
     model: object
     tables: object
     manifold: object
+    builder: object
 
 
 @functools.lru_cache(maxsize=8)
@@ -142,7 +145,7 @@ def vehicle_setup(params=None):
     model = build_vehicle_model(params)
     tables = build_tightening(model)
     manifold = steady_state_manifold(model, model.p_rpi, shrink=params.shrink)
-    return VehicleSetup(params=params, model=model, tables=tables, manifold=manifold)
+    return VehicleSetup(params, model, tables, manifold, VehicleRolloutBuilder(model, params))
 
 
 _Q_INPUT = np.eye(2) * 2.0 * INPUT_WEIGHT
@@ -371,11 +374,10 @@ def run_scenario(variant="optimized", seed=0, params=None, horizon_steps=300,
     if variant not in ("optimized", "explicit"):
         raise ValueError("variant must be 'optimized' or 'explicit'")
     params = params or VehicleParams()
-    if setup is None:
-        setup = vehicle_setup(params)
+    setup = setup or vehicle_setup(params)
     model, tables, manifold = setup.model, setup.tables, setup.manifold
 
-    builder = VehicleRolloutBuilder(model, params) if variant == "optimized" else None
+    builder = setup.builder if variant == "optimized" else None
     controller = oco.ControllerConfig(gamma=params.gamma, variant=variant,
                                       c_g=params.c_g, rollout_builder=builder)
     plant = _RoadPlant(model, params, seed, builder)

@@ -48,6 +48,16 @@ seed = 0
 """
 
 
+COST_PIECE = """
+[{name}]
+start = {start}
+q_x = [[1.0]]
+q_u = [[1.0]]
+ref_x = [0.0]
+ref_u = [0.0]
+"""
+
+
 def write_cfg(tmp_path, text, name="test.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -221,6 +231,21 @@ class TestExitCodes:
         assert out.startswith("[FAIL] model assembly  (n=4 states")
         assert "n <= 3" in out
 
+    @pytest.mark.parametrize("command", ["run", "validate", "regret-sweep"])
+    def test_repeated_cost_index_exits_2(self, tmp_path, capsys, command):
+        text = MINI_GENERIC + SWEEP_TAIL + COST_PIECE.format(name="cost.00", start=10)
+        assert main([command, "--config", write_cfg(tmp_path, text),
+                     "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        assert "field 'cost.00': index repeats [cost.0]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "validate", "regret-sweep"])
+    def test_decreasing_cost_starts_exit_2(self, tmp_path, capsys, command):
+        text = (MINI_GENERIC + SWEEP_TAIL + COST_PIECE.format(name="cost.1", start=150)
+                + COST_PIECE.format(name="cost.2", start=100))
+        assert main([command, "--config", write_cfg(tmp_path, text),
+                     "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        assert "field 'cost.2.start'" in capsys.readouterr().err
+
     def test_unknown_disturbance_kind_exits_2(self, tmp_path):
         cfg = write_cfg(tmp_path, MINI_GENERIC.replace(
             "[disturbance]\n", "[disturbance]\nkind = seeded_sequence\n"))
@@ -391,6 +416,15 @@ seed = 0
 
 
 class TestVehicleRuns:
+    def test_explicit_zero_c_g_is_kept(self, tmp_path, capsys):
+        # c_g = 0.0 is a value, not an absent key: both verbs reject it
+        cfg = write_cfg(tmp_path, VEHICLE_SHORT.replace("c_g = 1000.0", "c_g = 0.0"))
+        assert main(["validate", "--config", cfg]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] c_g covers the explicit-solution norm" in out
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "v"), "--quiet"]) == 1
+        assert "c_g=0 below the required norm bound" in capsys.readouterr().err
+
     def test_variant_override(self, tmp_path):
         cfg = write_cfg(tmp_path, VEHICLE_SHORT)
         code = main(["run", "--config", cfg, "--out", str(tmp_path / "v"),

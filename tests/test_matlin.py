@@ -5,6 +5,7 @@ from ocorobust.errors import FactorizationError
 from ocorobust.matlin import (
     numeric_rank,
     power_norm_certificate,
+    spd_inverse,
     spectral_norm_upper,
     symmetric_eig_bounds,
 )
@@ -22,6 +23,11 @@ class TestNumericRank:
     def test_zero(self):
         assert numeric_rank(np.zeros((3, 2))) == 0
 
+    @pytest.mark.parametrize("small, rank", [(1e-9, 2), (1e-11, 1)])
+    def test_relative_threshold(self, small, rank):
+        # default tol 1e-10 relative to the largest singular value
+        assert numeric_rank(np.diag([1.0, small])) == rank
+
     def test_row_permutation_invariant(self):
         rng = np.random.default_rng(3)
         for _ in range(30):
@@ -29,6 +35,23 @@ class TestNumericRank:
             r = numeric_rank(a)
             perm = rng.permutation(5)
             assert numeric_rank(a[perm]) == r
+
+
+class TestSpdInverse:
+    def test_vs_inv(self):
+        rng = np.random.default_rng(7)
+        for _ in range(25):
+            h = random_spd(rng, int(rng.integers(1, 6)))
+            hinv = spd_inverse(h)
+            assert np.array_equal(hinv, hinv.T)
+            assert np.allclose(hinv @ h, np.eye(len(h)), atol=1e-10)
+
+    @pytest.mark.parametrize("h, what", [([[1.0, 0.5], [0.0, 1.0]], "symmetric"),
+                                         ([[1.0, 0.0], [0.0, 0.0]], "positive definite"),
+                                         ([[1.0, 2.0], [2.0, 1.0]], "positive definite")])
+    def test_rejected(self, h, what):
+        with pytest.raises(FactorizationError, match=f"h is not {what}"):
+            spd_inverse(h, "h")
 
 
 class TestPowerNormCertificate:

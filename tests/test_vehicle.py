@@ -170,6 +170,22 @@ class TestScenario:
             assert np.array_equal(a.x_true, b.x_true)
             assert np.array_equal(a.u, b.u)
 
+    def test_shared_builder_carries_nothing_between_runs(self):
+        # every optimized run on a setup uses its one rollout builder; seed 1
+        # leaves it in phase 3, and seed 0 after that equals seed 0 alone
+        params = vehicle.VehicleParams()
+        shared = vehicle.vehicle_setup.__wrapped__(params)
+        vehicle.run_scenario("optimized", seed=1, params=params, setup=shared)
+        assert shared.builder.phase == 3
+        t1, l1, _ = vehicle.run_scenario("optimized", seed=0, params=params, setup=shared)
+        t2, l2, _ = vehicle.run_scenario("optimized", seed=0, params=params,
+                                         setup=vehicle.vehicle_setup.__wrapped__(params))
+        for a, b in zip(l1.per_step, l2.per_step, strict=True):
+            assert np.array_equal(np.hstack(a), np.hstack(b))
+        for a, b in zip(t1, t2, strict=True):
+            assert np.array_equal(a.x_true, b.x_true) and np.array_equal(a.u, b.u)
+            assert a.diagnostics.beta == b.diagnostics.beta
+
     def test_residual_inside_disturbance_box(self, setup):
         trace, _, metrics = vehicle.run_scenario("optimized", seed=1)
         assert metrics["resid_violations"] == 0

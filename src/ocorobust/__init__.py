@@ -44,6 +44,8 @@ from .plant import (
 from .simkit import (
     DisturbancePolicy,
     RegretLedger,
+    RunRecord,
+    SimulationAborted,
     TraceRecord,
     invariant_report,
     regret_scaling_experiment,

@@ -11,6 +11,7 @@ import argparse
 import ast
 import json
 import sys
+from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
 
@@ -231,8 +232,6 @@ def _vehicle_params(cfg):
 
 
 def _fmt(x):
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return repr(float(x))
@@ -241,7 +240,16 @@ def _fmt(x):
 FLAG_COLUMNS = FLAG_NAMES + ("tube_marginal", "resid_ok")
 
 
-def write_trace_csv(path, trace, ledger, n, m):
+def _csv_lines(header, t, values, flags=None):
+    """CSV lines: the header, then per row t, the float values and any 0/1 flags."""
+    flags = np.empty((len(t), 0), bool) if flags is None else np.column_stack(flags)
+    return [",".join(header)] + [
+        ",".join([str(step), *map(repr, row), *("1" if f else "0" for f in ok)])
+        for step, row, ok in zip(t.tolist(), values.tolist(), flags.tolist())]
+
+
+def write_trace_csv(path, trace):
+    n, m = trace.x_true.shape[1], trace.u.shape[1]
     cols = (["t"]
             + [f"x_true_{i}" for i in range(n)]
             + [f"x_meas_{i}" for i in range(n)]
@@ -250,37 +258,22 @@ def write_trace_csv(path, trace, ledger, n, m):
             + [f"v_{i}" for i in range(n)]
             + ["beta", "g_norm", "cost", "benchmark_cost", "cum_regret"]
             + [f"flag_{name}" for name in FLAG_COLUMNS])
-    cum = 0.0
-    lines = [",".join(cols)]
-    for rec, (cost, bench, _, _) in zip(trace, ledger.per_step):
-        cum += cost - bench
-        row = ([str(rec.t)]
-               + [_fmt(x) for x in rec.x_true]
-               + [_fmt(x) for x in rec.x_meas]
-               + [_fmt(x) for x in rec.u]
-               + [_fmt(x) for x in rec.w]
-               + [_fmt(x) for x in rec.v]
-               + [_fmt(rec.diagnostics.beta), _fmt(rec.diagnostics.g_norm),
-                  _fmt(cost), _fmt(bench), _fmt(cum)]
-               + [_fmt(bool(rec.invariant_flags.get(name, True)))
-                  for name in FLAG_COLUMNS])
-        lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    values = np.column_stack([trace.x_true, trace.x_meas, trace.u, trace.w, trace.v,
+                              trace.beta, trace.g_norm, trace.cost, trace.benchmark_cost,
+                              np.cumsum(trace.cost - trace.benchmark_cost)])
+    flags = [trace.flags.get(name, np.ones(len(trace), bool)) for name in FLAG_COLUMNS]
+    Path(path).write_text("\n".join(_csv_lines(cols, trace.t, values, flags)) + "\n")
 
 
-def write_ledger_csv(path, ledger, n, m):
+def write_ledger_csv(path, trace, ledger):
+    n, m = trace.benchmark_theta.shape[1], trace.benchmark_eta.shape[1]
     cols = (["t", "cost", "benchmark_cost"]
             + [f"theta_{i}" for i in range(n)]
             + [f"eta_{i}" for i in range(m)])
-    lines = [",".join(cols)]
-    for t, (cost, bench, theta, eta) in enumerate(ledger.per_step):
-        row = ([str(t), _fmt(cost), _fmt(bench)]
-               + [_fmt(x) for x in theta] + [_fmt(x) for x in eta])
-        lines.append(",".join(row))
-    lines.append(f"# cum_regret = {_fmt(ledger.cum_regret)}")
-    lines.append(f"# path_length = {_fmt(ledger.path_length)}")
-    lines.append(f"# w_energy = {_fmt(ledger.w_energy)}")
-    lines.append(f"# v_energy = {_fmt(ledger.v_energy)}")
+    values = np.column_stack([trace.cost, trace.benchmark_cost, trace.benchmark_theta,
+                              trace.benchmark_eta])
+    lines = _csv_lines(cols, trace.t, values)
+    lines += [f"# {name} = {_fmt(total)}" for name, total in asdict(ledger).items()]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -335,18 +328,15 @@ def cmd_run(args):
     try:
         results = replicate_map(worker, jobs)
     except SimulationAborted as exc:
-        write_trace_csv(out_dir / "trace_partial.csv", exc.trace, exc.ledger,
-                        model.n, model.m)
+        write_trace_csv(out_dir / "trace_partial.csv", exc.trace)
         print(f"aborted: {exc}", file=sys.stderr)
         return 1
 
-    total_violations = 0
-    report_lines = []
-    regrets = []
+    total_violations, report_lines, regrets = 0, [], []
     for i, (trace, ledger, metrics) in enumerate(results):
         seed = base_seed + i
-        write_trace_csv(out_dir / f"trace_{seed:04d}.csv", trace, ledger, model.n, model.m)
-        write_ledger_csv(out_dir / f"ledger_{seed:04d}.csv", ledger, model.n, model.m)
+        write_trace_csv(out_dir / f"trace_{seed:04d}.csv", trace)
+        write_ledger_csv(out_dir / f"ledger_{seed:04d}.csv", trace, ledger)
         report = invariant_report(trace, model)
         resid = metrics["resid_violations"] if metrics else 0
         total_violations += report.total_violations + resid

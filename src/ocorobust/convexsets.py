@@ -19,6 +19,9 @@ from .errors import DimensionMismatch
 from .matlin import as_matrix, as_vector, numeric_rank
 
 DEFAULT_MEMBERSHIP_TOL = 1e-9
+# Every zonotope threshold is this times the set's own scale, so a set and its
+# scaled copies get the same answers.
+ZONOTOPE_RTOL = 1e-12
 
 
 class HPolytope:
@@ -151,10 +154,11 @@ class Zonotope:
         """Scaling about the origin (center scales too)."""
         return Zonotope(factor * self.center, factor * self.generators)
 
-    def prune(self, tol=0.0):
-        """Drop exactly-zero generator columns (no order reduction)."""
-        keep = np.abs(self.generators).max(axis=0) > tol if self.order else np.zeros(0, bool)
-        return Zonotope(self.center, self.generators[:, keep])
+    def prune(self, rtol=0.0):
+        """Drop generator columns no larger than ``rtol`` times the largest
+        entry (by default the exactly-zero ones; no order reduction)."""
+        size = np.abs(self.generators).max(axis=0, initial=0.0)
+        return Zonotope(self.center, self.generators[:, size > rtol * size.max(initial=0.0)])
 
     def merge_parallel(self, tol=1e-12):
         """The same set with each group of parallel generators summed into one.
@@ -186,10 +190,10 @@ class Zonotope:
 
     def contains_origin_interior(self):
         """Full-dimensional with 0 strictly inside every facet (dim <= 3)."""
-        if numeric_rank(self.generators) != self.dim:
+        if numeric_rank(self.generators, tol=ZONOTOPE_RTOL) != self.dim:
             return False
         normals, offsets = self.to_halfspaces()
-        floor = 1e-12 * max(1.0, np.abs(self.generators).max())
+        floor = ZONOTOPE_RTOL * np.abs(self.generators).max()
         return bool(np.all(offsets + normals @ self.center > floor))
 
     def contains_point(self, x, tol=DEFAULT_MEMBERSHIP_TOL):
@@ -205,7 +209,7 @@ class Zonotope:
         Requires the generators to span the ambient space. Normals come out
         unit length; offsets are relative to the center.
         """
-        g = self.prune(1e-15 * max(1.0, np.abs(self.generators).max(initial=0.0))).generators
+        g = self.prune(ZONOTOPE_RTOL).generators
         if self.dim == 1:
             extent = float(np.abs(g).sum())
             return np.array([[1.0], [-1.0]]), np.array([extent, extent])
@@ -218,7 +222,7 @@ class Zonotope:
         else:
             raise DimensionMismatch("facet form implemented for dim <= 3 only")
         norms = np.linalg.norm(cand, axis=1)
-        keep = norms > 1e-12 * max(1.0, norms.max(initial=0.0))
+        keep = norms > ZONOTOPE_RTOL * norms.max(initial=0.0)
         if not np.any(keep):
             raise ValueError("degenerate zonotope: generators do not span the space")
         cand = cand[keep] / norms[keep, None]
@@ -256,9 +260,8 @@ class ZonotopeMembership:
 
     def __init__(self, z):
         self.center = z.center
-        scale = max(1.0, np.abs(z.generators).max(initial=0.0))
-        g = z.prune(1e-14 * scale).generators
-        rank = numeric_rank(g, tol=1e-12)
+        g = z.prune(ZONOTOPE_RTOL).generators
+        rank = numeric_rank(g, tol=ZONOTOPE_RTOL)
         # orthonormal basis of a flat set's span; None when full-dimensional
         if rank == z.dim:
             self.span, facets = None, z

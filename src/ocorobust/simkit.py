@@ -8,9 +8,10 @@ state, recomputed from each revealed cost.
 
 from __future__ import annotations
 
+import copy
 import os
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -64,24 +65,18 @@ class _Sampler:
 
 @dataclass
 class RegretLedger:
-    per_step: list = field(default_factory=list)  # (cost, benchmark_cost, theta, eta)
+    """Totals of a run, summed in step order after it (see ``RunRecord.finish``)."""
+
     cum_regret: float = 0.0
     path_length: float = 0.0
     w_energy: float = 0.0
     v_energy: float = 0.0
 
-    def record(self, cost_val, bench_val, theta, eta, w, v, prev_zeta):
-        self.per_step.append((cost_val, bench_val, theta.copy(), eta.copy()))
-        self.cum_regret += cost_val - bench_val
-        if prev_zeta is not None:
-            zeta = np.concatenate([theta, eta])
-            self.path_length += float(np.linalg.norm(zeta - prev_zeta))
-        self.w_energy += float(np.linalg.norm(w))
-        self.v_energy += float(np.linalg.norm(v))
-
 
 @dataclass
 class TraceRecord:
+    """One step of a run: a view built on demand from a ``RunRecord`` row."""
+
     t: int
     x_true: np.ndarray
     x_meas: np.ndarray
@@ -93,100 +88,158 @@ class TraceRecord:
 
 
 class SimulationAborted(OcoRobustError):
-    """Raised when a run stops early; carries the partial trace and ledger."""
+    """Raised when a run stops early; carries the rows done, flagged, and their ledger."""
 
     def __init__(self, message, trace, ledger, t):
-        self.trace = trace
-        self.ledger = ledger
-        self.t = t
+        self.trace, self.ledger, self.t = trace, ledger, t
         super().__init__(f"simulation aborted at t={t}: {message}")
 
 
-class _MonitorLog:
-    """Inputs of the per-step invariant monitors of one run.
+def _running_sum(x):
+    """0.0 + x[0] + x[1] + ... added in step order (``np.sum`` pairs terms)."""
+    return float(np.cumsum(np.concatenate([[0.0], x]))[-1])
 
-    Each step writes one row of preallocated (horizon, .) arrays; the trace
-    records hold views of the x_true, x_meas and u rows. ``_step_flags``
-    turns any range of rows into flags in one batched pass.
+
+def _cost_values(costs, x, u):
+    """``costs[i].value(x[i], u[i])`` of every row: one quadratic form per run of
+    consecutive rows whose costs share their weight arrays (the test of
+    ``SteadyStateBenchmark.serves``), with a reference per row."""
+    out = np.empty(len(costs))
+    start = 0
+    for stop in range(1, len(costs) + 1):
+        first = costs[start]
+        if stop < len(costs) and costs[stop].q_x is first.q_x and costs[stop].q_u is first.q_u:
+            continue
+        rows = slice(start, stop)
+        dx = x[rows] - np.array([c.ref_x for c in costs[rows]])
+        dv = u[rows] - np.array([c.ref_u for c in costs[rows]])
+        out[rows] = (0.5 * ((dx @ first.q_x) * dx).sum(axis=1)
+                     + 0.5 * ((dv @ first.q_u) * dv).sum(axis=1))
+        start = stop
+    return out
+
+
+class RunRecord:
+    """The record of one closed-loop run: (horizon, .) columns, one row per step.
+
+    Each step writes x_true, x_meas, u, w and v; the controller's beta,
+    g_norm, pred_state, theta_hat, eta_hat, u_pred, u_ss, candidate_ok,
+    kkt_residual (NaN when the step has none) and g_fallback; the benchmark
+    steady state benchmark_theta, benchmark_eta; the step's cost object
+    (costs) and the plant's extra flags (extra). ``finish`` adds ``flags`` (a
+    boolean column per invariant flag), cost and benchmark_cost. Every array
+    attribute is a column. Indexing (and so iteration) gives ``TraceRecord``
+    views of rows; a slice gives a record.
     """
 
-    def __init__(self, model, tables, manifold, c_g, horizon):
-        self.model, self.tables, self.manifold, self.c_g = model, tables, manifold, c_g
-        n, m = model.n, model.m
-        self.x_true = np.empty((horizon, n))
-        self.x_meas = np.empty((horizon, n))
-        self.u = np.empty((horizon, m))
-        self.u_pred = np.empty((horizon, model.mu * m))
-        self.u_ss = np.empty((horizon, m))
-        self.pred_state = np.empty((horizon, n))
-        self.theta_hat = np.empty((horizon, n))
-        self.g_norm = np.empty(horizon)
-        self.candidate_ok = np.empty(horizon, bool)
-        self.extra = []  # the plant's extra flags of each step
-        self.flagged = 0  # records of the trace that have their flags
+    def __init__(self, n, m, mu, horizon):
+        widths = dict(x_true=n, x_meas=n, u=m, w=n, v=n, beta=None, g_norm=None,
+                      pred_state=n, theta_hat=n, eta_hat=m, u_pred=mu * m, u_ss=m,
+                      kkt_residual=None, benchmark_theta=n, benchmark_eta=m, cost=None,
+                      benchmark_cost=None)
+        for name, width in widths.items():
+            setattr(self, name, np.empty(horizon if width is None else (horizon, width)))
+        self.t = np.arange(horizon)
+        self.candidate_ok, self.g_fallback = np.empty((2, horizon), bool)
+        self.costs, self.extra = np.empty((2, horizon), object)
+        self.flags, self.flagged = {}, 0  # flagged: the rows that have their flags
 
-    def record(self, t, x_true, x_meas, u, state, diag, extra):
-        self.x_true[t] = x_true
-        self.x_meas[t] = x_meas
-        self.u[t] = u
-        self.u_pred[t] = state.u_pred
-        self.u_ss[t] = state.u_ss
-        self.pred_state[t] = diag.pred_state
-        self.theta_hat[t] = diag.ogd_target[0]
-        self.g_norm[t] = diag.g_norm
-        self.candidate_ok[t] = diag.candidate_feasible
-        self.extra.append(extra)
+    def write(self, t, x_true, x_meas, u, w, v, state, diag, cost, theta, eta, extra):
+        self.x_true[t], self.x_meas[t], self.u[t], self.w[t], self.v[t] = x_true, x_meas, u, w, v
+        self.beta[t], self.g_norm[t], self.pred_state[t] = diag.beta, diag.g_norm, diag.pred_state
+        self.theta_hat[t], self.eta_hat[t] = diag.ogd_target
+        self.u_pred[t], self.u_ss[t] = state.u_pred, state.u_ss
+        self.candidate_ok[t], self.g_fallback[t] = diag.candidate_feasible, diag.g_fallback
+        self.kkt_residual[t] = np.nan if diag.kkt_residual is None else diag.kkt_residual
+        self.benchmark_theta[t], self.benchmark_eta[t] = theta, eta
+        self.costs[t], self.extra[t] = cost, extra
 
-    def flag(self, trace):
-        """Set the flags of the records added to ``trace`` since the last call."""
-        lo, hi = self.flagged, len(trace)
+    def flag(self, hi, monitors):
+        """Compute the flags of the rows not yet flagged below ``hi``."""
+        lo = self.flagged
         if lo < hi:
-            for rec, flags in zip(trace[lo:], _step_flags(self, lo, hi)):
-                rec.invariant_flags = flags
+            for name, column in _step_flags(self, monitors, lo, hi).items():
+                self.flags.setdefault(name, np.ones(len(self.t), bool))[lo:hi] = column
             self.flagged = hi
 
+    def finish(self, rows, monitors):
+        """Keep the first ``rows`` rows, flag and value them; returns their
+        ledger, whose totals add the rows in step order as running sums do."""
+        self.flag(rows, monitors)
+        self._take(slice(0, rows))
+        theta, eta = self.benchmark_theta, self.benchmark_eta
+        self.cost = _cost_values(self.costs, self.x_true, self.u)
+        self.benchmark_cost = _cost_values(self.costs, theta, eta + theta @ monitors[0].k.T)
+        return RegretLedger(
+            cum_regret=_running_sum(self.cost - self.benchmark_cost),
+            path_length=_running_sum(np.linalg.norm(np.diff(np.hstack([theta, eta]), axis=0),
+                                                    axis=1)),
+            w_energy=_running_sum(np.linalg.norm(self.w, axis=1)),
+            v_energy=_running_sum(np.linalg.norm(self.v, axis=1)))
 
-def _step_flags(log, lo, hi):
-    """Invariant flags of steps lo..hi-1 of a run, one dict per step.
+    def _take(self, rows):
+        self.__dict__.update({name: value[rows] for name, value in vars(self).items()
+                              if isinstance(value, np.ndarray)})
+        self.flags = {name: column[rows] for name, column in self.flags.items()}
 
-    Every monitor is a matrix product over the logged rows: state and input
+    def __len__(self):
+        return len(self.t)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            out = copy.copy(self)
+            out._take(i)
+            return out
+        i = range(len(self))[i]
+        kkt = float(self.kkt_residual[i])
+        diag = oco.StepDiagnostics(
+            beta=float(self.beta[i]), g_norm=float(self.g_norm[i]),
+            pred_state=self.pred_state[i], ogd_target=(self.theta_hat[i], self.eta_hat[i]),
+            candidate_feasible=bool(self.candidate_ok[i]),
+            kkt_residual=None if np.isnan(kkt) else kkt, g_fallback=bool(self.g_fallback[i]))
+        return TraceRecord(int(self.t[i]), self.x_true[i], self.x_meas[i], self.u[i],
+                           self.w[i], self.v[i], diag,
+                           {name: bool(column[i]) for name, column in self.flags.items()})
+
+
+def _step_flags(record, monitors, lo, hi):
+    """Invariant flags of steps lo..hi-1 of a run, one boolean column per flag.
+
+    Every monitor is a matrix product over the recorded rows: state and input
     membership against X and U, the plan against the tightened stage-residual
     map, the steady-state input against S-bar, the c_g cap, and the step's
     prediction against the previous steady state through the tail-set
-    facets. A NaN input fails its monitor.
+    facets. A NaN input fails its monitor. The plant's extra flags follow.
     """
-    model, tables, manifold = log.model, log.tables, log.manifold
+    model, tables, manifold, c_g = monitors
     tol = model.membership_tol
     rows = slice(lo, hi)
-    plan = worst_stage_residuals(tables, log.x_meas[rows], log.u_pred[rows])
-    dist = np.linalg.norm(log.theta_hat[rows] - log.pred_state[rows], axis=1)
+    plan = worst_stage_residuals(tables, record.x_meas[rows], record.u_pred[rows])
+    dist = np.linalg.norm(record.theta_hat[rows] - record.pred_state[rows], axis=1)
     # The tube compares step t's prediction with G_K u_ss of step t - 1; step
     # 0 has no predecessor and passes.
     tube_ok = np.ones(hi - lo, bool)
     tube_marginal = np.zeros(hi - lo, bool)
     first = max(lo, 1)
     if first < hi:
-        margin = model.tube_margins(log.pred_state[first:hi]
-                                    - log.u_ss[first - 1:hi - 1] @ model.g_k.T)
+        margin = model.tube_margins(record.pred_state[first:hi]
+                                    - record.u_ss[first - 1:hi - 1] @ model.g_k.T)
         tube_ok[first - lo:] = margin <= TUBE_TOL
         tube_marginal[first - lo:] = tube_ok[first - lo:] & (margin > -model.tube_band)
     columns = {
-        "state_ok": model.x_set.violations(log.x_true[rows]) <= tol,
-        "input_ok": model.u_set.violations(log.u[rows]) <= tol,
-        "candidate_ok": log.candidate_ok[rows],
+        "state_ok": model.x_set.violations(record.x_true[rows]) <= tol,
+        "input_ok": model.u_set.violations(record.u[rows]) <= tol,
+        "candidate_ok": record.candidate_ok[rows],
         "plan_ok": plan <= tol,
-        "zs_ok": manifold.sbar.violations(log.u_ss[rows]) <= 1e-7,
-        "g_cap_ok": log.g_norm[rows] <= log.c_g * dist + 1e-8,
+        "zs_ok": manifold.sbar.violations(record.u_ss[rows]) <= 1e-7,
+        "g_cap_ok": record.g_norm[rows] <= c_g * dist + 1e-8,
         "tube_ok": tube_ok,
         "tube_marginal": tube_marginal,
     }
-    names = tuple(columns)
-    out = []
-    for values, extra in zip(zip(*(c.tolist() for c in columns.values())), log.extra[rows]):
-        flags = dict(zip(names, values))
-        flags.update(extra)
-        out.append(flags)
-    return out
+    extra = record.extra[rows]
+    for name in dict.fromkeys(key for flags in extra for key in flags):
+        columns[name] = np.array([flags.get(name, True) for flags in extra], bool)
+    return columns
 
 
 def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
@@ -197,10 +250,9 @@ def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
     ``plant.advance(u)`` applies u and returns (w, extra invariant flags).
     The controller gets cost_t only at step t + 1; the benchmark steady state
     is re-solved only when cost_t is a new cost object, by one benchmark
-    solver that is rebuilt only when cost_t's weight arrays change. The
-    invariant flags are computed in one batched pass after the run, or after
-    each step under ``abort_on_violation``; a ``SimulationAborted`` carries a
-    trace whose records all have their flags.
+    solver that is rebuilt only when cost_t's weight arrays change. Each step
+    writes one row of the trace, a ``RunRecord``; flags, cost values and totals
+    come after the run (flags after each step under ``abort_on_violation``).
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -216,9 +268,9 @@ def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
     diag = oco.StepDiagnostics(beta=0.0, g_norm=0.0, pred_state=model.g_k @ state.u_ss,
                                ogd_target=state.zeta_hat, candidate_feasible=True)
 
-    log = _MonitorLog(model, tables, manifold, c_g, horizon)
-    trace, ledger = [], RegretLedger()
-    prev_zeta = bench_cost = benchmark = None
+    monitors = (model, tables, manifold, c_g)
+    record = RunRecord(model.n, model.m, model.mu, horizon)
+    bench_cost = benchmark = None
     for t in range(horizon):
         if t > 0:
             prev_cost = cost_t
@@ -227,34 +279,26 @@ def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
                 u, state, diag = oco.step(state, model, tables, manifold, x_meas,
                                           prev_cost, controller)
             except OcoRobustError as exc:
-                log.flag(trace)
-                raise SimulationAborted(str(exc), trace, ledger, t) from exc
+                raise SimulationAborted(str(exc), record, record.finish(t, monitors),
+                                        t) from exc
 
         if cost_t is not bench_cost:
             if benchmark is None or not benchmark.serves(cost_t):
                 benchmark = SteadyStateBenchmark(manifold, model, cost_t)
             theta_t, eta_t = optimal_steady_state(manifold, cost_t, model, benchmark)
             bench_cost = cost_t
-        cost_val = cost_t.value(x_true, u)
-        bench_val = cost_t.value(theta_t, eta_t + model.k @ theta_t)
-
         w, extra_flags = plant.advance(u)
-        log.record(t, x_true, x_meas, u, state, diag, extra_flags)
-        ledger.record(cost_val, bench_val, theta_t, eta_t, w, v, prev_zeta)
-        prev_zeta = np.concatenate([theta_t, eta_t])
-        trace.append(TraceRecord(t=t, x_true=log.x_true[t], x_meas=log.x_meas[t],
-                                 u=log.u[t], w=w.copy(), v=v.copy(),
-                                 diagnostics=diag, invariant_flags=None))
+        record.write(t, x_true, x_meas, u, w, v, state, diag, cost_t, theta_t, eta_t,
+                     extra_flags)
         if abort_on_violation:
-            log.flag(trace)
+            record.flag(t + 1, monitors)
             # tube_marginal is an early warning, not a violation
-            violated = [name for name, ok in trace[t].invariant_flags.items()
-                        if not ok and name != "tube_marginal"]
+            violated = [name for name, column in record.flags.items()
+                        if not column[t] and name != "tube_marginal"]
             if violated:
                 raise SimulationAborted(f"invariant violation: {', '.join(violated)}",
-                                        trace, ledger, t)
-    log.flag(trace)
-    return trace, ledger
+                                        record, record.finish(t + 1, monitors), t)
+    return record, record.finish(horizon, monitors)
 
 
 class _LtiPlant:
@@ -321,31 +365,22 @@ def invariant_report(trace, model, window_margin=BETA_WINDOW_MARGIN,
                      distance_floor=BETA_DISTANCE_FLOOR):
     """Re-check and summarize the per-step invariants of a finished run.
 
-    State and input membership are recomputed from the recorded true states
-    and inputs; the remaining flags are taken from the run. Windowed products
-    prod(1 - beta) over mu+1 consecutive steps must stay away from one
-    whenever the steady-state estimate was meaningfully far from the
-    prediction somewhere in the window.
+    ``trace`` is a ``RunRecord``; only its columns are read. State and input
+    membership are recomputed from the recorded true states and inputs; the
+    remaining flags are taken from the run. Windowed products prod(1 - beta)
+    over mu+1 consecutive steps must stay away from one whenever the
+    steady-state estimate was meaningfully far from the prediction somewhere
+    in the window.
     """
-    counts = {name: 0 for name in FLAG_NAMES}
-    marginal = 0
     tol = model.membership_tol
-    state_ok = model.x_set.violations(
-        np.array([rec.x_true for rec in trace]).reshape(-1, model.n)) <= tol
-    input_ok = model.u_set.violations(
-        np.array([rec.u for rec in trace]).reshape(-1, model.m)) <= tol
-    for rec, x_ok, u_ok in zip(trace, state_ok.tolist(), input_ok.tolist()):
-        rechecked = dict(rec.invariant_flags, state_ok=x_ok, input_ok=u_ok)
-        for name in FLAG_NAMES:
-            if not rechecked.get(name, True):
-                counts[name] += 1
-        if rec.invariant_flags.get("tube_marginal"):
-            marginal += 1
-    later = [rec.diagnostics for rec in trace if rec.t >= 1]
-    betas = np.array([d.beta for d in later], dtype=float)
-    theta_hats = np.array([d.ogd_target[0] for d in later]).reshape(-1, model.n)
-    preds = np.array([d.pred_state for d in later]).reshape(-1, model.n)
-    dists = np.linalg.norm(theta_hats - preds, axis=1)
+    flags = dict(trace.flags, state_ok=model.x_set.violations(trace.x_true) <= tol,
+                 input_ok=model.u_set.violations(trace.u) <= tol)
+    counts = {name: int(np.count_nonzero(~flags[name])) if name in flags else 0
+              for name in FLAG_NAMES}
+    marginal = int(np.count_nonzero(flags.get("tube_marginal", False)))
+    later = trace.t >= 1
+    betas = trace.beta[later]
+    dists = np.linalg.norm(trace.theta_hat[later] - trace.pred_state[later], axis=1)
     win = model.mu + 1
     windows = win_viol = 0
     max_active = 0.0
@@ -355,14 +390,9 @@ def invariant_report(trace, model, window_margin=BETA_WINDOW_MARGIN,
         windows = len(prods)
         win_viol = int(np.count_nonzero(active & (prods > 1.0 - window_margin)))
         max_active = float(prods[active].max(initial=0.0))
-    return InvariantReport(
-        steps=len(trace),
-        violation_counts=counts,
-        tube_marginal_count=marginal,
-        beta_windows=windows,
-        beta_window_violations=win_viol,
-        max_active_window_product=max_active,
-    )
+    return InvariantReport(steps=len(trace), violation_counts=counts,
+                           tube_marginal_count=marginal, beta_windows=windows,
+                           beta_window_violations=win_viol, max_active_window_product=max_active)
 
 
 @dataclass(frozen=True)
@@ -385,24 +415,15 @@ class PiecewiseSchedule:
             raise ValueError("pieces must start at 0 and be sorted by start step")
 
     def cost_at(self, t):
-        current = self.pieces[0][1]
-        for start, cost in self.pieces:
-            if start <= t:
-                current = cost
-            else:
-                break
-        return current
+        return self.pieces[bisect_right(self.pieces, t, key=lambda piece: piece[0]) - 1][1]
 
 
 def max_workers(n_jobs):
     env = os.environ.get("OCO_MAX_THREADS")
-    if env is not None:
-        try:
-            cap = max(1, int(env))
-        except ValueError:
-            cap = 1
-    else:
-        cap = min(os.cpu_count() or 1, 8)
+    try:
+        cap = min(os.cpu_count() or 1, 8) if env is None else max(1, int(env))
+    except ValueError:
+        cap = 1
     return max(1, min(cap, n_jobs))
 
 
@@ -412,6 +433,8 @@ def replicate_map(fn, args_list):
     workers = max_workers(len(args_list))
     if workers <= 1 or len(args_list) <= 1:
         return [fn(*args) for args in args_list]
+    from concurrent.futures import ProcessPoolExecutor  # pays its import only here
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(fn, *args) for args in args_list]
         return [f.result() for f in futures]
@@ -436,8 +459,6 @@ class AlternatingTargetGenerator:
     horizon: int = 400
 
     def make(self, level):
-        from .plant import QuadraticCost
-
         direction = np.asarray(self.direction, float)
         base = self.base_cost
         n_hops = int(round(level))
@@ -450,8 +471,7 @@ class AlternatingTargetGenerator:
             for i in range(n_hops):
                 start = int(round((i + 1) * self.horizon / (n_hops + 1)))
                 ref = base.ref_x + (i % 2 == 0) * self.hop_size * direction
-                pieces.append((start, QuadraticCost(
-                    q_x=base.q_x, q_u=base.q_u, ref_x=ref, ref_u=base.ref_u)))
+                pieces.append((start, base.with_ref_x(ref)))
             schedule = PiecewiseSchedule(tuple(pieces))
         theta0, eta0 = optimal_steady_state(self.manifold, schedule.cost_at(0), self.model)
         return schedule, (theta0, eta0), theta0
@@ -474,7 +494,6 @@ def regret_scaling_experiment(model, tables, manifold, controller, path_generato
     regret ~ c0 + c_path * path + c_noise * (w_energy + v_energy).
     """
     rows = []
-    jobs = []
     for level in path_generator.levels:
         schedule, zeta0, x0 = path_generator.make(level)
         for scale in dist_levels:
@@ -482,19 +501,12 @@ def regret_scaling_experiment(model, tables, manifold, controller, path_generato
                 policy = DisturbancePolicy(
                     kind="zero" if scale == 0.0 else "uniform_box",
                     seed=base_seed + seed, scale=float(scale))
-                jobs.append((level, scale, seed, schedule, zeta0, x0, policy))
-    for level, scale, seed, schedule, zeta0, x0, policy in jobs:
-        _, ledger = run_closed_loop(model, tables, manifold, controller, schedule,
-                                    policy, horizon, zeta0=zeta0, x0=x0)
-        rows.append({
-            "path_level": level,
-            "noise_level": scale,
-            "seed": seed,
-            "path_length": ledger.path_length,
-            "w_energy": ledger.w_energy,
-            "v_energy": ledger.v_energy,
-            "regret": ledger.cum_regret,
-        })
+                # one call per row, in row order, through the module attribute
+                _, ledger = run_closed_loop(model, tables, manifold, controller, schedule,
+                                            policy, horizon, zeta0=zeta0, x0=x0)
+                rows.append(dict(path_level=level, noise_level=scale, seed=seed,
+                                 path_length=ledger.path_length, w_energy=ledger.w_energy,
+                                 v_energy=ledger.v_energy, regret=ledger.cum_regret))
     coeffs, r2 = fit_affine(rows)
     return SweepResult(rows=rows, coefficients=coeffs, r_squared=r2)
 

@@ -299,11 +299,8 @@ class _RoadPlant:
         self.overtake_step = int(round(params.overtake_time_s / TAU))
         self.detected = False
         self.gap_meas = self.prev_gap_meas = self.x_true = None
-        self.metrics = {
-            "min_gap_m": np.inf, "resid_violations": 0, "phase2_start": None,
-            "phase3_start": None, "gap_m": [], "speed_kmh": [], "phase": [],
-            "leader_est_kmh": [],
-        }
+        self.metrics = {"phase2_start": None, "phase3_start": None, "gap_m": [],
+                        "speed_kmh": [], "phase": [], "leader_est_kmh": []}
 
     def observe(self, t):
         metrics = self.metrics
@@ -339,7 +336,6 @@ class _RoadPlant:
         if self.builder is not None:
             self.builder.set_context(phase, gap_meas=gap_meas, est_speed_dev=est_speed_dev)
 
-        metrics["min_gap_m"] = min(metrics["min_gap_m"], true_gap)
         metrics["gap_m"].append(true_gap)
         metrics["speed_kmh"].append(ms_to_kmh(self.truth[2]))
         metrics["phase"].append(phase)
@@ -354,8 +350,6 @@ class _RoadPlant:
         resid = np.array([new_truth[1], new_truth[2] - DELTA_BAR]) - (
             model.a @ self.x_true + model.b @ u)
         resid_ok = self.w_membership.margin(resid) <= model.membership_tol
-        if not resid_ok:
-            self.metrics["resid_violations"] += 1
         self.truth = new_truth
         self.prev_gap_meas = self.gap_meas
         return resid, {"resid_ok": bool(resid_ok)}
@@ -385,22 +379,20 @@ def run_scenario(variant="optimized", seed=0, params=None, horizon_steps=300,
     trace, ledger = closed_loop(model, tables, manifold, controller, plant,
                                 horizon_steps, zeta0)
     metrics = {"variant": variant, "seed": seed, **plant.metrics}
-    _finalize_metrics(metrics)
+    _finalize_metrics(metrics, trace)
     return trace, ledger, metrics
 
 
-def _finalize_metrics(metrics):
+def _finalize_metrics(metrics, trace):
     window = int(round(5.0 / TAU))
     speeds = np.asarray(metrics["speed_kmh"])
     gaps = np.asarray(metrics["gap_m"])
     phases = np.asarray(metrics["phase"])
+    metrics["min_gap_m"] = float(gaps.min())
+    metrics["resid_violations"] = int(np.count_nonzero(~trace.flags["resid_ok"]))
     metrics["phase3_settled_speed_kmh"] = float(speeds[-window:].mean())
     p3 = metrics["phase3_start"]
-    if p3 is not None and p3 >= window:
-        sel = slice(p3 - window, p3)
-        if np.all(phases[sel] == 2):
-            metrics["phase2_standoff_gap_m"] = float(gaps[sel].mean())
-        else:
-            metrics["phase2_standoff_gap_m"] = None
-    else:
-        metrics["phase2_standoff_gap_m"] = None
+    # the standoff is the mean gap of the window before phase 3, all in phase 2
+    sel = slice(p3 - window, p3) if p3 is not None and p3 >= window else None
+    standoff = sel is not None and np.all(phases[sel] == 2)
+    metrics["phase2_standoff_gap_m"] = float(gaps[sel].mean()) if standoff else None

@@ -104,3 +104,37 @@ def max_beta_bisect(tables, model, x_meas, base_seq, g, tol=None, resolution=1e-
         else:
             hi = mid
     return lo
+
+
+def reference_ledger(trace, model):
+    """A run's costs and totals one step at a time, as a running loop sums them.
+
+    Per step: ``cost.value`` of the step's cost at the true state and input
+    and at the benchmark steady state, and ``np.linalg.norm`` of the
+    benchmark's move, w and v. Returns (costs, benchmark costs, cum_regret,
+    path_length, w_energy, v_energy).
+    """
+    costs, benches = [], []
+    regret = path = w_energy = v_energy = 0.0
+    prev = None
+    for i, rec in enumerate(trace):
+        cost = trace.costs[i]
+        theta, eta = trace.benchmark_theta[i], trace.benchmark_eta[i]
+        costs.append(cost.value(rec.x_true, rec.u))
+        benches.append(cost.value(theta, eta + model.k @ theta))
+        regret += costs[-1] - benches[-1]
+        zeta = np.concatenate([theta, eta])
+        if prev is not None:
+            path += float(np.linalg.norm(zeta - prev))
+        prev = zeta
+        w_energy += float(np.linalg.norm(rec.w))
+        v_energy += float(np.linalg.norm(rec.v))
+    return np.array(costs), np.array(benches), regret, path, w_energy, v_energy
+
+
+def assert_ledger_matches_reference(trace, ledger, model, rel=1e-12):
+    costs, benches, *totals = reference_ledger(trace, model)
+    assert np.allclose(trace.cost, costs, rtol=rel, atol=1e-15)
+    assert np.allclose(trace.benchmark_cost, benches, rtol=rel, atol=1e-15)
+    got = (ledger.cum_regret, ledger.path_length, ledger.w_energy, ledger.v_energy)
+    assert got == pytest.approx(tuple(totals), rel=rel, abs=0.0)

@@ -231,6 +231,34 @@ class TestExitCodes:
         assert out.startswith("[FAIL] model assembly  (n=4 states")
         assert "n <= 3" in out
 
+    def test_validate_three_states_with_small_tail_set(self, tmp_path, capsys):
+        # A_K = diag(0.29, 0.10, -0.04) and mu = 7: the tail set is tiny and
+        # nearly flat, which must give check lines, not a traceback
+        def diag(*d):
+            return str([[v if i == j else 0.0 for j in range(3)] for i, v in enumerate(d)])
+
+        text = MINI_GENERIC
+        for old, new in (("a = [[1.0]]", f"a = {diag(1.0, 1.0, 1.0)}"),
+                         ("b = [[1.0]]", f"b = {diag(1.0, 1.0, 1.0)}"),
+                         ("k = [[-0.5]]", f"k = {diag(-0.71, -0.90, -1.04)}"),
+                         ("x_lb = [-2.0]", "x_lb = [-10.0, -10.0, -10.0]"),
+                         ("x_ub = [2.0]", "x_ub = [10.0, 10.0, 10.0]"),
+                         ("u_lb = [-1.0]", "u_lb = [-5.0, -5.0, -5.0]"),
+                         ("u_ub = [1.0]", "u_ub = [5.0, 5.0, 5.0]"),
+                         ("w_halfwidth = [0.05]", "w_halfwidth = [0.05, 0.05, 0.05]"),
+                         ("v_halfwidth = [0.02]", "v_halfwidth = [0.01, 0.01, 0.01]"),
+                         ("mu = 3", "mu = 7"),
+                         ("q_x = [[1.0]]", f"q_x = {diag(1.0, 1.0, 1.0)}"),
+                         ("q_u = [[1.0]]", f"q_u = {diag(1.0, 1.0, 1.0)}"),
+                         ("ref_x = [0.4]", "ref_x = [0.4, 0.0, 0.0]"),
+                         ("ref_u = [0.0]", "ref_u = [0.0, 0.0, 0.0]")):
+            assert old in text
+            text = text.replace(old, new)
+        assert main(["validate", "--config", write_cfg(tmp_path, text)]) == 0
+        captured = capsys.readouterr()
+        assert [line[:6] for line in captured.out.splitlines()] == ["[pass]"] * 13
+        assert "Traceback" not in captured.out + captured.err
+
     @pytest.mark.parametrize("command", ["run", "validate", "regret-sweep"])
     def test_repeated_cost_index_exits_2(self, tmp_path, capsys, command):
         text = MINI_GENERIC + SWEEP_TAIL + COST_PIECE.format(name="cost.00", start=10)

@@ -46,6 +46,18 @@ def test_import_leaves_scipy_optimize_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+def test_import_leaves_process_pool_unloaded():
+    # only replicate_map's pool needs concurrent.futures.process; it is
+    # imported there, so a single-process run does not pay for it
+    import ocorobust
+
+    env = {**os.environ, "PYTHONPATH": str(Path(ocorobust.__file__).parent.parent)}
+    code = "import sys, ocorobust.cli; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"
+
+
 @st.composite
 def integer_polytopes(draw):
     """{x : normals x <= offsets}, integer data in [-3, 3], n <= 3 and <= 8 rows."""
@@ -277,6 +289,29 @@ class TestFacetForm:
         assert np.allclose(margins, [-0.1, -0.05, 0.2], rtol=0.0, atol=1e-15)
         assert ZonotopeMembership(Zonotope.box([0.1, 0.1])).margin([0.0, 0.0]) == \
             pytest.approx(-0.1)
+
+
+class TestScaleInvariance:
+    # Every zonotope threshold is relative to the set's own scale: a set
+    # smaller than 1 keeps the facets of its scaled copies.
+    THIN = np.diag([1e-3, 1e-6, 1e-8])
+
+    def test_thin_small_set_keeps_every_facet(self):
+        z = Zonotope(np.zeros(3), self.THIN)
+        assert not z.contains_point([1.0, 0.0, 0.0])
+        assert z.contains_point([0.5e-3, 0.0, 0.0])
+        for c in (1e-6, 1.0, 1e6):
+            assert z.scale(c).to_halfspaces()[0].shape == (6, 3)
+
+    def test_margin_scales_with_the_set(self):
+        rng = np.random.default_rng(71)
+        for g in (self.THIN, rng.standard_normal((3, 5)), rng.standard_normal((2, 4))):
+            z = Zonotope(rng.standard_normal(len(g)) * 1e-3, g)
+            points = rng.standard_normal((20, len(g))) * np.abs(g).max()
+            base = ZonotopeMembership(z).margins(points)
+            for c in (1e-6, 1.0, 1e6):
+                scaled = ZonotopeMembership(z.scale(c)).margins(c * points)
+                assert np.allclose(scaled, c * base, rtol=1e-9, atol=0.0)
 
 
 class TestHPolytopeFlags:

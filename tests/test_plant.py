@@ -54,6 +54,19 @@ class TestBuildModel:
         assert model.mu_star == 2
         assert np.allclose(np.linalg.matrix_power(model.a_k, 2), 0.0)
 
+    def test_small_flat_tail_set_builds(self):
+        # A_K = diag(0.29, 0.10, -0.04) and mu = 7 make the tail set tiny
+        # (largest generator entry about 9e-5) and nearly flat; its facets
+        # are judged against its own scale, not against 1
+        eye = np.eye(3)
+        model = build_model(ModelConfig(
+            a=eye, b=eye, k=np.diag([-0.71, -0.90, -1.04]), mu=7,
+            x_set=HPolytope.box(-10.0 * np.ones(3), 10.0 * np.ones(3)),
+            u_set=HPolytope.box(-5.0 * np.ones(3), 5.0 * np.ones(3)),
+            w_set=Zonotope.box([0.05] * 3), v_set=Zonotope.box([0.01] * 3)))
+        assert model.tube_margin(np.zeros(3)) < 0.0
+        assert model.tube_margin(np.array([1e-3, 0.0, 0.0])) > 0.0
+
     def test_not_schur_rejected(self):
         with pytest.raises(AssumptionViolation, match="stabilizing feedback"):
             build_model(small_cfg(k=[[0.0]]))

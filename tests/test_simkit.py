@@ -10,6 +10,7 @@ from ocorobust.oco_controller import ControllerConfig
 from ocorobust.plant import QuadraticCost, membership_zu, optimal_steady_state
 from ocorobust.simkit import (
     FLAG_NAMES,
+    RunRecord,
     TUBE_TOL,
     AlternatingTargetGenerator,
     ConstantSchedule,
@@ -23,6 +24,8 @@ from ocorobust.simkit import (
     replicate_map,
     run_closed_loop,
 )
+
+from conftest import assert_ledger_matches_reference
 
 
 @pytest.fixture()
@@ -66,9 +69,9 @@ class TestDeterminism:
 
 class TestLedger:
     def test_identity(self, di_run):
-        _, ledger = di_run(seed=3)
+        trace, ledger = di_run(seed=3)
         assert ledger.cum_regret == pytest.approx(
-            sum(c - b for c, b, _, _ in ledger.per_step), abs=1e-9)
+            sum(trace.cost - trace.benchmark_cost), abs=1e-9)
         assert ledger.path_length >= 0
         assert ledger.w_energy > 0
         assert ledger.v_energy > 0
@@ -87,11 +90,86 @@ class TestLedger:
         trace, ledger = run_closed_loop(
             model, tables, manifold, ControllerConfig(gamma=0.3), schedule,
             DisturbancePolicy(kind="zero"), 260, zeta0=zeta0, x0=zeta0[0])
-        per_step = [c - b for c, b, _, _ in ledger.per_step]
+        per_step = list(trace.cost - trace.benchmark_cost)
         spike = max(per_step[20:60])
         tail = max(per_step[-20:])
         assert spike > 1e-3
         assert tail <= 1e-5 * max(spike, 1.0)
+
+
+class TestRunRecord:
+    def test_views_read_the_columns(self, di_run):
+        trace, _ = di_run(seed=5, horizon=30)
+        assert isinstance(trace, RunRecord)
+        assert len(trace) == 30 and [rec.t for rec in trace] == list(range(30))
+        for i in (0, 7, -1):
+            rec, t = trace[i], i % 30
+            assert rec.t == t
+            for name in ("x_true", "x_meas", "u", "w", "v"):
+                assert np.array_equal(getattr(rec, name), getattr(trace, name)[t])
+            d = rec.diagnostics
+            assert (d.beta, d.g_norm) == (trace.beta[t], trace.g_norm[t])
+            assert (d.candidate_feasible, d.g_fallback) == (trace.candidate_ok[t],
+                                                            trace.g_fallback[t])
+            assert d.kkt_residual is None  # the explicit variant solves no rollout QP
+            assert np.array_equal(d.pred_state, trace.pred_state[t])
+            assert np.array_equal(d.ogd_target[0], trace.theta_hat[t])
+            assert np.array_equal(d.ogd_target[1], trace.eta_hat[t])
+            assert rec.invariant_flags == {name: bool(column[t])
+                                           for name, column in trace.flags.items()}
+            assert set(rec.invariant_flags) == set(FLAG_NAMES) | {"tube_marginal"}
+        with pytest.raises(IndexError):
+            trace[30]
+        part = trace[5:9]
+        assert len(part) == 4 and part[0].t == 5
+        assert np.array_equal(part.u, trace.u[5:9]) and part.costs[0] is trace.costs[5]
+
+    def test_totals_match_step_by_step_reference(self, di_bundle, di_run):
+        trace, ledger = di_run(seed=9, horizon=120)
+        assert_ledger_matches_reference(trace, ledger, di_bundle[0])
+
+    def test_alternating_weights_match_per_step_values(self, di_bundle, di_cost):
+        # the pieces switch between two weight pairs, so the rows form many
+        # short runs that each take their own quadratic form
+        model, tables, manifold = di_bundle
+        heavy = QuadraticCost(3.0 * di_cost.q_x, 2.0 * di_cost.q_u, [0.3, 0.0], di_cost.ref_u)
+        moved = di_cost.with_ref_x([-0.3, 0.0])
+        pieces = tuple((start, (di_cost, heavy, moved)[i % 3])
+                       for i, start in enumerate(range(0, 90, 7)))
+        schedule = PiecewiseSchedule(pieces)
+        zeta0 = optimal_steady_state(manifold, di_cost, model)
+        trace, ledger = run_closed_loop(
+            model, tables, manifold, ControllerConfig(gamma=0.3), schedule,
+            DisturbancePolicy(seed=4), 90, zeta0=zeta0, x0=zeta0[0])
+        assert all(trace.costs[t] is schedule.cost_at(t) for t in range(90))
+        assert_ledger_matches_reference(trace, ledger, model)
+
+    def test_abort_keeps_the_rows_done(self, di_bundle, di_cost):
+        model, tables, manifold = di_bundle
+
+        class BrokenCost(QuadraticCost):
+            def grad(self, x, v):
+                raise RuntimeError("oracle died")
+
+        # the step-6 cost's gradient raises, so the step-7 update aborts
+        broken = BrokenCost(di_cost.q_x, di_cost.q_u, di_cost.ref_x, di_cost.ref_u)
+        schedule = PiecewiseSchedule(((0, di_cost), (6, broken), (7, di_cost)))
+        zeta0 = optimal_steady_state(manifold, di_cost, model)
+        args = (model, tables, manifold, ControllerConfig(gamma=0.3), schedule,
+                DisturbancePolicy(seed=2))
+        with pytest.raises(SimulationAborted) as err:
+            run_closed_loop(*args, 30, zeta0=zeta0, x0=zeta0[0])
+        trace, ledger = err.value.trace, err.value.ledger
+        assert err.value.t == 7 and len(trace) == 7
+        assert all(len(column) == 7 for column in vars(trace).values()
+                   if isinstance(column, np.ndarray))
+        assert all(column.all() for name, column in trace.flags.items()
+                   if name != "tube_marginal")
+        assert_ledger_matches_reference(trace, ledger, model)
+        # the same seven steps, run to their end, give the same record and totals
+        done, done_ledger = run_closed_loop(*args, 7, zeta0=zeta0, x0=zeta0[0])
+        assert ledger == done_ledger
+        assert np.array_equal(trace.cost, done.cost) and np.array_equal(trace.u, done.u)
 
 
 class TestCausality:
@@ -138,9 +216,8 @@ class TestEngine:
                                  x0=zeta0[0])
         assert np.array_equal(trace_arrays(t1), trace_arrays(t2))
         assert [r.invariant_flags for r in t1] == [r.invariant_flags for r in t2]
-        for a, b in zip(l1.per_step, l2.per_step):
-            assert a[:2] == b[:2]
-            assert np.array_equal(a[2], b[2]) and np.array_equal(a[3], b[3])
+        for name in ("cost", "benchmark_cost", "benchmark_theta", "benchmark_eta"):
+            assert np.array_equal(getattr(t1, name), getattr(t2, name))
         assert (l1.cum_regret, l1.path_length) == (l2.cum_regret, l2.path_length)
 
     def test_x0_outside_state_set_rejected(self, di_bundle, di_cost):
@@ -187,9 +264,8 @@ class TestInvariantReport:
     def test_corrupted_state_detected(self, di_bundle, di_run):
         model = di_bundle[0]
         trace, _ = di_run(seed=12)
-        bad = copy.deepcopy(trace)
-        bad[17].x_true = np.array([99.0, 0.0])
-        report = invariant_report(bad, model)
+        trace.x_true[17] = [99.0, 0.0]
+        report = invariant_report(trace, model)
         assert report.violation_counts["state_ok"] == 1
         assert report.total_violations == 1
 
@@ -308,12 +384,10 @@ def beta_windows_reference(trace, model, margin, floor):
 class TestBetaWindows:
     MARGIN, FLOOR = 1e-6, 1e-6
 
-    def with_diagnostics(self, trace, **fields_by_step):
-        out = []
-        for i, rec in enumerate(trace):
-            changes = {name: values[i] for name, values in fields_by_step.items()}
-            out.append(dataclasses.replace(
-                rec, diagnostics=dataclasses.replace(rec.diagnostics, **changes)))
+    def with_columns(self, trace, **columns):
+        out = copy.copy(trace)
+        for name, values in columns.items():
+            setattr(out, name, np.array(values, float))
         return out
 
     def check(self, trace, model):
@@ -338,13 +412,12 @@ class TestBetaWindows:
     def test_all_zero_betas(self, di_bundle, di_run):
         model = di_bundle[0]
         trace, _ = di_run(seed=22, horizon=40)
-        zero = self.with_diagnostics(trace, beta=[0.0] * len(trace))
+        zero = self.with_columns(trace, beta=[0.0] * len(trace))
         report = self.check(zero, model)
         assert report.max_active_window_product == 1.0
         assert report.beta_window_violations > 0
         # no distance above the floor: no window is active
-        idle = self.with_diagnostics(zero, pred_state=[r.diagnostics.ogd_target[0]
-                                                       for r in zero])
+        idle = self.with_columns(zero, pred_state=zero.theta_hat)
         report = self.check(idle, model)
         assert report.beta_window_violations == 0
         assert report.max_active_window_product == 0.0
@@ -357,7 +430,7 @@ class TestBetaWindows:
             betas = rng.uniform(0.0, 1.0, len(trace))
             betas[rng.random(len(trace)) < 0.4] = 0.0
             betas[rng.random(len(trace)) < 0.1] = 1.0
-            self.check(self.with_diagnostics(trace, beta=list(betas)), model)
+            self.check(self.with_columns(trace, beta=betas), model)
 
 
 class TestBatchedFlags:

@@ -6,6 +6,8 @@ from ocorobust.oco_controller import StepContext
 from ocorobust.errors import OcoRobustError
 from ocorobust.plant import SteadyStateBenchmark
 
+from conftest import assert_ledger_matches_reference
+
 
 @pytest.fixture(scope="module")
 def setup():
@@ -180,11 +182,26 @@ class TestScenario:
         t1, l1, _ = vehicle.run_scenario("optimized", seed=0, params=params, setup=shared)
         t2, l2, _ = vehicle.run_scenario("optimized", seed=0, params=params,
                                          setup=vehicle.vehicle_setup.__wrapped__(params))
-        for a, b in zip(l1.per_step, l2.per_step, strict=True):
-            assert np.array_equal(np.hstack(a), np.hstack(b))
+        for name in ("cost", "benchmark_cost", "benchmark_theta", "benchmark_eta"):
+            assert np.array_equal(getattr(t1, name), getattr(t2, name))
         for a, b in zip(t1, t2, strict=True):
             assert np.array_equal(a.x_true, b.x_true) and np.array_equal(a.u, b.u)
             assert a.diagnostics.beta == b.diagnostics.beta
+
+    @pytest.mark.parametrize("variant", ["optimized", "explicit"])
+    def test_totals_match_step_by_step_reference(self, setup, variant):
+        trace, ledger, metrics = vehicle.run_scenario(variant, seed=0)
+        # phase 2 makes a new cost object each step on phase 1's weights;
+        # phase 3 switches the weights
+        phase2 = [c for c, p in zip(trace.costs, metrics["phase"]) if p == 2]
+        assert len({id(c) for c in phase2}) == len(phase2) > 1
+        assert phase2[0].q_x is trace.costs[0].q_x
+        assert trace.costs[-1].q_x is not trace.costs[0].q_x
+        assert_ledger_matches_reference(trace, ledger, setup.model)
+        if variant == "optimized":
+            kkt = [rec.diagnostics.kkt_residual for rec in trace]
+            assert [k is None for k in kkt] == list(np.isnan(trace.kkt_residual))
+            assert any(k is not None for k in kkt)
 
     def test_residual_inside_disturbance_box(self, setup):
         trace, _, metrics = vehicle.run_scenario("optimized", seed=1)

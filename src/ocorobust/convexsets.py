@@ -185,9 +185,6 @@ class Zonotope:
         """Upper bound on max ||x|| over the set."""
         return float(np.linalg.norm(self.center) + np.linalg.norm(self.generators, axis=0).sum())
 
-    def contains_origin(self, tol=DEFAULT_MEMBERSHIP_TOL):
-        return self.contains_point(np.zeros(self.dim), tol=tol)
-
     def contains_origin_interior(self):
         """Full-dimensional with 0 strictly inside every facet (dim <= 3)."""
         if numeric_rank(self.generators, tol=ZONOTOPE_RTOL) != self.dim:
@@ -230,10 +227,11 @@ class Zonotope:
         normals = np.vstack([cand, -cand])
         return normals, np.concatenate([offsets, offsets])
 
-    def sample(self, rng, scale=1.0):
-        """Uniform draw over generator coefficients (exact for boxes)."""
-        xi = rng.uniform(-1.0, 1.0, size=self.order)
-        return scale * (self.center + self.generators @ xi)
+    def samples(self, rng, count, scale=1.0):
+        """``count`` points, one per row, each drawn uniformly over the
+        generator coefficients (uniform over the set for boxes), in one draw."""
+        xi = rng.uniform(-1.0, 1.0, size=(count, self.order))
+        return scale * (self.center + xi @ self.generators.T)
 
     def corner(self, signs=None):
         xi = np.ones(self.order) if signs is None else as_vector(signs)
@@ -272,6 +270,10 @@ class ZonotopeMembership:
             self.normals, self.offsets = facets.merge_parallel().to_halfspaces()
 
     def margin(self, x):
+        """``margins`` of one point; in facet form, one product."""
+        if self.span is None:
+            return float((self.normals @ (np.asarray(x, float) - self.center)
+                          - self.offsets).max())
         return float(self.margins(np.reshape(x, (1, -1)))[0])
 
     def margins(self, points):

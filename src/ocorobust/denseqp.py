@@ -21,6 +21,7 @@ passes; otherwise GI runs cold. No state is kept between solves.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,8 +111,8 @@ class PrefactoredQp:
             prod = self.stacked @ x
             # GI's stopping test on every row: slack b - A x >= -0.1 tol.
             if not mineq or not (prod[n:n + mineq] - ineq_b > 0.1 * tol).any():
-                guess = self._assemble(prod, linear, ineq_b, eq_b, x, np.zeros(mineq),
-                                       sol[n:], "optimal", tol)
+                guess = self._assemble(prod, linear, ineq_b, eq_b, x, None, sol[n:],
+                                       "optimal", tol)
                 if guess.status == "optimal":
                     return guess
         cd = np.concatenate([eq_b, -ineq_b])
@@ -135,21 +136,30 @@ class PrefactoredQp:
         """KKT residual of (x, lam, nu); an "optimal" above tol becomes "max_iter".
 
         ``prod`` is ``stacked @ x``: H x, then the inequality and the equality
-        rows. A non-finite x or problem datum makes the residual NaN or inf,
-        and the status "non_finite".
+        rows. ``lam`` None means all inequality multipliers are zero (the
+        equality-constrained optimum), whose terms then vanish except that a
+        non-finite row residual still makes the complementarity term NaN. A
+        non-finite x or problem datum makes the residual NaN or inf, and the
+        status "non_finite".
         """
         n, mineq = x.size, ineq_b.size
+        zero_lam = lam is None
+        if zero_lam:
+            lam = np.zeros(mineq)
         grad = prod[:n] + linear
-        if mineq:
+        if mineq and not zero_lam:
             grad += self.ineq_normals.T @ lam
         if self.meq:
             grad += self.eq_normals.T @ nu
-        terms = [float(np.linalg.norm(grad))]
+        terms = [math.sqrt(grad @ grad)]
         if mineq:
             viol = prod[n:n + mineq] - ineq_b
-            terms += [float(viol.max(initial=0.0)),
-                      float(np.abs(lam * viol).max(initial=0.0)),
-                      max(0.0, -float(lam.min(initial=0.0)))]
+            terms.append(float(viol.max(initial=0.0)))
+            if zero_lam:
+                terms.append(0.0 * float(np.abs(viol).max()))
+            else:
+                terms += [float(np.abs(lam * viol).max(initial=0.0)),
+                          max(0.0, -float(lam.min(initial=0.0)))]
         if self.meq:
             terms.append(float(np.abs(prod[n + mineq:] - eq_b).max()))
         # max() skips a NaN that is not its first argument; the sum does not.

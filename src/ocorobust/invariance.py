@@ -42,20 +42,16 @@ def mrpi_outer(a_k, w_bar, epsilon=None, s_max=200):
     a_k = as_matrix(a_k, "a_k")
     if power_norm_certificate(a_k) is None:
         raise InfeasibleError("closed-loop matrix is not certified Schur stable")
-    if not w_bar.contains_origin(tol=1e-9):
-        raise InfeasibleError("disturbance set must contain the origin")
+    if not w_bar.contains_origin_interior():
+        raise InfeasibleError("disturbance set must be full-dimensional with the origin inside")
     if epsilon is None:
         epsilon = 1e-4 * max(w_bar.radius_upper(), 1e-12)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
 
-    if w_bar.dim <= 3 and w_bar.radius_upper() > 0:
-        try:
-            facet_normals, w_supports = _facet_directions(w_bar)
-        except ValueError:
-            facet_normals, w_supports = _net_directions(w_bar)
-    else:
-        facet_normals, w_supports = _net_directions(w_bar)
+    # With 0 strictly inside W_bar, every facet has a positive support.
+    facet_normals, offsets = w_bar.to_halfspaces()
+    w_supports = offsets + facet_normals @ w_bar.center
 
     partial = Zonotope.point(np.zeros(w_bar.dim))
     a_pow = np.eye(w_bar.dim)
@@ -72,23 +68,6 @@ def mrpi_outer(a_k, w_bar, epsilon=None, s_max=200):
     raise InfeasibleError(
         f"mRPI truncation order exhausted at s_max={s_max}, best alpha={best_alpha:.3e}"
     )
-
-
-def _facet_directions(w_bar):
-    normals, offsets = w_bar.to_halfspaces()
-    supports = offsets + normals @ w_bar.center
-    if np.any(supports <= 0):
-        raise ValueError("origin not interior to disturbance set")
-    return normals, supports
-
-
-def _net_directions(w_bar):
-    dirs = direction_net(w_bar.dim)
-    sup = w_bar.support_batch(dirs)
-    keep = sup > 0
-    if not np.any(keep):
-        raise InfeasibleError("disturbance set has empty interior in every net direction")
-    return dirs[keep], sup[keep]
 
 
 def tail_set(a_k, w_bar, mu, mrpi):

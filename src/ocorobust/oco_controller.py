@@ -9,6 +9,7 @@ tightened constraints hold, and emit the first input plus state feedback.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,7 +182,7 @@ def additional_input_explicit(model, theta_hat, pred_state):
 def _reach_gap(theta_hat, pred_state):
     """theta_hat - pred_state, or None below DEGENERATE_TOL; rejects NaN/inf."""
     d = theta_hat - pred_state
-    norm = np.linalg.norm(d)
+    norm = math.sqrt(d @ d)
     if norm <= DEGENERATE_TOL:
         return None
     if not norm < np.inf:
@@ -207,7 +208,7 @@ def additional_input_optimized(model, theta_hat, pred_state, rollout_qp, c_g):
     except (OcoRobustError, np.linalg.LinAlgError):
         return additional_input_explicit(model, theta_hat, pred_state), None, True
     g = sol.x[:nv]
-    if sol.status != "optimal" or np.linalg.norm(g) > c_g * np.linalg.norm(d) * (1 + 1e-9):
+    if sol.status != "optimal" or math.sqrt(g @ g) > c_g * math.sqrt(d @ d) * (1 + 1e-9):
         return additional_input_explicit(model, theta_hat, pred_state), sol.kkt_residual, True
     return g, sol.kkt_residual, False
 
@@ -217,27 +218,31 @@ def max_beta(tables, model, x_meas, base_seq, g, tol=None, _base=None):
 
     Every stage constraint is affine in beta, so the maximum is an exact
     per-facet ratio test. Raises when the base sequence itself is infeasible,
-    which would mean the recursive feasibility invariant broke.
+    which would mean the recursive feasibility invariant broke. ``_base`` is
+    the base sequence's (stage residuals, worst residual), when the caller
+    has them.
     """
     if tol is None:
         tol = model.membership_tol
-    base_vals = stage_values(tables, x_meas, base_seq) if _base is None else _base
-    worst = float(base_vals.max(initial=-np.inf))
+    if _base is None:
+        base_vals = stage_values(tables, x_meas, base_seq)
+        worst = float(base_vals.max(initial=-np.inf))
+    else:
+        base_vals, worst = _base
     if not worst <= tol:  # NaN-safe: a non-finite x_meas or base_seq fails here
         raise InfeasibleError(
             f"candidate input sequence infeasible by {worst:.3e}; feasibility invariant broken")
-    if not np.any(g):
-        return 1.0
     growth = stage_values_linear(tables, g)
-    slack = np.maximum(-base_vals, 0.0)
     peak = float(np.abs(growth).max())
+    if peak == 0.0:
+        return 1.0
     if not peak < np.inf:
         raise ValueError("g has non-finite entries")
-    scale = max(1.0, peak)
-    mask = growth > 1e-14 * scale
-    if not np.any(mask):
+    mask = growth > 1e-14 * max(1.0, peak)
+    rising = growth[mask]
+    if not rising.size:
         return 1.0
-    return float(min(1.0, np.min(slack[mask] / growth[mask])))
+    return float(min(1.0, (np.maximum(-base_vals[mask], 0.0) / rising).min()))
 
 
 def step(state, model, tables, manifold, x_meas, grad_prev, options):
@@ -246,9 +251,13 @@ def step(state, model, tables, manifold, x_meas, grad_prev, options):
     try:
         x_meas = as_vector(x_meas, "x_meas")
         candidate = _shift_candidate(state, model)
-        base_vals = stage_values(tables, x_meas, candidate)
-        cand_ok = float(base_vals.max()) <= model.membership_tol
-        pred = model.predict_terminal(x_meas, candidate)
+        # One stacked product: the candidate's stage residuals, then its
+        # mu-step-ahead state A_K^mu x + S_c candidate.
+        rows = tables.rollout_x @ x_meas + tables.rollout_u @ candidate
+        offsets = tables.residual_offsets
+        base_vals = rows[:offsets.size] - offsets
+        pred = rows[offsets.size:]
+        worst = float(base_vals.max())
 
         theta_hat, eta_hat = ogd_step(state, model, manifold, grad_prev,
                                       options.gamma, pred)
@@ -265,7 +274,7 @@ def step(state, model, tables, manifold, x_meas, grad_prev, options):
         else:
             g = additional_input_explicit(model, theta_hat, pred)
 
-        beta = max_beta(tables, model, x_meas, candidate, g, _base=base_vals)
+        beta = max_beta(tables, model, x_meas, candidate, g, _base=(base_vals, worst))
         u_pred = candidate + beta * g
         u_ss = (1.0 - beta) * state.u_ss + beta * eta_hat
         new_state = ControllerState(u_pred=u_pred, u_ss=u_ss,
@@ -273,10 +282,10 @@ def step(state, model, tables, manifold, x_meas, grad_prev, options):
         u = control_input(new_state, model, x_meas)
         diag = StepDiagnostics(
             beta=float(beta),
-            g_norm=float(np.linalg.norm(g)),
+            g_norm=math.sqrt(g @ g),
             pred_state=pred,
             ogd_target=(theta_hat, eta_hat),
-            candidate_feasible=bool(cand_ok),
+            candidate_feasible=worst <= model.membership_tol,
             kkt_residual=kkt,
             g_fallback=bool(fallback),
         )

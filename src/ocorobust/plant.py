@@ -102,10 +102,6 @@ class PlantModel:
         """``tube_margin`` of each row of the (k, n) array ``devs``."""
         return self._tube.margins(devs)
 
-    def predict_terminal(self, x, useq):
-        """mu-step ahead state A_K^mu x + S_c useq."""
-        return self.a_k_powers[self.mu] @ x + self.s_c @ useq
-
 
 def build_w_bar(a, w_set, v_set):
     """Combined disturbance of the measured-state dynamics: V (+) -AV (+) W."""
@@ -206,9 +202,14 @@ class TighteningTables:
     The residuals of all stage constraints are affine in the measured state x
     and the input sequence useq: ``residual_x @ x + residual_u @ useq -
     residual_offsets``, stacked as the mu state stages (fx rows each) and then
-    the mu input stages (fu rows each).
+    the mu input stages (fu rows each). ``rollout_x`` and ``rollout_u`` hold
+    those rows with the mu-step prediction rows A_K^mu and S_c under them, so
+    one product in x plus one in useq gives a rollout's residuals (before the
+    offsets) and its mu-step-ahead state; the residual maps are their views.
     """
 
+    rollout_x: np.ndarray = field(repr=False)         # (mu*(fx+fu) + n, n)
+    rollout_u: np.ndarray = field(repr=False)         # (mu*(fx+fu) + n, mu*m)
     residual_x: np.ndarray = field(repr=False)        # (mu*(fx+fu), n)
     residual_u: np.ndarray = field(repr=False)        # (mu*(fx+fu), mu*m)
     state_offsets: np.ndarray = field(repr=False)     # (mu, fx) tightened
@@ -244,10 +245,14 @@ def build_tightening(model):
     kb = np.kron(eye, model.k)
     state_offsets = np.stack([t.offsets for t in state_sets])
     input_offsets = np.stack([t.offsets for t in input_sets])
+    rollout_x = np.vstack([hx @ model._sx, hu @ kb @ model._px, model.a_k_powers[mu]])
+    rollout_u = np.vstack([hx @ model._su, hu @ (np.eye(mu * model.m) + kb @ model._pu),
+                           model.s_c])
     return TighteningTables(
-        residual_x=np.vstack([hx @ model._sx, hu @ kb @ model._px]),
-        residual_u=np.vstack([hx @ model._su,
-                              hu @ (np.eye(mu * model.m) + kb @ model._pu)]),
+        rollout_x=rollout_x,
+        rollout_u=rollout_u,
+        residual_x=rollout_x[:-model.n],
+        residual_u=rollout_u[:-model.n],
         state_offsets=state_offsets,
         input_offsets=input_offsets,
         residual_offsets=np.concatenate([state_offsets.ravel(), input_offsets.ravel()]),

@@ -39,28 +39,22 @@ class DisturbancePolicy:
 
 
 class _Sampler:
-    """Per-run disturbance streams; every emitted point stays in its set."""
+    """A run's disturbance streams, drawn whole when built: ``w`` holds
+    ``horizon`` rows of W and ``v`` holds ``horizon + 1`` rows of V, one
+    generator call per stream. Every row stays in its set."""
 
-    def __init__(self, policy, w_set, v_set):
-        self.policy = policy
-        self.w_set, self.v_set = w_set, v_set
+    def __init__(self, policy, w_set, v_set, horizon):
         w_seed, v_seed = np.random.SeedSequence(policy.seed).spawn(2)
-        self._w_rng = np.random.default_rng(w_seed)
-        self._v_rng = np.random.default_rng(v_seed)
+        self.w = self._draw(policy, w_set, np.random.default_rng(w_seed), horizon)
+        self.v = self._draw(policy, v_set, np.random.default_rng(v_seed), horizon + 1)
 
-    def _draw(self, z, rng):
-        kind = self.policy.kind
-        if kind == "zero":
-            return np.zeros(z.dim)
-        if kind == "worst_corner":
-            return self.policy.scale * z.corner()
-        return z.sample(rng, scale=self.policy.scale)
-
-    def next_w(self):
-        return self._draw(self.w_set, self._w_rng)
-
-    def next_v(self):
-        return self._draw(self.v_set, self._v_rng)
+    @staticmethod
+    def _draw(policy, z, rng, count):
+        if policy.kind == "zero":
+            return np.zeros((count, z.dim))
+        if policy.kind == "worst_corner":
+            return np.tile(policy.scale * z.corner(), (count, 1))
+        return z.samples(rng, count, scale=policy.scale)
 
 
 @dataclass
@@ -91,8 +85,11 @@ class SimulationAborted(OcoRobustError):
     """Raised when a run stops early; carries the rows done, flagged, and their ledger."""
 
     def __init__(self, message, trace, ledger, t):
-        self.trace, self.ledger, self.t = trace, ledger, t
+        self.reason, self.trace, self.ledger, self.t = message, trace, ledger, t
         super().__init__(f"simulation aborted at t={t}: {message}")
+
+    def __reduce__(self):  # see ``errors``: pickles across the process pool
+        return type(self), (self.reason, self.trace, self.ledger, self.t)
 
 
 def _running_sum(x):
@@ -242,6 +239,12 @@ def _step_flags(record, monitors, lo, hi):
     return columns
 
 
+def check_horizon(horizon):
+    """Plants draw their noise for the whole run, so callers check first."""
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
+
+
 def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
                 abort_on_violation=False):
     """The online loop for any plant; returns (trace, ledger).
@@ -254,8 +257,7 @@ def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
     writes one row of the trace, a ``RunRecord``; flags, cost values and totals
     come after the run (flags after each step under ``abort_on_violation``).
     """
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
+    check_horizon(horizon)
     x_true, x_meas, v, cost_t = plant.observe(0)
     if not model.x_set.contains(x_true, tol=model.membership_tol):
         raise OcoRobustError("x0 violates the state constraints")
@@ -304,18 +306,20 @@ def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
 class _LtiPlant:
     """x+ = A x + B u + w, measured as x + v, with W/V drawn by a policy."""
 
-    def __init__(self, model, cost_schedule, dist_policy, x0):
+    def __init__(self, model, cost_schedule, dist_policy, x0, horizon):
         self.model, self.cost_schedule = model, cost_schedule
-        self.sampler = _Sampler(dist_policy, model.w_set, model.v_set)
-        self.x, self.v = x0, self.sampler.next_v()
+        sampler = _Sampler(dist_policy, model.w_set, model.v_set, horizon)
+        self.w, self.v = sampler.w, sampler.v
+        self.x, self.t = x0, 0
 
     def observe(self, t):
-        return self.x, self.x + self.v, self.v, self.cost_schedule.cost_at(t)
+        self.t = t
+        v = self.v[t]
+        return self.x, self.x + v, v, self.cost_schedule.cost_at(t)
 
     def advance(self, u):
-        w = self.sampler.next_w()
+        w = self.w[self.t]
         self.x = self.model.a @ self.x + self.model.b @ u + w
-        self.v = self.sampler.next_v()
         return w, {}
 
 
@@ -325,10 +329,11 @@ def run_closed_loop(model, tables, manifold, controller, cost_schedule, dist_pol
 
     Returns (trace, ledger). Deterministic for a fixed policy seed and config.
     """
+    check_horizon(horizon)
     x0 = np.zeros(model.n) if x0 is None else np.asarray(x0, float)
     if zeta0 is None:
         zeta0 = (np.zeros(model.n), np.zeros(model.m))
-    plant = _LtiPlant(model, cost_schedule, dist_policy, x0)
+    plant = _LtiPlant(model, cost_schedule, dist_policy, x0, horizon)
     return closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
                        abort_on_violation=abort_on_violation)
 

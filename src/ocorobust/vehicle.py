@@ -17,6 +17,7 @@ speed limit to overtake.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,7 @@ from .plant import (
     optimal_steady_state,
     steady_state_manifold,
 )
-from .simkit import closed_loop
+from .simkit import check_horizon, closed_loop
 
 TAU = 0.1                      # s
 DELTA_BAR_KMH = 100.0          # linearization speed
@@ -243,35 +244,37 @@ class VehicleRolloutBuilder:
 
 
 class _Sensors:
-    def __init__(self, seed, scale):
-        kids = np.random.SeedSequence(seed).spawn(3)
-        self.rng_pos = np.random.default_rng(kids[0])
-        self.rng_speed = np.random.default_rng(kids[1])
-        self.rng_dist = np.random.default_rng(kids[2])
-        self.pos_bound = POS_NOISE_M * scale
-        self.speed_bound = kmh_to_ms(SPEED_NOISE_KMH) * scale
-        self.dist_bound = DIST_NOISE_M * scale
+    """A run's sensor noise, drawn whole per stream (one value per step):
+    ``v`` the (position, speed) measurement noise rows, ``dist`` the gap
+    noise."""
 
-    def draw(self):
-        return (
-            self.rng_pos.uniform(-self.pos_bound, self.pos_bound),
-            self.rng_speed.uniform(-self.speed_bound, self.speed_bound),
-            self.rng_dist.uniform(-self.dist_bound, self.dist_bound),
-        )
+    def __init__(self, seed, scale, steps):
+        bounds = (POS_NOISE_M * scale, kmh_to_ms(SPEED_NOISE_KMH) * scale, DIST_NOISE_M * scale)
+        pos, speed, dist = (np.random.default_rng(kid).uniform(-bound, bound, steps)
+                            for kid, bound in zip(np.random.SeedSequence(seed).spawn(3), bounds))
+        self.v = np.column_stack([pos, speed])
+        self.dist = dist.tolist()
 
 
-def _truth_rhs(state, u):
-    _, _, speed = state
-    steer, accel = u
-    return np.array([speed * np.cos(steer), speed * np.sin(steer), accel])
+def _truth_rhs(speed, cos_steer, sin_steer, accel):
+    """Time derivative of (p_x, p_y, speed); the state enters through the speed only."""
+    return speed * cos_steer, speed * sin_steer, accel
 
 
 def _rk4_step(state, u):
-    k1 = _truth_rhs(state, u)
-    k2 = _truth_rhs(state + 0.5 * TAU * k1, u)
-    k3 = _truth_rhs(state + 0.5 * TAU * k2, u)
-    k4 = _truth_rhs(state + TAU * k3, u)
-    return state + (TAU / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    """One RK4 step of the kinematics on Python floats, in the operation order
+    of the vector form: stage states state + (TAU/2) k_i and state + TAU k_3,
+    then state + (TAU/6) (k1 + 2 k2 + 2 k3 + k4). Only the stage speeds are
+    formed, since nothing else of a stage state enters the derivative."""
+    steer, accel = float(u[0]), float(u[1])
+    cos_steer, sin_steer = math.cos(steer), math.sin(steer)
+    speed = state[2]
+    k1 = _truth_rhs(speed, cos_steer, sin_steer, accel)
+    k2 = _truth_rhs(speed + 0.5 * TAU * k1[2], cos_steer, sin_steer, accel)
+    k3 = _truth_rhs(speed + 0.5 * TAU * k2[2], cos_steer, sin_steer, accel)
+    k4 = _truth_rhs(speed + TAU * k3[2], cos_steer, sin_steer, accel)
+    return tuple(s + (TAU / 6.0) * (a + 2 * b + 2 * c + d)
+                 for s, a, b, c, d in zip(state, k1, k2, k3, k4))
 
 
 def _linear_truth_step(state, u):
@@ -288,12 +291,12 @@ class _RoadPlant:
     """The overtaking road as a closed-loop plant: RK4 (or ideal linear)
     truth, a constant-speed leader, the planner phases and the sensors."""
 
-    def __init__(self, model, params, seed, builder):
+    def __init__(self, model, params, seed, builder, steps):
         self.model, self.params, self.builder = model, params, builder
-        self.sensors = _Sensors(seed, params.sensor_noise_scale)
+        self.sensors = _Sensors(seed, params.sensor_noise_scale, steps)
         self.truth_step = _linear_truth_step if params.linear_truth else _rk4_step
         self.w_membership = ZonotopeMembership(model.w_set)
-        self.truth = np.array([0.0, 0.0, kmh_to_ms(params.initial_speed_kmh)])
+        self.truth = (0.0, 0.0, kmh_to_ms(params.initial_speed_kmh))
         self.leader_px = params.initial_gap_m
         self.leader_speed = kmh_to_ms(params.leader_speed_kmh)
         self.overtake_step = int(round(params.overtake_time_s / TAU))
@@ -304,10 +307,9 @@ class _RoadPlant:
 
     def observe(self, t):
         metrics = self.metrics
-        n_pos, n_speed, n_dist = self.sensors.draw()
         true_gap = self.leader_px - self.truth[0]
-        self.gap_meas = gap_meas = true_gap + n_dist
-        v = np.array([n_pos, n_speed])
+        self.gap_meas = gap_meas = true_gap + self.sensors.dist[t]
+        v = self.sensors.v[t]
         self.x_true = x_true = np.array([self.truth[1], self.truth[2] - DELTA_BAR])
         x_meas = x_true + v
 
@@ -367,6 +369,7 @@ def run_scenario(variant="optimized", seed=0, params=None, horizon_steps=300,
     """
     if variant not in ("optimized", "explicit"):
         raise ValueError("variant must be 'optimized' or 'explicit'")
+    check_horizon(horizon_steps)
     params = params or VehicleParams()
     setup = setup or vehicle_setup(params)
     model, tables, manifold = setup.model, setup.tables, setup.manifold
@@ -374,7 +377,7 @@ def run_scenario(variant="optimized", seed=0, params=None, horizon_steps=300,
     builder = setup.builder if variant == "optimized" else None
     controller = oco.ControllerConfig(gamma=params.gamma, variant=variant,
                                       c_g=params.c_g, rollout_builder=builder)
-    plant = _RoadPlant(model, params, seed, builder)
+    plant = _RoadPlant(model, params, seed, builder, horizon_steps)
     zeta0 = optimal_steady_state(manifold, phase_cost(1), model)
     trace, ledger = closed_loop(model, tables, manifold, controller, plant,
                                 horizon_steps, zeta0)

@@ -56,24 +56,31 @@ class TestInitialize:
             oco.initialize(model, tables, manifold, zeta0, np.array([-1.99]))
 
 
+def predict(tables, x, useq):
+    """The mu-step prediction A_K^mu x + S_c useq: the rows of the stacked
+    rollout product under the stage residuals, as ``oco.step`` reads them."""
+    return (tables.rollout_x @ x + tables.rollout_u @ useq)[tables.residual_offsets.size:]
+
+
 class TestPredict:
-    """``model.predict_terminal`` on the shifted plan, as ``oco.step`` uses it."""
+    """The prediction rows of ``tables.rollout_x``/``rollout_u`` on the
+    shifted plan, as ``oco.step`` uses them."""
 
     def test_zero_state_zero_inputs(self, scalar_bundle):
-        model, _, _ = scalar_bundle
-        assert model.predict_terminal(np.zeros(1), np.zeros(2)) == pytest.approx([0.0])
+        _, tables, _ = scalar_bundle
+        assert predict(tables, np.zeros(1), np.zeros(2)) == pytest.approx([0.0])
 
     def test_scalar_mu2(self, scalar_bundle):
-        model, _, _ = scalar_bundle
+        _, tables, _ = scalar_bundle
         # A_K = 0.5, mu = 2: prediction from x=4 with zero inputs is 0.25*4 = 1
-        assert model.predict_terminal(np.array([4.0]), np.zeros(2)) == pytest.approx([1.0])
+        assert predict(tables, np.array([4.0]), np.zeros(2)) == pytest.approx([1.0])
 
     def test_steady_state_fixed_point(self, di_bundle):
         model, tables, manifold = di_bundle
         zeta0 = steady_pair(model, manifold, [0.5])
         state = oco.initialize(model, tables, manifold, zeta0, zeta0[0])
         shifted = np.concatenate([state.u_pred[model.m:], state.u_ss])
-        pred = model.predict_terminal(zeta0[0], shifted)
+        pred = predict(tables, zeta0[0], shifted)
         assert np.allclose(pred, zeta0[0], atol=1e-9)
 
 
@@ -312,8 +319,8 @@ class TestStep:
         x_meas = zeta[0].copy()
         state = oco.initialize(model, tables, manifold, zeta, x_meas)
         options = oco.ControllerConfig(gamma=0.2)
-        for _ in range(30):
-            x_meas = x_meas + model.w_bar.sample(rng)
+        for kick in model.w_bar.samples(rng, 30):
+            x_meas = x_meas + kick
             candidate = np.concatenate([state.u_pred[model.m:], state.u_ss])
             ok, _ = membership_zu(tables, model, x_meas, candidate)
             assert ok

@@ -507,6 +507,27 @@ class TestNonFiniteData:
                 self.assert_non_finite(pre.solve(np.zeros(2), ineq_offsets=offsets,
                                                  eq_offsets=np.zeros(pre.meq)))
 
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.data())
+    def test_zero_multiplier_residual_matches_full_form(self, data):
+        # The fast path's residual (lam None) equals the full KKT residual
+        # with lam = 0, bit for bit or both NaN, and so does the status, on
+        # finite data and with one NaN or +-inf in q, x or a right-hand side.
+        h, q, ineq_n, ineq_b, eq_n, eq_b = data.draw(qp_instances())
+        pre = PrefactoredQp(h, ineq_normals=ineq_n, eq_normals=eq_n)
+        x = data.draw(arrays(float, len(q), elements=GRID))
+        nu = data.draw(arrays(float, pre.meq, elements=GRID))
+        bad = data.draw(st.sampled_from([None, np.nan, np.inf, -np.inf]))
+        if bad is not None:
+            vec = data.draw(st.sampled_from([v for v in (q, x, ineq_b, eq_b) if v.size]))
+            vec[data.draw(st.integers(0, vec.size - 1))] = bad
+        args = (pre.stacked @ x, q, ineq_b, eq_b, x)
+        fast = pre._assemble(*args, None, nu, "optimal", 1e-8)
+        full = pre._assemble(*args, np.zeros(len(ineq_b)), nu, "optimal", 1e-8)
+        assert fast.status == full.status
+        assert np.array_equal([fast.kkt_residual], [full.kkt_residual], equal_nan=True)
+        assert np.array_equal(fast.ineq_multipliers, np.zeros(len(ineq_b)))
+
     def test_finite_data_unchanged(self):
         sol = PrefactoredQp(2.0 * np.eye(2)).solve(np.array([-2.0, 0.0]))
         assert sol.status == "optimal"

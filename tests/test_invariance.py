@@ -50,6 +50,17 @@ class TestMrpiOuter:
         with pytest.raises(InfeasibleError):
             mrpi_outer(np.eye(1), Zonotope.box([1.0]))
 
+    def test_origin_outside_tiny_set_rejected(self):
+        # 0 lies outside this W-bar, by far more than the set's own size; the
+        # guard is relative to the set's scale, as build_model's check is.
+        w = Zonotope.box([1e-12], center=[1e-10])
+        with pytest.raises(InfeasibleError, match="origin"):
+            mrpi_outer(np.array([[0.5]]), w)
+
+    def test_flat_set_rejected(self):
+        with pytest.raises(InfeasibleError, match="full-dimensional"):
+            mrpi_outer(0.5 * np.eye(2), Zonotope([0.0, 0.0], [[1.0], [1.0]]))
+
     def test_s_max_exhausted(self):
         with pytest.raises(InfeasibleError):
             mrpi_outer(np.array([[0.99]]), Zonotope.box([1.0]), epsilon=1e-9, s_max=3)

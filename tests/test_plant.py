@@ -241,6 +241,22 @@ class TestStageValues:
                 scale = max(1.0, float(np.abs(want).max()))
                 assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
 
+    def test_stacked_rows_match_stage_values_and_prediction(self, bundle):
+        # One product in x plus one in useq gives the stage residuals and,
+        # under them, A_K^mu x + S_c useq, bit for bit as the separate products.
+        model, tables = bundle
+        rng = np.random.default_rng(43)
+        r = len(tables.residual_offsets)
+        assert tables.rollout_x.shape == (r + model.n, model.n)
+        assert tables.rollout_u.shape == (r + model.n, model.mu * model.m)
+        for _ in range(20):
+            x = rng.standard_normal(model.n)
+            useq = rng.standard_normal(model.mu * model.m)
+            rows = tables.rollout_x @ x + tables.rollout_u @ useq
+            assert np.array_equal(rows[:r] - tables.residual_offsets,
+                                  stage_values(tables, x, useq))
+            assert np.array_equal(rows[r:], model.a_k_powers[model.mu] @ x + model.s_c @ useq)
+
 
 class TestMembershipZu:
     def test_zero_everything_ok(self, scalar_bundle):

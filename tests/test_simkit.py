@@ -1,11 +1,12 @@
 import copy
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
 
 from ocorobust import oco_controller as oco
-from ocorobust.errors import OcoRobustError
+from ocorobust.errors import AssumptionViolation, ConfigError, OcoRobustError, StepError
 from ocorobust.oco_controller import ControllerConfig
 from ocorobust.plant import QuadraticCost, membership_zu, optimal_steady_state
 from ocorobust.simkit import (
@@ -16,6 +17,7 @@ from ocorobust.simkit import (
     ConstantSchedule,
     DisturbancePolicy,
     PiecewiseSchedule,
+    RegretLedger,
     SimulationAborted,
     _Sampler,
     closed_loop,
@@ -220,6 +222,15 @@ class TestEngine:
             assert np.array_equal(getattr(t1, name), getattr(t2, name))
         assert (l1.cum_regret, l1.path_length) == (l2.cum_regret, l2.path_length)
 
+    @pytest.mark.parametrize("horizon", [0, -1])
+    def test_horizon_below_one_rejected(self, di_bundle, di_cost, horizon):
+        model, tables, manifold = di_bundle
+        zeta0 = optimal_steady_state(manifold, di_cost, model)
+        with pytest.raises(ValueError, match="horizon must be at least 1"):
+            run_closed_loop(model, tables, manifold, ControllerConfig(gamma=0.3),
+                            ConstantSchedule(di_cost), DisturbancePolicy(seed=1),
+                            horizon, zeta0=zeta0, x0=zeta0[0])
+
     def test_x0_outside_state_set_rejected(self, di_bundle, di_cost):
         model, tables, manifold = di_bundle
         zeta0 = optimal_steady_state(manifold, di_cost, model)
@@ -229,22 +240,51 @@ class TestEngine:
                             10, zeta0=zeta0, x0=[5.0, 0.0])
 
 
+def per_step_draws(policy, z, rng, count):
+    """The reference: one generator call per point, as a per-step sampler draws."""
+    rows = []
+    for _ in range(count):
+        if policy.kind == "zero":
+            rows.append(np.zeros(z.dim))
+        elif policy.kind == "worst_corner":
+            rows.append(policy.scale * z.corner())
+        else:
+            xi = rng.uniform(-1.0, 1.0, size=z.order)
+            rows.append(policy.scale * (z.center + z.generators @ xi))
+    return np.array(rows)
+
+
 class TestDisturbances:
     def test_membership_all_kinds(self, di_bundle):
         model, _, _ = di_bundle
         for kind in ("zero", "uniform_box", "worst_corner"):
             sampler = _Sampler(DisturbancePolicy(kind=kind, seed=5, scale=0.8),
-                               model.w_set, model.v_set)
-            for _ in range(200):
-                assert model.w_set.contains_point(sampler.next_w(), tol=1e-12)
-                assert model.v_set.contains_point(sampler.next_v(), tol=1e-12)
+                               model.w_set, model.v_set, 200)
+            for w in sampler.w:
+                assert model.w_set.contains_point(w, tol=1e-12)
+            for v in sampler.v:
+                assert model.v_set.contains_point(v, tol=1e-12)
 
     def test_worst_corner_constant(self, di_bundle):
         model, _, _ = di_bundle
         sampler = _Sampler(DisturbancePolicy(kind="worst_corner", seed=0),
-                           model.w_set, model.v_set)
-        assert np.array_equal(sampler.next_w(), sampler.next_w())
-        assert np.array_equal(sampler.next_w(), [0.02, 0.02])
+                           model.w_set, model.v_set, 3)
+        assert np.array_equal(sampler.w[0], sampler.w[1])
+        assert np.array_equal(sampler.w[2], [0.02, 0.02])
+
+    @pytest.mark.parametrize("kind", ["zero", "uniform_box", "worst_corner"])
+    def test_rows_match_per_step_draws(self, di_bundle, kind):
+        # The run's block draw gives the values (and, for the bundled box sets,
+        # the points) a per-step draw from the same spawned seeds gives.
+        model, _, _ = di_bundle
+        policy = DisturbancePolicy(kind=kind, seed=7, scale=0.6)
+        sampler = _Sampler(policy, model.w_set, model.v_set, 50)
+        w_seed, v_seed = np.random.SeedSequence(7).spawn(2)
+        assert sampler.w.shape == (50, model.n) and sampler.v.shape == (51, model.n)
+        assert np.array_equal(sampler.w, per_step_draws(
+            policy, model.w_set, np.random.default_rng(w_seed), 50))
+        assert np.array_equal(sampler.v, per_step_draws(
+            policy, model.v_set, np.random.default_rng(v_seed), 51))
 
     def test_scale_validation(self):
         with pytest.raises(ValueError):
@@ -562,6 +602,41 @@ class TestSchedulesAndWorkers:
         monkeypatch.setenv("OCO_MAX_THREADS", "1")
         assert replicate_map(_square, [(i,) for i in range(6)]) == out
 
+    def test_pool_abort_keeps_its_type(self, monkeypatch):
+        # A worker's abort crosses the process pool as itself, with its
+        # partial trace, so the CLI can write trace_partial.csv.
+        monkeypatch.setenv("OCO_MAX_THREADS", "2")
+        with pytest.raises(SimulationAborted, match="at t=3: boom") as info:
+            replicate_map(_abort_at, [(0,), (3,)])
+        assert info.value.t == 3 and info.value.trace == [3]
+        assert info.value.ledger == RegretLedger(cum_regret=3.0)
+
 
 def _square(i):
     return i * i
+
+
+def _abort_at(t):
+    if t:
+        raise SimulationAborted("boom", [t], RegretLedger(cum_regret=float(t)), t)
+    return t
+
+
+class TestPickling:
+    """Every error with its own ``__init__`` survives a pickle round trip."""
+
+    @pytest.mark.parametrize("error", [
+        SimulationAborted("boom", None, RegretLedger(cum_regret=1.5), 3),
+        StepError(4, ValueError("g has non-finite entries")),
+        AssumptionViolation("horizon", "mu=1 below 2", label="mu >= mu*",
+                            checks=[("S_c full row rank", "")]),
+        ConfigError("expected a float", line=7, field="controller.gamma"),
+    ], ids=lambda e: type(e).__name__)
+    def test_round_trip(self, error):
+        copy_ = pickle.loads(pickle.dumps(error))
+        assert type(copy_) is type(error)
+        assert str(copy_) == str(error)
+        attrs = {k: v for k, v in vars(error).items() if k != "cause"}
+        assert {k: v for k, v in vars(copy_).items() if k != "cause"} == attrs
+        if isinstance(error, StepError):
+            assert type(copy_.cause) is ValueError and str(copy_.cause) == str(error.cause)

@@ -152,6 +152,44 @@ class TestSoftSafety:
             assert np.linalg.norm(sol.x - x) <= 1e-12 * np.linalg.norm(x)
 
 
+def rk4_reference(state, u):
+    """The truth step in numpy vector form: the reference for ``_rk4_step``."""
+    def rhs(s):
+        return np.array([s[2] * np.cos(u[0]), s[2] * np.sin(u[0]), u[1]])
+
+    k1 = rhs(state)
+    k2 = rhs(state + 0.5 * vehicle.TAU * k1)
+    k3 = rhs(state + 0.5 * vehicle.TAU * k2)
+    k4 = rhs(state + vehicle.TAU * k3)
+    return state + (vehicle.TAU / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+class TestTruthAndSensors:
+    def test_rk4_matches_vector_form(self):
+        rng = np.random.default_rng(8)
+        for _ in range(500):
+            state = np.array([rng.uniform(0, 900), rng.uniform(-2, 5), rng.uniform(0, 37)])
+            u = rng.uniform([-0.35, -4.0], [0.35, 4.0])
+            got = vehicle._rk4_step(tuple(state.tolist()), u)
+            assert all(type(v) is float for v in got)
+            assert np.array_equal(got, rk4_reference(state, u))
+
+    def test_sensor_rows_match_per_step_draws(self):
+        sensors = vehicle._Sensors(11, 0.7, 40)
+        rngs = [np.random.default_rng(k) for k in np.random.SeedSequence(11).spawn(3)]
+        bounds = (vehicle.POS_NOISE_M * 0.7, vehicle.kmh_to_ms(vehicle.SPEED_NOISE_KMH) * 0.7,
+                  vehicle.DIST_NOISE_M * 0.7)
+        for t in range(40):
+            pos, speed, dist = (rng.uniform(-b, b) for rng, b in zip(rngs, bounds))
+            assert sensors.v[t].tolist() == [pos, speed]
+            assert sensors.dist[t] == dist
+
+    @pytest.mark.parametrize("horizon", [0, -1])
+    def test_horizon_below_one_rejected(self, horizon):
+        with pytest.raises(ValueError, match="horizon must be at least 1"):
+            vehicle.run_scenario("explicit", seed=0, horizon_steps=horizon)
+
+
 class TestScenario:
     def test_nominal_run_is_clean(self):
         params = vehicle.VehicleParams(sensor_noise_scale=0.0, linear_truth=True)

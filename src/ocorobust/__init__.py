@@ -18,7 +18,7 @@ from .errors import (
     OcoRobustError,
     StepError,
 )
-from .invariance import RpiResult, certify_rpi, mrpi_outer, tail_set
+from .invariance import RpiResult, mrpi_outer, tail_set
 from .oco_controller import (
     ControllerConfig,
     ControllerState,

@@ -82,7 +82,10 @@ def _convert(spec, raw, line, field):
     kind = spec["type"]
     try:
         if kind == "int":
-            return int(raw)
+            value = int(raw)
+            if "min" in spec and value < spec["min"]:
+                raise ValueError(f"must be at least {spec['min']}")
+            return value
         if kind == "float":
             return _finite(float(raw))
         if kind == "bool":
@@ -206,10 +209,10 @@ def _schedule(cfg):
     return PiecewiseSchedule(pieces)
 
 
-def _controller(cfg, model, schedule=None):
+def _controller(cfg, model, schedule):
     c = cfg["controller"]
     builder = None
-    if c["variant"] == "optimized" and schedule is not None:
+    if c["variant"] == "optimized":
         cost0 = schedule.cost_at(0)
         builder = oco.QuadraticRolloutBuilder(model, cost0.q_x, cost0.q_u)
     return oco.ControllerConfig(gamma=c["gamma"], variant=c["variant"],
@@ -329,7 +332,7 @@ def cmd_run(args):
         results = replicate_map(worker, jobs)
     except SimulationAborted as exc:
         write_trace_csv(out_dir / "trace_partial.csv", exc.trace)
-        print(f"aborted: {exc}", file=sys.stderr)
+        print(f"aborted: seed {base_seed + exc.replicate}: {exc}", file=sys.stderr)
         return 1
 
     total_violations, report_lines, regrets = 0, [], []
@@ -338,13 +341,14 @@ def cmd_run(args):
         write_trace_csv(out_dir / f"trace_{seed:04d}.csv", trace)
         write_ledger_csv(out_dir / f"ledger_{seed:04d}.csv", trace, ledger)
         report = invariant_report(trace, model)
-        resid = metrics["resid_violations"] if metrics else 0
+        resid = int(np.count_nonzero(~trace.flags["resid_ok"]))
         total_violations += report.total_violations + resid
         regrets.append(ledger.cum_regret)
         report_lines.append(f"seed {seed}:")
         report_lines.extend("  " + line for line in report.lines())
-        if metrics:
+        if metrics or resid:
             report_lines.append(f"  model-mismatch violations: {resid}")
+        if metrics:
             if metrics.get("phase2_standoff_gap_m") is not None:
                 report_lines.append(
                     f"  phase2 standoff gap [m]: {metrics['phase2_standoff_gap_m']:.3f}")

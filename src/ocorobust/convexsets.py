@@ -120,16 +120,11 @@ class Zonotope:
     def order(self):
         return self.generators.shape[1]
 
-    def support(self, direction):
-        """Exact support: d.c + sum_j |d.g_j|."""
-        d = as_vector(direction, "direction")
-        if d.size != self.dim:
-            raise DimensionMismatch("direction dim mismatch")
-        return float(d @ self.center + np.abs(d @ self.generators).sum())
-
     def support_batch(self, directions):
-        """Support values for each row of ``directions``."""
+        """Exact support d.c + sum_j |d.g_j| of each row d of ``directions``."""
         dirs = as_matrix(directions, "directions")
+        if dirs.shape[1] != self.dim:
+            raise DimensionMismatch("direction dim mismatch")
         return dirs @ self.center + np.abs(dirs @ self.generators).sum(axis=1)
 
     def linear_image(self, m):
@@ -147,8 +142,6 @@ class Zonotope:
             self.center + other.center,
             np.hstack([self.generators, other.generators]),
         )
-
-    __add__ = minkowski_sum
 
     def scale(self, factor):
         """Scaling about the origin (center scales too)."""
@@ -193,13 +186,6 @@ class Zonotope:
         floor = ZONOTOPE_RTOL * np.abs(self.generators).max()
         return bool(np.all(offsets + normals @ self.center > floor))
 
-    def contains_point(self, x, tol=DEFAULT_MEMBERSHIP_TOL):
-        """Exact membership for dim <= 3, by ``ZonotopeMembership``'s margin."""
-        x = as_vector(x, "x")
-        if x.size != self.dim:
-            raise DimensionMismatch("point dim mismatch")
-        return bool(ZonotopeMembership(self).margin(x) <= tol)
-
     def to_halfspaces(self):
         """Facet form (normals, offsets) of the centered zonotope, dim <= 3.
 
@@ -233,9 +219,8 @@ class Zonotope:
         xi = rng.uniform(-1.0, 1.0, size=(count, self.order))
         return scale * (self.center + xi @ self.generators.T)
 
-    def corner(self, signs=None):
-        xi = np.ones(self.order) if signs is None else as_vector(signs)
-        return self.center + self.generators @ xi
+    def corner(self):
+        return self.center + self.generators @ np.ones(self.order)
 
     def __repr__(self):
         return f"Zonotope(dim={self.dim}, order={self.order})"
@@ -268,13 +253,6 @@ class ZonotopeMembership:
             facets = Zonotope(np.zeros(rank), self.span.T @ g)
         if rank:
             self.normals, self.offsets = facets.merge_parallel().to_halfspaces()
-
-    def margin(self, x):
-        """``margins`` of one point; in facet form, one product."""
-        if self.span is None:
-            return float((self.normals @ (np.asarray(x, float) - self.center)
-                          - self.offsets).max())
-        return float(self.margins(np.reshape(x, (1, -1)))[0])
 
     def margins(self, points):
         """Signed margin of each row of ``points`` (<= 0 inside, NaN for NaN)."""
@@ -313,23 +291,3 @@ def zonotope_in_polytope(z, p, tol=0.0):
     if z.dim != p.dim:
         raise DimensionMismatch("dims differ in containment check")
     return bool(np.all(z.support_batch(p.normals) <= p.offsets + tol))
-
-
-def direction_net(dim, count=None, include_axes=True):
-    """Deterministic set of unit directions used for set comparisons."""
-    if count is None:
-        count = max(64, 2 ** (2 * dim))
-    dirs = []
-    if include_axes:
-        eye = np.eye(dim)
-        dirs.extend(eye)
-        dirs.extend(-eye)
-    if dim == 2:
-        ang = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
-        dirs.extend(np.stack([np.cos(ang), np.sin(ang)], axis=1))
-    else:
-        rng = np.random.default_rng(12345)
-        raw = rng.standard_normal((count, dim))
-        raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-        dirs.extend(raw)
-    return np.asarray(dirs)

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convexsets import Zonotope, direction_net
-from .errors import DimensionMismatch, InfeasibleError
+from .convexsets import Zonotope
+from .errors import InfeasibleError
 from .matlin import as_matrix, power_norm_certificate
 
 
@@ -70,7 +70,7 @@ def mrpi_outer(a_k, w_bar, epsilon=None, s_max=200):
     )
 
 
-def tail_set(a_k, w_bar, mu, mrpi):
+def tail_set(a_k, mu, mrpi):
     """Outer approximation of the mu-step tail sum_{i>=mu} A_K^i W_bar.
 
     Equals A_K^mu applied to the mRPI outer approximation, since the tail is
@@ -80,24 +80,3 @@ def tail_set(a_k, w_bar, mu, mrpi):
     if mu < 1:
         raise ValueError("mu must be at least 1")
     return mrpi.p.linear_image(np.linalg.matrix_power(a_k, int(mu))).prune()
-
-
-def certify_rpi(p, a_k, w_bar, tol=1e-9):
-    """Check A_K p (+) W_bar inside p over facet normals and a direction net.
-
-    Exact up to the direction net; for dim <= 3 the facet normals of p make
-    the test exact whenever p has full-dimensional generators.
-    """
-    a_k = as_matrix(a_k, "a_k")
-    shifted = p.linear_image(a_k).minkowski_sum(w_bar)
-    dirs = [direction_net(p.dim)]
-    if p.dim <= 3:
-        try:
-            facets, _ = p.to_halfspaces()
-            dirs.append(facets)
-        except (ValueError, DimensionMismatch):
-            pass
-    directions = np.vstack(dirs)
-    lhs = shifted.support_batch(directions)
-    rhs = p.support_batch(directions)
-    return bool(np.all(lhs <= rhs + tol))

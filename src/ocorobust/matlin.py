@@ -3,8 +3,8 @@
 The toolkit runs on plain ``numpy`` arrays and numpy's linear algebra alone;
 this module adds the validated entry points and the few primitives the rest
 of the code relies on: an SVD numeric rank, a Cholesky-based SPD inverse, a
-finite matrix-power decay certificate that certifies Schur stability, and
-spectral bounds widened by an explicit backward-error margin.
+Schur certificate (a matrix power of norm below one), and spectral bounds
+widened by an explicit backward-error margin.
 
 All dimensions in this toolkit are tiny: ``build_model`` accepts at most
 n = 3 states (the zonotope facet form exists for dim <= 3 only), and inputs
@@ -12,8 +12,6 @@ and horizons are small too, so dense algorithms are used throughout.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,43 +72,20 @@ def spd_inverse(h, name="matrix"):
     return 0.5 * (inv + inv.T)
 
 
-@dataclass(frozen=True)
-class DecayCertificate:
-    """Witness that the powers of a matrix decay below one in norm.
-
-    ``bound`` is a certified upper bound on the operator 2-norm of a^k
-    (the Frobenius norm of a^k). From it, geometric decay constants c_a and
-    phi with ||a^t|| <= c_a * phi^t follow for all t.
-    """
-
-    k: int
-    bound: float
-    c_a: float
-    phi: float
-
-
 def power_norm_certificate(a, n_max=200):
-    """Find the smallest k <= n_max with ||a^k|| < 1, or None.
+    """The smallest power k <= n_max with ||a^k||_F < 1, or None.
 
-    The operator 2-norm is bounded from above by the Frobenius norm, so a
-    returned certificate is sufficient for Schur stability. Matrices with
-    spectral radius extremely close to 1 may fail to certify within n_max.
+    The Frobenius norm bounds the operator 2-norm from above, so a returned
+    k certifies Schur stability. Matrices with spectral radius extremely
+    close to 1 may fail to certify within n_max.
     """
     a = as_matrix(a, "a")
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"certificate needs a square matrix, got {a.shape}")
-    norms = []
     p = a.copy()
     for k in range(1, int(n_max) + 1):
-        nk = float(np.linalg.norm(p, "fro"))
-        norms.append(nk)
-        if nk < 1.0:
-            # phi = 0 only for nilpotent matrices; any phi < 1 works then
-            phi = nk ** (1.0 / k) if nk > 0.0 else 0.5
-            c_a = 1.0
-            for j, nj in enumerate(norms[:-1], start=1):
-                c_a = max(c_a, nj / phi**j)
-            return DecayCertificate(k=k, bound=nk, c_a=c_a, phi=phi)
+        if float(np.linalg.norm(p, "fro")) < 1.0:
+            return k
         if not np.all(np.isfinite(p)):
             return None
         p = p @ a

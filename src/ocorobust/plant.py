@@ -73,6 +73,7 @@ class PlantModel:
         self.c_g_min = spectral_norm_upper(s_c_pinv)
         self._build_rollout_maps()
         self._tube = ZonotopeMembership(p_tail)
+        self._w = ZonotopeMembership(cfg.w_set)
         self.tube_band = spectral_norm_upper(
             np.linalg.matrix_power(a_k, mu)) * p_rpi.epsilon_bound
 
@@ -94,13 +95,17 @@ class PlantModel:
         self._sx, self._su, self._px, self._pu = sx, su, px, pu
         self.a_k_powers = powers
 
-    def tube_margin(self, dev):
-        """Signed Euclidean margin of ``dev`` against the tail set (<=0 inside)."""
-        return self._tube.margin(dev)
-
     def tube_margins(self, devs):
-        """``tube_margin`` of each row of the (k, n) array ``devs``."""
+        """Signed margin (<= 0 inside) of each row of ``devs`` against the tail set."""
         return self._tube.margins(devs)
+
+    # The loop's tube monitor calls it under this name, which perfbench traces
+    # as a monitor span (perfbench/layers.py MONITORS).
+    tube_margin = tube_margins
+
+    def w_margins(self, ws):
+        """Signed margin (<= 0 inside) of each row of ``ws`` against W."""
+        return self._w.margins(ws)
 
 
 def build_w_bar(a, w_set, v_set):
@@ -178,7 +183,7 @@ def build_model(cfg):
     p_rpi = invariance.mrpi_outer(a_k, w_bar, epsilon=cfg.rpi_epsilon)
     check(zonotope_in_polytope(p_rpi.p, cfg.x_set, tol=cfg.membership_tol),
           "RPI set P inside X", "rpi containment", "RPI set P is not contained in X")
-    p_tail = invariance.tail_set(a_k, w_bar, cfg.mu, p_rpi)
+    p_tail = invariance.tail_set(a_k, cfg.mu, p_rpi)
 
     g_k = np.linalg.solve(np.eye(n) - a_k, b)
     s_c_pinv = s_c.T @ spd_inverse(s_c @ s_c.T, "S_c S_c'")
@@ -295,14 +300,12 @@ def membership_zu(tables, model, x, useq, tol=None):
 class SteadyStateManifold:
     """Robustly feasible steady states, parameterized by the input u.
 
-    ``u_polytope`` describes S in u-coordinates; ``sbar`` is the same polytope
-    with offsets scaled by ``shrink`` and is the set the controller projects
-    onto. ``projector`` is the Euclidean projection QP onto S-bar in
-    u-coordinates, with x = G_K u substituted: Hessian 2 (G_K' G_K + I).
+    ``sbar`` is S in u-coordinates with its offsets scaled by the shrink
+    factor, the set the controller projects onto. ``projector`` is the
+    Euclidean projection QP onto S-bar in u-coordinates, with x = G_K u
+    substituted: Hessian 2 (G_K' G_K + I).
     """
 
-    u_polytope: HPolytope
-    shrink: float
     sbar: HPolytope
     g_k: np.ndarray
     projector: PrefactoredQp = field(init=False, repr=False)
@@ -352,9 +355,7 @@ def steady_state_manifold(model, p, shrink=0.99):
     if np.any(offsets / row_norms <= 0.0):
         raise InfeasibleError(
             "steady-state manifold does not contain u=0 strictly; constraints too tight")
-    u_poly = HPolytope(normals, offsets)
-    sbar = HPolytope(normals, shrink * offsets)
-    return SteadyStateManifold(u_polytope=u_poly, shrink=shrink, sbar=sbar, g_k=model.g_k)
+    return SteadyStateManifold(sbar=HPolytope(normals, shrink * offsets), g_k=model.g_k)
 
 
 def _append_mapped(rows, offs, mapped, tightened):

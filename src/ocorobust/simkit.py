@@ -9,6 +9,7 @@ state, recomputed from each revealed cost.
 from __future__ import annotations
 
 import copy
+import functools
 import os
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -122,11 +123,10 @@ class RunRecord:
     Each step writes x_true, x_meas, u, w and v; the controller's beta,
     g_norm, pred_state, theta_hat, eta_hat, u_pred, u_ss, candidate_ok,
     kkt_residual (NaN when the step has none) and g_fallback; the benchmark
-    steady state benchmark_theta, benchmark_eta; the step's cost object
-    (costs) and the plant's extra flags (extra). ``finish`` adds ``flags`` (a
-    boolean column per invariant flag), cost and benchmark_cost. Every array
-    attribute is a column. Indexing (and so iteration) gives ``TraceRecord``
-    views of rows; a slice gives a record.
+    steady state benchmark_theta, benchmark_eta; and the step's cost object
+    (costs). ``finish`` adds ``flags`` (a boolean column per invariant flag),
+    cost and benchmark_cost. Every array attribute is a column. Indexing (and
+    so iteration) gives ``TraceRecord`` views of rows; a slice gives a record.
     """
 
     def __init__(self, n, m, mu, horizon):
@@ -138,10 +138,10 @@ class RunRecord:
             setattr(self, name, np.empty(horizon if width is None else (horizon, width)))
         self.t = np.arange(horizon)
         self.candidate_ok, self.g_fallback = np.empty((2, horizon), bool)
-        self.costs, self.extra = np.empty((2, horizon), object)
+        self.costs = np.empty(horizon, object)
         self.flags, self.flagged = {}, 0  # flagged: the rows that have their flags
 
-    def write(self, t, x_true, x_meas, u, w, v, state, diag, cost, theta, eta, extra):
+    def write(self, t, x_true, x_meas, u, w, v, state, diag, cost, theta, eta):
         self.x_true[t], self.x_meas[t], self.u[t], self.w[t], self.v[t] = x_true, x_meas, u, w, v
         self.beta[t], self.g_norm[t], self.pred_state[t] = diag.beta, diag.g_norm, diag.pred_state
         self.theta_hat[t], self.eta_hat[t] = diag.ogd_target
@@ -149,7 +149,7 @@ class RunRecord:
         self.candidate_ok[t], self.g_fallback[t] = diag.candidate_feasible, diag.g_fallback
         self.kkt_residual[t] = np.nan if diag.kkt_residual is None else diag.kkt_residual
         self.benchmark_theta[t], self.benchmark_eta[t] = theta, eta
-        self.costs[t], self.extra[t] = cost, extra
+        self.costs[t] = cost
 
     def flag(self, hi, monitors):
         """Compute the flags of the rows not yet flagged below ``hi``."""
@@ -204,9 +204,10 @@ def _step_flags(record, monitors, lo, hi):
 
     Every monitor is a matrix product over the recorded rows: state and input
     membership against X and U, the plan against the tightened stage-residual
-    map, the steady-state input against S-bar, the c_g cap, and the step's
+    map, the steady-state input against S-bar, the c_g cap, the step's
     prediction against the previous steady state through the tail-set
-    facets. A NaN input fails its monitor. The plant's extra flags follow.
+    facets, and the step's process disturbance w against W (for the vehicle,
+    the linearization residual). A NaN input fails its monitor.
     """
     model, tables, manifold, c_g = monitors
     tol = model.membership_tol
@@ -219,11 +220,11 @@ def _step_flags(record, monitors, lo, hi):
     tube_marginal = np.zeros(hi - lo, bool)
     first = max(lo, 1)
     if first < hi:
-        margin = model.tube_margins(record.pred_state[first:hi]
-                                    - record.u_ss[first - 1:hi - 1] @ model.g_k.T)
+        margin = model.tube_margin(record.pred_state[first:hi]
+                                   - record.u_ss[first - 1:hi - 1] @ model.g_k.T)
         tube_ok[first - lo:] = margin <= TUBE_TOL
         tube_marginal[first - lo:] = tube_ok[first - lo:] & (margin > -model.tube_band)
-    columns = {
+    return {
         "state_ok": model.x_set.violations(record.x_true[rows]) <= tol,
         "input_ok": model.u_set.violations(record.u[rows]) <= tol,
         "candidate_ok": record.candidate_ok[rows],
@@ -232,11 +233,8 @@ def _step_flags(record, monitors, lo, hi):
         "g_cap_ok": record.g_norm[rows] <= c_g * dist + 1e-8,
         "tube_ok": tube_ok,
         "tube_marginal": tube_marginal,
+        "resid_ok": model.w_margins(record.w[rows]) <= tol,
     }
-    extra = record.extra[rows]
-    for name in dict.fromkeys(key for flags in extra for key in flags):
-        columns[name] = np.array([flags.get(name, True) for flags in extra], bool)
-    return columns
 
 
 def check_horizon(horizon):
@@ -250,7 +248,7 @@ def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
     """The online loop for any plant; returns (trace, ledger).
 
     ``plant.observe(t)`` returns (x_true, x_meas, v, cost_t) and
-    ``plant.advance(u)`` applies u and returns (w, extra invariant flags).
+    ``plant.advance(u)`` applies u and returns the step's process disturbance w.
     The controller gets cost_t only at step t + 1; the benchmark steady state
     is re-solved only when cost_t is a new cost object, by one benchmark
     solver that is rebuilt only when cost_t's weight arrays change. Each step
@@ -289,9 +287,8 @@ def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
                 benchmark = SteadyStateBenchmark(manifold, model, cost_t)
             theta_t, eta_t = optimal_steady_state(manifold, cost_t, model, benchmark)
             bench_cost = cost_t
-        w, extra_flags = plant.advance(u)
-        record.write(t, x_true, x_meas, u, w, v, state, diag, cost_t, theta_t, eta_t,
-                     extra_flags)
+        w = plant.advance(u)
+        record.write(t, x_true, x_meas, u, w, v, state, diag, cost_t, theta_t, eta_t)
         if abort_on_violation:
             record.flag(t + 1, monitors)
             # tube_marginal is an early warning, not a violation
@@ -320,7 +317,7 @@ class _LtiPlant:
     def advance(self, u):
         w = self.w[self.t]
         self.x = self.model.a @ self.x + self.model.b @ u + w
-        return w, {}
+        return w
 
 
 def run_closed_loop(model, tables, manifold, controller, cost_schedule, dist_policy,
@@ -432,17 +429,29 @@ def max_workers(n_jobs):
     return max(1, min(cap, n_jobs))
 
 
+def _in_order(calls):
+    results = []
+    for i, call in enumerate(calls):
+        try:
+            results.append(call())
+        except SimulationAborted as exc:
+            exc.replicate = i
+            raise
+    return results
+
+
 def replicate_map(fn, args_list):
-    """Run fn over argument tuples, in order, optionally across processes."""
+    """Run fn over argument tuples, in order, optionally across processes.
+    A run's ``SimulationAborted`` reaches the caller with ``replicate``, its index."""
     args_list = list(args_list)
     workers = max_workers(len(args_list))
     if workers <= 1 or len(args_list) <= 1:
-        return [fn(*args) for args in args_list]
+        return _in_order(functools.partial(fn, *args) for args in args_list)
     from concurrent.futures import ProcessPoolExecutor  # pays its import only here
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(fn, *args) for args in args_list]
-        return [f.result() for f in futures]
+        return _in_order(future.result for future in futures)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ constant-speed leader ahead on the right lane. The controller runs on the
 reduced linear model of (lateral position, speed deviation from 100 km/h);
 the longitudinal position does not enter any constraint and is excluded.
 The gap between the reduced linear model and the integrated truth is the
-process disturbance and is asserted to stay inside the disturbance box.
+process disturbance; the resid_ok monitor checks it against the disturbance
+box.
 
 Scenario phases: cruise at 120 km/h on the right lane; once the leader is
 detected 100 m ahead, match its (noisily estimated) speed while softly
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oco_controller as oco
-from .convexsets import HPolytope, Zonotope, ZonotopeMembership
+from .convexsets import HPolytope, Zonotope
 from .denseqp import PrefactoredQp
 from .matlin import as_matrix
 from .plant import (
@@ -295,7 +296,6 @@ class _RoadPlant:
         self.model, self.params, self.builder = model, params, builder
         self.sensors = _Sensors(seed, params.sensor_noise_scale, steps)
         self.truth_step = _linear_truth_step if params.linear_truth else _rk4_step
-        self.w_membership = ZonotopeMembership(model.w_set)
         self.truth = (0.0, 0.0, kmh_to_ms(params.initial_speed_kmh))
         self.leader_px = params.initial_gap_m
         self.leader_speed = kmh_to_ms(params.leader_speed_kmh)
@@ -345,16 +345,13 @@ class _RoadPlant:
 
     def advance(self, u):
         """Integrate the truth; the process disturbance is the residual of
-        the reduced linear model, checked against the disturbance box."""
-        model = self.model
+        the reduced linear model, which the loop's resid_ok monitor checks
+        against the disturbance box."""
         new_truth = self.truth_step(self.truth, u)
         self.leader_px += TAU * self.leader_speed
-        resid = np.array([new_truth[1], new_truth[2] - DELTA_BAR]) - (
-            model.a @ self.x_true + model.b @ u)
-        resid_ok = self.w_membership.margin(resid) <= model.membership_tol
-        self.truth = new_truth
-        self.prev_gap_meas = self.gap_meas
-        return resid, {"resid_ok": bool(resid_ok)}
+        self.truth, self.prev_gap_meas = new_truth, self.gap_meas
+        return np.array([new_truth[1], new_truth[2] - DELTA_BAR]) - (
+            self.model.a @ self.x_true + self.model.b @ u)
 
 
 def run_scenario(variant="optimized", seed=0, params=None, horizon_steps=300,
@@ -364,8 +361,8 @@ def run_scenario(variant="optimized", seed=0, params=None, horizon_steps=300,
     ``variant`` picks how the additional input sequence is computed:
     "optimized" solves the phase rollout QP, "explicit" uses the least-norm
     formula. The seed drives the sensor noise only; the process disturbance
-    is the actual linearization residual, which is checked against the
-    disturbance box every step.
+    is the actual linearization residual, which the resid_ok monitor checks
+    against the disturbance box at every step.
     """
     if variant not in ("optimized", "explicit"):
         raise ValueError("variant must be 'optimized' or 'explicit'")
@@ -392,7 +389,6 @@ def _finalize_metrics(metrics, trace):
     gaps = np.asarray(metrics["gap_m"])
     phases = np.asarray(metrics["phase"])
     metrics["min_gap_m"] = float(gaps.min())
-    metrics["resid_violations"] = int(np.count_nonzero(~trace.flags["resid_ok"]))
     metrics["phase3_settled_speed_kmh"] = float(speeds[-window:].mean())
     p3 = metrics["phase3_start"]
     # the standoff is the mean gap of the window before phase 3, all in phase 2

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from ocorobust.convexsets import HPolytope, Zonotope
-from ocorobust.errors import InfeasibleError
-from ocorobust.matlin import as_vector
+from ocorobust.convexsets import HPolytope, Zonotope, ZonotopeMembership
+from ocorobust.errors import DimensionMismatch, InfeasibleError
+from ocorobust.matlin import as_matrix, as_vector
 from ocorobust.plant import (
     ModelConfig,
     QuadraticCost,
@@ -68,6 +68,59 @@ def lp_support(p, d):
         return None
     assert res.status == 0, res.message
     return float(-res.fun)
+
+
+def support(z, d):
+    """Support value of the zonotope ``z`` along the one direction ``d``."""
+    return float(z.support_batch(np.reshape(d, (1, -1)))[0])
+
+
+def zonotope_contains(z, x, tol=1e-9):
+    """Membership of the point ``x`` in the zonotope ``z``, by the margin of
+    ``ZonotopeMembership``."""
+    return bool(ZonotopeMembership(z).margins([x])[0] <= tol)
+
+
+def direction_net(dim, count=None, include_axes=True):
+    """Deterministic set of unit directions used for set comparisons."""
+    if count is None:
+        count = max(64, 2 ** (2 * dim))
+    dirs = []
+    if include_axes:
+        eye = np.eye(dim)
+        dirs.extend(eye)
+        dirs.extend(-eye)
+    if dim == 2:
+        ang = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
+        dirs.extend(np.stack([np.cos(ang), np.sin(ang)], axis=1))
+    else:
+        rng = np.random.default_rng(12345)
+        raw = rng.standard_normal((count, dim))
+        raw /= np.linalg.norm(raw, axis=1, keepdims=True)
+        dirs.extend(raw)
+    return np.asarray(dirs)
+
+
+def certify_rpi(p, a_k, w_bar, tol=1e-9):
+    """Check A_K p (+) W_bar inside p over facet normals and a direction net.
+
+    The reference RPI check of criterion 7: exact up to the direction net;
+    for dim <= 3 the facet normals of p make the test exact whenever p has
+    full-dimensional generators.
+    """
+    a_k = as_matrix(a_k, "a_k")
+    shifted = p.linear_image(a_k).minkowski_sum(w_bar)
+    dirs = [direction_net(p.dim)]
+    if p.dim <= 3:
+        try:
+            facets, _ = p.to_halfspaces()
+            dirs.append(facets)
+        except (ValueError, DimensionMismatch):
+            pass
+    directions = np.vstack(dirs)
+    lhs = shifted.support_batch(directions)
+    rhs = p.support_batch(directions)
+    return bool(np.all(lhs <= rhs + tol))
 
 
 def box_vertices(z):

@@ -443,6 +443,68 @@ seed = 0
 """
 
 
+class TestCountsBelowOne:
+    @pytest.mark.parametrize("old, new, field", [
+        ("horizon = 25", "horizon = 0", "experiment.horizon"),
+        ("seeds = 1", "seeds = 0", "experiment.seeds"),
+        ("horizon = 25", "horizon = -3", "experiment.horizon"),
+    ])
+    def test_run_and_validate_exit_2(self, tmp_path, capsys, old, new, field):
+        cfg = write_cfg(tmp_path, MINI_GENERIC.replace(old, new))
+        for command in ("run", "validate"):
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "o"),
+                         "--quiet"]) == 2
+            err = capsys.readouterr().err
+            assert f"field '{field}'" in err and "must be at least 1" in err
+        assert not (tmp_path / "o" / "invariants.txt").exists()
+
+    @pytest.mark.parametrize("old, new, field", [
+        ("horizon = 30", "horizon = 0", "sweep.horizon"),
+        ("seeds_per_cell = 2", "seeds_per_cell = 0", "sweep.seeds_per_cell"),
+    ])
+    def test_regret_sweep_exit_2(self, tmp_path, capsys, old, new, field):
+        cfg = write_cfg(tmp_path, MINI_GENERIC + SWEEP_TAIL.replace(old, new))
+        assert main(["regret-sweep", "--config", cfg, "--out", str(tmp_path / "s"),
+                     "--quiet"]) == 2
+        assert f"field '{field}'" in capsys.readouterr().err
+        assert not (tmp_path / "s" / "sweep_rows.csv").exists()
+
+
+class TestAbortNamesSeed:
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_abort_line_names_the_seed(self, tmp_path, monkeypatch, capsys, workers):
+        # With no slack left in the membership tolerance, seed 0 of the
+        # bundled double integrator finishes and seed 1 aborts at t=153.
+        monkeypatch.setenv("OCO_MAX_THREADS", workers)
+        text = (CONFIGS / "double_integrator.cfg").read_text()
+        cfg = write_cfg(tmp_path, text.replace("seeds = 1", "seeds = 2").replace(
+            "variant = explicit", "variant = explicit\nmembership_tol = -1.0"))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("aborted: seed 1: simulation aborted at t=153: ")
+        assert len((tmp_path / "o" / "trace_partial.csv").read_text().splitlines()) == 1 + 153
+
+
+def test_generic_resid_violations_fail_the_run(tmp_path, monkeypatch, capsys):
+    # The plant applies its drawn w but reports one outside W on step 4: the
+    # only failing flag is resid_ok, and run counts it like the vehicle does.
+    from ocorobust import simkit
+
+    real_advance = simkit._LtiPlant.advance
+
+    def advance(self, u):
+        w = real_advance(self, u)
+        return w + 1.0 if self.t == 4 else w
+
+    monkeypatch.setattr(simkit._LtiPlant, "advance", advance)
+    cfg = write_cfg(tmp_path, MINI_GENERIC)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "violations=1 " in capsys.readouterr().out
+    report = (tmp_path / "o" / "invariants.txt").read_text()
+    assert "  model-mismatch violations: 1\n" in report
+    assert "flag_resid_ok" in (tmp_path / "o" / "trace_0000.csv").read_text().splitlines()[0]
+
+
 class TestVehicleRuns:
     def test_explicit_zero_c_g_is_kept(self, tmp_path, capsys):
         # c_g = 0.0 is a value, not an absent key: both verbs reject it

@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 
-from ocorobust.convexsets import Zonotope, direction_net
+from ocorobust.convexsets import Zonotope
 from ocorobust.errors import InfeasibleError
-from ocorobust.invariance import certify_rpi, mrpi_outer, tail_set
+from ocorobust.invariance import mrpi_outer, tail_set
+
+from conftest import certify_rpi, direction_net, support
 
 
 class TestMrpiOuter:
     def test_scalar_geometric_series(self):
         # sum of 0.5^i [-1, 1] = [-2, 2]; computed set within epsilon above
         res = mrpi_outer(np.array([[0.5]]), Zonotope.box([1.0]), epsilon=0.01)
-        radius = res.p.support([1.0])
+        radius = support(res.p, [1.0])
         assert 2.0 - 1e-12 <= radius <= 2.01
         assert res.alpha < 1.0
 
@@ -23,10 +25,10 @@ class TestMrpiOuter:
 
     def test_two_dim_diagonal(self):
         res = mrpi_outer(np.diag([0.5, 0.25]), Zonotope.box([1.0, 1.0]), epsilon=0.01)
-        assert res.p.support([1.0, 0.0]) <= 2.01
-        assert res.p.support([0.0, 1.0]) <= 1.35
-        assert res.p.support([1.0, 0.0]) >= 2.0 - 1e-9
-        assert res.p.support([0.0, 1.0]) >= 4.0 / 3.0 - 1e-9
+        assert support(res.p, [1.0, 0.0]) <= 2.01
+        assert support(res.p, [0.0, 1.0]) <= 1.35
+        assert support(res.p, [1.0, 0.0]) >= 2.0 - 1e-9
+        assert support(res.p, [0.0, 1.0]) >= 4.0 / 3.0 - 1e-9
 
     def test_result_is_rpi(self):
         rng = np.random.default_rng(30)
@@ -71,14 +73,14 @@ class TestTailSet:
         a = np.array([[0.5]])
         w = Zonotope.box([1.0])
         res = mrpi_outer(a, w, epsilon=0.01)
-        tail = tail_set(a, w, 2, res)
+        tail = tail_set(a, 2, res)
         # sum_{i>=2} 0.5^i = 0.5, outer slack scales by 0.25
-        assert 0.5 - 1e-12 <= tail.support([1.0]) <= 0.51
+        assert 0.5 - 1e-12 <= support(tail, [1.0]) <= 0.51
 
     def test_nilpotent_tail_is_origin(self):
         w = Zonotope.box([1.0, 1.0])
         res = mrpi_outer(np.zeros((2, 2)), w, epsilon=0.01)
-        tail = tail_set(np.zeros((2, 2)), w, 1, res)
+        tail = tail_set(np.zeros((2, 2)), 1, res)
         assert tail.radius_upper() <= 1e-12
 
     def test_series_decomposition(self):
@@ -89,24 +91,24 @@ class TestTailSet:
         eps = 1e-6
         res = mrpi_outer(a, w, epsilon=eps)
         mu = 3
-        tail = tail_set(a, w, mu, res)
+        tail = tail_set(a, mu, res)
         partial = Zonotope.point(np.zeros(2))
         p = np.eye(2)
         for _ in range(mu):
-            partial = partial + w.linear_image(p)
+            partial = partial.minkowski_sum(w.linear_image(p))
             p = p @ a
-        combined = tail + partial
+        combined = tail.minkowski_sum(partial)
         rng = np.random.default_rng(31)
         for _ in range(50):
             d = rng.standard_normal(2)
             d /= np.linalg.norm(d)
-            assert combined.support(d) == pytest.approx(res.p.support(d), abs=3 * eps)
+            assert support(combined, d) == pytest.approx(support(res.p, d), abs=3 * eps)
 
     def test_tail_inside_full_set(self):
         a = np.diag([0.5, 0.8])
         w = Zonotope.box([1.0, 0.2])
         res = mrpi_outer(a, w)
-        tail = tail_set(a, w, 4, res)
+        tail = tail_set(a, 4, res)
         dirs = direction_net(2)
         assert np.all(tail.support_batch(dirs) <= res.p.support_batch(dirs) + 1e-12)
 

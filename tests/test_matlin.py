@@ -54,14 +54,29 @@ class TestSpdInverse:
             spd_inverse(h, "h")
 
 
+def power_bound(a, k):
+    """The Frobenius norm of a^k: the bound a certified power k puts below one."""
+    return float(np.linalg.norm(np.linalg.matrix_power(np.asarray(a, float), k), "fro"))
+
+
+def decay_constants(a, k):
+    """Constants c_a, phi with ||a^t|| <= c_a phi^t for all t, from a
+    certified power k: phi = ||a^k||_F^(1/k) (any phi < 1 when a^k = 0) and
+    c_a the largest ||a^j||_F / phi^j over j < k."""
+    bound = power_bound(a, k)
+    phi = bound ** (1.0 / k) if bound > 0.0 else 0.5
+    return max([1.0] + [power_bound(a, j) / phi**j for j in range(1, k)]), phi
+
+
 class TestPowerNormCertificate:
     def test_scalar_half(self):
-        cert = power_norm_certificate(np.array([[0.5]]), n_max=10)
-        assert cert.k == 1 and cert.bound == pytest.approx(0.5)
+        k = power_norm_certificate(np.array([[0.5]]), n_max=10)
+        assert k == 1 and power_bound([[0.5]], k) == pytest.approx(0.5)
 
     def test_nilpotent(self):
-        cert = power_norm_certificate([[0.0, 2.0], [0.0, 0.0]], n_max=10)
-        assert cert.k == 2 and cert.bound == 0.0
+        a = [[0.0, 2.0], [0.0, 0.0]]
+        k = power_norm_certificate(a, n_max=10)
+        assert k == 2 and power_bound(a, k) == 0.0
 
     def test_identity_fails(self):
         assert power_norm_certificate(np.eye(2), n_max=10) is None
@@ -71,11 +86,12 @@ class TestPowerNormCertificate:
         for _ in range(20):
             a = rng.standard_normal((3, 3))
             a *= 0.8 / max(1.0, np.abs(np.linalg.eigvals(a)).max())
-            cert = power_norm_certificate(a)
-            assert cert is not None
+            k = power_norm_certificate(a)
+            assert k is not None
+            c_a, phi = decay_constants(a, k)
             for t in range(0, 25):
                 nt = np.linalg.norm(np.linalg.matrix_power(a, t), 2)
-                assert nt <= cert.c_a * cert.phi**t + 1e-9
+                assert nt <= c_a * phi**t + 1e-9
 
 
 class TestSpectrumBounds:

@@ -19,7 +19,7 @@ from ocorobust.plant import (
     steady_state_manifold,
 )
 
-from conftest import lp_support
+from conftest import lp_support, support
 
 
 def small_cfg(**over):
@@ -64,8 +64,9 @@ class TestBuildModel:
             x_set=HPolytope.box(-10.0 * np.ones(3), 10.0 * np.ones(3)),
             u_set=HPolytope.box(-5.0 * np.ones(3), 5.0 * np.ones(3)),
             w_set=Zonotope.box([0.05] * 3), v_set=Zonotope.box([0.01] * 3)))
-        assert model.tube_margin(np.zeros(3)) < 0.0
-        assert model.tube_margin(np.array([1e-3, 0.0, 0.0])) > 0.0
+        inside, outside = model.tube_margins(np.array([[0.0, 0.0, 0.0], [1e-3, 0.0, 0.0]]))
+        assert inside < 0.0
+        assert outside > 0.0
 
     def test_not_schur_rejected(self):
         with pytest.raises(AssumptionViolation, match="stabilizing feedback"):
@@ -155,12 +156,12 @@ class TestWBar:
     def test_no_measurement_noise(self):
         w = Zonotope.box([0.3])
         out = build_w_bar([[1.0]], w, Zonotope.point([0.0]))
-        assert out.support([1.0]) == pytest.approx(0.3)
+        assert support(out, [1.0]) == pytest.approx(0.3)
 
     def test_noise_doubles_through_dynamics(self):
         out = build_w_bar([[1.0]], Zonotope.point([0.0]), Zonotope.box([1.0]))
-        assert out.support([1.0]) == pytest.approx(2.0)
-        assert out.support([-1.0]) == pytest.approx(2.0)
+        assert support(out, [1.0]) == pytest.approx(2.0)
+        assert support(out, [-1.0]) == pytest.approx(2.0)
 
     def test_both_degenerate(self):
         out = build_w_bar([[1.0]], Zonotope.point([0.0]), Zonotope.point([0.0]))
@@ -296,15 +297,18 @@ class TestSteadyStateManifold:
         model, _, _ = scalar_bundle
         man = steady_state_manifold(model, model.p_rpi, shrink=1.0)
         # oracle: 1-D intersection; G_K u in X (-) P and 0*u in U (-) K P
-        p_radius = model.p_rpi.p.support([1.0])
+        p_radius = support(model.p_rpi.p, [1.0])
         expected = (2.0 - p_radius) / 2.0
-        assert lp_support(man.u_polytope, [1.0]) == pytest.approx(expected, abs=1e-9)
-        assert lp_support(man.u_polytope, [-1.0]) == pytest.approx(expected, abs=1e-9)
+        # shrink = 1: S-bar is S itself
+        assert lp_support(man.sbar, [1.0]) == pytest.approx(expected, abs=1e-9)
+        assert lp_support(man.sbar, [-1.0]) == pytest.approx(expected, abs=1e-9)
 
     def test_shrink_one_reproduces_s(self, scalar_bundle):
         model, _, _ = scalar_bundle
         man = steady_state_manifold(model, model.p_rpi, shrink=1.0)
-        assert np.array_equal(man.sbar.offsets, man.u_polytope.offsets)
+        # S: G_K u in X (-) P; its U rows vanish, since I + K G_K = 0 here
+        s_offsets = model.x_set.offsets - model.p_rpi.p.support_batch(model.x_set.normals)
+        assert np.array_equal(man.sbar.offsets, s_offsets)
 
     def test_origin_always_member(self, di_bundle):
         model, _, manifold = di_bundle
@@ -400,7 +404,7 @@ class TestTubeMembership:
         ref = ((pts - tail.center) @ normals.T - offsets).max(axis=1)
         assert np.any(ref <= 0.0) and np.any(ref > 0.0)
         assert np.allclose(model.tube_margins(pts), ref, rtol=0.0, atol=1e-12)
-        assert np.allclose([model.tube_margin(p) for p in pts[:20]],
+        assert np.allclose([model.tube_margins(p[None])[0] for p in pts[:20]],
                            model.tube_margins(pts[:20]), rtol=0.0, atol=1e-15)
 
     def test_vehicle_tail_set_has_four_facets(self):

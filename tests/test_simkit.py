@@ -27,7 +27,7 @@ from ocorobust.simkit import (
     run_closed_loop,
 )
 
-from conftest import assert_ledger_matches_reference
+from conftest import assert_ledger_matches_reference, zonotope_contains
 
 
 @pytest.fixture()
@@ -119,7 +119,7 @@ class TestRunRecord:
             assert np.array_equal(d.ogd_target[1], trace.eta_hat[t])
             assert rec.invariant_flags == {name: bool(column[t])
                                            for name, column in trace.flags.items()}
-            assert set(rec.invariant_flags) == set(FLAG_NAMES) | {"tube_marginal"}
+            assert set(rec.invariant_flags) == set(FLAG_NAMES) | {"tube_marginal", "resid_ok"}
         with pytest.raises(IndexError):
             trace[30]
         part = trace[5:9]
@@ -209,7 +209,7 @@ class TestEngine:
 
             def advance(self, u):
                 self.x = model.a @ self.x + model.b @ u
-                return np.zeros(model.n), {}
+                return np.zeros(model.n)
 
         t1, l1 = closed_loop(model, tables, manifold, controller,
                              NoisefreePlant(zeta0[0]), 40, zeta0)
@@ -261,9 +261,9 @@ class TestDisturbances:
             sampler = _Sampler(DisturbancePolicy(kind=kind, seed=5, scale=0.8),
                                model.w_set, model.v_set, 200)
             for w in sampler.w:
-                assert model.w_set.contains_point(w, tol=1e-12)
+                assert zonotope_contains(model.w_set, w, tol=1e-12)
             for v in sampler.v:
-                assert model.v_set.contains_point(v, tol=1e-12)
+                assert zonotope_contains(model.v_set, v, tol=1e-12)
 
     def test_worst_corner_constant(self, di_bundle):
         model, _, _ = di_bundle
@@ -401,7 +401,55 @@ class HeldPlant:
         return x_true, self.x_hold.copy(), np.zeros(self.model.n), self.cost
 
     def advance(self, u):
-        return np.zeros(self.model.n), {}
+        return np.zeros(self.model.n)
+
+
+class KickedPlant(HeldPlant):
+    """A ``HeldPlant`` whose step ``kick_at`` reports a w outside W; the
+    states it measures are unchanged."""
+
+    def __init__(self, model, x_hold, cost, kick_at):
+        super().__init__(model, x_hold, cost)
+        self.kick_at = kick_at
+        self.t = None
+
+    def observe(self, t):
+        self.t = t
+        return super().observe(t)
+
+    def advance(self, u):
+        w = np.zeros(self.model.n)
+        if self.t == self.kick_at:
+            w[0] = 1.0  # 50 times W's half-width
+        return w
+
+
+class TestResidMonitor:
+    @pytest.mark.parametrize("kind", ["zero", "uniform_box", "worst_corner"])
+    def test_drawn_w_lies_in_w(self, di_run, kind):
+        # worst_corner draws at scale 1 lie on W's boundary
+        trace, _ = di_run(kind=kind, scale=1.0)
+        assert trace.flags["resid_ok"].dtype == bool
+        assert trace.flags["resid_ok"].all()
+        assert all(rec.invariant_flags["resid_ok"] for rec in trace)
+
+    def test_w_outside_w_fails_its_row(self, di_bundle, di_cost):
+        model, tables, manifold = di_bundle
+        zeta0 = optimal_steady_state(manifold, di_cost, model)
+        trace, _ = closed_loop(model, tables, manifold, ControllerConfig(gamma=0.3),
+                               KickedPlant(model, zeta0[0], di_cost, kick_at=4), 10, zeta0)
+        assert np.flatnonzero(~trace.flags["resid_ok"]).tolist() == [4]
+        assert all(trace.flags[name].all() for name in FLAG_NAMES)
+
+    def test_w_outside_w_aborts(self, di_bundle, di_cost):
+        model, tables, manifold = di_bundle
+        zeta0 = optimal_steady_state(manifold, di_cost, model)
+        with pytest.raises(SimulationAborted, match="invariant violation: resid_ok") as err:
+            closed_loop(model, tables, manifold, ControllerConfig(gamma=0.3),
+                        KickedPlant(model, zeta0[0], di_cost, kick_at=4), 10, zeta0,
+                        abort_on_violation=True)
+        assert err.value.t == 4 and len(err.value.trace) == 5
+        assert not err.value.trace[-1].invariant_flags["resid_ok"]
 
 
 def beta_windows_reference(trace, model, margin, floor):
@@ -527,9 +575,11 @@ class TestBatchedFlags:
                 + 1e-8,
                 "tube_ok": True,
                 "tube_marginal": False,
+                "resid_ok": zonotope_contains(model.w_set, rec.w, tol=tol),
             }
             if t > 0:
-                margin = model.tube_margin(d.pred_state - model.g_k @ states[t - 1].u_ss)
+                dev = d.pred_state - model.g_k @ states[t - 1].u_ss
+                margin = model.tube_margins(dev[None])[0]
                 flags["tube_ok"] = margin <= TUBE_TOL
                 flags["tube_marginal"] = flags["tube_ok"] and margin > -model.tube_band
             ref.append(flags)
@@ -601,6 +651,15 @@ class TestSchedulesAndWorkers:
         assert out == [i * i for i in range(6)]
         monkeypatch.setenv("OCO_MAX_THREADS", "1")
         assert replicate_map(_square, [(i,) for i in range(6)]) == out
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_abort_carries_its_replicate(self, monkeypatch, workers):
+        # Only the second of three runs aborts; serial or pooled, the caller
+        # learns which one.
+        monkeypatch.setenv("OCO_MAX_THREADS", workers)
+        with pytest.raises(SimulationAborted, match="at t=3: boom") as info:
+            replicate_map(_abort_at, [(0,), (3,), (0,)])
+        assert info.value.replicate == 1
 
     def test_pool_abort_keeps_its_type(self, monkeypatch):
         # A worker's abort crosses the process pool as itself, with its

@@ -6,7 +6,7 @@ from ocorobust.oco_controller import StepContext
 from ocorobust.errors import OcoRobustError
 from ocorobust.plant import SteadyStateBenchmark
 
-from conftest import assert_ledger_matches_reference
+from conftest import assert_ledger_matches_reference, zonotope_contains
 
 
 @pytest.fixture(scope="module")
@@ -194,7 +194,7 @@ class TestScenario:
     def test_nominal_run_is_clean(self):
         params = vehicle.VehicleParams(sensor_noise_scale=0.0, linear_truth=True)
         trace, ledger, metrics = vehicle.run_scenario("explicit", seed=0, params=params)
-        assert metrics["resid_violations"] == 0
+        assert trace.flags["resid_ok"].all()
         for rec in trace:
             assert all(rec.invariant_flags.get(k, True)
                        for k in ("state_ok", "input_ok", "resid_ok"))
@@ -242,10 +242,10 @@ class TestScenario:
             assert any(k is not None for k in kkt)
 
     def test_residual_inside_disturbance_box(self, setup):
-        trace, _, metrics = vehicle.run_scenario("optimized", seed=1)
-        assert metrics["resid_violations"] == 0
+        trace, _, _ = vehicle.run_scenario("optimized", seed=1)
+        assert trace.flags["resid_ok"].all()
         for rec in trace:
-            assert setup.model.w_set.contains_point(rec.w, tol=1e-9)
+            assert zonotope_contains(setup.model.w_set, rec.w, tol=1e-9)
 
     def test_estimate_error_bound(self):
         _, _, metrics = vehicle.run_scenario("optimized", seed=2)

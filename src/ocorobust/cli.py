@@ -82,12 +82,9 @@ def _convert(spec, raw, line, field):
     kind = spec["type"]
     try:
         if kind == "int":
-            value = int(raw)
-            if "min" in spec and value < spec["min"]:
-                raise ValueError(f"must be at least {spec['min']}")
-            return value
+            return _bounded(spec, int(raw))
         if kind == "float":
-            return _finite(float(raw))
+            return _bounded(spec, _finite(float(raw)))
         if kind == "bool":
             if raw.lower() in ("true", "1", "yes"):
                 return True
@@ -105,7 +102,7 @@ def _convert(spec, raw, line, field):
             arr = np.asarray(val, dtype=float)
             if arr.ndim != 1:
                 raise ValueError("expected a flat list")
-            return _finite(arr)
+            return _bounded(spec, _finite(arr))
         if kind == "matrix":
             val = ast.literal_eval(raw)
             arr = np.asarray(val, dtype=float)
@@ -115,6 +112,19 @@ def _convert(spec, raw, line, field):
     except (ValueError, SyntaxError) as exc:
         raise ConfigError(f"bad {kind} value ({exc})", line=line, field=field) from exc
     raise ConfigError(f"unknown type {kind} in schema", field=field)
+
+
+def _bounded(spec, value):
+    """``value`` (every entry of a vector) inside the schema's bounds: "min"
+    and "max" inclusive, "above" exclusive."""
+    arr = np.asarray(value)
+    if "min" in spec and (arr < spec["min"]).any():
+        raise ValueError(f"must be at least {spec['min']}")
+    if "above" in spec and (arr <= spec["above"]).any():
+        raise ValueError(f"must be above {spec['above']}")
+    if "max" in spec and (arr > spec["max"]).any():
+        raise ValueError(f"must be at most {spec['max']}")
+    return value
 
 
 def _finite(value):

@@ -78,6 +78,7 @@ class PrefactoredQp:
         gram = self.cn @ self.hinv_cn
         self.gram = 0.5 * (gram + gram.T)
         self.eq_optimum = numeric_rank(self.eq_normals) == self.meq
+        self.kkt_q = -self.hinv  # x = -H^-1 q, with no equality rows
         if self.eq_optimum and self.meq:
             # x = -H^-1 q + M (b + E H^-1 q) and nu = -S (b + E H^-1 q), with
             # S = (E H^-1 E')^-1 and M = H^-1 E' S. The equality rows come
@@ -106,15 +107,12 @@ class PrefactoredQp:
         if self.eq_optimum:
             # With no equalities the guess is GI's own start point.
             sol = (self.kkt_q @ linear + self.kkt_b @ eq_b if self.meq
-                   else -(self.hinv @ linear))
+                   else self.kkt_q @ linear)
             x = sol[:n]
-            prod = self.stacked @ x
-            # GI's stopping test on every row: slack b - A x >= -0.1 tol.
-            if not mineq or not (prod[n:n + mineq] - ineq_b > 0.1 * tol).any():
-                guess = self._assemble(prod, linear, ineq_b, eq_b, x, None, sol[n:],
-                                       "optimal", tol)
-                if guess.status == "optimal":
-                    return guess
+            guess = self._equality_guess(self.stacked @ x, linear, ineq_b, eq_b, x, sol[n:],
+                                         tol)
+            if guess is not None and guess.status == "optimal":
+                return guess
         cd = np.concatenate([eq_b, -ineq_b])
         x, active, mult, signs, status = _gi_core(self, -(self.hinv @ linear), cd,
                                                   tol, max_iter)
@@ -132,43 +130,66 @@ class PrefactoredQp:
         return self._assemble(self.stacked @ x, linear, ineq_b, eq_b, x, lam, nu, status,
                               tol)
 
+    def _equality_guess(self, prod, linear, ineq_b, eq_b, x, nu, tol):
+        """The equality-constrained optimum (x, nu) with zero inequality
+        multipliers, as ``_assemble`` would return it with lam = 0; None when
+        a row fails GI's stopping test (slack b - A x >= -0.1 tol).
+
+        ``prod`` is ``stacked @ x``. One max and one min of the row slacks
+        give the stopping test and the KKT terms: with lam = 0 the
+        complementarity term is 0 * min(viol), NaN exactly when a row is NaN
+        or -inf (a +inf row has failed the stopping test).
+        """
+        n, mineq = x.size, ineq_b.size
+        terms = []
+        if mineq:
+            viol = prod[n:n + mineq] - ineq_b
+            top = float(viol.max())
+            if top > 0.1 * tol:
+                return None
+            terms += [max(top, 0.0), 0.0 * float(viol.min())]
+        grad = prod[:n] + linear
+        if self.meq:
+            grad += self.eq_normals.T @ nu
+            terms.append(float(np.abs(prod[n + mineq:] - eq_b).max()))
+        res, status = _residual_status([math.sqrt(grad @ grad), *terms], "optimal", tol)
+        return QpSolution(x=x, kkt_residual=res, status=status,
+                          ineq_multipliers=np.zeros(mineq), eq_multipliers=nu)
+
     def _assemble(self, prod, linear, ineq_b, eq_b, x, lam, nu, status, tol):
         """KKT residual of (x, lam, nu); an "optimal" above tol becomes "max_iter".
 
         ``prod`` is ``stacked @ x``: H x, then the inequality and the equality
-        rows. ``lam`` None means all inequality multipliers are zero (the
-        equality-constrained optimum), whose terms then vanish except that a
-        non-finite row residual still makes the complementarity term NaN. A
-        non-finite x or problem datum makes the residual NaN or inf, and the
-        status "non_finite".
+        rows. A non-finite x or problem datum makes the residual NaN or inf,
+        and the status "non_finite".
         """
         n, mineq = x.size, ineq_b.size
-        zero_lam = lam is None
-        if zero_lam:
-            lam = np.zeros(mineq)
         grad = prod[:n] + linear
-        if mineq and not zero_lam:
+        if mineq:
             grad += self.ineq_normals.T @ lam
         if self.meq:
             grad += self.eq_normals.T @ nu
         terms = [math.sqrt(grad @ grad)]
         if mineq:
             viol = prod[n:n + mineq] - ineq_b
-            terms.append(float(viol.max(initial=0.0)))
-            if zero_lam:
-                terms.append(0.0 * float(np.abs(viol).max()))
-            else:
-                terms += [float(np.abs(lam * viol).max(initial=0.0)),
-                          max(0.0, -float(lam.min(initial=0.0)))]
+            terms += [float(viol.max(initial=0.0)),
+                      float(np.abs(lam * viol).max(initial=0.0)),
+                      max(0.0, -float(lam.min(initial=0.0)))]
         if self.meq:
             terms.append(float(np.abs(prod[n + mineq:] - eq_b).max()))
-        # max() skips a NaN that is not its first argument; the sum does not.
-        total = sum(terms)
-        res = max(terms) if total < np.inf else total
-        if status == "optimal" and not res <= tol:
-            status = "max_iter" if res < np.inf else "non_finite"
+        res, status = _residual_status(terms, status, tol)
         return QpSolution(x=x, kkt_residual=res, status=status, ineq_multipliers=lam,
                           eq_multipliers=nu)
+
+
+def _residual_status(terms, status, tol):
+    """The KKT residual (the largest term) and the status it leaves."""
+    # max() skips a NaN that is not its first argument; the sum does not.
+    total = sum(terms)
+    res = max(terms) if total < np.inf else total
+    if status == "optimal" and not res <= tol:
+        status = "max_iter" if res < np.inf else "non_finite"
+    return res, status
 
 
 def _gi_core(qp, x, cd, tol, max_iter):

@@ -35,10 +35,18 @@ class ControllerConfig:
 
 @dataclass
 class ControllerState:
-    u_pred: np.ndarray  # predicted mu-step input sequence
-    u_ss: np.ndarray    # steady-state input the plan converges to
-    zeta_hat: tuple     # (theta_hat, eta_hat) steady-state estimate
+    plan: np.ndarray  # [u_pred; u_ss]: the mu-step input plan, then the
+                      # steady-state input it converges to
+    zeta_hat: tuple   # (theta_hat, eta_hat) steady-state estimate
     t: int
+
+    @property
+    def u_pred(self):
+        return self.plan[:-len(self.zeta_hat[1])]
+
+    @property
+    def u_ss(self):
+        return self.plan[-len(self.zeta_hat[1]):]
 
 
 @dataclass
@@ -111,7 +119,7 @@ class QuadraticRolloutBuilder:
 
 def control_input(state, model, x_meas):
     """First planned input plus state feedback."""
-    return state.u_pred[: model.m] + model.k @ x_meas
+    return state.plan[:model.m] + model.k @ x_meas
 
 
 def initialize(model, tables, manifold, zeta0, x0_meas, tol=None):
@@ -136,47 +144,49 @@ def initialize(model, tables, manifold, zeta0, x0_meas, tol=None):
         raise InitializationError(
             f"initial plan violates tightened constraints by {worst:.3e}; "
             "pick zeta0 closer to the measured initial state")
-    return ControllerState(u_pred=u_pred, u_ss=eta0.copy(), zeta_hat=(theta0, eta0), t=0)
+    return ControllerState(plan=np.concatenate([u_pred, eta0]), zeta_hat=(theta0, eta0), t=0)
 
 
-def _shift_candidate(state, model):
-    return np.concatenate([state.u_pred[model.m:], state.u_ss])
+def ogd_step(tables, manifold, grad_prev, gamma, pred_state, v, q0):
+    """One projected gradient step on the previous cost from the predicted
+    steady state (pred_state, u_ss).
 
-
-def ogd_step(state, model, manifold, grad_prev, gamma, pred_state):
-    """One projected gradient step on the previous cost.
-
+    ``v`` = u_ss + K pred_state is the input the cost's gradient is taken at,
+    and ``q0`` = -2 (G_K' pred_state + u_ss) the projection's linear term at
+    the point itself; the stepped point (pred_state - gamma (gx + K' gv),
+    u_ss - gamma gv) has q0 + 2 gamma M [gx; gv], with M = ``tables.ogd_map``.
     The gradient oracle is outside code, so its output is checked here.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    u_ss = state.u_ss
-    gx, gv = grad_prev.grad(pred_state, u_ss + model.k @ pred_state)
-    if not (np.isfinite(gx).all() and np.isfinite(gv).all()):
+    grad = np.concatenate(grad_prev.grad(pred_state, v))
+    if not np.isfinite(grad).all():
         raise ValueError("gradient oracle returned non-finite values")
-    step_x = pred_state - gamma * (gx + model.k.T @ gv)
-    step_u = u_ss - gamma * gv
-    return project_manifold(manifold, step_x, step_u)
+    return project_manifold(manifold, q0 + (2.0 * gamma) * (tables.ogd_map @ grad))
 
 
-def project_manifold(manifold, point_x, point_u, tol=1e-9):
-    """Euclidean projection of an (x, u) point onto the shrunk manifold.
+def project_manifold(manifold, linear, tol=1e-9):
+    """Euclidean projection onto the shrunk manifold of the (x, u) point whose
+    projection QP has the linear term ``linear`` = -2 (G_K' x + u).
 
     Solved in u-coordinates with x = G_K u substituted, which is exact.
     """
-    q = -2.0 * (manifold.g_k.T @ point_x + point_u)
-    sol = manifold.projector.solve(q, ineq_offsets=manifold.sbar.offsets, tol=tol)
+    sol = manifold.projector.solve(linear, ineq_offsets=manifold.sbar.offsets, tol=tol)
     if sol.status != "optimal":
         raise InfeasibleError(f"manifold projection failed: {sol.status}")
     return manifold.zeta_of_u(sol.x)
 
 
-def additional_input_explicit(model, theta_hat, pred_state):
-    """Least-norm input sequence reaching theta_hat in mu steps."""
+def additional_input_explicit(tables, theta_hat, pred_state):
+    """Least-norm input sequence g reaching theta_hat in mu steps, and its
+    growth of the stage residuals (``residual_u @ g``): one product with
+    ``tables.explicit_map``. Returns (g, growth)."""
+    r, nv = tables.residual_u.shape
     d = _reach_gap(theta_hat, pred_state)
     if d is None:
-        return np.zeros(model.mu * model.m)
-    return model.s_c_pinv @ d
+        return np.zeros(nv), np.zeros(r)
+    both = tables.explicit_map @ d
+    return both[:nv], both[nv:]
 
 
 def _reach_gap(theta_hat, pred_state):
@@ -194,7 +204,7 @@ def additional_input_optimized(model, theta_hat, pred_state, rollout_qp, c_g):
     """Cost-shaped solution of the reachability constraint.
 
     Minimizes the supplied rollout objective subject to S_c g = theta - pred
-    with the rollout's own solver. Falls back to the explicit solution when
+    with the rollout's own solver. Falls back to the explicit solution S_c^+ d when
     the solver fails or the norm cap is violated, reporting the fallback;
     any other error (e.g. a malformed ``rollout_qp``) propagates.
     """
@@ -206,21 +216,21 @@ def additional_input_optimized(model, theta_hat, pred_state, rollout_qp, c_g):
         sol = rollout_qp.solver.solve(rollout_qp.linear,
                                       ineq_offsets=rollout_qp.ineq_offsets, eq_offsets=d)
     except (OcoRobustError, np.linalg.LinAlgError):
-        return additional_input_explicit(model, theta_hat, pred_state), None, True
+        return model.s_c_pinv @ d, None, True
     g = sol.x[:nv]
     if sol.status != "optimal" or math.sqrt(g @ g) > c_g * math.sqrt(d @ d) * (1 + 1e-9):
-        return additional_input_explicit(model, theta_hat, pred_state), sol.kkt_residual, True
+        return model.s_c_pinv @ d, sol.kkt_residual, True
     return g, sol.kkt_residual, False
 
 
-def max_beta(tables, model, x_meas, base_seq, g, tol=None, _base=None):
+def max_beta(tables, model, x_meas, base_seq, g, tol=None, _base=None, _growth=None):
     """Largest beta in [0, 1] keeping base + beta*g inside the tightened sets.
 
     Every stage constraint is affine in beta, so the maximum is an exact
     per-facet ratio test. Raises when the base sequence itself is infeasible,
     which would mean the recursive feasibility invariant broke. ``_base`` is
-    the base sequence's (stage residuals, worst residual), when the caller
-    has them.
+    the base sequence's (stage residuals, worst residual) and ``_growth`` is
+    g's growth of them, when the caller has them.
     """
     if tol is None:
         tol = model.membership_tol
@@ -232,7 +242,13 @@ def max_beta(tables, model, x_meas, base_seq, g, tol=None, _base=None):
     if not worst <= tol:  # NaN-safe: a non-finite x_meas or base_seq fails here
         raise InfeasibleError(
             f"candidate input sequence infeasible by {worst:.3e}; feasibility invariant broken")
-    growth = stage_values_linear(tables, g)
+    growth = stage_values_linear(tables, g) if _growth is None else _growth
+    # Every row inside at beta = 1 means every ratio below is at least 1:
+    # fl(a + b) <= 0 exactly when b <= -a. A non-finite g makes some row +inf
+    # or NaN (U is compact, so some input row grows along any direction), so
+    # it never takes this exit.
+    if float((base_vals + growth).max()) <= 0.0:
+        return 1.0
     peak = float(np.abs(growth).max())
     if peak == 0.0:
         return 1.0
@@ -250,35 +266,37 @@ def step(state, model, tables, manifold, x_meas, grad_prev, options):
     t = state.t + 1
     try:
         x_meas = as_vector(x_meas, "x_meas")
-        candidate = _shift_candidate(state, model)
-        # One stacked product: the candidate's stage residuals, then its
-        # mu-step-ahead state A_K^mu x + S_c candidate.
+        m = model.m
+        candidate = state.plan[m:]  # the plan shifted by one step, u_ss held
+        # One stacked product (see TighteningTables): the candidate's stage
+        # residuals, the gradient point v, the projection's base linear term
+        # q0 and the candidate's mu-step-ahead state pred.
         rows = tables.rollout_x @ x_meas + tables.rollout_u @ candidate
-        offsets = tables.residual_offsets
-        base_vals = rows[:offsets.size] - offsets
-        pred = rows[offsets.size:]
+        r = tables.residual_offsets.size
+        base_vals = rows[:r] - tables.residual_offsets
+        pred = rows[r + 2 * m:]
         worst = float(base_vals.max())
 
-        theta_hat, eta_hat = ogd_step(state, model, manifold, grad_prev,
-                                      options.gamma, pred)
+        theta_hat, eta_hat = ogd_step(tables, manifold, grad_prev, options.gamma, pred,
+                                      rows[r:r + m], rows[r + m:r + 2 * m])
 
-        c_g = options.effective_c_g(model)
         kkt = None
         fallback = False
+        growth = None
         if options.variant == "optimized" and options.rollout_builder is not None:
             ctx = StepContext(t=t, x_meas=x_meas, theta_hat=theta_hat,
                               eta_hat=eta_hat, candidate=candidate, pred_state=pred)
             rollout = options.rollout_builder.build(ctx)
             g, kkt, fallback = additional_input_optimized(
-                model, theta_hat, pred, rollout, c_g)
+                model, theta_hat, pred, rollout, options.effective_c_g(model))
         else:
-            g = additional_input_explicit(model, theta_hat, pred)
+            g, growth = additional_input_explicit(tables, theta_hat, pred)
 
-        beta = max_beta(tables, model, x_meas, candidate, g, _base=(base_vals, worst))
-        u_pred = candidate + beta * g
-        u_ss = (1.0 - beta) * state.u_ss + beta * eta_hat
-        new_state = ControllerState(u_pred=u_pred, u_ss=u_ss,
-                                    zeta_hat=(theta_hat, eta_hat), t=t)
+        beta = max_beta(tables, model, x_meas, candidate, g, _base=(base_vals, worst),
+                        _growth=growth)
+        plan = np.concatenate([candidate + beta * g,
+                               (1.0 - beta) * state.plan[-m:] + beta * eta_hat])
+        new_state = ControllerState(plan=plan, zeta_hat=(theta_hat, eta_hat), t=t)
         u = control_input(new_state, model, x_meas)
         diag = StepDiagnostics(
             beta=float(beta),

@@ -202,21 +202,33 @@ def _controllability(a_k, b, mu):
 
 @dataclass
 class TighteningTables:
-    """The tightened mu-step rollout constraints as one affine residual map.
+    """The tightened mu-step rollout constraints as one affine residual map,
+    and the fixed linear maps of a controller step.
 
     The residuals of all stage constraints are affine in the measured state x
     and the input sequence useq: ``residual_x @ x + residual_u @ useq -
     residual_offsets``, stacked as the mu state stages (fx rows each) and then
     the mu input stages (fu rows each). ``rollout_x`` and ``rollout_u`` hold
-    those rows with the mu-step prediction rows A_K^mu and S_c under them, so
-    one product in x plus one in useq gives a rollout's residuals (before the
-    offsets) and its mu-step-ahead state; the residual maps are their views.
+    those rows and, under them, three blocks affine in (x, useq), with pred =
+    A_K^mu x + S_c useq the mu-step prediction and u_ss the last input of useq
+    (as in the controller's shifted plan): the gradient point v = u_ss +
+    K pred (m rows), the projection's base linear term q0 = -2 (G_K' pred +
+    u_ss) (m rows) and pred itself (n rows). So one product in x plus one in
+    useq gives all four; the residual maps are views of their first rows.
+
+    ``ogd_map`` is M = [G_K' | G_K' K' + I]: a gradient step of size gamma
+    from (pred, u_ss) moves the projection's linear term to
+    q0 + 2 gamma M [gx; gv]. ``explicit_map`` is [S_c^+; R_u S_c^+], with R_u
+    = ``residual_u``: one product with the reach gap d gives the least-norm
+    additional input S_c^+ d and its growth of the stage residuals.
     """
 
-    rollout_x: np.ndarray = field(repr=False)         # (mu*(fx+fu) + n, n)
-    rollout_u: np.ndarray = field(repr=False)         # (mu*(fx+fu) + n, mu*m)
+    rollout_x: np.ndarray = field(repr=False)         # (mu*(fx+fu) + n + 2m, n)
+    rollout_u: np.ndarray = field(repr=False)         # (mu*(fx+fu) + n + 2m, mu*m)
     residual_x: np.ndarray = field(repr=False)        # (mu*(fx+fu), n)
     residual_u: np.ndarray = field(repr=False)        # (mu*(fx+fu), mu*m)
+    ogd_map: np.ndarray = field(repr=False)           # (m, n+m)
+    explicit_map: np.ndarray = field(repr=False)      # (mu*m + mu*(fx+fu), n)
     state_offsets: np.ndarray = field(repr=False)     # (mu, fx) tightened
     input_offsets: np.ndarray = field(repr=False)     # (mu, fu) tightened
     residual_offsets: np.ndarray = field(repr=False)  # both, flattened
@@ -250,14 +262,24 @@ def build_tightening(model):
     kb = np.kron(eye, model.k)
     state_offsets = np.stack([t.offsets for t in state_sets])
     input_offsets = np.stack([t.offsets for t in input_sets])
-    rollout_x = np.vstack([hx @ model._sx, hu @ kb @ model._px, model.a_k_powers[mu]])
-    rollout_u = np.vstack([hx @ model._su, hu @ (np.eye(mu * model.m) + kb @ model._pu),
-                           model.s_c])
+    r = state_offsets.size + input_offsets.size
+    m = model.m
+    last = np.zeros((m, mu * m))  # picks u_ss, the last input of useq
+    last[:, -m:] = np.eye(m)
+    pred_x, pred_u = model.a_k_powers[mu], model.s_c
+    gt = model.g_k.T
+    rollout_x = np.vstack([hx @ model._sx, hu @ kb @ model._px, model.k @ pred_x,
+                           -2.0 * (gt @ pred_x), pred_x])
+    rollout_u = np.vstack([hx @ model._su, hu @ (np.eye(mu * m) + kb @ model._pu),
+                           model.k @ pred_u + last, -2.0 * (gt @ pred_u + last), pred_u])
+    residual_u = rollout_u[:r]
     return TighteningTables(
         rollout_x=rollout_x,
         rollout_u=rollout_u,
-        residual_x=rollout_x[:-model.n],
-        residual_u=rollout_u[:-model.n],
+        residual_x=rollout_x[:r],
+        residual_u=residual_u,
+        ogd_map=np.hstack([gt, gt @ model.k.T + np.eye(m)]),
+        explicit_map=np.vstack([model.s_c_pinv, residual_u @ model.s_c_pinv]),
         state_offsets=state_offsets,
         input_offsets=input_offsets,
         residual_offsets=np.concatenate([state_offsets.ravel(), input_offsets.ravel()]),

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from ocorobust import oco_controller as oco
 from ocorobust.convexsets import HPolytope, Zonotope, ZonotopeMembership
 from ocorobust.errors import DimensionMismatch, InfeasibleError
 from ocorobust.matlin import as_matrix, as_vector
@@ -45,6 +46,18 @@ def di_bundle():
     tables = build_tightening(model)
     manifold = steady_state_manifold(model, model.p_rpi, shrink=0.99)
     return model, tables, manifold
+
+
+@pytest.fixture(params=["scalar", "di", "vehicle"])
+def tables_bundle(request, scalar_bundle, di_bundle):
+    """(model, tables) of the scalar plant, the double integrator and the
+    vehicle's reduced model."""
+    if request.param == "vehicle":
+        from ocorobust import vehicle
+
+        setup = vehicle.vehicle_setup(vehicle.VehicleParams())
+        return setup.model, setup.tables
+    return (scalar_bundle if request.param == "scalar" else di_bundle)[:2]
 
 
 @pytest.fixture(scope="session")
@@ -131,6 +144,16 @@ def box_vertices(z):
         signs = np.array([1.0 if mask & (1 << j) else -1.0 for j in range(q)])
         pts.append(z.center + z.generators @ signs)
     return np.asarray(pts)
+
+
+def ogd_step_at(tables, model, manifold, grad_prev, gamma, pred, u_ss):
+    """``oco.ogd_step`` from the predicted steady state (pred, u_ss), with the
+    gradient point v = u_ss + K pred and the projection's base term
+    q0 = -2 (G_K' pred + u_ss) formed directly; inside ``oco.step`` they are
+    rows of the stacked rollout product."""
+    v = u_ss + model.k @ pred
+    q0 = -2.0 * (model.g_k.T @ pred + u_ss)
+    return oco.ogd_step(tables, manifold, grad_prev, gamma, pred, v, q0)
 
 
 def max_beta_bisect(tables, model, x_meas, base_seq, g, tol=None, resolution=1e-10):

@@ -15,7 +15,7 @@ from ocorobust.cli import main
 from ocorobust.convexsets import HPolytope, Zonotope, pontryagin_deduct
 from ocorobust.errors import OcoRobustError
 from ocorobust.invariance import mrpi_outer, tail_set
-from ocorobust.oco_controller import ControllerConfig, max_beta, ogd_step
+from ocorobust.oco_controller import ControllerConfig, max_beta
 from ocorobust import oco_controller as oco
 from ocorobust.plant import (
     QuadraticCost,
@@ -28,7 +28,7 @@ from ocorobust.simkit import (
     regret_scaling_experiment,
 )
 
-from conftest import certify_rpi, max_beta_bisect, support
+from conftest import certify_rpi, max_beta_bisect, ogd_step_at, support
 
 REPO = Path(__file__).resolve().parent.parent
 N_SEEDS = 100
@@ -123,7 +123,7 @@ def test_criterion_4_case_study_anchors(vehicle_mc):
 
 
 def test_criterion_5_ogd_contraction(di_bundle):
-    model, _, manifold = di_bundle
+    model, tables, manifold = di_bundle
     rng = np.random.default_rng(100)
     failures = 0
     for _ in range(1000):
@@ -137,9 +137,7 @@ def test_criterion_5_ogd_contraction(di_bundle):
         zeta_star = np.concatenate(optimal_steady_state(manifold, cost, model))
         u_ss = rng.uniform(-1.5, 1.5, 1)
         pred = rng.uniform(-2.0, 2.0, 2)
-        state = oco.ControllerState(u_pred=np.zeros(6), u_ss=u_ss,
-                                    zeta_hat=(pred, u_ss), t=1)
-        zeta_hat = np.concatenate(ogd_step(state, model, manifold, cost, gamma, pred))
+        zeta_hat = np.concatenate(ogd_step_at(tables, model, manifold, cost, gamma, pred, u_ss))
         lhs = np.linalg.norm(zeta_hat - zeta_star)
         rhs = (1.0 - gamma * alpha) * np.linalg.norm(
             np.concatenate([pred, u_ss]) - zeta_star)

@@ -470,6 +470,44 @@ class TestCountsBelowOne:
         assert not (tmp_path / "s" / "sweep_rows.csv").exists()
 
 
+class TestFloatBounds:
+    """Out-of-range floats are config errors naming the field (exit 2) in
+    every command, before anything is built or run."""
+
+    @pytest.mark.parametrize("old, new, field, message", [
+        ("seed = 0", "seed = 0\nscale = 2.0", "disturbance.scale", "must be at most 1"),
+        ("seed = 0", "seed = 0\nscale = -0.5", "disturbance.scale", "must be at least 0"),
+        ("gamma = 0.3", "gamma = 0.3\nshrink = 1.5", "controller.shrink", "must be at most 1"),
+        ("gamma = 0.3", "gamma = 0.3\nshrink = 0.0", "controller.shrink", "must be above 0"),
+        ("gamma = 0.3", "gamma = 0.0", "controller.gamma", "must be above 0"),
+        ("gamma = 0.3", "gamma = -1.0", "controller.gamma", "must be above 0"),
+        ("noise_levels = [1.0]", "noise_levels = [0.5, 1.5]", "sweep.noise_levels",
+         "must be at most 1"),
+        ("noise_levels = [1.0]", "noise_levels = [-0.1]", "sweep.noise_levels",
+         "must be at least 0"),
+    ])
+    @pytest.mark.parametrize("command", ["run", "validate", "regret-sweep"])
+    def test_exit_2(self, tmp_path, capsys, command, old, new, field, message):
+        text = MINI_GENERIC + SWEEP_TAIL
+        assert text.count(old) == 1
+        cfg = write_cfg(tmp_path, text.replace(old, new))
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 2
+        captured = capsys.readouterr()
+        assert f"field '{field}'" in captured.err and message in captured.err
+        assert "Traceback" not in captured.out + captured.err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_bounds_are_inclusive_where_the_range_is_closed(self, tmp_path):
+        text = (MINI_GENERIC + SWEEP_TAIL).replace("seed = 0", "seed = 0\nscale = 0.0").replace(
+            "gamma = 0.3", "gamma = 0.3\nshrink = 1.0").replace(
+            "noise_levels = [1.0]", "noise_levels = [0.0, 1.0]")
+        cfg = load_config(write_cfg(tmp_path, text), command="regret-sweep")
+        assert cfg["disturbance"]["scale"] == 0.0
+        assert cfg["controller"]["shrink"] == 1.0
+        assert list(cfg["sweep"]["noise_levels"]) == [0.0, 1.0]
+
+
 class TestAbortNamesSeed:
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_abort_line_names_the_seed(self, tmp_path, monkeypatch, capsys, workers):

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ocorobust import oco_controller as oco
 from ocorobust.denseqp import PrefactoredQp
@@ -9,9 +12,16 @@ from ocorobust.errors import (
     InitializationError,
     StepError,
 )
-from ocorobust.plant import QuadraticCost, cost_curvature, membership_zu, optimal_steady_state
+from ocorobust.plant import (
+    QuadraticCost,
+    cost_curvature,
+    membership_zu,
+    optimal_steady_state,
+    stage_values,
+    stage_values_linear,
+)
 
-from conftest import max_beta_bisect
+from conftest import max_beta_bisect, ogd_step_at
 
 
 def steady_pair(model, manifold, u):
@@ -57,9 +67,9 @@ class TestInitialize:
 
 
 def predict(tables, x, useq):
-    """The mu-step prediction A_K^mu x + S_c useq: the rows of the stacked
-    rollout product under the stage residuals, as ``oco.step`` reads them."""
-    return (tables.rollout_x @ x + tables.rollout_u @ useq)[tables.residual_offsets.size:]
+    """The mu-step prediction A_K^mu x + S_c useq: the last n rows of the
+    stacked rollout product, as ``oco.step`` reads them."""
+    return (tables.rollout_x @ x + tables.rollout_u @ useq)[-tables.rollout_x.shape[1]:]
 
 
 class TestPredict:
@@ -86,27 +96,24 @@ class TestPredict:
 
 class TestOgdStep:
     def test_zero_gradient_fixed_point(self, di_bundle):
-        model, _, manifold = di_bundle
+        model, tables, manifold = di_bundle
         zeta = steady_pair(model, manifold, [0.3])
         cost = QuadraticCost(np.eye(2), np.eye(1),
                              zeta[0], zeta[1] + model.k @ zeta[0])
-        state = oco.ControllerState(u_pred=np.zeros(6), u_ss=zeta[1],
-                                    zeta_hat=zeta, t=1)
-        theta, eta = oco.ogd_step(state, model, manifold, cost, 0.2, zeta[0])
+        theta, eta = ogd_step_at(tables, model, manifold, cost, 0.2, zeta[0], zeta[1])
         assert np.allclose(theta, zeta[0], atol=1e-8)
         assert np.allclose(eta, zeta[1], atol=1e-8)
 
     def test_pushes_to_boundary(self, scalar_bundle):
-        model, _, manifold = scalar_bundle
+        model, tables, manifold = scalar_bundle
         cost = QuadraticCost([[1.0]], [[1e-9]], [100.0], [0.0])
-        state = oco.ControllerState(u_pred=np.zeros(2), u_ss=np.zeros(1),
-                                    zeta_hat=(np.zeros(1), np.zeros(1)), t=1)
-        theta, eta = oco.ogd_step(state, model, manifold, cost, 1.0, np.zeros(1))
+        theta, eta = ogd_step_at(tables, model, manifold, cost, 1.0, np.zeros(1),
+                                 np.zeros(1))
         umax = manifold.sbar.offsets[0] / manifold.sbar.normals[0, 0]
         assert eta[0] == pytest.approx(umax, rel=1e-6)
 
     def test_contraction_inequality(self, di_bundle):
-        model, _, manifold = di_bundle
+        model, tables, manifold = di_bundle
         rng = np.random.default_rng(50)
         for _ in range(100):
             qx = np.diag(rng.uniform(0.5, 2.0, 2))
@@ -118,9 +125,7 @@ class TestOgdStep:
             zs = np.concatenate(zeta_star)
             u_ss = rng.uniform(-1.0, 1.0, 1)
             pred = rng.uniform(-1.0, 1.0, 2)
-            state = oco.ControllerState(u_pred=np.zeros(6), u_ss=u_ss,
-                                        zeta_hat=(pred, u_ss), t=1)
-            zeta_hat = oco.ogd_step(state, model, manifold, cost, gamma, pred)
+            zeta_hat = ogd_step_at(tables, model, manifold, cost, gamma, pred, u_ss)
             lhs = np.linalg.norm(np.concatenate(zeta_hat) - zs)
             rhs = (1.0 - gamma * alpha) * np.linalg.norm(np.concatenate([pred, u_ss]) - zs)
             assert lhs <= rhs + 1e-8
@@ -128,21 +133,22 @@ class TestOgdStep:
 
 class TestAdditionalInput:
     def test_degenerate_is_zero(self, scalar_bundle):
-        model, _, _ = scalar_bundle
-        g = oco.additional_input_explicit(model, np.array([1.0]), np.array([1.0]))
+        _, tables, _ = scalar_bundle
+        g, growth = oco.additional_input_explicit(tables, np.array([1.0]), np.array([1.0]))
         assert np.array_equal(g, np.zeros(2))
+        assert np.array_equal(growth, np.zeros(tables.residual_offsets.size))
 
     def test_scalar_hand_solution(self, scalar_bundle):
-        model, _, _ = scalar_bundle
+        _, tables, _ = scalar_bundle
         # S_c = [0.5, 1], S_c S_c^T = 1.25, d = 1 -> g = (0.4, 0.8)
-        g = oco.additional_input_explicit(model, np.array([1.0]), np.array([0.0]))
+        g, _ = oco.additional_input_explicit(tables, np.array([1.0]), np.array([0.0]))
         assert np.allclose(g, [0.4, 0.8], atol=1e-12)
 
     def test_least_norm_among_solutions(self, di_bundle):
-        model, _, _ = di_bundle
+        model, tables, _ = di_bundle
         rng = np.random.default_rng(51)
         d = rng.standard_normal(2) * 0.2
-        g = oco.additional_input_explicit(model, d, np.zeros(2))
+        g, _ = oco.additional_input_explicit(tables, d, np.zeros(2))
         # oracle: minimum-norm QP subject to S_c g = d
         sol = PrefactoredQp(2 * np.eye(model.mu), eq_normals=model.s_c).solve(
             np.zeros(model.mu), eq_offsets=d)
@@ -150,7 +156,7 @@ class TestAdditionalInput:
         assert np.allclose(model.s_c @ g, d, atol=1e-9)
 
     def test_optimized_identity_cost_matches_explicit(self, di_bundle):
-        model, _, _ = di_bundle
+        model, tables, _ = di_bundle
         nv = model.mu * model.m
         rollout = equality_rollout(model, 2 * np.eye(nv), np.zeros(nv))
         theta, pred = np.array([0.3, -0.1]), np.zeros(2)
@@ -158,7 +164,7 @@ class TestAdditionalInput:
                                                     c_g=1000.0)
         assert not fb
         assert kkt <= 1e-8
-        assert np.allclose(g, oco.additional_input_explicit(model, theta, pred), atol=1e-7)
+        assert np.allclose(g, oco.additional_input_explicit(tables, theta, pred)[0], atol=1e-7)
 
     def test_optimized_degenerate_zero(self, di_bundle):
         model, _, _ = di_bundle
@@ -184,7 +190,7 @@ class TestAdditionalInput:
         assert np.linalg.norm(model.s_c @ g - (theta - pred)) <= 1e-8
 
     def test_norm_cap_triggers_fallback(self, di_bundle):
-        model, _, _ = di_bundle
+        model, tables, _ = di_bundle
         nv = model.mu * model.m
         # linear term pushes the solution far away; tiny cap forces fallback
         rollout = equality_rollout(model, 2e-4 * np.eye(nv), rng_lin(nv))
@@ -192,7 +198,7 @@ class TestAdditionalInput:
         g, _, fb = oco.additional_input_optimized(model, theta, pred, rollout,
                                                   c_g=model.c_g_min * 1.01)
         assert fb
-        assert np.allclose(g, oco.additional_input_explicit(model, theta, pred))
+        assert np.allclose(g, oco.additional_input_explicit(tables, theta, pred)[0])
 
 
 class TestRolloutBuilder:
@@ -263,6 +269,84 @@ class TestMaxBeta:
             bis = max_beta_bisect(tables, model, x, state.u_pred, g)
             assert abs(exact - bis) <= 1e-8
             checked += 1
+
+
+def full_ratio_test(base_vals, growth):
+    """``oco.max_beta``'s per-facet ratio test with no beta = 1 exit: the
+    reference its early exit must equal bit for bit."""
+    peak = float(np.abs(growth).max())
+    if peak == 0.0:
+        return 1.0
+    if not peak < np.inf:
+        raise ValueError("g has non-finite entries")
+    mask = growth > 1e-14 * max(1.0, peak)
+    rising = growth[mask]
+    if not rising.size:
+        return 1.0
+    return float(min(1.0, (np.maximum(-base_vals[mask], 0.0) / rising).min()))
+
+
+class TestMaxBetaEarlyExit:
+    """``max_beta`` returns 1 at once when every row stays inside at beta = 1
+    (base + growth <= 0); that must be the ratio test's answer too."""
+
+    TOL = 1e-9
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.data())
+    def test_drawn_rows_equal_full_ratio_test(self, scalar_bundle, data):
+        # Base residuals <= tol and growths drawn row by row, among them exact
+        # ties growth == -base, zero growth and rows inside at beta = 1.
+        model, tables, _ = scalar_bundle
+        size = data.draw(st.integers(1, 12))
+        base = data.draw(arrays(float, size, elements=st.sampled_from(
+            [-3.0, -1.0, -0.25, -1e-3, -1e-12, 0.0, 0.5 * self.TOL, self.TOL])))
+        growth = np.array([data.draw(st.sampled_from(
+            [-b, 0.0, 1e-3, 0.3, 2.0, -0.5, 5e-15, -b * (1 + 2**-52), -b * (1 - 2**-52)]))
+            for b in base])
+        got = oco.max_beta(tables, model, None, None, None, tol=self.TOL,
+                           _base=(base, float(base.max())), _growth=growth)
+        assert got == full_ratio_test(base, growth)
+
+    def test_exact_tie_and_zero_g(self, scalar_bundle):
+        model, tables, _ = scalar_bundle
+        base = np.array([-1.0, -0.3, 0.0, -2.0**-40])
+        for growth in (-base, np.zeros(4)):
+            got = oco.max_beta(tables, model, None, None, None,
+                               _base=(base, float(base.max())), _growth=growth)
+            assert got == full_ratio_test(base, growth) == 1.0
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(st.data())
+    def test_rollouts_equal_full_ratio_test_and_bisection(self, scalar_bundle, di_bundle,
+                                                          data):
+        model, tables, manifold = data.draw(st.sampled_from([scalar_bundle, di_bundle]))
+        unit = st.floats(-1.0, 1.0, allow_nan=False)
+        u = data.draw(arrays(float, model.m, elements=unit)) * 0.3
+        assume(manifold.contains_u(u))
+        zeta = steady_pair(model, manifold, u)
+        x = zeta[0] + data.draw(arrays(float, model.n, elements=unit)) * 0.08
+        try:
+            base_seq = oco.initialize(model, tables, manifold, zeta, x).u_pred
+        except InitializationError:
+            assume(False)
+        scale = data.draw(st.sampled_from([0.0, 1e-3, 0.05, 0.5, 5.0, 40.0]))
+        g = data.draw(arrays(float, model.mu * model.m, elements=unit)) * scale
+        got = oco.max_beta(tables, model, x, base_seq, g)
+        assert got == full_ratio_test(stage_values(tables, x, base_seq),
+                                      stage_values_linear(tables, g))
+        assert abs(got - max_beta_bisect(tables, model, x, base_seq, g)) <= 1e-8
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_g_raises(self, tables_bundle, bad):
+        model, tables = tables_bundle
+        x, base_seq = np.zeros(model.n), np.zeros(model.mu * model.m)
+        assert stage_values(tables, x, base_seq).max() <= model.membership_tol
+        for j in range(base_seq.size):
+            g = np.zeros(base_seq.size)
+            g[j] = bad
+            with pytest.raises(ValueError, match="non-finite"), np.errstate(invalid="ignore"):
+                oco.max_beta(tables, model, x, base_seq, g)
 
 
 class TestStep:

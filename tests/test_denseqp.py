@@ -507,12 +507,29 @@ class TestNonFiniteData:
                 self.assert_non_finite(pre.solve(np.zeros(2), ineq_offsets=offsets,
                                                  eq_offsets=np.zeros(pre.meq)))
 
+    @staticmethod
+    def assert_guess_matches_full_form(pre, q, ineq_b, eq_b, x, nu, tol=1e-8):
+        # The fast path's guess has the status and the KKT residual of the
+        # full form with lam = 0, bit for bit or both NaN; it is None only
+        # when a row fails GI's stopping test, and "optimal" only when none
+        # does.
+        prod = pre.stacked @ x
+        guess = pre._equality_guess(prod, q, ineq_b, eq_b, x, nu, tol)
+        full = pre._assemble(prod, q, ineq_b, eq_b, x, np.zeros(len(ineq_b)), nu, "optimal",
+                             tol)
+        failing = (prod[len(x):len(x) + len(ineq_b)] - ineq_b > 0.1 * tol).any()
+        if guess is None:
+            assert failing
+            return
+        assert guess.status == full.status
+        assert np.array_equal([guess.kkt_residual], [full.kkt_residual], equal_nan=True)
+        assert np.array_equal(guess.ineq_multipliers, np.zeros(len(ineq_b)))
+        assert guess.status != "optimal" or not failing
+
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(st.data())
     def test_zero_multiplier_residual_matches_full_form(self, data):
-        # The fast path's residual (lam None) equals the full KKT residual
-        # with lam = 0, bit for bit or both NaN, and so does the status, on
-        # finite data and with one NaN or +-inf in q, x or a right-hand side.
+        # On finite data and with one NaN or +-inf in q, x or a right-hand side.
         h, q, ineq_n, ineq_b, eq_n, eq_b = data.draw(qp_instances())
         pre = PrefactoredQp(h, ineq_normals=ineq_n, eq_normals=eq_n)
         x = data.draw(arrays(float, len(q), elements=GRID))
@@ -521,12 +538,21 @@ class TestNonFiniteData:
         if bad is not None:
             vec = data.draw(st.sampled_from([v for v in (q, x, ineq_b, eq_b) if v.size]))
             vec[data.draw(st.integers(0, vec.size - 1))] = bad
-        args = (pre.stacked @ x, q, ineq_b, eq_b, x)
-        fast = pre._assemble(*args, None, nu, "optimal", 1e-8)
-        full = pre._assemble(*args, np.zeros(len(ineq_b)), nu, "optimal", 1e-8)
-        assert fast.status == full.status
-        assert np.array_equal([fast.kkt_residual], [full.kkt_residual], equal_nan=True)
-        assert np.array_equal(fast.ineq_multipliers, np.zeros(len(ineq_b)))
+        self.assert_guess_matches_full_form(pre, q, ineq_b, eq_b, x, nu)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("which", ["ineq", "eq"])
+    def test_non_finite_offset_guess_matches_full_form(self, bad, which):
+        # Every row of both offset vectors in turn, at the equality-constrained
+        # optimum the fast path computes and at a point inside the box.
+        pre = PrefactoredQp(self.H, ineq_normals=self.BOX, eq_normals=self.EQ)
+        q = np.array([-1.0, 0.5])
+        for row in range(4 if which == "ineq" else 1):
+            ineq_b, eq_b = np.ones(4), np.array([0.5])
+            (ineq_b if which == "ineq" else eq_b)[row] = bad
+            sol = pre.kkt_q @ q + pre.kkt_b @ eq_b
+            for x, nu in ((sol[:2], sol[2:]), (np.array([0.25, 0.25]), np.array([0.5]))):
+                self.assert_guess_matches_full_form(pre, q, ineq_b, eq_b, x, nu)
 
     def test_finite_data_unchanged(self):
         sol = PrefactoredQp(2.0 * np.eye(2)).solve(np.array([-2.0, 0.0]))

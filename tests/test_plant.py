@@ -216,17 +216,8 @@ def rollout_stage_values(tables, model, x, useq, offsets=True):
 
 
 class TestStageValues:
-    @pytest.fixture(params=["scalar", "di", "vehicle"])
-    def bundle(self, request, scalar_bundle, di_bundle):
-        if request.param == "vehicle":
-            from ocorobust import vehicle
-
-            setup = vehicle.vehicle_setup(vehicle.VehicleParams())
-            return setup.model, setup.tables
-        return (scalar_bundle if request.param == "scalar" else di_bundle)[:2]
-
-    def test_matches_stepwise_rollout(self, bundle):
-        model, tables = bundle
+    def test_matches_stepwise_rollout(self, tables_bundle):
+        model, tables = tables_bundle
         rng = np.random.default_rng(42)
         for _ in range(20):
             x = rng.standard_normal(model.n)
@@ -242,21 +233,59 @@ class TestStageValues:
                 scale = max(1.0, float(np.abs(want).max()))
                 assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
 
-    def test_stacked_rows_match_stage_values_and_prediction(self, bundle):
-        # One product in x plus one in useq gives the stage residuals and,
-        # under them, A_K^mu x + S_c useq, bit for bit as the separate products.
-        model, tables = bundle
+    def test_stacked_rows_match_stage_values_and_prediction(self, tables_bundle):
+        # One product in x plus one in useq gives the stage residuals and, in
+        # its last rows, A_K^mu x + S_c useq, bit for bit as the separate
+        # products (the two blocks between them are checked in the next test).
+        model, tables = tables_bundle
         rng = np.random.default_rng(43)
-        r = len(tables.residual_offsets)
-        assert tables.rollout_x.shape == (r + model.n, model.n)
-        assert tables.rollout_u.shape == (r + model.n, model.mu * model.m)
+        r, n = len(tables.residual_offsets), model.n
+        assert tables.rollout_x.shape == (r + n + 2 * model.m, n)
+        assert tables.rollout_u.shape == (r + n + 2 * model.m, model.mu * model.m)
         for _ in range(20):
-            x = rng.standard_normal(model.n)
+            x = rng.standard_normal(n)
             useq = rng.standard_normal(model.mu * model.m)
             rows = tables.rollout_x @ x + tables.rollout_u @ useq
             assert np.array_equal(rows[:r] - tables.residual_offsets,
                                   stage_values(tables, x, useq))
-            assert np.array_equal(rows[r:], model.a_k_powers[model.mu] @ x + model.s_c @ useq)
+            assert np.array_equal(rows[-n:],
+                                  model.a_k_powers[model.mu] @ x + model.s_c @ useq)
+
+    def test_step_maps_match_separate_products(self, tables_bundle):
+        # The gradient point v = u_ss + K pred and the projection's base term
+        # q0 = -2 (G_K' pred + u_ss) under the stage residuals (u_ss the last
+        # input of useq), the OGD map M [gx; gv] = G_K' (gx + K' gv) + gv, and
+        # [S_c^+; R_u S_c^+] d = [g; R_u g] with g = S_c^+ d, all within 1e-12
+        # relative to the size of the terms.
+        model, tables = tables_bundle
+        rng = np.random.default_rng(44)
+        r, n, m = len(tables.residual_offsets), model.n, model.m
+
+        def assert_close(got, want, *terms):
+            scale = max(1.0, *(float(np.abs(t).max()) for t in terms))
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+
+        for _ in range(20):
+            x = rng.standard_normal(n)
+            useq = rng.standard_normal(model.mu * m)
+            rows = tables.rollout_x @ x + tables.rollout_u @ useq
+            pred = model.a_k_powers[model.mu] @ x + model.s_c @ useq
+            u_ss = useq[-m:]
+            k_pred, gt_pred = model.k @ pred, model.g_k.T @ pred
+            assert_close(rows[r:r + m], u_ss + k_pred, u_ss, k_pred)
+            assert_close(rows[r + m:r + 2 * m], -2.0 * (gt_pred + u_ss), 2.0 * gt_pred,
+                         2.0 * u_ss)
+
+            gx, gv = rng.standard_normal(n), rng.standard_normal(m)
+            step = model.g_k.T @ (gx + model.k.T @ gv)
+            assert_close(tables.ogd_map @ np.concatenate([gx, gv]), step + gv, step, gv)
+
+            d = rng.standard_normal(n)
+            both = tables.explicit_map @ d
+            g = model.s_c_pinv @ d
+            growth = tables.residual_u @ g
+            assert_close(both[:g.size], g, g)
+            assert_close(both[g.size:], growth, growth, np.abs(tables.residual_u) @ np.abs(g))
 
 
 class TestMembershipZu:

@@ -545,10 +545,14 @@ class TestBatchedFlags:
                 u = u + 10.0
             if new.t == 4:
                 diag = dataclasses.replace(diag, candidate_feasible=False)
-            if new.t == 5:
-                new = dataclasses.replace(new, u_pred=new.u_pred + 10.0)
+            if new.t == 5:  # the plan is [u_pred; u_ss]
+                plan = new.plan.copy()
+                plan[:-model.m] += 10.0
+                new = dataclasses.replace(new, plan=plan)
             if new.t == 6:
-                new = dataclasses.replace(new, u_ss=new.u_ss + 10.0)
+                plan = new.plan.copy()
+                plan[-model.m:] += 10.0
+                new = dataclasses.replace(new, plan=plan)
             if new.t == 8:
                 diag = dataclasses.replace(diag, g_norm=diag.g_norm + 1.0)
             if new.t == 10:

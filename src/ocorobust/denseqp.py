@@ -16,7 +16,10 @@ symmetrised; ``matlin.spd_inverse``), H^-1 C', the Gram matrix C H^-1 C' of
 the stacked normals C, and the KKT inverse of the equality rows alone. In a
 closed loop the inequality rows rarely bind, so ``solve`` has one fast path:
 the equality-constrained optimum, kept when no row binds and the KKT check
-passes; otherwise GI runs cold. No state is kept between solves.
+passes. When it fails on a solver with inequality rows only, GI's first
+iteration (the most violated row made active) is tried from it; otherwise GI
+runs cold. ``guess_rows`` makes the fast path's guess for many linear terms
+at once. No state is kept between solves.
 """
 
 from __future__ import annotations
@@ -55,9 +58,11 @@ class PrefactoredQp:
     alone are precomputed, so the equality-constrained optimum is the closed
     form [x; nu] = K_q q + K_b b_eq (with no equalities, x = -H^-1 q). ``solve``
     returns it when no inequality row is violated beyond GI's stopping test
-    and the KKT check passes; in every other case (a binding row, or
-    rank-deficient and possibly inconsistent equalities) it runs the GI
-    iteration from the unconstrained optimum.
+    and the KKT check passes. With no equality rows and a violated row, it
+    next tries GI's one-row step from it (``_one_row_step``). In every other
+    case (two or more binding rows, or rank-deficient and possibly
+    inconsistent equalities) it runs the GI iteration from the unconstrained
+    optimum.
     """
 
     def __init__(self, hessian, ineq_normals=None, eq_normals=None):
@@ -109,8 +114,10 @@ class PrefactoredQp:
             sol = (self.kkt_q @ linear + self.kkt_b @ eq_b if self.meq
                    else self.kkt_q @ linear)
             x = sol[:n]
-            guess = self._equality_guess(self.stacked @ x, linear, ineq_b, eq_b, x, sol[n:],
-                                         tol)
+            prod = self.stacked @ x
+            guess = self._equality_guess(prod, linear, ineq_b, eq_b, x, sol[n:], tol)
+            if guess is None and not self.meq and max_iter >= 1:
+                guess = self._one_row_step(prod, linear, ineq_b, eq_b, x, tol)
             if guess is not None and guess.status == "optimal":
                 return guess
         cd = np.concatenate([eq_b, -ineq_b])
@@ -118,7 +125,8 @@ class PrefactoredQp:
                                                   tol, max_iter)
         # NaN fails every ratio test in GI, so non-finite data usually ends
         # "infeasible"; name the actual cause.
-        if status != "optimal" and not (np.isfinite(linear).all() and np.isfinite(cd).all()):
+        if status != "optimal" and not (np.logical_and.reduce(np.isfinite(linear))
+                                        and np.logical_and.reduce(np.isfinite(cd))):
             status = "non_finite"
         lam = np.zeros(mineq)
         nu = np.zeros(self.meq)
@@ -144,17 +152,66 @@ class PrefactoredQp:
         terms = []
         if mineq:
             viol = prod[n:n + mineq] - ineq_b
-            top = float(viol.max())
+            top = float(np.maximum.reduce(viol))
             if top > 0.1 * tol:
                 return None
-            terms += [max(top, 0.0), 0.0 * float(viol.min())]
+            terms += [max(top, 0.0), 0.0 * float(np.minimum.reduce(viol))]
         grad = prod[:n] + linear
         if self.meq:
             grad += self.eq_normals.T @ nu
-            terms.append(float(np.abs(prod[n + mineq:] - eq_b).max()))
+            terms.append(float(np.maximum.reduce(np.abs(prod[n + mineq:] - eq_b))))
         res, status = _residual_status([math.sqrt(grad @ grad), *terms], "optimal", tol)
         return QpSolution(x=x, kkt_residual=res, status=status,
                           ineq_multipliers=np.zeros(mineq), eq_multipliers=nu)
+
+    def _one_row_step(self, prod, linear, ineq_b, eq_b, x, tol):
+        """GI's first iteration from the failed guess x (no equality rows):
+        the most violated row j (the lowest index on ties, as GI's argmin)
+        becomes active and x steps along z = H^-1 C_j' by t = -slack / z'C_j',
+        with multiplier t. ``prod`` is ``stacked @ x``. Returns the point as
+        ``_assemble`` checks it when every other row then passes GI's stopping
+        test and z'C_j' is above GI's drop tolerance, else None.
+        """
+        n = x.size
+        viol = prod[n:] - ineq_b
+        j = int(np.argmax(viol))
+        z = self.hinv_cn[:, j]
+        ztn = float(self.cn[j] @ z)
+        if not ztn > 1e-11:
+            return None
+        step = float(viol[j]) / ztn  # -slack / ztn, with slack = -viol
+        x = x + step * z
+        prod = self.stacked @ x
+        viol = prod[n:] - ineq_b
+        viol[j] = 0.0  # GI zeroes the active row's slack in its test
+        if not float(np.maximum.reduce(viol)) <= 0.1 * tol:
+            return None
+        lam = np.zeros(ineq_b.size)
+        lam[j] = step
+        return self._assemble(prod, linear, ineq_b, eq_b, x, lam, np.zeros(0), "optimal",
+                              tol)
+
+    def guess_rows(self, linears, ineq_offsets, tol=DEFAULT_TOL):
+        """The fast path of ``solve`` for many linear terms at once, on a
+        solver with inequality rows only: returns the unconstrained optimum
+        x = -H^-1 q of each row q of ``linears`` and whether ``solve`` keeps
+        it.
+
+        One product per map gives every row's x, its stacked products and so
+        its slacks and gradient. A row is kept under ``_equality_guess``'s
+        rule: every slack passes GI's stopping test and every KKT term of the
+        zero-multiplier point is within tol (``_residual_status`` says
+        "optimal" exactly then), so a NaN or inf term rejects the row.
+        """
+        x = linears @ self.kkt_q.T
+        prod = x @ self.stacked.T
+        n = x.shape[1]
+        viol = prod[:, n:] - ineq_offsets
+        grad = prod[:, :n] + linears
+        kept = ((np.maximum.reduce(viol, axis=1) <= 0.1 * tol)
+                & (np.sqrt(np.einsum("ij,ij->i", grad, grad)) <= tol)
+                & (0.0 * np.minimum.reduce(viol, axis=1) <= tol))
+        return x, kept
 
     def _assemble(self, prod, linear, ineq_b, eq_b, x, lam, nu, status, tol):
         """KKT residual of (x, lam, nu); an "optimal" above tol becomes "max_iter".
@@ -172,11 +229,11 @@ class PrefactoredQp:
         terms = [math.sqrt(grad @ grad)]
         if mineq:
             viol = prod[n:n + mineq] - ineq_b
-            terms += [float(viol.max(initial=0.0)),
-                      float(np.abs(lam * viol).max(initial=0.0)),
-                      max(0.0, -float(lam.min(initial=0.0)))]
+            terms += [float(np.maximum.reduce(viol, initial=0.0)),
+                      float(np.maximum.reduce(np.abs(lam * viol), initial=0.0)),
+                      max(0.0, -float(np.minimum.reduce(lam, initial=0.0)))]
         if self.meq:
-            terms.append(float(np.abs(prod[n + mineq:] - eq_b).max()))
+            terms.append(float(np.maximum.reduce(np.abs(prod[n + mineq:] - eq_b))))
         res, status = _residual_status(terms, status, tol)
         return QpSolution(x=x, kkt_residual=res, status=status, ineq_multipliers=lam,
                           eq_multipliers=nu)

@@ -35,7 +35,7 @@ def as_matrix(a, name="matrix"):
 def as_vector(v, name="vector"):
     """Coerce to a 1-D float array and require finite entries."""
     x = np.asarray(v, dtype=float).reshape(-1)
-    if not np.isfinite(x).all():
+    if not np.logical_and.reduce(np.isfinite(x)):
         raise ValueError(f"{name} has non-finite entries")
     return x
 

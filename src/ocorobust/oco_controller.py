@@ -92,28 +92,34 @@ class QuadraticRolloutBuilder:
     """Rollout objective with fixed stage weights and the controller's own
     steady-state estimate as target; the generic choice for the optimized
     additional-input variant. The weights fix the Hessian, so the solver is
-    built here once and each step forms only the linear term."""
+    built here once and each step forms only the linear term.
+
+    The rollout of g + candidate from x has the states c_x + E g, with c_x =
+    P0 x + E candidate, and the inputs c_v + (I + K_b E) g, with c_v =
+    candidate + K_b c_x (K_b = I (x) K); the stage cost is weighted against
+    theta_hat at every stage. So the linear term is affine in (x, candidate,
+    theta_hat), and its three maps ``lin_x``, ``lin_c`` and ``lin_theta`` are
+    fixed.
+    """
 
     def __init__(self, model, q_x, q_u):
-        self.model = model
         mu = model.mu
-        self.e = model._pu
-        self.p0 = model._px
-        self.kb = np.kron(np.eye(mu), model.k)
-        self.mmap = np.eye(mu * model.m) + self.kb @ self.e
+        e, p0 = model._pu, model._px
+        kb = np.kron(np.eye(mu), model.k)
+        mmap = np.eye(mu * model.m) + kb @ e
         qx_bar = np.kron(np.eye(mu), np.asarray(q_x, float))
         qu_bar = np.kron(np.eye(mu), np.asarray(q_u, float))
-        h = self.e.T @ qx_bar @ self.e + self.mmap.T @ qu_bar @ self.mmap
+        h = e.T @ qx_bar @ e + mmap.T @ qu_bar @ mmap
         self.hessian = 0.5 * (h + h.T)
         self.solver = PrefactoredQp(self.hessian, eq_normals=model.s_c)
-        self.qxe = qx_bar @ self.e
-        self.qum = qu_bar @ self.mmap
+        qxe, qum = qx_bar @ e, qu_bar @ mmap
+        self.lin_x = qxe.T @ p0 + qum.T @ kb @ p0
+        self.lin_c = qxe.T @ e + qum.T @ mmap
+        self.lin_theta = qxe.T @ np.tile(np.eye(model.n), (mu, 1))
 
     def build(self, ctx):
-        c_x = self.p0 @ ctx.x_meas + self.e @ ctx.candidate
-        c_v = ctx.candidate + self.kb @ c_x
-        refs = np.tile(ctx.theta_hat, self.model.mu)
-        lin = self.qxe.T @ (c_x - refs) + self.qum.T @ c_v
+        lin = (self.lin_x @ ctx.x_meas + self.lin_c @ ctx.candidate
+               - self.lin_theta @ ctx.theta_hat)
         return RolloutQp(self.solver, lin)
 
 
@@ -160,7 +166,7 @@ def ogd_step(tables, manifold, grad_prev, gamma, pred_state, v, q0):
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     grad = np.concatenate(grad_prev.grad(pred_state, v))
-    if not np.isfinite(grad).all():
+    if not np.logical_and.reduce(np.isfinite(grad)):
         raise ValueError("gradient oracle returned non-finite values")
     return project_manifold(manifold, q0 + (2.0 * gamma) * (tables.ogd_map @ grad))
 
@@ -236,7 +242,7 @@ def max_beta(tables, model, x_meas, base_seq, g, tol=None, _base=None, _growth=N
         tol = model.membership_tol
     if _base is None:
         base_vals = stage_values(tables, x_meas, base_seq)
-        worst = float(base_vals.max(initial=-np.inf))
+        worst = float(np.maximum.reduce(base_vals, initial=-np.inf))
     else:
         base_vals, worst = _base
     if not worst <= tol:  # NaN-safe: a non-finite x_meas or base_seq fails here
@@ -247,9 +253,9 @@ def max_beta(tables, model, x_meas, base_seq, g, tol=None, _base=None, _growth=N
     # fl(a + b) <= 0 exactly when b <= -a. A non-finite g makes some row +inf
     # or NaN (U is compact, so some input row grows along any direction), so
     # it never takes this exit.
-    if float((base_vals + growth).max()) <= 0.0:
+    if float(np.maximum.reduce(base_vals + growth)) <= 0.0:
         return 1.0
-    peak = float(np.abs(growth).max())
+    peak = float(np.maximum.reduce(np.abs(growth)))
     if peak == 0.0:
         return 1.0
     if not peak < np.inf:
@@ -258,7 +264,7 @@ def max_beta(tables, model, x_meas, base_seq, g, tol=None, _base=None, _growth=N
     rising = growth[mask]
     if not rising.size:
         return 1.0
-    return float(min(1.0, (np.maximum(-base_vals[mask], 0.0) / rising).min()))
+    return float(min(1.0, np.minimum.reduce(np.maximum(-base_vals[mask], 0.0) / rising)))
 
 
 def step(state, model, tables, manifold, x_meas, grad_prev, options):
@@ -275,7 +281,7 @@ def step(state, model, tables, manifold, x_meas, grad_prev, options):
         r = tables.residual_offsets.size
         base_vals = rows[:r] - tables.residual_offsets
         pred = rows[r + 2 * m:]
-        worst = float(base_vals.max())
+        worst = float(np.maximum.reduce(base_vals))
 
         theta_hat, eta_hat = ogd_step(tables, manifold, grad_prev, options.gamma, pred,
                                       rows[r:r + m], rows[r + m:r + 2 * m])

@@ -468,6 +468,7 @@ class SteadyStateBenchmark:
         g = manifold.g_k
         mmap = np.eye(model.m) + model.k @ g
         h = g.T @ cost.q_x @ g + mmap.T @ cost.q_u @ mmap
+        self.manifold, self.model = manifold, model
         self.q_x, self.q_u = cost.q_x, cost.q_u
         self.solver = PrefactoredQp(0.5 * (h + h.T), ineq_normals=manifold.sbar.normals)
         self.ref_x_map = cost.q_x.T @ g
@@ -476,6 +477,27 @@ class SteadyStateBenchmark:
     def serves(self, cost):
         """True when ``cost`` has this benchmark's weight arrays."""
         return cost.q_x is self.q_x and cost.q_u is self.q_u
+
+    def steady_states(self, costs, steps):
+        """The benchmark steady states of ``costs`` (each served here) as
+        rows (theta, eta).
+
+        One batched guess (``PrefactoredQp.guess_rows``) settles every row
+        whose unconstrained optimum ``solve`` would keep; each other row goes
+        through ``optimal_steady_state``. A row that is not optimal raises
+        ``InfeasibleError`` naming its entry of ``steps``.
+        """
+        linears = -(np.array([c.ref_x for c in costs]) @ self.ref_x_map
+                    + np.array([c.ref_u for c in costs]) @ self.ref_u_map)
+        u, kept = self.solver.guess_rows(linears, self.manifold.sbar.offsets)
+        theta = u @ self.manifold.g_k.T
+        for i in np.flatnonzero(~kept):
+            try:
+                theta[i], u[i] = optimal_steady_state(self.manifold, costs[i], self.model,
+                                                      self)
+            except InfeasibleError as exc:
+                raise InfeasibleError(f"step {steps[i]}: {exc}") from exc
+        return theta, u
 
 
 def optimal_steady_state(manifold, cost, model, benchmark=None):

@@ -3,7 +3,8 @@
 The loop enforces strict online ordering: the controller at step t sees the
 measured state and the gradient of the previous cost only; the step-t cost is
 revealed after u_t is applied. The benchmark is the per-step optimal steady
-state, recomputed from each revealed cost.
+state of each revealed cost; the controller never reads it, so it is solved
+for the whole run after the loop.
 """
 
 from __future__ import annotations
@@ -98,22 +99,45 @@ def _running_sum(x):
     return float(np.cumsum(np.concatenate([[0.0], x]))[-1])
 
 
-def _cost_values(costs, x, u):
-    """``costs[i].value(x[i], u[i])`` of every row: one quadratic form per run of
-    consecutive rows whose costs share their weight arrays (the test of
-    ``SteadyStateBenchmark.serves``), with a reference per row."""
+def _weight_runs(costs, manifold, model):
+    """The runs of consecutive rows whose costs share their weight arrays, as
+    (rows, benchmark) pairs: one ``SteadyStateBenchmark`` per run, whose
+    ``serves`` ends the run."""
+    runs, start, benchmark = [], 0, None
+    for i, cost in enumerate(costs):
+        if benchmark is None or not benchmark.serves(cost):
+            if benchmark is not None:
+                runs.append((slice(start, i), benchmark))
+            start, benchmark = i, SteadyStateBenchmark(manifold, model, cost)
+    if benchmark is not None:
+        runs.append((slice(start, len(costs)), benchmark))
+    return runs
+
+
+def _benchmark_states(costs, runs, n, m):
+    """The benchmark steady state (theta, eta) of every row: per run, one
+    ``steady_states`` call over the distinct cost objects (a schedule hands
+    out the same object for consecutive steps), spread back over the rows."""
+    theta, eta = np.empty((len(costs), n)), np.empty((len(costs), m))
+    for rows, benchmark in runs:
+        run = costs[rows]
+        new = np.array([i == 0 or run[i] is not run[i - 1] for i in range(len(run))])
+        distinct = np.flatnonzero(new)
+        at = np.cumsum(new) - 1
+        run_theta, run_eta = benchmark.steady_states(run[distinct], rows.start + distinct)
+        theta[rows], eta[rows] = run_theta[at], run_eta[at]
+    return theta, eta
+
+
+def _cost_values(costs, runs, x, u):
+    """``costs[i].value(x[i], u[i])`` of every row: one quadratic form per run
+    of ``_weight_runs``, with a reference per row."""
     out = np.empty(len(costs))
-    start = 0
-    for stop in range(1, len(costs) + 1):
-        first = costs[start]
-        if stop < len(costs) and costs[stop].q_x is first.q_x and costs[stop].q_u is first.q_u:
-            continue
-        rows = slice(start, stop)
+    for rows, benchmark in runs:
         dx = x[rows] - np.array([c.ref_x for c in costs[rows]])
         dv = u[rows] - np.array([c.ref_u for c in costs[rows]])
-        out[rows] = (0.5 * ((dx @ first.q_x) * dx).sum(axis=1)
-                     + 0.5 * ((dv @ first.q_u) * dv).sum(axis=1))
-        start = stop
+        out[rows] = (0.5 * ((dx @ benchmark.q_x) * dx).sum(axis=1)
+                     + 0.5 * ((dv @ benchmark.q_u) * dv).sum(axis=1))
     return out
 
 
@@ -122,18 +146,18 @@ class RunRecord:
 
     Each step writes x_true, x_meas, u, w and v; the controller's beta,
     g_norm, pred_state, theta_hat, eta_hat, u_pred, u_ss, candidate_ok,
-    kkt_residual (NaN when the step has none) and g_fallback; the benchmark
-    steady state benchmark_theta, benchmark_eta; and the step's cost object
-    (costs). ``finish`` adds ``flags`` (a boolean column per invariant flag),
-    cost and benchmark_cost. Every array attribute is a column. Indexing (and
-    so iteration) gives ``TraceRecord`` views of rows; a slice gives a record.
+    kkt_residual (NaN when the step has none) and g_fallback; and the step's
+    cost object (costs). ``finish`` adds ``flags`` (a boolean column per
+    invariant flag), the benchmark steady state benchmark_theta,
+    benchmark_eta, and cost and benchmark_cost. Every array attribute is a
+    column. Indexing (and so iteration) gives ``TraceRecord`` views of rows; a
+    slice gives a record.
     """
 
     def __init__(self, n, m, mu, horizon):
         widths = dict(x_true=n, x_meas=n, u=m, w=n, v=n, beta=None, g_norm=None,
                       pred_state=n, theta_hat=n, eta_hat=m, u_pred=mu * m, u_ss=m,
-                      kkt_residual=None, benchmark_theta=n, benchmark_eta=m, cost=None,
-                      benchmark_cost=None)
+                      kkt_residual=None)
         for name, width in widths.items():
             setattr(self, name, np.empty(horizon if width is None else (horizon, width)))
         self.t = np.arange(horizon)
@@ -141,14 +165,13 @@ class RunRecord:
         self.costs = np.empty(horizon, object)
         self.flags, self.flagged = {}, 0  # flagged: the rows that have their flags
 
-    def write(self, t, x_true, x_meas, u, w, v, state, diag, cost, theta, eta):
+    def write(self, t, x_true, x_meas, u, w, v, state, diag, cost):
         self.x_true[t], self.x_meas[t], self.u[t], self.w[t], self.v[t] = x_true, x_meas, u, w, v
         self.beta[t], self.g_norm[t], self.pred_state[t] = diag.beta, diag.g_norm, diag.pred_state
         self.theta_hat[t], self.eta_hat[t] = diag.ogd_target
         self.u_pred[t], self.u_ss[t] = state.u_pred, state.u_ss
         self.candidate_ok[t], self.g_fallback[t] = diag.candidate_feasible, diag.g_fallback
         self.kkt_residual[t] = np.nan if diag.kkt_residual is None else diag.kkt_residual
-        self.benchmark_theta[t], self.benchmark_eta[t] = theta, eta
         self.costs[t] = cost
 
     def flag(self, hi, monitors):
@@ -160,13 +183,17 @@ class RunRecord:
             self.flagged = hi
 
     def finish(self, rows, monitors):
-        """Keep the first ``rows`` rows, flag and value them; returns their
-        ledger, whose totals add the rows in step order as running sums do."""
+        """Keep the first ``rows`` rows, flag them, solve their benchmark and
+        value them; returns their ledger, whose totals add the rows in step
+        order as running sums do."""
         self.flag(rows, monitors)
         self._take(slice(0, rows))
-        theta, eta = self.benchmark_theta, self.benchmark_eta
-        self.cost = _cost_values(self.costs, self.x_true, self.u)
-        self.benchmark_cost = _cost_values(self.costs, theta, eta + theta @ monitors[0].k.T)
+        model, _, manifold, _ = monitors
+        runs = _weight_runs(self.costs, manifold, model)
+        theta, eta = _benchmark_states(self.costs, runs, model.n, model.m)
+        self.benchmark_theta, self.benchmark_eta = theta, eta
+        self.cost = _cost_values(self.costs, runs, self.x_true, self.u)
+        self.benchmark_cost = _cost_values(self.costs, runs, theta, eta + theta @ model.k.T)
         return RegretLedger(
             cum_regret=_running_sum(self.cost - self.benchmark_cost),
             path_length=_running_sum(np.linalg.norm(np.diff(np.hstack([theta, eta]), axis=0),
@@ -249,11 +276,10 @@ def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
 
     ``plant.observe(t)`` returns (x_true, x_meas, v, cost_t) and
     ``plant.advance(u)`` applies u and returns the step's process disturbance w.
-    The controller gets cost_t only at step t + 1; the benchmark steady state
-    is re-solved only when cost_t is a new cost object, by one benchmark
-    solver that is rebuilt only when cost_t's weight arrays change. Each step
-    writes one row of the trace, a ``RunRecord``; flags, cost values and totals
-    come after the run (flags after each step under ``abort_on_violation``).
+    The controller gets cost_t only at step t + 1. Each step writes one row of
+    the trace, a ``RunRecord``; flags, the benchmark steady states, cost
+    values and totals come after the run (flags after each step under
+    ``abort_on_violation``).
     """
     check_horizon(horizon)
     x_true, x_meas, v, cost_t = plant.observe(0)
@@ -270,7 +296,6 @@ def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
 
     monitors = (model, tables, manifold, c_g)
     record = RunRecord(model.n, model.m, model.mu, horizon)
-    bench_cost = benchmark = None
     for t in range(horizon):
         if t > 0:
             prev_cost = cost_t
@@ -282,13 +307,8 @@ def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
                 raise SimulationAborted(str(exc), record, record.finish(t, monitors),
                                         t) from exc
 
-        if cost_t is not bench_cost:
-            if benchmark is None or not benchmark.serves(cost_t):
-                benchmark = SteadyStateBenchmark(manifold, model, cost_t)
-            theta_t, eta_t = optimal_steady_state(manifold, cost_t, model, benchmark)
-            bench_cost = cost_t
         w = plant.advance(u)
-        record.write(t, x_true, x_meas, u, w, v, state, diag, cost_t, theta_t, eta_t)
+        record.write(t, x_true, x_meas, u, w, v, state, diag, cost_t)
         if abort_on_violation:
             record.flag(t + 1, monitors)
             # tube_marginal is an early warning, not a violation

@@ -189,6 +189,9 @@ class VehicleRolloutBuilder:
     g + candidate under state feedback. In the following phase it adds the
     soft safety-distance rows on the predicted gap, through a slack solver
     built here once: the rows are fixed, only their offsets change per step.
+    The own travel the rows predict is TAU times the summed rollout speeds,
+    ``gap_x @ x + gap_c @ candidate + gap_c @ g`` with the fixed rows
+    ``gap_x`` = cum_speed P0 and ``gap_c`` = cum_speed E.
     """
 
     def __init__(self, model, params):
@@ -201,9 +204,11 @@ class VehicleRolloutBuilder:
         speed_rows = np.zeros((mu, mu * n))
         for j in range(mu):
             speed_rows[j, j * n + 1] = 1.0
-        self.cum_speed = np.vstack([np.zeros((1, mu * n)),
-                                    np.cumsum(speed_rows, axis=0)])  # k = 0..mu
-        self.slack_base = -TAU * (self.cum_speed @ follow.e)
+        cum_speed = np.vstack([np.zeros((1, mu * n)),
+                               np.cumsum(speed_rows, axis=0)])  # k = 0..mu
+        self.gap_x, self.gap_c = cum_speed @ model._px, cum_speed @ model._pu
+        self.gap_k = TAU * np.arange(mu + 1)
+        self.slack_base = -TAU * self.gap_c
         # Variables (g, eps): the follow weights plus slack_weight * eps^2,
         # the soft rows slack_base g + offsets + eps >= 0, and S_c g = d.
         nv = mu * model.m
@@ -227,20 +232,20 @@ class VehicleRolloutBuilder:
         rollout = base.build(ctx)
         if self.phase != 2:
             return rollout
-        offsets = self.soft_safety_rows(base.p0 @ ctx.x_meas + base.e @ ctx.candidate)
+        offsets = self.soft_safety_rows(ctx.x_meas, ctx.candidate)
         return oco.RolloutQp(self.slack_solver, np.concatenate([rollout.linear, [0.0]]),
                              offsets)
 
-    def soft_safety_rows(self, c_x):
+    def soft_safety_rows(self, x_meas, candidate):
         """Offsets of the soft rows predicted gap >= safety - slack, k = 0..mu.
 
         The gap prediction assumes the leader holds the estimated speed while
-        the own speed follows the rollout, so each row is affine in g, with
-        the fixed coefficients ``slack_base``.
+        the own speed follows the rollout from ``x_meas`` under ``candidate``
+        + g, so each row is affine in g, with the fixed coefficients
+        ``slack_base``.
         """
-        ks = np.arange(len(self.cum_speed))
-        base_gap = (self.gap_meas + TAU * ks * self.est_speed_dev
-                    - TAU * (self.cum_speed @ c_x))
+        base_gap = (self.gap_meas + self.gap_k * self.est_speed_dev
+                    - TAU * (self.gap_x @ x_meas + self.gap_c @ candidate))
         return base_gap - self.params.safety_distance_m
 
 

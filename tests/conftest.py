@@ -12,6 +12,7 @@ from ocorobust.plant import (
     build_model,
     build_tightening,
     membership_zu,
+    optimal_steady_state,
     steady_state_manifold,
 )
 
@@ -214,3 +215,53 @@ def assert_ledger_matches_reference(trace, ledger, model, rel=1e-12):
     assert np.allclose(trace.benchmark_cost, benches, rtol=rel, atol=1e-15)
     got = (ledger.cum_regret, ledger.path_length, ledger.w_energy, ledger.v_energy)
     assert got == pytest.approx(tuple(totals), rel=rel, abs=0.0)
+
+
+def assert_benchmark_matches_per_row(trace, model, manifold, rel=1e-12):
+    """Every row's benchmark steady state, solved after the run, against
+    ``optimal_steady_state`` of that row's cost alone (norm-wise relative)."""
+    assert len(trace.costs) == len(trace.benchmark_theta) == len(trace.benchmark_eta)
+    for i, cost in enumerate(trace.costs):
+        theta, eta = optimal_steady_state(manifold, cost, model)
+        for got, want in ((trace.benchmark_theta[i], theta), (trace.benchmark_eta[i], eta)):
+            assert np.linalg.norm(got - want) <= rel * np.linalg.norm(want), (i, got, want)
+
+
+def reference_rollout_linear(model, q_x, q_u, ctx):
+    """The rollout QP's linear term in the per-step form: the rollout's
+    states c_x = P0 x + E candidate and inputs c_v = candidate + K_b c_x,
+    weighted against theta_hat tiled over the mu stages. The reference for
+    the fixed maps of ``QuadraticRolloutBuilder``. Returns the term and the
+    summed norms of its three parts, the scale its rounding is relative to
+    (the parts cancel to a far smaller term)."""
+    mu = model.mu
+    e, p0 = model._pu, model._px
+    kb = np.kron(np.eye(mu), model.k)
+    mmap = np.eye(mu * model.m) + kb @ e
+    qxe = np.kron(np.eye(mu), np.asarray(q_x, float)) @ e
+    qum = np.kron(np.eye(mu), np.asarray(q_u, float)) @ mmap
+    c_x = p0 @ ctx.x_meas + e @ ctx.candidate
+    c_v = ctx.candidate + kb @ c_x
+    refs = np.tile(ctx.theta_hat, mu)
+    parts = (qxe.T @ c_x, qxe.T @ refs, qum.T @ c_v)
+    return (qxe.T @ (c_x - refs) + qum.T @ c_v,
+            sum(float(np.linalg.norm(part)) for part in parts))
+
+
+def reference_gap_offsets(model, ctx, gap_meas, est_speed_dev, safety):
+    """The vehicle's soft safety-row offsets in the per-step form: the gap
+    less TAU times the cumulative rollout speeds ``cum_speed @ c_x``. Returns
+    the offsets and the summed norms of their parts (see
+    ``reference_rollout_linear``)."""
+    from ocorobust.vehicle import TAU
+
+    mu, n = model.mu, model.n
+    speed_rows = np.zeros((mu, mu * n))
+    for j in range(mu):
+        speed_rows[j, j * n + 1] = 1.0
+    cum_speed = np.vstack([np.zeros((1, mu * n)), np.cumsum(speed_rows, axis=0)])
+    c_x = model._px @ ctx.x_meas + model._pu @ ctx.candidate
+    ks = np.arange(mu + 1)
+    parts = (gap_meas, TAU * ks * est_speed_dev, TAU * (cum_speed @ c_x), safety)
+    return (gap_meas + TAU * ks * est_speed_dev - TAU * (cum_speed @ c_x) - safety,
+            sum(float(np.linalg.norm(part)) for part in parts))

@@ -21,7 +21,7 @@ from ocorobust.plant import (
     stage_values_linear,
 )
 
-from conftest import max_beta_bisect, ogd_step_at
+from conftest import max_beta_bisect, ogd_step_at, reference_rollout_linear
 
 
 def steady_pair(model, manifold, u):
@@ -213,6 +213,23 @@ class TestRolloutBuilder:
         # equality rows only: the precomputed equality-constrained optimum
         # answers every solve
         assert builder.solver.eq_optimum and builder.solver.ineq_normals.shape[0] == 0
+
+    def test_linear_term_matches_the_per_step_form(self, di_bundle):
+        # The fixed maps against the c_x / c_v / tile form they replaced, on
+        # drawn contexts, within 1e-12 of the size of the parts that cancel.
+        model, _, _ = di_bundle
+        q_x, q_u = np.array([[2.0, 0.3], [0.3, 1.0]]), np.array([[0.7]])
+        builder = oco.QuadraticRolloutBuilder(model, q_x, q_u)
+        rng = np.random.default_rng(41)
+        nv = model.mu * model.m
+        for t in range(50):
+            ctx = oco.StepContext(t=t, x_meas=rng.uniform(-3, 3, 2),
+                                  theta_hat=rng.uniform(-3, 3, 2), eta_hat=np.zeros(1),
+                                  candidate=rng.uniform(-4, 4, nv), pred_state=np.zeros(2))
+            want, scale = reference_rollout_linear(model, q_x, q_u, ctx)
+            rollout = builder.build(ctx)
+            assert rollout.ineq_offsets is None and rollout.linear.shape == want.shape
+            assert np.linalg.norm(rollout.linear - want) <= 1e-12 * scale
 
     def test_non_pd_hessian_raises_at_construction(self, di_bundle):
         # q_u = 0 leaves the last input of the rollout unweighted

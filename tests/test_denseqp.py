@@ -238,7 +238,7 @@ def cold_gi(pre, q, ineq_b, eq_b, tol=1e-8):
 
 def solve_tracing_gi(pre, q, ineq_b=None, eq_b=None, tol=1e-8):
     """``pre.solve`` and whether it ran the GI iteration (False: the
-    equality-constrained guess was accepted)."""
+    equality-constrained guess, or GI's one-row step from it, was kept)."""
     with mock.patch.object(denseqp, "_gi_core", wraps=denseqp._gi_core) as gi:
         sol = pre.solve(q, ineq_offsets=ineq_b, eq_offsets=eq_b, tol=tol)
     return sol, gi.called
@@ -339,6 +339,8 @@ class TestPrefactoredQpOracle:
 
     def test_inequality_only_guess_is_gi_start(self):
         # With no equalities the kept guess is bit for bit what cold GI returns.
+        # (A solve with a positive multiplier and no GI run took the one-row
+        # step; the one-row tests below check those.)
         rng = np.random.default_rng(36)
         kept = 0
         for _ in range(50):
@@ -350,7 +352,7 @@ class TestPrefactoredQpOracle:
             pre = PrefactoredQp(h, ineq_normals=ineq_n)
             sol, ran_gi = solve_tracing_gi(pre, q, ineq_b)
             x_gi, status_gi = cold_gi(pre, q, ineq_b, np.zeros(0))
-            if not ran_gi:
+            if not ran_gi and not sol.ineq_multipliers.any():
                 kept += 1
                 assert np.array_equal(sol.x, -(pre.hinv @ q))
                 assert np.array_equal(sol.x, x_gi) and status_gi == "optimal"
@@ -382,9 +384,11 @@ class TestPrefactoredQpOracle:
             ineq_b = np.concatenate([b, b[:1], 2.5 * b[1:2], b[2:3] + 0.2])
             pre, sol, ran_gi = check_against_oracle(h, rng.standard_normal(n) * 3, ineq_n,
                                                     ineq_b, np.zeros((0, n)), np.zeros(0))
-            # the unconstrained optimum is kept exactly when no row binds
+            # the unconstrained optimum is kept exactly when no row binds; one
+            # binding row may come from GI's one-row step, two need GI
             assert pre.eq_optimum
-            assert ran_gi == bool(np.any(sol.ineq_multipliers > 0))
+            binding = np.count_nonzero(sol.ineq_multipliers > 0)
+            assert ran_gi == (binding > 0) or binding == 1
 
     def test_rank_deficient_consistent_equalities(self):
         rng = np.random.default_rng(33)
@@ -434,6 +438,121 @@ class TestPrefactoredQpOracle:
                                                   rng.standard_normal(n), ineq_n, ineq_b,
                                                   np.zeros((0, n)), np.zeros(0))
             assert sol.status == "infeasible" and ran_gi
+
+    # GI's one-row step from the failed guess (inequality rows only). The
+    # reference for a one-row answer is GI itself, stopped after one
+    # iteration: it ends "optimal" exactly when one added row settles the QP.
+
+    @staticmethod
+    def one_iteration_gi(pre, q, ineq_b, tol=1e-8):
+        return denseqp._gi_core(pre, -(pre.hinv @ q), -ineq_b, tol, 1)
+
+    @staticmethod
+    def assert_close(got, want, rel=1e-12):
+        assert np.linalg.norm(got - want) <= rel * np.linalg.norm(want)
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.data())
+    def test_drawn_one_row_steps(self, data):
+        h, q, ineq_n, ineq_b, _, _ = data.draw(qp_instances())
+        n = q.size
+        q = 3.0 * q  # pushes the unconstrained optimum out more often
+        pre, sol, ran_gi = check_against_oracle(h, q, ineq_n, ineq_b, np.zeros((0, n)),
+                                                np.zeros(0))
+        if sol.status != "optimal" or not sol.ineq_multipliers.any():
+            return
+        x1, active, mult, _, status = self.one_iteration_gi(pre, q, ineq_b)
+        _, act_gi, *_ = denseqp._gi_core(pre, -(pre.hinv @ q), -ineq_b, 1e-8, DEFAULT_MAX_ITER)
+        if status == "optimal":
+            # one active row: the step is GI's first iteration, kept
+            assert not ran_gi and len(active) == 1
+            self.assert_close(sol.x, x1)
+            lam = np.zeros(ineq_b.size)
+            lam[active[0]] = mult[0]
+            self.assert_close(sol.ineq_multipliers, lam)
+        elif len(act_gi) >= 2:
+            # two or more active rows: the step hands over to GI
+            assert ran_gi
+
+    def test_one_row_steps_match_gi(self):
+        # Random boxes and slabs with the unconstrained optimum outside; both
+        # outcomes are exercised.
+        rng = np.random.default_rng(37)
+        stepped = handed_over = 0
+        for _ in range(200):
+            n = int(rng.integers(1, 5))
+            h = 2 * random_spd(rng, n)
+            ineq_n = rng.standard_normal((int(rng.integers(1, 7)), n))
+            ineq_b = rng.uniform(0.0, 1.0, ineq_n.shape[0])
+            q = rng.standard_normal(n) * 4
+            pre, sol, ran_gi = check_against_oracle(h, q, ineq_n, ineq_b, np.zeros((0, n)),
+                                                    np.zeros(0))
+            x1, active, mult, _, status = self.one_iteration_gi(pre, q, ineq_b)
+            if not sol.ineq_multipliers.any():
+                continue
+            if status == "optimal":
+                stepped += 1
+                assert not ran_gi and sol.status == "optimal"
+                self.assert_close(sol.x, x1)
+                assert sol.ineq_multipliers[active[0]] == pytest.approx(mult[0], rel=1e-12)
+                assert np.count_nonzero(sol.ineq_multipliers) == 1
+            else:
+                handed_over += 1
+                assert ran_gi
+        assert stepped > 10 and handed_over > 10
+
+    def test_one_row_step_ties_take_the_lowest_index(self):
+        # Rows 1 and 3 are the same halfspace, equally violated: GI's argmin
+        # and the step both take row 1.
+        pre = PrefactoredQp(2.0 * np.eye(2), ineq_normals=np.array(
+            [[0.0, 1.0], [1.0, 0.0], [-1.0, 0.0], [1.0, 0.0]]))
+        q, ineq_b = np.array([-4.0, 0.0]), np.array([1.0, 1.0, 1.0, 1.0])
+        sol, ran_gi = solve_tracing_gi(pre, q, ineq_b)
+        x_gi, active, mult, _, status = self.one_iteration_gi(pre, q, ineq_b)
+        assert not ran_gi and status == "optimal" and active == [1]
+        assert np.array_equal(sol.ineq_multipliers, [0.0, mult[0], 0.0, 0.0])
+        assert np.allclose(sol.x, [1.0, 0.0], rtol=0.0, atol=1e-15)
+        self.assert_close(sol.x, x_gi)
+
+    def test_two_active_rows_hand_over_to_gi(self):
+        # The optimum is the box corner: the step's point violates the other
+        # row, so GI answers, as the oracle does.
+        box = np.vstack([np.eye(2), -np.eye(2)])
+        q, ineq_b = np.array([-4.0, -3.0]), np.ones(4)
+        pre, sol, ran_gi = check_against_oracle(2.0 * np.eye(2), q, box, ineq_b,
+                                                np.zeros((0, 2)), np.zeros(0))
+        assert ran_gi and np.count_nonzero(sol.ineq_multipliers) == 2
+        assert pre._one_row_step(pre.stacked @ (-(pre.hinv @ q)), q, ineq_b, np.zeros(0),
+                                 -(pre.hinv @ q), 1e-8) is None
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_one_row_step_non_finite_offsets(self, bad):
+        # Every row in turn, with row 0 violated by the guess: a step the
+        # solver returns has `_assemble`'s status at its point, and the solve
+        # ends "non_finite" as cold GI plus `_assemble` do.
+        box = np.vstack([np.eye(2), -np.eye(2)])
+        pre = PrefactoredQp(2.0 * np.eye(2), ineq_normals=box)
+        q = np.array([-4.0, 0.5])
+        x = -(pre.hinv @ q)
+        for row in range(4):
+            ineq_b = np.ones(4)
+            ineq_b[row] = bad
+            step = pre._one_row_step(pre.stacked @ x, q, ineq_b, np.zeros(0), x, 1e-8)
+            if step is not None:
+                full = pre._assemble(pre.stacked @ step.x, q, ineq_b, np.zeros(0), step.x,
+                                     step.ineq_multipliers, np.zeros(0), "optimal", 1e-8)
+                assert step.status == full.status != "optimal"
+            # the reference: cold GI, its non-optimal exit named "non_finite",
+            # then `_assemble`
+            x_gi, active, mult, _, status = denseqp._gi_core(pre, x, -ineq_b, 1e-8,
+                                                             DEFAULT_MAX_ITER)
+            lam = np.zeros(4)
+            lam[active] = mult
+            ref = pre._assemble(pre.stacked @ x_gi, q, ineq_b, np.zeros(0), x_gi, lam,
+                                np.zeros(0), "optimal" if status == "optimal" else "non_finite",
+                                1e-8)
+            assert pre.solve(q, ineq_offsets=ineq_b).status == ref.status == "non_finite"
 
 
 @st.composite
@@ -553,6 +672,32 @@ class TestNonFiniteData:
             sol = pre.kkt_q @ q + pre.kkt_b @ eq_b
             for x, nu in ((sol[:2], sol[2:]), (np.array([0.25, 0.25]), np.array([0.5]))):
                 self.assert_guess_matches_full_form(pre, q, ineq_b, eq_b, x, nu)
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(st.data())
+    def test_guess_rows_keep_what_solve_keeps(self, data):
+        # The batched guess keeps a row exactly when the single solve's guess
+        # is "optimal", with one NaN or +-inf in a linear term or an offset.
+        h, q, ineq_n, ineq_b, _, _ = data.draw(qp_instances())
+        if not ineq_b.size:
+            return
+        pre = PrefactoredQp(h, ineq_normals=ineq_n)
+        rows = data.draw(st.integers(1, 4))
+        linears = np.vstack([q] + [data.draw(arrays(float, q.size, elements=GRID))
+                                   for _ in range(rows - 1)])
+        bad = data.draw(st.sampled_from([None, np.nan, np.inf, -np.inf]))
+        if bad is not None:
+            vec = data.draw(st.sampled_from([linears[data.draw(st.integers(0, rows - 1))],
+                                             ineq_b]))
+            vec[data.draw(st.integers(0, vec.size - 1))] = bad
+        x, kept = pre.guess_rows(linears, ineq_b)
+        for i, linear in enumerate(linears):
+            single = -(pre.hinv @ linear)
+            assert np.array_equal(x[i], single, equal_nan=True) or np.allclose(
+                x[i], single, rtol=1e-12, atol=0.0)
+            guess = pre._equality_guess(pre.stacked @ single, linear, ineq_b, np.zeros(0),
+                                        single, np.zeros(0), 1e-8)
+            assert kept[i] == (guess is not None and guess.status == "optimal")
 
     def test_finite_data_unchanged(self):
         sol = PrefactoredQp(2.0 * np.eye(2)).solve(np.array([-2.0, 0.0]))

@@ -6,9 +6,21 @@ import numpy as np
 import pytest
 
 from ocorobust import oco_controller as oco
-from ocorobust.errors import AssumptionViolation, ConfigError, OcoRobustError, StepError
+from ocorobust.errors import (
+    AssumptionViolation,
+    ConfigError,
+    InfeasibleError,
+    OcoRobustError,
+    StepError,
+)
 from ocorobust.oco_controller import ControllerConfig
-from ocorobust.plant import QuadraticCost, membership_zu, optimal_steady_state
+from ocorobust.denseqp import PrefactoredQp
+from ocorobust.plant import (
+    QuadraticCost,
+    SteadyStateBenchmark,
+    membership_zu,
+    optimal_steady_state,
+)
 from ocorobust.simkit import (
     FLAG_NAMES,
     RunRecord,
@@ -27,7 +39,11 @@ from ocorobust.simkit import (
     run_closed_loop,
 )
 
-from conftest import assert_ledger_matches_reference, zonotope_contains
+from conftest import (
+    assert_benchmark_matches_per_row,
+    assert_ledger_matches_reference,
+    zonotope_contains,
+)
 
 
 @pytest.fixture()
@@ -145,6 +161,7 @@ class TestRunRecord:
             DisturbancePolicy(seed=4), 90, zeta0=zeta0, x0=zeta0[0])
         assert all(trace.costs[t] is schedule.cost_at(t) for t in range(90))
         assert_ledger_matches_reference(trace, ledger, model)
+        assert_benchmark_matches_per_row(trace, model, manifold)
 
     def test_abort_keeps_the_rows_done(self, di_bundle, di_cost):
         model, tables, manifold = di_bundle
@@ -172,6 +189,65 @@ class TestRunRecord:
         done, done_ledger = run_closed_loop(*args, 7, zeta0=zeta0, x0=zeta0[0])
         assert ledger == done_ledger
         assert np.array_equal(trace.cost, done.cost) and np.array_equal(trace.u, done.u)
+
+
+class TestBenchmarkPath:
+    """The benchmark steady states, solved after the run in one batched
+    guess per run of shared weights, row for row against the single solve."""
+
+    def test_piecewise_schedule_rows(self, di_bundle, di_cost):
+        model, tables, manifold = di_bundle
+        generator = AlternatingTargetGenerator(model, manifold, di_cost, direction=(1.0, 0.0),
+                                               levels=(5,), hop_size=0.5, horizon=120)
+        schedule, zeta0, x0 = generator.make(5)
+        trace, ledger = run_closed_loop(model, tables, manifold, ControllerConfig(gamma=0.3),
+                                        schedule, DisturbancePolicy(seed=3), 120, zeta0=zeta0,
+                                        x0=x0)
+        assert len({id(c) for c in trace.costs}) == 6
+        assert_benchmark_matches_per_row(trace, model, manifold)
+        assert_ledger_matches_reference(trace, ledger, model)
+
+    def test_facet_optima_rows(self, di_bundle, di_cost):
+        # Targets beyond S-bar put the optimum on a facet, so those rows fail
+        # the batched guess and take the single solve.
+        model, tables, manifold = di_bundle
+        far = [di_cost.with_ref_x([r, 0.0]) for r in (-0.6, 9.0, 0.3, -9.0, -0.6)]
+        schedule = PiecewiseSchedule(tuple((10 * i, c) for i, c in enumerate(far)))
+        zeta0 = optimal_steady_state(manifold, di_cost, model)
+        trace, _ = run_closed_loop(model, tables, manifold, ControllerConfig(gamma=0.3),
+                                   schedule, DisturbancePolicy(kind="zero"), 50, zeta0=zeta0,
+                                   x0=zeta0[0])
+        benchmark = SteadyStateBenchmark(manifold, model, di_cost)
+        linears = -(np.array([c.ref_x for c in far]) @ benchmark.ref_x_map
+                    + np.array([c.ref_u for c in far]) @ benchmark.ref_u_map)
+        _, kept = benchmark.solver.guess_rows(linears, manifold.sbar.offsets)
+        assert kept.tolist() == [True, False, True, False, True]
+        assert_benchmark_matches_per_row(trace, model, manifold)
+        assert manifold.sbar.violations(trace.benchmark_eta).max() <= 1e-9
+
+    def test_non_optimal_row_names_its_step(self, di_bundle, di_cost, monkeypatch):
+        model, tables, manifold = di_bundle
+        far = di_cost.with_ref_x([9.0, 0.0])
+        schedule = PiecewiseSchedule(((0, di_cost), (17, far), (25, di_cost)))
+        zeta0 = optimal_steady_state(manifold, di_cost, model)
+        solvers = []
+        init, solve = SteadyStateBenchmark.__init__, PrefactoredQp.solve
+
+        def tracked_init(benchmark, *args):
+            init(benchmark, *args)
+            solvers.append(benchmark.solver)
+
+        def failing_solve(pre, *args, **kwargs):
+            sol = solve(pre, *args, **kwargs)
+            if any(pre is s for s in solvers):
+                sol.status = "max_iter"
+            return sol
+
+        monkeypatch.setattr(SteadyStateBenchmark, "__init__", tracked_init)
+        monkeypatch.setattr(PrefactoredQp, "solve", failing_solve)
+        with pytest.raises(InfeasibleError, match=r"step 17: steady-state benchmark QP: max_iter"):
+            run_closed_loop(model, tables, manifold, ControllerConfig(gamma=0.3), schedule,
+                            DisturbancePolicy(kind="zero"), 40, zeta0=zeta0, x0=zeta0[0])
 
 
 class TestCausality:

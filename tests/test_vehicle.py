@@ -4,9 +4,17 @@ import pytest
 from ocorobust import denseqp, vehicle
 from ocorobust.oco_controller import StepContext
 from ocorobust.errors import OcoRobustError
-from ocorobust.plant import SteadyStateBenchmark
+from unittest import mock
 
-from conftest import assert_ledger_matches_reference, zonotope_contains
+from ocorobust.plant import SteadyStateBenchmark, optimal_steady_state
+
+from conftest import (
+    assert_benchmark_matches_per_row,
+    assert_ledger_matches_reference,
+    reference_gap_offsets,
+    reference_rollout_linear,
+    zonotope_contains,
+)
 
 
 @pytest.fixture(scope="module")
@@ -108,7 +116,8 @@ class TestSoftSafety:
     def test_gap_at_boundary_row(self, setup):
         builder = vehicle.VehicleRolloutBuilder(setup.model, setup.params)
         builder.set_context(2, gap_meas=50.0, est_speed_dev=0.0)
-        offsets = builder.soft_safety_rows(np.zeros(20))
+        # from x = 0 under the zero candidate: the old form's c_x = 0
+        offsets = builder.soft_safety_rows(np.zeros(2), np.zeros(20))
         # k = 0 row is pure slack: gap - safety = 0
         assert np.allclose(builder.slack_base[0], 0.0)
         assert offsets[0] == pytest.approx(0.0)
@@ -150,6 +159,101 @@ class TestSoftSafety:
                 denseqp.DEFAULT_TOL, denseqp.DEFAULT_MAX_ITER)
             assert sol.status == status == "optimal"
             assert np.linalg.norm(sol.x - x) <= 1e-12 * np.linalg.norm(x)
+
+
+class TestBenchmarkPath:
+    def test_no_benchmark_solve_inside_the_loop(self, setup, monkeypatch):
+        # The benchmark solvers (one per SteadyStateBenchmark) are called
+        # before observe(0) (zeta0) and after the last advance only.
+        events, solvers = [], []
+        init = SteadyStateBenchmark.__init__
+        real = {name: getattr(denseqp.PrefactoredQp, name) for name in ("solve", "guess_rows")}
+
+        def tracked_init(benchmark, *args):
+            init(benchmark, *args)
+            solvers.append(benchmark.solver)
+
+        def tracked(name):
+            def call(pre, *args, **kwargs):
+                if any(pre is s for s in solvers):
+                    events.append(name)
+                return real[name](pre, *args, **kwargs)
+            return call
+
+        def log(name, method):
+            def call(plant, *args):
+                events.append(name)
+                return method(plant, *args)
+            return call
+
+        monkeypatch.setattr(SteadyStateBenchmark, "__init__", tracked_init)
+        for name in real:
+            monkeypatch.setattr(denseqp.PrefactoredQp, name, tracked(name))
+        monkeypatch.setattr(vehicle._RoadPlant, "observe",
+                            log("observe", vehicle._RoadPlant.observe))
+        monkeypatch.setattr(vehicle._RoadPlant, "advance",
+                            log("advance", vehicle._RoadPlant.advance))
+        vehicle.run_scenario("optimized", seed=0, setup=setup)
+        first = events.index("observe")
+        last = len(events) - 1 - events[::-1].index("advance")
+        assert events.count("advance") == 300
+        assert not {"solve", "guess_rows"} & set(events[first:last + 1])
+        assert "guess_rows" in events[last:]
+
+    def test_rows_on_facets_and_corners(self, setup):
+        # Targets on a ring far outside S-bar: the guess fails, and the rows
+        # take the one-row step (one facet) or cold GI (a corner); each row
+        # still equals the single solve.
+        model, manifold = setup.model, setup.manifold
+        angles = np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False)
+        near = [vehicle.phase_cost(2, target_speed_dev=d) for d in (-4.0, 0.0, 2.0)]
+        costs = np.array(near + [
+            vehicle.phase_cost(1).with_ref_x([30.0 * np.cos(a), 30.0 * np.sin(a)])
+            for a in angles], dtype=object)
+        benchmark = SteadyStateBenchmark(manifold, model, costs[0])
+        with mock.patch.object(denseqp, "_gi_core", wraps=denseqp._gi_core) as gi:
+            theta, eta = benchmark.steady_states(costs, np.arange(len(costs)))
+        linears = -(np.array([c.ref_x for c in costs]) @ benchmark.ref_x_map
+                    + np.array([c.ref_u for c in costs]) @ benchmark.ref_u_map)
+        _, kept = benchmark.solver.guess_rows(linears, manifold.sbar.offsets)
+        assert kept[:3].all() and not kept[3:].any()
+        assert 0 < gi.call_count < len(costs) - 3  # some corners, some one-row steps
+        for i, cost in enumerate(costs):
+            want_theta, want_eta = optimal_steady_state(manifold, cost, model)
+            assert np.linalg.norm(theta[i] - want_theta) <= 1e-12 * np.linalg.norm(want_theta)
+            assert np.linalg.norm(eta[i] - want_eta) <= 1e-12 * np.linalg.norm(want_eta)
+
+
+class TestRolloutBuilderMaps:
+    def test_builders_match_the_per_step_form(self, setup, monkeypatch):
+        # Every rollout QP of a seed-0 optimized run, phases 1 to 3, against
+        # the per-step formulas the fixed maps replaced, within 1e-12 of the
+        # size of the parts that cancel in them.
+        built = []
+        real = vehicle.VehicleRolloutBuilder.build
+
+        def record(b, ctx):
+            rollout = real(b, ctx)
+            built.append((b.phase, b.gap_meas, b.est_speed_dev, ctx, rollout))
+            return rollout
+
+        monkeypatch.setattr(vehicle.VehicleRolloutBuilder, "build", record)
+        vehicle.run_scenario("optimized", seed=0, setup=setup)
+        monkeypatch.undo()
+        follow = (vehicle._Q_STATE, vehicle._Q_INPUT)
+        weights = {1: follow, 2: follow, 3: (vehicle._Q_STATE_P3, vehicle._Q_INPUT)}
+        assert {phase for phase, *_ in built} == {1, 2, 3}
+        for phase, gap_meas, est, ctx, rollout in built:
+            want, scale = reference_rollout_linear(setup.model, *weights[phase], ctx)
+            got = rollout.linear[:want.size]
+            assert np.linalg.norm(got - want) <= 1e-12 * scale
+            if phase == 2:
+                assert rollout.linear.size == want.size + 1 and rollout.linear[-1] == 0.0
+                offsets, scale = reference_gap_offsets(setup.model, ctx, gap_meas, est,
+                                                       setup.params.safety_distance_m)
+                assert np.linalg.norm(rollout.ineq_offsets - offsets) <= 1e-12 * scale
+            else:
+                assert rollout.ineq_offsets is None
 
 
 def rk4_reference(state, u):
@@ -236,6 +340,7 @@ class TestScenario:
         assert phase2[0].q_x is trace.costs[0].q_x
         assert trace.costs[-1].q_x is not trace.costs[0].q_x
         assert_ledger_matches_reference(trace, ledger, setup.model)
+        assert_benchmark_matches_per_row(trace, setup.model, setup.manifold)
         if variant == "optimized":
             kkt = [rec.diagnostics.kkt_residual for rec in trace]
             assert [k is None for k in kkt] == list(np.isnan(trace.kkt_residual))

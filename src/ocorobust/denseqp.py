@@ -76,6 +76,9 @@ class PrefactoredQp:
         if self.ineq_normals.shape[1] != n or self.eq_normals.shape[1] != n:
             raise DimensionMismatch("constraint normals do not match the hessian")
         self.meq = self.eq_normals.shape[0]
+        # Shared read-only zeros: omitted offsets and the guess's multipliers.
+        self.no_ineq = _read_only_zeros(self.ineq_normals.shape[0])
+        self.no_eq = _read_only_zeros(self.meq)
         self.cn = np.vstack([self.eq_normals, -self.ineq_normals])
         # One product gives the gradient's H x and every row residual.
         self.stacked = np.vstack([self.hessian, self.ineq_normals, self.eq_normals])
@@ -102,11 +105,8 @@ class PrefactoredQp:
               tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
         if tol <= 0:
             raise ValueError("tol must be positive")
-        mineq = self.ineq_normals.shape[0]
-        ineq_b = (np.zeros(mineq) if ineq_offsets is None
-                  else np.asarray(ineq_offsets, float))
-        eq_b = (np.zeros(self.meq) if eq_offsets is None
-                else np.asarray(eq_offsets, float))
+        ineq_b = self.no_ineq if ineq_offsets is None else np.asarray(ineq_offsets, float)
+        eq_b = self.no_eq if eq_offsets is None else np.asarray(eq_offsets, float)
         linear = np.asarray(linear, float)
         n = linear.size
         if self.eq_optimum:
@@ -128,7 +128,7 @@ class PrefactoredQp:
         if status != "optimal" and not (np.logical_and.reduce(np.isfinite(linear))
                                         and np.logical_and.reduce(np.isfinite(cd))):
             status = "non_finite"
-        lam = np.zeros(mineq)
+        lam = np.zeros(ineq_b.size)
         nu = np.zeros(self.meq)
         for j, u, sigma in zip(active, mult, signs):
             if j < self.meq:
@@ -146,23 +146,35 @@ class PrefactoredQp:
         ``prod`` is ``stacked @ x``. One max and one min of the row slacks
         give the stopping test and the KKT terms: with lam = 0 the
         complementarity term is 0 * min(viol), NaN exactly when a row is NaN
-        or -inf (a +inf row has failed the stopping test).
+        or -inf (a +inf row has failed the stopping test). The residual and
+        status are ``_residual_status``'s, formed term by term: the terms'
+        sum in list order, and their max when that sum is finite.
         """
         n, mineq = x.size, ineq_b.size
-        terms = []
         if mineq:
             viol = prod[n:n + mineq] - ineq_b
             top = float(np.maximum.reduce(viol))
             if top > 0.1 * tol:
                 return None
-            terms += [max(top, 0.0), 0.0 * float(np.minimum.reduce(viol))]
+            top = max(top, 0.0)
+            low = 0.0 * float(np.minimum.reduce(viol))
         grad = prod[:n] + linear
         if self.meq:
             grad += self.eq_normals.T @ nu
-            terms.append(float(np.maximum.reduce(np.abs(prod[n + mineq:] - eq_b))))
-        res, status = _residual_status([math.sqrt(grad @ grad), *terms], "optimal", tol)
+        res = total = math.sqrt(grad @ grad)
+        if mineq:
+            total = total + top + low
+            res = max(res, top, low)
+        if self.meq:
+            eq = float(np.maximum.reduce(np.abs(prod[n + mineq:] - eq_b)))
+            total += eq
+            res = max(res, eq)
+        if not total < np.inf:
+            res = total
+        status = ("optimal" if res <= tol else "max_iter" if res < np.inf
+                  else "non_finite")
         return QpSolution(x=x, kkt_residual=res, status=status,
-                          ineq_multipliers=np.zeros(mineq), eq_multipliers=nu)
+                          ineq_multipliers=self.no_ineq, eq_multipliers=nu)
 
     def _one_row_step(self, prod, linear, ineq_b, eq_b, x, tol):
         """GI's first iteration from the failed guess x (no equality rows):
@@ -188,7 +200,7 @@ class PrefactoredQp:
             return None
         lam = np.zeros(ineq_b.size)
         lam[j] = step
-        return self._assemble(prod, linear, ineq_b, eq_b, x, lam, np.zeros(0), "optimal",
+        return self._assemble(prod, linear, ineq_b, eq_b, x, lam, self.no_eq, "optimal",
                               tol)
 
     def guess_rows(self, linears, ineq_offsets, tol=DEFAULT_TOL):
@@ -237,6 +249,12 @@ class PrefactoredQp:
         res, status = _residual_status(terms, status, tol)
         return QpSolution(x=x, kkt_residual=res, status=status, ineq_multipliers=lam,
                           eq_multipliers=nu)
+
+
+def _read_only_zeros(size):
+    out = np.zeros(size)
+    out.flags.writeable = False
+    return out
 
 
 def _residual_status(terms, status, tol):

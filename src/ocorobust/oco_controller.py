@@ -17,9 +17,10 @@ import numpy as np
 from .denseqp import PrefactoredQp
 from .errors import InfeasibleError, InitializationError, OcoRobustError, StepError
 from .matlin import as_vector
-from .plant import membership_zu, stage_values, stage_values_linear
+from .plant import QuadraticCost, membership_zu, stage_values, stage_values_linear
 
 DEGENERATE_TOL = 1e-12
+_ONE = np.ones(1)
 
 
 @dataclass
@@ -121,6 +122,55 @@ class QuadraticRolloutBuilder:
         lin = (self.lin_x @ ctx.x_meas + self.lin_c @ ctx.candidate
                - self.lin_theta @ ctx.theta_hat)
         return RolloutQp(self.solver, lin)
+
+
+class QuadraticStepMap:
+    """A step's affine part up to the projection, for ``QuadraticCost``'s own
+    gradient with fixed weights (q_x, q_u) and step size ``gamma``.
+
+    With the quadratic gradient (Q_x (pred - ref_x), Q_u (v - ref_u)), the
+    projection's linear term q0 + 2 gamma M [gx; gv] (``ogd_step``) is affine
+    in (x_meas, candidate, ref_x, ref_u), as are the candidate's stage
+    residuals and pred (the rows of ``TighteningTables.rollout_x`` and
+    ``rollout_u``). So one product of ``matrix`` with [x_meas; candidate;
+    ref_x; ref_u; 1] gives the stage residuals minus their offsets, the
+    linear term and pred, in that order.
+    """
+
+    def __init__(self, tables, cost, gamma):
+        m, nm = tables.ogd_map.shape
+        n = nm - m
+        r = tables.residual_offsets.size
+        rx, ru = tables.rollout_x, tables.rollout_u
+        v, q0, pred = slice(r, r + m), slice(r + m, r + 2 * m), slice(r + 2 * m, None)
+        step_x = (2.0 * gamma) * (tables.ogd_map[:, :n] @ cost.q_x)  # 2 gamma M_x Q_x
+        step_v = (2.0 * gamma) * (tables.ogd_map[:, n:] @ cost.q_u)  # 2 gamma M_v Q_u
+        lin_x = rx[q0] + step_x @ rx[pred] + step_v @ rx[v]
+        lin_u = ru[q0] + step_x @ ru[pred] + step_v @ ru[v]
+        self.matrix = np.block([
+            [rx[:r], ru[:r], np.zeros((r, n + m)), -tables.residual_offsets[:, None]],
+            [lin_x, lin_u, -step_x, -step_v, np.zeros((m, 1))],
+            [rx[pred], ru[pred], np.zeros((n, n + m + 1))]])
+        self.r, self.m = r, m
+        self.q_x, self.q_u, self.gamma = cost.q_x, cost.q_u, gamma
+
+    @staticmethod
+    def takes(cost):
+        """True when ``cost``'s gradient is ``QuadraticCost.grad`` itself; a
+        subclass that overrides it, and any other oracle, keep the gradient
+        path."""
+        return getattr(type(cost), "grad", None) is QuadraticCost.grad
+
+    def serves(self, cost):
+        """True when ``cost`` takes a map and has this map's weight arrays."""
+        return self.takes(cost) and cost.q_x is self.q_x and cost.q_u is self.q_u
+
+    def rows(self, x_meas, candidate, cost):
+        """(stage residuals minus offsets, projection linear term, pred) of
+        the candidate from ``x_meas``, for a cost this map serves."""
+        out = self.matrix @ np.concatenate((x_meas, candidate, cost.ref_x, cost.ref_u, _ONE))
+        r, m = self.r, self.m
+        return out[:r], out[r:r + m], out[r + m:]
 
 
 def control_input(state, model, x_meas):
@@ -267,24 +317,33 @@ def max_beta(tables, model, x_meas, base_seq, g, tol=None, _base=None, _growth=N
     return float(min(1.0, np.minimum.reduce(np.maximum(-base_vals[mask], 0.0) / rising)))
 
 
-def step(state, model, tables, manifold, x_meas, grad_prev, options):
-    """Advance the controller one step; returns (u, new_state, diagnostics)."""
+def step(state, model, tables, manifold, x_meas, grad_prev, options, step_map=None):
+    """Advance the controller one step; returns (u, new_state, diagnostics).
+
+    ``step_map`` is a ``QuadraticStepMap`` built for ``options.gamma`` that
+    serves ``grad_prev``; without one the step calls the gradient oracle.
+    """
     t = state.t + 1
     try:
         x_meas = as_vector(x_meas, "x_meas")
         m = model.m
         candidate = state.plan[m:]  # the plan shifted by one step, u_ss held
-        # One stacked product (see TighteningTables): the candidate's stage
-        # residuals, the gradient point v, the projection's base linear term
-        # q0 and the candidate's mu-step-ahead state pred.
-        rows = tables.rollout_x @ x_meas + tables.rollout_u @ candidate
-        r = tables.residual_offsets.size
-        base_vals = rows[:r] - tables.residual_offsets
-        pred = rows[r + 2 * m:]
+        if step_map is None:
+            # One stacked product (see TighteningTables): the candidate's
+            # stage residuals, the gradient point v, the projection's base
+            # linear term q0 and the candidate's mu-step-ahead state pred.
+            rows = tables.rollout_x @ x_meas + tables.rollout_u @ candidate
+            r = tables.residual_offsets.size
+            base_vals = rows[:r] - tables.residual_offsets
+            pred = rows[r + 2 * m:]
+            theta_hat, eta_hat = ogd_step(tables, manifold, grad_prev, options.gamma, pred,
+                                          rows[r:r + m], rows[r + m:r + 2 * m])
+        else:
+            if step_map.gamma <= 0:
+                raise ValueError("gamma must be positive")
+            base_vals, linear, pred = step_map.rows(x_meas, candidate, grad_prev)
+            theta_hat, eta_hat = project_manifold(manifold, linear)
         worst = float(np.maximum.reduce(base_vals))
-
-        theta_hat, eta_hat = ogd_step(tables, manifold, grad_prev, options.gamma, pred,
-                                      rows[r:r + m], rows[r + m:r + 2 * m])
 
         kkt = None
         fallback = False
@@ -300,8 +359,11 @@ def step(state, model, tables, manifold, x_meas, grad_prev, options):
 
         beta = max_beta(tables, model, x_meas, candidate, g, _base=(base_vals, worst),
                         _growth=growth)
-        plan = np.concatenate([candidate + beta * g,
-                               (1.0 - beta) * state.plan[-m:] + beta * eta_hat])
+        if beta == 1.0:
+            plan = np.concatenate([candidate + g, eta_hat])
+        else:
+            plan = np.concatenate([candidate + beta * g,
+                                   (1.0 - beta) * state.plan[-m:] + beta * eta_hat])
         new_state = ControllerState(plan=plan, zeta_hat=(theta_hat, eta_hat), t=t)
         u = control_input(new_state, model, x_meas)
         diag = StepDiagnostics(

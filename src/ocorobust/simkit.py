@@ -19,7 +19,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import oco_controller as oco
-from .errors import OcoRobustError
+from .errors import OcoRobustError, StepError
 from .plant import SteadyStateBenchmark, optimal_steady_state, worst_stage_residuals
 
 TUBE_TOL = 1e-6
@@ -99,16 +99,28 @@ def _running_sum(x):
     return float(np.cumsum(np.concatenate([[0.0], x]))[-1])
 
 
-def _weight_runs(costs, manifold, model):
+def _serving(objects, cost):
+    """The first of ``objects`` whose ``serves(cost)`` holds, or None."""
+    for obj in objects:
+        if obj.serves(cost):
+            return obj
+    return None
+
+
+def _weight_runs(costs, manifold, model, benchmarks):
     """The runs of consecutive rows whose costs share their weight arrays, as
-    (rows, benchmark) pairs: one ``SteadyStateBenchmark`` per run, whose
-    ``serves`` ends the run."""
+    (rows, benchmark) pairs: per run, the ``SteadyStateBenchmark`` of
+    ``benchmarks`` that serves it, else one built for it and added to
+    ``benchmarks``; its ``serves`` ends the run."""
     runs, start, benchmark = [], 0, None
     for i, cost in enumerate(costs):
         if benchmark is None or not benchmark.serves(cost):
             if benchmark is not None:
                 runs.append((slice(start, i), benchmark))
-            start, benchmark = i, SteadyStateBenchmark(manifold, model, cost)
+            start, benchmark = i, _serving(benchmarks, cost)
+            if benchmark is None:
+                benchmark = SteadyStateBenchmark(manifold, model, cost)
+                benchmarks.append(benchmark)
     if benchmark is not None:
         runs.append((slice(start, len(costs)), benchmark))
     return runs
@@ -182,14 +194,15 @@ class RunRecord:
                 self.flags.setdefault(name, np.ones(len(self.t), bool))[lo:hi] = column
             self.flagged = hi
 
-    def finish(self, rows, monitors):
+    def finish(self, rows, monitors, benchmarks):
         """Keep the first ``rows`` rows, flag them, solve their benchmark and
         value them; returns their ledger, whose totals add the rows in step
-        order as running sums do."""
+        order as running sums do. The benchmark of each weight pair comes
+        from the list ``benchmarks``, built and added when none serves it."""
         self.flag(rows, monitors)
         self._take(slice(0, rows))
         model, _, manifold, _ = monitors
-        runs = _weight_runs(self.costs, manifold, model)
+        runs = _weight_runs(self.costs, manifold, model, benchmarks)
         theta, eta = _benchmark_states(self.costs, runs, model.n, model.m)
         self.benchmark_theta, self.benchmark_eta = theta, eta
         self.cost = _cost_values(self.costs, runs, self.x_true, self.u)
@@ -270,8 +283,22 @@ def check_horizon(horizon):
         raise ValueError("horizon must be at least 1")
 
 
+def _step_map(step_maps, cost, tables, gamma, t):
+    """The step map of ``step_maps`` that serves ``cost``; else, when
+    ``cost`` takes one, a map built for it and added to ``step_maps``; else
+    None. A map that fails to build fails step t."""
+    step_map = _serving(step_maps, cost)
+    if step_map is None and oco.QuadraticStepMap.takes(cost):
+        try:
+            step_map = oco.QuadraticStepMap(tables, cost, gamma)
+        except Exception as exc:
+            raise StepError(t, exc) from exc
+        step_maps.append(step_map)
+    return step_map
+
+
 def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
-                abort_on_violation=False):
+                abort_on_violation=False, step_maps=(), benchmarks=()):
     """The online loop for any plant; returns (trace, ledger).
 
     ``plant.observe(t)`` returns (x_true, x_meas, v, cost_t) and
@@ -280,6 +307,11 @@ def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
     the trace, a ``RunRecord``; flags, the benchmark steady states, cost
     values and totals come after the run (flags after each step under
     ``abort_on_violation``).
+
+    A step on a ``QuadraticCost`` uses the ``oco.QuadraticStepMap`` of its
+    weight pair: one of ``step_maps`` built for the controller's gamma (the
+    others are not used), or one built on first use. ``benchmarks`` are
+    ``SteadyStateBenchmark``s for ``RunRecord.finish`` in the same way.
     """
     check_horizon(horizon)
     x_true, x_meas, v, cost_t = plant.observe(0)
@@ -295,16 +327,20 @@ def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
                                ogd_target=state.zeta_hat, candidate_feasible=True)
 
     monitors = (model, tables, manifold, c_g)
+    gamma = controller.gamma
+    maps = [step_map for step_map in step_maps if step_map.gamma == gamma]
+    benchmarks = list(benchmarks)
     record = RunRecord(model.n, model.m, model.mu, horizon)
     for t in range(horizon):
         if t > 0:
             prev_cost = cost_t
             x_true, x_meas, v, cost_t = plant.observe(t)
             try:
-                u, state, diag = oco.step(state, model, tables, manifold, x_meas,
-                                          prev_cost, controller)
+                u, state, diag = oco.step(state, model, tables, manifold, x_meas, prev_cost,
+                                          controller,
+                                          _step_map(maps, prev_cost, tables, gamma, t))
             except OcoRobustError as exc:
-                raise SimulationAborted(str(exc), record, record.finish(t, monitors),
+                raise SimulationAborted(str(exc), record, record.finish(t, monitors, benchmarks),
                                         t) from exc
 
         w = plant.advance(u)
@@ -316,8 +352,8 @@ def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
                         if not column[t] and name != "tube_marginal"]
             if violated:
                 raise SimulationAborted(f"invariant violation: {', '.join(violated)}",
-                                        record, record.finish(t + 1, monitors), t)
-    return record, record.finish(horizon, monitors)
+                                        record, record.finish(t + 1, monitors, benchmarks), t)
+    return record, record.finish(horizon, monitors, benchmarks)
 
 
 class _LtiPlant:

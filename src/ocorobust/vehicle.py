@@ -30,6 +30,7 @@ from .matlin import as_matrix
 from .plant import (
     ModelConfig,
     QuadraticCost,
+    SteadyStateBenchmark,
     build_model,
     build_tightening,
     optimal_steady_state,
@@ -132,13 +133,20 @@ def build_vehicle_model(params=None):
 
 @dataclass
 class VehicleSetup:
-    """What runs share. Each ``observe`` sets ``builder``'s context: one run at a time."""
+    """What runs share. Each ``observe`` sets ``builder``'s context: one run at a time.
+
+    ``benchmarks`` and ``step_maps`` hold the ``SteadyStateBenchmark`` and
+    the ``oco.QuadraticStepMap`` (for ``params.gamma``) of each phase weight
+    pair: phases 1 and 2, then phase 3.
+    """
 
     params: VehicleParams
     model: object
     tables: object
     manifold: object
     builder: object
+    benchmarks: tuple
+    step_maps: tuple
 
 
 @functools.lru_cache(maxsize=8)
@@ -147,7 +155,11 @@ def vehicle_setup(params=None):
     model = build_vehicle_model(params)
     tables = build_tightening(model)
     manifold = steady_state_manifold(model, model.p_rpi, shrink=params.shrink)
-    return VehicleSetup(params, model, tables, manifold, VehicleRolloutBuilder(model, params))
+    costs = (_PHASE1_COST, _PHASE3_COST)
+    return VehicleSetup(
+        params, model, tables, manifold, VehicleRolloutBuilder(model, params),
+        benchmarks=tuple(SteadyStateBenchmark(manifold, model, cost) for cost in costs),
+        step_maps=tuple(oco.QuadraticStepMap(tables, cost, params.gamma) for cost in costs))
 
 
 _Q_INPUT = np.eye(2) * 2.0 * INPUT_WEIGHT
@@ -283,13 +295,15 @@ def _rk4_step(state, u):
                  for s, a, b, c, d in zip(state, k1, k2, k3, k4))
 
 
+_REDUCED_A, _REDUCED_B = reduced_dynamics()
+
+
 def _linear_truth_step(state, u):
     # Ideal truth: the reduced model applied to (p_y, speed), p_x advanced
     # with the current speed.
     px, py, speed = state
-    a, b = reduced_dynamics()
     red = np.array([py, speed - DELTA_BAR])
-    red = a @ red + b @ np.asarray(u, float)
+    red = _REDUCED_A @ red + _REDUCED_B @ np.asarray(u, float)
     return np.array([px + TAU * speed, red[0], DELTA_BAR + red[1]])
 
 
@@ -380,9 +394,9 @@ def run_scenario(variant="optimized", seed=0, params=None, horizon_steps=300,
     controller = oco.ControllerConfig(gamma=params.gamma, variant=variant,
                                       c_g=params.c_g, rollout_builder=builder)
     plant = _RoadPlant(model, params, seed, builder, horizon_steps)
-    zeta0 = optimal_steady_state(manifold, phase_cost(1), model)
-    trace, ledger = closed_loop(model, tables, manifold, controller, plant,
-                                horizon_steps, zeta0)
+    zeta0 = optimal_steady_state(manifold, phase_cost(1), model, setup.benchmarks[0])
+    trace, ledger = closed_loop(model, tables, manifold, controller, plant, horizon_steps,
+                                zeta0, step_maps=setup.step_maps, benchmarks=setup.benchmarks)
     metrics = {"variant": variant, "seed": seed, **plant.metrics}
     _finalize_metrics(metrics, trace)
     return trace, ledger, metrics

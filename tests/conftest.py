@@ -265,3 +265,70 @@ def reference_gap_offsets(model, ctx, gap_meas, est_speed_dev, safety):
     parts = (gap_meas, TAU * ks * est_speed_dev, TAU * (cum_speed @ c_x), safety)
     return (gap_meas + TAU * ks * est_speed_dev - TAU * (cum_speed @ c_x) - safety,
             sum(float(np.linalg.norm(part)) for part in parts))
+
+
+def assert_close(got, want, rel, what):
+    """|got - want| <= rel (1 + |want|) entrywise."""
+    got, want = np.asarray(got, float), np.asarray(want, float)
+    assert got.shape == want.shape, what
+    excess = np.abs(got - want) - rel * (1.0 + np.abs(want))
+    assert np.all(excess <= 0.0), (what, float(np.max(excess)))
+
+
+def assert_steps_agree(got, want, rel=1e-12, beta_slack=0.0):
+    """Two ``oco.step`` results (u, state, diagnostics) agree within rel;
+    beta within rel plus ``beta_slack``."""
+    (u, state, diag), (u_ref, state_ref, diag_ref) = got, want
+    assert_close(u, u_ref, rel, "u")
+    assert_close(state.plan, state_ref.plan, rel, "plan")
+    assert_close(diag.ogd_target[0], diag_ref.ogd_target[0], rel, "theta_hat")
+    assert_close(diag.ogd_target[1], diag_ref.ogd_target[1], rel, "eta_hat")
+    assert abs(diag.beta - diag_ref.beta) <= rel * (1.0 + abs(diag_ref.beta)) + beta_slack, (
+        "beta", diag.beta, diag_ref.beta)
+    assert_close(diag.g_norm, diag_ref.g_norm, rel, "g_norm")
+    assert diag.g_fallback == diag_ref.g_fallback
+    assert diag.candidate_feasible == diag_ref.candidate_feasible
+
+
+def beta_roundoff(residual_u, base, shift, g):
+    """How far a beta below 1 moves when the candidate's stage residuals
+    ``base`` move by up to ``shift``: beta = -base_j / growth_j at the binding
+    row j (growth = ``residual_u @ g``), so by shift / growth_j."""
+    growth = residual_u @ g
+    rising = growth > 1e-14 * max(1.0, float(np.abs(growth).max()))
+    ratios = np.maximum(-base[rising], 0.0) / growth[rising]
+    return shift / float(growth[rising][np.argmin(ratios)])
+
+
+@pytest.fixture
+def both_paths(monkeypatch):
+    """While active, every ``oco.step`` a loop makes must get a step map that
+    serves its cost, and must agree with the same step from the same state
+    through the gradient oracle (``assert_steps_agree``). The map's stage
+    residuals must match their per-step form within 1e-12 of the offsets'
+    scale; beta may move by what that difference moves it
+    (``beta_roundoff``). Returns the list of (t, cost) of the compared
+    steps."""
+    real, seen = oco.step, []
+
+    def checked(state, model, tables, manifold, x_meas, grad_prev, options, step_map=None):
+        out = real(state, model, tables, manifold, x_meas, grad_prev, options, step_map)
+        assert step_map is not None and step_map.serves(grad_prev)
+        ref = real(state, model, tables, manifold, x_meas, grad_prev, options)
+        # The map's stage residuals against their per-step form, at the
+        # scale of the offsets they are computed from.
+        x_meas, candidate = np.asarray(x_meas, float), state.plan[model.m:]
+        rows = tables.rollout_x @ x_meas + tables.rollout_u @ candidate
+        base = rows[:tables.residual_offsets.size] - tables.residual_offsets
+        shift = np.abs(step_map.rows(x_meas, candidate, grad_prev)[0] - base)
+        assert np.all(shift <= 1e-12 * (1.0 + np.abs(tables.residual_offsets))), "base"
+        slack = 0.0
+        if 0.0 < ref[2].beta < 1.0:
+            g = (ref[1].plan[:-model.m] - candidate) / ref[2].beta
+            slack = beta_roundoff(tables.residual_u, base, float(shift.max()), g)
+        assert_steps_agree(out, ref, beta_slack=slack)
+        seen.append((state.t + 1, grad_prev))
+        return out
+
+    monkeypatch.setattr(oco, "step", checked)
+    return seen

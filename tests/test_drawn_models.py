@@ -140,3 +140,39 @@ def test_drawn_models_keep_the_guarantees():
     check()
     # both sides of the property are exercised
     assert outcomes["built"] >= 10 and outcomes["rejected"] >= 5, outcomes
+
+
+def test_drawn_models_step_map_matches_oracle(both_paths):
+    # Every step of both variants through the step map agrees with the
+    # gradient oracle from the same state (the ``both_paths`` fixture), on
+    # costs with coupled, non-symmetric weights (``grad`` is q dx as it is)
+    # and a non-zero input reference.
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(drawn_models())
+    def check(drawn):
+        cfg, targets = drawn
+        try:
+            model, tables, manifold = build(cfg)
+        except OcoRobustError:
+            return
+        n, m = model.n, model.m
+        q_x = np.eye(n) + 0.3 * np.eye(n, k=1) + 0.1 * np.eye(n, k=-1)
+        q_u = np.eye(m) + 0.3 * (np.eye(m, k=1) - np.eye(m, k=-1))
+        ref_u = 0.1 * cfg.u_set.offsets[:m]
+        first = QuadraticCost(q_x, q_u, targets[0], ref_u)
+        pieces = ((0, first), (10, first.with_ref_x(targets[1])),
+                  (20, QuadraticCost(2.0 * np.eye(n), q_u.T, targets[2], -ref_u)))
+        schedule = PiecewiseSchedule(pieces)
+        zeta0 = optimal_steady_state(manifold, first, model)
+        symmetric = QuadraticCost(0.5 * (q_x + q_x.T), np.eye(m), targets[0], ref_u)
+        gamma = 1.0 / cost_curvature(symmetric, model)[1]
+        for variant in ("explicit", "optimized"):
+            builder = (oco.QuadraticRolloutBuilder(model, np.eye(n), np.eye(m))
+                       if variant == "optimized" else None)
+            controller = oco.ControllerConfig(gamma=gamma, variant=variant,
+                                              rollout_builder=builder)
+            plant = GreedyAdversaryPlant(model, schedule, zeta0[0])
+            closed_loop(model, tables, manifold, controller, plant, 30, zeta0)
+
+    check()
+    assert len(both_paths) >= 10 * 2 * 29

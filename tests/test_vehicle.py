@@ -164,8 +164,9 @@ class TestSoftSafety:
 class TestBenchmarkPath:
     def test_no_benchmark_solve_inside_the_loop(self, setup, monkeypatch):
         # The benchmark solvers (one per SteadyStateBenchmark) are called
-        # before observe(0) (zeta0) and after the last advance only.
-        events, solvers = [], []
+        # before observe(0) (zeta0) and after the last advance only: those
+        # the setup holds and any built during the run.
+        events, solvers = [], [benchmark.solver for benchmark in setup.benchmarks]
         init = SteadyStateBenchmark.__init__
         real = {name: getattr(denseqp.PrefactoredQp, name) for name in ("solve", "guess_rows")}
 

@@ -146,33 +146,21 @@ class PrefactoredQp:
         ``prod`` is ``stacked @ x``. One max and one min of the row slacks
         give the stopping test and the KKT terms: with lam = 0 the
         complementarity term is 0 * min(viol), NaN exactly when a row is NaN
-        or -inf (a +inf row has failed the stopping test). The residual and
-        status are ``_residual_status``'s, formed term by term: the terms'
-        sum in list order, and their max when that sum is finite.
+        or -inf (a +inf row has failed the stopping test).
         """
         n, mineq = x.size, ineq_b.size
+        terms = []
         if mineq:
             viol = prod[n:n + mineq] - ineq_b
             top = float(np.maximum.reduce(viol))
             if top > 0.1 * tol:
                 return None
-            top = max(top, 0.0)
-            low = 0.0 * float(np.minimum.reduce(viol))
+            terms += [max(top, 0.0), 0.0 * float(np.minimum.reduce(viol))]
         grad = prod[:n] + linear
         if self.meq:
             grad += self.eq_normals.T @ nu
-        res = total = math.sqrt(grad @ grad)
-        if mineq:
-            total = total + top + low
-            res = max(res, top, low)
-        if self.meq:
-            eq = float(np.maximum.reduce(np.abs(prod[n + mineq:] - eq_b)))
-            total += eq
-            res = max(res, eq)
-        if not total < np.inf:
-            res = total
-        status = ("optimal" if res <= tol else "max_iter" if res < np.inf
-                  else "non_finite")
+            terms.append(float(np.maximum.reduce(np.abs(prod[n + mineq:] - eq_b))))
+        res, status = _residual_status([math.sqrt(grad @ grad), *terms], "optimal", tol)
         return QpSolution(x=x, kkt_residual=res, status=status,
                           ineq_multipliers=self.no_ineq, eq_multipliers=nu)
 

@@ -125,8 +125,9 @@ class QuadraticRolloutBuilder:
 
 
 class QuadraticStepMap:
-    """A step's affine part up to the projection, for ``QuadraticCost``'s own
-    gradient with fixed weights (q_x, q_u) and step size ``gamma``.
+    """A step's affine part up to the projection on ``tables``, for
+    ``QuadraticCost``'s own gradient with fixed weights (q_x, q_u) and step
+    size ``gamma``; ``step`` refuses the map for other ones.
 
     With the quadratic gradient (Q_x (pred - ref_x), Q_u (v - ref_u)), the
     projection's linear term q0 + 2 gamma M [gx; gv] (``ogd_step``) is affine
@@ -152,7 +153,8 @@ class QuadraticStepMap:
             [lin_x, lin_u, -step_x, -step_v, np.zeros((m, 1))],
             [rx[pred], ru[pred], np.zeros((n, n + m + 1))]])
         self.r, self.m = r, m
-        self.q_x, self.q_u, self.gamma = cost.q_x, cost.q_u, gamma
+        self.tables, self.gamma = tables, gamma
+        self.q_x, self.q_u = cost.q_x, cost.q_u
 
     @staticmethod
     def takes(cost):
@@ -320,8 +322,9 @@ def max_beta(tables, model, x_meas, base_seq, g, tol=None, _base=None, _growth=N
 def step(state, model, tables, manifold, x_meas, grad_prev, options, step_map=None):
     """Advance the controller one step; returns (u, new_state, diagnostics).
 
-    ``step_map`` is a ``QuadraticStepMap`` built for ``options.gamma`` that
-    serves ``grad_prev``; without one the step calls the gradient oracle.
+    ``step_map`` is a ``QuadraticStepMap`` built from ``tables`` for
+    ``options.gamma`` that serves ``grad_prev`` (any other map fails the
+    step); without one the step calls the gradient oracle.
     """
     t = state.t + 1
     try:
@@ -339,8 +342,11 @@ def step(state, model, tables, manifold, x_meas, grad_prev, options, step_map=No
             theta_hat, eta_hat = ogd_step(tables, manifold, grad_prev, options.gamma, pred,
                                           rows[r:r + m], rows[r + m:r + 2 * m])
         else:
-            if step_map.gamma <= 0:
+            if options.gamma <= 0:
                 raise ValueError("gamma must be positive")
+            if not (step_map.tables is tables and step_map.gamma == options.gamma
+                    and step_map.serves(grad_prev)):
+                raise ValueError("step map built for other tables, gamma or weights")
             base_vals, linear, pred = step_map.rows(x_meas, candidate, grad_prev)
             theta_hat, eta_hat = project_manifold(manifold, linear)
         worst = float(np.maximum.reduce(base_vals))
@@ -359,7 +365,7 @@ def step(state, model, tables, manifold, x_meas, grad_prev, options, step_map=No
 
         beta = max_beta(tables, model, x_meas, candidate, g, _base=(base_vals, worst),
                         _growth=growth)
-        if beta == 1.0:
+        if beta == 1.0:  # most steps; skips the blend's five operations
             plan = np.concatenate([candidate + g, eta_hat])
         else:
             plan = np.concatenate([candidate + beta * g,

@@ -99,28 +99,20 @@ def _running_sum(x):
     return float(np.cumsum(np.concatenate([[0.0], x]))[-1])
 
 
-def _serving(objects, cost):
-    """The first of ``objects`` whose ``serves(cost)`` holds, or None."""
-    for obj in objects:
-        if obj.serves(cost):
-            return obj
-    return None
-
-
 def _weight_runs(costs, manifold, model, benchmarks):
     """The runs of consecutive rows whose costs share their weight arrays, as
-    (rows, benchmark) pairs: per run, the ``SteadyStateBenchmark`` of
-    ``benchmarks`` that serves it, else one built for it and added to
-    ``benchmarks``; its ``serves`` ends the run."""
+    (rows, benchmark) pairs: per run, the first of ``benchmarks`` (built
+    beforehand) that serves it, else a ``SteadyStateBenchmark`` built for the
+    run alone; its ``serves`` ends the run."""
     runs, start, benchmark = [], 0, None
     for i, cost in enumerate(costs):
         if benchmark is None or not benchmark.serves(cost):
             if benchmark is not None:
                 runs.append((slice(start, i), benchmark))
-            start, benchmark = i, _serving(benchmarks, cost)
+            start = i
+            benchmark = next((b for b in benchmarks if b.serves(cost)), None)
             if benchmark is None:
                 benchmark = SteadyStateBenchmark(manifold, model, cost)
-                benchmarks.append(benchmark)
     if benchmark is not None:
         runs.append((slice(start, len(costs)), benchmark))
     return runs
@@ -197,8 +189,8 @@ class RunRecord:
     def finish(self, rows, monitors, benchmarks):
         """Keep the first ``rows`` rows, flag them, solve their benchmark and
         value them; returns their ledger, whose totals add the rows in step
-        order as running sums do. The benchmark of each weight pair comes
-        from the list ``benchmarks``, built and added when none serves it."""
+        order as running sums do. ``benchmarks`` are benchmarks built
+        beforehand (see ``_weight_runs``)."""
         self.flag(rows, monitors)
         self._take(slice(0, rows))
         model, _, manifold, _ = monitors
@@ -283,22 +275,27 @@ def check_horizon(horizon):
         raise ValueError("horizon must be at least 1")
 
 
-def _step_map(step_maps, cost, tables, gamma, t):
-    """The step map of ``step_maps`` that serves ``cost``; else, when
-    ``cost`` takes one, a map built for it and added to ``step_maps``; else
-    None. A map that fails to build fails step t."""
-    step_map = _serving(step_maps, cost)
-    if step_map is None and oco.QuadraticStepMap.takes(cost):
-        try:
-            step_map = oco.QuadraticStepMap(tables, cost, gamma)
-        except Exception as exc:
-            raise StepError(t, exc) from exc
-        step_maps.append(step_map)
-    return step_map
+def _step_map(step_map, cost, next_cost, tables, gamma, t):
+    """The step map for step t, on ``cost``: ``step_map`` when it serves
+    ``cost``; else, when ``cost`` takes one and the next step's cost
+    ``next_cost`` takes one with the same weight arrays (so the map serves at
+    least two steps), one built for it; else None, the gradient path. A run
+    whose weights change every step builds none. A map that fails to build
+    fails step t."""
+    if step_map is not None and step_map.serves(cost):
+        return step_map
+    takes = oco.QuadraticStepMap.takes
+    if not (takes(cost) and takes(next_cost) and next_cost.q_x is cost.q_x
+            and next_cost.q_u is cost.q_u):
+        return None
+    try:
+        return oco.QuadraticStepMap(tables, cost, gamma)
+    except Exception as exc:
+        raise StepError(t, exc) from exc
 
 
 def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
-                abort_on_violation=False, step_maps=(), benchmarks=()):
+                abort_on_violation=False, benchmarks=()):
     """The online loop for any plant; returns (trace, ledger).
 
     ``plant.observe(t)`` returns (x_true, x_meas, v, cost_t) and
@@ -308,10 +305,10 @@ def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
     values and totals come after the run (flags after each step under
     ``abort_on_violation``).
 
-    A step on a ``QuadraticCost`` uses the ``oco.QuadraticStepMap`` of its
-    weight pair: one of ``step_maps`` built for the controller's gamma (the
-    others are not used), or one built on first use. ``benchmarks`` are
-    ``SteadyStateBenchmark``s for ``RunRecord.finish`` in the same way.
+    A step on a ``QuadraticCost`` whose weight pair repeats on the next step
+    uses an ``oco.QuadraticStepMap`` for that pair, built on first use; the
+    loop keeps only the map in use (see ``_step_map``). ``benchmarks`` are
+    ``SteadyStateBenchmark``s built beforehand for ``RunRecord.finish``.
     """
     check_horizon(horizon)
     x_true, x_meas, v, cost_t = plant.observe(0)
@@ -327,18 +324,16 @@ def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
                                ogd_target=state.zeta_hat, candidate_feasible=True)
 
     monitors = (model, tables, manifold, c_g)
-    gamma = controller.gamma
-    maps = [step_map for step_map in step_maps if step_map.gamma == gamma]
-    benchmarks = list(benchmarks)
+    step_map = None
     record = RunRecord(model.n, model.m, model.mu, horizon)
     for t in range(horizon):
         if t > 0:
             prev_cost = cost_t
             x_true, x_meas, v, cost_t = plant.observe(t)
             try:
+                step_map = _step_map(step_map, prev_cost, cost_t, tables, controller.gamma, t)
                 u, state, diag = oco.step(state, model, tables, manifold, x_meas, prev_cost,
-                                          controller,
-                                          _step_map(maps, prev_cost, tables, gamma, t))
+                                          controller, step_map)
             except OcoRobustError as exc:
                 raise SimulationAborted(str(exc), record, record.finish(t, monitors, benchmarks),
                                         t) from exc

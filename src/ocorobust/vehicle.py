@@ -135,8 +135,7 @@ def build_vehicle_model(params=None):
 class VehicleSetup:
     """What runs share. Each ``observe`` sets ``builder``'s context: one run at a time.
 
-    ``benchmarks`` and ``step_maps`` hold the ``SteadyStateBenchmark`` and
-    the ``oco.QuadraticStepMap`` (for ``params.gamma``) of each phase weight
+    ``benchmarks`` holds the ``SteadyStateBenchmark`` of each phase weight
     pair: phases 1 and 2, then phase 3.
     """
 
@@ -146,7 +145,6 @@ class VehicleSetup:
     manifold: object
     builder: object
     benchmarks: tuple
-    step_maps: tuple
 
 
 @functools.lru_cache(maxsize=8)
@@ -155,11 +153,10 @@ def vehicle_setup(params=None):
     model = build_vehicle_model(params)
     tables = build_tightening(model)
     manifold = steady_state_manifold(model, model.p_rpi, shrink=params.shrink)
-    costs = (_PHASE1_COST, _PHASE3_COST)
-    return VehicleSetup(
-        params, model, tables, manifold, VehicleRolloutBuilder(model, params),
-        benchmarks=tuple(SteadyStateBenchmark(manifold, model, cost) for cost in costs),
-        step_maps=tuple(oco.QuadraticStepMap(tables, cost, params.gamma) for cost in costs))
+    benchmarks = tuple(SteadyStateBenchmark(manifold, model, cost)
+                       for cost in (_PHASE1_COST, _PHASE3_COST))
+    return VehicleSetup(params, model, tables, manifold,
+                        VehicleRolloutBuilder(model, params), benchmarks)
 
 
 _Q_INPUT = np.eye(2) * 2.0 * INPUT_WEIGHT
@@ -396,7 +393,7 @@ def run_scenario(variant="optimized", seed=0, params=None, horizon_steps=300,
     plant = _RoadPlant(model, params, seed, builder, horizon_steps)
     zeta0 = optimal_steady_state(manifold, phase_cost(1), model, setup.benchmarks[0])
     trace, ledger = closed_loop(model, tables, manifold, controller, plant, horizon_steps,
-                                zeta0, step_maps=setup.step_maps, benchmarks=setup.benchmarks)
+                                zeta0, benchmarks=setup.benchmarks)
     metrics = {"variant": variant, "seed": seed, **plant.metrics}
     _finalize_metrics(metrics, trace)
     return trace, ledger, metrics

@@ -1,7 +1,8 @@
 """The quadratic step map against the gradient oracle it replaces.
 
-``closed_loop`` hands a step on a plain ``QuadraticCost`` its
-``oco.QuadraticStepMap``; any other cost goes through the cost's ``grad``.
+``closed_loop`` hands a step on a plain ``QuadraticCost`` whose weights
+repeat on the next step its ``oco.QuadraticStepMap``; any other cost goes
+through the cost's ``grad``.
 Both paths must take the same step: from identical states within 1e-12 of
 the oracle's values (beta also within what the stage residuals' rounding
 moves it, see ``conftest.both_paths``), over whole runs within 1e-10, with
@@ -64,6 +65,18 @@ def coupled_cost(n, m, ref_x, ref_u, seed=0):
                          b @ b.T + 0.5 * np.eye(m) + 0.3 * (skew_u - skew_u.T), ref_x, ref_u)
 
 
+class FreshWeights:
+    """``schedule``'s costs with new weight arrays (equal values) at every
+    step, as time-varying weights would have."""
+
+    def __init__(self, schedule):
+        self.schedule = schedule
+
+    def cost_at(self, t):
+        cost = self.schedule.cost_at(t)
+        return QuadraticCost(cost.q_x.copy(), cost.q_u.copy(), cost.ref_x, cost.ref_u)
+
+
 def di_schedule(model):
     first = coupled_cost(model.n, model.m, [0.4, 0.1], [0.3])
     return PiecewiseSchedule(((0, first), (40, first.with_ref_x([-0.5, 0.2])),
@@ -114,14 +127,42 @@ class TestServes:
                                DisturbancePolicy(seed=2), 120, zeta0=zeta0, x0=zeta0[0])
         assert [(q is schedule.cost_at(0).q_x, g) for q, g in built] == [(True, 0.3),
                                                                         (False, 0.3)]
-        # a handed-in map for the controller's gamma is used, one for another is not
-        first = oco.QuadraticStepMap(tables, schedule.cost_at(0), 0.3)
-        other = oco.QuadraticStepMap(tables, schedule.cost_at(90), 0.2)
+        # Weights that change every step: no map is built, every step takes
+        # the gradient path, and the run agrees with one on the step maps'
+        # path for the same values.
         built.clear()
-        plant = simkit._LtiPlant(model, schedule, DisturbancePolicy(seed=2), zeta0[0], 120)
-        simkit.closed_loop(model, tables, manifold, controller, plant, 120, zeta0,
-                           step_maps=(first, other))
-        assert [(q is schedule.cost_at(90).q_x, g) for q, g in built] == [(True, 0.3)]
+        fresh = FreshWeights(schedule)
+        calls = []
+        real = oco.ogd_step
+        monkeypatch.setattr(oco, "ogd_step", lambda *a: calls.append(1) or real(*a))
+        trace, ledger = simkit.run_closed_loop(model, tables, manifold, controller, fresh,
+                                               DisturbancePolicy(seed=2), 120, zeta0=zeta0,
+                                               x0=zeta0[0])
+        assert built == [] and len(calls) == 119
+        calls.clear()
+        assert_runs_agree((trace, ledger), simkit.run_closed_loop(
+            model, tables, manifold, controller, schedule, DisturbancePolicy(seed=2), 120,
+            zeta0=zeta0, x0=zeta0[0]))
+        assert len(built) == 2 and not calls
+
+    def test_step_rejects_a_map_it_does_not_fit(self, di_bundle):
+        # A map built for other tables, another gamma or other weight arrays
+        # fails the step instead of taking a wrong one.
+        model, tables, manifold = di_bundle
+        cost = coupled_cost(2, 1, [0.3, 0.0], [0.2])
+        zeta = optimal_steady_state(manifold, cost, model)
+        state = oco.initialize(model, tables, manifold, zeta, zeta[0])
+        options = oco.ControllerConfig(gamma=0.3)
+        other_tables = copy.copy(tables)
+        same = QuadraticCost(cost.q_x.copy(), cost.q_u.copy(), cost.ref_x, cost.ref_u)
+        for step_map in (oco.QuadraticStepMap(other_tables, cost, 0.3),
+                         oco.QuadraticStepMap(tables, cost, 0.2),
+                         oco.QuadraticStepMap(tables, same, 0.3)):
+            with pytest.raises(StepError) as info:
+                oco.step(state, model, tables, manifold, zeta[0], cost, options, step_map)
+            assert info.value.t == 1 and isinstance(info.value.cause, ValueError)
+        oco.step(state, model, tables, manifold, zeta[0], cost, options,
+                 oco.QuadraticStepMap(tables, cost, 0.3))
 
 
 class TestOneStep:

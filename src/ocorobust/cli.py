@@ -225,8 +225,7 @@ def _controller(cfg, model, schedule):
     if c["variant"] == "optimized":
         cost0 = schedule.cost_at(0)
         builder = oco.QuadraticRolloutBuilder(model, cost0.q_x, cost0.q_u)
-    return oco.ControllerConfig(gamma=c["gamma"], variant=c["variant"],
-                                c_g=c.get("c_g"), rollout_builder=builder)
+    return oco.ControllerConfig(gamma=c["gamma"], c_g=c.get("c_g"), rollout_builder=builder)
 
 
 def _vehicle_params(cfg):

@@ -161,7 +161,8 @@ class Zonotope:
         sum spans the same segment as the group. Zero columns are dropped.
         """
         g = self.prune().generators
-        unit = g / np.linalg.norm(g, axis=0)
+        unit = g / np.abs(g).max(axis=0)  # no norm below underflows or overflows
+        unit /= np.linalg.norm(unit, axis=0)
         left = np.ones(g.shape[1], bool)
         cols = []
         for i in range(g.shape[1]):

@@ -26,9 +26,14 @@ _ONE = np.ones(1)
 @dataclass
 class ControllerConfig:
     gamma: float
-    variant: str = "explicit"  # "explicit" | "optimized"
     c_g: float | None = None
-    rollout_builder: object = None  # builds RolloutQp per step for "optimized"
+    rollout_builder: object = None  # build(x_meas, candidate, theta_hat) -> RolloutQp
+
+    @property
+    def variant(self):
+        """The step's additional input: "optimized" when a rollout builder
+        shapes it, else "explicit" (the least-norm input)."""
+        return "explicit" if self.rollout_builder is None else "optimized"
 
     def effective_c_g(self, model):
         return self.c_g if self.c_g is not None else 1.01 * model.c_g_min
@@ -59,18 +64,6 @@ class StepDiagnostics:
     candidate_feasible: bool
     kkt_residual: float | None = None
     g_fallback: bool = False
-
-
-@dataclass
-class StepContext:
-    """What a rollout cost builder gets to see at one step."""
-
-    t: int
-    x_meas: np.ndarray
-    theta_hat: np.ndarray
-    eta_hat: np.ndarray
-    candidate: np.ndarray
-    pred_state: np.ndarray
 
 
 @dataclass
@@ -118,9 +111,8 @@ class QuadraticRolloutBuilder:
         self.lin_c = qxe.T @ e + qum.T @ mmap
         self.lin_theta = qxe.T @ np.tile(np.eye(model.n), (mu, 1))
 
-    def build(self, ctx):
-        lin = (self.lin_x @ ctx.x_meas + self.lin_c @ ctx.candidate
-               - self.lin_theta @ ctx.theta_hat)
+    def build(self, x_meas, candidate, theta_hat):
+        lin = self.lin_x @ x_meas + self.lin_c @ candidate - self.lin_theta @ theta_hat
         return RolloutQp(self.solver, lin)
 
 
@@ -351,17 +343,13 @@ def step(state, model, tables, manifold, x_meas, grad_prev, options, step_map=No
             theta_hat, eta_hat = project_manifold(manifold, linear)
         worst = float(np.maximum.reduce(base_vals))
 
-        kkt = None
-        fallback = False
-        growth = None
-        if options.variant == "optimized" and options.rollout_builder is not None:
-            ctx = StepContext(t=t, x_meas=x_meas, theta_hat=theta_hat,
-                              eta_hat=eta_hat, candidate=candidate, pred_state=pred)
-            rollout = options.rollout_builder.build(ctx)
+        kkt, fallback, growth = None, False, None
+        if options.rollout_builder is None:
+            g, growth = additional_input_explicit(tables, theta_hat, pred)
+        else:
+            rollout = options.rollout_builder.build(x_meas, candidate, theta_hat)
             g, kkt, fallback = additional_input_optimized(
                 model, theta_hat, pred, rollout, options.effective_c_g(model))
-        else:
-            g, growth = additional_input_explicit(tables, theta_hat, pred)
 
         beta = max_beta(tables, model, x_meas, candidate, g, _base=(base_vals, worst),
                         _growth=growth)

@@ -19,7 +19,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import oco_controller as oco
-from .errors import OcoRobustError, StepError
+from .errors import DimensionMismatch, OcoRobustError, StepError
 from .plant import SteadyStateBenchmark, optimal_steady_state, worst_stage_residuals
 
 TUBE_TOL = 1e-6
@@ -275,6 +275,14 @@ def check_horizon(horizon):
         raise ValueError("horizon must be at least 1")
 
 
+def _check_cost(cost, n, m):
+    """Raise unless q_x is (n, n), q_u (m, m), ref_x (n,) and ref_u (m,)."""
+    got = (cost.q_x.shape, cost.q_u.shape, cost.ref_x.shape, cost.ref_u.shape)
+    if got != ((n, n), (m, m), (n,), (m,)):
+        raise DimensionMismatch(f"cost shapes (q_x, q_u, ref_x, ref_u) {got} do not fit "
+                                f"n={n}, m={m}")
+
+
 def _step_map(step_map, cost, next_cost, tables, gamma, t):
     """The step map for step t, on ``cost``: ``step_map`` when it serves
     ``cost``; else, when ``cost`` takes one and the next step's cost
@@ -303,7 +311,9 @@ def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
     The controller gets cost_t only at step t + 1. Each step writes one row of
     the trace, a ``RunRecord``; flags, the benchmark steady states, cost
     values and totals come after the run (flags after each step under
-    ``abort_on_violation``).
+    ``abort_on_violation``). Each new cost object is checked against the
+    model as it arrives (``_check_cost``): a misfit raises at t = 0 and
+    aborts the run at t > 0.
 
     A step on a ``QuadraticCost`` whose weight pair repeats on the next step
     uses an ``oco.QuadraticStepMap`` for that pair, built on first use; the
@@ -314,6 +324,7 @@ def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
     x_true, x_meas, v, cost_t = plant.observe(0)
     if not model.x_set.contains(x_true, tol=model.membership_tol):
         raise OcoRobustError("x0 violates the state constraints")
+    _check_cost(cost_t, model.n, model.m)
     c_g = controller.effective_c_g(model)
     if c_g < model.c_g_min * (1 - 1e-9):
         raise OcoRobustError(
@@ -331,6 +342,8 @@ def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
             prev_cost = cost_t
             x_true, x_meas, v, cost_t = plant.observe(t)
             try:
+                if cost_t is not prev_cost:
+                    _check_cost(cost_t, model.n, model.m)
                 step_map = _step_map(step_map, prev_cost, cost_t, tables, controller.gamma, t)
                 u, state, diag = oco.step(state, model, tables, manifold, x_meas, prev_cost,
                                           controller, step_map)

@@ -133,7 +133,7 @@ def build_vehicle_model(params=None):
 
 @dataclass
 class VehicleSetup:
-    """What runs share. Each ``observe`` sets ``builder``'s context: one run at a time.
+    """What runs share; no run changes it.
 
     ``benchmarks`` holds the ``SteadyStateBenchmark`` of each phase weight
     pair: phases 1 and 2, then phase 3.
@@ -200,7 +200,8 @@ class VehicleRolloutBuilder:
     built here once: the rows are fixed, only their offsets change per step.
     The own travel the rows predict is TAU times the summed rollout speeds,
     ``gap_x @ x + gap_c @ candidate + gap_c @ g`` with the fixed rows
-    ``gap_x`` = cum_speed P0 and ``gap_c`` = cum_speed E.
+    ``gap_x`` = cum_speed P0 and ``gap_c`` = cum_speed E. Each call brings
+    the planner context, so runs share one builder.
     """
 
     def __init__(self, model, params):
@@ -227,33 +228,26 @@ class VehicleRolloutBuilder:
         self.slack_solver = PrefactoredQp(
             h, ineq_normals=np.hstack([-self.slack_base, -np.ones((mu + 1, 1))]),
             eq_normals=np.hstack([model.s_c, np.zeros((n, 1))]))
-        self.phase = 1
-        self.gap_meas = None
-        self.est_speed_dev = None
 
-    def set_context(self, phase, gap_meas=None, est_speed_dev=None):
-        self.phase = phase
-        self.gap_meas = gap_meas
-        self.est_speed_dev = est_speed_dev
-
-    def build(self, ctx):
-        base = self._phase_builders[self.phase]
-        rollout = base.build(ctx)
-        if self.phase != 2:
+    def build(self, x_meas, candidate, theta_hat, phase, gap_meas, est_speed_dev):
+        """The rollout QP of a step in planner ``phase``; the gap and the
+        leader-speed estimate enter phase 2's soft rows only."""
+        rollout = self._phase_builders[phase].build(x_meas, candidate, theta_hat)
+        if phase != 2:
             return rollout
-        offsets = self.soft_safety_rows(ctx.x_meas, ctx.candidate)
+        offsets = self.soft_safety_rows(x_meas, candidate, gap_meas, est_speed_dev)
         return oco.RolloutQp(self.slack_solver, np.concatenate([rollout.linear, [0.0]]),
                              offsets)
 
-    def soft_safety_rows(self, x_meas, candidate):
+    def soft_safety_rows(self, x_meas, candidate, gap_meas, est_speed_dev):
         """Offsets of the soft rows predicted gap >= safety - slack, k = 0..mu.
 
-        The gap prediction assumes the leader holds the estimated speed while
-        the own speed follows the rollout from ``x_meas`` under ``candidate``
-        + g, so each row is affine in g, with the fixed coefficients
-        ``slack_base``.
+        The gap prediction starts from ``gap_meas`` and assumes the leader
+        holds the estimated speed deviation ``est_speed_dev`` while the own
+        speed follows the rollout from ``x_meas`` under ``candidate`` + g, so
+        each row is affine in g, with the fixed coefficients ``slack_base``.
         """
-        base_gap = (self.gap_meas + self.gap_k * self.est_speed_dev
+        base_gap = (gap_meas + self.gap_k * est_speed_dev
                     - TAU * (self.gap_x @ x_meas + self.gap_c @ candidate))
         return base_gap - self.params.safety_distance_m
 
@@ -306,7 +300,9 @@ def _linear_truth_step(state, u):
 
 class _RoadPlant:
     """The overtaking road as a closed-loop plant: RK4 (or ideal linear)
-    truth, a constant-speed leader, the planner phases and the sensors."""
+    truth, a constant-speed leader, the planner phases and the sensors; and
+    the optimized run's rollout builder, with the last ``observe``'s context.
+    """
 
     def __init__(self, model, params, seed, builder, steps):
         self.model, self.params, self.builder = model, params, builder
@@ -317,7 +313,7 @@ class _RoadPlant:
         self.leader_speed = kmh_to_ms(params.leader_speed_kmh)
         self.overtake_step = int(round(params.overtake_time_s / TAU))
         self.detected = False
-        self.gap_meas = self.prev_gap_meas = self.x_true = None
+        self.gap_meas = self.prev_gap_meas = self.x_true = self.phase = self.est_speed_dev = None
         self.metrics = {"phase2_start": None, "phase3_start": None, "gap_m": [],
                         "speed_kmh": [], "phase": [], "leader_est_kmh": []}
 
@@ -335,14 +331,14 @@ class _RoadPlant:
             if not self.detected and gap_meas <= self.params.detect_gap_m:
                 self.detected = True
             phase = 2 if self.detected else 1
-        est_speed_dev = None
+        self.phase, self.est_speed_dev = phase, None
         if phase == 2:
             if self.prev_gap_meas is None:
                 est_abs = x_meas[1] + DELTA_BAR
             else:
                 est_abs = (gap_meas - self.prev_gap_meas) / TAU + (x_meas[1] + DELTA_BAR)
-            est_speed_dev = est_abs - DELTA_BAR
-            cost_t = phase_cost(2, target_speed_dev=est_speed_dev)
+            self.est_speed_dev = est_abs - DELTA_BAR
+            cost_t = phase_cost(2, target_speed_dev=self.est_speed_dev)
             metrics["leader_est_kmh"].append(ms_to_kmh(est_abs))
         else:
             metrics["leader_est_kmh"].append(None)
@@ -351,13 +347,15 @@ class _RoadPlant:
             metrics["phase2_start"] = t
         if metrics["phase3_start"] is None and phase == 3:
             metrics["phase3_start"] = t
-        if self.builder is not None:
-            self.builder.set_context(phase, gap_meas=gap_meas, est_speed_dev=est_speed_dev)
 
         metrics["gap_m"].append(true_gap)
         metrics["speed_kmh"].append(ms_to_kmh(self.truth[2]))
         metrics["phase"].append(phase)
         return x_true, x_meas, v, cost_t
+
+    def build(self, x_meas, candidate, theta_hat):
+        return self.builder.build(x_meas, candidate, theta_hat, self.phase, self.gap_meas,
+                                  self.est_speed_dev)
 
     def advance(self, u):
         """Integrate the truth; the process disturbance is the residual of
@@ -387,10 +385,9 @@ def run_scenario(variant="optimized", seed=0, params=None, horizon_steps=300,
     setup = setup or vehicle_setup(params)
     model, tables, manifold = setup.model, setup.tables, setup.manifold
 
-    builder = setup.builder if variant == "optimized" else None
-    controller = oco.ControllerConfig(gamma=params.gamma, variant=variant,
-                                      c_g=params.c_g, rollout_builder=builder)
-    plant = _RoadPlant(model, params, seed, builder, horizon_steps)
+    plant = _RoadPlant(model, params, seed, setup.builder, horizon_steps)
+    controller = oco.ControllerConfig(gamma=params.gamma, c_g=params.c_g,
+                                      rollout_builder=plant if variant == "optimized" else None)
     zeta0 = optimal_steady_state(manifold, phase_cost(1), model, setup.benchmarks[0])
     trace, ledger = closed_loop(model, tables, manifold, controller, plant, horizon_steps,
                                 zeta0, benchmarks=setup.benchmarks)

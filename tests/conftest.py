@@ -227,7 +227,7 @@ def assert_benchmark_matches_per_row(trace, model, manifold, rel=1e-12):
             assert np.linalg.norm(got - want) <= rel * np.linalg.norm(want), (i, got, want)
 
 
-def reference_rollout_linear(model, q_x, q_u, ctx):
+def reference_rollout_linear(model, q_x, q_u, x_meas, candidate, theta_hat):
     """The rollout QP's linear term in the per-step form: the rollout's
     states c_x = P0 x + E candidate and inputs c_v = candidate + K_b c_x,
     weighted against theta_hat tiled over the mu stages. The reference for
@@ -240,15 +240,15 @@ def reference_rollout_linear(model, q_x, q_u, ctx):
     mmap = np.eye(mu * model.m) + kb @ e
     qxe = np.kron(np.eye(mu), np.asarray(q_x, float)) @ e
     qum = np.kron(np.eye(mu), np.asarray(q_u, float)) @ mmap
-    c_x = p0 @ ctx.x_meas + e @ ctx.candidate
-    c_v = ctx.candidate + kb @ c_x
-    refs = np.tile(ctx.theta_hat, mu)
+    c_x = p0 @ x_meas + e @ candidate
+    c_v = candidate + kb @ c_x
+    refs = np.tile(theta_hat, mu)
     parts = (qxe.T @ c_x, qxe.T @ refs, qum.T @ c_v)
     return (qxe.T @ (c_x - refs) + qum.T @ c_v,
             sum(float(np.linalg.norm(part)) for part in parts))
 
 
-def reference_gap_offsets(model, ctx, gap_meas, est_speed_dev, safety):
+def reference_gap_offsets(model, x_meas, candidate, gap_meas, est_speed_dev, safety):
     """The vehicle's soft safety-row offsets in the per-step form: the gap
     less TAU times the cumulative rollout speeds ``cum_speed @ c_x``. Returns
     the offsets and the summed norms of their parts (see
@@ -260,7 +260,7 @@ def reference_gap_offsets(model, ctx, gap_meas, est_speed_dev, safety):
     for j in range(mu):
         speed_rows[j, j * n + 1] = 1.0
     cum_speed = np.vstack([np.zeros((1, mu * n)), np.cumsum(speed_rows, axis=0)])
-    c_x = model._px @ ctx.x_meas + model._pu @ ctx.candidate
+    c_x = model._px @ x_meas + model._pu @ candidate
     ks = np.arange(mu + 1)
     parts = (gap_meas, TAU * ks * est_speed_dev, TAU * (cum_speed @ c_x), safety)
     return (gap_meas + TAU * ks * est_speed_dev - TAU * (cum_speed @ c_x) - safety,

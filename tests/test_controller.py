@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -202,13 +204,20 @@ class TestAdditionalInput:
 
 
 class TestRolloutBuilder:
+    def test_variant_follows_the_builder(self, di_bundle):
+        model, _, _ = di_bundle
+        builder = oco.QuadraticRolloutBuilder(model, np.eye(2), np.eye(1))
+        assert oco.ControllerConfig(gamma=0.2).variant == "explicit"
+        assert oco.ControllerConfig(gamma=0.2, rollout_builder=builder).variant == "optimized"
+        fields = [f.name for f in dataclasses.fields(oco.ControllerConfig)]
+        assert fields == ["gamma", "c_g", "rollout_builder"]
+
     def test_solver_serves_every_step(self, di_bundle):
         model, _, _ = di_bundle
         builder = oco.QuadraticRolloutBuilder(model, np.eye(2), np.eye(1))
         nv = model.mu * model.m
-        rollouts = [builder.build(oco.StepContext(
-            t=t, x_meas=np.full(2, 0.1 * t), theta_hat=np.zeros(2), eta_hat=np.zeros(1),
-            candidate=np.zeros(nv), pred_state=np.zeros(2))) for t in (1, 2)]
+        rollouts = [builder.build(np.full(2, 0.1 * t), np.zeros(nv), np.zeros(2))
+                    for t in (1, 2)]
         assert all(r.solver is builder.solver for r in rollouts)
         # equality rows only: the precomputed equality-constrained optimum
         # answers every solve
@@ -223,11 +232,10 @@ class TestRolloutBuilder:
         rng = np.random.default_rng(41)
         nv = model.mu * model.m
         for t in range(50):
-            ctx = oco.StepContext(t=t, x_meas=rng.uniform(-3, 3, 2),
-                                  theta_hat=rng.uniform(-3, 3, 2), eta_hat=np.zeros(1),
-                                  candidate=rng.uniform(-4, 4, nv), pred_state=np.zeros(2))
-            want, scale = reference_rollout_linear(model, q_x, q_u, ctx)
-            rollout = builder.build(ctx)
+            x_meas, theta_hat = rng.uniform(-3, 3, 2), rng.uniform(-3, 3, 2)
+            candidate = rng.uniform(-4, 4, nv)
+            want, scale = reference_rollout_linear(model, q_x, q_u, x_meas, candidate, theta_hat)
+            rollout = builder.build(x_meas, candidate, theta_hat)
             assert rollout.ineq_offsets is None and rollout.linear.shape == want.shape
             assert np.linalg.norm(rollout.linear - want) <= 1e-12 * scale
 
@@ -471,11 +479,10 @@ class TestStep:
         cost = QuadraticCost(np.eye(2), np.eye(1), [0.5, 0.0], np.zeros(1))
 
         class WrongLength:
-            def build(self, ctx):
+            def build(self, x_meas, candidate, theta_hat):
                 return equality_rollout(model, 2 * np.eye(nv), np.zeros(nv + 1))
 
-        options = oco.ControllerConfig(gamma=0.2, variant="optimized",
-                                       rollout_builder=WrongLength())
+        options = oco.ControllerConfig(gamma=0.2, rollout_builder=WrongLength())
         with pytest.raises(StepError) as info:
             oco.step(state, model, tables, manifold, zeta[0], cost, options)
         assert isinstance(info.value.cause, ValueError)
@@ -493,8 +500,7 @@ class TestBoundaryChecks:
         state = oco.initialize(model, tables, manifold, zeta, zeta[0])
         builder = (oco.QuadraticRolloutBuilder(model, np.eye(2), np.eye(1))
                    if request.param == "optimized" else None)
-        options = oco.ControllerConfig(gamma=0.2, variant=request.param,
-                                       rollout_builder=builder)
+        options = oco.ControllerConfig(gamma=0.2, rollout_builder=builder)
         return model, tables, manifold, state, options, zeta[0]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -363,6 +363,23 @@ class TestZonotopeInterior:
 
 
 class TestMergeParallel:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_tiny_columns_merge(self):
+        # Column norms of this size underflow to zero unless scaled first.
+        merged = Zonotope([0.0], [[2.2e-218, 4.1e-217]]).merge_parallel()
+        assert merged.generators.tolist() == [[2.2e-218 + 4.1e-217]]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_merge_commutes_with_extreme_scales(self):
+        g = np.array([[1.0, -2.0, 0.0, 0.5],
+                      [1.0, -2.0, 1.0, 0.5]])
+        z = Zonotope([0.3, -0.1], g)
+        base = z.merge_parallel().generators
+        for factor in (1e-200, 1.0, 1e200):
+            merged = z.scale(factor).merge_parallel().generators
+            assert merged.shape == base.shape == (2, 2)
+            assert np.allclose(merged, factor * base, rtol=1e-15, atol=0.0)
+
     def test_parallel_columns_merge(self):
         g = np.array([[1.0, -2.0, 0.0, 0.5, 0.0],
                       [1.0, -2.0, 1.0, 0.5, 0.0]])

@@ -128,8 +128,7 @@ def test_drawn_models_keep_the_guarantees():
         for variant in ("explicit", "optimized"):
             builder = (oco.QuadraticRolloutBuilder(model, np.eye(n), np.eye(m))
                        if variant == "optimized" else None)
-            controller = oco.ControllerConfig(gamma=gamma, variant=variant,
-                                              rollout_builder=builder)
+            controller = oco.ControllerConfig(gamma=gamma, rollout_builder=builder)
             plant = GreedyAdversaryPlant(model, schedule, zeta0[0])
             trace, _ = closed_loop(model, tables, manifold, controller, plant, HORIZON, zeta0)
             violated = {name: int(np.count_nonzero(~column))
@@ -169,8 +168,7 @@ def test_drawn_models_step_map_matches_oracle(both_paths):
         for variant in ("explicit", "optimized"):
             builder = (oco.QuadraticRolloutBuilder(model, np.eye(n), np.eye(m))
                        if variant == "optimized" else None)
-            controller = oco.ControllerConfig(gamma=gamma, variant=variant,
-                                              rollout_builder=builder)
+            controller = oco.ControllerConfig(gamma=gamma, rollout_builder=builder)
             plant = GreedyAdversaryPlant(model, schedule, zeta0[0])
             closed_loop(model, tables, manifold, controller, plant, 30, zeta0)
 

@@ -9,6 +9,7 @@ from ocorobust import oco_controller as oco
 from ocorobust.errors import (
     AssumptionViolation,
     ConfigError,
+    DimensionMismatch,
     InfeasibleError,
     OcoRobustError,
     StepError,
@@ -441,6 +442,33 @@ class TestInvariantReport:
         assert len(err.value.trace) == 7
         for rec in err.value.trace:
             assert all(rec.invariant_flags[name] for name in FLAG_NAMES)
+
+    def test_misfit_cost_aborts_before_its_step(self, di_bundle, di_cost):
+        # A piece from step 5 whose q_x does not fit the 2-state model: the
+        # run stops when that cost arrives, with rows 0..4 and their ledger.
+        model, tables, manifold = di_bundle
+        zeta0 = optimal_steady_state(manifold, di_cost, model)
+        misfit = QuadraticCost(np.eye(3), [[0.5]], [0.6, 0.0], [0.0])
+        with pytest.raises(SimulationAborted, match=r"\(3, 3\).* do not fit n=2, m=1") as err:
+            run_closed_loop(model, tables, manifold, ControllerConfig(gamma=0.3),
+                            PiecewiseSchedule(((0, di_cost), (5, misfit))),
+                            DisturbancePolicy(seed=2), 30, zeta0=zeta0, x0=zeta0[0])
+        assert err.value.t == 5 and len(err.value.trace) == 5
+        assert isinstance(err.value.__cause__, DimensionMismatch)
+        assert np.isfinite(err.value.ledger.cum_regret)
+        assert all(cost is di_cost for cost in err.value.trace.costs)
+
+    @pytest.mark.parametrize("field,value", [("q_x", np.eye(3)), ("q_u", np.eye(2)),
+                                             ("ref_x", [0.6]), ("ref_u", [0.0, 0.0])])
+    def test_misfit_first_cost_raises_before_the_loop(self, di_bundle, di_cost, field,
+                                                      value):
+        model, tables, manifold = di_bundle
+        zeta0 = optimal_steady_state(manifold, di_cost, model)
+        misfit = dataclasses.replace(di_cost, **{field: value})
+        with pytest.raises(DimensionMismatch, match="do not fit n=2, m=1"):
+            run_closed_loop(model, tables, manifold, ControllerConfig(gamma=0.3),
+                            ConstantSchedule(misfit), DisturbancePolicy(seed=2), 30,
+                            zeta0=zeta0, x0=zeta0[0])
 
     def test_state_violation_aborts_with_flagged_trace(self, di_bundle, di_cost):
         model, tables, manifold = di_bundle

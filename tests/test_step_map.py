@@ -173,8 +173,7 @@ class TestOneStep:
         for variant in ("explicit", "optimized"):
             builder = (oco.QuadraticRolloutBuilder(model, np.eye(2), np.eye(1))
                        if variant == "optimized" else None)
-            controller = oco.ControllerConfig(gamma=0.3, variant=variant,
-                                              rollout_builder=builder)
+            controller = oco.ControllerConfig(gamma=0.3, rollout_builder=builder)
             simkit.run_closed_loop(model, tables, manifold, controller, schedule,
                                    DisturbancePolicy(seed=5), 120, zeta0=zeta0, x0=zeta0[0])
         assert len(both_paths) == 2 * 119

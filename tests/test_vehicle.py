@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from ocorobust import denseqp, vehicle
-from ocorobust.oco_controller import StepContext
 from ocorobust.errors import OcoRobustError
 from unittest import mock
 
@@ -103,21 +102,16 @@ class TestPhaseCosts:
 class TestSoftSafety:
     def test_distant_leader_keeps_slack_zero(self, setup):
         builder = vehicle.VehicleRolloutBuilder(setup.model, setup.params)
-        builder.set_context(2, gap_meas=200.0, est_speed_dev=0.0)
-        ctx = StepContext(t=5, x_meas=np.zeros(2), theta_hat=np.zeros(2),
-                          eta_hat=np.zeros(2), candidate=np.zeros(20),
-                          pred_state=np.array([0.0, 0.1]))
-        rollout = builder.build(ctx)
+        rollout = builder.build(np.zeros(2), np.zeros(20), np.zeros(2), 2, 200.0, 0.0)
         sol = rollout.solver.solve(rollout.linear, ineq_offsets=rollout.ineq_offsets,
-                                   eq_offsets=ctx.theta_hat - ctx.pred_state)
+                                   eq_offsets=-np.array([0.0, 0.1]))
         assert sol.status == "optimal"
         assert abs(sol.x[-1]) <= 1e-9
 
     def test_gap_at_boundary_row(self, setup):
         builder = vehicle.VehicleRolloutBuilder(setup.model, setup.params)
-        builder.set_context(2, gap_meas=50.0, est_speed_dev=0.0)
         # from x = 0 under the zero candidate: the old form's c_x = 0
-        offsets = builder.soft_safety_rows(np.zeros(2), np.zeros(20))
+        offsets = builder.soft_safety_rows(np.zeros(2), np.zeros(20), 50.0, 0.0)
         # k = 0 row is pure slack: gap - safety = 0
         assert np.allclose(builder.slack_base[0], 0.0)
         assert offsets[0] == pytest.approx(0.0)
@@ -125,13 +119,9 @@ class TestSoftSafety:
     def test_static_shortfall_forces_slack(self, setup):
         # gap 45 m, no closing speed: slack-only subproblem needs eps >= 5
         builder = vehicle.VehicleRolloutBuilder(setup.model, setup.params)
-        builder.set_context(2, gap_meas=45.0, est_speed_dev=0.0)
-        ctx = StepContext(t=5, x_meas=np.zeros(2), theta_hat=np.zeros(2),
-                          eta_hat=np.zeros(2), candidate=np.zeros(20),
-                          pred_state=np.array([0.0, 1e-6]))
-        rollout = builder.build(ctx)
+        rollout = builder.build(np.zeros(2), np.zeros(20), np.zeros(2), 2, 45.0, 0.0)
         sol = rollout.solver.solve(rollout.linear, ineq_offsets=rollout.ineq_offsets,
-                                   eq_offsets=ctx.theta_hat - ctx.pred_state)
+                                   eq_offsets=-np.array([0.0, 1e-6]))
         assert sol.status == "optimal"
         assert sol.x[-1] >= 5.0 - 1e-6
 
@@ -233,9 +223,9 @@ class TestRolloutBuilderMaps:
         built = []
         real = vehicle.VehicleRolloutBuilder.build
 
-        def record(b, ctx):
-            rollout = real(b, ctx)
-            built.append((b.phase, b.gap_meas, b.est_speed_dev, ctx, rollout))
+        def record(b, x_meas, candidate, theta_hat, phase, gap_meas, est):
+            rollout = real(b, x_meas, candidate, theta_hat, phase, gap_meas, est)
+            built.append((phase, gap_meas, est, (x_meas, candidate, theta_hat), rollout))
             return rollout
 
         monkeypatch.setattr(vehicle.VehicleRolloutBuilder, "build", record)
@@ -244,14 +234,14 @@ class TestRolloutBuilderMaps:
         follow = (vehicle._Q_STATE, vehicle._Q_INPUT)
         weights = {1: follow, 2: follow, 3: (vehicle._Q_STATE_P3, vehicle._Q_INPUT)}
         assert {phase for phase, *_ in built} == {1, 2, 3}
-        for phase, gap_meas, est, ctx, rollout in built:
-            want, scale = reference_rollout_linear(setup.model, *weights[phase], ctx)
+        for phase, gap_meas, est, step_args, rollout in built:
+            want, scale = reference_rollout_linear(setup.model, *weights[phase], *step_args)
             got = rollout.linear[:want.size]
             assert np.linalg.norm(got - want) <= 1e-12 * scale
             if phase == 2:
                 assert rollout.linear.size == want.size + 1 and rollout.linear[-1] == 0.0
-                offsets, scale = reference_gap_offsets(setup.model, ctx, gap_meas, est,
-                                                       setup.params.safety_distance_m)
+                offsets, scale = reference_gap_offsets(setup.model, *step_args[:2], gap_meas,
+                                                       est, setup.params.safety_distance_m)
                 assert np.linalg.norm(rollout.ineq_offsets - offsets) <= 1e-12 * scale
             else:
                 assert rollout.ineq_offsets is None
@@ -316,12 +306,11 @@ class TestScenario:
             assert np.array_equal(a.u, b.u)
 
     def test_shared_builder_carries_nothing_between_runs(self):
-        # every optimized run on a setup uses its one rollout builder; seed 1
-        # leaves it in phase 3, and seed 0 after that equals seed 0 alone
+        # every optimized run on a setup uses its one rollout builder; seed 0
+        # after a seed-1 run equals seed 0 alone
         params = vehicle.VehicleParams()
         shared = vehicle.vehicle_setup.__wrapped__(params)
         vehicle.run_scenario("optimized", seed=1, params=params, setup=shared)
-        assert shared.builder.phase == 3
         t1, l1, _ = vehicle.run_scenario("optimized", seed=0, params=params, setup=shared)
         t2, l2, _ = vehicle.run_scenario("optimized", seed=0, params=params,
                                          setup=vehicle.vehicle_setup.__wrapped__(params))
@@ -330,6 +319,50 @@ class TestScenario:
         for a, b in zip(t1, t2, strict=True):
             assert np.array_equal(a.x_true, b.x_true) and np.array_equal(a.u, b.u)
             assert a.diagnostics.beta == b.diagnostics.beta
+
+    def test_plants_on_one_setup_keep_their_own_context(self, setup):
+        # Observed alternately, a plant near the leader (phase 2) and one far
+        # behind it (phase 1) each build their own phase's rollout QP.
+        near = vehicle._RoadPlant(setup.model, vehicle.VehicleParams(initial_gap_m=90.0), 0,
+                                  setup.builder, 3)
+        far = vehicle._RoadPlant(setup.model, setup.params, 1, setup.builder, 3)
+        candidate, theta_hat = np.zeros(20), np.zeros(2)
+        for t in range(3):
+            x_near, x_far = near.observe(t)[1], far.observe(t)[1]
+            assert (near.phase, far.phase) == (2, 1)
+            rollout = near.build(x_near, candidate, theta_hat)
+            assert rollout.solver is setup.builder.slack_solver
+            assert np.array_equal(rollout.ineq_offsets, setup.builder.soft_safety_rows(
+                x_near, candidate, near.gap_meas, near.est_speed_dev))
+            rollout = far.build(x_far, candidate, theta_hat)
+            assert rollout.solver is setup.builder._phase_builders[1].solver
+            assert rollout.ineq_offsets is None
+            near.advance(np.zeros(2))
+            far.advance(np.zeros(2))
+
+    def test_runs_change_no_attribute_of_the_builder(self):
+        # The shared rollout builder and its solvers read the same before and
+        # after a run of each variant.
+        shared = vehicle.vehicle_setup.__wrapped__(vehicle.VehicleParams())
+        builder = shared.builder
+        parts = [builder, builder.slack_solver]
+        for phase_builder in builder._phase_builders.values():
+            parts += [phase_builder, phase_builder.solver]
+
+        def snapshot():
+            return [{name: value.copy() if isinstance(value, np.ndarray) else value
+                     for name, value in vars(part).items()} for part in parts]
+
+        before = snapshot()
+        for variant in ("optimized", "explicit"):
+            vehicle.run_scenario(variant, seed=2, horizon_steps=250, setup=shared)
+        for old, new in zip(before, snapshot(), strict=True):
+            assert old.keys() == new.keys()
+            for name, value in old.items():
+                if isinstance(value, np.ndarray):
+                    assert np.array_equal(value, new[name]), name
+                else:
+                    assert value is new[name] or value == new[name], name
 
     @pytest.mark.parametrize("variant", ["optimized", "explicit"])
     def test_totals_match_step_by_step_reference(self, setup, variant):

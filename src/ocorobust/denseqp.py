@@ -18,7 +18,8 @@ closed loop the inequality rows rarely bind, so ``solve`` has one fast path:
 the equality-constrained optimum, kept when no row binds and the KKT check
 passes. When it fails on a solver with inequality rows only, GI's first
 iteration (the most violated row made active) is tried from it; otherwise GI
-runs cold. ``guess_rows`` makes the fast path's guess for many linear terms
+runs cold. ``guess_row`` tests one guess under the fast path's rule (``solve``
+uses it on its own) and ``guess_rows`` makes the guess for many linear terms
 at once. No state is kept between solves.
 """
 
@@ -114,10 +115,9 @@ class PrefactoredQp:
             sol = (self.kkt_q @ linear + self.kkt_b @ eq_b if self.meq
                    else self.kkt_q @ linear)
             x = sol[:n]
-            prod = self.stacked @ x
-            guess = self._equality_guess(prod, linear, ineq_b, eq_b, x, sol[n:], tol)
+            guess = self.guess_row(linear, x, ineq_b, tol, eq_b, sol[n:])
             if guess is None and not self.meq and max_iter >= 1:
-                guess = self._one_row_step(prod, linear, ineq_b, eq_b, x, tol)
+                guess = self._one_row_step(self.stacked @ x, linear, ineq_b, eq_b, x, tol)
             if guess is not None and guess.status == "optimal":
                 return guess
         cd = np.concatenate([eq_b, -ineq_b])
@@ -137,6 +137,19 @@ class PrefactoredQp:
                 lam[j - self.meq] = u
         return self._assemble(self.stacked @ x, linear, ineq_b, eq_b, x, lam, nu, status,
                               tol)
+
+    def guess_row(self, linear, x, ineq_offsets, tol=DEFAULT_TOL, eq_offsets=None, nu=None):
+        """The fast path's test on one point: ``x`` (with the equality
+        multipliers ``nu``) is the equality-constrained optimum of ``linear``,
+        x = -H^-1 q on a solver with inequality rows only. Returns the point
+        as ``solve`` would return it, kept when its status is "optimal", or
+        None when a row fails GI's stopping test (``_equality_guess``).
+        ``solve`` tests its own guess here; a caller that forms the optimum
+        another way (``oco.QuadraticStepMap``) tests it under the same rule.
+        """
+        return self._equality_guess(self.stacked @ x, linear, ineq_offsets,
+                                    self.no_eq if eq_offsets is None else eq_offsets, x,
+                                    self.no_eq if nu is None else nu, tol)
 
     def _equality_guess(self, prod, linear, ineq_b, eq_b, x, nu, tol):
         """The equality-constrained optimum (x, nu) with zero inequality

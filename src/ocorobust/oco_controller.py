@@ -20,6 +20,7 @@ from .matlin import as_vector
 from .plant import QuadraticCost, membership_zu, stage_values, stage_values_linear
 
 DEGENERATE_TOL = 1e-12
+PROJECTION_TOL = 1e-9
 _ONE = np.ones(1)
 
 
@@ -117,35 +118,58 @@ class QuadraticRolloutBuilder:
 
 
 class QuadraticStepMap:
-    """A step's affine part up to the projection on ``tables``, for
+    """A step's affine part on ``tables`` and ``manifold``, for
     ``QuadraticCost``'s own gradient with fixed weights (q_x, q_u) and step
     size ``gamma``; ``step`` refuses the map for other ones.
 
     With the quadratic gradient (Q_x (pred - ref_x), Q_u (v - ref_u)), the
     projection's linear term q0 + 2 gamma M [gx; gv] (``ogd_step``) is affine
-    in (x_meas, candidate, ref_x, ref_u), as are the candidate's stage
+    in z = (x_meas, candidate, ref_x, ref_u), as are the candidate's stage
     residuals and pred (the rows of ``TighteningTables.rollout_x`` and
-    ``rollout_u``). So one product of ``matrix`` with [x_meas; candidate;
-    ref_x; ref_u; 1] gives the stage residuals minus their offsets, the
-    linear term and pred, in that order.
+    ``rollout_u``). So is the rest of the step wherever the projector keeps
+    its unconstrained guess and beta = 1: the guess eta = -H_p^-1 linear
+    (``manifold.projector.kkt_q``) and theta = G_K eta, the reach gap d =
+    theta - pred, the least-norm input g = S_c^+ d and the stage residuals
+    base + R_u g of the blended plan (``explicit_map``), the plan [candidate
+    + g; eta] and the input plan[:m] + K x_meas. One product of ``matrix``
+    with [z; 1] gives them all; the slices ``base``, ``linear``, ``pred``,
+    ``theta``, ``gap``, ``g``, ``reach``, ``eta``, ``plan`` and ``u`` pick
+    them from it. ``step`` keeps a row only where its condition holds, and
+    takes the module functions everywhere else.
     """
 
-    def __init__(self, tables, cost, gamma):
+    def __init__(self, tables, manifold, cost, gamma):
         m, nm = tables.ogd_map.shape
         n = nm - m
         r = tables.residual_offsets.size
+        nv = tables.rollout_u.shape[1]
         rx, ru = tables.rollout_x, tables.rollout_u
         v, q0, pred = slice(r, r + m), slice(r + m, r + 2 * m), slice(r + 2 * m, None)
         step_x = (2.0 * gamma) * (tables.ogd_map[:, :n] @ cost.q_x)  # 2 gamma M_x Q_x
         step_v = (2.0 * gamma) * (tables.ogd_map[:, n:] @ cost.q_u)  # 2 gamma M_v Q_u
         lin_x = rx[q0] + step_x @ rx[pred] + step_v @ rx[v]
         lin_u = ru[q0] + step_x @ ru[pred] + step_v @ ru[v]
-        self.matrix = np.block([
-            [rx[:r], ru[:r], np.zeros((r, n + m)), -tables.residual_offsets[:, None]],
-            [lin_x, lin_u, -step_x, -step_v, np.zeros((m, 1))],
-            [rx[pred], ru[pred], np.zeros((n, n + m + 1))]])
-        self.r, self.m = r, m
-        self.tables, self.gamma = tables, gamma
+        # Columns: x_meas (n), candidate (nv), ref_x (n), ref_u (m), 1.
+        base = np.hstack([rx[:r], ru[:r], np.zeros((r, n + m)),
+                          -tables.residual_offsets[:, None]])
+        linear = np.hstack([lin_x, lin_u, -step_x, -step_v, np.zeros((m, 1))])
+        pred_rows = np.hstack([rx[pred], ru[pred], np.zeros((n, n + m + 1))])
+        eta = manifold.projector.kkt_q @ linear
+        theta = manifold.g_k @ eta
+        gap = theta - pred_rows
+        both = tables.explicit_map @ gap  # [g; growth]
+        g = both[:nv]
+        head = g + np.hstack([np.zeros((nv, n)), np.eye(nv), np.zeros((nv, n + m + 1))])
+        u = head[:m] + np.hstack([tables.feedback, np.zeros((m, nv + n + m + 1))])
+        blocks = dict(base=base, linear=linear, pred=pred_rows, theta=theta, gap=gap, g=g,
+                      reach=base + both[nv:], head=head, eta=eta, u=u)
+        at = 0
+        for name, block in blocks.items():
+            setattr(self, name, slice(at, at + len(block)))
+            at += len(block)
+        self.plan = slice(self.head.start, self.eta.stop)  # [candidate + g; eta]
+        self.matrix = np.vstack(list(blocks.values()))
+        self.tables, self.manifold, self.gamma = tables, manifold, gamma
         self.q_x, self.q_u = cost.q_x, cost.q_u
 
     @staticmethod
@@ -159,12 +183,9 @@ class QuadraticStepMap:
         """True when ``cost`` takes a map and has this map's weight arrays."""
         return self.takes(cost) and cost.q_x is self.q_x and cost.q_u is self.q_u
 
-    def rows(self, x_meas, candidate, cost):
-        """(stage residuals minus offsets, projection linear term, pred) of
-        the candidate from ``x_meas``, for a cost this map serves."""
-        out = self.matrix @ np.concatenate((x_meas, candidate, cost.ref_x, cost.ref_u, _ONE))
-        r, m = self.r, self.m
-        return out[:r], out[r:r + m], out[r + m:]
+    def product(self, x_meas, candidate, cost):
+        """The map's rows at (x_meas, candidate) for a cost this map serves."""
+        return self.matrix @ np.concatenate((x_meas, candidate, cost.ref_x, cost.ref_u, _ONE))
 
 
 def control_input(state, model, x_meas):
@@ -215,7 +236,7 @@ def ogd_step(tables, manifold, grad_prev, gamma, pred_state, v, q0):
     return project_manifold(manifold, q0 + (2.0 * gamma) * (tables.ogd_map @ grad))
 
 
-def project_manifold(manifold, linear, tol=1e-9):
+def project_manifold(manifold, linear, tol=PROJECTION_TOL):
     """Euclidean projection onto the shrunk manifold of the (x, u) point whose
     projection QP has the linear term ``linear`` = -2 (G_K' x + u).
 
@@ -311,18 +332,36 @@ def max_beta(tables, model, x_meas, base_seq, g, tol=None, _base=None, _growth=N
     return float(min(1.0, np.minimum.reduce(np.maximum(-base_vals[mask], 0.0) / rising)))
 
 
+def _rows_settle(out, step_map, worst, tol):
+    """True when the step map's rows ``out`` (its guess kept) are the
+    explicit step at beta = 1: the reach gap is finite and above
+    DEGENERATE_TOL (``_reach_gap``), the candidate's worst stage residual
+    ``worst`` is within ``tol`` (else ``max_beta`` raises) and no stage
+    residual of the plan at beta = 1 is above 0 (``max_beta``'s first exit).
+    """
+    d = out[step_map.gap]
+    return (DEGENERATE_TOL < math.sqrt(d @ d) < np.inf and worst <= tol
+            and float(np.maximum.reduce(out[step_map.reach])) <= 0.0)
+
+
 def step(state, model, tables, manifold, x_meas, grad_prev, options, step_map=None):
     """Advance the controller one step; returns (u, new_state, diagnostics).
 
-    ``step_map`` is a ``QuadraticStepMap`` built from ``tables`` for
-    ``options.gamma`` that serves ``grad_prev`` (any other map fails the
-    step); without one the step calls the gradient oracle.
+    ``step_map`` is a ``QuadraticStepMap`` built from ``tables`` and
+    ``manifold`` for ``options.gamma`` that serves ``grad_prev`` (any other
+    map fails the step); without one the step calls the gradient oracle.
+    With a map, the projection keeps the map's guess when the projector's
+    ``guess_row`` keeps it, and the explicit variant then takes g, beta = 1,
+    the plan and u from the map's rows where they settle the step
+    (``_rows_settle``); every other case takes ``project_manifold``, the
+    additional input, ``max_beta`` and the blend.
     """
     t = state.t + 1
     try:
         x_meas = as_vector(x_meas, "x_meas")
         m = model.m
         candidate = state.plan[m:]  # the plan shifted by one step, u_ss held
+        out = None  # the map's rows, while the step keeps its guess
         if step_map is None:
             # One stacked product (see TighteningTables): the candidate's
             # stage residuals, the gradient point v, the projection's base
@@ -336,30 +375,42 @@ def step(state, model, tables, manifold, x_meas, grad_prev, options, step_map=No
         else:
             if options.gamma <= 0:
                 raise ValueError("gamma must be positive")
-            if not (step_map.tables is tables and step_map.gamma == options.gamma
-                    and step_map.serves(grad_prev)):
-                raise ValueError("step map built for other tables, gamma or weights")
-            base_vals, linear, pred = step_map.rows(x_meas, candidate, grad_prev)
-            theta_hat, eta_hat = project_manifold(manifold, linear)
+            if not (step_map.tables is tables and step_map.manifold is manifold
+                    and step_map.gamma == options.gamma and step_map.serves(grad_prev)):
+                raise ValueError("step map built for other tables, manifold, gamma or weights")
+            out = step_map.product(x_meas, candidate, grad_prev)
+            base_vals, pred = out[step_map.base], out[step_map.pred]
+            linear, eta_hat = out[step_map.linear], out[step_map.eta]
+            guess = manifold.projector.guess_row(linear, eta_hat, manifold.sbar.offsets,
+                                                 PROJECTION_TOL)
+            if guess is not None and guess.status == "optimal":
+                theta_hat = out[step_map.theta]
+            else:
+                out = None
+                theta_hat, eta_hat = project_manifold(manifold, linear)
         worst = float(np.maximum.reduce(base_vals))
 
-        kkt, fallback, growth = None, False, None
-        if options.rollout_builder is None:
-            g, growth = additional_input_explicit(tables, theta_hat, pred)
-        else:
+        kkt, fallback, growth, plan, u = None, False, None, None, None
+        if options.rollout_builder is not None:
             rollout = options.rollout_builder.build(x_meas, candidate, theta_hat)
             g, kkt, fallback = additional_input_optimized(
                 model, theta_hat, pred, rollout, options.effective_c_g(model))
-
-        beta = max_beta(tables, model, x_meas, candidate, g, _base=(base_vals, worst),
-                        _growth=growth)
-        if beta == 1.0:  # most steps; skips the blend's five operations
-            plan = np.concatenate([candidate + g, eta_hat])
+        elif out is not None and _rows_settle(out, step_map, worst, model.membership_tol):
+            g, plan, u, beta = out[step_map.g], out[step_map.plan], out[step_map.u], 1.0
         else:
-            plan = np.concatenate([candidate + beta * g,
-                                   (1.0 - beta) * state.plan[-m:] + beta * eta_hat])
+            g, growth = additional_input_explicit(tables, theta_hat, pred)
+
+        if plan is None:
+            beta = max_beta(tables, model, x_meas, candidate, g, _base=(base_vals, worst),
+                            _growth=growth)
+            if beta == 1.0:  # most steps; skips the blend's five operations
+                plan = np.concatenate([candidate + g, eta_hat])
+            else:
+                plan = np.concatenate([candidate + beta * g,
+                                       (1.0 - beta) * state.plan[-m:] + beta * eta_hat])
         new_state = ControllerState(plan=plan, zeta_hat=(theta_hat, eta_hat), t=t)
-        u = control_input(new_state, model, x_meas)
+        if u is None:
+            u = control_input(new_state, model, x_meas)
         diag = StepDiagnostics(
             beta=float(beta),
             g_norm=math.sqrt(g @ g),

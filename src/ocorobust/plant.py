@@ -220,6 +220,7 @@ class TighteningTables:
     q0 + 2 gamma M [gx; gv]. ``explicit_map`` is [S_c^+; R_u S_c^+], with R_u
     = ``residual_u``: one product with the reach gap d gives the least-norm
     additional input S_c^+ d and its growth of the stage residuals.
+    ``feedback`` is the gain K of the step's input u = plan[:m] + K x_meas.
     """
 
     rollout_x: np.ndarray = field(repr=False)         # (mu*(fx+fu) + n + 2m, n)
@@ -228,6 +229,7 @@ class TighteningTables:
     residual_u: np.ndarray = field(repr=False)        # (mu*(fx+fu), mu*m)
     ogd_map: np.ndarray = field(repr=False)           # (m, n+m)
     explicit_map: np.ndarray = field(repr=False)      # (mu*m + mu*(fx+fu), n)
+    feedback: np.ndarray = field(repr=False)          # (m, n)
     state_offsets: np.ndarray = field(repr=False)     # (mu, fx) tightened
     input_offsets: np.ndarray = field(repr=False)     # (mu, fu) tightened
     residual_offsets: np.ndarray = field(repr=False)  # both, flattened
@@ -279,6 +281,7 @@ def build_tightening(model):
         residual_u=residual_u,
         ogd_map=np.hstack([gt, gt @ model.k.T + np.eye(m)]),
         explicit_map=np.vstack([model.s_c_pinv, residual_u @ model.s_c_pinv]),
+        feedback=model.k,
         state_offsets=state_offsets,
         input_offsets=input_offsets,
         residual_offsets=np.concatenate([state_offsets.ravel(), input_offsets.ravel()]),
@@ -397,7 +400,11 @@ class QuadraticCost:
 
     ``v`` is the physical input (feedback included). The gradient oracle is
     what the controller consumes; any object with the same ``grad`` shape
-    works in its place.
+    works in its place. A quadratic form sees only the symmetric part of its
+    weight, so a weight that differs from its transpose is stored as its
+    symmetric part (Q + Q')/2: ``value`` is the same, and ``grad`` and every
+    map built from the weights are the true gradient's. A symmetric weight
+    is kept as the array given.
     """
 
     q_x: np.ndarray
@@ -406,8 +413,8 @@ class QuadraticCost:
     ref_u: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "q_x", as_matrix(self.q_x, "q_x"))
-        object.__setattr__(self, "q_u", as_matrix(self.q_u, "q_u"))
+        object.__setattr__(self, "q_x", _symmetric_part(as_matrix(self.q_x, "q_x")))
+        object.__setattr__(self, "q_u", _symmetric_part(as_matrix(self.q_u, "q_u")))
         object.__setattr__(self, "ref_x", as_vector(self.ref_x, "ref_x"))
         object.__setattr__(self, "ref_u", as_vector(self.ref_u, "ref_u"))
 
@@ -431,6 +438,13 @@ class QuadraticCost:
         dx = np.asarray(x, float) - self.ref_x
         dv = np.asarray(v, float) - self.ref_u
         return self.q_x @ dx, self.q_u @ dv
+
+
+def _symmetric_part(q):
+    """(q + q')/2 when the square ``q`` differs from its transpose, else q itself."""
+    if q.shape[0] == q.shape[1] and (q != q.T).any():
+        return 0.5 * (q + q.T)
+    return q
 
 
 def closed_loop_hessian(cost, model):

@@ -100,13 +100,16 @@ def _running_sum(x):
 
 
 def _weight_runs(costs, manifold, model, benchmarks):
-    """The runs of consecutive rows whose costs share their weight arrays, as
+    """The runs of consecutive rows whose costs have the same weights, as
     (rows, benchmark) pairs: per run, the first of ``benchmarks`` (built
     beforehand) that serves it, else a ``SteadyStateBenchmark`` built for the
-    run alone; its ``serves`` ends the run."""
+    run alone. A cost ends the run unless its benchmark ``serves`` it or its
+    weights equal the benchmark's in value (new arrays at every step)."""
     runs, start, benchmark = [], 0, None
     for i, cost in enumerate(costs):
-        if benchmark is None or not benchmark.serves(cost):
+        if benchmark is None or not (benchmark.serves(cost) or (
+                np.array_equal(cost.q_x, benchmark.q_x)
+                and np.array_equal(cost.q_u, benchmark.q_u))):
             if benchmark is not None:
                 runs.append((slice(start, i), benchmark))
             start = i
@@ -283,7 +286,7 @@ def _check_cost(cost, n, m):
                                 f"n={n}, m={m}")
 
 
-def _step_map(step_map, cost, next_cost, tables, gamma, t):
+def _step_map(step_map, cost, next_cost, tables, manifold, gamma, t):
     """The step map for step t, on ``cost``: ``step_map`` when it serves
     ``cost``; else, when ``cost`` takes one and the next step's cost
     ``next_cost`` takes one with the same weight arrays (so the map serves at
@@ -297,7 +300,7 @@ def _step_map(step_map, cost, next_cost, tables, gamma, t):
             and next_cost.q_u is cost.q_u):
         return None
     try:
-        return oco.QuadraticStepMap(tables, cost, gamma)
+        return oco.QuadraticStepMap(tables, manifold, cost, gamma)
     except Exception as exc:
         raise StepError(t, exc) from exc
 
@@ -344,7 +347,8 @@ def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
             try:
                 if cost_t is not prev_cost:
                     _check_cost(cost_t, model.n, model.m)
-                step_map = _step_map(step_map, prev_cost, cost_t, tables, controller.gamma, t)
+                step_map = _step_map(step_map, prev_cost, cost_t, tables, manifold,
+                                     controller.gamma, t)
                 u, state, diag = oco.step(state, model, tables, manifold, x_meas, prev_cost,
                                           controller, step_map)
             except OcoRobustError as exc:
@@ -385,10 +389,12 @@ class _LtiPlant:
 
 
 def run_closed_loop(model, tables, manifold, controller, cost_schedule, dist_policy,
-                    horizon, zeta0=None, x0=None, abort_on_violation=False):
+                    horizon, zeta0=None, x0=None, abort_on_violation=False, benchmarks=()):
     """Simulate Eq-style dynamics x+ = Ax + Bu + w with noisy measurements.
 
     Returns (trace, ledger). Deterministic for a fixed policy seed and config.
+    ``benchmarks`` are ``SteadyStateBenchmark``s built beforehand for the
+    schedule's weights (see ``closed_loop``).
     """
     check_horizon(horizon)
     x0 = np.zeros(model.n) if x0 is None else np.asarray(x0, float)
@@ -396,7 +402,7 @@ def run_closed_loop(model, tables, manifold, controller, cost_schedule, dist_pol
         zeta0 = (np.zeros(model.n), np.zeros(model.m))
     plant = _LtiPlant(model, cost_schedule, dist_policy, x0, horizon)
     return closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
-                       abort_on_violation=abort_on_violation)
+                       abort_on_violation=abort_on_violation, benchmarks=benchmarks)
 
 
 FLAG_NAMES = ("state_ok", "input_ok", "candidate_ok", "plan_ok", "zs_ok",
@@ -526,6 +532,8 @@ class AlternatingTargetGenerator:
     ``hop_size`` along ``direction``, evenly spread over the horizon, so the
     benchmark path length grows linearly with the level. Level 0 is the
     constant cost; every run starts at the optimum of its first piece.
+    Every cost it hands out has ``base_cost``'s weight arrays, so the one
+    ``benchmark()`` serves every schedule it makes.
     """
 
     model: object
@@ -536,7 +544,13 @@ class AlternatingTargetGenerator:
     hop_size: float = 1.0
     horizon: int = 400
 
-    def make(self, level):
+    def benchmark(self):
+        """The ``SteadyStateBenchmark`` of ``base_cost``'s weights."""
+        return SteadyStateBenchmark(self.manifold, self.model, self.base_cost)
+
+    def make(self, level, benchmark=None):
+        """(schedule, zeta0, x0) of one level; ``benchmark`` solves zeta0
+        when given (see ``benchmark``), else a one-shot one does."""
         direction = np.asarray(self.direction, float)
         base = self.base_cost
         n_hops = int(round(level))
@@ -551,7 +565,8 @@ class AlternatingTargetGenerator:
                 ref = base.ref_x + (i % 2 == 0) * self.hop_size * direction
                 pieces.append((start, base.with_ref_x(ref)))
             schedule = PiecewiseSchedule(tuple(pieces))
-        theta0, eta0 = optimal_steady_state(self.manifold, schedule.cost_at(0), self.model)
+        theta0, eta0 = optimal_steady_state(self.manifold, schedule.cost_at(0), self.model,
+                                            benchmark)
         return schedule, (theta0, eta0), theta0
 
 
@@ -566,14 +581,18 @@ def regret_scaling_experiment(model, tables, manifold, controller, path_generato
                               dist_levels, seeds, horizon, base_seed=0):
     """Grid of runs over cost-path levels and disturbance scales.
 
-    ``path_generator(level)`` returns (schedule, zeta0, x0) for one path
-    level. Emits one row per (level, scale, seed) with the measured path
-    length, disturbance energies, and final regret, plus an affine fit
-    regret ~ c0 + c_path * path + c_noise * (w_energy + v_energy).
+    ``path_generator.make(level, benchmark)`` returns (schedule, zeta0, x0)
+    for one path level, with zeta0 solved by ``benchmark``, the one
+    ``path_generator.benchmark()`` built for the whole design; every run gets
+    it for its regret benchmark. Emits one row per (level, scale, seed) with
+    the measured path length, disturbance energies, and final regret, plus
+    an affine fit regret ~ c0 + c_path * path + c_noise * (w_energy +
+    v_energy).
     """
     rows = []
+    benchmark = path_generator.benchmark()
     for level in path_generator.levels:
-        schedule, zeta0, x0 = path_generator.make(level)
+        schedule, zeta0, x0 = path_generator.make(level, benchmark)
         for scale in dist_levels:
             for seed in seeds:
                 policy = DisturbancePolicy(
@@ -581,7 +600,8 @@ def regret_scaling_experiment(model, tables, manifold, controller, path_generato
                     seed=base_seed + seed, scale=float(scale))
                 # one call per row, in row order, through the module attribute
                 _, ledger = run_closed_loop(model, tables, manifold, controller, schedule,
-                                            policy, horizon, zeta0=zeta0, x0=x0)
+                                            policy, horizon, zeta0=zeta0, x0=x0,
+                                            benchmarks=(benchmark,))
                 rows.append(dict(path_level=level, noise_level=scale, seed=seed,
                                  path_length=ledger.path_length, w_energy=ledger.w_energy,
                                  v_energy=ledger.v_energy, regret=ledger.cum_regret))

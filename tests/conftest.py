@@ -320,7 +320,7 @@ def both_paths(monkeypatch):
         x_meas, candidate = np.asarray(x_meas, float), state.plan[model.m:]
         rows = tables.rollout_x @ x_meas + tables.rollout_u @ candidate
         base = rows[:tables.residual_offsets.size] - tables.residual_offsets
-        shift = np.abs(step_map.rows(x_meas, candidate, grad_prev)[0] - base)
+        shift = np.abs(step_map.product(x_meas, candidate, grad_prev)[step_map.base] - base)
         assert np.all(shift <= 1e-12 * (1.0 + np.abs(tables.residual_offsets))), "base"
         slack = 0.0
         if 0.0 < ref[2].beta < 1.0:

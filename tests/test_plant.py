@@ -353,6 +353,12 @@ class TestSteadyStateManifold:
             steady_state_manifold(model, model.p_rpi, shrink=0.99)
 
 
+def skew_weights(rng, n):
+    """A positive definite symmetric part plus a skew part."""
+    a, skew = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+    return a @ a.T + np.eye(n) + 0.3 * (skew - skew.T)
+
+
 class TestQuadraticCost:
     def test_value_and_grad(self):
         cost = QuadraticCost([[2.0]], [[4.0]], [1.0], [0.5])
@@ -360,6 +366,35 @@ class TestQuadraticCost:
         gx, gv = cost.grad([2.0], [1.5])
         assert gx == pytest.approx([2.0])
         assert gv == pytest.approx([4.0])
+
+    def test_grad_is_the_derivative_of_value_for_skew_weights(self):
+        # value is 1/2 dx'Q dx, whose gradient is the symmetric part of Q
+        # times dx whatever Q's skew part
+        rng = np.random.default_rng(3)
+        q_x, q_u = skew_weights(rng, 3), skew_weights(rng, 2)
+        cost = QuadraticCost(q_x, q_u, [0.3, -0.2, 0.1], [0.4, -0.5])
+        x, v = rng.standard_normal(3), rng.standard_normal(2)
+        dx, dv = x - cost.ref_x, v - cost.ref_u
+        assert cost.value(x, v) == pytest.approx(0.5 * dx @ q_x @ dx + 0.5 * dv @ q_u @ dv,
+                                                 rel=1e-14)
+        h = 1e-6
+        gx, gv = cost.grad(x, v)
+        for i in range(3):
+            e = h * np.eye(3)[i]
+            fd = (cost.value(x + e, v) - cost.value(x - e, v)) / (2 * h)
+            assert gx[i] == pytest.approx(fd, rel=1e-7, abs=1e-8)
+        for i in range(2):
+            e = h * np.eye(2)[i]
+            fd = (cost.value(x, v + e) - cost.value(x, v - e)) / (2 * h)
+            assert gv[i] == pytest.approx(fd, rel=1e-7, abs=1e-8)
+
+    def test_weights_stored_symmetric_and_symmetric_arrays_kept(self):
+        rng = np.random.default_rng(4)
+        skew = QuadraticCost(skew_weights(rng, 2), [[0.5]], [0.0, 0.0], [0.0])
+        assert np.array_equal(skew.q_x, skew.q_x.T)
+        q_x, q_u = np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([[0.5]])
+        cost = QuadraticCost(q_x, q_u, [0.0, 0.0], [0.0])
+        assert cost.q_x is q_x and cost.q_u is q_u
 
     def test_curvature_matches_eigvalsh(self, scalar_bundle):
         model, _, _ = scalar_bundle
@@ -412,6 +447,26 @@ class TestOptimalSteadyState:
             reused = optimal_steady_state(manifold, cost, model, benchmark)
             one_shot = optimal_steady_state(manifold, cost, model)
             assert all(np.array_equal(a, b) for a, b in zip(reused, one_shot))
+
+    def test_skew_weights_match_a_grid_argmin(self, di_bundle):
+        # The benchmark minimizes the cost's own value over S-bar: a grid of
+        # the 1-D u-coordinate finds the same point.
+        model, _, manifold = di_bundle
+        rng = np.random.default_rng(0)
+        a, skew = rng.standard_normal((2, 2)), rng.standard_normal((2, 2))
+        q_x = a @ a.T + np.eye(2) + 0.3 * (skew - skew.T)
+        cost = QuadraticCost(q_x, [[0.5]], [0.3, 0.7], [0.2])
+        theta, eta = optimal_steady_state(manifold, cost, model)
+        limit = float(np.min(manifold.sbar.offsets / np.abs(manifold.sbar.normals[:, 0])))
+        grid = np.linspace(-limit, limit, 200001)
+        values = [cost.value(model.g_k @ [u], [u] + model.k @ model.g_k @ [u])
+                  for u in grid[::100]]
+        coarse = int(np.argmin(values)) * 100
+        fine = grid[max(coarse - 100, 0):coarse + 101]
+        values = [cost.value(model.g_k @ [u], [u] + model.k @ model.g_k @ [u]) for u in fine]
+        best = fine[int(np.argmin(values))]
+        assert abs(eta[0] - best) <= grid[1] - grid[0]
+        assert cost.value(theta, eta + model.k @ theta) <= min(values) + 1e-12
 
     def test_coupling_residual(self, di_bundle, di_cost):
         model, _, manifold = di_bundle

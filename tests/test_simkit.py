@@ -36,6 +36,7 @@ from ocorobust.simkit import (
     closed_loop,
     fit_affine,
     invariant_report,
+    regret_scaling_experiment,
     replicate_map,
     run_closed_loop,
 )
@@ -733,6 +734,37 @@ class TestRegretScaling:
         sched3, _, _ = gen.make(3)
         starts = [s for s, _ in sched3.pieces]
         assert starts == [0, 50, 100, 150]
+
+    def test_one_benchmark_per_design(self, di_bundle, di_cost, monkeypatch):
+        # The design's one benchmark solves every zeta0 and every run's
+        # regret benchmark; the rows are those of runs that build their own.
+        model, tables, manifold = di_bundle
+        gen = AlternatingTargetGenerator(model=model, manifold=manifold,
+                                         base_cost=di_cost, direction=(1.0, 0.0),
+                                         levels=(0, 2), hop_size=0.5, horizon=60)
+        controller = ControllerConfig(gamma=0.3)
+        want = []
+        for level in gen.levels:
+            schedule, zeta0, x0 = gen.make(level)
+            for scale in (0.0, 1.0):
+                policy = DisturbancePolicy(kind="zero" if scale == 0.0 else "uniform_box",
+                                           seed=7, scale=scale)
+                want.append(run_closed_loop(model, tables, manifold, controller, schedule,
+                                            policy, 60, zeta0=zeta0, x0=x0)[1])
+        built = []
+        init = SteadyStateBenchmark.__init__
+
+        def tracked(benchmark, *args):
+            init(benchmark, *args)
+            built.append(benchmark)
+
+        monkeypatch.setattr(SteadyStateBenchmark, "__init__", tracked)
+        result = regret_scaling_experiment(model, tables, manifold, controller, gen,
+                                           dist_levels=[0.0, 1.0], seeds=[0], horizon=60,
+                                           base_seed=7)
+        assert len(built) == 1
+        assert [row["regret"] for row in result.rows] == [led.cum_regret for led in want]
+        assert [row["path_length"] for row in result.rows] == [led.path_length for led in want]
 
     def test_fit_degenerate_design(self):
         rows = [{"path_length": 0.0, "w_energy": 0.0, "v_energy": 0.0, "regret": 0.0}

@@ -13,7 +13,8 @@ temporary directory, removed at the end), one directory per side and call.
 For every output file the script prints "identical" when the two sides'
 bytes are equal. Otherwise, for a CSV file with the same header and shape,
 it prints per column the largest |a - b| / (1e-9 + 1e-6 |a|), a the parent's
-value; a ratio above 1, a differing non-numeric cell, any other differing
+value (a ledger's total line "# name = value" counts as a cell of column
+"name"); a ratio above 1, a differing non-numeric cell, any other differing
 file or a file on one side only is a failure. The exit code is 1 when any
 file fails, else 0.
 """
@@ -56,6 +57,15 @@ def _number(cell):
         return None
 
 
+def _cells(header, row):
+    """(column, cell) pairs of a CSV row; a total line "# name = value" is
+    the one cell of column "name"."""
+    if len(row) == 1 and row[0].startswith("# ") and " = " in row[0]:
+        name, _, value = row[0][2:].partition(" = ")
+        return [(name, value)]
+    return list(zip(header, row))
+
+
 def csv_ratios(parent, change):
     """{column: largest scaled difference} of two CSV files, or a reason they
     cannot be compared cell by cell."""
@@ -65,13 +75,16 @@ def csv_ratios(parent, change):
         return "header or shape differs"
     ratios = dict.fromkeys(a_rows[0], 0.0)
     for a_row, b_row in zip(a_rows[1:], b_rows[1:]):
-        for column, a, b in zip(a_rows[0], a_row, b_row):
+        for (column, a), (other, b) in zip(_cells(a_rows[0], a_row), _cells(a_rows[0], b_row)):
+            if column != other:
+                return f"line {column!r} -> {other!r}"
             if a == b:
                 continue
             x, y = _number(a), _number(b)
             if x is None or y is None or not (math.isfinite(x) and math.isfinite(y)):
                 return f"column {column}: {a!r} -> {b!r}"
-            ratios[column] = max(ratios[column], abs(x - y) / (ABS_TOL + REL_TOL * abs(x)))
+            ratios[column] = max(ratios.get(column, 0.0),
+                                 abs(x - y) / (ABS_TOL + REL_TOL * abs(x)))
     return ratios
 
 

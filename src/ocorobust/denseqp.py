@@ -19,8 +19,9 @@ the equality-constrained optimum, kept when no row binds and the KKT check
 passes. When it fails on a solver with inequality rows only, GI's first
 iteration (the most violated row made active) is tried from it; otherwise GI
 runs cold. ``guess_row`` tests one guess under the fast path's rule (``solve``
-uses it on its own) and ``guess_rows`` makes the guess for many linear terms
-at once. No state is kept between solves.
+uses it on its own), ``guess_rows`` makes the guess for many linear terms at
+once and ``kept_rows`` tests many guesses formed elsewhere. No state is kept
+between solves.
 """
 
 from __future__ import annotations
@@ -207,24 +208,35 @@ class PrefactoredQp:
     def guess_rows(self, linears, ineq_offsets, tol=DEFAULT_TOL):
         """The fast path of ``solve`` for many linear terms at once, on a
         solver with inequality rows only: returns the unconstrained optimum
-        x = -H^-1 q of each row q of ``linears`` and whether ``solve`` keeps
-        it.
-
-        One product per map gives every row's x, its stacked products and so
-        its slacks and gradient. A row is kept under ``_equality_guess``'s
-        rule: every slack passes GI's stopping test and every KKT term of the
-        zero-multiplier point is within tol (``_residual_status`` says
-        "optimal" exactly then), so a NaN or inf term rejects the row.
+        x = -H^-1 q of each row q of ``linears`` (one product) and whether
+        ``solve`` keeps it (``kept_rows``).
         """
         x = linears @ self.kkt_q.T
+        return x, self.kept_rows(x, linears, ineq_offsets, tol)
+
+    def kept_rows(self, x, linears, ineq_offsets, tol=DEFAULT_TOL):
+        """Whether ``solve`` keeps each row of ``x`` as the unconstrained
+        optimum of the matching row of ``linears``, on a solver with
+        inequality rows only; the caller forms x = -H^-1 q (``guess_rows``,
+        or ``oco.QuadraticStepMap``'s rows).
+
+        One product gives every row's stacked products and so its slacks and
+        gradient. A row is kept under ``_equality_guess``'s rule: every slack
+        passes GI's stopping test and every KKT term of the zero-multiplier
+        point is within tol (``_residual_status`` says "optimal" exactly
+        then), so a NaN or inf term rejects the row. With one variable every
+        product is a single multiplication, so the terms are those
+        ``guess_row`` forms to the bit; with more, the batched products may
+        round differently in the last bit, which can move only a row within
+        that rounding of a bound.
+        """
         prod = x @ self.stacked.T
         n = x.shape[1]
         viol = prod[:, n:] - ineq_offsets
         grad = prod[:, :n] + linears
-        kept = ((np.maximum.reduce(viol, axis=1) <= 0.1 * tol)
+        return ((np.maximum.reduce(viol, axis=1) <= 0.1 * tol)
                 & (np.sqrt(np.einsum("ij,ij->i", grad, grad)) <= tol)
                 & (0.0 * np.minimum.reduce(viol, axis=1) <= tol))
-        return x, kept
 
     def _assemble(self, prod, linear, ineq_b, eq_b, x, lam, nu, status, tol):
         """KKT residual of (x, lam, nu); an "optimal" above tol becomes "max_iter".

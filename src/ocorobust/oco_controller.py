@@ -332,16 +332,51 @@ def max_beta(tables, model, x_meas, base_seq, g, tol=None, _base=None, _growth=N
     return float(min(1.0, np.minimum.reduce(np.maximum(-base_vals[mask], 0.0) / rising)))
 
 
-def _rows_settle(out, step_map, worst, tol):
-    """True when the step map's rows ``out`` (its guess kept) are the
-    explicit step at beta = 1: the reach gap is finite and above
-    DEGENERATE_TOL (``_reach_gap``), the candidate's worst stage residual
-    ``worst`` is within ``tol`` (else ``max_beta`` raises) and no stage
-    residual of the plan at beta = 1 is above 0 (``max_beta``'s first exit).
+def _rows_settle(gap_norm, worst, reach, tol):
+    """Where the step map's rows (their guess kept) settle the explicit step
+    at beta = 1, for one step (floats) or a block of steps (arrays,
+    elementwise): the reach gap's norm ``gap_norm`` is finite (else
+    ``_reach_gap`` raises), the candidate's worst stage residual ``worst`` is
+    within ``tol`` (else ``max_beta`` raises), and either the gap is at or
+    below DEGENERATE_TOL (g = 0, so beta = 1) or the largest stage residual
+    ``reach`` of the plan at beta = 1 is at most 0 (``max_beta``'s first
+    exit).
     """
-    d = out[step_map.gap]
-    return (DEGENERATE_TOL < math.sqrt(d @ d) < np.inf and worst <= tol
-            and float(np.maximum.reduce(out[step_map.reach])) <= 0.0)
+    return (gap_norm < np.inf) & (worst <= tol) & ((gap_norm <= DEGENERATE_TOL) | (reach <= 0.0))
+
+
+def settled_step(out, step_map, candidate, x_meas, feedback):
+    """The explicit step at beta = 1 from the step map's rows ``out`` at
+    (``x_meas``, ``candidate``), as (reach gap norm, g, plan, u), for a step
+    the rows settle (``_rows_settle`` on that norm). With a gap at or below
+    DEGENERATE_TOL, g = 0, the plan is [candidate + g; eta] and u = plan[:m]
+    + K x_meas (``feedback`` is K), as ``additional_input_explicit``,
+    ``max_beta`` and ``control_input`` give them; else g, the plan and u are
+    the map's rows.
+    """
+    gap = out[step_map.gap]
+    gap_norm = math.sqrt(gap @ gap)
+    if gap_norm <= DEGENERATE_TOL:
+        g = np.zeros(candidate.size)
+        plan = np.concatenate([candidate + g, out[step_map.eta]])
+        return gap_norm, g, plan, plan[:feedback.shape[0]] + feedback @ x_meas
+    return gap_norm, out[step_map.g], out[step_map.plan], out[step_map.u]
+
+
+def settled_rows(step_map, manifold, x_meas, outs, gap_norms, tol):
+    """Which steps of a block ``step`` would take whole from the step map's
+    rows ``outs`` (one row per step, at the step's ``x_meas`` and candidate):
+    those with a finite ``x_meas`` (``as_vector``) whose guess the projector
+    keeps (``PrefactoredQp.kept_rows``, ``guess_row``'s rule) and whose rows
+    settle the explicit step (``_rows_settle``, on the reach gap norms
+    ``gap_norms`` that ``settled_step`` took per step). The explicit
+    variant's steps only; a step with gamma <= 0 fails before its rows.
+    """
+    return (np.logical_and.reduce(np.isfinite(x_meas), axis=1)
+            & manifold.projector.kept_rows(outs[:, step_map.eta], outs[:, step_map.linear],
+                                           manifold.sbar.offsets, PROJECTION_TOL)
+            & _rows_settle(gap_norms, np.maximum.reduce(outs[:, step_map.base], axis=1),
+                           np.maximum.reduce(outs[:, step_map.reach], axis=1), tol))
 
 
 def step(state, model, tables, manifold, x_meas, grad_prev, options, step_map=None):
@@ -353,8 +388,8 @@ def step(state, model, tables, manifold, x_meas, grad_prev, options, step_map=No
     With a map, the projection keeps the map's guess when the projector's
     ``guess_row`` keeps it, and the explicit variant then takes g, beta = 1,
     the plan and u from the map's rows where they settle the step
-    (``_rows_settle``); every other case takes ``project_manifold``, the
-    additional input, ``max_beta`` and the blend.
+    (``_rows_settle``, ``settled_step``); every other case takes
+    ``project_manifold``, the additional input, ``max_beta`` and the blend.
     """
     t = state.t + 1
     try:
@@ -395,10 +430,16 @@ def step(state, model, tables, manifold, x_meas, grad_prev, options, step_map=No
             rollout = options.rollout_builder.build(x_meas, candidate, theta_hat)
             g, kkt, fallback = additional_input_optimized(
                 model, theta_hat, pred, rollout, options.effective_c_g(model))
-        elif out is not None and _rows_settle(out, step_map, worst, model.membership_tol):
-            g, plan, u, beta = out[step_map.g], out[step_map.plan], out[step_map.u], 1.0
         else:
-            g, growth = additional_input_explicit(tables, theta_hat, pred)
+            if out is not None:
+                gap_norm, g, plan, u = settled_step(out, step_map, candidate, x_meas, model.k)
+                reach = float(np.maximum.reduce(out[step_map.reach]))
+                if _rows_settle(gap_norm, worst, reach, model.membership_tol):
+                    beta = 1.0
+                else:
+                    plan = u = None
+            if plan is None:
+                g, growth = additional_input_explicit(tables, theta_hat, pred)
 
         if plan is None:
             beta = max_beta(tables, model, x_meas, candidate, g, _base=(base_vals, worst),

@@ -5,12 +5,21 @@ measured state and the gradient of the previous cost only; the step-t cost is
 revealed after u_t is applied. The benchmark is the per-step optimal steady
 state of each revealed cost; the controller never reads it, so it is solved
 for the whole run after the loop.
+
+On the LTI plant with the explicit variant, the loop runs ahead over steps
+that keep their cost object: it takes a block of steps from the step map's
+rows, as ``oco.step`` takes a step those rows settle, and checks the block
+after in one pass; the first step the check rejects, and every step of any
+other run, goes through ``oco.step``. A step run ahead still reads only its
+own x_meas and the previous step's cost, and the record is the same to the
+bit as the step-by-step run's (see ``closed_loop``).
 """
 
 from __future__ import annotations
 
 import copy
 import functools
+import math
 import os
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -181,6 +190,11 @@ class RunRecord:
         self.kkt_residual[t] = np.nan if diag.kkt_residual is None else diag.kkt_residual
         self.costs[t] = cost
 
+    def fill(self, rows, **columns):
+        """Write the slice ``rows`` of each named column."""
+        for name, value in columns.items():
+            getattr(self, name)[rows] = value
+
     def flag(self, hi, monitors):
         """Compute the flags of the rows not yet flagged below ``hi``."""
         lo = self.flagged
@@ -322,6 +336,18 @@ def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
     uses an ``oco.QuadraticStepMap`` for that pair, built on first use; the
     loop keeps only the map in use (see ``_step_map``). ``benchmarks`` are
     ``SteadyStateBenchmark``s built beforehand for ``RunRecord.finish``.
+
+    On a plant whose ``observe`` and ``advance`` are ``_LtiPlant``'s own,
+    with the explicit variant and gamma > 0, the loop runs ahead over steps
+    that keep the previous step's cost object and a map that serves it: it
+    takes a block of them as ``oco.step`` takes a step its map's rows settle
+    (``_LtiPlant.ahead``), checks the block in one pass
+    (``oco.settled_rows``) and keeps the steps before the first one the
+    check rejects; that step runs step by step, as every other step does.
+    Step t still reads only x_meas_t and cost t-1. A block is twice as long
+    as the last one when that one was kept whole, else one step, and under
+    ``abort_on_violation`` it is flagged after it is kept (see
+    ``_run_ahead``).
     """
     check_horizon(horizon)
     x_true, x_meas, v, cost_t = plant.observe(0)
@@ -339,8 +365,26 @@ def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
 
     monitors = (model, tables, manifold, c_g)
     step_map = None
+    ahead = _runs_ahead(plant, controller)
+    length, serial = 1, False  # the next block's length; the next step runs step by step
     record = RunRecord(model.n, model.m, model.mu, horizon)
-    for t in range(horizon):
+    t = 0
+    while t < horizon:
+        if t > 0 and ahead and not serial:
+            try:
+                step_map, state, kept, tried = _run_ahead(
+                    plant, record, state, step_map, cost_t, t, min(t + length, horizon),
+                    model, tables, manifold, controller.gamma)
+            except OcoRobustError as exc:
+                raise SimulationAborted(str(exc), record, record.finish(t, monitors, benchmarks),
+                                        t) from exc
+            if tried:
+                if abort_on_violation:
+                    _abort_at_violation(record, t, t + kept, monitors, benchmarks)
+                t += kept
+                length, serial = (2 * length, False) if kept == tried else (1, True)
+                continue
+        serial = False
         if t > 0:
             prev_cost = cost_t
             x_true, x_meas, v, cost_t = plant.observe(t)
@@ -358,14 +402,78 @@ def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
         w = plant.advance(u)
         record.write(t, x_true, x_meas, u, w, v, state, diag, cost_t)
         if abort_on_violation:
-            record.flag(t + 1, monitors)
-            # tube_marginal is an early warning, not a violation
-            violated = [name for name, column in record.flags.items()
-                        if not column[t] and name != "tube_marginal"]
-            if violated:
-                raise SimulationAborted(f"invariant violation: {', '.join(violated)}",
-                                        record, record.finish(t + 1, monitors, benchmarks), t)
+            _abort_at_violation(record, t, t + 1, monitors, benchmarks)
+        t += 1
     return record, record.finish(horizon, monitors, benchmarks)
+
+
+def _abort_at_violation(record, lo, hi, monitors, benchmarks):
+    """Flag the rows below ``hi`` and abort the run at the first of rows
+    lo..hi-1 with a violated flag, keeping the rows up to it."""
+    record.flag(hi, monitors)
+    # tube_marginal is an early warning, not a violation
+    columns = {name: column[lo:hi] for name, column in record.flags.items()
+               if name != "tube_marginal"}
+    ok = np.logical_and.reduce(list(columns.values()))
+    if not ok.all():
+        i = int(np.argmin(ok))
+        violated = [name for name, column in columns.items() if not column[i]]
+        raise SimulationAborted(f"invariant violation: {', '.join(violated)}", record,
+                                record.finish(lo + i + 1, monitors, benchmarks), lo + i)
+
+
+def _runs_ahead(plant, controller):
+    """True when ``closed_loop`` may run ``plant`` ahead: its class's
+    ``observe`` and ``advance`` are ``_LtiPlant``'s own (``_LTI_OWN``) and
+    the controller is the explicit variant with gamma > 0 (else ``oco.step``
+    fails at t = 1)."""
+    cls = type(plant)
+    return (getattr(cls, "observe", None) is _LTI_OWN[0]
+            and getattr(cls, "advance", None) is _LTI_OWN[1]
+            and controller.rollout_builder is None and controller.gamma > 0)
+
+
+def _run_ahead(plant, record, state, step_map, cost, t, stop, model, tables, manifold,
+               gamma):
+    """Run ``plant`` ahead from step t, to ``stop`` at most, while the steps
+    keep the previous step's cost object ``cost``; returns (step map, state,
+    kept, tried).
+
+    The steps' costs come from the plant's schedule and their map from
+    ``_step_map``; with a new cost object at t, or no map, nothing runs
+    (tried = 0). Else ``_LtiPlant.ahead`` takes the ``tried`` steps and
+    ``oco.settled_rows`` checks them in one pass. The ``kept`` steps before
+    the first one it rejects go to ``record`` by slices, the plant moves
+    past them and the returned state is the controller's after them.
+    """
+    schedule = plant.cost_schedule
+    end = t
+    while end < stop and schedule.cost_at(end) is cost:
+        end += 1
+    if end > t:
+        step_map = _step_map(step_map, cost, cost, tables, manifold, gamma, t)
+    if end == t or step_map is None:
+        return step_map, state, 0, 0
+    m = model.m
+    x, x_meas, outs, plans, u, norms = plant.ahead(step_map, cost, state.plan[m:], model.k,
+                                                   t, end)
+    with np.errstate(all="ignore"):  # a rejected row may hold NaN or inf
+        ok = oco.settled_rows(step_map, manifold, x_meas, outs, norms[:, 0],
+                              model.membership_tol)
+    kept = end - t if ok.all() else int(np.argmin(ok))
+    if kept:
+        rows, last = slice(t, t + kept), kept - 1
+        record.fill(rows, x_true=x[:kept], x_meas=x_meas[:kept], u=u[:kept], w=plant.w[rows],
+                    v=plant.v[rows], beta=1.0, g_norm=norms[:kept, 1],
+                    pred_state=outs[:kept, step_map.pred],
+                    theta_hat=outs[:kept, step_map.theta], eta_hat=outs[:kept, step_map.eta],
+                    u_pred=plans[:kept, :-m], u_ss=plans[:kept, -m:], kkt_residual=np.nan,
+                    candidate_ok=True, g_fallback=False, costs=cost)
+        plant.x, plant.t = x[kept], t + last
+        state = oco.ControllerState(
+            plan=plans[last], zeta_hat=(outs[last, step_map.theta], outs[last, step_map.eta]),
+            t=t + last)
+    return step_map, state, kept, end - t
 
 
 class _LtiPlant:
@@ -386,6 +494,44 @@ class _LtiPlant:
         w = self.w[self.t]
         self.x = self.model.a @ self.x + self.model.b @ u + w
         return w
+
+    def ahead(self, step_map, cost, candidate, feedback, t, stop):
+        """Steps t..stop-1 from the plant's state and the shifted plan
+        ``candidate``, each taken as ``oco.step`` takes an explicit step that
+        ``step_map``'s rows settle on ``cost`` (``oco.settled_step``, with the
+        gain ``feedback``) and applied as ``observe`` and ``advance`` would;
+        nothing is checked and the plant does not move.
+
+        Returns per step: x (one more row: the state after the last step),
+        x_meas, the map's rows, the plan, u, and (reach gap norm, g_norm).
+        """
+        a, b = self.model.a, self.model.b
+        m, count = feedback.shape[0], stop - t
+        x = np.empty((count + 1, self.model.n))
+        x_meas = np.empty((count, self.model.n))
+        outs = np.empty((count, step_map.matrix.shape[0]))
+        plans = np.empty((count, candidate.size + m))
+        u = np.empty((count, m))
+        norms = np.empty((count, 2))
+        state = self.x
+        with np.errstate(all="ignore"):  # rows the check rejects may hold NaN or inf
+            for j in range(count):
+                meas = state + self.v[t + j]
+                out = step_map.product(meas, candidate, cost)
+                gap_norm, g, plan, step_u = oco.settled_step(out, step_map, candidate, meas,
+                                                             feedback)
+                x[j], x_meas[j], outs[j], plans[j], u[j] = state, meas, out, plan, step_u
+                norms[j] = gap_norm, math.sqrt(g @ g)
+                state = a @ state + b @ step_u + self.w[t + j]
+                candidate = plan[m:]
+        x[count] = state
+        return x, x_meas, outs, plans, u, norms
+
+
+# The plant methods ``closed_loop`` runs ahead for (see ``_runs_ahead``),
+# taken when the module loads: a plant class whose methods are others, by
+# subclassing or by patching, runs step by step.
+_LTI_OWN = (_LtiPlant.observe, _LtiPlant.advance)
 
 
 def run_closed_loop(model, tables, manifold, controller, cost_schedule, dist_policy,

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
 from ocorobust import oco_controller as oco
+from ocorobust import simkit
 from ocorobust.convexsets import HPolytope, Zonotope, ZonotopeMembership
 from ocorobust.errors import DimensionMismatch, InfeasibleError
 from ocorobust.matlin import as_matrix, as_vector
@@ -300,15 +303,49 @@ def beta_roundoff(residual_u, base, shift, g):
     return shift / float(growth[rising][np.argmin(ratios)])
 
 
+class StepByStep(simkit._LtiPlant):
+    """An ``_LtiPlant`` with ``observe`` and ``advance`` of its own (the
+    same ones), so ``closed_loop`` runs it step by step: every step after
+    the first goes through ``oco.step``."""
+
+    def observe(self, t):
+        return super().observe(t)
+
+    def advance(self, u):
+        return super().advance(u)
+
+
 @pytest.fixture
-def both_paths(monkeypatch):
+def step_by_step(monkeypatch):
+    """While active, ``run_closed_loop`` (and so the regret sweep) drives a
+    ``StepByStep`` plant: the same run, with no step run ahead."""
+    monkeypatch.setattr(simkit, "_LtiPlant", StepByStep)
+
+
+def count_calls(monkeypatch, *names):
+    """Count the calls of the ``oco`` functions ``names`` while patched."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(oco, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(oco, name, counted)
+    return calls
+
+
+@pytest.fixture
+def both_paths(monkeypatch, step_by_step):
     """While active, every ``oco.step`` a loop makes must get a step map that
     serves its cost, and must agree with the same step from the same state
     through the gradient oracle (``assert_steps_agree``). The map's stage
     residuals must match their per-step form within 1e-12 of the offsets'
     scale; beta may move by what that difference moves it
-    (``beta_roundoff``). Returns the list of (t, cost) of the compared
-    steps."""
+    (``beta_roundoff``). ``run_closed_loop`` runs step by step
+    (``step_by_step``), so every step is compared. Returns the list of (t,
+    cost) of the compared steps."""
     real, seen = oco.step, []
 
     def checked(state, model, tables, manifold, x_meas, grad_prev, options, step_map=None):
@@ -332,3 +369,34 @@ def both_paths(monkeypatch):
 
     monkeypatch.setattr(oco, "step", checked)
     return seen
+
+
+def assert_records_identical(got, want):
+    """Two runs' (trace, ledger) are the same to the bit: every ``RunRecord``
+    column, every flag column and every ledger total. Costs compare by type
+    and the bytes of their weights and references, and by which rows share
+    a cost object."""
+    (trace, ledger), (trace_ref, ledger_ref) = got, want
+
+    def columns(record):
+        return {name: value for name, value in vars(record).items()
+                if isinstance(value, np.ndarray)}
+
+    def costs(column):
+        return ([(type(c), *(np.asarray(getattr(c, f)).tobytes()
+                             for f in ("q_x", "q_u", "ref_x", "ref_u"))) for c in column],
+                [a is b for a, b in zip(column[1:], column[:-1])])
+
+    mine, ref = columns(trace), columns(trace_ref)
+    assert mine.keys() == ref.keys()
+    for name, column in ref.items():
+        assert mine[name].shape == column.shape and mine[name].dtype == column.dtype, name
+        if column.dtype == object:
+            assert costs(mine[name]) == costs(column), name
+        else:
+            assert mine[name].tobytes() == column.tobytes(), name
+    assert trace.flags.keys() == trace_ref.flags.keys()
+    for name, column in trace_ref.flags.items():
+        assert trace.flags[name].tobytes() == column.tobytes(), name
+    totals = [np.array(dataclasses.astuple(x)).tobytes() for x in (ledger, ledger_ref)]
+    assert totals[0] == totals[1], (ledger, ledger_ref)

@@ -526,15 +526,15 @@ class TestAbortNamesSeed:
 def test_generic_resid_violations_fail_the_run(tmp_path, monkeypatch, capsys):
     # The plant applies its drawn w but reports one outside W on step 4: the
     # only failing flag is resid_ok, and run counts it like the vehicle does.
+    # Its own advance makes the loop run it step by step.
     from ocorobust import simkit
 
-    real_advance = simkit._LtiPlant.advance
+    class Kicked(simkit._LtiPlant):
+        def advance(self, u):
+            w = super().advance(u)
+            return w + 1.0 if self.t == 4 else w
 
-    def advance(self, u):
-        w = real_advance(self, u)
-        return w + 1.0 if self.t == 4 else w
-
-    monkeypatch.setattr(simkit._LtiPlant, "advance", advance)
+    monkeypatch.setattr(simkit, "_LtiPlant", Kicked)
     cfg = write_cfg(tmp_path, MINI_GENERIC)
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert "violations=1 " in capsys.readouterr().out

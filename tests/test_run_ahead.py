@@ -1,0 +1,340 @@
+"""Run-ahead on the LTI plant against the same runs step by step.
+
+``closed_loop`` runs an ``_LtiPlant`` with the explicit variant ahead over
+stretches of steps that keep their cost object: it takes each step as
+``oco.step`` takes one whose map rows settle it, checks the block after in
+one pass (``oco.settled_rows``) and hands the first rejected step to
+``oco.step``. Every run here is compared with the same run on a
+``conftest.StepByStep`` plant, which runs step by step: the records must be
+the same to the bit (every column, flag and ledger total), and a failed run
+must fail at the same step with the same message and partial record.
+"""
+
+import dataclasses
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ocorobust import cli, simkit
+from ocorobust import oco_controller as oco
+from ocorobust.errors import OcoRobustError, StepError
+from ocorobust.matlin import as_vector
+from ocorobust.plant import (
+    QuadraticCost,
+    build_model,
+    build_tightening,
+    optimal_steady_state,
+    steady_state_manifold,
+)
+from ocorobust.simkit import (
+    ConstantSchedule,
+    DisturbancePolicy,
+    PiecewiseSchedule,
+    SimulationAborted,
+)
+from test_drawn_models import build, drawn_models
+from test_step_map import coupled_cost
+
+from conftest import StepByStep, assert_records_identical
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def serial_steps(monkeypatch):
+    """The steps ``oco.step`` takes while patched, in order."""
+    steps = []
+    real = oco.step
+
+    def recorded(state, *args, **kwargs):
+        steps.append(state.t + 1)
+        return real(state, *args, **kwargs)
+
+    monkeypatch.setattr(oco, "step", recorded)
+    return steps
+
+
+def outcome(run):
+    """``run()``'s (trace, ledger); what its ``SimulationAborted`` holds, as
+    (t, reason, cause type, the cause's cause type, trace, ledger); or the
+    type and message of another ``OcoRobustError`` (one raised before the
+    loop)."""
+    try:
+        return run()
+    except SimulationAborted as exc:
+        cause = exc.__cause__
+        return (exc.t, exc.reason, type(cause), type(getattr(cause, "cause", None)),
+                exc.trace, exc.ledger)
+    except OcoRobustError as exc:
+        return type(exc), str(exc), None
+
+
+def assert_outcomes_identical(got, want):
+    assert len(got) == len(want)
+    if len(want) == 2:
+        assert_records_identical(got, want)
+    elif len(want) == 3:
+        assert got == want
+    else:
+        assert got[:4] == want[:4]
+        assert_records_identical(got[4:], want[4:])
+
+
+def run_both(monkeypatch, run):
+    """The outcome of ``run()`` as it stands and with every LTI plant step by
+    step, and the steps ``oco.step`` took in the first."""
+    with monkeypatch.context() as patch:
+        steps = serial_steps(patch)
+        ahead = outcome(run)
+    with monkeypatch.context() as patch:
+        patch.setattr(simkit, "_LtiPlant", StepByStep)
+        serial = outcome(run)
+    assert_outcomes_identical(ahead, serial)
+    return ahead, steps
+
+
+def generic_setup(name, command):
+    cfg = cli.load_config(CONFIGS / f"{name}.cfg", command=command)
+    model = build_model(cli._model_config(cfg))
+    tables = build_tightening(model)
+    manifold = steady_state_manifold(model, model.p_rpi, shrink=cfg["controller"]["shrink"])
+    schedule = cli._schedule(cfg)
+    return cfg, model, tables, manifold, schedule, cli._controller(cfg, model, schedule)
+
+
+class TestConfigs:
+    def test_every_regret_sweep_cell(self, monkeypatch):
+        # Every cell of the bundled design, zero-noise cells included, and
+        # the fitted rows.
+        cfg, model, tables, manifold, schedule, controller = generic_setup(
+            "regret_sweep", "regret-sweep")
+        sw = cfg["sweep"]
+        generator = simkit.AlternatingTargetGenerator(
+            model=model, manifold=manifold, base_cost=schedule.cost_at(0),
+            direction=tuple(sw["direction"]), levels=tuple(sw["path_levels"]),
+            hop_size=sw["hop_size"], horizon=sw["horizon"])
+        real = simkit.run_closed_loop
+
+        def sweep():
+            runs = []
+
+            def captured(*args, **kwargs):
+                runs.append(real(*args, **kwargs))
+                return runs[-1]
+
+            with monkeypatch.context() as patch:
+                patch.setattr(simkit, "run_closed_loop", captured)
+                result = simkit.regret_scaling_experiment(
+                    model, tables, manifold, controller, generator,
+                    dist_levels=list(sw["noise_levels"]), seeds=[0, 1],
+                    horizon=sw["horizon"])
+            return runs, result
+
+        with monkeypatch.context() as patch:
+            steps = serial_steps(patch)
+            (runs, result) = sweep()
+        with monkeypatch.context() as patch:
+            patch.setattr(simkit, "_LtiPlant", StepByStep)
+            serial_runs, serial_result = sweep()
+        assert len(runs) == len(serial_runs) == 18
+        for got, want in zip(runs, serial_runs):
+            assert_records_identical(got, want)
+        assert result.rows == serial_result.rows
+        assert result.coefficients.tobytes() == serial_result.coefficients.tobytes()
+        assert len(steps) < 0.05 * 18 * (sw["horizon"] - 1)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_double_integrator_config(self, seed, monkeypatch):
+        # The bundled config's target hops at t = 150 to a cost object with
+        # weight arrays of its own: that step runs step by step.
+        cfg, model, tables, manifold, schedule, controller = generic_setup(
+            "double_integrator", "run")
+        u0 = np.zeros(model.m)
+        horizon = cfg["experiment"]["horizon"]
+        _, steps = run_both(monkeypatch, lambda: simkit.run_closed_loop(
+            model, tables, manifold, controller, schedule, DisturbancePolicy(seed=seed),
+            horizon, zeta0=(model.g_k @ u0, u0), x0=np.asarray(cfg["model"]["x0"], float)))
+        assert 150 in steps and len(steps) < 0.1 * horizon
+
+
+def test_drawn_models(monkeypatch):
+    # Drawn models (n <= 3, m <= n) with two pieces on the first weights and
+    # one on others, under drawn and worst-corner noise.
+    ran = []
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(drawn_models())
+    def check(drawn):
+        cfg, targets = drawn
+        try:
+            model, tables, manifold = build(cfg)
+        except OcoRobustError:
+            return
+        n, m = model.n, model.m
+        first = QuadraticCost(np.eye(n), np.eye(m), targets[0], np.zeros(m))
+        schedule = PiecewiseSchedule(((0, first), (20, first.with_ref_x(targets[1])),
+                                      (40, QuadraticCost(2.0 * np.eye(n), np.eye(m),
+                                                             targets[2], np.zeros(m)))))
+        zeta0 = optimal_steady_state(manifold, first, model)
+        controller = oco.ControllerConfig(gamma=0.5)
+        for policy in (DisturbancePolicy(seed=3), DisturbancePolicy(kind="worst_corner")):
+            _, steps = run_both(monkeypatch, lambda: simkit.run_closed_loop(
+                model, tables, manifold, controller, schedule, policy, 60, zeta0=zeta0,
+                x0=zeta0[0]))
+            ran.append(len(steps))
+
+    check()
+    # most runs take all but their two hops ahead
+    assert len(ran) >= 12 and sum(steps <= 2 for steps in ran) >= len(ran) // 2
+
+
+class TestFailures:
+    @pytest.fixture
+    def lti(self, di_bundle):
+        """run(edit, schedule, abort): ``closed_loop`` on the module's
+        ``_LtiPlant`` over 40 steps, after ``edit(plant)``."""
+        model, tables, manifold = di_bundle
+        cost = coupled_cost(2, 1, [0.3, 0.0], [0.2])
+        zeta0 = optimal_steady_state(manifold, cost, model)
+
+        def run(edit=None, schedule=ConstantSchedule(cost), abort=False):
+            plant = simkit._LtiPlant(model, schedule, DisturbancePolicy(seed=0), zeta0[0], 40)
+            if edit is not None:
+                edit(plant)
+            return simkit.closed_loop(model, tables, manifold, oco.ControllerConfig(gamma=0.3),
+                                      plant, 40, zeta0, abort_on_violation=abort)
+
+        return model, cost, run
+
+    def test_nan_in_the_plants_own_noise(self, lti, monkeypatch):
+        # v[4] is NaN: step 4's block rejects its first row, and oco.step
+        # fails it as it fails any non-finite measurement.
+        _, _, run = lti
+
+        def edit(plant):
+            plant.v[4] = np.nan
+
+        result, steps = run_both(monkeypatch, lambda: run(edit))
+        t, reason, cause, inner = result[:4]
+        assert (t, cause, inner) == (4, StepError, ValueError)
+        assert "x_meas has non-finite entries" in reason
+        assert steps == [4]
+
+    def test_misfit_cost_at_a_hop(self, lti, monkeypatch):
+        # A cost with the wrong ref_x arrives at step 10: that step runs step
+        # by step and aborts the run before the controller sees it.
+        _, cost, run = lti
+        misfit = dataclasses.replace(cost, ref_x=np.zeros(3))
+        result, steps = run_both(monkeypatch, lambda: run(
+            schedule=PiecewiseSchedule(((0, cost), (10, misfit)))))
+        assert result[0] == 10 and "do not fit n=2, m=1" in result[1]
+        assert steps == []
+        assert len(result[4]) == 10
+
+    def test_violation_inside_a_block_aborts_at_its_row(self, lti, monkeypatch):
+        # The w of steps 20 and 22 (inside the block of steps 16..31) leaves
+        # W: the run aborts at 20 with the serial message, rows and ledger.
+        model, _, run = lti
+
+        def edit(plant):
+            plant.w[[20, 22]] = 3.0 * model.w_set.corner()
+
+        result, steps = run_both(monkeypatch, lambda: run(edit, abort=True))
+        assert result[0] == 20 and result[1].startswith("invariant violation: resid_ok")
+        assert len(result[4]) == 21 and steps == []
+
+
+ROW_KINDS = ("plain", "x_meas", "entry", "guess_boundary", "grad_boundary", "degenerate",
+             "reach_boundary", "worst_boundary")
+
+
+def per_row(step_map, manifold, x_meas, out, tol):
+    """``oco.step``'s decision on one step: does it take the map's rows whole?"""
+    try:
+        as_vector(x_meas)
+    except ValueError:
+        return False
+    guess = manifold.projector.guess_row(out[step_map.linear], out[step_map.eta],
+                                         manifold.sbar.offsets, oco.PROJECTION_TOL)
+    if guess is None or guess.status != "optimal":
+        return False
+    gap = out[step_map.gap]
+    return bool(oco._rows_settle(math.sqrt(gap @ gap), float(np.max(out[step_map.base])),
+                                 float(np.max(out[step_map.reach])), tol))
+
+
+def test_batched_rule_matches_the_step(di_bundle):
+    # oco.settled_rows on a block against the step's own tests row by row,
+    # on map rows edited to NaN and +-inf entries, guesses at the 0.1 tol
+    # slack boundary and the gradient bound, gaps around DEGENERATE_TOL,
+    # and reach and worst residuals at their bounds. The projector has one
+    # variable, so both sides form the same products.
+    model, tables, manifold = di_bundle
+    cost = coupled_cost(2, 1, [0.3, 0.0], [0.2])
+    step_map = oco.QuadraticStepMap(tables, manifold, cost, 0.3)
+    zeta = optimal_steady_state(manifold, cost, model)
+    plan0 = oco.initialize(model, tables, manifold, zeta, zeta[0]).plan
+    projector, tol = manifold.projector, model.membership_tol
+    h = projector.hessian[0, 0]
+    nudges = st.integers(-3, 3)
+    specials = st.sampled_from([np.nan, np.inf, -np.inf])
+
+    def nudge(value, k):
+        for _ in range(abs(k)):
+            value = np.nextafter(value, np.inf if k > 0 else -np.inf)
+        return value
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(st.data())
+    def check(data):
+        rows = data.draw(st.integers(1, 12))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        x_meas, outs = [], []
+        for _ in range(rows):
+            x = zeta[0] + rng.normal(0.0, 0.3, 2)
+            out = step_map.product(x, plan0[model.m:] + rng.normal(0.0, 0.2, plan0.size - 1),
+                                   cost).copy()
+            kind = data.draw(st.sampled_from(ROW_KINDS))
+            if kind == "x_meas":
+                x = x.copy()
+                x[data.draw(st.integers(0, 1))] = data.draw(specials)
+            elif kind == "entry":
+                block = data.draw(st.sampled_from(["eta", "linear", "base", "reach", "gap"]))
+                span = getattr(step_map, block)
+                out[data.draw(st.integers(span.start, span.stop - 1))] = data.draw(specials)
+            elif kind in ("guess_boundary", "grad_boundary"):
+                facet = data.draw(st.integers(0, len(manifold.sbar.offsets) - 1))
+                normal = manifold.sbar.normals[facet, 0]
+                eta = (manifold.sbar.offsets[facet] + 0.1 * oco.PROJECTION_TOL) / normal
+                if kind == "guess_boundary":
+                    eta = nudge(eta, data.draw(nudges))
+                    linear = -(h * eta)
+                else:
+                    eta = 0.5 * eta
+                    linear = nudge(-(h * eta) + oco.PROJECTION_TOL, data.draw(nudges))
+                out[step_map.eta], out[step_map.linear] = eta, linear
+            elif kind == "degenerate":
+                direction = rng.normal(size=2)
+                size = data.draw(st.sampled_from([0.0, 0.5, 1.0, 2.0]))
+                out[step_map.gap] = size * oco.DEGENERATE_TOL * direction / np.linalg.norm(
+                    direction)
+            elif kind == "reach_boundary":
+                out[step_map.reach] = np.minimum(out[step_map.reach], -1.0)
+                out[step_map.reach.start] = data.draw(st.sampled_from([0.0, -0.0, 5e-324]))
+            elif kind == "worst_boundary":
+                out[step_map.base] = np.minimum(out[step_map.base], -1.0)
+                out[step_map.base.start] = nudge(tol, data.draw(nudges))
+            x_meas.append(x)
+            outs.append(out)
+        x_meas, outs = np.array(x_meas), np.array(outs)
+        with np.errstate(all="ignore"):
+            gap_norms = np.array([math.sqrt(out[step_map.gap] @ out[step_map.gap])
+                                  for out in outs])
+            batched = oco.settled_rows(step_map, manifold, x_meas, outs, gap_norms, tol)
+            want = [per_row(step_map, manifold, x, out, tol) for x, out in zip(x_meas, outs)]
+        assert batched.tolist() == want
+
+    check()

@@ -9,8 +9,10 @@ moves it, see ``conftest.both_paths``), over whole runs within 1e-10, with
 identical flags. The
 costs here have non-zero input references and coupled weights, so a wrongly
 folded term shows. A map step whose rows do not settle it (a binding S-bar
-row, beta < 1, a reach gap below ``DEGENERATE_TOL``, an infeasible
-candidate) takes the oracle path's functions for the rest of the step.
+row, beta < 1, an infeasible candidate) takes the oracle path's functions
+for the rest of the step; a reach gap at or below ``DEGENERATE_TOL`` settles
+with g = 0. Step-by-step comparisons run on ``conftest.StepByStep`` plants;
+whole runs on the plain LTI plant run ahead (see ``test_run_ahead.py``).
 """
 
 import copy
@@ -33,7 +35,13 @@ from ocorobust.plant import (
 )
 from ocorobust.simkit import DisturbancePolicy, PiecewiseSchedule, SimulationAborted
 
-from conftest import assert_close, assert_steps_agree
+from conftest import (
+    StepByStep,
+    assert_close,
+    assert_records_identical,
+    assert_steps_agree,
+    count_calls,
+)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 RUN_REL = 1e-10
@@ -238,20 +246,6 @@ class TestOneStep:
         assert_steps_agree(mapped, wrapped)
 
 
-def count_calls(monkeypatch, *names):
-    """Count the calls of the ``oco`` functions ``names`` while patched."""
-    calls = dict.fromkeys(names, 0)
-    for name in names:
-        real = getattr(oco, name)
-
-        def counted(*args, _real=real, _name=name, **kwargs):
-            calls[_name] += 1
-            return _real(*args, **kwargs)
-
-        monkeypatch.setattr(oco, name, counted)
-    return calls
-
-
 # Runs that reach each fallback branch of the map's step: the state
 # reference the cost jumps to at step 30 (None: no jump) and the noise.
 BRANCHES = {
@@ -288,12 +282,13 @@ class TestFallbackBranches:
     @pytest.mark.parametrize("branch", BRANCHES)
     def test_whole_run_matches_the_oracle(self, branch, di_bundle, monkeypatch):
         run = branch_run(di_bundle, branch)
+        names = ("project_manifold", "additional_input_explicit", "max_beta")
         with monkeypatch.context() as patch:
-            calls = count_calls(patch, "project_manifold", "additional_input_explicit",
-                                "max_beta")
+            calls = count_calls(patch, *names)
             mapped = run()
         with monkeypatch.context() as patch:
             patch.setattr(simkit, "_step_map", lambda *args: None)
+            oracle_calls = count_calls(patch, *names)
             oracle = run()
         assert_runs_agree(mapped, oracle)
         trace = mapped[0]
@@ -304,8 +299,29 @@ class TestFallbackBranches:
             assert calls["project_manifold"] == 0
             assert 0 < lowered <= calls["max_beta"] < 119
         else:
-            assert calls["additional_input_explicit"] == calls["max_beta"] == 119
+            # The map's rows settle every degenerate step with g = 0; the
+            # oracle path reaches it through the additional input and beta.
+            assert calls["additional_input_explicit"] == calls["max_beta"] == 0
+            assert (oracle_calls["additional_input_explicit"] == oracle_calls["max_beta"]
+                    == 119)
             assert np.all(trace.g_norm[1:] == 0.0)
+
+    def test_degenerate_rows_settle_as_the_explicit_input_and_beta_do(self, di_bundle,
+                                                                       monkeypatch,
+                                                                       step_by_step):
+        # Settling a gap at or below DEGENERATE_TOL from the rows gives, bit
+        # for bit, the step that additional_input_explicit and max_beta give
+        # (the rule without that case), on every step of the run.
+        run = branch_run(di_bundle, "degenerate")
+        settled = run()
+        rule = oco._rows_settle
+        with monkeypatch.context() as patch:
+            patch.setattr(oco, "_rows_settle", lambda gap_norm, *args: (
+                gap_norm > oco.DEGENERATE_TOL and rule(gap_norm, *args)))
+            calls = count_calls(patch, "additional_input_explicit", "max_beta")
+            explicit = run()
+        assert calls == {"additional_input_explicit": 119, "max_beta": 119}
+        assert_records_identical(settled, explicit)
 
 
     def test_infeasible_candidate_the_rows_would_settle(self, di_bundle):
@@ -341,7 +357,8 @@ class TestFallbackBranches:
 class TestCensus:
     def test_sweep_design_solves_only_rejected_guesses(self, monkeypatch):
         # On the bundled sweep design, the projector's ``solve`` runs only on
-        # steps whose guess its single-row check rejected.
+        # steps whose guess its single-row check rejected; the steps run
+        # ahead had their guesses kept by the batched check.
         cfg = cli.load_config(CONFIGS / "regret_sweep.cfg", command="regret-sweep")
         sw = cfg["sweep"]
         model = build_model(cli._model_config(cfg))
@@ -350,7 +367,7 @@ class TestCensus:
                                                    shrink=cfg["controller"]["shrink"]))
         schedule = cli._schedule(cfg)
         controller = cli._controller(cfg, model, schedule)
-        verdicts, solves = [], []
+        verdicts, solves, batches = [], [], []
 
         class Census(PrefactoredQp):
             inside = False  # True while ``solve`` tests its own guess
@@ -360,6 +377,11 @@ class TestCensus:
                 if not self.inside:
                     verdicts.append(out is not None and out.status == "optimal")
                 return out
+
+            def kept_rows(self, *args, **kwargs):
+                kept = super().kept_rows(*args, **kwargs)
+                batches.append(kept)
+                return kept
 
             def solve(self, *args, **kwargs):
                 solves.append(1)
@@ -375,13 +397,17 @@ class TestCensus:
             model=model, manifold=manifold, base_cost=schedule.cost_at(0),
             direction=tuple(sw["direction"]), levels=tuple(sw["path_levels"]),
             hop_size=sw["hop_size"], horizon=sw["horizon"])
+        serial = count_calls(monkeypatch, "step")
         result = simkit.regret_scaling_experiment(
             model, tables, manifold, controller, generator,
             dist_levels=list(sw["noise_levels"]), seeds=[0], horizon=sw["horizon"])
         steps = len(result.rows) * (sw["horizon"] - 1)
-        assert len(verdicts) == steps
+        ahead = steps - serial["step"]
+        # every step's guess is tested: step by step once, or in its block
+        assert len(verdicts) == serial["step"]
         assert len(solves) == verdicts.count(False)
-        assert sum(verdicts) > 0.9 * steps
+        assert ahead <= sum(int(np.count_nonzero(kept)) for kept in batches)
+        assert sum(verdicts) + ahead > 0.9 * steps
 
 
 def run_pair(monkeypatch, run):
@@ -468,8 +494,13 @@ class TestFailures:
         return model, zeta0, cost, run
 
     def both(self, monkeypatch, run):
+        """The failure of ``run()`` with the maps (run ahead where the plant
+        allows), step by step and on the oracle path; all three agree."""
         mapped, oracle = run_pair(monkeypatch, run)
-        assert oracle == mapped
+        with monkeypatch.context() as patch:
+            patch.setattr(simkit, "_LtiPlant", StepByStep)
+            serial = run()
+        assert oracle == mapped == serial
         return mapped
 
     def test_gamma_not_positive(self, loop, monkeypatch):
@@ -516,8 +547,8 @@ class TestFailures:
 
     def test_failed_projection(self, loop, monkeypatch, di_bundle):
         # Both paths decide the projection in the projector: its single-row
-        # check rejects every guess, so the map's step takes ``solve`` too,
-        # and its third solve fails.
+        # and batched checks reject every guess, so every step runs step by
+        # step, the map's step takes ``solve`` too, and its third solve fails.
         manifold = copy.copy(di_bundle[2])
         real = manifold.projector
         calls = []
@@ -525,6 +556,9 @@ class TestFailures:
         class FailsThird(PrefactoredQp):
             def guess_row(self, *args, **kwargs):
                 return None
+
+            def kept_rows(self, x, *args, **kwargs):
+                return np.zeros(len(x), bool)
 
             def solve(self, linear, **kwargs):
                 calls.append(1)

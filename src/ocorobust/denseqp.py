@@ -18,10 +18,11 @@ closed loop the inequality rows rarely bind, so ``solve`` has one fast path:
 the equality-constrained optimum, kept when no row binds and the KKT check
 passes. When it fails on a solver with inequality rows only, GI's first
 iteration (the most violated row made active) is tried from it; otherwise GI
-runs cold. ``guess_row`` tests one guess under the fast path's rule (``solve``
-uses it on its own), ``guess_rows`` makes the guess for many linear terms at
-once and ``kept_rows`` tests many guesses formed elsewhere. No state is kept
-between solves.
+runs cold. A caller that forms the guess itself (the controller's step and
+rollout maps) hands it to the same test and fallback (``_from_guess``);
+``guess_rows`` makes the guess for many linear terms at once and
+``kept_rows`` tests many guesses formed elsewhere. No state is kept between
+solves.
 """
 
 from __future__ import annotations
@@ -110,17 +111,44 @@ class PrefactoredQp:
         ineq_b = self.no_ineq if ineq_offsets is None else np.asarray(ineq_offsets, float)
         eq_b = self.no_eq if eq_offsets is None else np.asarray(eq_offsets, float)
         linear = np.asarray(linear, float)
-        n = linear.size
         if self.eq_optimum:
             # With no equalities the guess is GI's own start point.
             sol = (self.kkt_q @ linear + self.kkt_b @ eq_b if self.meq
                    else self.kkt_q @ linear)
-            x = sol[:n]
-            guess = self.guess_row(linear, x, ineq_b, tol, eq_b, sol[n:])
-            if guess is None and not self.meq and max_iter >= 1:
-                guess = self._one_row_step(self.stacked @ x, linear, ineq_b, eq_b, x, tol)
-            if guess is not None and guess.status == "optimal":
-                return guess
+            n = linear.size
+            return self._from_guess(linear, sol[:n], sol[n:], ineq_b, eq_b, tol, max_iter)[0]
+        return self._cold(linear, ineq_b, eq_b, tol, max_iter)
+
+    def _from_guess(self, linear, x, nu, ineq_b, eq_b, tol, max_iter=DEFAULT_MAX_ITER):
+        """``solve``'s answer from the equality-constrained optimum (x, nu)
+        of ``linear``, which the caller formed (``solve`` itself, or
+        ``oco.QuadraticStepMap``'s and ``oco.RolloutMap``'s rows). Returns
+        (solution, kept): kept is True when the guess passes the fast path's
+        test (``_equality_guess``) and is the solution. A rejected guess goes
+        on, with its product ``stacked @ x``, to ``_fallback``; it is not
+        formed or tested again.
+        """
+        prod = self.stacked @ x
+        guess = self._equality_guess(prod, linear, ineq_b, eq_b, x, nu, tol)
+        if guess is not None and guess.status == "optimal":
+            return guess, True
+        return self._fallback(prod, linear, ineq_b, eq_b, x, guess, tol, max_iter), False
+
+    def _fallback(self, prod, linear, ineq_b, eq_b, x, guess, tol, max_iter):
+        """``solve``'s answer after the guess x was rejected (``guess`` is the
+        test's result, None when a row failed it; ``prod`` is ``stacked @
+        x``): GI's one-row step from x on a solver without equality rows when
+        a row failed, else, or when that step fails, GI from the unconstrained
+        optimum (``_cold``)."""
+        if guess is None and not self.meq and max_iter >= 1:
+            step = self._one_row_step(prod, linear, ineq_b, eq_b, x, tol)
+            if step is not None and step.status == "optimal":
+                return step
+        return self._cold(linear, ineq_b, eq_b, tol, max_iter)
+
+    def _cold(self, linear, ineq_b, eq_b, tol, max_iter):
+        """The GI iteration from the unconstrained optimum, with its status
+        and multipliers checked by ``_assemble``."""
         cd = np.concatenate([eq_b, -ineq_b])
         x, active, mult, signs, status = _gi_core(self, -(self.hinv @ linear), cd,
                                                   tol, max_iter)
@@ -138,19 +166,6 @@ class PrefactoredQp:
                 lam[j - self.meq] = u
         return self._assemble(self.stacked @ x, linear, ineq_b, eq_b, x, lam, nu, status,
                               tol)
-
-    def guess_row(self, linear, x, ineq_offsets, tol=DEFAULT_TOL, eq_offsets=None, nu=None):
-        """The fast path's test on one point: ``x`` (with the equality
-        multipliers ``nu``) is the equality-constrained optimum of ``linear``,
-        x = -H^-1 q on a solver with inequality rows only. Returns the point
-        as ``solve`` would return it, kept when its status is "optimal", or
-        None when a row fails GI's stopping test (``_equality_guess``).
-        ``solve`` tests its own guess here; a caller that forms the optimum
-        another way (``oco.QuadraticStepMap``) tests it under the same rule.
-        """
-        return self._equality_guess(self.stacked @ x, linear, ineq_offsets,
-                                    self.no_eq if eq_offsets is None else eq_offsets, x,
-                                    self.no_eq if nu is None else nu, tol)
 
     def _equality_guess(self, prod, linear, ineq_b, eq_b, x, nu, tol):
         """The equality-constrained optimum (x, nu) with zero inequality
@@ -226,7 +241,7 @@ class PrefactoredQp:
         point is within tol (``_residual_status`` says "optimal" exactly
         then), so a NaN or inf term rejects the row. With one variable every
         product is a single multiplication, so the terms are those
-        ``guess_row`` forms to the bit; with more, the batched products may
+        ``_from_guess`` forms to the bit; with more, the batched products may
         round differently in the last bit, which can move only a row within
         that rounding of a bound.
         """

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .denseqp import PrefactoredQp
+from .denseqp import DEFAULT_TOL, PrefactoredQp
 from .errors import InfeasibleError, InitializationError, OcoRobustError, StepError
 from .matlin import as_vector
 from .plant import QuadraticCost, membership_zu, stage_values, stage_values_linear
@@ -28,7 +28,7 @@ _ONE = np.ones(1)
 class ControllerConfig:
     gamma: float
     c_g: float | None = None
-    rollout_builder: object = None  # build(x_meas, candidate, theta_hat) -> RolloutQp
+    rollout_builder: object = None  # rollout() -> (RolloutMap, offset shift or None)
 
     @property
     def variant(self):
@@ -67,34 +67,54 @@ class StepDiagnostics:
     g_fallback: bool = False
 
 
-@dataclass
-class RolloutQp:
-    """One step's rollout QP over the additional input sequence g.
+class RolloutMap:
+    """A rollout QP over the additional input sequence g, with the fixed
+    affine map of what a step needs from it.
 
-    ``solver`` is the builder's ``PrefactoredQp``: its first mu*m variables
-    are g, any further ones (e.g. a slack) follow, and its equality rows are
-    S_c padded with zero columns. ``linear`` is the step's linear term at the
-    solver's size and ``ineq_offsets`` the right-hand sides of its
-    inequality rows, if it has any.
+    ``solver`` is a ``PrefactoredQp``: its first mu*m variables are g, any
+    further ones (e.g. a slack) follow, and its equality rows are S_c padded
+    with zero columns, of full row rank. The rows of ``linear`` (the QP's
+    linear term) and of ``offsets`` (the part of its inequality offsets the
+    step's own data set; the step's context adds a shift) are affine in w =
+    [x_meas; candidate; theta_hat; d; 1], with zero columns for the reach
+    gap d. The equality-constrained optimum [x; nu] = K_q linear + K_b d
+    (``solver.kkt_q``, ``kkt_b``) is then affine in w too. One product of
+    ``matrix`` with w (``product``) gives them all; the slices ``linear``,
+    ``x``, ``nu`` and ``offsets`` pick them from it.
     """
 
-    solver: PrefactoredQp
-    linear: np.ndarray
-    ineq_offsets: np.ndarray = None
+    def __init__(self, solver, linear, offsets=None):
+        if not (solver.eq_optimum and solver.meq):
+            raise ValueError("a rollout solver needs equality rows of full row rank")
+        nvar, cols = linear.shape
+        optimum = solver.kkt_q @ linear
+        optimum[:, cols - 1 - solver.meq:cols - 1] += solver.kkt_b  # the d columns
+        blocks = dict(linear=linear, x=optimum[:nvar], nu=optimum[nvar:],
+                      offsets=np.zeros((0, cols)) if offsets is None else offsets)
+        at = 0
+        for name, block in blocks.items():
+            setattr(self, name, slice(at, at + len(block)))
+            at += len(block)
+        self.matrix = np.vstack(list(blocks.values()))
+        self.solver = solver
+
+    def product(self, x_meas, candidate, theta_hat, d):
+        """The map's rows at one step's data."""
+        return self.matrix @ np.concatenate((x_meas, candidate, theta_hat, d, _ONE))
 
 
-class QuadraticRolloutBuilder:
+class QuadraticRolloutBuilder(RolloutMap):
     """Rollout objective with fixed stage weights and the controller's own
     steady-state estimate as target; the generic choice for the optimized
-    additional-input variant. The weights fix the Hessian, so the solver is
-    built here once and each step forms only the linear term.
+    additional-input variant. The weights fix the Hessian, so the solver and
+    its map are built here once.
 
     The rollout of g + candidate from x has the states c_x + E g, with c_x =
     P0 x + E candidate, and the inputs c_v + (I + K_b E) g, with c_v =
     candidate + K_b c_x (K_b = I (x) K); the stage cost is weighted against
     theta_hat at every stage. So the linear term is affine in (x, candidate,
-    theta_hat), and its three maps ``lin_x``, ``lin_c`` and ``lin_theta`` are
-    fixed.
+    theta_hat): lin_x x + lin_c candidate - lin_theta theta_hat, the map's
+    ``linear`` rows. The QP has no inequality rows.
     """
 
     def __init__(self, model, q_x, q_u):
@@ -106,15 +126,17 @@ class QuadraticRolloutBuilder:
         qu_bar = np.kron(np.eye(mu), np.asarray(q_u, float))
         h = e.T @ qx_bar @ e + mmap.T @ qu_bar @ mmap
         self.hessian = 0.5 * (h + h.T)
-        self.solver = PrefactoredQp(self.hessian, eq_normals=model.s_c)
         qxe, qum = qx_bar @ e, qu_bar @ mmap
-        self.lin_x = qxe.T @ p0 + qum.T @ kb @ p0
-        self.lin_c = qxe.T @ e + qum.T @ mmap
-        self.lin_theta = qxe.T @ np.tile(np.eye(model.n), (mu, 1))
+        lin_x = qxe.T @ p0 + qum.T @ kb @ p0
+        lin_c = qxe.T @ e + qum.T @ mmap
+        lin_theta = qxe.T @ np.tile(np.eye(model.n), (mu, 1))
+        d_one = np.zeros((mu * model.m, model.n + 1))  # the columns of d and 1
+        super().__init__(PrefactoredQp(self.hessian, eq_normals=model.s_c),
+                         np.hstack([lin_x, lin_c, -lin_theta, d_one]))
 
-    def build(self, x_meas, candidate, theta_hat):
-        lin = self.lin_x @ x_meas + self.lin_c @ candidate - self.lin_theta @ theta_hat
-        return RolloutQp(self.solver, lin)
+    def rollout(self):
+        """The map of every step, with no offset shift."""
+        return self, None
 
 
 class QuadraticStepMap:
@@ -242,7 +264,12 @@ def project_manifold(manifold, linear, tol=PROJECTION_TOL):
 
     Solved in u-coordinates with x = G_K u substituted, which is exact.
     """
-    sol = manifold.projector.solve(linear, ineq_offsets=manifold.sbar.offsets, tol=tol)
+    return _projected(manifold, manifold.projector.solve(
+        linear, ineq_offsets=manifold.sbar.offsets, tol=tol))
+
+
+def _projected(manifold, sol):
+    """The steady state (theta, eta) of the projection QP's solution ``sol``."""
     if sol.status != "optimal":
         raise InfeasibleError(f"manifold projection failed: {sol.status}")
     return manifold.zeta_of_u(sol.x)
@@ -253,43 +280,49 @@ def additional_input_explicit(tables, theta_hat, pred_state):
     growth of the stage residuals (``residual_u @ g``): one product with
     ``tables.explicit_map``. Returns (g, growth)."""
     r, nv = tables.residual_u.shape
-    d = _reach_gap(theta_hat, pred_state)
-    if d is None:
+    d = theta_hat - pred_state
+    if _gap_norm(d) <= DEGENERATE_TOL:
         return np.zeros(nv), np.zeros(r)
     both = tables.explicit_map @ d
     return both[:nv], both[nv:]
 
 
-def _reach_gap(theta_hat, pred_state):
-    """theta_hat - pred_state, or None below DEGENERATE_TOL; rejects NaN/inf."""
-    d = theta_hat - pred_state
+def _gap_norm(d):
+    """The norm of the reach gap d = theta_hat - pred_state; rejects NaN/inf."""
     norm = math.sqrt(d @ d)
-    if norm <= DEGENERATE_TOL:
-        return None
     if not norm < np.inf:
         raise ValueError("theta_hat or pred_state has non-finite entries")
-    return d
+    return norm
 
 
-def additional_input_optimized(model, theta_hat, pred_state, rollout_qp, c_g):
-    """Cost-shaped solution of the reachability constraint.
+def additional_input_optimized(model, rollout, x_meas, candidate, theta_hat, d, c_g):
+    """Cost-shaped solution of the reachability constraint S_c g = d, the
+    reach gap d = theta_hat - pred_state.
 
-    Minimizes the supplied rollout objective subject to S_c g = theta - pred
-    with the rollout's own solver. Falls back to the explicit solution S_c^+ d when
-    the solver fails or the norm cap is violated, reporting the fallback;
-    any other error (e.g. a malformed ``rollout_qp``) propagates.
+    ``rollout`` is the step's (``RolloutMap``, offset shift or None), as the
+    rollout builder gives it. One product of the map gives the rollout QP's
+    linear term and offsets and its equality-constrained optimum, which is
+    the solution when the solver's guess test keeps it; otherwise the solver
+    goes on from it (GI). Falls back to the explicit solution S_c^+ d when
+    the solver fails or the norm cap c_g |d| is violated, reporting the
+    fallback; any other error (e.g. a map of the wrong size) propagates.
+    Returns (g, KKT residual, fallback).
     """
-    d = _reach_gap(theta_hat, pred_state)
     nv = model.mu * model.m
-    if d is None:
+    norm = _gap_norm(d)
+    if norm <= DEGENERATE_TOL:
         return np.zeros(nv), None, False
+    rollout_map, shift = rollout
+    rows = rollout_map.product(x_meas, candidate, theta_hat, d)
+    offsets = rows[rollout_map.offsets]
     try:
-        sol = rollout_qp.solver.solve(rollout_qp.linear,
-                                      ineq_offsets=rollout_qp.ineq_offsets, eq_offsets=d)
+        sol, _ = rollout_map.solver._from_guess(
+            rows[rollout_map.linear], rows[rollout_map.x], rows[rollout_map.nu],
+            offsets if shift is None else offsets + shift, d, DEFAULT_TOL)
     except (OcoRobustError, np.linalg.LinAlgError):
         return model.s_c_pinv @ d, None, True
     g = sol.x[:nv]
-    if sol.status != "optimal" or math.sqrt(g @ g) > c_g * math.sqrt(d @ d) * (1 + 1e-9):
+    if sol.status != "optimal" or math.sqrt(g @ g) > c_g * norm * (1 + 1e-9):
         return model.s_c_pinv @ d, sol.kkt_residual, True
     return g, sol.kkt_residual, False
 
@@ -336,7 +369,7 @@ def _rows_settle(gap_norm, worst, reach, tol):
     """Where the step map's rows (their guess kept) settle the explicit step
     at beta = 1, for one step (floats) or a block of steps (arrays,
     elementwise): the reach gap's norm ``gap_norm`` is finite (else
-    ``_reach_gap`` raises), the candidate's worst stage residual ``worst`` is
+    ``_gap_norm`` raises), the candidate's worst stage residual ``worst`` is
     within ``tol`` (else ``max_beta`` raises), and either the gap is at or
     below DEGENERATE_TOL (g = 0, so beta = 1) or the largest stage residual
     ``reach`` of the plan at beta = 1 is at most 0 (``max_beta``'s first
@@ -367,7 +400,7 @@ def settled_rows(step_map, manifold, x_meas, outs, gap_norms, tol):
     """Which steps of a block ``step`` would take whole from the step map's
     rows ``outs`` (one row per step, at the step's ``x_meas`` and candidate):
     those with a finite ``x_meas`` (``as_vector``) whose guess the projector
-    keeps (``PrefactoredQp.kept_rows``, ``guess_row``'s rule) and whose rows
+    keeps (``PrefactoredQp.kept_rows``, ``_from_guess``'s rule) and whose rows
     settle the explicit step (``_rows_settle``, on the reach gap norms
     ``gap_norms`` that ``settled_step`` took per step). The explicit
     variant's steps only; a step with gamma <= 0 fails before its rows.
@@ -386,10 +419,14 @@ def step(state, model, tables, manifold, x_meas, grad_prev, options, step_map=No
     ``manifold`` for ``options.gamma`` that serves ``grad_prev`` (any other
     map fails the step); without one the step calls the gradient oracle.
     With a map, the projection keeps the map's guess when the projector's
-    ``guess_row`` keeps it, and the explicit variant then takes g, beta = 1,
-    the plan and u from the map's rows where they settle the step
-    (``_rows_settle``, ``settled_step``); every other case takes
-    ``project_manifold``, the additional input, ``max_beta`` and the blend.
+    test keeps it (``PrefactoredQp._from_guess``, which goes on from a
+    rejected guess to the one-row step or GI), and the explicit variant then
+    takes g, beta = 1, the plan and u from the map's rows where they settle
+    the step (``_rows_settle``, ``settled_step``). The optimized variant
+    takes its reach gap from the map's rows, and its g, where the rollout's
+    own guess is kept, from the rollout map's rows
+    (``additional_input_optimized``). Every other case takes the additional
+    input, ``max_beta`` and the blend.
     """
     t = state.t + 1
     try:
@@ -416,20 +453,23 @@ def step(state, model, tables, manifold, x_meas, grad_prev, options, step_map=No
             out = step_map.product(x_meas, candidate, grad_prev)
             base_vals, pred = out[step_map.base], out[step_map.pred]
             linear, eta_hat = out[step_map.linear], out[step_map.eta]
-            guess = manifold.projector.guess_row(linear, eta_hat, manifold.sbar.offsets,
-                                                 PROJECTION_TOL)
-            if guess is not None and guess.status == "optimal":
+            projector = manifold.projector
+            sol, kept = projector._from_guess(linear, eta_hat, projector.no_eq,
+                                              manifold.sbar.offsets, projector.no_eq,
+                                              PROJECTION_TOL)
+            if kept:
                 theta_hat = out[step_map.theta]
             else:
                 out = None
-                theta_hat, eta_hat = project_manifold(manifold, linear)
+                theta_hat, eta_hat = _projected(manifold, sol)
         worst = float(np.maximum.reduce(base_vals))
 
         kkt, fallback, growth, plan, u = None, False, None, None, None
         if options.rollout_builder is not None:
-            rollout = options.rollout_builder.build(x_meas, candidate, theta_hat)
+            d = theta_hat - pred if out is None else out[step_map.gap]
             g, kkt, fallback = additional_input_optimized(
-                model, theta_hat, pred, rollout, options.effective_c_g(model))
+                model, options.rollout_builder.rollout(), x_meas, candidate, theta_hat, d,
+                options.effective_c_g(model))
         else:
             if out is not None:
                 gap_norm, g, plan, u = settled_step(out, step_map, candidate, x_meas, model.k)

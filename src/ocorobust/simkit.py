@@ -22,7 +22,7 @@ import functools
 import math
 import os
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -626,14 +626,16 @@ class PiecewiseSchedule:
     """Piecewise-constant cost schedule; pieces are (start_step, cost)."""
 
     pieces: tuple
+    _starts: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        starts = [s for s, _ in self.pieces]
-        if not starts or starts[0] != 0 or starts != sorted(starts):
+        starts = tuple(s for s, _ in self.pieces)
+        if not starts or starts[0] != 0 or list(starts) != sorted(starts):
             raise ValueError("pieces must start at 0 and be sorted by start step")
+        object.__setattr__(self, "_starts", starts)  # bisected by cost_at
 
     def cost_at(self, t):
-        return self.pieces[bisect_right(self.pieces, t, key=lambda piece: piece[0]) - 1][1]
+        return self.pieces[bisect_right(self._starts, t) - 1][1]
 
 
 def max_workers(n_jobs):

@@ -191,65 +191,60 @@ def phase_cost(phase, target_speed_dev=None):
 
 
 class VehicleRolloutBuilder:
-    """Per-step rollout objective for the optimized additional-input variant.
+    """Rollout maps of the optimized additional-input variant, one per
+    planner phase (``maps``), built here once.
 
     The stage cost is the active phase cost with the controller's own
     steady-state estimate as target, summed over the mu-step rollout of
     g + candidate under state feedback. In the following phase it adds the
-    soft safety-distance rows on the predicted gap, through a slack solver
-    built here once: the rows are fixed, only their offsets change per step.
-    The own travel the rows predict is TAU times the summed rollout speeds,
-    ``gap_x @ x + gap_c @ candidate + gap_c @ g`` with the fixed rows
-    ``gap_x`` = cum_speed P0 and ``gap_c`` = cum_speed E. Each call brings
-    the planner context, so runs share one builder.
+    soft safety-distance rows on the predicted gap, through a slack solver:
+    the rows are fixed, only their offsets change per step. The own travel
+    the rows predict is TAU times the summed rollout speeds, ``gap_x @ x +
+    gap_c @ candidate + gap_c @ g`` with the fixed rows ``gap_x`` = cum_speed
+    P0 and ``gap_c`` = cum_speed E, so the offsets' part in x and the
+    candidate is a block of the slack map; ``rollout`` adds the part the
+    planner context sets. Each call brings that context, so runs share one
+    builder.
     """
 
     def __init__(self, model, params):
-        self.params = params
         mu, n = model.mu, model.n
         # Phases 1 and 2 share their weights; phase 3 weighs speed more.
         follow = oco.QuadraticRolloutBuilder(model, _Q_STATE, _Q_INPUT)
-        self._phase_builders = {
-            1: follow, 2: follow, 3: oco.QuadraticRolloutBuilder(model, _Q_STATE_P3, _Q_INPUT)}
         speed_rows = np.zeros((mu, mu * n))
         for j in range(mu):
             speed_rows[j, j * n + 1] = 1.0
         cum_speed = np.vstack([np.zeros((1, mu * n)),
                                np.cumsum(speed_rows, axis=0)])  # k = 0..mu
-        self.gap_x, self.gap_c = cum_speed @ model._px, cum_speed @ model._pu
+        gap_x, gap_c = cum_speed @ model._px, cum_speed @ model._pu
         self.gap_k = TAU * np.arange(mu + 1)
-        self.slack_base = -TAU * self.gap_c
         # Variables (g, eps): the follow weights plus slack_weight * eps^2,
-        # the soft rows slack_base g + offsets + eps >= 0, and S_c g = d.
+        # the soft rows -TAU gap_c g + offsets + eps >= 0, and S_c g = d.
         nv = mu * model.m
         h = np.zeros((nv + 1, nv + 1))
         h[:nv, :nv] = follow.hessian
         h[nv, nv] = 2.0 * params.slack_weight
-        self.slack_solver = PrefactoredQp(
-            h, ineq_normals=np.hstack([-self.slack_base, -np.ones((mu + 1, 1))]),
+        slack_solver = PrefactoredQp(
+            h, ineq_normals=np.hstack([TAU * gap_c, -np.ones((mu + 1, 1))]),
             eq_normals=np.hstack([model.s_c, np.zeros((n, 1))]))
+        linear = follow.matrix[follow.linear]
+        # Offsets less the planner context: -TAU (gap_x x + gap_c candidate)
+        # - safety, in the map's columns [x; candidate; theta_hat; d; 1].
+        offsets = np.hstack([-TAU * gap_x, -TAU * gap_c, np.zeros((mu + 1, 2 * n)),
+                             np.full((mu + 1, 1), -params.safety_distance_m)])
+        slack = oco.RolloutMap(slack_solver, np.vstack([linear, np.zeros(linear.shape[1])]),
+                               offsets)
+        self.maps = {1: follow, 2: slack,
+                     3: oco.QuadraticRolloutBuilder(model, _Q_STATE_P3, _Q_INPUT)}
 
-    def build(self, x_meas, candidate, theta_hat, phase, gap_meas, est_speed_dev):
-        """The rollout QP of a step in planner ``phase``; the gap and the
-        leader-speed estimate enter phase 2's soft rows only."""
-        rollout = self._phase_builders[phase].build(x_meas, candidate, theta_hat)
-        if phase != 2:
-            return rollout
-        offsets = self.soft_safety_rows(x_meas, candidate, gap_meas, est_speed_dev)
-        return oco.RolloutQp(self.slack_solver, np.concatenate([rollout.linear, [0.0]]),
-                             offsets)
-
-    def soft_safety_rows(self, x_meas, candidate, gap_meas, est_speed_dev):
-        """Offsets of the soft rows predicted gap >= safety - slack, k = 0..mu.
-
-        The gap prediction starts from ``gap_meas`` and assumes the leader
-        holds the estimated speed deviation ``est_speed_dev`` while the own
-        speed follows the rollout from ``x_meas`` under ``candidate`` + g, so
-        each row is affine in g, with the fixed coefficients ``slack_base``.
-        """
-        base_gap = (gap_meas + self.gap_k * est_speed_dev
-                    - TAU * (self.gap_x @ x_meas + self.gap_c @ candidate))
-        return base_gap - self.params.safety_distance_m
+    def rollout(self, phase, gap_meas, est_speed_dev):
+        """The rollout map of a step in planner ``phase`` and its offset
+        shift: in phase 2 the gap prediction's start ``gap_meas`` plus the
+        leader's travel at the estimated speed deviation ``est_speed_dev``,
+        at k = 0..mu; no shift in phases 1 and 3."""
+        if phase == 2:
+            return self.maps[2], gap_meas + self.gap_k * est_speed_dev
+        return self.maps[phase], None
 
 
 class _Sensors:
@@ -353,9 +348,8 @@ class _RoadPlant:
         metrics["phase"].append(phase)
         return x_true, x_meas, v, cost_t
 
-    def build(self, x_meas, candidate, theta_hat):
-        return self.builder.build(x_meas, candidate, theta_hat, self.phase, self.gap_meas,
-                                  self.est_speed_dev)
+    def rollout(self):
+        return self.builder.rollout(self.phase, self.gap_meas, self.est_speed_dev)
 
     def advance(self, u):
         """Integrate the truth; the process disturbance is the residual of

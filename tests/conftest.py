@@ -7,7 +7,7 @@ from scipy.optimize import linprog
 from ocorobust import oco_controller as oco
 from ocorobust import simkit
 from ocorobust.convexsets import HPolytope, Zonotope, ZonotopeMembership
-from ocorobust.errors import DimensionMismatch, InfeasibleError
+from ocorobust.errors import DimensionMismatch, InfeasibleError, OcoRobustError
 from ocorobust.matlin import as_matrix, as_vector
 from ocorobust.plant import (
     ModelConfig,
@@ -268,6 +268,63 @@ def reference_gap_offsets(model, x_meas, candidate, gap_meas, est_speed_dev, saf
     parts = (gap_meas, TAU * ks * est_speed_dev, TAU * (cum_speed @ c_x), safety)
     return (gap_meas + TAU * ks * est_speed_dev - TAU * (cum_speed @ c_x) - safety,
             sum(float(np.linalg.norm(part)) for part in parts))
+
+
+def guess_kept(projector, linear, x, offsets, tol):
+    """Whether the step's projection keeps the guess ``x`` of ``linear``:
+    the test ``PrefactoredQp._from_guess`` applies, without its fallback."""
+    guess = projector._equality_guess(projector.stacked @ x, linear, offsets, projector.no_eq,
+                                      x, projector.no_eq, tol)
+    return guess is not None and guess.status == "optimal"
+
+
+def per_step_rollout(model, rollout, x_meas, candidate, theta_hat, d, c_g):
+    """The optimized additional input in its per-step form, the oracle of
+    ``oco.additional_input_optimized``: the rollout QP is built (its linear
+    term and offsets, each from its own rows of the map) and handed to
+    ``PrefactoredQp.solve``, which forms and tests its own guess. Returns
+    (g, KKT residual, fallback, the linear term's norm: the scale the KKT
+    residual's rounding is relative to)."""
+    rollout_map, shift = rollout
+    nv = model.mu * model.m
+    norm = float(np.linalg.norm(d))
+    if norm <= oco.DEGENERATE_TOL:
+        return np.zeros(nv), None, False, 0.0
+    w = np.concatenate([x_meas, candidate, theta_hat, d, [1.0]])
+    linear = rollout_map.matrix[rollout_map.linear] @ w
+    offsets = None if shift is None else rollout_map.matrix[rollout_map.offsets] @ w + shift
+    try:
+        sol = rollout_map.solver.solve(linear, ineq_offsets=offsets, eq_offsets=d)
+    except (OcoRobustError, np.linalg.LinAlgError):
+        return model.s_c_pinv @ d, None, True, 0.0
+    g, scale = sol.x[:nv], float(np.linalg.norm(linear))
+    if sol.status != "optimal" or np.linalg.norm(g) > c_g * norm * (1 + 1e-9):
+        return model.s_c_pinv @ d, sol.kkt_residual, True, scale
+    return g, sol.kkt_residual, False, scale
+
+
+@pytest.fixture
+def rollout_oracle(monkeypatch):
+    """While active, every ``oco.additional_input_optimized`` call must agree
+    with ``per_step_rollout``: g within 1e-12 relative, the KKT residual
+    within 1e-12 of the linear term's scale, the same fallback. Returns the
+    list of (rollout, (x_meas, candidate, theta_hat, d), result) of the
+    compared calls."""
+    real, seen = oco.additional_input_optimized, []
+
+    def checked(model, rollout, x_meas, candidate, theta_hat, d, c_g):
+        got = real(model, rollout, x_meas, candidate, theta_hat, d, c_g)
+        g, kkt, fallback = got
+        want = per_step_rollout(model, rollout, x_meas, candidate, theta_hat, d, c_g)
+        assert_close(g, want[0], 1e-12, "g")
+        assert (kkt is None) == (want[1] is None) and fallback == want[2]
+        if kkt is not None:
+            assert abs(kkt - want[1]) <= 1e-12 * (1.0 + want[3]), (kkt, want)
+        seen.append((rollout, (x_meas, candidate, theta_hat, d), got))
+        return got
+
+    monkeypatch.setattr(oco, "additional_input_optimized", checked)
+    return seen
 
 
 def assert_close(got, want, rel, what):

@@ -31,9 +31,26 @@ def steady_pair(model, manifold, u):
     return (model.g_k @ u, u)
 
 
+def constant_rows(rows, model):
+    """Map rows in the columns [x; candidate; theta_hat; d; 1] that are the
+    constant vector ``rows`` at every step."""
+    rows = np.asarray(rows, float)
+    return np.hstack([np.zeros((rows.size, 3 * model.n + model.mu * model.m)), rows[:, None]])
+
+
 def equality_rollout(model, hessian, linear):
-    """A rollout QP over g alone: the given Hessian and S_c g = d."""
-    return oco.RolloutQp(PrefactoredQp(hessian, eq_normals=model.s_c), linear)
+    """A rollout over g alone, as a builder's ``rollout`` gives it: the given
+    Hessian, the constant linear term ``linear`` and S_c g = d."""
+    solver = PrefactoredQp(hessian, eq_normals=model.s_c)
+    return oco.RolloutMap(solver, constant_rows(linear, model)), None
+
+
+def optimized_input(model, rollout, theta, pred, c_g):
+    """``oco.additional_input_optimized`` at x_meas = 0 and the zero
+    candidate, for reach gap theta - pred."""
+    nv = model.mu * model.m
+    return oco.additional_input_optimized(model, rollout, np.zeros(model.n), np.zeros(nv),
+                                          theta, theta - pred, c_g)
 
 
 class TestInitialize:
@@ -162,8 +179,7 @@ class TestAdditionalInput:
         nv = model.mu * model.m
         rollout = equality_rollout(model, 2 * np.eye(nv), np.zeros(nv))
         theta, pred = np.array([0.3, -0.1]), np.zeros(2)
-        g, kkt, fb = oco.additional_input_optimized(model, theta, pred, rollout,
-                                                    c_g=1000.0)
+        g, kkt, fb = optimized_input(model, rollout, theta, pred, c_g=1000.0)
         assert not fb
         assert kkt <= 1e-8
         assert np.allclose(g, oco.additional_input_explicit(tables, theta, pred)[0], atol=1e-7)
@@ -172,9 +188,9 @@ class TestAdditionalInput:
         model, _, _ = di_bundle
         nv = model.mu * model.m
         rollout = equality_rollout(model, 2 * np.eye(nv), np.ones(nv))
-        g, _, _ = oco.additional_input_optimized(model, np.ones(2), np.ones(2),
-                                                 rollout, c_g=1000.0)
+        g, kkt, fb = optimized_input(model, rollout, np.ones(2), np.ones(2), c_g=1000.0)
         assert np.array_equal(g, np.zeros(nv))
+        assert kkt is None and not fb
 
     def test_optimized_slack_keeps_equality(self, di_bundle):
         model, _, _ = di_bundle
@@ -185,11 +201,44 @@ class TestAdditionalInput:
         h = np.diag(np.concatenate([np.full(nv, 2.0), [200.0]]))
         solver = PrefactoredQp(h, ineq_normals=np.hstack([-rows, -np.ones((3, 1))]),
                                eq_normals=np.hstack([model.s_c, np.zeros((2, 1))]))
-        rollout = oco.RolloutQp(solver, np.zeros(nv + 1), np.array([-1.0, -2.0, 0.5]))
+        offsets = np.array([-1.0, -2.0, 0.5])
+        rollout_map = oco.RolloutMap(solver, constant_rows(np.zeros(nv + 1), model),
+                                     constant_rows(offsets, model))
         theta, pred = np.array([0.2, 0.1]), np.zeros(2)
-        g, kkt, fb = oco.additional_input_optimized(model, theta, pred, rollout, c_g=1000.0)
+        g, kkt, fb = optimized_input(model, (rollout_map, 0.0), theta, pred, c_g=1000.0)
         assert not fb
         assert np.linalg.norm(model.s_c @ g - (theta - pred)) <= 1e-8
+        # two rows bind: the map's guess is rejected and g is GI's
+        want = solver.solve(np.zeros(nv + 1), ineq_offsets=offsets, eq_offsets=theta - pred)
+        assert np.count_nonzero(want.ineq_multipliers) == 2
+        assert np.array_equal(g, want.x[:nv])
+
+    def test_infeasible_rollout_falls_back(self, di_bundle):
+        # Rows g_0 <= -1 and g_0 >= 1 leave no feasible g: the rows' guess is
+        # rejected, GI ends "infeasible" and the step takes S_c^+ d.
+        model, _, _ = di_bundle
+        nv = model.mu * model.m
+        rows = np.zeros((2, nv))
+        rows[0, 0], rows[1, 0] = 1.0, -1.0
+        solver = PrefactoredQp(2 * np.eye(nv), ineq_normals=rows, eq_normals=model.s_c)
+        rollout_map = oco.RolloutMap(solver, constant_rows(np.zeros(nv), model),
+                                     constant_rows([-1.0, -1.0], model))
+        theta, pred = np.array([0.2, 0.1]), np.zeros(2)
+        g, kkt, fb = optimized_input(model, (rollout_map, 0.0), theta, pred, c_g=1000.0)
+        assert fb and kkt is not None
+        assert np.array_equal(g, model.s_c_pinv @ (theta - pred))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_gap_raises(self, di_bundle, bad):
+        # A non-finite reach gap is an error on both variants, not a fallback.
+        model, tables, _ = di_bundle
+        nv = model.mu * model.m
+        theta = np.array([bad, 0.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            oco.additional_input_explicit(tables, theta, np.zeros(2))
+        rollout = equality_rollout(model, 2 * np.eye(nv), np.zeros(nv))
+        with pytest.raises(ValueError, match="non-finite"):
+            optimized_input(model, rollout, theta, np.zeros(2), c_g=1000.0)
 
     def test_norm_cap_triggers_fallback(self, di_bundle):
         model, tables, _ = di_bundle
@@ -197,8 +246,7 @@ class TestAdditionalInput:
         # linear term pushes the solution far away; tiny cap forces fallback
         rollout = equality_rollout(model, 2e-4 * np.eye(nv), rng_lin(nv))
         theta, pred = np.array([1e-3, 0.0]), np.zeros(2)
-        g, _, fb = oco.additional_input_optimized(model, theta, pred, rollout,
-                                                  c_g=model.c_g_min * 1.01)
+        g, _, fb = optimized_input(model, rollout, theta, pred, c_g=model.c_g_min * 1.01)
         assert fb
         assert np.allclose(g, oco.additional_input_explicit(tables, theta, pred)[0])
 
@@ -215,17 +263,17 @@ class TestRolloutBuilder:
     def test_solver_serves_every_step(self, di_bundle):
         model, _, _ = di_bundle
         builder = oco.QuadraticRolloutBuilder(model, np.eye(2), np.eye(1))
-        nv = model.mu * model.m
-        rollouts = [builder.build(np.full(2, 0.1 * t), np.zeros(nv), np.zeros(2))
-                    for t in (1, 2)]
-        assert all(r.solver is builder.solver for r in rollouts)
+        # one map for every step, with no offset shift
+        assert builder.rollout() == (builder, None)
         # equality rows only: the precomputed equality-constrained optimum
         # answers every solve
         assert builder.solver.eq_optimum and builder.solver.ineq_normals.shape[0] == 0
+        assert builder.offsets == slice(builder.matrix.shape[0], builder.matrix.shape[0])
 
     def test_linear_term_matches_the_per_step_form(self, di_bundle):
         # The fixed maps against the c_x / c_v / tile form they replaced, on
-        # drawn contexts, within 1e-12 of the size of the parts that cancel.
+        # drawn contexts, within 1e-12 of the size of the parts that cancel;
+        # the reach gap does not enter the linear term.
         model, _, _ = di_bundle
         q_x, q_u = np.array([[2.0, 0.3], [0.3, 1.0]]), np.array([[0.7]])
         builder = oco.QuadraticRolloutBuilder(model, q_x, q_u)
@@ -235,9 +283,21 @@ class TestRolloutBuilder:
             x_meas, theta_hat = rng.uniform(-3, 3, 2), rng.uniform(-3, 3, 2)
             candidate = rng.uniform(-4, 4, nv)
             want, scale = reference_rollout_linear(model, q_x, q_u, x_meas, candidate, theta_hat)
-            rollout = builder.build(x_meas, candidate, theta_hat)
-            assert rollout.ineq_offsets is None and rollout.linear.shape == want.shape
-            assert np.linalg.norm(rollout.linear - want) <= 1e-12 * scale
+            rows = builder.product(x_meas, candidate, theta_hat, rng.uniform(-3, 3, 2))
+            linear = rows[builder.linear]
+            assert linear.shape == want.shape and rows[builder.offsets].size == 0
+            assert np.linalg.norm(linear - want) <= 1e-12 * scale
+
+    def test_map_needs_full_rank_equality_rows(self, di_bundle):
+        # Without S_c's rows, or with a rank-deficient copy of them, there is
+        # no equality-constrained optimum to fold into the map.
+        model, _, _ = di_bundle
+        nv = model.mu * model.m
+        linear = constant_rows(np.zeros(nv), model)
+        for eq_normals in (None, np.vstack([model.s_c[:1], model.s_c[:1]])):
+            solver = PrefactoredQp(2 * np.eye(nv), eq_normals=eq_normals)
+            with pytest.raises(ValueError, match="full row rank"):
+                oco.RolloutMap(solver, linear)
 
     def test_non_pd_hessian_raises_at_construction(self, di_bundle):
         # q_u = 0 leaves the last input of the rollout unweighted
@@ -470,7 +530,7 @@ class TestStep:
             oco.step(state, model, tables, manifold, np.zeros(2), Broken(), options)
 
     def test_malformed_rollout_qp_raises(self, di_bundle):
-        # A wrong-length linear term is a programming error, not a solver
+        # A rollout map of the wrong size is a programming error, not a solver
         # failure: it must surface instead of falling back to the explicit input.
         model, tables, manifold = di_bundle
         nv = model.mu * model.m
@@ -479,8 +539,10 @@ class TestStep:
         cost = QuadraticCost(np.eye(2), np.eye(1), [0.5, 0.0], np.zeros(1))
 
         class WrongLength:
-            def build(self, x_meas, candidate, theta_hat):
-                return equality_rollout(model, 2 * np.eye(nv), np.zeros(nv + 1))
+            def rollout(self):
+                # one column more than the step's data
+                solver = PrefactoredQp(2 * np.eye(nv), eq_normals=model.s_c)
+                return oco.RolloutMap(solver, np.zeros((nv, 3 * model.n + nv + 2))), None
 
         options = oco.ControllerConfig(gamma=0.2, rollout_builder=WrongLength())
         with pytest.raises(StepError) as info:

@@ -39,7 +39,7 @@ from ocorobust.simkit import (
 from test_drawn_models import build, drawn_models
 from test_step_map import coupled_cost
 
-from conftest import StepByStep, assert_records_identical
+from conftest import StepByStep, assert_records_identical, guess_kept
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -257,9 +257,8 @@ def per_row(step_map, manifold, x_meas, out, tol):
         as_vector(x_meas)
     except ValueError:
         return False
-    guess = manifold.projector.guess_row(out[step_map.linear], out[step_map.eta],
-                                         manifold.sbar.offsets, oco.PROJECTION_TOL)
-    if guess is None or guess.status != "optimal":
+    if not guess_kept(manifold.projector, out[step_map.linear], out[step_map.eta],
+                      manifold.sbar.offsets, oco.PROJECTION_TOL):
         return False
     gap = out[step_map.gap]
     return bool(oco._rows_settle(math.sqrt(gap @ gap), float(np.max(out[step_map.base])),

@@ -41,6 +41,7 @@ from conftest import (
     assert_records_identical,
     assert_steps_agree,
     count_calls,
+    guess_kept,
 )
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -221,6 +222,59 @@ class TestOneStep:
                                    DisturbancePolicy(seed=5), 120, zeta0=zeta0, x0=zeta0[0])
         assert len(both_paths) == 2 * 119
 
+    def test_double_integrator_rollouts_match_the_per_step_form(self, di_bundle,
+                                                                 rollout_oracle):
+        # Every optimized step's rollout, from the rollout map's rows,
+        # against the QP built and solved per step (``rollout_oracle``),
+        # across the schedule's three pieces.
+        model, tables, manifold = di_bundle
+        schedule = di_schedule(model)
+        cost0 = schedule.cost_at(0)
+        builder = oco.QuadraticRolloutBuilder(model, cost0.q_x, cost0.q_u)
+        seen = rollout_oracle
+        zeta0 = optimal_steady_state(manifold, cost0, model)
+        kept = {}
+        for c_g in (None, 1000.0):  # the default cap takes most steps to S_c^+ d
+            seen.clear()
+            simkit.run_closed_loop(
+                model, tables, manifold,
+                oco.ControllerConfig(gamma=0.3, c_g=c_g, rollout_builder=builder),
+                schedule, DisturbancePolicy(seed=5), 120, zeta0=zeta0, x0=zeta0[0])
+            assert len(seen) == 119
+            assert all(rollout == (builder, None) for rollout, *_ in seen)
+            kept[c_g] = sum(not fallback for *_, (_, _, fallback) in seen)
+        assert 0 < kept[None] < 20 and kept[1000.0] == 119
+
+    def test_optimized_reach_gap_comes_from_the_rows(self, monkeypatch):
+        # Where the projection keeps the map's guess, the rollout's reach gap
+        # is the map's gap rows; where it does not, theta_hat - pred of the
+        # projected theta_hat. Seed 3 of the vehicle has both kinds.
+        gaps, real = [], oco.additional_input_optimized
+        step = oco.step
+
+        def observed(state, model, tables, manifold, x_meas, grad_prev, options, step_map=None):
+            out = step(state, model, tables, manifold, x_meas, grad_prev, options, step_map)
+            rows = step_map.product(np.asarray(x_meas, float), state.plan[model.m:], grad_prev)
+            d = gaps[-1]
+            theta_hat, pred = out[2].ogd_target[0], out[2].pred_state
+            if np.array_equal(theta_hat, rows[step_map.theta]):
+                assert np.array_equal(d, rows[step_map.gap]), "rows"
+                kinds.append("rows")
+            else:
+                assert np.array_equal(d, theta_hat - pred), "projected"
+                kinds.append("projected")
+            return out
+
+        def recorded(model, rollout, x_meas, candidate, theta_hat, d, c_g):
+            gaps.append(d)
+            return real(model, rollout, x_meas, candidate, theta_hat, d, c_g)
+
+        kinds = []
+        monkeypatch.setattr(oco, "additional_input_optimized", recorded)
+        monkeypatch.setattr(oco, "step", observed)
+        vehicle.run_scenario("optimized", seed=3)
+        assert len(kinds) == 299 and 0 < kinds.count("projected") < kinds.count("rows")
+
     @pytest.mark.parametrize("variant", ["optimized", "explicit"])
     def test_vehicle_every_phase(self, variant, both_paths):
         _, _, metrics = vehicle.run_scenario(variant, seed=3)
@@ -282,7 +336,7 @@ class TestFallbackBranches:
     @pytest.mark.parametrize("branch", BRANCHES)
     def test_whole_run_matches_the_oracle(self, branch, di_bundle, monkeypatch):
         run = branch_run(di_bundle, branch)
-        names = ("project_manifold", "additional_input_explicit", "max_beta")
+        names = ("_projected", "additional_input_explicit", "max_beta")
         with monkeypatch.context() as patch:
             calls = count_calls(patch, *names)
             mapped = run()
@@ -294,9 +348,9 @@ class TestFallbackBranches:
         trace = mapped[0]
         lowered = int(np.count_nonzero(trace.beta[1:] < 1.0))
         if branch == "binding":
-            assert calls["project_manifold"] > 0
+            assert calls["_projected"] > 0
         elif branch == "beta_below_one":
-            assert calls["project_manifold"] == 0
+            assert calls["_projected"] == 0
             assert 0 < lowered <= calls["max_beta"] < 119
         else:
             # The map's rows settle every degenerate step with g = 0; the
@@ -338,11 +392,11 @@ class TestFallbackBranches:
             x = rng.uniform([-3.0, -2.0], [3.0, 2.0])
             plan = plan0 + rng.standard_normal(plan0.size) * rng.uniform(0.0, 3.0)
             out = step_map.product(x, plan[model.m:], cost)
-            guess = manifold.projector.guess_row(out[step_map.linear], out[step_map.eta],
-                                                 manifold.sbar.offsets, oco.PROJECTION_TOL)
             if (out[step_map.base].max() > model.membership_tol
                     and out[step_map.reach].max() <= 0.0
-                    and guess is not None and guess.status == "optimal"):
+                    and guess_kept(manifold.projector, out[step_map.linear],
+                                   out[step_map.eta], manifold.sbar.offsets,
+                                   oco.PROJECTION_TOL)):
                 break
         else:
             pytest.fail("no such state drawn")
@@ -356,9 +410,10 @@ class TestFallbackBranches:
 
 class TestCensus:
     def test_sweep_design_solves_only_rejected_guesses(self, monkeypatch):
-        # On the bundled sweep design, the projector's ``solve`` runs only on
-        # steps whose guess its single-row check rejected; the steps run
-        # ahead had their guesses kept by the batched check.
+        # On the bundled sweep design, the projector's fallback (one-row step
+        # or GI) runs only on steps whose guess its single-row check rejected,
+        # and ``solve`` never runs; the steps run ahead had their guesses kept
+        # by the batched check.
         cfg = cli.load_config(CONFIGS / "regret_sweep.cfg", command="regret-sweep")
         sw = cfg["sweep"]
         model = build_model(cli._model_config(cfg))
@@ -367,16 +422,20 @@ class TestCensus:
                                                    shrink=cfg["controller"]["shrink"]))
         schedule = cli._schedule(cfg)
         controller = cli._controller(cfg, model, schedule)
-        verdicts, solves, batches = [], [], []
+        verdicts, fallbacks, solves, batches = [], [], [], []
 
         class Census(PrefactoredQp):
             inside = False  # True while ``solve`` tests its own guess
 
-            def guess_row(self, *args, **kwargs):
-                out = super().guess_row(*args, **kwargs)
+            def _from_guess(self, *args, **kwargs):
+                sol, kept = super()._from_guess(*args, **kwargs)
                 if not self.inside:
-                    verdicts.append(out is not None and out.status == "optimal")
-                return out
+                    verdicts.append(kept)
+                return sol, kept
+
+            def _fallback(self, *args, **kwargs):
+                fallbacks.append(1)
+                return super()._fallback(*args, **kwargs)
 
             def kept_rows(self, *args, **kwargs):
                 kept = super().kept_rows(*args, **kwargs)
@@ -405,7 +464,7 @@ class TestCensus:
         ahead = steps - serial["step"]
         # every step's guess is tested: step by step once, or in its block
         assert len(verdicts) == serial["step"]
-        assert len(solves) == verdicts.count(False)
+        assert len(fallbacks) == verdicts.count(False) and not solves
         assert ahead <= sum(int(np.count_nonzero(kept)) for kept in batches)
         assert sum(verdicts) + ahead > 0.9 * steps
 
@@ -548,23 +607,25 @@ class TestFailures:
     def test_failed_projection(self, loop, monkeypatch, di_bundle):
         # Both paths decide the projection in the projector: its single-row
         # and batched checks reject every guess, so every step runs step by
-        # step, the map's step takes ``solve`` too, and its third solve fails.
+        # step, every step goes on to the fallback (from ``solve`` on the
+        # oracle path, from the map's guess on the map's), and its third
+        # fallback fails.
         manifold = copy.copy(di_bundle[2])
         real = manifold.projector
         calls = []
 
         class FailsThird(PrefactoredQp):
-            def guess_row(self, *args, **kwargs):
+            def _equality_guess(self, *args, **kwargs):
                 return None
 
             def kept_rows(self, x, *args, **kwargs):
                 return np.zeros(len(x), bool)
 
-            def solve(self, linear, **kwargs):
+            def _fallback(self, *args, **kwargs):
                 calls.append(1)
                 if len(calls) == 3:
                     return QpSolution(x=np.zeros(1), kkt_residual=np.inf, status="infeasible")
-                return super().solve(linear, **kwargs)
+                return super()._fallback(*args, **kwargs)
 
         manifold.projector = FailsThird(real.hessian, ineq_normals=real.ineq_normals)
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ocorobust import denseqp, vehicle
+from ocorobust import oco_controller as oco
 from ocorobust.errors import OcoRobustError
 from unittest import mock
 
@@ -99,54 +100,89 @@ class TestPhaseCosts:
         assert np.allclose(cost.q_u, 100.0 * np.eye(2))
 
 
+def slack_rollout(builder, gap_meas, d, x_meas=np.zeros(2), candidate=np.zeros(20)):
+    """The phase-2 rollout map at a step with the gap ``gap_meas``, a leader
+    at the own speed, theta_hat = 0 and reach gap ``d``: (map, its rows,
+    the soft rows' offsets)."""
+    rollout_map, shift = builder.rollout(2, gap_meas, 0.0)
+    rows = rollout_map.product(x_meas, candidate, np.zeros(2), d)
+    return rollout_map, rows, rows[rollout_map.offsets] + shift
+
+
 class TestSoftSafety:
     def test_distant_leader_keeps_slack_zero(self, setup):
         builder = vehicle.VehicleRolloutBuilder(setup.model, setup.params)
-        rollout = builder.build(np.zeros(2), np.zeros(20), np.zeros(2), 2, 200.0, 0.0)
-        sol = rollout.solver.solve(rollout.linear, ineq_offsets=rollout.ineq_offsets,
-                                   eq_offsets=-np.array([0.0, 0.1]))
+        d = -np.array([0.0, 0.1])
+        rollout_map, rows, offsets = slack_rollout(builder, 200.0, d)
+        sol = rollout_map.solver.solve(rows[rollout_map.linear], ineq_offsets=offsets,
+                                       eq_offsets=d)
         assert sol.status == "optimal"
         assert abs(sol.x[-1]) <= 1e-9
 
     def test_gap_at_boundary_row(self, setup):
         builder = vehicle.VehicleRolloutBuilder(setup.model, setup.params)
         # from x = 0 under the zero candidate: the old form's c_x = 0
-        offsets = builder.soft_safety_rows(np.zeros(2), np.zeros(20), 50.0, 0.0)
+        rollout_map, _, offsets = slack_rollout(builder, 50.0, np.zeros(2))
         # k = 0 row is pure slack: gap - safety = 0
-        assert np.allclose(builder.slack_base[0], 0.0)
+        assert np.all(rollout_map.solver.ineq_normals[0, :-1] == 0.0)
         assert offsets[0] == pytest.approx(0.0)
 
     def test_static_shortfall_forces_slack(self, setup):
         # gap 45 m, no closing speed: slack-only subproblem needs eps >= 5
         builder = vehicle.VehicleRolloutBuilder(setup.model, setup.params)
-        rollout = builder.build(np.zeros(2), np.zeros(20), np.zeros(2), 2, 45.0, 0.0)
-        sol = rollout.solver.solve(rollout.linear, ineq_offsets=rollout.ineq_offsets,
-                                   eq_offsets=-np.array([0.0, 1e-6]))
+        d = -np.array([0.0, 1e-6])
+        rollout_map, rows, offsets = slack_rollout(builder, 45.0, d)
+        sol = rollout_map.solver.solve(rows[rollout_map.linear], ineq_offsets=offsets,
+                                       eq_offsets=d)
         assert sol.status == "optimal"
         assert sol.x[-1] >= 5.0 - 1e-6
 
+    def test_binding_slack_row_falls_back_to_cold_gi(self, setup, monkeypatch):
+        # The same 45 m shortfall inside the step's rollout: the rows' guess
+        # (slack 0) is rejected, and the step's g is cold GI's.
+        model = setup.model
+        d = -np.array([0.0, 1e-3])
+        rollout = setup.builder.rollout(2, 45.0, 0.0)
+        rollout_map, rows, offsets = slack_rollout(setup.builder, 45.0, d)
+        fallbacks = []
+        real = denseqp.PrefactoredQp._fallback
+
+        def counted(pre, *args):
+            fallbacks.append(pre)
+            return real(pre, *args)
+
+        monkeypatch.setattr(denseqp.PrefactoredQp, "_fallback", counted)
+        g, kkt, fallback = oco.additional_input_optimized(
+            model, rollout, np.zeros(2), np.zeros(20), np.zeros(2), d, setup.params.c_g)
+        assert fallbacks == [rollout_map.solver]
+        assert not fallback and kkt <= denseqp.DEFAULT_TOL
+        x, _, _, _, status = denseqp._gi_core(
+            rollout_map.solver, -(rollout_map.solver.hinv @ rows[rollout_map.linear]),
+            np.concatenate([d, -offsets]), denseqp.DEFAULT_TOL, denseqp.DEFAULT_MAX_ITER)
+        assert status == "optimal" and x[-1] >= 5.0 - 1e-6
+        assert np.array_equal(g, x[:20])
 
     def test_recorded_run_matches_cold_gi(self, setup, monkeypatch):
-        # Every phase-2 slack QP of a seed-0 optimized run, re-solved by the
-        # GI iteration from scratch.
+        # Every phase-2 slack QP of a seed-0 optimized run, decided from the
+        # rollout map's guess, re-solved by the GI iteration from scratch.
         recorded = []
-        real = denseqp.PrefactoredQp.solve
+        real = denseqp.PrefactoredQp._from_guess
 
-        def record(pre, linear, ineq_offsets=None, eq_offsets=None, **kwargs):
-            sol = real(pre, linear, ineq_offsets=ineq_offsets, eq_offsets=eq_offsets,
-                       **kwargs)
+        def record(pre, linear, x, nu, ineq_b, eq_b, tol, *args):
+            sol, kept = real(pre, linear, x, nu, ineq_b, eq_b, tol, *args)
             if pre.meq and pre.ineq_normals.shape[0]:
-                recorded.append((pre, linear, ineq_offsets, eq_offsets, sol))
-            return sol
+                recorded.append((pre, linear, ineq_b, eq_b, tol, sol))
+            return sol, kept
 
-        monkeypatch.setattr(denseqp.PrefactoredQp, "solve", record)
+        monkeypatch.setattr(denseqp.PrefactoredQp, "_from_guess", record)
         vehicle.run_scenario("optimized", seed=0, setup=setup)
         monkeypatch.undo()
         assert len(recorded) > 100
-        for pre, linear, ineq_b, eq_b, sol in recorded:
+        assert {id(pre) for pre, *_ in recorded} == {id(setup.builder.maps[2].solver)}
+        for pre, linear, ineq_b, eq_b, tol, sol in recorded:
             x, _, _, _, status = denseqp._gi_core(
                 pre, -(pre.hinv @ linear), np.concatenate([eq_b, -ineq_b]),
-                denseqp.DEFAULT_TOL, denseqp.DEFAULT_MAX_ITER)
+                tol, denseqp.DEFAULT_MAX_ITER)
             assert sol.status == status == "optimal"
             assert np.linalg.norm(sol.x - x) <= 1e-12 * np.linalg.norm(x)
 
@@ -216,35 +252,71 @@ class TestBenchmarkPath:
 
 
 class TestRolloutBuilderMaps:
-    def test_builders_match_the_per_step_form(self, setup, monkeypatch):
-        # Every rollout QP of a seed-0 optimized run, phases 1 to 3, against
-        # the per-step formulas the fixed maps replaced, within 1e-12 of the
-        # size of the parts that cancel in them.
-        built = []
-        real = vehicle.VehicleRolloutBuilder.build
+    def test_builders_match_the_per_step_form(self, setup, monkeypatch, rollout_oracle):
+        # Every rollout of a seed-0 optimized run, phases 1 to 3: the map's
+        # linear term and soft-row offsets against the per-step formulas the
+        # fixed maps replaced, within 1e-12 of the size of the parts that
+        # cancel in them, and the step's g, KKT residual and fallback
+        # against the QP built and solved per step (``rollout_oracle``).
+        contexts = []
+        real = vehicle.VehicleRolloutBuilder.rollout
 
-        def record(b, x_meas, candidate, theta_hat, phase, gap_meas, est):
-            rollout = real(b, x_meas, candidate, theta_hat, phase, gap_meas, est)
-            built.append((phase, gap_meas, est, (x_meas, candidate, theta_hat), rollout))
-            return rollout
+        def record(b, phase, gap_meas, est):
+            contexts.append((phase, gap_meas, est))
+            return real(b, phase, gap_meas, est)
 
-        monkeypatch.setattr(vehicle.VehicleRolloutBuilder, "build", record)
+        monkeypatch.setattr(vehicle.VehicleRolloutBuilder, "rollout", record)
+        seen = rollout_oracle
         vehicle.run_scenario("optimized", seed=0, setup=setup)
         monkeypatch.undo()
         follow = (vehicle._Q_STATE, vehicle._Q_INPUT)
         weights = {1: follow, 2: follow, 3: (vehicle._Q_STATE_P3, vehicle._Q_INPUT)}
-        assert {phase for phase, *_ in built} == {1, 2, 3}
-        for phase, gap_meas, est, step_args, rollout in built:
-            want, scale = reference_rollout_linear(setup.model, *weights[phase], *step_args)
-            got = rollout.linear[:want.size]
+        assert len(contexts) == len(seen) == 299
+        assert {phase for phase, *_ in contexts} == {1, 2, 3}
+        for (phase, gap_meas, est), ((rollout_map, shift), step_args, _) in zip(contexts, seen):
+            assert rollout_map is setup.builder.maps[phase]
+            rows = rollout_map.product(*step_args)
+            want, scale = reference_rollout_linear(setup.model, *weights[phase], *step_args[:3])
+            got = rows[rollout_map.linear][:want.size]
             assert np.linalg.norm(got - want) <= 1e-12 * scale
             if phase == 2:
-                assert rollout.linear.size == want.size + 1 and rollout.linear[-1] == 0.0
+                assert rows[rollout_map.linear].size == want.size + 1
+                assert rows[rollout_map.linear][-1] == 0.0
                 offsets, scale = reference_gap_offsets(setup.model, *step_args[:2], gap_meas,
                                                        est, setup.params.safety_distance_m)
-                assert np.linalg.norm(rollout.ineq_offsets - offsets) <= 1e-12 * scale
+                got = rows[rollout_map.offsets] + shift
+                assert np.linalg.norm(got - offsets) <= 1e-12 * scale
             else:
-                assert rollout.ineq_offsets is None
+                assert shift is None and rows[rollout_map.offsets].size == 0
+
+    def test_every_rollout_decided_by_the_rows(self, setup, monkeypatch):
+        # Optimized seeds 0..9: the rollout map's guess is kept at every step
+        # (no rollout reaches the solver's fallback), and the c_g cap still
+        # sends 17 steps to the explicit input, reported in g_fallback.
+        decided, fallbacks = [], []
+        solvers = {id(m.solver) for m in setup.builder.maps.values()}
+        real = {name: getattr(denseqp.PrefactoredQp, name) for name in ("_from_guess", "_fallback")}
+
+        def from_guess(pre, *args):
+            sol, kept = real["_from_guess"](pre, *args)
+            if id(pre) in solvers:
+                decided.append(kept)
+            return sol, kept
+
+        def fallback(pre, *args):
+            if id(pre) in solvers:
+                fallbacks.append(1)
+            return real["_fallback"](pre, *args)
+
+        monkeypatch.setattr(denseqp.PrefactoredQp, "_from_guess", from_guess)
+        monkeypatch.setattr(denseqp.PrefactoredQp, "_fallback", fallback)
+        capped = 0
+        for seed in range(10):
+            trace, _, _ = vehicle.run_scenario("optimized", seed=seed, setup=setup)
+            capped += int(np.count_nonzero([rec.diagnostics.g_fallback for rec in trace]))
+            assert not np.isnan(trace.kkt_residual[1:]).any()
+        assert len(decided) == 10 * 299 and all(decided) and not fallbacks
+        assert capped == 17
 
 
 def rk4_reference(state, u):
@@ -322,21 +394,19 @@ class TestScenario:
 
     def test_plants_on_one_setup_keep_their_own_context(self, setup):
         # Observed alternately, a plant near the leader (phase 2) and one far
-        # behind it (phase 1) each build their own phase's rollout QP.
+        # behind it (phase 1) each take their own phase's rollout map.
         near = vehicle._RoadPlant(setup.model, vehicle.VehicleParams(initial_gap_m=90.0), 0,
                                   setup.builder, 3)
         far = vehicle._RoadPlant(setup.model, setup.params, 1, setup.builder, 3)
-        candidate, theta_hat = np.zeros(20), np.zeros(2)
         for t in range(3):
-            x_near, x_far = near.observe(t)[1], far.observe(t)[1]
+            near.observe(t)
+            far.observe(t)
             assert (near.phase, far.phase) == (2, 1)
-            rollout = near.build(x_near, candidate, theta_hat)
-            assert rollout.solver is setup.builder.slack_solver
-            assert np.array_equal(rollout.ineq_offsets, setup.builder.soft_safety_rows(
-                x_near, candidate, near.gap_meas, near.est_speed_dev))
-            rollout = far.build(x_far, candidate, theta_hat)
-            assert rollout.solver is setup.builder._phase_builders[1].solver
-            assert rollout.ineq_offsets is None
+            rollout_map, shift = near.rollout()
+            assert rollout_map is setup.builder.maps[2]
+            assert np.array_equal(shift, near.gap_meas
+                                  + vehicle.TAU * np.arange(11) * near.est_speed_dev)
+            assert far.rollout() == (setup.builder.maps[1], None)
             near.advance(np.zeros(2))
             far.advance(np.zeros(2))
 
@@ -345,9 +415,9 @@ class TestScenario:
         # after a run of each variant.
         shared = vehicle.vehicle_setup.__wrapped__(vehicle.VehicleParams())
         builder = shared.builder
-        parts = [builder, builder.slack_solver]
-        for phase_builder in builder._phase_builders.values():
-            parts += [phase_builder, phase_builder.solver]
+        parts = [builder]
+        for rollout_map in builder.maps.values():
+            parts += [rollout_map, rollout_map.solver]
 
         def snapshot():
             return [{name: value.copy() if isinstance(value, np.ndarray) else value

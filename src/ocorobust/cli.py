@@ -39,7 +39,6 @@ from .simkit import (
     SimulationAborted,
     invariant_report,
     regret_scaling_experiment,
-    replicate_map,
     run_closed_loop,
 )
 
@@ -289,14 +288,6 @@ def write_ledger_csv(path, trace, ledger):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _generic_worker(model, tables, manifold, controller, schedule, policy,
-                    horizon, zeta0, x0, abort):
-    trace, ledger = run_closed_loop(model, tables, manifold, controller, schedule,
-                                    policy, horizon, zeta0=zeta0, x0=x0,
-                                    abort_on_violation=abort)
-    return trace, ledger, None
-
-
 def cmd_run(args):
     cfg = load_config(args.config, command="run")
     out_dir = Path(args.out or cfg["output"]["out_dir"])
@@ -313,13 +304,8 @@ def cmd_run(args):
         params = _vehicle_params(cfg)
         setup = vehicle.vehicle_setup(params)
         model = setup.model
-        worker = vehicle.run_scenario
-        jobs = [(cfg["controller"]["variant"], base_seed + i, params, horizon)
-                for i in range(n_seeds)]
-        tables = setup.tables
     else:
-        cfg_m = _model_config(cfg)
-        model = build_model(cfg_m)
+        model = build_model(_model_config(cfg))
         tables = build_tightening(model)
         manifold = steady_state_manifold(model, model.p_rpi, shrink=cfg["controller"]["shrink"])
         schedule = _schedule(cfg)
@@ -329,20 +315,28 @@ def cmd_run(args):
         zeta0 = (model.g_k @ u0, u0)
         x0 = cfg["model"].get("x0")
         abort = cfg["experiment"]["abort_on_violation"]
-        worker = _generic_worker
-        jobs = []
-        for i in range(n_seeds):
-            policy = DisturbancePolicy(kind=cfg["disturbance"]["kind"],
-                                       seed=base_seed + i,
-                                       scale=cfg["disturbance"]["scale"])
-            jobs.append((model, tables, manifold, controller, schedule, policy,
-                         horizon, zeta0, x0, abort))
-    try:
-        results = replicate_map(worker, jobs)
-    except SimulationAborted as exc:
-        write_trace_csv(out_dir / "trace_partial.csv", exc.trace)
-        print(f"aborted: seed {base_seed + exc.replicate}: {exc}", file=sys.stderr)
-        return 1
+
+    results = []
+    for i in range(n_seeds):
+        seed = base_seed + i
+        try:
+            if scenario == "vehicle":
+                results.append(vehicle.run_scenario(cfg["controller"]["variant"], seed, params,
+                                                    horizon, setup=setup))
+            else:
+                policy = DisturbancePolicy(kind=cfg["disturbance"]["kind"], seed=seed,
+                                           scale=cfg["disturbance"]["scale"])
+                trace, ledger = run_closed_loop(model, tables, manifold, controller, schedule,
+                                                policy, horizon, zeta0=zeta0, x0=x0,
+                                                abort_on_violation=abort)
+                results.append((trace, ledger, None))
+        except SimulationAborted as exc:
+            write_trace_csv(out_dir / "trace_partial.csv", exc.trace)
+            print(f"aborted: seed {seed}: {exc}", file=sys.stderr)
+            return 1
+        except OcoRobustError as exc:
+            print(f"error: seed {seed}: {exc}", file=sys.stderr)
+            return 1
 
     total_violations, report_lines, regrets = 0, [], []
     for i, (trace, ledger, metrics) in enumerate(results):

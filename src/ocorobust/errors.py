@@ -1,10 +1,4 @@
-"""Exception types shared across the toolkit.
-
-An error whose ``__init__`` requires other arguments than the message it
-passes to ``Exception`` defines ``__reduce__``, so that it pickles: a
-replicate that fails in a worker process is re-raised in the parent with its
-own type.
-"""
+"""Exception types shared across the toolkit."""
 
 
 class OcoRobustError(Exception):
@@ -35,9 +29,6 @@ class AssumptionViolation(OcoRobustError):
         self.checks = list(checks)
         super().__init__(f"{name}: {message}")
 
-    def __reduce__(self):
-        return type(self), (self.name, self.detail, self.label, self.checks)
-
 
 class InfeasibleError(OcoRobustError):
     """A feasibility problem (QP, set emptiness, projection) has no solution."""
@@ -54,9 +45,6 @@ class StepError(OcoRobustError):
         self.t = t
         self.cause = cause
         super().__init__(f"controller step t={t} failed: {cause}")
-
-    def __reduce__(self):
-        return type(self), (self.t, self.cause)
 
 
 class ConfigError(OcoRobustError):

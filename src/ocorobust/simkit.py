@@ -18,9 +18,7 @@ bit as the step-by-step run's (see ``closed_loop``).
 from __future__ import annotations
 
 import copy
-import functools
 import math
-import os
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -98,9 +96,6 @@ class SimulationAborted(OcoRobustError):
     def __init__(self, message, trace, ledger, t):
         self.reason, self.trace, self.ledger, self.t = message, trace, ledger, t
         super().__init__(f"simulation aborted at t={t}: {message}")
-
-    def __reduce__(self):  # see ``errors``: pickles across the process pool
-        return type(self), (self.reason, self.trace, self.ledger, self.t)
 
 
 def _running_sum(x):
@@ -636,40 +631,6 @@ class PiecewiseSchedule:
 
     def cost_at(self, t):
         return self.pieces[bisect_right(self._starts, t) - 1][1]
-
-
-def max_workers(n_jobs):
-    env = os.environ.get("OCO_MAX_THREADS")
-    try:
-        cap = min(os.cpu_count() or 1, 8) if env is None else max(1, int(env))
-    except ValueError:
-        cap = 1
-    return max(1, min(cap, n_jobs))
-
-
-def _in_order(calls):
-    results = []
-    for i, call in enumerate(calls):
-        try:
-            results.append(call())
-        except SimulationAborted as exc:
-            exc.replicate = i
-            raise
-    return results
-
-
-def replicate_map(fn, args_list):
-    """Run fn over argument tuples, in order, optionally across processes.
-    A run's ``SimulationAborted`` reaches the caller with ``replicate``, its index."""
-    args_list = list(args_list)
-    workers = max_workers(len(args_list))
-    if workers <= 1 or len(args_list) <= 1:
-        return _in_order(functools.partial(fn, *args) for args in args_list)
-    from concurrent.futures import ProcessPoolExecutor  # pays its import only here
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, *args) for args in args_list]
-        return _in_order(future.result for future in futures)
 
 
 @dataclass(frozen=True)

@@ -509,11 +509,9 @@ class TestFloatBounds:
 
 
 class TestAbortNamesSeed:
-    @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_abort_line_names_the_seed(self, tmp_path, monkeypatch, capsys, workers):
+    def test_abort_line_names_the_seed(self, tmp_path, capsys):
         # With no slack left in the membership tolerance, seed 0 of the
         # bundled double integrator finishes and seed 1 aborts at t=153.
-        monkeypatch.setenv("OCO_MAX_THREADS", workers)
         text = (CONFIGS / "double_integrator.cfg").read_text()
         cfg = write_cfg(tmp_path, text.replace("seeds = 1", "seeds = 2").replace(
             "variant = explicit", "variant = explicit\nmembership_tol = -1.0"))
@@ -521,6 +519,21 @@ class TestAbortNamesSeed:
         err = capsys.readouterr().err
         assert err.startswith("aborted: seed 1: simulation aborted at t=153: ")
         assert len((tmp_path / "o" / "trace_partial.csv").read_text().splitlines()) == 1 + 153
+        # the seed that finished leaves no CSV, and no report is written
+        assert [p.name for p in (tmp_path / "o").iterdir()] == ["trace_partial.csv"]
+
+    def test_failed_initialization_names_the_seed(self, tmp_path, capsys):
+        # x_meas = x0 + v[0]: from x0 = -1.91, seed 0 starts inside the
+        # tightened constraints and seed 1 does not.
+        text = MINI_GENERIC.replace("v_halfwidth = [0.02]\n",
+                                    "v_halfwidth = [0.02]\nx0 = [-1.91]\n")
+        one = write_cfg(tmp_path, text)
+        assert main(["run", "--config", one, "--out", str(tmp_path / "one"), "--quiet"]) == 0
+        three = write_cfg(tmp_path, text.replace("seeds = 1", "seeds = 3"), name="three.cfg")
+        assert main(["run", "--config", three, "--out", str(tmp_path / "o"), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed 1: initial plan violates tightened constraints")
+        assert list((tmp_path / "o").iterdir()) == []
 
 
 def test_generic_resid_violations_fail_the_run(tmp_path, monkeypatch, capsys):

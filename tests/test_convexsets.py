@@ -47,8 +47,8 @@ def test_import_leaves_scipy_optimize_unloaded():
 
 
 def test_import_leaves_process_pool_unloaded():
-    # only replicate_map's pool needs concurrent.futures.process; it is
-    # imported there, so a single-process run does not pay for it
+    # the package loads no process pool at all: ``run`` takes its seeds one
+    # after another in its own process
     import ocorobust
 
     env = {**os.environ, "PYTHONPATH": str(Path(ocorobust.__file__).parent.parent)}

@@ -1,19 +1,11 @@
 import copy
 import dataclasses
-import pickle
 
 import numpy as np
 import pytest
 
 from ocorobust import oco_controller as oco
-from ocorobust.errors import (
-    AssumptionViolation,
-    ConfigError,
-    DimensionMismatch,
-    InfeasibleError,
-    OcoRobustError,
-    StepError,
-)
+from ocorobust.errors import DimensionMismatch, InfeasibleError, OcoRobustError
 from ocorobust.oco_controller import ControllerConfig
 from ocorobust.denseqp import PrefactoredQp
 from ocorobust.plant import (
@@ -30,14 +22,12 @@ from ocorobust.simkit import (
     ConstantSchedule,
     DisturbancePolicy,
     PiecewiseSchedule,
-    RegretLedger,
     SimulationAborted,
     _Sampler,
     closed_loop,
     fit_affine,
     invariant_report,
     regret_scaling_experiment,
-    replicate_map,
     run_closed_loop,
 )
 
@@ -773,7 +763,7 @@ class TestRegretScaling:
         assert coeffs is None and r2 is None
 
 
-class TestSchedulesAndWorkers:
+class TestSchedules:
     def test_piecewise_validation(self, di_cost):
         with pytest.raises(ValueError):
             PiecewiseSchedule(((5, di_cost),))
@@ -784,58 +774,3 @@ class TestSchedulesAndWorkers:
         assert sched.cost_at(0) is di_cost
         assert sched.cost_at(9) is di_cost
         assert sched.cost_at(10) is moved
-
-    def test_replicate_map_matches_serial(self, monkeypatch):
-        monkeypatch.setenv("OCO_MAX_THREADS", "2")
-        out = replicate_map(_square, [(i,) for i in range(6)])
-        assert out == [i * i for i in range(6)]
-        monkeypatch.setenv("OCO_MAX_THREADS", "1")
-        assert replicate_map(_square, [(i,) for i in range(6)]) == out
-
-    @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_abort_carries_its_replicate(self, monkeypatch, workers):
-        # Only the second of three runs aborts; serial or pooled, the caller
-        # learns which one.
-        monkeypatch.setenv("OCO_MAX_THREADS", workers)
-        with pytest.raises(SimulationAborted, match="at t=3: boom") as info:
-            replicate_map(_abort_at, [(0,), (3,), (0,)])
-        assert info.value.replicate == 1
-
-    def test_pool_abort_keeps_its_type(self, monkeypatch):
-        # A worker's abort crosses the process pool as itself, with its
-        # partial trace, so the CLI can write trace_partial.csv.
-        monkeypatch.setenv("OCO_MAX_THREADS", "2")
-        with pytest.raises(SimulationAborted, match="at t=3: boom") as info:
-            replicate_map(_abort_at, [(0,), (3,)])
-        assert info.value.t == 3 and info.value.trace == [3]
-        assert info.value.ledger == RegretLedger(cum_regret=3.0)
-
-
-def _square(i):
-    return i * i
-
-
-def _abort_at(t):
-    if t:
-        raise SimulationAborted("boom", [t], RegretLedger(cum_regret=float(t)), t)
-    return t
-
-
-class TestPickling:
-    """Every error with its own ``__init__`` survives a pickle round trip."""
-
-    @pytest.mark.parametrize("error", [
-        SimulationAborted("boom", None, RegretLedger(cum_regret=1.5), 3),
-        StepError(4, ValueError("g has non-finite entries")),
-        AssumptionViolation("horizon", "mu=1 below 2", label="mu >= mu*",
-                            checks=[("S_c full row rank", "")]),
-        ConfigError("expected a float", line=7, field="controller.gamma"),
-    ], ids=lambda e: type(e).__name__)
-    def test_round_trip(self, error):
-        copy_ = pickle.loads(pickle.dumps(error))
-        assert type(copy_) is type(error)
-        assert str(copy_) == str(error)
-        attrs = {k: v for k, v in vars(error).items() if k != "cause"}
-        assert {k: v for k, v in vars(copy_).items() if k != "cause"} == attrs
-        if isinstance(error, StepError):
-            assert type(copy_.cause) is ValueError and str(copy_.cause) == str(error.cause)

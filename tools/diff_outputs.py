@@ -4,11 +4,14 @@
 
 PARENT_DIR and CHANGE_DIR are two checkouts of the repository. In each, every
 call runs in a fresh process, with the checkout as working directory and its
-``src`` on PYTHONPATH: ``ocorobust run`` on the three bundled run configs,
-``regret-sweep`` on ``configs/regret_sweep.cfg`` and ``validate`` on all four
-configs. A call's outputs are the files it writes to ``--out``, its stdout,
-its stderr and its exit code. They go under ``--work`` (by default a
-temporary directory, removed at the end), one directory per side and call.
+``src`` on PYTHONPATH: ``ocorobust run`` on the three bundled run configs and
+on copies of ``double_integrator.cfg`` and ``vehicle_explicit.cfg`` with
+``experiment.seeds = 3``, ``regret-sweep`` on ``configs/regret_sweep.cfg``
+and ``validate`` on all four configs. A call's outputs are the files it
+writes to ``--out``, its stdout, its stderr and its exit code. They go under
+``--work`` (by default a temporary directory, removed at the end), one
+directory per side and call; the multi-seed config copies go to
+``--work``/configs, one directory per side.
 
 For every output file the script prints "identical" when the two sides'
 bytes are equal. Otherwise, for a CSV file with the same header and shape,
@@ -30,20 +33,37 @@ import sys
 import tempfile
 from pathlib import Path
 
+# (command, bundled config, experiment.seeds or None to run the file as is)
 CALLS = (
-    [("run", name) for name in ("double_integrator", "vehicle_explicit", "vehicle_optimized")]
-    + [("regret-sweep", "regret_sweep")]
-    + [("validate", name) for name in ("double_integrator", "regret_sweep",
-                                       "vehicle_explicit", "vehicle_optimized")])
+    [("run", name, None) for name in ("double_integrator", "vehicle_explicit",
+                                      "vehicle_optimized")]
+    + [("run", name, 3) for name in ("double_integrator", "vehicle_explicit")]
+    + [("regret-sweep", "regret_sweep", None)]
+    + [("validate", name, None) for name in ("double_integrator", "regret_sweep",
+                                             "vehicle_explicit", "vehicle_optimized")])
 ABS_TOL, REL_TOL = 1e-9, 1e-6
 
 
+def seeds_copy(checkout, config, seeds, copies):
+    """A copy of ``checkout``'s bundled ``config`` in ``copies`` that runs
+    ``seeds`` seeds; returns its path."""
+    text = Path(checkout, "configs", f"{config}.cfg").read_text()
+    if text.count("\nseeds = 1\n") != 1:
+        raise SystemExit(f"{config}.cfg: no single 'seeds = 1' line to replace")
+    copies.mkdir(parents=True, exist_ok=True)
+    path = copies / f"{config}_seeds{seeds}.cfg"
+    path.write_text(text.replace("\nseeds = 1\n", f"\nseeds = {seeds}\n"))
+    return path.resolve()
+
+
 def run_call(checkout, command, config, out_dir):
-    """Run one CLI call in ``checkout``, leaving all its outputs in ``out_dir``."""
+    """Run one CLI call in ``checkout`` on the config file ``config`` (a path,
+    absolute or relative to the checkout), leaving all its outputs in
+    ``out_dir``."""
     out_dir.mkdir(parents=True)
     env = dict(os.environ, PYTHONPATH=str(Path(checkout, "src").resolve()))
     cmd = [sys.executable, "-m", "ocorobust.cli", command, "--config",
-           f"configs/{config}.cfg", "--out", str(out_dir.resolve())]
+           str(config), "--out", str(out_dir.resolve())]
     proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
     (out_dir / "stdout.txt").write_text(proc.stdout)
     (out_dir / "stderr.txt").write_text(proc.stderr)
@@ -126,8 +146,13 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as tmp:
         work = args.work or Path(tmp)
         for side, checkout in (("parent", args.parent), ("change", args.change)):
-            for command, config in CALLS:
-                run_call(checkout, command, config, work / side / f"{command}_{config}")
+            for command, config, seeds in CALLS:
+                if seeds is None:
+                    path, name = f"configs/{config}.cfg", f"{command}_{config}"
+                else:
+                    path = seeds_copy(checkout, config, seeds, work / "configs" / side)
+                    name = f"{command}_{config}_seeds{seeds}"
+                run_call(checkout, command, path, work / side / name)
         failures = compare(work / "parent", work / "change")
     verdict = f"{failures} file(s) differ" if failures else "no file differs"
     print(f"{verdict} beyond tolerance")

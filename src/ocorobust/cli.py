@@ -37,6 +37,7 @@ from .simkit import (
     DisturbancePolicy,
     PiecewiseSchedule,
     SimulationAborted,
+    check_c_g,
     invariant_report,
     regret_scaling_experiment,
     run_closed_loop,
@@ -315,6 +316,7 @@ def cmd_run(args):
         zeta0 = (model.g_k @ u0, u0)
         x0 = cfg["model"].get("x0")
         abort = cfg["experiment"]["abort_on_violation"]
+    check_c_g(params.c_g if scenario == "vehicle" else controller.effective_c_g(model), model)
 
     results = []
     for i in range(n_seeds):

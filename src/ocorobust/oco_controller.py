@@ -21,6 +21,8 @@ from .plant import QuadraticCost, membership_zu, stage_values, stage_values_line
 
 DEGENERATE_TOL = 1e-12
 PROJECTION_TOL = 1e-9
+RUN_AHEAD_STEPS = 32  # the most steps of a LiftedSteps block
+RUN_AHEAD_GROWTH = 100.0  # the largest norm of F^j a block may use (see LiftedSteps)
 _ONE = np.ones(1)
 
 
@@ -193,6 +195,7 @@ class QuadraticStepMap:
         self.matrix = np.vstack(list(blocks.values()))
         self.tables, self.manifold, self.gamma = tables, manifold, gamma
         self.q_x, self.q_u = cost.q_x, cost.q_u
+        self._lifted = [None, None]  # the LiftedSteps of each law, built on first use
 
     @staticmethod
     def takes(cost):
@@ -208,6 +211,117 @@ class QuadraticStepMap:
     def product(self, x_meas, candidate, cost):
         """The map's rows at (x_meas, candidate) for a cost this map serves."""
         return self.matrix @ np.concatenate((x_meas, candidate, cost.ref_x, cost.ref_u, _ONE))
+
+    def lifted(self, a, b, degenerate):
+        """The map's ``LiftedSteps`` under the degenerate law or the other
+        one, for the plant x+ = A x + B u + w (``a``, ``b``) that its tables
+        were built for; built on first use and kept."""
+        law = int(bool(degenerate))
+        if self._lifted[law] is None:
+            self._lifted[law] = LiftedSteps(self, a, b, law)
+        return self._lifted[law]
+
+
+class LiftedSteps:
+    """Blocks of explicit steps on an LTI plant x+ = A x + B u + w with
+    measurements x + v, each step taken as ``settled_step`` takes it from a
+    ``QuadraticStepMap``'s rows under one law, in closed form.
+
+    The laws: with the reach gap above DEGENERATE_TOL, u and the next
+    candidate plan[m:] are the map's ``u`` and ``plan`` rows; at or below
+    it, u = candidate[:m] + K x_meas and the next candidate is [candidate[m:];
+    eta]. Either way they are affine in [x_meas; candidate; ref_x; ref_u; 1],
+    so a step is affine in s = [x; candidate]: s+ = F s + E [v; w] + C r,
+    with r = [ref_x; ref_u; 1], and the states of a block of steps are MPC's
+    stacked prediction form (Maciejowski, *Predictive Control with
+    Constraints*, 2002, ch. 2):
+
+        s_j = F^j s_0 + sum_{i<j} F^(j-1-i) (E e_i + C r).
+
+    ``free`` stacks [F^j | (F^0 + ... + F^(j-1)) C] for j < ``steps``.
+    Gamma is block Toeplitz, so ``forced`` holds only its blocks (F^k E)',
+    k = steps - 2 down to 0, and ``windows`` indexes row j's noise [e_(j-steps+1);
+    ...; e_(j-1)] (zero before e_0) in a padded copy of the noise. A block's
+    states are then two products (``run``).
+
+    Rounding in F^j grows with its norm, so a block stops before the first
+    power whose Frobenius norm exceeds RUN_AHEAD_GROWTH: ``steps`` is the
+    smallest j >= 1 with ||F^j||_F > RUN_AHEAD_GROWTH, at most
+    RUN_AHEAD_STEPS. Where F itself exceeds it, ``steps`` is 1 and every
+    block is one step, taken from its start state.
+    """
+
+    def __init__(self, step_map, a, b, degenerate):
+        matrix, feedback = step_map.matrix, step_map.tables.feedback
+        n, m = b.shape
+        nv = step_map.g.stop - step_map.g.start
+        ns, cols = n + nv, matrix.shape[1]
+        if degenerate:
+            u = np.zeros((m, cols))
+            u[:, :n], u[:, n:n + m] = feedback, np.eye(m)
+            nxt = np.zeros((nv, cols))
+            nxt[:nv - m, n + m:ns] = np.eye(nv - m)
+            nxt[nv - m:] = matrix[step_map.eta]
+        else:
+            u, nxt = matrix[step_map.u], matrix[step_map.plan][m:]
+        step = np.vstack([b @ u, nxt])  # s+ - [A x + w; 0], from [x_meas; candidate; r]
+        f = step[:, :ns].copy()
+        f[:n, :n] += a
+        e = np.hstack([step[:, :n], np.eye(ns, n)])  # the columns of v and w
+        powers = [np.eye(ns)]
+        while len(powers) < RUN_AHEAD_STEPS:
+            power = f @ powers[-1]
+            if not math.sqrt(np.vdot(power, power)) <= RUN_AHEAD_GROWTH:
+                break
+            powers.append(power)
+        powers = np.array(powers)
+        reach = powers @ step[:, ns:]  # F^j C
+        sums = np.cumsum(np.concatenate([np.zeros((1,) + reach.shape[1:]), reach[:-1]]), axis=0)
+        self.steps = steps = len(powers)
+        self.free = np.concatenate([powers, sums], axis=2).reshape(steps * ns, cols)
+        self.forced = (powers[-2::-1] @ e).transpose(0, 2, 1).reshape(-1, ns)
+        width = 2 * n * (steps - 1)
+        self.windows = np.arange(steps)[:, None] * (2 * n) + np.arange(width)
+        # The map's matrix and slices, not the map, which owns this object.
+        self.matrix, self.degenerate, self.feedback = matrix, bool(degenerate), feedback
+        self.gap, self.g, self.plan, self.eta, self.u = (
+            step_map.gap, step_map.g, step_map.plan, step_map.eta, step_map.u)
+
+    def run(self, x, candidate, cost, v, w):
+        """The ``len(v)`` steps (at most ``steps``) from the plant state
+        ``x`` and the candidate ``candidate`` on ``cost``, with the noise
+        rows ``v`` and ``w`` (the last w is not read); nothing is checked.
+        Non-finite noise makes every row non-finite, so the caller ends the
+        block before it.
+
+        Returns per step: x, x_meas, the map's rows, the plan, u, and
+        (reach gap norm, g_norm).
+        """
+        rows, (n, ns) = len(v), (x.size, self.forced.shape[1])
+        ref = np.concatenate((cost.ref_x, cost.ref_u, _ONE))
+        states = (self.free[:rows * ns] @ np.concatenate((x, candidate, ref))).reshape(rows, ns)
+        if rows > 1:
+            noise = np.zeros((2 * self.steps - 2, 2 * n))
+            noise[self.steps - 1:self.steps + rows - 2] = np.concatenate(
+                (v[:-1], w[:rows - 1]), axis=1)
+            states += noise.take(self.windows[:rows]) @ self.forced
+        z = np.empty((rows, self.matrix.shape[1]))
+        z[:, :n] = x_meas = states[:, :n] + v
+        z[:, n:ns], z[:, ns:] = states[:, n:], ref
+        outs = z @ self.matrix.T
+        norms = np.empty((rows, 2))
+        gap = outs[:, self.gap]
+        norms[:, 0] = np.sqrt(np.einsum("ij,ij->i", gap, gap))
+        if self.degenerate:
+            m = self.feedback.shape[0]
+            plans = np.concatenate([states[:, n:], outs[:, self.eta]], axis=1)
+            u = states[:, n:n + m] + x_meas @ self.feedback.T
+            norms[:, 1] = 0.0
+        else:
+            plans, u = outs[:, self.plan], outs[:, self.u]
+            g = outs[:, self.g]
+            norms[:, 1] = np.sqrt(np.einsum("ij,ij->i", g, g))
+        return states[:, :n], x_meas, outs, plans, u, norms
 
 
 def control_input(state, model, x_meas):

@@ -7,12 +7,15 @@ state of each revealed cost; the controller never reads it, so it is solved
 for the whole run after the loop.
 
 On the LTI plant with the explicit variant, the loop runs ahead over steps
-that keep their cost object: it takes a block of steps from the step map's
-rows, as ``oco.step`` takes a step those rows settle, and checks the block
-after in one pass; the first step the check rejects, and every step of any
-other run, goes through ``oco.step``. A step run ahead still reads only its
-own x_meas and the previous step's cost, and the record is the same to the
-bit as the step-by-step run's (see ``closed_loop``).
+that keep their cost object: it takes a block of steps in closed form from
+the step map's ``oco.LiftedSteps``, as ``oco.step`` takes a step the map's
+rows settle, and checks the block after in one pass; the first step the
+check rejects, and every step of any other run, goes through ``oco.step``.
+A step run ahead still reads only its own x_meas and the previous step's
+cost. The closed form rounds differently from the steps one by one, so the
+record agrees with the step-by-step run's within a stated bound, with the
+same beta, flags and steps run step by step on the bundled configs (see
+``closed_loop``).
 """
 
 from __future__ import annotations
@@ -287,6 +290,14 @@ def check_horizon(horizon):
         raise ValueError("horizon must be at least 1")
 
 
+def check_c_g(c_g, model):
+    """Raise unless the norm cap ``c_g`` covers the explicit input's norm
+    bound ``model.c_g_min``; a config-level check, so callers that run many
+    replicates check once first."""
+    if c_g < model.c_g_min * (1 - 1e-9):
+        raise OcoRobustError(f"c_g={c_g:.3g} below the required norm bound {model.c_g_min:.3g}")
+
+
 def _check_cost(cost, n, m):
     """Raise unless q_x is (n, n), q_u (m, m), ref_x (n,) and ref_u (m,)."""
     got = (cost.q_x.shape, cost.q_u.shape, cost.ref_x.shape, cost.ref_u.shape)
@@ -335,14 +346,18 @@ def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
     On a plant whose ``observe`` and ``advance`` are ``_LtiPlant``'s own,
     with the explicit variant and gamma > 0, the loop runs ahead over steps
     that keep the previous step's cost object and a map that serves it: it
-    takes a block of them as ``oco.step`` takes a step its map's rows settle
-    (``_LtiPlant.ahead``), checks the block in one pass
-    (``oco.settled_rows``) and keeps the steps before the first one the
-    check rejects; that step runs step by step, as every other step does.
-    Step t still reads only x_meas_t and cost t-1. A block is twice as long
-    as the last one when that one was kept whole, else one step, and under
-    ``abort_on_violation`` it is flagged after it is kept (see
-    ``_run_ahead``).
+    takes a block of up to ``oco.RUN_AHEAD_STEPS`` of them in closed form as
+    ``oco.step`` takes a step its map's rows settle (``_LtiPlant.ahead``),
+    checks the block in one pass (``oco.settled_rows``) and keeps the steps
+    before the first one the check rejects, which runs step by step as
+    every other step does, or the first one under the other law, where the
+    next block starts. Step t still reads only x_meas_t and cost t-1. Under
+    ``abort_on_violation`` a block is flagged after it is kept (see
+    ``_run_ahead``). The closed form rounds differently: every float column
+    and ledger total agrees with the run step by step within 1e-12 (1 +
+    |step by step|) on the bundled configs, the regret sweep and drawn
+    models; on the first two, beta, the flags and the steps that run step
+    by step are the same too.
     """
     check_horizon(horizon)
     x_true, x_meas, v, cost_t = plant.observe(0)
@@ -350,9 +365,7 @@ def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
         raise OcoRobustError("x0 violates the state constraints")
     _check_cost(cost_t, model.n, model.m)
     c_g = controller.effective_c_g(model)
-    if c_g < model.c_g_min * (1 - 1e-9):
-        raise OcoRobustError(
-            f"c_g={c_g:.3g} below the required norm bound {model.c_g_min:.3g}")
+    check_c_g(c_g, model)
     state = oco.initialize(model, tables, manifold, zeta0, x_meas)
     u = oco.control_input(state, model, x_meas)
     diag = oco.StepDiagnostics(beta=0.0, g_norm=0.0, pred_state=model.g_k @ state.u_ss,
@@ -361,23 +374,23 @@ def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
     monitors = (model, tables, manifold, c_g)
     step_map = None
     ahead = _runs_ahead(plant, controller)
-    length, serial = 1, False  # the next block's length; the next step runs step by step
+    serial = False  # the next step runs step by step
     record = RunRecord(model.n, model.m, model.mu, horizon)
     t = 0
     while t < horizon:
         if t > 0 and ahead and not serial:
             try:
-                step_map, state, kept, tried = _run_ahead(
-                    plant, record, state, step_map, cost_t, t, min(t + length, horizon),
-                    model, tables, manifold, controller.gamma)
+                step_map, state, kept, serial = _run_ahead(
+                    plant, record, state, step_map, cost_t, t,
+                    min(t + oco.RUN_AHEAD_STEPS, horizon), model, tables, manifold,
+                    controller.gamma)
             except OcoRobustError as exc:
                 raise SimulationAborted(str(exc), record, record.finish(t, monitors, benchmarks),
                                         t) from exc
-            if tried:
+            if kept:
                 if abort_on_violation:
                     _abort_at_violation(record, t, t + kept, monitors, benchmarks)
                 t += kept
-                length, serial = (2 * length, False) if kept == tried else (1, True)
                 continue
         serial = False
         if t > 0:
@@ -432,14 +445,17 @@ def _run_ahead(plant, record, state, step_map, cost, t, stop, model, tables, man
                gamma):
     """Run ``plant`` ahead from step t, to ``stop`` at most, while the steps
     keep the previous step's cost object ``cost``; returns (step map, state,
-    kept, tried).
+    kept, rejected).
 
     The steps' costs come from the plant's schedule and their map from
     ``_step_map``; with a new cost object at t, or no map, nothing runs
-    (tried = 0). Else ``_LtiPlant.ahead`` takes the ``tried`` steps and
-    ``oco.settled_rows`` checks them in one pass. The ``kept`` steps before
-    the first one it rejects go to ``record`` by slices, the plant moves
-    past them and the returned state is the controller's after them.
+    (kept = 0). Else ``_LtiPlant.ahead`` takes a block of steps under the
+    law of its first one and ``oco.settled_rows`` checks them in one pass.
+    The block keeps the ``kept`` steps before the first one the check
+    rejects (then ``rejected`` is True and that step runs step by step) or
+    whose reach gap belongs to the other law (then the next block starts
+    there). They go to ``record`` by slices, the plant moves past them and
+    the returned state is the controller's after them.
     """
     schedule = plant.cost_schedule
     end = t
@@ -448,14 +464,17 @@ def _run_ahead(plant, record, state, step_map, cost, t, stop, model, tables, man
     if end > t:
         step_map = _step_map(step_map, cost, cost, tables, manifold, gamma, t)
     if end == t or step_map is None:
-        return step_map, state, 0, 0
+        return step_map, state, 0, False
     m = model.m
-    x, x_meas, outs, plans, u, norms = plant.ahead(step_map, cost, state.plan[m:], model.k,
-                                                   t, end)
     with np.errstate(all="ignore"):  # a rejected row may hold NaN or inf
-        ok = oco.settled_rows(step_map, manifold, x_meas, outs, norms[:, 0],
-                              model.membership_tol)
-    kept = end - t if ok.all() else int(np.argmin(ok))
+        x, x_meas, outs, plans, u, norms, degenerate = plant.ahead(
+            step_map, cost, state.plan[m:], t, end)
+        settled = oco.settled_rows(step_map, manifold, x_meas, outs, norms[:, 0],
+                                   model.membership_tol)
+        ok = settled & ((norms[:, 0] <= oco.DEGENERATE_TOL) == degenerate)
+    ok[:1] = settled[:1]  # the first step sets the law
+    kept = len(ok) if ok.all() else int(np.argmin(ok))
+    rejected = kept < len(ok) and not settled[kept]
     if kept:
         rows, last = slice(t, t + kept), kept - 1
         record.fill(rows, x_true=x[:kept], x_meas=x_meas[:kept], u=u[:kept], w=plant.w[rows],
@@ -464,11 +483,12 @@ def _run_ahead(plant, record, state, step_map, cost, t, stop, model, tables, man
                     theta_hat=outs[:kept, step_map.theta], eta_hat=outs[:kept, step_map.eta],
                     u_pred=plans[:kept, :-m], u_ss=plans[:kept, -m:], kkt_residual=np.nan,
                     candidate_ok=True, g_fallback=False, costs=cost)
-        plant.x, plant.t = x[kept], t + last
+        plant.x, plant.t = x[last], t + last
+        plant.advance(u[last])
         state = oco.ControllerState(
             plan=plans[last], zeta_hat=(outs[last, step_map.theta], outs[last, step_map.eta]),
             t=t + last)
-    return step_map, state, kept, end - t
+    return step_map, state, kept, rejected
 
 
 class _LtiPlant:
@@ -490,37 +510,32 @@ class _LtiPlant:
         self.x = self.model.a @ self.x + self.model.b @ u + w
         return w
 
-    def ahead(self, step_map, cost, candidate, feedback, t, stop):
-        """Steps t..stop-1 from the plant's state and the shifted plan
-        ``candidate``, each taken as ``oco.step`` takes an explicit step that
-        ``step_map``'s rows settle on ``cost`` (``oco.settled_step``, with the
-        gain ``feedback``) and applied as ``observe`` and ``advance`` would;
-        nothing is checked and the plant does not move.
+    def ahead(self, step_map, cost, candidate, t, stop):
+        """A block of steps from step t, at most to ``stop``, from the
+        plant's state and the shifted plan ``candidate``, each taken as
+        ``oco.step`` takes an explicit step that ``step_map``'s rows settle on
+        ``cost`` (``oco.settled_step``) and applied as ``observe`` and
+        ``advance`` would; nothing is checked and the plant does not move.
 
-        Returns per step: x (one more row: the state after the last step),
-        x_meas, the map's rows, the plan, u, and (reach gap norm, g_norm).
+        The block runs under the law of its first step (its reach gap at or
+        below ``oco.DEGENERATE_TOL``, or above it), in closed form from the
+        map's ``LiftedSteps`` for that law, so it holds at most that object's
+        ``steps`` steps. It ends before the first step whose v is not finite
+        and after the first step whose w is not finite, and so holds no step
+        at all when v_t is not finite.
+
+        Returns per step: x, x_meas, the map's rows, the plan, u and (reach
+        gap norm, g_norm); then whether the law is the degenerate one.
         """
-        a, b = self.model.a, self.model.b
-        m, count = feedback.shape[0], stop - t
-        x = np.empty((count + 1, self.model.n))
-        x_meas = np.empty((count, self.model.n))
-        outs = np.empty((count, step_map.matrix.shape[0]))
-        plans = np.empty((count, candidate.size + m))
-        u = np.empty((count, m))
-        norms = np.empty((count, 2))
-        state = self.x
-        with np.errstate(all="ignore"):  # rows the check rejects may hold NaN or inf
-            for j in range(count):
-                meas = state + self.v[t + j]
-                out = step_map.product(meas, candidate, cost)
-                gap_norm, g, plan, step_u = oco.settled_step(out, step_map, candidate, meas,
-                                                             feedback)
-                x[j], x_meas[j], outs[j], plans[j], u[j] = state, meas, out, plan, step_u
-                norms[j] = gap_norm, math.sqrt(g @ g)
-                state = a @ state + b @ step_u + self.w[t + j]
-                candidate = plan[m:]
-        x[count] = state
-        return x, x_meas, outs, plans, u, norms
+        v, w = self.v[t:stop], self.w[t:stop]
+        finite = np.concatenate([[True], np.logical_and.reduce(np.isfinite(w[:-1]), axis=1)])
+        finite &= np.logical_and.reduce(np.isfinite(v), axis=1)
+        rows = len(finite) if finite.all() else int(np.argmin(finite))
+        gap = step_map.product(self.x + v[0], candidate, cost)[step_map.gap]
+        degenerate = math.sqrt(gap @ gap) <= oco.DEGENERATE_TOL
+        lifted = step_map.lifted(self.model.a, self.model.b, degenerate)
+        rows = min(rows, lifted.steps)
+        return (*lifted.run(self.x, candidate, cost, v[:rows], w[:rows]), degenerate)
 
 
 # The plant methods ``closed_loop`` runs ahead for (see ``_runs_ahead``),

@@ -428,32 +428,49 @@ def both_paths(monkeypatch, step_by_step):
     return seen
 
 
-def assert_records_identical(got, want):
-    """Two runs' (trace, ledger) are the same to the bit: every ``RunRecord``
-    column, every flag column and every ledger total. Costs compare by type
-    and the bytes of their weights and references, and by which rows share
-    a cost object."""
+def _columns(record):
+    return {name: value for name, value in vars(record).items() if isinstance(value, np.ndarray)}
+
+
+def _costs(column):
+    """A cost column by type and the bytes of its weights and references,
+    and by which rows share a cost object."""
+    return ([(type(c), *(np.asarray(getattr(c, f)).tobytes()
+                         for f in ("q_x", "q_u", "ref_x", "ref_u"))) for c in column],
+            [a is b for a, b in zip(column[1:], column[:-1])])
+
+
+def assert_records_agree(got, want, rel=None, exempt=None):
+    """Two runs' (trace, ledger) agree: every float ``RunRecord`` column and
+    every ledger total within ``rel`` (1 + |want|) entrywise, with NaN in the
+    same places, or to the bit when ``rel`` is None; every other column
+    (costs compared by ``_costs``) and every flag column the same, except
+    the rows of a flag that ``exempt`` ({flag: row mask}) marks."""
     (trace, ledger), (trace_ref, ledger_ref) = got, want
-
-    def columns(record):
-        return {name: value for name, value in vars(record).items()
-                if isinstance(value, np.ndarray)}
-
-    def costs(column):
-        return ([(type(c), *(np.asarray(getattr(c, f)).tobytes()
-                             for f in ("q_x", "q_u", "ref_x", "ref_u"))) for c in column],
-                [a is b for a, b in zip(column[1:], column[:-1])])
-
-    mine, ref = columns(trace), columns(trace_ref)
+    mine, ref = _columns(trace), _columns(trace_ref)
     assert mine.keys() == ref.keys()
     for name, column in ref.items():
         assert mine[name].shape == column.shape and mine[name].dtype == column.dtype, name
         if column.dtype == object:
-            assert costs(mine[name]) == costs(column), name
+            assert _costs(mine[name]) == _costs(column), name
+        elif rel is not None and column.dtype.kind == "f":
+            _assert_close_or_nan(mine[name], column, rel, name)
         else:
             assert mine[name].tobytes() == column.tobytes(), name
     assert trace.flags.keys() == trace_ref.flags.keys()
     for name, column in trace_ref.flags.items():
-        assert trace.flags[name].tobytes() == column.tobytes(), name
-    totals = [np.array(dataclasses.astuple(x)).tobytes() for x in (ledger, ledger_ref)]
-    assert totals[0] == totals[1], (ledger, ledger_ref)
+        free = (exempt or {}).get(name, False)
+        assert np.array_equal(trace.flags[name] | free, column | free), name
+    totals = [np.array(dataclasses.astuple(x)) for x in (ledger, ledger_ref)]
+    if rel is None:
+        assert totals[0].tobytes() == totals[1].tobytes(), (ledger, ledger_ref)
+    else:
+        _assert_close_or_nan(totals[0], totals[1], rel, "ledger")
+
+
+def _assert_close_or_nan(got, want, rel, what):
+    """NaN in the same places, and ``assert_close`` elsewhere."""
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan), what
+    assert_close(got[~nan], want[~nan], rel, what)
+

@@ -565,6 +565,13 @@ class TestVehicleRuns:
         assert "[FAIL] c_g covers the explicit-solution norm" in out
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "v"), "--quiet"]) == 1
         assert "c_g=0 below the required norm bound" in capsys.readouterr().err
+        # a config-level fault: checked once before the seeds, naming none
+        cfg = write_cfg(tmp_path, VEHICLE_SHORT.replace("c_g = 1000.0", "c_g = 0.0")
+                        .replace("seeds = 1", "seeds = 3"))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "s"), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: c_g=0 below the required norm bound ") and "seed" not in err
+        assert err.count("\n") == 1 and not any((tmp_path / "s").iterdir())
 
     def test_variant_override(self, tmp_path):
         cfg = write_cfg(tmp_path, VEHICLE_SHORT)

@@ -34,6 +34,7 @@ from ocorobust.simkit import (
 from conftest import (
     assert_benchmark_matches_per_row,
     assert_ledger_matches_reference,
+    assert_records_agree,
     zonotope_contains,
 )
 
@@ -284,11 +285,10 @@ class TestEngine:
         t2, l2 = run_closed_loop(model, tables, manifold, controller, schedule,
                                  DisturbancePolicy(kind="zero"), 40, zeta0=zeta0,
                                  x0=zeta0[0])
-        assert np.array_equal(trace_arrays(t1), trace_arrays(t2))
-        assert [r.invariant_flags for r in t1] == [r.invariant_flags for r in t2]
-        for name in ("cost", "benchmark_cost", "benchmark_theta", "benchmark_eta"):
-            assert np.array_equal(getattr(t1, name), getattr(t2, name))
-        assert (l1.cum_regret, l1.path_length) == (l2.cum_regret, l2.path_length)
+        # run_closed_loop runs the LTI plant ahead in closed form, which
+        # rounds differently from the minimal plant's steps one by one.
+        assert_records_agree((t2, l2), (t1, l1), 1e-12)
+        assert t1.beta.tobytes() == t2.beta.tobytes()
 
     @pytest.mark.parametrize("horizon", [0, -1])
     def test_horizon_below_one_rejected(self, di_bundle, di_cost, horizon):

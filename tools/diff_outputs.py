@@ -18,8 +18,10 @@ bytes are equal. Otherwise, for a CSV file with the same header and shape,
 it prints per column the largest |a - b| / (1e-9 + 1e-6 |a|), a the parent's
 value (a ledger's total line "# name = value" counts as a cell of column
 "name"); a ratio above 1, a differing non-numeric cell, any other differing
-file or a file on one side only is a failure. The exit code is 1 when any
-file fails, else 0.
+file or a file on one side only is a failure. The last line gives the
+largest ratio over all CSV files with its file and column (0 when every
+compared cell is equal), so a roundoff change is declared by that one
+number. The exit code is 1 when any file fails, else 0.
 """
 
 from __future__ import annotations
@@ -109,8 +111,10 @@ def csv_ratios(parent, change):
 
 
 def compare(parent_dir, change_dir):
-    """Print one line per output file; returns the number of failures."""
-    failures = 0
+    """Print one line per output file; returns the number of failures and
+    the largest CSV ratio as (ratio, file, column), file and column None
+    when no cell differs."""
+    failures, largest = 0, (0.0, None, None)
     names = sorted({p.relative_to(parent_dir) for p in parent_dir.rglob("*") if p.is_file()}
                    | {p.relative_to(change_dir) for p in change_dir.rglob("*") if p.is_file()})
     for name in names:
@@ -129,11 +133,12 @@ def compare(parent_dir, change_dir):
                 failures += 1
                 print(f"{name}: FAIL, {ratios}")
                 continue
-            worst = max(ratios.values())
+            column, worst = max(ratios.items(), key=lambda item: item[1])
+            largest = max(largest, (worst, str(name), column), key=lambda item: item[0])
             failures += worst > 1.0
             detail = ", ".join(f"{c} {r:.3g}" for c, r in ratios.items() if r > 0.0)
             print(f"{name}: {'FAIL' if worst > 1.0 else 'within tolerance'} ({detail})")
-    return failures
+    return failures, largest
 
 
 def main(argv=None):
@@ -153,9 +158,11 @@ def main(argv=None):
                     path = seeds_copy(checkout, config, seeds, work / "configs" / side)
                     name = f"{command}_{config}_seeds{seeds}"
                 run_call(checkout, command, path, work / side / name)
-        failures = compare(work / "parent", work / "change")
+        failures, (ratio, name, column) = compare(work / "parent", work / "change")
     verdict = f"{failures} file(s) differ" if failures else "no file differs"
     print(f"{verdict} beyond tolerance")
+    where = f" ({name}, column {column})" if name else ""
+    print(f"largest ratio: {ratio:.3g}{where}")
     return 1 if failures else 0
 
 

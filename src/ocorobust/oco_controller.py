@@ -215,7 +215,9 @@ class QuadraticStepMap:
     def lifted(self, a, b, degenerate):
         """The map's ``LiftedSteps`` under the degenerate law or the other
         one, for the plant x+ = A x + B u + w (``a``, ``b``) that its tables
-        were built for; built on first use and kept."""
+        were built for; built on the first call for that law and kept. The
+        tables belong to one model, so every call passes that model's A and
+        B, and later calls do not read them."""
         law = int(bool(degenerate))
         if self._lifted[law] is None:
             self._lifted[law] = LiftedSteps(self, a, b, law)
@@ -242,7 +244,8 @@ class LiftedSteps:
     Gamma is block Toeplitz, so ``forced`` holds only its blocks (F^k E)',
     k = steps - 2 down to 0, and ``windows`` indexes row j's noise [e_(j-steps+1);
     ...; e_(j-1)] (zero before e_0) in a padded copy of the noise. A block's
-    states are then two products (``run``).
+    states are then two products (``run``). The object keeps only these
+    arrays: ``run`` takes the map, which owns it, for its rows.
 
     Rounding in F^j grows with its norm, so a block stops before the first
     power whose Frobenius norm exceeds RUN_AHEAD_GROWTH: ``steps`` is the
@@ -282,15 +285,13 @@ class LiftedSteps:
         self.forced = (powers[-2::-1] @ e).transpose(0, 2, 1).reshape(-1, ns)
         width = 2 * n * (steps - 1)
         self.windows = np.arange(steps)[:, None] * (2 * n) + np.arange(width)
-        # The map's matrix and slices, not the map, which owns this object.
-        self.matrix, self.degenerate, self.feedback = matrix, bool(degenerate), feedback
-        self.gap, self.g, self.plan, self.eta, self.u = (
-            step_map.gap, step_map.g, step_map.plan, step_map.eta, step_map.u)
+        self.degenerate = bool(degenerate)
 
-    def run(self, x, candidate, cost, v, w):
+    def run(self, step_map, x, candidate, cost, v, w):
         """The ``len(v)`` steps (at most ``steps``) from the plant state
         ``x`` and the candidate ``candidate`` on ``cost``, with the noise
-        rows ``v`` and ``w`` (the last w is not read); nothing is checked.
+        rows ``v`` and ``w`` (the last w is not read), and their rows of
+        ``step_map``, the map this object was built for; nothing is checked.
         Non-finite noise makes every row non-finite, so the caller ends the
         block before it.
 
@@ -305,21 +306,22 @@ class LiftedSteps:
             noise[self.steps - 1:self.steps + rows - 2] = np.concatenate(
                 (v[:-1], w[:rows - 1]), axis=1)
             states += noise.take(self.windows[:rows]) @ self.forced
-        z = np.empty((rows, self.matrix.shape[1]))
+        z = np.empty((rows, step_map.matrix.shape[1]))
         z[:, :n] = x_meas = states[:, :n] + v
         z[:, n:ns], z[:, ns:] = states[:, n:], ref
-        outs = z @ self.matrix.T
+        outs = z @ step_map.matrix.T
         norms = np.empty((rows, 2))
-        gap = outs[:, self.gap]
+        gap = outs[:, step_map.gap]
         norms[:, 0] = np.sqrt(np.einsum("ij,ij->i", gap, gap))
         if self.degenerate:
-            m = self.feedback.shape[0]
-            plans = np.concatenate([states[:, n:], outs[:, self.eta]], axis=1)
-            u = states[:, n:n + m] + x_meas @ self.feedback.T
+            feedback = step_map.tables.feedback
+            m = feedback.shape[0]
+            plans = np.concatenate([states[:, n:], outs[:, step_map.eta]], axis=1)
+            u = states[:, n:n + m] + x_meas @ feedback.T
             norms[:, 1] = 0.0
         else:
-            plans, u = outs[:, self.plan], outs[:, self.u]
-            g = outs[:, self.g]
+            plans, u = outs[:, step_map.plan], outs[:, step_map.u]
+            g = outs[:, step_map.g]
             norms[:, 1] = np.sqrt(np.einsum("ij,ij->i", g, g))
         return states[:, :n], x_meas, outs, plans, u, norms
 

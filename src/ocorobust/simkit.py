@@ -12,10 +12,10 @@ the step map's ``oco.LiftedSteps``, as ``oco.step`` takes a step the map's
 rows settle, and checks the block after in one pass; the first step the
 check rejects, and every step of any other run, goes through ``oco.step``.
 A step run ahead still reads only its own x_meas and the previous step's
-cost. The closed form rounds differently from the steps one by one, so the
-record agrees with the step-by-step run's within a stated bound, with the
-same beta, flags and steps run step by step on the bundled configs (see
-``closed_loop``).
+cost. A block's first step is the step-by-step step to the bit; the closed
+form of the others rounds differently, so the record agrees with the
+step-by-step run's within a stated bound, with the same beta, flags and
+steps run step by step on the bundled configs (see ``closed_loop``).
 """
 
 from __future__ import annotations
@@ -33,6 +33,11 @@ from .errors import DimensionMismatch, OcoRobustError, StepError
 from .plant import SteadyStateBenchmark, optimal_steady_state, worst_stage_residuals
 
 TUBE_TOL = 1e-6
+# tube_marginal asks the tube margin to clear -tube_band by more than
+# rounding: a prediction on the band's edge in exact arithmetic (tube_band =
+# 0 under a deadbeat K, where a settled plan's margin is 0) stays clear
+# whichever way its products round.
+MARGINAL_TOL = 1e-12
 BETA_WINDOW_MARGIN = 1e-6
 BETA_DISTANCE_FLOOR = 1e-6
 
@@ -270,7 +275,8 @@ def _step_flags(record, monitors, lo, hi):
         margin = model.tube_margin(record.pred_state[first:hi]
                                    - record.u_ss[first - 1:hi - 1] @ model.g_k.T)
         tube_ok[first - lo:] = margin <= TUBE_TOL
-        tube_marginal[first - lo:] = tube_ok[first - lo:] & (margin > -model.tube_band)
+        tube_marginal[first - lo:] = tube_ok[first - lo:] & (
+            margin + model.tube_band > MARGINAL_TOL)
     return {
         "state_ok": model.x_set.violations(record.x_true[rows]) <= tol,
         "input_ok": model.u_set.violations(record.u[rows]) <= tol,
@@ -353,11 +359,16 @@ def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
     every other step does, or the first one under the other law, where the
     next block starts. Step t still reads only x_meas_t and cost t-1. Under
     ``abort_on_violation`` a block is flagged after it is kept (see
-    ``_run_ahead``). The closed form rounds differently: every float column
-    and ledger total agrees with the run step by step within 1e-12 (1 +
-    |step by step|) on the bundled configs, the regret sweep and drawn
-    models; on the first two, beta, the flags and the steps that run step
-    by step are the same too.
+    ``_run_ahead``). A block's first step is the step-by-step step to the
+    bit; the closed form of the others rounds differently: every float
+    column and ledger total agrees with the run step by step within 1e-12
+    (1 + |step by step|), and beta, the flags and the steps that run step by
+    step are the same, on the bundled configs, the regret sweep and drawn
+    models. Beta may differ in its last bits only on a step-by-step step
+    after a block of two or more steps whose ``max_beta`` ratio is strictly
+    inside (0, 1). ``MARGINAL_TOL`` keeps rounding from setting
+    ``tube_marginal`` where the tube margin sits on -tube_band in exact
+    arithmetic.
     """
     check_horizon(horizon)
     x_true, x_meas, v, cost_t = plant.observe(0)
@@ -518,11 +529,14 @@ class _LtiPlant:
         ``advance`` would; nothing is checked and the plant does not move.
 
         The block runs under the law of its first step (its reach gap at or
-        below ``oco.DEGENERATE_TOL``, or above it), in closed form from the
-        map's ``LiftedSteps`` for that law, so it holds at most that object's
-        ``steps`` steps. It ends before the first step whose v is not finite
-        and after the first step whose w is not finite, and so holds no step
-        at all when v_t is not finite.
+        below ``oco.DEGENERATE_TOL``, or above it). That step is taken as
+        ``oco.step`` takes it, from the map's product at the plant's state,
+        so it is the step-by-step step to the bit; the block's other steps
+        come in closed form from the map's ``LiftedSteps`` for that law, so
+        the block holds at most that object's ``steps`` steps. It ends
+        before the first step whose v is not finite and after the first step
+        whose w is not finite, and so holds no step at all when v_t is not
+        finite.
 
         Returns per step: x, x_meas, the map's rows, the plan, u and (reach
         gap norm, g_norm); then whether the law is the degenerate one.
@@ -531,11 +545,18 @@ class _LtiPlant:
         finite = np.concatenate([[True], np.logical_and.reduce(np.isfinite(w[:-1]), axis=1)])
         finite &= np.logical_and.reduce(np.isfinite(v), axis=1)
         rows = len(finite) if finite.all() else int(np.argmin(finite))
-        gap = step_map.product(self.x + v[0], candidate, cost)[step_map.gap]
-        degenerate = math.sqrt(gap @ gap) <= oco.DEGENERATE_TOL
+        x_meas = self.x + v[0]
+        out = step_map.product(x_meas, candidate, cost)
+        gap_norm, g, plan, u = oco.settled_step(out, step_map, candidate, x_meas, self.model.k)
+        degenerate = gap_norm <= oco.DEGENERATE_TOL
         lifted = step_map.lifted(self.model.a, self.model.b, degenerate)
         rows = min(rows, lifted.steps)
-        return (*lifted.run(self.x, candidate, cost, v[:rows], w[:rows]), degenerate)
+        xs, x_metas, outs, plans, us, norms = lifted.run(step_map, self.x, candidate, cost,
+                                                         v[:rows], w[:rows])
+        if rows:  # the first step as oco.step takes it, to the bit
+            xs[0], x_metas[0], outs[0], plans[0], us[0] = self.x, x_meas, out, plan, u
+            norms[0] = gap_norm, math.sqrt(g @ g)
+        return xs, x_metas, outs, plans, us, norms, degenerate
 
 
 # The plant methods ``closed_loop`` runs ahead for (see ``_runs_ahead``),

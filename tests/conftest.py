@@ -440,12 +440,11 @@ def _costs(column):
             [a is b for a, b in zip(column[1:], column[:-1])])
 
 
-def assert_records_agree(got, want, rel=None, exempt=None):
+def assert_records_agree(got, want, rel=None):
     """Two runs' (trace, ledger) agree: every float ``RunRecord`` column and
     every ledger total within ``rel`` (1 + |want|) entrywise, with NaN in the
     same places, or to the bit when ``rel`` is None; every other column
-    (costs compared by ``_costs``) and every flag column the same, except
-    the rows of a flag that ``exempt`` ({flag: row mask}) marks."""
+    (costs compared by ``_costs``) and every flag column the same."""
     (trace, ledger), (trace_ref, ledger_ref) = got, want
     mine, ref = _columns(trace), _columns(trace_ref)
     assert mine.keys() == ref.keys()
@@ -459,8 +458,7 @@ def assert_records_agree(got, want, rel=None, exempt=None):
             assert mine[name].tobytes() == column.tobytes(), name
     assert trace.flags.keys() == trace_ref.flags.keys()
     for name, column in trace_ref.flags.items():
-        free = (exempt or {}).get(name, False)
-        assert np.array_equal(trace.flags[name] | free, column | free), name
+        assert np.array_equal(trace.flags[name], column), name
     totals = [np.array(dataclasses.astuple(x)) for x in (ledger, ledger_ref)]
     if rel is None:
         assert totals[0].tobytes() == totals[1].tobytes(), (ledger, ledger_ref)

@@ -124,8 +124,10 @@ def reference_run(model, tables, manifold, schedule, policy, horizon, zeta0, x0,
     tube = np.full(horizon, -np.inf)
     tube[1:] = model.tube_margins(cols["pred_state"][1:] - cols["u_ss"][:-1] @ g_k.T)
     margins["tube_ok"] = tube - simkit.TUBE_TOL
-    # marginal: inside the tube and above -tube_band, i.e. both margins <= 0
-    margins["tube_marginal"] = np.maximum(margins["tube_ok"], -(tube + model.tube_band))
+    # marginal: inside the tube and above -tube_band by more than
+    # MARGINAL_TOL, i.e. both margins <= 0
+    margins["tube_marginal"] = np.maximum(margins["tube_ok"],
+                                          simkit.MARGINAL_TOL - (tube + model.tube_band))
     margins["tube_marginal"][0] = np.inf
     return cols, margins
 

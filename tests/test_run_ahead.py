@@ -6,7 +6,8 @@ steps in closed form from the step map's ``LiftedSteps`` (the steps as
 ``oco.step`` takes one whose map rows settle it), checks the block after in
 one pass (``oco.settled_rows``) and hands the first rejected step to
 ``oco.step``. Every run here is compared with the same run on a
-``conftest.StepByStep`` plant, which runs step by step. The closed form
+``conftest.StepByStep`` plant, which runs step by step. A block's first
+step is the step-by-step step to the bit, but the closed form of the others
 rounds differently from the step-by-step products, so every float column
 and ledger total must agree within REL (1 + |step by step|); beta, every
 flag column, the cost objects and the steps ``oco.step`` takes must be the
@@ -80,27 +81,16 @@ def outcome(run):
         return type(exc), str(exc), None
 
 
-def assert_outcomes_agree(got, want, exact=True, exempt=None):
-    """Two outcomes agree (``conftest.assert_records_agree`` within REL, with
-    ``exempt`` flag rows); with ``exact``, beta is the same to the bit."""
+def assert_outcomes_agree(got, want):
+    """Two outcomes agree: ``conftest.assert_records_agree`` within REL, and
+    beta the same to the bit."""
     assert len(got) == len(want)
     if len(want) == 3:
         assert got == want
         return
     assert got[:-2] == want[:-2]
-    assert_records_agree(got[-2:], want[-2:], REL, exempt)
-    if exact:
-        assert got[-2].beta.tobytes() == want[-2].beta.tobytes()
-
-
-def tube_ties(record, model):
-    """The rows whose tube margin sits within REL of the ``tube_marginal``
-    flag's bound -tube_band, where rounding alone may set or clear it (on
-    drawn models with tube_band = 0, a settled plan's margin is 0 in exact
-    arithmetic)."""
-    margin = np.full(len(record), np.inf)
-    margin[1:] = model.tube_margins(record.pred_state[1:] - record.u_ss[:-1] @ model.g_k.T)
-    return np.abs(margin + model.tube_band) <= REL
+    assert_records_agree(got[-2:], want[-2:], REL)
+    assert got[-2].beta.tobytes() == want[-2].beta.tobytes()
 
 
 def expected_serial_steps(record, model, tables, manifold, gamma):
@@ -123,12 +113,10 @@ def expected_serial_steps(record, model, tables, manifold, gamma):
     return steps
 
 
-def run_both(monkeypatch, run, exact=True):
+def run_both(monkeypatch, run):
     """The outcome of ``run()`` as it stands and with every LTI plant step by
     step, and the steps ``oco.step`` took in the first. For a run that ends,
-    those are the steps ``expected_serial_steps`` finds in the step-by-step run.
-    Without ``exact``, beta need only agree within REL and ``tube_marginal``
-    may differ on ``tube_ties``."""
+    those are the steps ``expected_serial_steps`` finds in the step-by-step run."""
     loops = []
 
     def captured(model, tables, manifold, controller, *args, **kwargs):
@@ -143,10 +131,7 @@ def run_both(monkeypatch, run, exact=True):
         patch.setattr(simkit, "_LtiPlant", StepByStep)
         patch.setattr(simkit, "closed_loop", captured)
         serial = outcome(run)
-    exempt = None
-    if not exact and len(serial) > 3:
-        exempt = {"tube_marginal": tube_ties(serial[-2], loops[-1][0])}
-    assert_outcomes_agree(ahead, serial, exact, exempt)
+    assert_outcomes_agree(ahead, serial)
     if len(serial) == 2:
         assert steps == expected_serial_steps(serial[0], *loops[-1])
     return ahead, steps
@@ -243,7 +228,7 @@ def test_drawn_models(monkeypatch):
         for policy in (DisturbancePolicy(seed=3), DisturbancePolicy(kind="worst_corner")):
             _, steps = run_both(monkeypatch, lambda: simkit.run_closed_loop(
                 model, tables, manifold, controller, schedule, policy, 60, zeta0=zeta0,
-                x0=zeta0[0]), exact=False)
+                x0=zeta0[0]))
             ran.append(len(steps))
 
     check()
@@ -251,32 +236,44 @@ def test_drawn_models(monkeypatch):
     assert len(ran) >= 12 and sum(steps <= 2 for steps in ran) >= len(ran) // 2
 
 
-def test_non_contracting_model(monkeypatch):
-    # A model with K from the discrete Riccati equation, as drawn models
-    # have it, whose settled steps are not contracting: ||F^j||_F passes
-    # RUN_AHEAD_GROWTH at j = 12 under the map's settled law and j = 20
-    # under the degenerate one, so blocks stop there. Runs on two pieces of
-    # the first weights and one of others agree with the steps one by one.
-    a = np.array([[-1.447, 4.85], [-1.195, -0.441]])
+@pytest.mark.parametrize("scale, box, noise, steps, serial", [(1.0, 5.0, 0.01, [12, 20], 45),
+                                                              (8.0, 50.0, 0.001, [1, 1], 57)])
+def test_non_contracting_model(monkeypatch, scale, box, noise, steps, serial):
+    # Models with K from the discrete Riccati equation, as drawn models have
+    # it, whose settled steps are not contracting. With A as drawn, ||F^j||_F
+    # passes RUN_AHEAD_GROWTH at j = 12 under the map's settled law and j = 20
+    # under the degenerate one, so blocks stop there; with A eight times
+    # that, F itself passes it, every block is its first step, taken as
+    # oco.step takes it, and the run is the step-by-step run to the bit (its
+    # projections keep an S-bar facet active from step 4 on, so only steps 1
+    # to 3 run ahead). Runs on two pieces of the first weights and one of
+    # others agree with the steps one by one.
+    a = scale * np.array([[-1.447, 4.85], [-1.195, -0.441]])
     b = np.array([[0.748], [0.689]])
     p = solve_discrete_are(a, b, np.eye(2), np.eye(1))
     k = -np.linalg.solve(np.eye(1) + b.T @ p @ b, b.T @ p @ a)
     model, tables, manifold = build(ModelConfig(
-        a=a, b=b, k=k, mu=5, x_set=HPolytope.box([-5.0, -5.0], [5.0, 5.0]),
-        u_set=HPolytope.box([-5.0], [5.0]), w_set=Zonotope.box([0.01, 0.01]),
-        v_set=Zonotope.box([0.01, 0.01])))
+        a=a, b=b, k=k, mu=5, x_set=HPolytope.box([-box, -box], [box, box]),
+        u_set=HPolytope.box([-box], [box]), w_set=Zonotope.box([noise, noise]),
+        v_set=Zonotope.box([noise, noise])))
     first = QuadraticCost(np.eye(2), np.eye(1), [0.5, 0.0], [0.0])
     step_map = oco.QuadraticStepMap(tables, manifold, first, 0.5)
-    assert [step_map.lifted(a, b, law).steps for law in (False, True)] == [12, 20]
+    assert [step_map.lifted(a, b, law).steps for law in (False, True)] == steps
     schedule = PiecewiseSchedule(((0, first), (20, first.with_ref_x([-0.5, 0.0])),
                                   (40, QuadraticCost(2.0 * np.eye(2), np.eye(1), [0.2, 0.0],
                                                      [0.0]))))
     zeta0 = optimal_steady_state(manifold, first, model)
     for policy in (DisturbancePolicy(seed=3), DisturbancePolicy(kind="worst_corner")):
-        _, steps = run_both(monkeypatch, lambda: simkit.run_closed_loop(
-            model, tables, manifold, oco.ControllerConfig(gamma=0.5), schedule, policy, 60,
-            zeta0=zeta0, x0=zeta0[0]), exact=False)
-        assert 20 in steps and len(steps) < 45
+        def run():
+            return simkit.run_closed_loop(model, tables, manifold, oco.ControllerConfig(gamma=0.5),
+                                          schedule, policy, 60, zeta0=zeta0, x0=zeta0[0])
+
+        ahead, taken = run_both(monkeypatch, run)
+        assert 20 in taken and len(taken) <= serial
+        if steps == [1, 1]:
+            with monkeypatch.context() as patch:
+                patch.setattr(simkit, "_LtiPlant", StepByStep)
+                assert_records_agree(ahead, run())
 
 
 class TestFailures:

@@ -16,6 +16,7 @@ from ocorobust.plant import (
 )
 from ocorobust.simkit import (
     FLAG_NAMES,
+    MARGINAL_TOL,
     RunRecord,
     TUBE_TOL,
     AlternatingTargetGenerator,
@@ -34,7 +35,6 @@ from ocorobust.simkit import (
 from conftest import (
     assert_benchmark_matches_per_row,
     assert_ledger_matches_reference,
-    assert_records_agree,
     zonotope_contains,
 )
 
@@ -262,7 +262,9 @@ class TestCausality:
 
 
 class TestEngine:
-    def test_minimal_plant_matches_run_closed_loop(self, di_bundle, di_cost):
+    def test_minimal_plant_matches_run_closed_loop(self, di_bundle, di_cost, step_by_step):
+        # run_closed_loop's plant runs step by step here, as the minimal
+        # plant does (test_run_ahead holds run-ahead to that run).
         model, tables, manifold = di_bundle
         controller = ControllerConfig(gamma=0.3)
         moved = QuadraticCost(di_cost.q_x, di_cost.q_u, [0.5, 0.0], di_cost.ref_u)
@@ -285,10 +287,11 @@ class TestEngine:
         t2, l2 = run_closed_loop(model, tables, manifold, controller, schedule,
                                  DisturbancePolicy(kind="zero"), 40, zeta0=zeta0,
                                  x0=zeta0[0])
-        # run_closed_loop runs the LTI plant ahead in closed form, which
-        # rounds differently from the minimal plant's steps one by one.
-        assert_records_agree((t2, l2), (t1, l1), 1e-12)
-        assert t1.beta.tobytes() == t2.beta.tobytes()
+        assert np.array_equal(trace_arrays(t1), trace_arrays(t2))
+        assert [r.invariant_flags for r in t1] == [r.invariant_flags for r in t2]
+        for name in ("cost", "benchmark_cost", "benchmark_theta", "benchmark_eta"):
+            assert np.array_equal(getattr(t1, name), getattr(t2, name))
+        assert (l1.cum_regret, l1.path_length) == (l2.cum_regret, l2.path_length)
 
     @pytest.mark.parametrize("horizon", [0, -1])
     def test_horizon_below_one_rejected(self, di_bundle, di_cost, horizon):
@@ -680,7 +683,8 @@ class TestBatchedFlags:
                 dev = d.pred_state - model.g_k @ states[t - 1].u_ss
                 margin = model.tube_margins(dev[None])[0]
                 flags["tube_ok"] = margin <= TUBE_TOL
-                flags["tube_marginal"] = flags["tube_ok"] and margin > -model.tube_band
+                flags["tube_marginal"] = (flags["tube_ok"]
+                                          and margin + model.tube_band > MARGINAL_TOL)
             ref.append(flags)
         assert [rec.invariant_flags for rec in trace] == ref
         broken = {name: [t for t, f in enumerate(ref) if not f[name]] for name in FLAG_NAMES}

@@ -482,7 +482,7 @@ class SteadyStateBenchmark:
         g = manifold.g_k
         mmap = np.eye(model.m) + model.k @ g
         h = g.T @ cost.q_x @ g + mmap.T @ cost.q_u @ mmap
-        self.manifold, self.model = manifold, model
+        self.manifold = manifold
         self.q_x, self.q_u = cost.q_x, cost.q_u
         self.solver = PrefactoredQp(0.5 * (h + h.T), ineq_normals=manifold.sbar.normals)
         self.ref_x_map = cost.q_x.T @ g
@@ -492,26 +492,37 @@ class SteadyStateBenchmark:
         """True when ``cost`` has this benchmark's weight arrays."""
         return cost.q_x is self.q_x and cost.q_u is self.q_u
 
-    def steady_states(self, costs, steps):
-        """The benchmark steady states of ``costs`` (each served here) as
-        rows (theta, eta).
+    def steady_states(self, ref_x, ref_u, steps):
+        """The benchmark steady states of the reference rows ``ref_x`` (k, n)
+        and ``ref_u`` (k, m) under this benchmark's weights, as rows (theta,
+        eta). ``RunRecord.finish`` calls it once per weight pair of
+        ``record.pairs``, on the ref_x and ref_u columns of the rows whose
+        ``pair`` names it: a benchmark is shared per weight pair, not per run
+        of consecutive steps.
 
         One batched guess (``PrefactoredQp.guess_rows``) settles every row
-        whose unconstrained optimum ``solve`` would keep; each other row goes
-        through ``optimal_steady_state``. A row that is not optimal raises
+        whose unconstrained optimum ``solve`` would keep; each other row
+        takes ``steady_state``. A row that is not optimal raises
         ``InfeasibleError`` naming its entry of ``steps``.
         """
-        linears = -(np.array([c.ref_x for c in costs]) @ self.ref_x_map
-                    + np.array([c.ref_u for c in costs]) @ self.ref_u_map)
+        linears = -(ref_x @ self.ref_x_map + ref_u @ self.ref_u_map)
         u, kept = self.solver.guess_rows(linears, self.manifold.sbar.offsets)
         theta = u @ self.manifold.g_k.T
         for i in np.flatnonzero(~kept):
             try:
-                theta[i], u[i] = optimal_steady_state(self.manifold, costs[i], self.model,
-                                                      self)
+                theta[i], u[i] = self.steady_state(ref_x[i], ref_u[i])
             except InfeasibleError as exc:
                 raise InfeasibleError(f"step {steps[i]}: {exc}") from exc
         return theta, u
+
+    def steady_state(self, ref_x, ref_u):
+        """The benchmark steady state (theta, eta) of one reference pair, by
+        one solve of the QP; ``InfeasibleError`` unless it is optimal."""
+        q = -(self.ref_x_map.T @ ref_x + self.ref_u_map.T @ ref_u)
+        sol = self.solver.solve(q, ineq_offsets=self.manifold.sbar.offsets)
+        if sol.status != "optimal":
+            raise InfeasibleError(f"steady-state benchmark QP: {sol.status}")
+        return self.manifold.zeta_of_u(sol.x)
 
 
 def optimal_steady_state(manifold, cost, model, benchmark=None):
@@ -522,8 +533,4 @@ def optimal_steady_state(manifold, cost, model, benchmark=None):
     """
     if benchmark is None:
         benchmark = SteadyStateBenchmark(manifold, model, cost)
-    q = -(benchmark.ref_x_map.T @ cost.ref_x + benchmark.ref_u_map.T @ cost.ref_u)
-    sol = benchmark.solver.solve(q, ineq_offsets=manifold.sbar.offsets)
-    if sol.status != "optimal":
-        raise InfeasibleError(f"steady-state benchmark QP: {sol.status}")
-    return manifold.zeta_of_u(sol.x)
+    return benchmark.steady_state(cost.ref_x, cost.ref_u)

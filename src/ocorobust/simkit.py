@@ -4,18 +4,13 @@ The loop enforces strict online ordering: the controller at step t sees the
 measured state and the gradient of the previous cost only; the step-t cost is
 revealed after u_t is applied. The benchmark is the per-step optimal steady
 state of each revealed cost; the controller never reads it, so it is solved
-for the whole run after the loop.
+for the whole run after the loop, from the record's reference and
+weight-pair columns.
 
 On the LTI plant with the explicit variant, the loop runs ahead over steps
-that keep their cost object: it takes a block of steps in closed form from
-the step map's ``oco.LiftedSteps``, as ``oco.step`` takes a step the map's
-rows settle, and checks the block after in one pass; the first step the
-check rejects, and every step of any other run, goes through ``oco.step``.
-A step run ahead still reads only its own x_meas and the previous step's
-cost. A block's first step is the step-by-step step to the bit; the closed
-form of the others rounds differently, so the record agrees with the
-step-by-step run's within a stated bound, with the same beta, flags and
-steps run step by step on the bundled configs (see ``closed_loop``).
+that keep their cost object, a block of them in closed form and checked in
+one pass; step t still reads only x_meas_t and cost t-1 (see
+``closed_loop``).
 """
 
 from __future__ import annotations
@@ -24,6 +19,7 @@ import copy
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import is_
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -111,87 +107,53 @@ def _running_sum(x):
     return float(np.cumsum(np.concatenate([[0.0], x]))[-1])
 
 
-def _weight_runs(costs, manifold, model, benchmarks):
-    """The runs of consecutive rows whose costs have the same weights, as
-    (rows, benchmark) pairs: per run, the first of ``benchmarks`` (built
-    beforehand) that serves it, else a ``SteadyStateBenchmark`` built for the
-    run alone. A cost ends the run unless its benchmark ``serves`` it or its
-    weights equal the benchmark's in value (new arrays at every step)."""
-    runs, start, benchmark = [], 0, None
-    for i, cost in enumerate(costs):
-        if benchmark is None or not (benchmark.serves(cost) or (
-                np.array_equal(cost.q_x, benchmark.q_x)
-                and np.array_equal(cost.q_u, benchmark.q_u))):
-            if benchmark is not None:
-                runs.append((slice(start, i), benchmark))
-            start = i
-            benchmark = next((b for b in benchmarks if b.serves(cost)), None)
-            if benchmark is None:
-                benchmark = SteadyStateBenchmark(manifold, model, cost)
-    if benchmark is not None:
-        runs.append((slice(start, len(costs)), benchmark))
-    return runs
-
-
-def _benchmark_states(costs, runs, n, m):
-    """The benchmark steady state (theta, eta) of every row: per run, one
-    ``steady_states`` call over the distinct cost objects (a schedule hands
-    out the same object for consecutive steps), spread back over the rows."""
-    theta, eta = np.empty((len(costs), n)), np.empty((len(costs), m))
-    for rows, benchmark in runs:
-        run = costs[rows]
-        new = np.array([i == 0 or run[i] is not run[i - 1] for i in range(len(run))])
-        distinct = np.flatnonzero(new)
-        at = np.cumsum(new) - 1
-        run_theta, run_eta = benchmark.steady_states(run[distinct], rows.start + distinct)
-        theta[rows], eta[rows] = run_theta[at], run_eta[at]
-    return theta, eta
-
-
-def _cost_values(costs, runs, x, u):
-    """``costs[i].value(x[i], u[i])`` of every row: one quadratic form per run
-    of ``_weight_runs``, with a reference per row."""
-    out = np.empty(len(costs))
-    for rows, benchmark in runs:
-        dx = x[rows] - np.array([c.ref_x for c in costs[rows]])
-        dv = u[rows] - np.array([c.ref_u for c in costs[rows]])
-        out[rows] = (0.5 * ((dx @ benchmark.q_x) * dx).sum(axis=1)
-                     + 0.5 * ((dv @ benchmark.q_u) * dv).sum(axis=1))
-    return out
-
-
 class RunRecord:
     """The record of one closed-loop run: (horizon, .) columns, one row per step.
 
     Each step writes x_true, x_meas, u, w and v; the controller's beta,
     g_norm, pred_state, theta_hat, eta_hat, u_pred, u_ss, candidate_ok,
-    kkt_residual (NaN when the step has none) and g_fallback; and the step's
-    cost object (costs). ``finish`` adds ``flags`` (a boolean column per
-    invariant flag), the benchmark steady state benchmark_theta,
-    benchmark_eta, and cost and benchmark_cost. Every array attribute is a
-    column. Indexing (and so iteration) gives ``TraceRecord`` views of rows; a
-    slice gives a record.
+    kkt_residual (NaN when the step has none) and g_fallback; its cost's
+    references ref_x and ref_u and weight pair ``pair``, an index into
+    ``pairs``, the first cost seen with each distinct (q_x, q_u) (see
+    ``pair_of``); and the cost object (costs), which ``finish`` never reads.
+    ``finish`` adds ``flags`` (a boolean column per invariant flag), the
+    benchmark steady state benchmark_theta, benchmark_eta (one benchmark per
+    weight pair, not per run of consecutive steps), and cost and
+    benchmark_cost. Every array attribute is a column. Indexing (and so
+    iteration) gives ``TraceRecord`` views of rows; a slice gives a record.
     """
 
     def __init__(self, n, m, mu, horizon):
         widths = dict(x_true=n, x_meas=n, u=m, w=n, v=n, beta=None, g_norm=None,
                       pred_state=n, theta_hat=n, eta_hat=m, u_pred=mu * m, u_ss=m,
-                      kkt_residual=None)
+                      kkt_residual=None, ref_x=n, ref_u=m)
         for name, width in widths.items():
             setattr(self, name, np.empty(horizon if width is None else (horizon, width)))
-        self.t = np.arange(horizon)
+        self.t, self.pair = np.arange(horizon), np.empty(horizon, int)
         self.candidate_ok, self.g_fallback = np.empty((2, horizon), bool)
-        self.costs = np.empty(horizon, object)
+        self.costs, self.pairs = np.empty(horizon, object), []
         self.flags, self.flagged = {}, 0  # flagged: the rows that have their flags
 
-    def write(self, t, x_true, x_meas, u, w, v, state, diag, cost):
+    def pair_of(self, cost):
+        """The index in ``pairs`` of ``cost``'s (q_x, q_u): of the first entry
+        with the same arrays, else with weights equal in value; else ``cost``
+        is appended, the first cost seen with its weights."""
+        for same in (is_, np.array_equal):
+            for i, first in enumerate(self.pairs):
+                if same(first.q_x, cost.q_x) and same(first.q_u, cost.q_u):
+                    return i
+        self.pairs.append(cost)
+        return len(self.pairs) - 1
+
+    def write(self, t, x_true, x_meas, u, w, v, state, diag, cost, pair):
         self.x_true[t], self.x_meas[t], self.u[t], self.w[t], self.v[t] = x_true, x_meas, u, w, v
         self.beta[t], self.g_norm[t], self.pred_state[t] = diag.beta, diag.g_norm, diag.pred_state
         self.theta_hat[t], self.eta_hat[t] = diag.ogd_target
         self.u_pred[t], self.u_ss[t] = state.u_pred, state.u_ss
         self.candidate_ok[t], self.g_fallback[t] = diag.candidate_feasible, diag.g_fallback
         self.kkt_residual[t] = np.nan if diag.kkt_residual is None else diag.kkt_residual
-        self.costs[t] = cost
+        self.costs[t], self.pair[t] = cost, pair
+        self.ref_x[t], self.ref_u[t] = cost.ref_x, cost.ref_u
 
     def fill(self, rows, **columns):
         """Write the slice ``rows`` of each named column."""
@@ -209,16 +171,40 @@ class RunRecord:
     def finish(self, rows, monitors, benchmarks):
         """Keep the first ``rows`` rows, flag them, solve their benchmark and
         value them; returns their ledger, whose totals add the rows in step
-        order as running sums do. ``benchmarks`` are benchmarks built
-        beforehand (see ``_weight_runs``)."""
+        order as running sums do.
+
+        Each weight pair of ``pairs`` has one benchmark for all its rows,
+        not one per run of consecutive steps: the first of ``benchmarks``
+        (built beforehand) that serves the pair's first cost, else one built
+        for it. Its ``steady_states`` solves the pair's rows whose pair,
+        ref_x or ref_u differs from the row before's; ``cost`` and
+        ``benchmark_cost`` are one quadratic form in x - ref_x and u - ref_u.
+        """
         self.flag(rows, monitors)
         self._take(slice(0, rows))
         model, _, manifold, _ = monitors
-        runs = _weight_runs(self.costs, manifold, model, benchmarks)
-        theta, eta = _benchmark_states(self.costs, runs, model.n, model.m)
+        pair, ref_x, ref_u = self.pair, self.ref_x, self.ref_u
+        new = np.ones(len(pair), bool)
+        new[1:] = ((pair[1:] != pair[:-1]) | (ref_x[1:] != ref_x[:-1]).any(axis=1)
+                   | (ref_u[1:] != ref_u[:-1]).any(axis=1))
+        theta, eta = np.empty_like(self.x_true), np.empty_like(self.u)
+        self.cost, self.benchmark_cost = np.empty((2, len(pair)))
+        for p, first in enumerate(self.pairs):
+            mine = pair == p
+            if not mine.any():
+                continue  # the pair of the step the run aborted at
+            benchmark = (next((b for b in benchmarks if b.serves(first)), None)
+                         or SteadyStateBenchmark(manifold, model, first))
+            solved = np.flatnonzero(new & mine)
+            theta_p, eta_p = benchmark.steady_states(ref_x[solved], ref_u[solved], solved)
+            at = np.cumsum(new[mine]) - 1  # each row's entry among the pair's solved rows
+            theta[mine], eta[mine] = theta_p[at], eta_p[at]
+            dx = np.stack([self.x_true[mine], theta[mine]]) - ref_x[mine]
+            dv = np.stack([self.u[mine], eta[mine] + theta[mine] @ model.k.T]) - ref_u[mine]
+            self.cost[mine], self.benchmark_cost[mine] = (
+                0.5 * ((dx @ benchmark.q_x) * dx).sum(axis=2)
+                + 0.5 * ((dv @ benchmark.q_u) * dv).sum(axis=2))
         self.benchmark_theta, self.benchmark_eta = theta, eta
-        self.cost = _cost_values(self.costs, runs, self.x_true, self.u)
-        self.benchmark_cost = _cost_values(self.costs, runs, theta, eta + theta @ model.k.T)
         return RegretLedger(
             cum_regret=_running_sum(self.cost - self.benchmark_cost),
             path_length=_running_sum(np.linalg.norm(np.diff(np.hstack([theta, eta]), axis=0),
@@ -338,16 +324,19 @@ def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
     ``plant.observe(t)`` returns (x_true, x_meas, v, cost_t) and
     ``plant.advance(u)`` applies u and returns the step's process disturbance w.
     The controller gets cost_t only at step t + 1. Each step writes one row of
-    the trace, a ``RunRecord``; flags, the benchmark steady states, cost
-    values and totals come after the run (flags after each step under
-    ``abort_on_violation``). Each new cost object is checked against the
-    model as it arrives (``_check_cost``): a misfit raises at t = 0 and
-    aborts the run at t > 0.
+    the trace, a ``RunRecord``, with cost_t as its ref_x, ref_u and pair
+    columns: each new cost object is checked against the model
+    (``_check_cost``; a misfit raises at t = 0 and aborts the run at t > 0)
+    and its weight pair found in ``record.pairs`` (``RunRecord.pair_of``).
+    Flags, the benchmark steady states, cost values and totals come after
+    the run (flags after each step under ``abort_on_violation``), with one
+    benchmark per weight pair, not per run of consecutive steps: one of
+    ``benchmarks`` (``SteadyStateBenchmark``s built beforehand) or one
+    ``RunRecord.finish`` builds.
 
     A step on a ``QuadraticCost`` whose weight pair repeats on the next step
     uses an ``oco.QuadraticStepMap`` for that pair, built on first use; the
-    loop keeps only the map in use (see ``_step_map``). ``benchmarks`` are
-    ``SteadyStateBenchmark``s built beforehand for ``RunRecord.finish``.
+    loop keeps only the map in use (see ``_step_map``).
 
     On a plant whose ``observe`` and ``advance`` are ``_LtiPlant``'s own,
     with the explicit variant and gamma > 0, the loop runs ahead over steps
@@ -364,17 +353,17 @@ def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
     column and ledger total agrees with the run step by step within 1e-12
     (1 + |step by step|), and beta, the flags and the steps that run step by
     step are the same, on the bundled configs, the regret sweep and drawn
-    models. Beta may differ in its last bits only on a step-by-step step
-    after a block of two or more steps whose ``max_beta`` ratio is strictly
-    inside (0, 1). ``MARGINAL_TOL`` keeps rounding from setting
-    ``tube_marginal`` where the tube margin sits on -tube_band in exact
-    arithmetic.
+    models (``MARGINAL_TOL`` keeps ``tube_marginal`` from rounding). Beta
+    may differ in its last bits only on a step-by-step step after a block
+    of two or more steps whose ``max_beta`` ratio is strictly inside (0, 1).
     """
     check_horizon(horizon)
     x_true, x_meas, v, cost_t = plant.observe(0)
     if not model.x_set.contains(x_true, tol=model.membership_tol):
         raise OcoRobustError("x0 violates the state constraints")
     _check_cost(cost_t, model.n, model.m)
+    record = RunRecord(model.n, model.m, model.mu, horizon)
+    pair = record.pair_of(cost_t)
     c_g = controller.effective_c_g(model)
     check_c_g(c_g, model)
     state = oco.initialize(model, tables, manifold, zeta0, x_meas)
@@ -386,7 +375,6 @@ def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
     step_map = None
     ahead = _runs_ahead(plant, controller)
     serial = False  # the next step runs step by step
-    record = RunRecord(model.n, model.m, model.mu, horizon)
     t = 0
     while t < horizon:
         if t > 0 and ahead and not serial:
@@ -410,6 +398,7 @@ def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
             try:
                 if cost_t is not prev_cost:
                     _check_cost(cost_t, model.n, model.m)
+                    pair = record.pair_of(cost_t)
                 step_map = _step_map(step_map, prev_cost, cost_t, tables, manifold,
                                      controller.gamma, t)
                 u, state, diag = oco.step(state, model, tables, manifold, x_meas, prev_cost,
@@ -419,7 +408,7 @@ def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
                                         t) from exc
 
         w = plant.advance(u)
-        record.write(t, x_true, x_meas, u, w, v, state, diag, cost_t)
+        record.write(t, x_true, x_meas, u, w, v, state, diag, cost_t, pair)
         if abort_on_violation:
             _abort_at_violation(record, t, t + 1, monitors, benchmarks)
         t += 1
@@ -465,8 +454,9 @@ def _run_ahead(plant, record, state, step_map, cost, t, stop, model, tables, man
     The block keeps the ``kept`` steps before the first one the check
     rejects (then ``rejected`` is True and that step runs step by step) or
     whose reach gap belongs to the other law (then the next block starts
-    there). They go to ``record`` by slices, the plant moves past them and
-    the returned state is the controller's after them.
+    there). They go to ``record`` by slices, with the pair of the row before
+    them; the plant moves past them and the returned state is the
+    controller's after them.
     """
     schedule = plant.cost_schedule
     end = t
@@ -493,7 +483,8 @@ def _run_ahead(plant, record, state, step_map, cost, t, stop, model, tables, man
                     pred_state=outs[:kept, step_map.pred],
                     theta_hat=outs[:kept, step_map.theta], eta_hat=outs[:kept, step_map.eta],
                     u_pred=plans[:kept, :-m], u_ss=plans[:kept, -m:], kkt_residual=np.nan,
-                    candidate_ok=True, g_fallback=False, costs=cost)
+                    candidate_ok=True, g_fallback=False, costs=cost, ref_x=cost.ref_x,
+                    ref_u=cost.ref_u, pair=record.pair[t - 1])
         plant.x, plant.t = x[last], t + last
         plant.advance(u[last])
         state = oco.ControllerState(

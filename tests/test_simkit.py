@@ -3,6 +3,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ocorobust import oco_controller as oco
 from ocorobust.errors import DimensionMismatch, InfeasibleError, OcoRobustError
@@ -183,6 +185,36 @@ class TestRunRecord:
         assert ledger == done_ledger
         assert np.array_equal(trace.cost, done.cost) and np.array_equal(trace.u, done.u)
 
+    def test_abort_at_new_weights_builds_no_benchmark_for_them(self, di_bundle, di_cost,
+                                                               monkeypatch):
+        # Step 7's cost brings new weights and step 7 aborts (the step-6
+        # gradient raises): no kept row has them, so no benchmark is built.
+        model, tables, manifold = di_bundle
+
+        class BrokenCost(QuadraticCost):
+            def grad(self, x, v):
+                raise RuntimeError("oracle died")
+
+        broken = BrokenCost(di_cost.q_x, di_cost.q_u, di_cost.ref_x, di_cost.ref_u)
+        heavy = QuadraticCost(3.0 * di_cost.q_x, di_cost.q_u, di_cost.ref_x, di_cost.ref_u)
+        schedule = PiecewiseSchedule(((0, di_cost), (6, broken), (7, heavy)))
+        zeta0 = optimal_steady_state(manifold, di_cost, model)
+        built = []
+        init = SteadyStateBenchmark.__init__
+
+        def tracked(benchmark, *args):
+            init(benchmark, *args)
+            built.append(benchmark)
+
+        monkeypatch.setattr(SteadyStateBenchmark, "__init__", tracked)
+        with pytest.raises(SimulationAborted) as err:
+            run_closed_loop(model, tables, manifold, ControllerConfig(gamma=0.3), schedule,
+                            DisturbancePolicy(seed=2), 30, zeta0=zeta0, x0=zeta0[0])
+        trace = err.value.trace
+        assert err.value.t == 7 and trace.pairs == [di_cost, heavy]
+        assert trace.pair.tolist() == [0] * 7 and len(built) == 1
+        assert_ledger_matches_reference(trace, err.value.ledger, model)
+
 
 class TestBenchmarkPath:
     """The benchmark steady states, solved after the run in one batched
@@ -241,6 +273,93 @@ class TestBenchmarkPath:
         with pytest.raises(InfeasibleError, match=r"step 17: steady-state benchmark QP: max_iter"):
             run_closed_loop(model, tables, manifold, ControllerConfig(gamma=0.3), schedule,
                             DisturbancePolicy(kind="zero"), 40, zeta0=zeta0, x0=zeta0[0])
+
+    def test_finish_reads_no_cost_object(self, di_bundle, di_cost):
+        # With every entry of costs gone, finish gives the same benchmark,
+        # cost values and totals from the columns and ``pairs``.
+        model, tables, manifold = di_bundle
+        heavy = QuadraticCost(3.0 * di_cost.q_x, 2.0 * di_cost.q_u, [0.3, 0.0], di_cost.ref_u)
+        far = di_cost.with_ref_x([9.0, 0.0])  # a facet optimum: the single solve
+        schedule = PiecewiseSchedule(((0, di_cost), (15, heavy), (30, far), (40, heavy),
+                                      (50, di_cost.with_ref_x([0.3, 0.0]))))
+        controller = ControllerConfig(gamma=0.3)
+        zeta0 = optimal_steady_state(manifold, di_cost, model)
+        trace, ledger = run_closed_loop(model, tables, manifold, controller, schedule,
+                                        DisturbancePolicy(seed=6), 60, zeta0=zeta0, x0=zeta0[0])
+        names = ("benchmark_theta", "benchmark_eta", "cost", "benchmark_cost")
+        before = {name: getattr(trace, name).copy() for name in names}
+        trace.costs[:] = None
+        monitors = (model, tables, manifold, controller.effective_c_g(model))
+        assert trace.finish(len(trace), monitors, ()) == ledger
+        for name in names:
+            assert np.array_equal(getattr(trace, name), before[name]), name
+
+    def test_return_to_earlier_weights_shares_their_benchmark(self, di_bundle, di_cost,
+                                                              monkeypatch):
+        # A -> B -> A: one benchmark per weight pair, not per run of steps.
+        model, tables, manifold = di_bundle
+        other = QuadraticCost(di_cost.q_x, [[2.0]], [0.3, 0.0], di_cost.ref_u)
+        schedule = PiecewiseSchedule(((0, di_cost), (25, other),
+                                      (50, di_cost.with_ref_x([0.6, 0.0]))))
+        zeta0 = optimal_steady_state(manifold, di_cost, model)
+        built = []
+        init = SteadyStateBenchmark.__init__
+
+        def tracked(benchmark, *args):
+            init(benchmark, *args)
+            built.append(benchmark)
+
+        monkeypatch.setattr(SteadyStateBenchmark, "__init__", tracked)
+        trace, ledger = run_closed_loop(model, tables, manifold, ControllerConfig(gamma=0.3),
+                                        schedule, DisturbancePolicy(seed=1), 75, zeta0=zeta0,
+                                        x0=zeta0[0])
+        assert len(built) == 2
+        assert trace.pairs == [di_cost, other]
+        assert trace.pair.tolist() == [0] * 25 + [1] * 25 + [0] * 25
+        assert_benchmark_matches_per_row(trace, model, manifold)
+        assert_ledger_matches_reference(trace, ledger, model)
+
+    @settings(max_examples=25, derandomize=True, database=None, deadline=None)
+    @given(st.data())
+    def test_drawn_piecewise_schedules(self, di_bundle, data):
+        # Each piece takes the weight arrays of the piece before, copies of
+        # them, those of an earlier piece or new ones, and as its cost an
+        # earlier piece's object with those arrays or a fresh one.
+        model, tables, manifold = di_bundle
+        horizon = 40
+        starts = [0] + sorted(data.draw(st.sets(st.integers(1, horizon - 1), max_size=5)))
+        refs = st.sampled_from((-9.0, -0.6, -0.2, 0.0, 0.4, 0.6, 9.0))
+        weights = st.floats(0.25, 4.0)
+        pieces = []  # (start, cost)
+        for start in starts:
+            kind = "new" if not pieces else data.draw(
+                st.sampled_from(("shared", "copy", "return", "new")))
+            if kind == "new":
+                cost = QuadraticCost(np.diag([data.draw(weights), data.draw(weights)]),
+                                     [[data.draw(weights)]], [data.draw(refs), 0.0], [0.0])
+            else:
+                cost = pieces[-1][1] if kind != "return" else data.draw(
+                    st.sampled_from([c for _, c in pieces]))
+                if kind == "copy":
+                    cost = QuadraticCost(cost.q_x.copy(), cost.q_u.copy(), cost.ref_x,
+                                         cost.ref_u)
+                if kind == "copy" or data.draw(st.booleans()):
+                    cost = cost.with_ref_x([data.draw(refs), 0.0])
+            pieces.append((start, cost))
+        schedule = PiecewiseSchedule(tuple(pieces))
+        zeta0 = optimal_steady_state(manifold, pieces[0][1], model)
+        trace, ledger = run_closed_loop(
+            model, tables, manifold, ControllerConfig(gamma=0.3), schedule,
+            DisturbancePolicy(seed=data.draw(st.integers(0, 9))), horizon, zeta0=zeta0,
+            x0=zeta0[0])
+        distinct = []
+        for _, cost in pieces:
+            if not any(np.array_equal(cost.q_x, q_x) and np.array_equal(cost.q_u, q_u)
+                       for q_x, q_u in distinct):
+                distinct.append((cost.q_x, cost.q_u))
+        assert len(trace.pairs) == len(distinct)
+        assert_benchmark_matches_per_row(trace, model, manifold)
+        assert_ledger_matches_reference(trace, ledger, model)
 
 
 class TestCausality:

@@ -238,10 +238,10 @@ class TestBenchmarkPath:
             vehicle.phase_cost(1).with_ref_x([30.0 * np.cos(a), 30.0 * np.sin(a)])
             for a in angles], dtype=object)
         benchmark = SteadyStateBenchmark(manifold, model, costs[0])
+        ref_x, ref_u = np.array([c.ref_x for c in costs]), np.array([c.ref_u for c in costs])
         with mock.patch.object(denseqp, "_gi_core", wraps=denseqp._gi_core) as gi:
-            theta, eta = benchmark.steady_states(costs, np.arange(len(costs)))
-        linears = -(np.array([c.ref_x for c in costs]) @ benchmark.ref_x_map
-                    + np.array([c.ref_u for c in costs]) @ benchmark.ref_u_map)
+            theta, eta = benchmark.steady_states(ref_x, ref_u, np.arange(len(costs)))
+        linears = -(ref_x @ benchmark.ref_x_map + ref_u @ benchmark.ref_u_map)
         _, kept = benchmark.solver.guess_rows(linears, manifold.sbar.offsets)
         assert kept[:3].all() and not kept[3:].any()
         assert 0 < gi.call_count < len(costs) - 3  # some corners, some one-row steps

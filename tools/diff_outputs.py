@@ -4,14 +4,16 @@
 
 PARENT_DIR and CHANGE_DIR are two checkouts of the repository. In each, every
 call runs in a fresh process, with the checkout as working directory and its
-``src`` on PYTHONPATH: ``ocorobust run`` on the three bundled run configs and
-on copies of ``double_integrator.cfg`` and ``vehicle_explicit.cfg`` with
-``experiment.seeds = 3``, ``regret-sweep`` on ``configs/regret_sweep.cfg``
-and ``validate`` on all four configs. A call's outputs are the files it
-writes to ``--out``, its stdout, its stderr and its exit code. They go under
-``--work`` (by default a temporary directory, removed at the end), one
-directory per side and call; the multi-seed config copies go to
-``--work``/configs, one directory per side.
+``src`` on PYTHONPATH: ``ocorobust run`` on the three bundled run configs, on
+copies of ``double_integrator.cfg`` and ``vehicle_explicit.cfg`` with
+``experiment.seeds = 3`` and on a copy of ``double_integrator.cfg`` whose
+weights go A -> B -> A (a piece with q_u = [[2.0]] from step 75, then the
+first weights again from step 150), ``regret-sweep`` on
+``configs/regret_sweep.cfg`` and ``validate`` on all four configs. A call's
+outputs are the files it writes to ``--out``, its stdout, its stderr and its
+exit code. They go under ``--work`` (by default a temporary directory,
+removed at the end), one directory per side and call; the config copies go
+to ``--work``/configs, one directory per side.
 
 For every output file the script prints "identical" when the two sides'
 bytes are equal. Otherwise, for a CSV file with the same header and shape,
@@ -35,26 +37,45 @@ import sys
 import tempfile
 from pathlib import Path
 
-# (command, bundled config, experiment.seeds or None to run the file as is)
+# (command, bundled config, name of the copy to run or None to run the file as is)
 CALLS = (
     [("run", name, None) for name in ("double_integrator", "vehicle_explicit",
                                       "vehicle_optimized")]
-    + [("run", name, 3) for name in ("double_integrator", "vehicle_explicit")]
+    + [("run", name, "seeds3") for name in ("double_integrator", "vehicle_explicit")]
+    + [("run", "double_integrator", "return")]
     + [("regret-sweep", "regret_sweep", None)]
     + [("validate", name, None) for name in ("double_integrator", "regret_sweep",
                                              "vehicle_explicit", "vehicle_optimized")])
 ABS_TOL, REL_TOL = 1e-9, 1e-6
+# The piece of the "return" copy between the first and the last cost piece.
+RETURN_PIECE = """[cost.1]
+start = 75
+q_x = [[1.0, 0.0], [0.0, 1.0]]
+q_u = [[2.0]]
+ref_x = [0.3, 0.0]
+ref_u = [0.0]
+
+[cost.2]
+"""
 
 
-def seeds_copy(checkout, config, seeds, copies):
-    """A copy of ``checkout``'s bundled ``config`` in ``copies`` that runs
-    ``seeds`` seeds; returns its path."""
+# copy name -> (text that occurs once in the bundled config, its replacement)
+COPIES = {
+    "seeds3": ("\nseeds = 1\n", "\nseeds = 3\n"),
+    "return": ("\n[cost.1]\n", "\n" + RETURN_PIECE),
+}
+
+
+def config_copy(checkout, config, copy, copies):
+    """The copy ``copy`` (a key of ``COPIES``) of ``checkout``'s bundled
+    ``config``, written in ``copies``; returns its path."""
     text = Path(checkout, "configs", f"{config}.cfg").read_text()
-    if text.count("\nseeds = 1\n") != 1:
-        raise SystemExit(f"{config}.cfg: no single 'seeds = 1' line to replace")
+    old, new = COPIES[copy]
+    if text.count(old) != 1:
+        raise SystemExit(f"{config}.cfg: no single {old.strip()!r} line to replace")
     copies.mkdir(parents=True, exist_ok=True)
-    path = copies / f"{config}_seeds{seeds}.cfg"
-    path.write_text(text.replace("\nseeds = 1\n", f"\nseeds = {seeds}\n"))
+    path = copies / f"{config}_{copy}.cfg"
+    path.write_text(text.replace(old, new))
     return path.resolve()
 
 
@@ -151,12 +172,12 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as tmp:
         work = args.work or Path(tmp)
         for side, checkout in (("parent", args.parent), ("change", args.change)):
-            for command, config, seeds in CALLS:
-                if seeds is None:
+            for command, config, copy in CALLS:
+                if copy is None:
                     path, name = f"configs/{config}.cfg", f"{command}_{config}"
                 else:
-                    path = seeds_copy(checkout, config, seeds, work / "configs" / side)
-                    name = f"{command}_{config}_seeds{seeds}"
+                    path = config_copy(checkout, config, copy, work / "configs" / side)
+                    name = f"{command}_{config}_{copy}"
                 run_call(checkout, command, path, work / side / name)
         failures, (ratio, name, column) = compare(work / "parent", work / "change")
     verdict = f"{failures} file(s) differ" if failures else "no file differs"

@@ -21,8 +21,8 @@ from .plant import QuadraticCost, membership_zu, stage_values, stage_values_line
 
 DEGENERATE_TOL = 1e-12
 PROJECTION_TOL = 1e-9
-RUN_AHEAD_STEPS = 32  # the most steps of a LiftedSteps block
-RUN_AHEAD_GROWTH = 100.0  # the largest norm of F^j a block may use (see LiftedSteps)
+RUN_AHEAD_STEPS = 32  # the most rows of a LiftedSteps chunk; see also simkit.closed_loop
+RUN_AHEAD_GROWTH = 100.0  # the largest norm of F^j a chunk may use (see LiftedSteps)
 _ONE = np.ones(1)
 
 
@@ -208,6 +208,12 @@ class QuadraticStepMap:
         """True when ``cost`` takes a map and has this map's weight arrays."""
         return self.takes(cost) and cost.q_x is self.q_x and cost.q_u is self.q_u
 
+    def fits(self, tables, manifold, gamma, cost):
+        """True when this map was built on ``tables``, ``manifold`` and
+        ``gamma`` and serves ``cost``: a step there may use it."""
+        return (self.tables is tables and self.manifold is manifold and self.gamma == gamma
+                and self.serves(cost))
+
     def product(self, x_meas, candidate, cost):
         """The map's rows at (x_meas, candidate) for a cost this map serves."""
         return self.matrix @ np.concatenate((x_meas, candidate, cost.ref_x, cost.ref_u, _ONE))
@@ -225,7 +231,7 @@ class QuadraticStepMap:
 
 
 class LiftedSteps:
-    """Blocks of explicit steps on an LTI plant x+ = A x + B u + w with
+    """Runs of explicit steps on an LTI plant x+ = A x + B u + w with
     measurements x + v, each step taken as ``settled_step`` takes it from a
     ``QuadraticStepMap``'s rows under one law, in closed form.
 
@@ -234,7 +240,7 @@ class LiftedSteps:
     it, u = candidate[:m] + K x_meas and the next candidate is [candidate[m:];
     eta]. Either way they are affine in [x_meas; candidate; ref_x; ref_u; 1],
     so a step is affine in s = [x; candidate]: s+ = F s + E [v; w] + C r,
-    with r = [ref_x; ref_u; 1], and the states of a block of steps are MPC's
+    with r = [ref_x; ref_u; 1], and the states of a chunk of steps are MPC's
     stacked prediction form (Maciejowski, *Predictive Control with
     Constraints*, 2002, ch. 2):
 
@@ -243,15 +249,16 @@ class LiftedSteps:
     ``free`` stacks [F^j | (F^0 + ... + F^(j-1)) C] for j < ``steps``.
     Gamma is block Toeplitz, so ``forced`` holds only its blocks (F^k E)',
     k = steps - 2 down to 0, and ``windows`` indexes row j's noise [e_(j-steps+1);
-    ...; e_(j-1)] (zero before e_0) in a padded copy of the noise. A block's
-    states are then two products (``run``). The object keeps only these
-    arrays: ``run`` takes the map, which owns it, for its rows.
+    ...; e_(j-1)] (zero before e_0) in a padded copy of the noise. A chunk's
+    states are then two products, and ``run`` chains chunks over a run of
+    any length, each from the last state of the one before. The object keeps
+    only these arrays: ``run`` takes the map, which owns it, for its rows.
 
-    Rounding in F^j grows with its norm, so a block stops before the first
+    Rounding in F^j grows with its norm, so a chunk stops before the first
     power whose Frobenius norm exceeds RUN_AHEAD_GROWTH: ``steps`` is the
     smallest j >= 1 with ||F^j||_F > RUN_AHEAD_GROWTH, at most
-    RUN_AHEAD_STEPS. Where F itself exceeds it, ``steps`` is 1 and every
-    block is one step, taken from its start state.
+    RUN_AHEAD_STEPS. Where F itself exceeds it, ``steps`` is 1: a chunk
+    cannot advance, so ``run`` takes one step, from its start state.
     """
 
     def __init__(self, step_map, a, b, degenerate):
@@ -288,24 +295,37 @@ class LiftedSteps:
         self.degenerate = bool(degenerate)
 
     def run(self, step_map, x, candidate, cost, v, w):
-        """The ``len(v)`` steps (at most ``steps``) from the plant state
-        ``x`` and the candidate ``candidate`` on ``cost``, with the noise
-        rows ``v`` and ``w`` (the last w is not read), and their rows of
-        ``step_map``, the map this object was built for; nothing is checked.
-        Non-finite noise makes every row non-finite, so the caller ends the
-        block before it.
+        """The ``len(v)`` steps (at most 1 when ``steps`` is 1) from the plant
+        state ``x`` and the candidate ``candidate`` on ``cost``, with the
+        noise rows ``v`` and ``w`` (the last w is not read), and their rows
+        of ``step_map``, the map this object was built for; nothing is
+        checked. The steps go in chunks of at most ``steps`` rows, each from
+        the state of the chunk before's last row, so a chunk of k rows
+        advances k - 1 steps. Non-finite noise makes every later row
+        non-finite, so the caller ends the run before it.
 
         Returns per step: x, x_meas, the map's rows, the plan, u, and
         (reach gap norm, g_norm).
         """
-        rows, (n, ns) = len(v), (x.size, self.forced.shape[1])
+        rows, (n, ns), steps = len(v), (x.size, self.forced.shape[1]), self.steps
         ref = np.concatenate((cost.ref_x, cost.ref_u, _ONE))
-        states = (self.free[:rows * ns] @ np.concatenate((x, candidate, ref))).reshape(rows, ns)
+        starts = range(0, max(rows - 1, 1), max(steps - 1, 1))  # each chunk's first row
+        states = np.empty((rows, ns))
         if rows > 1:
-            noise = np.zeros((2 * self.steps - 2, 2 * n))
-            noise[self.steps - 1:self.steps + rows - 2] = np.concatenate(
-                (v[:-1], w[:rows - 1]), axis=1)
-            states += noise.take(self.windows[:rows]) @ self.forced
+            # The noise part of every chunk in one product: chunk c reads
+            # e_i from its own first row on, in its own padded copy.
+            e = np.zeros((len(starts) * (steps - 1), 2 * n))
+            e[:rows - 1] = np.concatenate((v[:-1], w[:rows - 1]), axis=1)
+            noise = np.zeros((len(starts), 2 * steps - 2, 2 * n))
+            noise[:, steps - 1:] = e.reshape(len(starts), steps - 1, 2 * n)
+            forced = noise.reshape(len(starts), -1)[:, self.windows] @ self.forced
+        start = np.concatenate((x, candidate, ref))
+        for c, lo in enumerate(starts):
+            hi = min(lo + steps, rows)
+            states[lo:hi] = (self.free[:(hi - lo) * ns] @ start).reshape(hi - lo, ns)
+            if hi - lo > 1:
+                states[lo:hi] += forced[c, :hi - lo]
+                start[:ns] = states[hi - 1]
         z = np.empty((rows, step_map.matrix.shape[1]))
         z[:, :n] = x_meas = states[:, :n] + v
         z[:, n:ns], z[:, ns:] = states[:, n:], ref
@@ -563,8 +583,7 @@ def step(state, model, tables, manifold, x_meas, grad_prev, options, step_map=No
         else:
             if options.gamma <= 0:
                 raise ValueError("gamma must be positive")
-            if not (step_map.tables is tables and step_map.manifold is manifold
-                    and step_map.gamma == options.gamma and step_map.serves(grad_prev)):
+            if not step_map.fits(tables, manifold, options.gamma, grad_prev):
                 raise ValueError("step map built for other tables, manifold, gamma or weights")
             out = step_map.product(x_meas, candidate, grad_prev)
             base_vals, pred = out[step_map.base], out[step_map.pred]

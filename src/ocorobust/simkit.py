@@ -107,6 +107,18 @@ def _running_sum(x):
     return float(np.cumsum(np.concatenate([[0.0], x]))[-1])
 
 
+def pair_index(pairs, cost):
+    """The index in the list ``pairs`` of ``cost``'s (q_x, q_u): of the first
+    entry with the same arrays, else with weights equal in value; else
+    ``cost`` is appended, the first cost seen with its weights."""
+    for same in (is_, np.array_equal):
+        for i, first in enumerate(pairs):
+            if same(first.q_x, cost.q_x) and same(first.q_u, cost.q_u):
+                return i
+    pairs.append(cost)
+    return len(pairs) - 1
+
+
 class RunRecord:
     """The record of one closed-loop run: (horizon, .) columns, one row per step.
 
@@ -115,7 +127,7 @@ class RunRecord:
     kkt_residual (NaN when the step has none) and g_fallback; its cost's
     references ref_x and ref_u and weight pair ``pair``, an index into
     ``pairs``, the first cost seen with each distinct (q_x, q_u) (see
-    ``pair_of``); and the cost object (costs), which ``finish`` never reads.
+    ``pair_index``); and the cost object (costs), which ``finish`` never reads.
     ``finish`` adds ``flags`` (a boolean column per invariant flag), the
     benchmark steady state benchmark_theta, benchmark_eta (one benchmark per
     weight pair, not per run of consecutive steps), and cost and
@@ -133,17 +145,6 @@ class RunRecord:
         self.candidate_ok, self.g_fallback = np.empty((2, horizon), bool)
         self.costs, self.pairs = np.empty(horizon, object), []
         self.flags, self.flagged = {}, 0  # flagged: the rows that have their flags
-
-    def pair_of(self, cost):
-        """The index in ``pairs`` of ``cost``'s (q_x, q_u): of the first entry
-        with the same arrays, else with weights equal in value; else ``cost``
-        is appended, the first cost seen with its weights."""
-        for same in (is_, np.array_equal):
-            for i, first in enumerate(self.pairs):
-                if same(first.q_x, cost.q_x) and same(first.q_u, cost.q_u):
-                    return i
-        self.pairs.append(cost)
-        return len(self.pairs) - 1
 
     def write(self, t, x_true, x_meas, u, w, v, state, diag, cost, pair):
         self.x_true[t], self.x_meas[t], self.u[t], self.w[t], self.v[t] = x_true, x_meas, u, w, v
@@ -290,6 +291,31 @@ def check_c_g(c_g, model):
         raise OcoRobustError(f"c_g={c_g:.3g} below the required norm bound {model.c_g_min:.3g}")
 
 
+def shared_builds(model, tables, manifold, gamma, costs):
+    """(benchmarks, step maps) for ``closed_loop`` to share over many runs on
+    ``costs``: a ``SteadyStateBenchmark`` for the first of them with each
+    weight pair (``pair_index``), the one ``RunRecord.finish`` would build,
+    and an ``oco.QuadraticStepMap`` on ``tables``, ``manifold`` and
+    ``gamma`` for each pair of weight arrays that takes one. Costs whose
+    shapes do not fit the model, and benchmarks that fail to build, are
+    left out: each run fails at them as it would without."""
+    firsts, maps, benchmarks = [], [], []
+    for cost in costs:
+        try:
+            _check_cost(cost, model.n, model.m)
+        except DimensionMismatch:
+            continue
+        pair_index(firsts, cost)
+        if oco.QuadraticStepMap.takes(cost) and not any(built.serves(cost) for built in maps):
+            maps.append(oco.QuadraticStepMap(tables, manifold, cost, gamma))
+    for cost in firsts:
+        try:
+            benchmarks.append(SteadyStateBenchmark(manifold, model, cost))
+        except OcoRobustError:
+            continue
+    return tuple(benchmarks), tuple(maps)
+
+
 def _check_cost(cost, n, m):
     """Raise unless q_x is (n, n), q_u (m, m), ref_x (n,) and ref_u (m,)."""
     got = (cost.q_x.shape, cost.q_u.shape, cost.ref_x.shape, cost.ref_u.shape)
@@ -298,15 +324,20 @@ def _check_cost(cost, n, m):
                                 f"n={n}, m={m}")
 
 
-def _step_map(step_map, cost, next_cost, tables, manifold, gamma, t):
+def _step_map(step_map, cost, next_cost, tables, manifold, gamma, t, step_maps):
     """The step map for step t, on ``cost``: ``step_map`` when it serves
-    ``cost``; else, when ``cost`` takes one and the next step's cost
-    ``next_cost`` takes one with the same weight arrays (so the map serves at
-    least two steps), one built for it; else None, the gradient path. A run
-    whose weights change every step builds none. A map that fails to build
-    fails step t."""
+    ``cost``; else the first of ``step_maps`` (built beforehand) that was
+    built on ``tables``, ``manifold`` and ``gamma`` and serves ``cost``;
+    else, when ``cost`` takes one and the next step's cost ``next_cost``
+    takes one with the same weight arrays (so the map serves at least two
+    steps), one built for it; else None, the gradient path. A run whose
+    weights change every step builds none. A map that fails to build fails
+    step t."""
     if step_map is not None and step_map.serves(cost):
         return step_map
+    for built in step_maps:
+        if built.fits(tables, manifold, gamma, cost):
+            return built
     takes = oco.QuadraticStepMap.takes
     if not (takes(cost) and takes(next_cost) and next_cost.q_x is cost.q_x
             and next_cost.q_u is cost.q_u):
@@ -318,7 +349,7 @@ def _step_map(step_map, cost, next_cost, tables, manifold, gamma, t):
 
 
 def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
-                abort_on_violation=False, benchmarks=()):
+                abort_on_violation=False, benchmarks=(), step_maps=()):
     """The online loop for any plant; returns (trace, ledger).
 
     ``plant.observe(t)`` returns (x_true, x_meas, v, cost_t) and
@@ -327,7 +358,7 @@ def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
     the trace, a ``RunRecord``, with cost_t as its ref_x, ref_u and pair
     columns: each new cost object is checked against the model
     (``_check_cost``; a misfit raises at t = 0 and aborts the run at t > 0)
-    and its weight pair found in ``record.pairs`` (``RunRecord.pair_of``).
+    and its weight pair found in ``record.pairs`` (``pair_index``).
     Flags, the benchmark steady states, cost values and totals come after
     the run (flags after each step under ``abort_on_violation``), with one
     benchmark per weight pair, not per run of consecutive steps: one of
@@ -335,18 +366,24 @@ def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
     ``RunRecord.finish`` builds.
 
     A step on a ``QuadraticCost`` whose weight pair repeats on the next step
-    uses an ``oco.QuadraticStepMap`` for that pair, built on first use; the
-    loop keeps only the map in use (see ``_step_map``).
+    uses an ``oco.QuadraticStepMap`` for that pair: one of ``step_maps``
+    (built beforehand, e.g. once for every run of a sweep design) that fits
+    the step, else one built on first use; the loop keeps only the map in
+    use (see ``_step_map``).
 
     On a plant whose ``observe`` and ``advance`` are ``_LtiPlant``'s own,
     with the explicit variant and gamma > 0, the loop runs ahead over steps
     that keep the previous step's cost object and a map that serves it: it
-    takes a block of up to ``oco.RUN_AHEAD_STEPS`` of them in closed form as
-    ``oco.step`` takes a step its map's rows settle (``_LtiPlant.ahead``),
-    checks the block in one pass (``oco.settled_rows``) and keeps the steps
-    before the first one the check rejects, which runs step by step as
-    every other step does, or the first one under the other law, where the
-    next block starts. Step t still reads only x_meas_t and cost t-1. Under
+    takes a block of them, the rest of the cost object's stretch, in closed
+    form as ``oco.step`` takes a step its map's rows settle
+    (``_LtiPlant.ahead``), checks the block in one pass
+    (``oco.settled_rows``) and keeps the steps before the first one the
+    check rejects, which runs step by step as every other step does, or the
+    first one under the other law, where the next block starts. So that
+    the rows a cut block computes in vain stay linear in the horizon, the
+    block after one cut short holds at most ``oco.RUN_AHEAD_STEPS`` steps,
+    each block kept whole doubles that cap, and a new cost object resets it
+    to the whole stretch. Step t still reads only x_meas_t and cost t-1. Under
     ``abort_on_violation`` a block is flagged after it is kept (see
     ``_run_ahead``). A block's first step is the step-by-step step to the
     bit; the closed form of the others rounds differently: every float
@@ -363,7 +400,7 @@ def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
         raise OcoRobustError("x0 violates the state constraints")
     _check_cost(cost_t, model.n, model.m)
     record = RunRecord(model.n, model.m, model.mu, horizon)
-    pair = record.pair_of(cost_t)
+    pair = pair_index(record.pairs, cost_t)
     c_g = controller.effective_c_g(model)
     check_c_g(c_g, model)
     state = oco.initialize(model, tables, manifold, zeta0, x_meas)
@@ -375,17 +412,21 @@ def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
     step_map = None
     ahead = _runs_ahead(plant, controller)
     serial = False  # the next step runs step by step
+    cap = horizon  # the most steps of the next block
     t = 0
     while t < horizon:
         if t > 0 and ahead and not serial:
             try:
-                step_map, state, kept, serial = _run_ahead(
-                    plant, record, state, step_map, cost_t, t,
-                    min(t + oco.RUN_AHEAD_STEPS, horizon), model, tables, manifold,
-                    controller.gamma)
+                step_map, state, kept, whole, serial = _run_ahead(
+                    plant, record, state, step_map, cost_t, t, min(t + cap, horizon), model,
+                    tables, manifold, controller.gamma, step_maps)
             except OcoRobustError as exc:
                 raise SimulationAborted(str(exc), record, record.finish(t, monitors, benchmarks),
                                         t) from exc
+            if not whole:
+                cap = oco.RUN_AHEAD_STEPS
+            elif kept:
+                cap = min(2 * cap, horizon)
             if kept:
                 if abort_on_violation:
                     _abort_at_violation(record, t, t + kept, monitors, benchmarks)
@@ -398,9 +439,10 @@ def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
             try:
                 if cost_t is not prev_cost:
                     _check_cost(cost_t, model.n, model.m)
-                    pair = record.pair_of(cost_t)
+                    pair = pair_index(record.pairs, cost_t)
+                    cap = horizon
                 step_map = _step_map(step_map, prev_cost, cost_t, tables, manifold,
-                                     controller.gamma, t)
+                                     controller.gamma, t, step_maps)
                 u, state, diag = oco.step(state, model, tables, manifold, x_meas, prev_cost,
                                           controller, step_map)
             except OcoRobustError as exc:
@@ -442,16 +484,17 @@ def _runs_ahead(plant, controller):
 
 
 def _run_ahead(plant, record, state, step_map, cost, t, stop, model, tables, manifold,
-               gamma):
+               gamma, step_maps):
     """Run ``plant`` ahead from step t, to ``stop`` at most, while the steps
     keep the previous step's cost object ``cost``; returns (step map, state,
-    kept, rejected).
+    kept, whole, rejected).
 
-    The steps' costs come from the plant's schedule and their map from
-    ``_step_map``; with a new cost object at t, or no map, nothing runs
-    (kept = 0). Else ``_LtiPlant.ahead`` takes a block of steps under the
-    law of its first one and ``oco.settled_rows`` checks them in one pass.
-    The block keeps the ``kept`` steps before the first one the check
+    The steps' costs come from the plant's schedule, scanned up to ``stop``
+    only, and their map from ``_step_map``; with a new cost object at t, or
+    no map, nothing runs (kept = 0). Else ``_LtiPlant.ahead`` takes one
+    block of steps to the stretch's end under the law of its first one, and
+    ``oco.settled_rows`` checks them in one pass. The block keeps all its
+    steps (``whole``) or the ``kept`` steps before the first one the check
     rejects (then ``rejected`` is True and that step runs step by step) or
     whose reach gap belongs to the other law (then the next block starts
     there). They go to ``record`` by slices, with the pair of the row before
@@ -463,9 +506,9 @@ def _run_ahead(plant, record, state, step_map, cost, t, stop, model, tables, man
     while end < stop and schedule.cost_at(end) is cost:
         end += 1
     if end > t:
-        step_map = _step_map(step_map, cost, cost, tables, manifold, gamma, t)
+        step_map = _step_map(step_map, cost, cost, tables, manifold, gamma, t, step_maps)
     if end == t or step_map is None:
-        return step_map, state, 0, False
+        return step_map, state, 0, True, False
     m = model.m
     with np.errstate(all="ignore"):  # a rejected row may hold NaN or inf
         x, x_meas, outs, plans, u, norms, degenerate = plant.ahead(
@@ -474,8 +517,9 @@ def _run_ahead(plant, record, state, step_map, cost, t, stop, model, tables, man
                                    model.membership_tol)
         ok = settled & ((norms[:, 0] <= oco.DEGENERATE_TOL) == degenerate)
     ok[:1] = settled[:1]  # the first step sets the law
-    kept = len(ok) if ok.all() else int(np.argmin(ok))
-    rejected = kept < len(ok) and not settled[kept]
+    whole = bool(ok.all())
+    kept = len(ok) if whole else int(np.argmin(ok))
+    rejected = not whole and not settled[kept]
     if kept:
         rows, last = slice(t, t + kept), kept - 1
         record.fill(rows, x_true=x[:kept], x_meas=x_meas[:kept], u=u[:kept], w=plant.w[rows],
@@ -490,7 +534,7 @@ def _run_ahead(plant, record, state, step_map, cost, t, stop, model, tables, man
         state = oco.ControllerState(
             plan=plans[last], zeta_hat=(outs[last, step_map.theta], outs[last, step_map.eta]),
             t=t + last)
-    return step_map, state, kept, rejected
+    return step_map, state, kept, whole, rejected
 
 
 class _LtiPlant:
@@ -523,11 +567,12 @@ class _LtiPlant:
         below ``oco.DEGENERATE_TOL``, or above it). That step is taken as
         ``oco.step`` takes it, from the map's product at the plant's state,
         so it is the step-by-step step to the bit; the block's other steps
-        come in closed form from the map's ``LiftedSteps`` for that law, so
-        the block holds at most that object's ``steps`` steps. It ends
-        before the first step whose v is not finite and after the first step
-        whose w is not finite, and so holds no step at all when v_t is not
-        finite.
+        come in closed form from the map's ``LiftedSteps`` for that law, in
+        chained chunks of at most its ``steps`` rows (one map product, one
+        check and one record fill serve the whole block). Where that law's
+        ``steps`` is 1, the block is its first step. It ends before the
+        first step whose v is not finite and after the first step whose w is
+        not finite, and so holds no step at all when v_t is not finite.
 
         Returns per step: x, x_meas, the map's rows, the plan, u and (reach
         gap norm, g_norm); then whether the law is the degenerate one.
@@ -541,7 +586,8 @@ class _LtiPlant:
         gap_norm, g, plan, u = oco.settled_step(out, step_map, candidate, x_meas, self.model.k)
         degenerate = gap_norm <= oco.DEGENERATE_TOL
         lifted = step_map.lifted(self.model.a, self.model.b, degenerate)
-        rows = min(rows, lifted.steps)
+        if lifted.steps == 1:
+            rows = min(rows, 1)
         xs, x_metas, outs, plans, us, norms = lifted.run(step_map, self.x, candidate, cost,
                                                          v[:rows], w[:rows])
         if rows:  # the first step as oco.step takes it, to the bit
@@ -557,12 +603,15 @@ _LTI_OWN = (_LtiPlant.observe, _LtiPlant.advance)
 
 
 def run_closed_loop(model, tables, manifold, controller, cost_schedule, dist_policy,
-                    horizon, zeta0=None, x0=None, abort_on_violation=False, benchmarks=()):
+                    horizon, zeta0=None, x0=None, abort_on_violation=False, benchmarks=(),
+                    step_maps=()):
     """Simulate Eq-style dynamics x+ = Ax + Bu + w with noisy measurements.
 
     Returns (trace, ledger). Deterministic for a fixed policy seed and config.
-    ``benchmarks`` are ``SteadyStateBenchmark``s built beforehand for the
-    schedule's weights (see ``closed_loop``).
+    ``benchmarks`` are ``SteadyStateBenchmark``s and ``step_maps``
+    ``oco.QuadraticStepMap``s built beforehand for the schedule's weights,
+    so that many runs share one build and a map's ``LiftedSteps`` (see
+    ``closed_loop``).
     """
     check_horizon(horizon)
     x0 = np.zeros(model.n) if x0 is None else np.asarray(x0, float)
@@ -570,7 +619,8 @@ def run_closed_loop(model, tables, manifold, controller, cost_schedule, dist_pol
         zeta0 = (np.zeros(model.n), np.zeros(model.m))
     plant = _LtiPlant(model, cost_schedule, dist_policy, x0, horizon)
     return closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
-                       abort_on_violation=abort_on_violation, benchmarks=benchmarks)
+                       abort_on_violation=abort_on_violation, benchmarks=benchmarks,
+                       step_maps=step_maps)
 
 
 FLAG_NAMES = ("state_ok", "input_ok", "candidate_ok", "plan_ok", "zs_ok",
@@ -720,13 +770,18 @@ def regret_scaling_experiment(model, tables, manifold, controller, path_generato
     ``path_generator.make(level, benchmark)`` returns (schedule, zeta0, x0)
     for one path level, with zeta0 solved by ``benchmark``, the one
     ``path_generator.benchmark()`` built for the whole design; every run gets
-    it for its regret benchmark. Emits one row per (level, scale, seed) with
-    the measured path length, disturbance energies, and final regret, plus
-    an affine fit regret ~ c0 + c_path * path + c_noise * (w_energy +
-    v_energy).
+    it for its regret benchmark, and one ``oco.QuadraticStepMap`` built for
+    the design's base weights and ``controller.gamma``, so the map and its
+    ``LiftedSteps`` are built once per design, not once per run. Emits one
+    row per (level, scale, seed) with the measured path length, disturbance
+    energies, and final regret, plus an affine fit regret ~ c0 + c_path *
+    path + c_noise * (w_energy + v_energy).
     """
     rows = []
     benchmark = path_generator.benchmark()
+    base = path_generator.base_cost
+    step_maps = ((oco.QuadraticStepMap(tables, manifold, base, controller.gamma),)
+                 if oco.QuadraticStepMap.takes(base) else ())
     for level in path_generator.levels:
         schedule, zeta0, x0 = path_generator.make(level, benchmark)
         for scale in dist_levels:
@@ -737,7 +792,7 @@ def regret_scaling_experiment(model, tables, manifold, controller, path_generato
                 # one call per row, in row order, through the module attribute
                 _, ledger = run_closed_loop(model, tables, manifold, controller, schedule,
                                             policy, horizon, zeta0=zeta0, x0=x0,
-                                            benchmarks=(benchmark,))
+                                            benchmarks=(benchmark,), step_maps=step_maps)
                 rows.append(dict(path_level=level, noise_level=scale, seed=seed,
                                  path_length=ledger.path_length, w_energy=ledger.w_energy,
                                  v_energy=ledger.v_energy, regret=ledger.cum_regret))

@@ -5,7 +5,8 @@ written out plainly from A, B, K and mu: the mu-step prediction by
 simulation, the gradient step on the previous cost, the projection onto the
 shrunk manifold by exact enumeration of active sets (at most m rows of
 S-bar, each a KKT solve), the least-norm input from ``np.linalg.lstsq`` on
-the controllability matrix it builds itself, beta by bisection
+the controllability matrix it builds itself (none for a reach gap at or
+below ``DEGENERATE_TOL``), beta by bisection
 (``conftest.max_beta_bisect``), the blend and the feedback. It reads only
 the model's matrices and sets, the tightening tables (the constraints
 beta is bounded by) and the plant's noise draws. Its flags come from its
@@ -14,23 +15,33 @@ own margins, formed from the set primitives.
 States, inputs, beta and every other float column must agree with
 ``closed_loop`` within REL (1 + |reference|); beta by bisection is within
 1e-10 of the ratio test. A flag may differ only on a row whose reference
-margin sits within REL of the flag's bound; those rows are counted.
+margin sits within REL of the flag's bound; those rows are counted. The
+runs: the bundled double integrator and regret sweep, a 1,000-step double
+integrator run that ``closed_loop`` takes in one block, and drawn models
+(``tests/test_drawn_models.py``).
 """
 
 import itertools
 from pathlib import Path
 
 import numpy as np
+from hypothesis import given, settings
 
 from ocorobust import cli, simkit
+from ocorobust import oco_controller as oco
+from ocorobust.errors import OcoRobustError
 from ocorobust.plant import (
+    QuadraticCost,
     build_model,
     build_tightening,
+    cost_curvature,
+    optimal_steady_state,
     stage_values,
     steady_state_manifold,
     worst_stage_residuals,
 )
-from ocorobust.simkit import DisturbancePolicy
+from ocorobust.simkit import ConstantSchedule, DisturbancePolicy, PiecewiseSchedule
+from test_drawn_models import build, drawn_models
 
 from conftest import assert_close, max_beta_bisect
 
@@ -96,7 +107,10 @@ def reference_run(model, tables, manifold, schedule, policy, horizon, zeta0, x0,
             eta = project(normals, offsets, g_k, pred - gamma * (gx + k.T @ gv),
                           u_ss - gamma * gv)
             theta = g_k @ eta
-            g = np.linalg.lstsq(s_c, theta - pred, rcond=None)[0]
+            d = theta - pred
+            # a gap at or below DEGENERATE_TOL takes no input (g = 0)
+            g = (np.zeros(mu * m) if np.linalg.norm(d) <= oco.DEGENERATE_TOL
+                 else np.linalg.lstsq(s_c, d, rcond=None)[0])
             g_norm = float(np.linalg.norm(g))
             beta = max_beta_bisect(tables, model, x_meas, candidate, g)
             worst = float(stage_values(tables, x_meas, candidate).max())
@@ -196,3 +210,66 @@ def test_every_regret_sweep_cell():
             cells += 1
     assert cells == 18
     print(f"regret sweep: {ties} flag rows at a bound")
+
+
+def test_long_block(monkeypatch):
+    # 1,000 steps of the bundled double integrator on its first cost alone:
+    # every step after the first runs ahead, in one block of 999 steps.
+    cfg, model, tables, manifold, schedule, controller = setup("double_integrator", "run")
+    schedule = ConstantSchedule(schedule.cost_at(0))
+    u0 = np.zeros(model.m)
+    zeta0, x0 = (model.g_k @ u0, u0), np.asarray(cfg["model"]["x0"], float)
+    blocks, ahead = [], simkit._LtiPlant.ahead
+
+    def counted(plant, *args):
+        out = ahead(plant, *args)
+        blocks.append(len(out[0]))
+        return out
+
+    monkeypatch.setattr(simkit._LtiPlant, "ahead", counted)
+    policy = DisturbancePolicy(seed=0)
+    trace, _ = simkit.run_closed_loop(model, tables, manifold, controller, schedule, policy,
+                                      1000, zeta0=zeta0, x0=x0)
+    assert blocks == [999]
+    ties = compare(trace, *reference_run(model, tables, manifold, schedule, policy, 1000, zeta0,
+                                         x0, controller.gamma, controller.effective_c_g(model)))
+    print(f"long block: {ties} flag rows at a bound")
+
+
+def test_drawn_models():
+    # Drawn models (tests/test_drawn_models.py) in the explicit variant, with
+    # two pieces on the first weights and one on others, under drawn and
+    # worst-corner noise.
+    ran, ties = [], 0
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(drawn_models())
+    def check(drawn):
+        nonlocal ties
+        cfg, targets = drawn
+        try:
+            model, tables, manifold = build(cfg)
+        except OcoRobustError:
+            return
+        n, m = model.n, model.m
+        first = QuadraticCost(np.eye(n), np.eye(m), targets[0], np.zeros(m))
+        schedule = PiecewiseSchedule(((0, first), (20, first.with_ref_x(targets[1])),
+                                      (40, QuadraticCost(2.0 * np.eye(n), np.eye(m),
+                                                         targets[2], np.zeros(m)))))
+        zeta0 = optimal_steady_state(manifold, first, model)
+        controller = oco.ControllerConfig(gamma=1.0 / cost_curvature(first, model)[1])
+        for policy in (DisturbancePolicy(seed=3), DisturbancePolicy(kind="worst_corner")):
+            try:
+                trace, _ = simkit.run_closed_loop(model, tables, manifold, controller,
+                                                  schedule, policy, 60, zeta0=zeta0,
+                                                  x0=zeta0[0])
+            except OcoRobustError:  # e.g. v_0 puts the initial plan outside the sets
+                continue
+            ties += compare(trace, *reference_run(
+                model, tables, manifold, schedule, policy, 60, zeta0, zeta0[0],
+                controller.gamma, controller.effective_c_g(model)))
+            ran.append(policy.kind)
+
+    check()
+    assert len(ran) >= 20
+    print(f"drawn models: {len(ran)} runs, {ties} flag rows at a bound")

@@ -205,6 +205,49 @@ class TestConfigs:
         assert 150 in steps and len(steps) < 0.1 * horizon
 
 
+def test_rejected_steps_keep_work_linear(monkeypatch):
+    # The bundled double integrator with gamma = 3.0 over 3,000 steps: the
+    # steps with beta < 1 are rejected inside blocks that span the rest of
+    # their cost object's stretch. After each, the next block holds at most
+    # RUN_AHEAD_STEPS steps, and each block kept whole doubles that, so the
+    # rows computed stay linear in the horizon. The run agrees with the
+    # steps one by one as every run here does, except that the rejected
+    # steps, which take beta strictly inside (0, 1) from a closed-form
+    # state, may differ in beta's last bits (see ``closed_loop``).
+    cfg, model, tables, manifold, schedule, controller = generic_setup(
+        "double_integrator", "run")
+    controller = dataclasses.replace(controller, gamma=3.0)
+    u0, horizon = np.zeros(model.m), 3000
+    rows, ahead = [], simkit._LtiPlant.ahead
+
+    def counted(plant, *args):
+        out = ahead(plant, *args)
+        rows.append(len(out[0]))
+        return out
+
+    def run():
+        return simkit.run_closed_loop(
+            model, tables, manifold, controller, schedule,
+            DisturbancePolicy(kind="uniform_box", seed=1), horizon,
+            zeta0=(model.g_k @ u0, u0), x0=np.asarray(cfg["model"]["x0"], float))
+
+    with monkeypatch.context() as patch:
+        steps = serial_steps(patch)
+        patch.setattr(simkit._LtiPlant, "ahead", counted)
+        got = run()
+    with monkeypatch.context() as patch:
+        patch.setattr(simkit, "_LtiPlant", StepByStep)
+        want = run()
+    assert_records_agree(got, want, REL)
+    fractional = (want[0].beta > 0.0) & (want[0].beta < 1.0)
+    assert got[0].beta[~fractional].tobytes() == want[0].beta[~fractional].tobytes()
+    assert steps == expected_serial_steps(want[0], model, tables, manifold, controller.gamma)
+    rejected = [t for t in steps if t != 150]
+    assert 150 in steps and len(rejected) >= 10
+    assert np.flatnonzero(fractional).tolist() == rejected
+    assert sum(rows) <= 4 * horizon + oco.RUN_AHEAD_STEPS * len(rejected)
+
+
 def test_drawn_models(monkeypatch):
     # Drawn models (n <= 3, m <= n) with two pieces on the first weights and
     # one on others, under drawn and worst-corner noise.

@@ -11,12 +11,18 @@ ends each run's output.
 
 The output file holds every run in the order it ran and, per workload, each
 side's median and quartiles (``statistics.quantiles``, inclusive method) of
-every end-to-end metric, the number of failed replicates, and per pair
-comparison how many pairs the change won on each metric (in the direction
-``BENCHMARK.json`` declares; ties count for neither side) and the largest
-relative difference of ``mean_regret`` within a pair. When ``--out`` exists,
-the new runs are added to its runs and the summary is computed again from
-all of them, so one file can collect several workloads.
+every end-to-end metric, the number of failed replicates and their share of
+the attempted ones, and per pair comparison how many pairs the change won on
+each metric (in the direction ``BENCHMARK.json`` declares; ties count for
+neither side) and the largest relative difference of ``mean_regret`` within
+a pair. Each metric also gets a verdict (``verdict``): ``gain`` when the
+change won at least 9 of every 10 pairs, over at least 10 pairs, and its
+median is better than the parent's by more than the parent's interquartile
+range; else ``within_bound`` when its median is worse than the parent's by
+at most the metric's ``bound`` in ``BENCHMARK.json`` (a share of the
+parent's median), else ``worse``. When ``--out`` exists, the new runs are
+added to its runs and the summary is computed again from all of them, so
+one file can collect several workloads.
 """
 
 from __future__ import annotations
@@ -52,16 +58,32 @@ def quartiles(values):
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(runs, better):
-    """(summary, pairs) of ``runs`` per workload; ``better`` maps each
-    end-to-end metric to "higher" or "lower"."""
-    summary, pairs = {}, {}
+def verdict(parent, change, won, pairs, better, bound):
+    """``gain``, ``within_bound`` or ``worse``: the change's quartiles
+    ``change`` on one metric against the parent's ``parent``, with the
+    change better in ``won`` of ``pairs`` pairs; ``better`` is "higher" or
+    "lower" and ``bound`` the share of the parent's median by which the
+    change's may be worse."""
+    sign = 1.0 if better == "higher" else -1.0
+    gap = sign * (change["median"] - parent["median"])
+    if pairs >= 10 and won >= 0.9 * pairs and gap > parent["q3"] - parent["q1"]:
+        return "gain"
+    return "within_bound" if -gap <= bound * abs(parent["median"]) else "worse"
+
+
+def summarize(runs, metrics):
+    """(summary, pairs, verdicts) of ``runs`` per workload; ``metrics`` maps
+    each end-to-end metric to its ("higher" or "lower", bound)."""
+    summary, pairs, verdicts = {}, {}, {}
+    better = {name: direction for name, (direction, _) in metrics.items()}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         mine = [r for r in runs if r["workload"] == workload]
         summary[workload] = {}
         for side in SIDES:
             results = [r["result"] for r in mine if r["side"] == side]
             entry = {"runs": len(results), "failed": sum(r["failed"] for r in results)}
+            attempted = sum(r["attempted"] for r in results)
+            entry["failed_share"] = entry["failed"] / attempted if attempted else 0.0
             for name in better:
                 values = [r["metrics"][name]["value"] for r in results
                           if name in r["metrics"]]
@@ -83,7 +105,12 @@ def summarize(runs, better):
         counts["mean_regret_max_relative_difference"] = max(
             (abs(c - a) / abs(a) if a else abs(c - a) for a, c in regret), default=0.0)
         pairs[workload] = counts
-    return summary, pairs
+        sides = summary[workload]
+        verdicts[workload] = {
+            name: verdict(sides["parent"][name], sides["change"][name],
+                          counts[f"{name}_change_better"], counts["pairs"], *metrics[name])
+            for name in metrics if name in sides["parent"] and name in sides["change"]}
+    return summary, pairs, verdicts
 
 
 def main(argv=None):
@@ -103,7 +130,7 @@ def main(argv=None):
                    f"--seconds {args.seconds} --trace 0",
         "order": "runs listed in the order they ran; the side that runs first alternates "
                  "pair by pair, the parent first in the first pair of each invocation",
-        "machine": {}, "summary": {}, "pairs": {}, "runs": []}
+        "machine": {}, "summary": {}, "pairs": {}, "verdicts": {}, "runs": []}
     checkouts = dict(zip(SIDES, (args.parent, args.change)))
     for i, seed in enumerate(args.seeds):
         for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
@@ -116,8 +143,8 @@ def main(argv=None):
                   f"failed {result['failed']}", flush=True)
         # Written after every pair, so an interrupted invocation keeps its runs.
         benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
-        better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
-        out["summary"], out["pairs"] = summarize(out["runs"], better)
+        metrics = {m["name"]: (m["better"], m["bound"]) for m in benchmark["end_to_end"]}
+        out["summary"], out["pairs"], out["verdicts"] = summarize(out["runs"], metrics)
         args.out.write_text(json.dumps(out, indent=1) + "\n")
     return 0
 

@@ -41,7 +41,6 @@ from .simkit import (
     invariant_report,
     regret_scaling_experiment,
     run_closed_loop,
-    shared_builds,
 )
 
 
@@ -317,10 +316,6 @@ def cmd_run(args):
         zeta0 = (model.g_k @ u0, u0)
         x0 = cfg["model"].get("x0")
         abort = cfg["experiment"]["abort_on_violation"]
-        # built once for every seed, from the pieces a run can reach
-        benchmarks, step_maps = shared_builds(
-            model, tables, manifold, controller.gamma,
-            [cost for start, cost in schedule.pieces if start < horizon])
     check_c_g(params.c_g if scenario == "vehicle" else controller.effective_c_g(model), model)
 
     results = []
@@ -335,8 +330,7 @@ def cmd_run(args):
                                            scale=cfg["disturbance"]["scale"])
                 trace, ledger = run_closed_loop(model, tables, manifold, controller, schedule,
                                                 policy, horizon, zeta0=zeta0, x0=x0,
-                                                abort_on_violation=abort,
-                                                benchmarks=benchmarks, step_maps=step_maps)
+                                                abort_on_violation=abort)
                 results.append((trace, ledger, None))
         except SimulationAborted as exc:
             write_trace_csv(out_dir / "trace_partial.csv", exc.trace)

@@ -23,6 +23,7 @@ DEGENERATE_TOL = 1e-12
 PROJECTION_TOL = 1e-9
 RUN_AHEAD_STEPS = 32  # the most rows of a LiftedSteps chunk; see also simkit.closed_loop
 RUN_AHEAD_GROWTH = 100.0  # the largest norm of F^j a chunk may use (see LiftedSteps)
+RUN_AHEAD_BLOCK = 1024  # the most rows of a LiftedSteps.run call; see simkit.closed_loop
 _ONE = np.ones(1)
 
 
@@ -303,6 +304,13 @@ class LiftedSteps:
         the state of the chunk before's last row, so a chunk of k rows
         advances k - 1 steps. Non-finite noise makes every later row
         non-finite, so the caller ends the run before it.
+
+        Its temporaries, all allocated at once, take about 2 n ``steps``
+        floats per row for the noise windows plus the map's row and column
+        counts: 1.3 KB per row on the bundled double integrator (with
+        ``settled_rows``' check, by tracemalloc), about five times a
+        ``RunRecord`` row, so ``simkit.closed_loop`` asks for at most
+        RUN_AHEAD_BLOCK rows.
 
         Returns per step: x, x_meas, the map's rows, the plan, u, and
         (reach gap norm, g_norm).

@@ -107,18 +107,6 @@ def _running_sum(x):
     return float(np.cumsum(np.concatenate([[0.0], x]))[-1])
 
 
-def pair_index(pairs, cost):
-    """The index in the list ``pairs`` of ``cost``'s (q_x, q_u): of the first
-    entry with the same arrays, else with weights equal in value; else
-    ``cost`` is appended, the first cost seen with its weights."""
-    for same in (is_, np.array_equal):
-        for i, first in enumerate(pairs):
-            if same(first.q_x, cost.q_x) and same(first.q_u, cost.q_u):
-                return i
-    pairs.append(cost)
-    return len(pairs) - 1
-
-
 class RunRecord:
     """The record of one closed-loop run: (horizon, .) columns, one row per step.
 
@@ -127,7 +115,7 @@ class RunRecord:
     kkt_residual (NaN when the step has none) and g_fallback; its cost's
     references ref_x and ref_u and weight pair ``pair``, an index into
     ``pairs``, the first cost seen with each distinct (q_x, q_u) (see
-    ``pair_index``); and the cost object (costs), which ``finish`` never reads.
+    ``pair_of``); and the cost object (costs), which ``finish`` never reads.
     ``finish`` adds ``flags`` (a boolean column per invariant flag), the
     benchmark steady state benchmark_theta, benchmark_eta (one benchmark per
     weight pair, not per run of consecutive steps), and cost and
@@ -145,6 +133,17 @@ class RunRecord:
         self.candidate_ok, self.g_fallback = np.empty((2, horizon), bool)
         self.costs, self.pairs = np.empty(horizon, object), []
         self.flags, self.flagged = {}, 0  # flagged: the rows that have their flags
+
+    def pair_of(self, cost):
+        """The index in ``pairs`` of ``cost``'s (q_x, q_u): of the first entry
+        with the same arrays, else with weights equal in value; else ``cost``
+        is appended, the first cost seen with its weights."""
+        for same in (is_, np.array_equal):
+            for i, first in enumerate(self.pairs):
+                if same(first.q_x, cost.q_x) and same(first.q_u, cost.q_u):
+                    return i
+        self.pairs.append(cost)
+        return len(self.pairs) - 1
 
     def write(self, t, x_true, x_meas, u, w, v, state, diag, cost, pair):
         self.x_true[t], self.x_meas[t], self.u[t], self.w[t], self.v[t] = x_true, x_meas, u, w, v
@@ -291,31 +290,6 @@ def check_c_g(c_g, model):
         raise OcoRobustError(f"c_g={c_g:.3g} below the required norm bound {model.c_g_min:.3g}")
 
 
-def shared_builds(model, tables, manifold, gamma, costs):
-    """(benchmarks, step maps) for ``closed_loop`` to share over many runs on
-    ``costs``: a ``SteadyStateBenchmark`` for the first of them with each
-    weight pair (``pair_index``), the one ``RunRecord.finish`` would build,
-    and an ``oco.QuadraticStepMap`` on ``tables``, ``manifold`` and
-    ``gamma`` for each pair of weight arrays that takes one. Costs whose
-    shapes do not fit the model, and benchmarks that fail to build, are
-    left out: each run fails at them as it would without."""
-    firsts, maps, benchmarks = [], [], []
-    for cost in costs:
-        try:
-            _check_cost(cost, model.n, model.m)
-        except DimensionMismatch:
-            continue
-        pair_index(firsts, cost)
-        if oco.QuadraticStepMap.takes(cost) and not any(built.serves(cost) for built in maps):
-            maps.append(oco.QuadraticStepMap(tables, manifold, cost, gamma))
-    for cost in firsts:
-        try:
-            benchmarks.append(SteadyStateBenchmark(manifold, model, cost))
-        except OcoRobustError:
-            continue
-    return tuple(benchmarks), tuple(maps)
-
-
 def _check_cost(cost, n, m):
     """Raise unless q_x is (n, n), q_u (m, m), ref_x (n,) and ref_u (m,)."""
     got = (cost.q_x.shape, cost.q_u.shape, cost.ref_x.shape, cost.ref_u.shape)
@@ -358,7 +332,7 @@ def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
     the trace, a ``RunRecord``, with cost_t as its ref_x, ref_u and pair
     columns: each new cost object is checked against the model
     (``_check_cost``; a misfit raises at t = 0 and aborts the run at t > 0)
-    and its weight pair found in ``record.pairs`` (``pair_index``).
+    and its weight pair found in ``record.pairs`` (``RunRecord.pair_of``).
     Flags, the benchmark steady states, cost values and totals come after
     the run (flags after each step under ``abort_on_violation``), with one
     benchmark per weight pair, not per run of consecutive steps: one of
@@ -374,16 +348,21 @@ def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
     On a plant whose ``observe`` and ``advance`` are ``_LtiPlant``'s own,
     with the explicit variant and gamma > 0, the loop runs ahead over steps
     that keep the previous step's cost object and a map that serves it: it
-    takes a block of them, the rest of the cost object's stretch, in closed
-    form as ``oco.step`` takes a step its map's rows settle
+    takes a block of them, the rest of the cost object's stretch up to
+    ``oco.RUN_AHEAD_BLOCK`` steps (which bounds the block's temporaries), in
+    closed form as ``oco.step`` takes a step its map's rows settle
     (``_LtiPlant.ahead``), checks the block in one pass
     (``oco.settled_rows``) and keeps the steps before the first one the
     check rejects, which runs step by step as every other step does, or the
     first one under the other law, where the next block starts. So that
-    the rows a cut block computes in vain stay linear in the horizon, the
-    block after one cut short holds at most ``oco.RUN_AHEAD_STEPS`` steps,
-    each block kept whole doubles that cap, and a new cost object resets it
-    to the whole stretch. Step t still reads only x_meas_t and cost t-1. Under
+    the rows a cut block computes in vain, and the scan of the schedule for
+    the stretch's end, stay linear in the horizon, the block after one that
+    kept fewer steps than it scanned (cut by a rejected step, a change of
+    law or non-finite noise, or one step long) holds at most
+    ``oco.RUN_AHEAD_STEPS`` steps; each block that keeps every step it
+    scanned doubles that cap, up to ``oco.RUN_AHEAD_BLOCK``, and a new cost
+    object resets it to ``oco.RUN_AHEAD_BLOCK``. Step t still reads only
+    x_meas_t and cost t-1. Under
     ``abort_on_violation`` a block is flagged after it is kept (see
     ``_run_ahead``). A block's first step is the step-by-step step to the
     bit; the closed form of the others rounds differently: every float
@@ -400,7 +379,7 @@ def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
         raise OcoRobustError("x0 violates the state constraints")
     _check_cost(cost_t, model.n, model.m)
     record = RunRecord(model.n, model.m, model.mu, horizon)
-    pair = pair_index(record.pairs, cost_t)
+    pair = record.pair_of(cost_t)
     c_g = controller.effective_c_g(model)
     check_c_g(c_g, model)
     state = oco.initialize(model, tables, manifold, zeta0, x_meas)
@@ -412,7 +391,7 @@ def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
     step_map = None
     ahead = _runs_ahead(plant, controller)
     serial = False  # the next step runs step by step
-    cap = horizon  # the most steps of the next block
+    cap = oco.RUN_AHEAD_BLOCK  # the most steps of the next block
     t = 0
     while t < horizon:
         if t > 0 and ahead and not serial:
@@ -426,7 +405,7 @@ def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
             if not whole:
                 cap = oco.RUN_AHEAD_STEPS
             elif kept:
-                cap = min(2 * cap, horizon)
+                cap = min(2 * cap, oco.RUN_AHEAD_BLOCK)
             if kept:
                 if abort_on_violation:
                     _abort_at_violation(record, t, t + kept, monitors, benchmarks)
@@ -439,8 +418,8 @@ def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
             try:
                 if cost_t is not prev_cost:
                     _check_cost(cost_t, model.n, model.m)
-                    pair = pair_index(record.pairs, cost_t)
-                    cap = horizon
+                    pair = record.pair_of(cost_t)
+                    cap = oco.RUN_AHEAD_BLOCK
                 step_map = _step_map(step_map, prev_cost, cost_t, tables, manifold,
                                      controller.gamma, t, step_maps)
                 u, state, diag = oco.step(state, model, tables, manifold, x_meas, prev_cost,
@@ -492,12 +471,15 @@ def _run_ahead(plant, record, state, step_map, cost, t, stop, model, tables, man
     The steps' costs come from the plant's schedule, scanned up to ``stop``
     only, and their map from ``_step_map``; with a new cost object at t, or
     no map, nothing runs (kept = 0). Else ``_LtiPlant.ahead`` takes one
-    block of steps to the stretch's end under the law of its first one, and
-    ``oco.settled_rows`` checks them in one pass. The block keeps all its
-    steps (``whole``) or the ``kept`` steps before the first one the check
-    rejects (then ``rejected`` is True and that step runs step by step) or
-    whose reach gap belongs to the other law (then the next block starts
-    there). They go to ``record`` by slices, with the pair of the row before
+    block of steps to the scan's end under the law of its first one, and
+    ``oco.settled_rows`` checks them in one pass. The block keeps the
+    ``kept`` steps before the first one the check rejects (then
+    ``rejected`` is True and that step runs step by step) or whose reach gap
+    belongs to the other law (then the next block starts there), or all its
+    steps. ``whole`` is True when the kept steps reach the scan's end (so
+    also with a new cost object at t) and False when they stop short of it,
+    as a one-step block does on a longer stretch.
+    They go to ``record`` by slices, with the pair of the row before
     them; the plant moves past them and the returned state is the
     controller's after them.
     """
@@ -508,7 +490,7 @@ def _run_ahead(plant, record, state, step_map, cost, t, stop, model, tables, man
     if end > t:
         step_map = _step_map(step_map, cost, cost, tables, manifold, gamma, t, step_maps)
     if end == t or step_map is None:
-        return step_map, state, 0, True, False
+        return step_map, state, 0, end == t, False
     m = model.m
     with np.errstate(all="ignore"):  # a rejected row may hold NaN or inf
         x, x_meas, outs, plans, u, norms, degenerate = plant.ahead(
@@ -517,9 +499,8 @@ def _run_ahead(plant, record, state, step_map, cost, t, stop, model, tables, man
                                    model.membership_tol)
         ok = settled & ((norms[:, 0] <= oco.DEGENERATE_TOL) == degenerate)
     ok[:1] = settled[:1]  # the first step sets the law
-    whole = bool(ok.all())
-    kept = len(ok) if whole else int(np.argmin(ok))
-    rejected = not whole and not settled[kept]
+    kept = len(ok) if ok.all() else int(np.argmin(ok))
+    rejected = kept < len(ok) and not settled[kept]
     if kept:
         rows, last = slice(t, t + kept), kept - 1
         record.fill(rows, x_true=x[:kept], x_meas=x_meas[:kept], u=u[:kept], w=plant.w[rows],
@@ -534,7 +515,7 @@ def _run_ahead(plant, record, state, step_map, cost, t, stop, model, tables, man
         state = oco.ControllerState(
             plan=plans[last], zeta_hat=(outs[last, step_map.theta], outs[last, step_map.eta]),
             t=t + last)
-    return step_map, state, kept, whole, rejected
+    return step_map, state, kept, t + kept == end, rejected
 
 
 class _LtiPlant:

@@ -535,18 +535,6 @@ class TestAbortNamesSeed:
         assert err.startswith("error: seed 1: initial plan violates tightened constraints")
         assert list((tmp_path / "o").iterdir()) == []
 
-    def test_failed_benchmark_names_the_seed(self, tmp_path, capsys):
-        # Zero weights leave the benchmark QP without a positive definite
-        # Hessian: the benchmark built before the seed loop is left out, so
-        # the first seed's run fails at it and the line names that seed.
-        text = MINI_GENERIC.replace("q_x = [[1.0]]", "q_x = [[0.0]]").replace(
-            "q_u = [[1.0]]", "q_u = [[0.0]]")
-        cfg = write_cfg(tmp_path, text.replace("seeds = 1", "seeds = 2"))
-        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: seed 0: hessian is not positive definite")
-        assert list((tmp_path / "o").iterdir()) == []
-
 
 def test_generic_resid_violations_fail_the_run(tmp_path, monkeypatch, capsys):
     # The plant applies its drawn w but reports one outside W on step 4: the

@@ -248,6 +248,48 @@ def test_rejected_steps_keep_work_linear(monkeypatch):
     assert sum(rows) <= 4 * horizon + oco.RUN_AHEAD_STEPS * len(rejected)
 
 
+def test_one_step_blocks_keep_the_scan_linear(monkeypatch):
+    # With RUN_AHEAD_GROWTH below ||F||_F, every chunk is one row, so every
+    # block is its first step, kept, on a stretch it does not reach the end
+    # of: the next block's scan of the schedule stops RUN_AHEAD_STEPS steps
+    # on, not at the stretch's end, and the cost_at calls stay linear in
+    # the horizon. (The scaled-A models of test_non_contracting_model have
+    # one-row chunks too, but run only steps 1 to 3 ahead.) The run is the
+    # step-by-step run to the bit.
+    cfg, model, tables, manifold, schedule, controller = generic_setup(
+        "double_integrator", "run")
+    cost, calls, blocks, horizon = schedule.cost_at(0), [], [], 600
+    ahead = simkit._LtiPlant.ahead
+
+    class Counted:
+        def cost_at(self, t):
+            calls.append(t)
+            return cost
+
+    def counted(plant, *args):
+        out = ahead(plant, *args)
+        blocks.append(len(out[0]))
+        return out
+
+    def run():
+        u0 = np.zeros(model.m)
+        return simkit.run_closed_loop(model, tables, manifold, controller, Counted(),
+                                      DisturbancePolicy(seed=0), horizon,
+                                      zeta0=(model.g_k @ u0, u0),
+                                      x0=np.asarray(cfg["model"]["x0"], float))
+
+    monkeypatch.setattr(oco, "RUN_AHEAD_GROWTH", 0.5)
+    with monkeypatch.context() as patch:
+        steps = serial_steps(patch)
+        patch.setattr(simkit._LtiPlant, "ahead", counted)
+        got = run()
+    assert steps == [] and blocks == [1] * (horizon - 1)
+    assert len(calls) <= (oco.RUN_AHEAD_STEPS + 2) * horizon
+    with monkeypatch.context() as patch:
+        patch.setattr(simkit, "_LtiPlant", StepByStep)
+        assert_records_agree(got, run())
+
+
 def test_drawn_models(monkeypatch):
     # Drawn models (n <= 3, m <= n) with two pieces on the first weights and
     # one on others, under drawn and worst-corner noise.

@@ -305,35 +305,29 @@ class LiftedSteps:
         advances k - 1 steps. Non-finite noise makes every later row
         non-finite, so the caller ends the run before it.
 
-        Its temporaries, all allocated at once, take about 2 n ``steps``
-        floats per row for the noise windows plus the map's row and column
-        counts: 1.3 KB per row on the bundled double integrator (with
-        ``settled_rows``' check, by tracemalloc), about five times a
-        ``RunRecord`` row, so ``simkit.closed_loop`` asks for at most
-        RUN_AHEAD_BLOCK rows.
+        A chunk's noise windows take ``steps`` x 2 n (``steps`` - 1) floats,
+        whatever the run's length; per row, the run's other temporaries take
+        about the map's row and column counts in floats: 1.1 KB per row on
+        the bundled double integrator (with ``settled_rows``' check, by
+        tracemalloc), about four times a ``RunRecord`` row, so
+        ``simkit.closed_loop`` asks for at most RUN_AHEAD_BLOCK rows.
 
         Returns per step: x, x_meas, the map's rows, the plan, u, and
         (reach gap norm, g_norm).
         """
         rows, (n, ns), steps = len(v), (x.size, self.forced.shape[1]), self.steps
         ref = np.concatenate((cost.ref_x, cost.ref_u, _ONE))
-        starts = range(0, max(rows - 1, 1), max(steps - 1, 1))  # each chunk's first row
         states = np.empty((rows, ns))
-        if rows > 1:
-            # The noise part of every chunk in one product: chunk c reads
-            # e_i from its own first row on, in its own padded copy.
-            e = np.zeros((len(starts) * (steps - 1), 2 * n))
-            e[:rows - 1] = np.concatenate((v[:-1], w[:rows - 1]), axis=1)
-            noise = np.zeros((len(starts), 2 * steps - 2, 2 * n))
-            noise[:, steps - 1:] = e.reshape(len(starts), steps - 1, 2 * n)
-            forced = noise.reshape(len(starts), -1)[:, self.windows] @ self.forced
+        e = np.concatenate((v[:-1], w[:rows - 1]), axis=1)  # e_i = [v_i; w_i]
+        window = np.zeros((2 * steps - 2, 2 * n))  # a chunk's noise, zero before its e_0
         start = np.concatenate((x, candidate, ref))
-        for c, lo in enumerate(starts):
-            hi = min(lo + steps, rows)
-            states[lo:hi] = (self.free[:(hi - lo) * ns] @ start).reshape(hi - lo, ns)
-            if hi - lo > 1:
-                states[lo:hi] += forced[c, :hi - lo]
-                start[:ns] = states[hi - 1]
+        for lo in range(0, max(rows - 1, 1), max(steps - 1, 1)):  # each chunk's first row
+            k = min(steps, rows - lo)
+            states[lo:lo + k] = (self.free[:k * ns] @ start).reshape(k, ns)
+            if k > 1:
+                window[steps - 1:steps + k - 2] = e[lo:lo + k - 1]
+                states[lo:lo + k] += window.take(self.windows[:k]) @ self.forced
+                start[:ns] = states[lo + k - 1]
         z = np.empty((rows, step_map.matrix.shape[1]))
         z[:, :n] = x_meas = states[:, :n] + v
         z[:, n:ns], z[:, ns:] = states[:, n:], ref

@@ -463,9 +463,12 @@ def _validation_checks(cfg):
     except InfeasibleError as exc:
         record("steady-state manifold nonempty with 0 interior", False, str(exc))
         return checks, model
-    eff_cg = oco.ControllerConfig(gamma=gamma, c_g=c_g).effective_c_g(model)
-    record("c_g covers the explicit-solution norm", eff_cg >= model.c_g_min * (1 - 1e-9),
-           f"required >= {model.c_g_min:.4g}")
+    try:
+        check_c_g(oco.ControllerConfig(gamma=gamma, c_g=c_g).effective_c_g(model), model)
+        covers = True
+    except OcoRobustError:
+        covers = False
+    record("c_g covers the explicit-solution norm", covers, f"required >= {model.c_g_min:.4g}")
     try:
         if scenario == "vehicle":
             zeta0 = optimal_steady_state(manifold, cost0, model)

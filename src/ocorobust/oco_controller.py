@@ -19,6 +19,10 @@ from .errors import InfeasibleError, InitializationError, OcoRobustError, StepEr
 from .matlin import as_vector
 from .plant import QuadraticCost, membership_zu, stage_values, stage_values_linear
 
+# The optimized variant skips its rollout QP at a reach gap this small: the
+# cap c_g |d| then allows only g = 0, but the QP's optimum can be nonzero in
+# S_c's null space, which the rollout cost shapes, so solving would report a
+# spurious cap fallback.
 DEGENERATE_TOL = 1e-12
 PROJECTION_TOL = 1e-9
 RUN_AHEAD_STEPS = 32  # the most rows of a LiftedSteps chunk; see also simkit.closed_loop
@@ -196,7 +200,7 @@ class QuadraticStepMap:
         self.matrix = np.vstack(list(blocks.values()))
         self.tables, self.manifold, self.gamma = tables, manifold, gamma
         self.q_x, self.q_u = cost.q_x, cost.q_u
-        self._lifted = [None, None]  # the LiftedSteps of each law, built on first use
+        self._lifted = None  # the map's LiftedSteps, built on first use
 
     @staticmethod
     def takes(cost):
@@ -219,28 +223,24 @@ class QuadraticStepMap:
         """The map's rows at (x_meas, candidate) for a cost this map serves."""
         return self.matrix @ np.concatenate((x_meas, candidate, cost.ref_x, cost.ref_u, _ONE))
 
-    def lifted(self, a, b, degenerate):
-        """The map's ``LiftedSteps`` under the degenerate law or the other
-        one, for the plant x+ = A x + B u + w (``a``, ``b``) that its tables
-        were built for; built on the first call for that law and kept. The
-        tables belong to one model, so every call passes that model's A and
-        B, and later calls do not read them."""
-        law = int(bool(degenerate))
-        if self._lifted[law] is None:
-            self._lifted[law] = LiftedSteps(self, a, b, law)
-        return self._lifted[law]
+    def lifted(self, a, b):
+        """The map's ``LiftedSteps`` for the plant x+ = A x + B u + w (``a``,
+        ``b``) that its tables were built for; built on the first call and
+        kept. The tables belong to one model, so every call passes that
+        model's A and B, and later calls do not read them."""
+        if self._lifted is None:
+            self._lifted = LiftedSteps(self, a, b)
+        return self._lifted
 
 
 class LiftedSteps:
     """Runs of explicit steps on an LTI plant x+ = A x + B u + w with
-    measurements x + v, each step taken as ``settled_step`` takes it from a
-    ``QuadraticStepMap``'s rows under one law, in closed form.
+    measurements x + v, each step taken as ``step`` takes one that a
+    ``QuadraticStepMap``'s rows settle, in closed form.
 
-    The laws: with the reach gap above DEGENERATE_TOL, u and the next
-    candidate plan[m:] are the map's ``u`` and ``plan`` rows; at or below
-    it, u = candidate[:m] + K x_meas and the next candidate is [candidate[m:];
-    eta]. Either way they are affine in [x_meas; candidate; ref_x; ref_u; 1],
-    so a step is affine in s = [x; candidate]: s+ = F s + E [v; w] + C r,
+    Such a step's u and next candidate plan[m:] are the map's ``u`` and
+    ``plan`` rows, affine in [x_meas; candidate; ref_x; ref_u; 1], so a
+    step is affine in s = [x; candidate]: s+ = F s + E [v; w] + C r,
     with r = [ref_x; ref_u; 1], and the states of a chunk of steps are MPC's
     stacked prediction form (Maciejowski, *Predictive Control with
     Constraints*, 2002, ch. 2):
@@ -262,20 +262,11 @@ class LiftedSteps:
     cannot advance, so ``run`` takes one step, from its start state.
     """
 
-    def __init__(self, step_map, a, b, degenerate):
-        matrix, feedback = step_map.matrix, step_map.tables.feedback
-        n, m = b.shape
-        nv = step_map.g.stop - step_map.g.start
-        ns, cols = n + nv, matrix.shape[1]
-        if degenerate:
-            u = np.zeros((m, cols))
-            u[:, :n], u[:, n:n + m] = feedback, np.eye(m)
-            nxt = np.zeros((nv, cols))
-            nxt[:nv - m, n + m:ns] = np.eye(nv - m)
-            nxt[nv - m:] = matrix[step_map.eta]
-        else:
-            u, nxt = matrix[step_map.u], matrix[step_map.plan][m:]
-        step = np.vstack([b @ u, nxt])  # s+ - [A x + w; 0], from [x_meas; candidate; r]
+    def __init__(self, step_map, a, b):
+        matrix, (n, m) = step_map.matrix, b.shape
+        ns, cols = n + step_map.g.stop - step_map.g.start, matrix.shape[1]
+        # s+ - [A x + w; 0], from [x_meas; candidate; r]
+        step = np.vstack([b @ matrix[step_map.u], matrix[step_map.plan][m:]])
         f = step[:, :ns].copy()
         f[:n, :n] += a
         e = np.hstack([step[:, :n], np.eye(ns, n)])  # the columns of v and w
@@ -293,7 +284,6 @@ class LiftedSteps:
         self.forced = (powers[-2::-1] @ e).transpose(0, 2, 1).reshape(-1, ns)
         width = 2 * n * (steps - 1)
         self.windows = np.arange(steps)[:, None] * (2 * n) + np.arange(width)
-        self.degenerate = bool(degenerate)
 
     def run(self, step_map, x, candidate, cost, v, w):
         """The ``len(v)`` steps (at most 1 when ``steps`` is 1) from the plant
@@ -333,19 +323,10 @@ class LiftedSteps:
         z[:, n:ns], z[:, ns:] = states[:, n:], ref
         outs = z @ step_map.matrix.T
         norms = np.empty((rows, 2))
-        gap = outs[:, step_map.gap]
+        gap, g = outs[:, step_map.gap], outs[:, step_map.g]
         norms[:, 0] = np.sqrt(np.einsum("ij,ij->i", gap, gap))
-        if self.degenerate:
-            feedback = step_map.tables.feedback
-            m = feedback.shape[0]
-            plans = np.concatenate([states[:, n:], outs[:, step_map.eta]], axis=1)
-            u = states[:, n:n + m] + x_meas @ feedback.T
-            norms[:, 1] = 0.0
-        else:
-            plans, u = outs[:, step_map.plan], outs[:, step_map.u]
-            g = outs[:, step_map.g]
-            norms[:, 1] = np.sqrt(np.einsum("ij,ij->i", g, g))
-        return states[:, :n], x_meas, outs, plans, u, norms
+        norms[:, 1] = np.sqrt(np.einsum("ij,ij->i", g, g))
+        return states[:, :n], x_meas, outs, outs[:, step_map.plan], outs[:, step_map.u], norms
 
 
 def control_input(state, model, x_meas):
@@ -403,24 +384,28 @@ def project_manifold(manifold, linear, tol=PROJECTION_TOL):
     Solved in u-coordinates with x = G_K u substituted, which is exact.
     """
     return _projected(manifold, manifold.projector.solve(
-        linear, ineq_offsets=manifold.sbar.offsets, tol=tol))
+        linear, ineq_offsets=manifold.sbar.offsets, tol=tol), tol)
 
 
-def _projected(manifold, sol):
-    """The steady state (theta, eta) of the projection QP's solution ``sol``."""
+def _projected(manifold, sol, tol):
+    """The steady state (theta, eta) of the projection QP's solution ``sol``,
+    solved to the KKT tolerance ``tol``; a failed solve raises with its KKT
+    residual, since a solve whose residual misses ``tol`` reports "max_iter"
+    (``PrefactoredQp._assemble``)."""
     if sol.status != "optimal":
-        raise InfeasibleError(f"manifold projection failed: {sol.status}")
+        raise InfeasibleError(f"manifold projection failed: {sol.status} "
+                              f"(KKT residual {sol.kkt_residual:.3g}, tol {tol:g})")
     return manifold.zeta_of_u(sol.x)
 
 
 def additional_input_explicit(tables, theta_hat, pred_state):
     """Least-norm input sequence g reaching theta_hat in mu steps, and its
     growth of the stage residuals (``residual_u @ g``): one product with
-    ``tables.explicit_map``. Returns (g, growth)."""
-    r, nv = tables.residual_u.shape
+    ``tables.explicit_map``; g is linear in the gap, so a zero gap takes
+    g = 0. Returns (g, growth)."""
+    nv = tables.residual_u.shape[1]
     d = theta_hat - pred_state
-    if _gap_norm(d) <= DEGENERATE_TOL:
-        return np.zeros(nv), np.zeros(r)
+    _gap_norm(d)  # rejects a non-finite gap
     both = tables.explicit_map @ d
     return both[:nv], both[nv:]
 
@@ -508,30 +493,12 @@ def _rows_settle(gap_norm, worst, reach, tol):
     at beta = 1, for one step (floats) or a block of steps (arrays,
     elementwise): the reach gap's norm ``gap_norm`` is finite (else
     ``_gap_norm`` raises), the candidate's worst stage residual ``worst`` is
-    within ``tol`` (else ``max_beta`` raises), and either the gap is at or
-    below DEGENERATE_TOL (g = 0, so beta = 1) or the largest stage residual
-    ``reach`` of the plan at beta = 1 is at most 0 (``max_beta``'s first
-    exit).
+    within ``tol`` (else ``max_beta`` raises), and the largest stage
+    residual ``reach`` of the plan at beta = 1 is at most 0 (``max_beta``'s
+    first exit). The step's g, plan and u are then the rows ``g``, ``plan``
+    and ``u``.
     """
-    return (gap_norm < np.inf) & (worst <= tol) & ((gap_norm <= DEGENERATE_TOL) | (reach <= 0.0))
-
-
-def settled_step(out, step_map, candidate, x_meas, feedback):
-    """The explicit step at beta = 1 from the step map's rows ``out`` at
-    (``x_meas``, ``candidate``), as (reach gap norm, g, plan, u), for a step
-    the rows settle (``_rows_settle`` on that norm). With a gap at or below
-    DEGENERATE_TOL, g = 0, the plan is [candidate + g; eta] and u = plan[:m]
-    + K x_meas (``feedback`` is K), as ``additional_input_explicit``,
-    ``max_beta`` and ``control_input`` give them; else g, the plan and u are
-    the map's rows.
-    """
-    gap = out[step_map.gap]
-    gap_norm = math.sqrt(gap @ gap)
-    if gap_norm <= DEGENERATE_TOL:
-        g = np.zeros(candidate.size)
-        plan = np.concatenate([candidate + g, out[step_map.eta]])
-        return gap_norm, g, plan, plan[:feedback.shape[0]] + feedback @ x_meas
-    return gap_norm, out[step_map.g], out[step_map.plan], out[step_map.u]
+    return (gap_norm < np.inf) & (worst <= tol) & (reach <= 0.0)
 
 
 def settled_rows(step_map, manifold, x_meas, outs, gap_norms, tol):
@@ -539,9 +506,9 @@ def settled_rows(step_map, manifold, x_meas, outs, gap_norms, tol):
     rows ``outs`` (one row per step, at the step's ``x_meas`` and candidate):
     those with a finite ``x_meas`` (``as_vector``) whose guess the projector
     keeps (``PrefactoredQp.kept_rows``, ``_from_guess``'s rule) and whose rows
-    settle the explicit step (``_rows_settle``, on the reach gap norms
-    ``gap_norms`` that ``settled_step`` took per step). The explicit
-    variant's steps only; a step with gamma <= 0 fails before its rows.
+    settle the explicit step (``_rows_settle``, on the norms ``gap_norms``
+    of the rows' reach gaps). The explicit variant's steps only; a step with
+    gamma <= 0 fails before its rows.
     """
     return (np.logical_and.reduce(np.isfinite(x_meas), axis=1)
             & manifold.projector.kept_rows(outs[:, step_map.eta], outs[:, step_map.linear],
@@ -560,7 +527,7 @@ def step(state, model, tables, manifold, x_meas, grad_prev, options, step_map=No
     test keeps it (``PrefactoredQp._from_guess``, which goes on from a
     rejected guess to the one-row step or GI), and the explicit variant then
     takes g, beta = 1, the plan and u from the map's rows where they settle
-    the step (``_rows_settle``, ``settled_step``). The optimized variant
+    the step (``_rows_settle``). The optimized variant
     takes its reach gap from the map's rows, and its g, where the rollout's
     own guess is kept, from the rollout map's rows
     (``additional_input_optimized``). Every other case takes the additional
@@ -598,7 +565,7 @@ def step(state, model, tables, manifold, x_meas, grad_prev, options, step_map=No
                 theta_hat = out[step_map.theta]
             else:
                 out = None
-                theta_hat, eta_hat = _projected(manifold, sol)
+                theta_hat, eta_hat = _projected(manifold, sol, PROJECTION_TOL)
         worst = float(np.maximum.reduce(base_vals))
 
         kkt, fallback, growth, plan, u = None, False, None, None, None
@@ -609,12 +576,11 @@ def step(state, model, tables, manifold, x_meas, grad_prev, options, step_map=No
                 options.effective_c_g(model))
         else:
             if out is not None:
-                gap_norm, g, plan, u = settled_step(out, step_map, candidate, x_meas, model.k)
+                gap = out[step_map.gap]
                 reach = float(np.maximum.reduce(out[step_map.reach]))
-                if _rows_settle(gap_norm, worst, reach, model.membership_tol):
+                if _rows_settle(math.sqrt(gap @ gap), worst, reach, model.membership_tol):
+                    g, plan, u = out[step_map.g], out[step_map.plan], out[step_map.u]
                     beta = 1.0
-                else:
-                    plan = u = None
             if plan is None:
                 g, growth = additional_input_explicit(tables, theta_hat, pred)
 

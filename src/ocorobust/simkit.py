@@ -353,12 +353,11 @@ def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
     closed form as ``oco.step`` takes a step its map's rows settle
     (``_LtiPlant.ahead``), checks the block in one pass
     (``oco.settled_rows``) and keeps the steps before the first one the
-    check rejects, which runs step by step as every other step does, or the
-    first one under the other law, where the next block starts. So that
+    check rejects, which runs step by step as every other step does. So that
     the rows a cut block computes in vain, and the scan of the schedule for
     the stretch's end, stay linear in the horizon, the block after one that
-    kept fewer steps than it scanned (cut by a rejected step, a change of
-    law or non-finite noise, or one step long) holds at most
+    kept fewer steps than it scanned (cut by a rejected step or non-finite
+    noise, or one step long) holds at most
     ``oco.RUN_AHEAD_STEPS`` steps; each block that keeps every step it
     scanned doubles that cap, up to ``oco.RUN_AHEAD_BLOCK``, and a new cost
     object resets it to ``oco.RUN_AHEAD_BLOCK``. Step t still reads only
@@ -471,17 +470,14 @@ def _run_ahead(plant, record, state, step_map, cost, t, stop, model, tables, man
     The steps' costs come from the plant's schedule, scanned up to ``stop``
     only, and their map from ``_step_map``; with a new cost object at t, or
     no map, nothing runs (kept = 0). Else ``_LtiPlant.ahead`` takes one
-    block of steps to the scan's end under the law of its first one, and
-    ``oco.settled_rows`` checks them in one pass. The block keeps the
-    ``kept`` steps before the first one the check rejects (then
-    ``rejected`` is True and that step runs step by step) or whose reach gap
-    belongs to the other law (then the next block starts there), or all its
-    steps. ``whole`` is True when the kept steps reach the scan's end (so
-    also with a new cost object at t) and False when they stop short of it,
-    as a one-step block does on a longer stretch.
-    They go to ``record`` by slices, with the pair of the row before
-    them; the plant moves past them and the returned state is the
-    controller's after them.
+    block of steps to the scan's end, and ``oco.settled_rows`` checks them
+    in one pass. The block keeps the ``kept`` steps before the first one the
+    check rejects (then ``rejected`` is True and that step runs step by
+    step), or all its steps. ``whole`` is True when the kept steps reach the
+    scan's end (so also with a new cost object at t) and False when they
+    stop short of it, as a one-step block does on a longer stretch. They go
+    to ``record`` by slices, with the pair of the row before them; the plant
+    moves past them and the returned state is the controller's after them.
     """
     schedule = plant.cost_schedule
     end = t
@@ -493,14 +489,11 @@ def _run_ahead(plant, record, state, step_map, cost, t, stop, model, tables, man
         return step_map, state, 0, end == t, False
     m = model.m
     with np.errstate(all="ignore"):  # a rejected row may hold NaN or inf
-        x, x_meas, outs, plans, u, norms, degenerate = plant.ahead(
-            step_map, cost, state.plan[m:], t, end)
-        settled = oco.settled_rows(step_map, manifold, x_meas, outs, norms[:, 0],
-                                   model.membership_tol)
-        ok = settled & ((norms[:, 0] <= oco.DEGENERATE_TOL) == degenerate)
-    ok[:1] = settled[:1]  # the first step sets the law
+        x, x_meas, outs, plans, u, norms = plant.ahead(step_map, cost, state.plan[m:], t, end)
+        ok = oco.settled_rows(step_map, manifold, x_meas, outs, norms[:, 0],
+                              model.membership_tol)
     kept = len(ok) if ok.all() else int(np.argmin(ok))
-    rejected = kept < len(ok) and not settled[kept]
+    rejected = kept < len(ok)
     if kept:
         rows, last = slice(t, t + kept), kept - 1
         record.fill(rows, x_true=x[:kept], x_meas=x_meas[:kept], u=u[:kept], w=plant.w[rows],
@@ -541,40 +534,39 @@ class _LtiPlant:
         """A block of steps from step t, at most to ``stop``, from the
         plant's state and the shifted plan ``candidate``, each taken as
         ``oco.step`` takes an explicit step that ``step_map``'s rows settle on
-        ``cost`` (``oco.settled_step``) and applied as ``observe`` and
-        ``advance`` would; nothing is checked and the plant does not move.
+        ``cost`` (g, the plan and u are the rows ``g``, ``plan`` and ``u``)
+        and applied as ``observe`` and ``advance`` would; nothing is checked
+        and the plant does not move.
 
-        The block runs under the law of its first step (its reach gap at or
-        below ``oco.DEGENERATE_TOL``, or above it). That step is taken as
-        ``oco.step`` takes it, from the map's product at the plant's state,
-        so it is the step-by-step step to the bit; the block's other steps
-        come in closed form from the map's ``LiftedSteps`` for that law, in
-        chained chunks of at most its ``steps`` rows (one map product, one
-        check and one record fill serve the whole block). Where that law's
-        ``steps`` is 1, the block is its first step. It ends before the
-        first step whose v is not finite and after the first step whose w is
-        not finite, and so holds no step at all when v_t is not finite.
+        The block's first step is taken as ``oco.step`` takes it, from the
+        map's product at the plant's state, so it is the step-by-step step
+        to the bit; its other steps come in closed form from the map's
+        ``LiftedSteps``, in chained chunks of at most its ``steps`` rows (one
+        map product, one check and one record fill serve the whole block).
+        Where ``steps`` is 1, the block is its first step. It ends before
+        the first step whose v is not finite and after the first step whose
+        w is not finite, and so holds no step at all when v_t is not finite.
 
         Returns per step: x, x_meas, the map's rows, the plan, u and (reach
-        gap norm, g_norm); then whether the law is the degenerate one.
+        gap norm, g_norm).
         """
         v, w = self.v[t:stop], self.w[t:stop]
         finite = np.concatenate([[True], np.logical_and.reduce(np.isfinite(w[:-1]), axis=1)])
         finite &= np.logical_and.reduce(np.isfinite(v), axis=1)
         rows = len(finite) if finite.all() else int(np.argmin(finite))
-        x_meas = self.x + v[0]
-        out = step_map.product(x_meas, candidate, cost)
-        gap_norm, g, plan, u = oco.settled_step(out, step_map, candidate, x_meas, self.model.k)
-        degenerate = gap_norm <= oco.DEGENERATE_TOL
-        lifted = step_map.lifted(self.model.a, self.model.b, degenerate)
+        lifted = step_map.lifted(self.model.a, self.model.b)
         if lifted.steps == 1:
             rows = min(rows, 1)
         xs, x_metas, outs, plans, us, norms = lifted.run(step_map, self.x, candidate, cost,
                                                          v[:rows], w[:rows])
         if rows:  # the first step as oco.step takes it, to the bit
-            xs[0], x_metas[0], outs[0], plans[0], us[0] = self.x, x_meas, out, plan, u
-            norms[0] = gap_norm, math.sqrt(g @ g)
-        return xs, x_metas, outs, plans, us, norms, degenerate
+            x_meas = self.x + v[0]
+            out = step_map.product(x_meas, candidate, cost)
+            gap, g = out[step_map.gap], out[step_map.g]
+            xs[0], x_metas[0], outs[0] = self.x, x_meas, out
+            plans[0], us[0] = out[step_map.plan], out[step_map.u]
+            norms[0] = math.sqrt(gap @ gap), math.sqrt(g @ g)
+        return xs, x_metas, outs, plans, us, norms
 
 
 # The plant methods ``closed_loop`` runs ahead for (see ``_runs_ahead``),

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ocorobust import oco_controller as oco
-from ocorobust.denseqp import PrefactoredQp
+from ocorobust.denseqp import PrefactoredQp, QpSolution
 from ocorobust.errors import (
     FactorizationError,
     InfeasibleError,
@@ -148,6 +148,17 @@ class TestOgdStep:
             lhs = np.linalg.norm(np.concatenate(zeta_hat) - zs)
             rhs = (1.0 - gamma * alpha) * np.linalg.norm(np.concatenate([pred, u_ss]) - zs)
             assert lhs <= rhs + 1e-8
+
+    def test_failed_projection_names_its_kkt_residual(self, di_bundle):
+        # a solve whose KKT residual misses the tolerance reports "max_iter";
+        # the error gives the residual and the tolerance, so that a converged
+        # solve relabelled so shows as such
+        _, _, manifold = di_bundle
+        sol = QpSolution(x=np.zeros(1), kkt_residual=2.79e-9, status="max_iter")
+        with pytest.raises(InfeasibleError) as info:
+            oco._projected(manifold, sol, oco.PROJECTION_TOL)
+        assert str(info.value) == ("manifold projection failed: max_iter "
+                                   "(KKT residual 2.79e-09, tol 1e-09)")
 
 
 class TestAdditionalInput:

@@ -5,8 +5,7 @@ written out plainly from A, B, K and mu: the mu-step prediction by
 simulation, the gradient step on the previous cost, the projection onto the
 shrunk manifold by exact enumeration of active sets (at most m rows of
 S-bar, each a KKT solve), the least-norm input from ``np.linalg.lstsq`` on
-the controllability matrix it builds itself (none for a reach gap at or
-below ``DEGENERATE_TOL``), beta by bisection
+the controllability matrix it builds itself, beta by bisection
 (``conftest.max_beta_bisect``), the blend and the feedback. It reads only
 the model's matrices and sets, the tightening tables (the constraints
 beta is bounded by) and the plant's noise draws. Its flags come from its
@@ -107,10 +106,7 @@ def reference_run(model, tables, manifold, schedule, policy, horizon, zeta0, x0,
             eta = project(normals, offsets, g_k, pred - gamma * (gx + k.T @ gv),
                           u_ss - gamma * gv)
             theta = g_k @ eta
-            d = theta - pred
-            # a gap at or below DEGENERATE_TOL takes no input (g = 0)
-            g = (np.zeros(mu * m) if np.linalg.norm(d) <= oco.DEGENERATE_TOL
-                 else np.linalg.lstsq(s_c, d, rcond=None)[0])
+            g = np.linalg.lstsq(s_c, theta - pred, rcond=None)[0]
             g_norm = float(np.linalg.norm(g))
             beta = max_beta_bisect(tables, model, x_meas, candidate, g)
             worst = float(stage_values(tables, x_meas, candidate).max())

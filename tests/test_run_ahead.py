@@ -321,14 +321,14 @@ def test_drawn_models(monkeypatch):
     assert len(ran) >= 12 and sum(steps <= 2 for steps in ran) >= len(ran) // 2
 
 
-@pytest.mark.parametrize("scale, box, noise, steps, serial", [(1.0, 5.0, 0.01, [12, 20], 45),
+@pytest.mark.parametrize("scale, box, noise, steps, serial", [(1.0, 5.0, 0.01, [12, 7], 45),
                                                               (8.0, 50.0, 0.001, [1, 1], 57)])
 def test_non_contracting_model(monkeypatch, scale, box, noise, steps, serial):
     # Models with K from the discrete Riccati equation, as drawn models have
     # it, whose settled steps are not contracting. With A as drawn, ||F^j||_F
-    # passes RUN_AHEAD_GROWTH at j = 12 under the map's settled law and j = 20
-    # under the degenerate one, so blocks stop there; with A eight times
-    # that, F itself passes it, every block is its first step, taken as
+    # passes RUN_AHEAD_GROWTH at j = 12 on the map of the first weights and
+    # j = 7 on that of the last piece's, so blocks stop there; with A eight
+    # times that, F itself passes it, every block is its first step, taken as
     # oco.step takes it, and the run is the step-by-step run to the bit (its
     # projections keep an S-bar facet active from step 4 on, so only steps 1
     # to 3 run ahead). Runs on two pieces of the first weights and one of
@@ -342,11 +342,12 @@ def test_non_contracting_model(monkeypatch, scale, box, noise, steps, serial):
         u_set=HPolytope.box([-box], [box]), w_set=Zonotope.box([noise, noise]),
         v_set=Zonotope.box([noise, noise])))
     first = QuadraticCost(np.eye(2), np.eye(1), [0.5, 0.0], [0.0])
-    step_map = oco.QuadraticStepMap(tables, manifold, first, 0.5)
-    assert [step_map.lifted(a, b, law).steps for law in (False, True)] == steps
-    schedule = PiecewiseSchedule(((0, first), (20, first.with_ref_x([-0.5, 0.0])),
-                                  (40, QuadraticCost(2.0 * np.eye(2), np.eye(1), [0.2, 0.0],
-                                                     [0.0]))))
+    last = QuadraticCost(2.0 * np.eye(2), np.eye(1), [0.2, 0.0], [0.0])
+    step_maps = [oco.QuadraticStepMap(tables, manifold, cost, 0.5) for cost in (first, last)]
+    assert [step_map.lifted(a, b).steps for step_map in step_maps] == steps
+    # a map builds its LiftedSteps once and keeps it
+    assert step_maps[0].lifted(a, b) is step_maps[0].lifted(a, b)
+    schedule = PiecewiseSchedule(((0, first), (20, first.with_ref_x([-0.5, 0.0])), (40, last)))
     zeta0 = optimal_steady_state(manifold, first, model)
     for policy in (DisturbancePolicy(seed=3), DisturbancePolicy(kind="worst_corner")):
         def run():
@@ -435,7 +436,7 @@ class TestFailures:
         assert len(result[4]) == 21 and steps == []
 
 
-ROW_KINDS = ("plain", "x_meas", "entry", "guess_boundary", "grad_boundary", "degenerate",
+ROW_KINDS = ("plain", "x_meas", "entry", "guess_boundary", "grad_boundary", "tiny_gap",
              "reach_boundary", "worst_boundary")
 
 
@@ -456,7 +457,7 @@ def per_row(step_map, manifold, x_meas, out, tol):
 def test_batched_rule_matches_the_step(di_bundle):
     # oco.settled_rows on a block against the step's own tests row by row,
     # on map rows edited to NaN and +-inf entries, guesses at the 0.1 tol
-    # slack boundary and the gradient bound, gaps around DEGENERATE_TOL,
+    # slack boundary and the gradient bound, zero and tiny gaps (up to 2e-12),
     # and reach and worst residuals at their bounds. The projector has one
     # variable, so both sides form the same products.
     model, tables, manifold = di_bundle
@@ -503,11 +504,10 @@ def test_batched_rule_matches_the_step(di_bundle):
                     eta = 0.5 * eta
                     linear = nudge(-(h * eta) + oco.PROJECTION_TOL, data.draw(nudges))
                 out[step_map.eta], out[step_map.linear] = eta, linear
-            elif kind == "degenerate":
+            elif kind == "tiny_gap":
                 direction = rng.normal(size=2)
                 size = data.draw(st.sampled_from([0.0, 0.5, 1.0, 2.0]))
-                out[step_map.gap] = size * oco.DEGENERATE_TOL * direction / np.linalg.norm(
-                    direction)
+                out[step_map.gap] = size * 1e-12 * direction / np.linalg.norm(direction)
             elif kind == "reach_boundary":
                 out[step_map.reach] = np.minimum(out[step_map.reach], -1.0)
                 out[step_map.reach.start] = data.draw(st.sampled_from([0.0, -0.0, 5e-324]))

@@ -10,8 +10,8 @@ identical flags. The
 costs here have non-zero input references and coupled weights, so a wrongly
 folded term shows. A map step whose rows do not settle it (a binding S-bar
 row, beta < 1, an infeasible candidate) takes the oracle path's functions
-for the rest of the step; a reach gap at or below ``DEGENERATE_TOL`` settles
-with g = 0. Step-by-step comparisons run on ``conftest.StepByStep`` plants;
+for the rest of the step; a tiny reach gap settles as any other, with the
+least-norm g. Step-by-step comparisons run on ``conftest.StepByStep`` plants;
 whole runs on the plain LTI plant run ahead (see ``test_run_ahead.py``).
 """
 
@@ -38,7 +38,6 @@ from ocorobust.simkit import DisturbancePolicy, PiecewiseSchedule, SimulationAbo
 from conftest import (
     StepByStep,
     assert_close,
-    assert_records_agree,
     assert_steps_agree,
     count_calls,
     guess_kept,
@@ -309,8 +308,8 @@ BRANCHES = {
     # The target stays inside S-bar (every guess is kept), but the jump
     # makes beta < 1 on some steps.
     "beta_below_one": ([-1.9, 0.0], dict(seed=1)),
-    # No noise, from the optimum: the reach gap stays below DEGENERATE_TOL.
-    "degenerate": (None, dict(kind="zero")),
+    # No noise, from the optimum: the reach gap stays in (0, 1e-12].
+    "tiny_gap": (None, dict(kind="zero")),
 }
 
 
@@ -353,30 +352,20 @@ class TestFallbackBranches:
             assert calls["_projected"] == 0
             assert 0 < lowered <= calls["max_beta"] < 119
         else:
-            # The map's rows settle every degenerate step with g = 0; the
-            # oracle path reaches it through the additional input and beta.
-            assert calls["additional_input_explicit"] == calls["max_beta"] == 0
+            # Every reach gap is tiny but not zero, and the map's rows settle
+            # every step with the least-norm g, as the oracle path's
+            # additional input and beta do. |g| <= c_g_min |d|, up to the
+            # rounding of d = theta - pred: a few eps (|theta| + |pred|).
+            theta, pred = trace.theta_hat[1:], trace.pred_state[1:]
+            gap = np.linalg.norm(theta - pred, axis=1)
+            assert np.all((gap > 0.0) & (gap <= 1e-12))
+            assert calls["_projected"] == calls["additional_input_explicit"] == 0
+            assert calls["max_beta"] == 0
             assert (oracle_calls["additional_input_explicit"] == oracle_calls["max_beta"]
                     == 119)
-            assert np.all(trace.g_norm[1:] == 0.0)
-
-    def test_degenerate_rows_settle_as_the_explicit_input_and_beta_do(self, di_bundle,
-                                                                       monkeypatch,
-                                                                       step_by_step):
-        # Settling a gap at or below DEGENERATE_TOL from the rows gives, bit
-        # for bit, the step that additional_input_explicit and max_beta give
-        # (the rule without that case), on every step of the run.
-        run = branch_run(di_bundle, "degenerate")
-        settled = run()
-        rule = oco._rows_settle
-        with monkeypatch.context() as patch:
-            patch.setattr(oco, "_rows_settle", lambda gap_norm, *args: (
-                gap_norm > oco.DEGENERATE_TOL and rule(gap_norm, *args)))
-            calls = count_calls(patch, "additional_input_explicit", "max_beta")
-            explicit = run()
-        assert calls == {"additional_input_explicit": 119, "max_beta": 119}
-        assert_records_agree(settled, explicit)
-
+            rounding = 4 * np.finfo(float).eps * (np.linalg.norm(theta, axis=1)
+                                                  + np.linalg.norm(pred, axis=1))
+            assert np.all(trace.g_norm[1:] <= di_bundle[0].c_g_min * (gap + rounding))
 
     def test_infeasible_candidate_the_rows_would_settle(self, di_bundle):
         # A candidate outside the tightened sets fails the step even where

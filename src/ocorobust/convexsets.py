@@ -240,6 +240,10 @@ class ZonotopeMembership:
     A flat one (generators of rank below dim) is measured in its span: the
     margin is the larger of the distance to the span and the facet margin of
     the zonotope projected onto it; a point's margin is the distance to it.
+
+    The facets are unit normals, so a point d from the center has margin at
+    most |d| - ``inradius``, the least facet offset (0 for a flat set, whose
+    distance to the span can be |d|).
     """
 
     def __init__(self, z):
@@ -252,23 +256,44 @@ class ZonotopeMembership:
         else:
             self.span = np.linalg.svd(g)[0][:, :rank]
             facets = Zonotope(np.zeros(rank), self.span.T @ g)
+        self.offsets = np.zeros(0)
         if rank:
             self.normals, self.offsets = facets.merge_parallel().to_halfspaces()
+        self.inradius = float(self.offsets.min()) if self.span is None else 0.0
 
-    def margins(self, points):
-        """Signed margin of each row of ``points`` (<= 0 inside, NaN for NaN)."""
+    def margins(self, points, floor=-np.inf):
+        """Signed margin of each row of ``points`` (<= 0 inside, NaN for NaN),
+        raised to ``floor``: ``np.maximum(margin, floor)``, to the bit.
+
+        A block of ``ROW_BLOCK`` rows whose every row d has |d| < inradius +
+        floor less a rounding allowance (``ZONOTOPE_RTOL`` times the larger
+        of the offsets and |floor|) has margins below ``floor``, so it gets
+        ``floor`` with no facet product; every other block takes the same
+        products as with no floor. A NaN row is never below, and stays NaN.
+        """
         d = np.asarray(points, dtype=float) - self.center
+        floor = float(floor)
+        scale = float(self.offsets.max(initial=0.0)) + abs(floor)
+        reach = self.inradius + floor - ZONOTOPE_RTOL * scale
+        starts = np.arange(0, len(d), ROW_BLOCK)
+        if reach > 0.0 and len(d):
+            below = np.sqrt(np.einsum("ij,ij->i", d, d)) < reach
+            starts = starts[~np.logical_and.reduceat(below, starts)]
         if self.span is None:
-            return self._facet_margins(d)
+            return self._facet_margins(d, starts, floor)
         along = d @ self.span
         off_span = np.linalg.norm(d - along @ self.span.T, axis=1)
-        return np.maximum(off_span, self._facet_margins(along)) if along.shape[1] else off_span
+        if not along.shape[1]:
+            return np.maximum(off_span, floor)
+        return np.maximum(off_span, self._facet_margins(along, starts, floor))
 
-    def _facet_margins(self, d):
-        out = np.empty(len(d))
-        for lo in range(0, len(d), ROW_BLOCK):
+    def _facet_margins(self, d, starts, floor):
+        """The facet margins of the blocks of rows from ``starts``, raised to
+        ``floor``; ``floor`` in the other rows."""
+        out = np.full(len(d), floor)
+        for lo in starts:
             rows = slice(lo, lo + ROW_BLOCK)
-            out[rows] = (d[rows] @ self.normals.T - self.offsets).max(axis=1)
+            out[rows] = np.maximum((d[rows] @ self.normals.T - self.offsets).max(axis=1), floor)
         return out
 
 

@@ -241,9 +241,9 @@ class LiftedSteps:
     Such a step's u and next candidate plan[m:] are the map's ``u`` and
     ``plan`` rows, affine in [x_meas; candidate; ref_x; ref_u; 1], so a
     step is affine in s = [x; candidate]: s+ = F s + E [v; w] + C r,
-    with r = [ref_x; ref_u; 1], and the states of a chunk of steps are MPC's
-    stacked prediction form (Maciejowski, *Predictive Control with
-    Constraints*, 2002, ch. 2):
+    with r = [ref_x; ref_u; 1] of the cost the step reads, and the states of
+    a chunk of steps that read one r are MPC's stacked prediction form
+    (Maciejowski, *Predictive Control with Constraints*, 2002, ch. 2):
 
         s_j = F^j s_0 + sum_{i<j} F^(j-1-i) (E e_i + C r).
 
@@ -285,15 +285,19 @@ class LiftedSteps:
         width = 2 * n * (steps - 1)
         self.windows = np.arange(steps)[:, None] * (2 * n) + np.arange(width)
 
-    def run(self, step_map, x, candidate, cost, v, w):
+    def run(self, step_map, x, candidate, refs, v, w):
         """The ``len(v)`` steps (at most 1 when ``steps`` is 1) from the plant
-        state ``x`` and the candidate ``candidate`` on ``cost``, with the
-        noise rows ``v`` and ``w`` (the last w is not read), and their rows
-        of ``step_map``, the map this object was built for; nothing is
-        checked. The steps go in chunks of at most ``steps`` rows, each from
-        the state of the chunk before's last row, so a chunk of k rows
-        advances k - 1 steps. Non-finite noise makes every later row
-        non-finite, so the caller ends the run before it.
+        state ``x`` and the candidate ``candidate``, with the controller's
+        references ``refs`` (one [ref_x; ref_u] row per step, of the cost the
+        step reads) and the noise rows ``v`` and ``w`` (the last w is not
+        read), and their rows of ``step_map``, the map this object was built
+        for, whose weights every reference belongs to; nothing is checked.
+        The steps go in chunks of at most ``steps`` rows, each from the state
+        of the chunk before's last row, so a chunk of k rows advances k - 1
+        steps; a chunk also ends at each row whose reference differs from the
+        row before's, so that every step a chunk advances reads one reference.
+        Non-finite noise makes every later row non-finite, so the caller ends
+        the run before it.
 
         A chunk's noise windows take ``steps`` x 2 n (``steps`` - 1) floats,
         whatever the run's length; per row, the run's other temporaries take
@@ -306,21 +310,34 @@ class LiftedSteps:
         (reach gap norm, g_norm).
         """
         rows, (n, ns), steps = len(v), (x.size, self.forced.shape[1]), self.steps
-        ref = np.concatenate((cost.ref_x, cost.ref_u, _ONE))
         states = np.empty((rows, ns))
         e = np.concatenate((v[:-1], w[:rows - 1]), axis=1)  # e_i = [v_i; w_i]
         window = np.zeros((2 * steps - 2, 2 * n))  # a chunk's noise, zero before its e_0
-        start = np.concatenate((x, candidate, ref))
-        for lo in range(0, max(rows - 1, 1), max(steps - 1, 1)):  # each chunk's first row
-            k = min(steps, rows - lo)
-            states[lo:lo + k] = (self.free[:k * ns] @ start).reshape(k, ns)
-            if k > 1:
-                window[steps - 1:steps + k - 2] = e[lo:lo + k - 1]
-                states[lo:lo + k] += window.take(self.windows[:k]) @ self.forced
-                start[:ns] = states[lo + k - 1]
         z = np.empty((rows, step_map.matrix.shape[1]))
+        z[:, ns:-1], z[:, -1] = refs, 1.0
+        start = np.empty(z.shape[1])  # a chunk's first [x; candidate; ref; 1]
+        start[:n], start[n:ns] = x, candidate
+        # the rows a chunk must end at: each hop (a row whose reference
+        # differs from the row before's), then the last row
+        hops = np.flatnonzero((refs[1:] != refs[:-1]).any(axis=1)) + 1
+        ends = iter(hops.tolist() + [rows - 1])
+        lo, end = 0, next(ends)
+        while lo < rows:  # each chunk, from its first row lo
+            start[ns:] = z[lo, ns:]
+            k = min(steps, rows - lo, end - lo + 1)
+            states[lo:lo + k] = (self.free[:k * ns] @ start).reshape(k, ns)
+            if k < 2:
+                break
+            window[steps - 1:steps + k - 2] = e[lo:lo + k - 1]
+            states[lo:lo + k] += window.take(self.windows[:k]) @ self.forced
+            lo += k - 1
+            if lo == rows - 1:
+                break
+            if lo == end:
+                end = next(ends)
+            start[:ns] = states[lo]
         z[:, :n] = x_meas = states[:, :n] + v
-        z[:, n:ns], z[:, ns:] = states[:, n:], ref
+        z[:, n:ns] = states[:, n:]
         outs = z @ step_map.matrix.T
         norms = np.empty((rows, 2))
         gap, g = outs[:, step_map.gap], outs[:, step_map.g]

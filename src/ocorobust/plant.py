@@ -94,9 +94,10 @@ class PlantModel:
         self._sx, self._su, self._px, self._pu = sx, su, px, pu
         self.a_k_powers = powers
 
-    def tube_margins(self, devs):
-        """Signed margin (<= 0 inside) of each row of ``devs`` against the tail set."""
-        return self._tube.margins(devs)
+    def tube_margins(self, devs, floor=-np.inf):
+        """Signed margin (<= 0 inside) of each row of ``devs`` against the
+        tail set, raised to ``floor`` (see ``ZonotopeMembership.margins``)."""
+        return self._tube.margins(devs, floor)
 
     # The loop's tube monitor calls it under this name, which perfbench traces
     # as a monitor span (perfbench/layers.py MONITORS).

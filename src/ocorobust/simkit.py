@@ -8,9 +8,9 @@ for the whole run after the loop, from the record's reference and
 weight-pair columns.
 
 On the LTI plant with the explicit variant, the loop runs ahead over steps
-that keep their cost object, a block of them in closed form and checked in
-one pass; step t still reads only x_meas_t and cost t-1 (see
-``closed_loop``).
+whose costs keep their weight arrays (reference hops included), a block of
+them in closed form and checked in one pass; step t still reads only
+x_meas_t and cost t-1 (see ``closed_loop``).
 """
 
 from __future__ import annotations
@@ -27,6 +27,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import oco_controller as oco
 from .errors import DimensionMismatch, OcoRobustError, StepError
 from .plant import SteadyStateBenchmark, optimal_steady_state, worst_stage_residuals
+
+_ONE = np.ones(1)
 
 TUBE_TOL = 1e-6
 # tube_marginal asks the tube margin to clear -tube_band by more than
@@ -245,7 +247,10 @@ def _step_flags(record, monitors, lo, hi):
     map, the steady-state input against S-bar, the c_g cap, the step's
     prediction against the previous steady state through the tail-set
     facets, and the step's process disturbance w against W (for the vehicle,
-    the linearization residual). A NaN input fails its monitor.
+    the linearization residual). A NaN input fails its monitor. The tube
+    margin is raised to -tube_band, which leaves both tube flags as they are
+    and lets the facet product skip the rows whose distance from G_K u_ss
+    cannot reach the facets (``ZonotopeMembership.margins``).
     """
     model, tables, manifold, c_g = monitors
     tol = model.membership_tol
@@ -259,7 +264,8 @@ def _step_flags(record, monitors, lo, hi):
     first = max(lo, 1)
     if first < hi:
         margin = model.tube_margin(record.pred_state[first:hi]
-                                   - record.u_ss[first - 1:hi - 1] @ model.g_k.T)
+                                   - record.u_ss[first - 1:hi - 1] @ model.g_k.T,
+                                   -model.tube_band)
         tube_ok[first - lo:] = margin <= TUBE_TOL
         tube_marginal[first - lo:] = tube_ok[first - lo:] & (
             margin + model.tube_band > MARGINAL_TOL)
@@ -290,12 +296,20 @@ def check_c_g(c_g, model):
         raise OcoRobustError(f"c_g={c_g:.3g} below the required norm bound {model.c_g_min:.3g}")
 
 
+def _shapes(cost):
+    return cost.q_x.shape, cost.q_u.shape, cost.ref_x.shape, cost.ref_u.shape
+
+
+def _fits(cost, n, m):
+    """True when q_x is (n, n), q_u (m, m), ref_x (n,) and ref_u (m,)."""
+    return _shapes(cost) == ((n, n), (m, m), (n,), (m,))
+
+
 def _check_cost(cost, n, m):
-    """Raise unless q_x is (n, n), q_u (m, m), ref_x (n,) and ref_u (m,)."""
-    got = (cost.q_x.shape, cost.q_u.shape, cost.ref_x.shape, cost.ref_u.shape)
-    if got != ((n, n), (m, m), (n,), (m,)):
-        raise DimensionMismatch(f"cost shapes (q_x, q_u, ref_x, ref_u) {got} do not fit "
-                                f"n={n}, m={m}")
+    """Raise unless ``_fits``."""
+    if not _fits(cost, n, m):
+        raise DimensionMismatch(f"cost shapes (q_x, q_u, ref_x, ref_u) {_shapes(cost)} do "
+                                f"not fit n={n}, m={m}")
 
 
 def _step_map(step_map, cost, next_cost, tables, manifold, gamma, t, step_maps):
@@ -347,20 +361,23 @@ def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
 
     On a plant whose ``observe`` and ``advance`` are ``_LtiPlant``'s own,
     with the explicit variant and gamma > 0, the loop runs ahead over steps
-    that keep the previous step's cost object and a map that serves it: it
-    takes a block of them, the rest of the cost object's stretch up to
-    ``oco.RUN_AHEAD_BLOCK`` steps (which bounds the block's temporaries), in
-    closed form as ``oco.step`` takes a step its map's rows settle
+    whose costs the map of the previous step's cost serves (the same weight
+    arrays, so across reference hops such as ``with_ref_x``'s): it takes a
+    block of them, up to ``oco.RUN_AHEAD_BLOCK`` steps (which bounds the
+    block's temporaries), in closed form as ``oco.step`` takes a step its
+    map's rows settle, each step on the reference of the cost before it
     (``_LtiPlant.ahead``), checks the block in one pass
     (``oco.settled_rows``) and keeps the steps before the first one the
-    check rejects, which runs step by step as every other step does. So that
-    the rows a cut block computes in vain, and the scan of the schedule for
-    the stretch's end, stay linear in the horizon, the block after one that
-    kept fewer steps than it scanned (cut by a rejected step or non-finite
-    noise, or one step long) holds at most
-    ``oco.RUN_AHEAD_STEPS`` steps; each block that keeps every step it
-    scanned doubles that cap, up to ``oco.RUN_AHEAD_BLOCK``, and a new cost
-    object resets it to ``oco.RUN_AHEAD_BLOCK``. Step t still reads only
+    check rejects, which runs step by step as every other step does: a cost
+    the map does not serve or that does not fit the model, too. So that the
+    rows a cut block computes in vain, and the scan of the schedule for the
+    block's end, stay linear in the horizon, the block after one that kept
+    fewer steps than it scanned (cut by a rejected step or non-finite noise,
+    or one step long) holds at most ``oco.RUN_AHEAD_STEPS`` steps; each
+    block that keeps every step it scanned doubles that cap, up to
+    ``oco.RUN_AHEAD_BLOCK``, and a new cost object on a step that runs step
+    by step resets it to ``oco.RUN_AHEAD_BLOCK``. After a block the loop
+    goes on from the cost of its last step. Step t still reads only
     x_meas_t and cost t-1. Under
     ``abort_on_violation`` a block is flagged after it is kept (see
     ``_run_ahead``). A block's first step is the step-by-step step to the
@@ -409,6 +426,7 @@ def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
                 if abort_on_violation:
                     _abort_at_violation(record, t, t + kept, monitors, benchmarks)
                 t += kept
+                cost_t = record.costs[t - 1]
                 continue
         serial = False
         if t > 0:
@@ -463,46 +481,68 @@ def _runs_ahead(plant, controller):
 
 def _run_ahead(plant, record, state, step_map, cost, t, stop, model, tables, manifold,
                gamma, step_maps):
-    """Run ``plant`` ahead from step t, to ``stop`` at most, while the steps
-    keep the previous step's cost object ``cost``; returns (step map, state,
-    kept, whole, rejected).
+    """Run ``plant`` ahead from step t, to ``stop`` at most, over the steps
+    whose costs the step map of the previous step's cost ``cost`` serves;
+    returns (step map, state, kept, whole, rejected).
 
-    The steps' costs come from the plant's schedule, scanned up to ``stop``
-    only, and their map from ``_step_map``; with a new cost object at t, or
-    no map, nothing runs (kept = 0). Else ``_LtiPlant.ahead`` takes one
-    block of steps to the scan's end, and ``oco.settled_rows`` checks them
-    in one pass. The block keeps the ``kept`` steps before the first one the
-    check rejects (then ``rejected`` is True and that step runs step by
-    step), or all its steps. ``whole`` is True when the kept steps reach the
-    scan's end (so also with a new cost object at t) and False when they
-    stop short of it, as a one-step block does on a longer stretch. They go
-    to ``record`` by slices, with the pair of the row before them; the plant
-    moves past them and the returned state is the controller's after them.
+    The map is ``_step_map``'s for step t; with none, nothing runs (kept =
+    0). The steps' costs come from the plant's schedule, scanned up to
+    ``stop`` only: the scan compares cost objects by identity and ends
+    before the first new one that the map does not serve or that does not
+    fit the model (``_fits``), which then runs step by step. Each step
+    reads the reference of the cost of the step before it (step t reads
+    ``cost``), so the block crosses reference hops. ``_LtiPlant.ahead``
+    takes one block of steps to the scan's end, and ``oco.settled_rows``
+    checks them in one pass. The block keeps the ``kept`` steps before the
+    first one the check rejects (then ``rejected`` is True and that step
+    runs step by step), or all its steps. ``whole`` is True when the kept
+    steps reach the scan's end (so also when the scan ends at t) and False
+    when they stop short of it, as a one-step block does on a longer
+    stretch. They go to ``record`` by slices, each with its own cost and
+    references and the pair of the row before them (a cost with the weight
+    arrays of ``cost`` has its pair); the plant moves past them and the
+    returned state is the controller's after them.
     """
     schedule = plant.cost_schedule
+    step_map = _step_map(step_map, cost, schedule.cost_at(t), tables, manifold, gamma, t,
+                         step_maps)
+    if step_map is None:
+        return step_map, state, 0, True, False
+    n, m = model.n, model.m
+    costs, starts = [cost], [t - 1]  # each cost object of the scan, from its first step
     end = t
-    while end < stop and schedule.cost_at(end) is cost:
+    while end < stop:
+        now = schedule.cost_at(end)
+        if now is not costs[-1]:
+            if not (step_map.serves(now) and _fits(now, n, m)):
+                break
+            costs.append(now)
+            starts.append(end)
         end += 1
-    if end > t:
-        step_map = _step_map(step_map, cost, cost, tables, manifold, gamma, t, step_maps)
-    if end == t or step_map is None:
-        return step_map, state, 0, end == t, False
-    m = model.m
+    if end == t:
+        return step_map, state, 0, True, False
+    # each row's cost among ``costs``, for steps t - 1 to end - 1
+    which = np.repeat(np.arange(len(costs)), np.diff(starts + [end]))
+    refs = np.array([np.concatenate((c.ref_x, c.ref_u)) for c in costs])[which]
     with np.errstate(all="ignore"):  # a rejected row may hold NaN or inf
-        x, x_meas, outs, plans, u, norms = plant.ahead(step_map, cost, state.plan[m:], t, end)
+        x, x_meas, outs, plans, u, norms = plant.ahead(step_map, refs[:-1], state.plan[m:],
+                                                       t, end)
         ok = oco.settled_rows(step_map, manifold, x_meas, outs, norms[:, 0],
                               model.membership_tol)
     kept = len(ok) if ok.all() else int(np.argmin(ok))
     rejected = kept < len(ok)
     if kept:
         rows, last = slice(t, t + kept), kept - 1
+        objects = np.empty(len(costs), object)
+        objects[:] = costs
         record.fill(rows, x_true=x[:kept], x_meas=x_meas[:kept], u=u[:kept], w=plant.w[rows],
                     v=plant.v[rows], beta=1.0, g_norm=norms[:kept, 1],
                     pred_state=outs[:kept, step_map.pred],
                     theta_hat=outs[:kept, step_map.theta], eta_hat=outs[:kept, step_map.eta],
                     u_pred=plans[:kept, :-m], u_ss=plans[:kept, -m:], kkt_residual=np.nan,
-                    candidate_ok=True, g_fallback=False, costs=cost, ref_x=cost.ref_x,
-                    ref_u=cost.ref_u, pair=record.pair[t - 1])
+                    candidate_ok=True, g_fallback=False, costs=objects[which[1:kept + 1]],
+                    ref_x=refs[1:kept + 1, :n], ref_u=refs[1:kept + 1, n:],
+                    pair=record.pair[t - 1])
         plant.x, plant.t = x[last], t + last
         plant.advance(u[last])
         state = oco.ControllerState(
@@ -530,11 +570,12 @@ class _LtiPlant:
         self.x = self.model.a @ self.x + self.model.b @ u + w
         return w
 
-    def ahead(self, step_map, cost, candidate, t, stop):
+    def ahead(self, step_map, refs, candidate, t, stop):
         """A block of steps from step t, at most to ``stop``, from the
         plant's state and the shifted plan ``candidate``, each taken as
-        ``oco.step`` takes an explicit step that ``step_map``'s rows settle on
-        ``cost`` (g, the plan and u are the rows ``g``, ``plan`` and ``u``)
+        ``oco.step`` takes an explicit step that ``step_map``'s rows settle
+        on a cost with the step's row of ``refs`` ([ref_x; ref_u], one row
+        per step; g, the plan and u are the rows ``g``, ``plan`` and ``u``)
         and applied as ``observe`` and ``advance`` would; nothing is checked
         and the plant does not move.
 
@@ -557,11 +598,11 @@ class _LtiPlant:
         lifted = step_map.lifted(self.model.a, self.model.b)
         if lifted.steps == 1:
             rows = min(rows, 1)
-        xs, x_metas, outs, plans, us, norms = lifted.run(step_map, self.x, candidate, cost,
-                                                         v[:rows], w[:rows])
-        if rows:  # the first step as oco.step takes it, to the bit
+        xs, x_metas, outs, plans, us, norms = lifted.run(step_map, self.x, candidate,
+                                                         refs[:rows], v[:rows], w[:rows])
+        if rows:  # the first step as oco.step takes it (QuadraticStepMap.product), to the bit
             x_meas = self.x + v[0]
-            out = step_map.product(x_meas, candidate, cost)
+            out = step_map.matrix @ np.concatenate((x_meas, candidate, refs[0], _ONE))
             gap, g = out[step_map.gap], out[step_map.g]
             xs[0], x_metas[0], outs[0] = self.x, x_meas, out
             plans[0], us[0] = out[step_map.plan], out[step_map.u]

@@ -1,7 +1,10 @@
+import copy
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from ocorobust.convexsets import HPolytope, Zonotope, ZonotopeMembership
+from ocorobust.convexsets import ROW_BLOCK, HPolytope, Zonotope, ZonotopeMembership
 from ocorobust.errors import AssumptionViolation, DimensionMismatch, InfeasibleError
 from ocorobust.plant import (
     ModelConfig,
@@ -20,6 +23,8 @@ from ocorobust.plant import (
 )
 
 from conftest import lp_support, support
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def small_cfg(**over):
@@ -475,6 +480,25 @@ class TestOptimalSteadyState:
         assert manifold.contains_u(eta, tol=1e-9)
 
 
+def tail_membership(kind, scalar_bundle):
+    """A ``ZonotopeMembership`` of one kind: a tail set's (the bundled
+    double integrator's, the vehicle's, the scalar plant's segment) or that
+    of a flat set in 3-D."""
+    if kind == "double_integrator":
+        from ocorobust import cli
+
+        cfg = cli.load_config(CONFIGS / "double_integrator.cfg", command="run")
+        return build_model(cli._model_config(cfg))._tube
+    if kind == "vehicle":
+        from ocorobust import vehicle
+
+        return vehicle.vehicle_setup(vehicle.VehicleParams()).model._tube
+    if kind == "segment":
+        return scalar_bundle[0]._tube
+    return ZonotopeMembership(Zonotope([0.1, -0.2, 0.3], [[1.0, 0.5, 0.2], [0.0, 1.0, -0.3],
+                                                          [0.0, 0.0, 0.0]]))
+
+
 class TestTubeMembership:
     def test_merged_facets_match_full_facet_form(self, di_bundle):
         model = di_bundle[0]
@@ -490,6 +514,61 @@ class TestTubeMembership:
         assert np.allclose(model.tube_margins(pts), ref, rtol=0.0, atol=1e-12)
         assert np.allclose([model.tube_margins(p[None])[0] for p in pts[:20]],
                            model.tube_margins(pts[:20]), rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("kind", ["double_integrator", "vehicle", "flat", "segment"])
+    def test_floor_is_the_raised_margin(self, kind, scalar_bundle):
+        # margins(points, floor) is np.maximum(margins(points), floor) to the
+        # bit, on the bundled double integrator's 768-facet tail set, the
+        # vehicle's 4-facet box, a flat set (the span path) and a segment,
+        # for rows on both sides of |d| = inradius + floor and NaN/inf rows.
+        tube = tail_membership(kind, scalar_bundle)
+        facets = dict(double_integrator=768, vehicle=4, flat=6, segment=2)[kind]
+        assert tube.normals.shape[0] == facets and (tube.span is None) == (kind != "flat")
+        rng = np.random.default_rng(61)
+        dim = len(tube.center)
+        scale = tube.offsets.max()
+        edge = (tube.normals[np.argmin(tube.offsets)] if tube.span is None
+                else np.linalg.svd(tube.span)[0][:, -1])
+        floors = [-np.inf, -0.5 * tube.inradius, -1e-3 * scale, 0.0, 0.3 * scale, np.inf,
+                  np.nan]
+        for floor in floors:
+            reach = tube.inradius + floor
+            if not np.isfinite(reach) or reach <= 0.0:
+                reach = tube.inradius or scale
+            # A block inside the ball; a block just inside it and one on its
+            # edge, along the direction where the margin is |d| - inradius
+            # (the least offset's normal, or off a flat set's span); then
+            # any rows.
+            unit = rng.normal(size=(6 * ROW_BLOCK, dim))
+            unit[ROW_BLOCK:3 * ROW_BLOCK] = edge
+            unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+            radii = reach * np.concatenate([rng.uniform(0.0, 1.0 - 2e-9, ROW_BLOCK),
+                                            1.0 + rng.uniform(-1e-9, -1e-10, ROW_BLOCK),
+                                            1.0 + rng.uniform(-1e-9, 1e-9, ROW_BLOCK),
+                                            rng.uniform(0.0, 3.0, 3 * ROW_BLOCK)])
+            pts = tube.center + unit * radii[:, None]
+            pts[[200, 270, 340]] = np.nan
+            pts[[250, 300], 0] = np.inf
+            pts[[251, 301], 0] = -np.inf
+            with np.errstate(invalid="ignore"):
+                got = tube.margins(pts, floor)
+                want = np.maximum(tube.margins(pts), floor)
+            assert got.tobytes() == want.tobytes(), floor
+            assert np.isnan(got[[200, 270, 340]]).all()
+
+    @pytest.mark.parametrize("kind", ["double_integrator", "vehicle"])
+    def test_rows_inside_the_ball_skip_the_facets(self, kind, scalar_bundle):
+        # With the facets replaced by NaN, blocks of rows inside the
+        # inscribed ball by more than -floor read the floor; a block with
+        # one row outside it takes the facets, and reads NaN.
+        tube = copy.copy(tail_membership(kind, scalar_bundle))
+        floor = -0.25 * tube.inradius
+        pts = tube.center + np.full((2 * ROW_BLOCK, len(tube.center)), 0.5 * tube.inradius
+                                    / np.sqrt(len(tube.center)))
+        pts[-1] = tube.center + 0.8 * tube.inradius
+        tube.normals = np.full_like(tube.normals, np.nan)
+        got = tube.margins(pts, floor)
+        assert (got[:ROW_BLOCK] == floor).all() and np.isnan(got[ROW_BLOCK:]).all()
 
     def test_vehicle_tail_set_has_four_facets(self):
         from ocorobust import vehicle

@@ -1,7 +1,8 @@
 """Run-ahead on the LTI plant against the same runs step by step.
 
 ``closed_loop`` runs an ``_LtiPlant`` with the explicit variant ahead over
-stretches of steps that keep their cost object: it takes each block of
+stretches of steps whose costs keep their weight arrays (reference hops
+included): it takes each block of
 steps in closed form from the step map's ``LiftedSteps`` (the steps as
 ``oco.step`` takes one whose map rows settle it), checks the block after in
 one pass (``oco.settled_rows``) and hands the first rejected step to
@@ -95,19 +96,24 @@ def assert_outcomes_agree(got, want):
 
 def expected_serial_steps(record, model, tables, manifold, gamma):
     """The steps after the first that ``closed_loop`` hands to ``oco.step``
-    when it runs the step-by-step run ``record`` ahead: those with a new
-    cost object, and those whose map rows at the record's x_meas and
-    candidate ``oco.step`` does not take whole (``per_row``)."""
+    when it runs the step-by-step run ``record`` ahead: those whose cost the
+    map of the step before's cost does not serve (other weight arrays, or a
+    gradient of its own), and those whose map rows at the record's x_meas
+    and candidate ``oco.step`` does not take whole (``per_row``). A step
+    reads the cost of the step before it, so a hop to a cost with the same
+    weight arrays runs ahead."""
     steps, step_map = [], None
+    takes = oco.QuadraticStepMap.takes
     for t in range(1, len(record)):
-        cost = record.costs[t]
-        if cost is not record.costs[t - 1] or not oco.QuadraticStepMap.takes(cost):
+        prev, cost = record.costs[t - 1], record.costs[t]
+        if not (takes(prev) and takes(cost) and cost.q_x is prev.q_x
+                and cost.q_u is prev.q_u):
             steps.append(t)
             continue
-        if step_map is None or not step_map.serves(cost):
-            step_map = oco.QuadraticStepMap(tables, manifold, cost, gamma)
+        if step_map is None or not step_map.serves(prev):
+            step_map = oco.QuadraticStepMap(tables, manifold, prev, gamma)
         candidate = np.concatenate([record.u_pred[t - 1][model.m:], record.u_ss[t - 1]])
-        out = step_map.product(record.x_meas[t], candidate, cost)
+        out = step_map.product(record.x_meas[t], candidate, prev)
         if not per_row(step_map, manifold, record.x_meas[t], out, model.membership_tol):
             steps.append(t)
     return steps
@@ -149,7 +155,7 @@ def generic_setup(name, command):
 class TestConfigs:
     def test_every_regret_sweep_cell(self, monkeypatch):
         # Every cell of the bundled design, zero-noise cells included, and
-        # the fitted rows.
+        # the fitted rows. Blocks run across the target hops.
         cfg, model, tables, manifold, schedule, controller = generic_setup(
             "regret_sweep", "regret-sweep")
         sw = cfg["sweep"]
@@ -189,7 +195,8 @@ class TestConfigs:
             assert got.keys() == want.keys()
             assert_close([got[k] for k in got], [want[k] for k in got], REL, "row")
         assert_close(result.coefficients, serial_result.coefficients, REL, "coefficients")
-        assert len(steps) < 0.05 * 18 * (sw["horizon"] - 1)
+        # every hop keeps the base weight arrays, so no step runs step by step
+        assert steps == []
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_double_integrator_config(self, seed, monkeypatch):
@@ -203,6 +210,73 @@ class TestConfigs:
             model, tables, manifold, controller, schedule, DisturbancePolicy(seed=seed),
             horizon, zeta0=(model.g_k @ u0, u0), x0=np.asarray(cfg["model"]["x0"], float)))
         assert 150 in steps and len(steps) < 0.1 * horizon
+
+
+def test_level_8_sweep_run_is_one_block(monkeypatch):
+    # The bundled sweep design's top level hops its target 8 times, each to
+    # a cost with the base weight arrays: steps 1..399 run ahead in one
+    # block, and no step goes through oco.step.
+    cfg, model, tables, manifold, schedule, controller = generic_setup(
+        "regret_sweep", "regret-sweep")
+    sw = cfg["sweep"]
+    generator = simkit.AlternatingTargetGenerator(
+        model=model, manifold=manifold, base_cost=schedule.cost_at(0),
+        direction=tuple(sw["direction"]), levels=(8,), hop_size=sw["hop_size"],
+        horizon=sw["horizon"])
+    level_schedule, zeta0, x0 = generator.make(8)
+    assert len(level_schedule.pieces) == 9
+    blocks, ahead = [], simkit._LtiPlant.ahead
+
+    def counted(plant, *args):
+        out = ahead(plant, *args)
+        blocks.append(len(out[0]))
+        return out
+
+    steps = serial_steps(monkeypatch)
+    monkeypatch.setattr(simkit._LtiPlant, "ahead", counted)
+    trace, _ = simkit.run_closed_loop(model, tables, manifold, controller, level_schedule,
+                                      DisturbancePolicy(seed=0), sw["horizon"], zeta0=zeta0,
+                                      x0=x0)
+    assert blocks == [sw["horizon"] - 1] and steps == []
+    assert [trace.costs[t] for t in range(len(trace))] == [
+        level_schedule.cost_at(t) for t in range(len(trace))]
+
+
+def test_lifted_steps_across_hops(di_bundle):
+    # LiftedSteps.run over references that hop (at a chunk's first rows, on
+    # two rows in a row and at the last row) against the same steps one by
+    # one from the map's product at each row's own reference.
+    model, tables, manifold = di_bundle
+    m, rows = model.m, 70
+    cost = coupled_cost(2, 1, [0.3, 0.0], [0.2])
+    hops = {5: cost.with_ref_x([0.1, 0.05]), 31: cost, 32: cost.with_ref_x([-0.2, 0.0]),
+            50: cost.with_ref_x([0.25, -0.02]), 51: cost, rows - 1: cost.with_ref_x([0.0, 0.1])}
+    costs = [cost]
+    for j in range(1, rows):
+        costs.append(hops.get(j, costs[-1]))
+    refs = np.array([np.concatenate((c.ref_x, c.ref_u)) for c in costs])
+    step_map = oco.QuadraticStepMap(tables, manifold, cost, 0.3)
+    lifted = step_map.lifted(model.a, model.b)
+    assert 2 < lifted.steps < rows
+    rng = np.random.default_rng(8)
+    v, w = model.v_set.samples(rng, rows), model.w_set.samples(rng, rows)
+    zeta = optimal_steady_state(manifold, cost, model)
+    x, candidate = zeta[0], oco.initialize(model, tables, manifold, zeta, zeta[0]).plan[m:]
+    got = lifted.run(step_map, x, candidate, refs, v, w)
+    assert [len(column) for column in lifted.run(step_map, x, candidate, refs[:0], v[:0],
+                                                 w[:0])] == [0] * 6
+    want = [[] for _ in got]
+    for j, c in enumerate(costs):
+        x_meas = x + v[j]
+        out = step_map.product(x_meas, candidate, c)
+        gap, g = out[step_map.gap], out[step_map.g]
+        for column, value in zip(want, (x, x_meas, out, out[step_map.plan], out[step_map.u],
+                                        [math.sqrt(gap @ gap), math.sqrt(g @ g)])):
+            column.append(value)
+        x = model.a @ x + model.b @ out[step_map.u] + w[j]
+        candidate = out[step_map.plan][m:]
+    for name, column, value in zip(("x", "x_meas", "outs", "plans", "u", "norms"), got, want):
+        assert_close(column, value, REL, name)
 
 
 def test_rejected_steps_keep_work_linear(monkeypatch):
@@ -292,7 +366,8 @@ def test_one_step_blocks_keep_the_scan_linear(monkeypatch):
 
 def test_drawn_models(monkeypatch):
     # Drawn models (n <= 3, m <= n) with two pieces on the first weights and
-    # one on others, under drawn and worst-corner noise.
+    # one on others, under drawn and worst-corner noise. The hop at step 20
+    # keeps the weight arrays and runs ahead; the one at step 40 does not.
     ran = []
 
     @settings(max_examples=40, derandomize=True, database=None, deadline=None)
@@ -317,13 +392,13 @@ def test_drawn_models(monkeypatch):
             ran.append(len(steps))
 
     check()
-    # most runs take all but their two hops ahead
-    assert len(ran) >= 12 and sum(steps <= 2 for steps in ran) >= len(ran) // 2
+    # most runs take all but their hop to other weights ahead
+    assert len(ran) >= 12 and sum(steps <= 1 for steps in ran) >= len(ran) // 2
 
 
-@pytest.mark.parametrize("scale, box, noise, steps, serial", [(1.0, 5.0, 0.01, [12, 7], 45),
-                                                              (8.0, 50.0, 0.001, [1, 1], 57)])
-def test_non_contracting_model(monkeypatch, scale, box, noise, steps, serial):
+@pytest.mark.parametrize("scale, box, noise, steps, serial, hop", [
+    (1.0, 5.0, 0.01, [12, 7], 45, False), (8.0, 50.0, 0.001, [1, 1], 57, True)])
+def test_non_contracting_model(monkeypatch, scale, box, noise, steps, serial, hop):
     # Models with K from the discrete Riccati equation, as drawn models have
     # it, whose settled steps are not contracting. With A as drawn, ||F^j||_F
     # passes RUN_AHEAD_GROWTH at j = 12 on the map of the first weights and
@@ -332,7 +407,9 @@ def test_non_contracting_model(monkeypatch, scale, box, noise, steps, serial):
     # oco.step takes it, and the run is the step-by-step run to the bit (its
     # projections keep an S-bar facet active from step 4 on, so only steps 1
     # to 3 run ahead). Runs on two pieces of the first weights and one of
-    # others agree with the steps one by one.
+    # others agree with the steps one by one. The hop at step 20 keeps the
+    # weight arrays, so it runs ahead unless every step there runs step by
+    # step (``hop``).
     a = scale * np.array([[-1.447, 4.85], [-1.195, -0.441]])
     b = np.array([[0.748], [0.689]])
     p = solve_discrete_are(a, b, np.eye(2), np.eye(1))
@@ -355,7 +432,7 @@ def test_non_contracting_model(monkeypatch, scale, box, noise, steps, serial):
                                           schedule, policy, 60, zeta0=zeta0, x0=zeta0[0])
 
         ahead, taken = run_both(monkeypatch, run)
-        assert 20 in taken and len(taken) <= serial
+        assert (20 in taken) == hop and len(taken) <= serial
         if steps == [1, 1]:
             with monkeypatch.context() as patch:
                 patch.setattr(simkit, "_LtiPlant", StepByStep)

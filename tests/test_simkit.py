@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ocorobust import oco_controller as oco
+from ocorobust import simkit
 from ocorobust.errors import DimensionMismatch, InfeasibleError, OcoRobustError
 from ocorobust.oco_controller import ControllerConfig
 from ocorobust.denseqp import PrefactoredQp
@@ -818,6 +819,20 @@ class TestBatchedFlags:
                         HeldPlant(model, zeta0[0], di_cost, leave_x_at=2), 14, zeta0,
                         abort_on_violation=True)
         assert [rec.invariant_flags for rec in err.value.trace] == ref[:3]
+
+
+    def test_nan_prediction_fails_the_tube(self, di_run, di_bundle):
+        # The tube margin is raised to -tube_band, and rows inside the tail
+        # set's inscribed ball skip the facets; a NaN prediction is never
+        # inside it, so its row (and only it) still fails tube_ok.
+        model, tables, manifold = di_bundle
+        trace, _ = di_run(horizon=20)
+        monitors = (model, tables, manifold, ControllerConfig(gamma=0.3).effective_c_g(model))
+        trace.pred_state[7, 1] = np.nan
+        flags = simkit._step_flags(trace, monitors, 0, len(trace))
+        assert trace.flags["tube_ok"].all()
+        assert np.flatnonzero(~flags["tube_ok"]).tolist() == [7]
+        assert not flags["tube_marginal"][7]
 
 
 class TestRegretScaling:

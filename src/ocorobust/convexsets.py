@@ -266,8 +266,8 @@ class ZonotopeMembership:
         raised to ``floor``: ``np.maximum(margin, floor)``, to the bit.
 
         A block of ``ROW_BLOCK`` rows whose every row d has |d| < inradius +
-        floor less a rounding allowance (``ZONOTOPE_RTOL`` times the larger
-        of the offsets and |floor|) has margins below ``floor``, so it gets
+        floor less a rounding allowance (``ZONOTOPE_RTOL`` times the largest
+        offset plus |floor|) has margins below ``floor``, so it gets
         ``floor`` with no facet product; every other block takes the same
         products as with no floor. A NaN row is never below, and stays NaN.
         """

@@ -504,21 +504,22 @@ def _run_ahead(plant, record, state, step_map, cost, t, stop, model, tables, man
     returned state is the controller's after them.
     """
     schedule = plant.cost_schedule
-    step_map = _step_map(step_map, cost, schedule.cost_at(t), tables, manifold, gamma, t,
-                         step_maps)
+    now, end = schedule.cost_at(t), t
+    step_map = _step_map(step_map, cost, now, tables, manifold, gamma, t, step_maps)
     if step_map is None:
         return step_map, state, 0, True, False
     n, m = model.n, model.m
     costs, starts = [cost], [t - 1]  # each cost object of the scan, from its first step
-    end = t
-    while end < stop:
-        now = schedule.cost_at(end)
+    while True:  # ``now`` is the cost of step ``end``
         if now is not costs[-1]:
             if not (step_map.serves(now) and _fits(now, n, m)):
                 break
             costs.append(now)
             starts.append(end)
         end += 1
+        if end == stop:
+            break
+        now = schedule.cost_at(end)
     if end == t:
         return step_map, state, 0, True, False
     # each row's cost among ``costs``, for steps t - 1 to end - 1

@@ -221,7 +221,13 @@ class QuadraticStepMap:
 
     def product(self, x_meas, candidate, cost):
         """The map's rows at (x_meas, candidate) for a cost this map serves."""
-        return self.matrix @ np.concatenate((x_meas, candidate, cost.ref_x, cost.ref_u, _ONE))
+        return self.rows_at(x_meas, candidate, cost.ref_x, cost.ref_u)
+
+    def rows_at(self, x_meas, candidate, *ref):
+        """The map's rows at (x_meas, candidate) and the reference [ref_x;
+        ref_u], given as one row or as its two parts; either way the same
+        product, so a step that ``product`` takes is the same to the bit."""
+        return self.matrix @ np.concatenate((x_meas, candidate, *ref, _ONE))
 
     def lifted(self, a, b):
         """The map's ``LiftedSteps`` for the plant x+ = A x + B u + w (``a``,
@@ -317,25 +323,21 @@ class LiftedSteps:
         z[:, ns:-1], z[:, -1] = refs, 1.0
         start = np.empty(z.shape[1])  # a chunk's first [x; candidate; ref; 1]
         start[:n], start[n:ns] = x, candidate
-        # the rows a chunk must end at: each hop (a row whose reference
-        # differs from the row before's), then the last row
+        # each chunk's first row: one every steps - 1 rows along each stretch
+        # between hops (rows whose reference differs from the row before's),
+        # so a chunk ends on the next one's first row, a hop at the latest
         hops = np.flatnonzero((refs[1:] != refs[:-1]).any(axis=1)) + 1
-        ends = iter(hops.tolist() + [rows - 1])
-        lo, end = 0, next(ends)
-        while lo < rows:  # each chunk, from its first row lo
+        cuts = [0, *hops.tolist(), rows - 1]
+        firsts = list(range(rows)) if rows < 2 else [
+            lo for a, b in zip(cuts, cuts[1:]) for lo in range(a, b, steps - 1)]
+        for lo, hi in zip(firsts, firsts[1:] + [rows - 1]):  # a chunk: rows lo to hi
+            k = hi - lo + 1
             start[ns:] = z[lo, ns:]
-            k = min(steps, rows - lo, end - lo + 1)
-            states[lo:lo + k] = (self.free[:k * ns] @ start).reshape(k, ns)
-            if k < 2:
-                break
-            window[steps - 1:steps + k - 2] = e[lo:lo + k - 1]
-            states[lo:lo + k] += window.take(self.windows[:k]) @ self.forced
-            lo += k - 1
-            if lo == rows - 1:
-                break
-            if lo == end:
-                end = next(ends)
-            start[:ns] = states[lo]
+            states[lo:hi + 1] = (self.free[:k * ns] @ start).reshape(k, ns)
+            if k > 1:
+                window[steps - 1:steps + k - 2] = e[lo:hi]
+                states[lo:hi + 1] += window.take(self.windows[:k]) @ self.forced
+            start[:ns] = states[hi]  # the next chunk's first state
         z[:, :n] = x_meas = states[:, :n] + v
         z[:, n:ns] = states[:, n:]
         outs = z @ step_map.matrix.T

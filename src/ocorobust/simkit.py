@@ -28,8 +28,6 @@ from . import oco_controller as oco
 from .errors import DimensionMismatch, OcoRobustError, StepError
 from .plant import SteadyStateBenchmark, optimal_steady_state, worst_stage_residuals
 
-_ONE = np.ones(1)
-
 TUBE_TOL = 1e-6
 # tube_marginal asks the tube margin to clear -tube_band by more than
 # rounding: a prediction on the band's edge in exact arithmetic (tube_band =
@@ -601,9 +599,9 @@ class _LtiPlant:
             rows = min(rows, 1)
         xs, x_metas, outs, plans, us, norms = lifted.run(step_map, self.x, candidate,
                                                          refs[:rows], v[:rows], w[:rows])
-        if rows:  # the first step as oco.step takes it (QuadraticStepMap.product), to the bit
+        if rows:  # the first step as oco.step takes it, to the bit
             x_meas = self.x + v[0]
-            out = step_map.matrix @ np.concatenate((x_meas, candidate, refs[0], _ONE))
+            out = step_map.rows_at(x_meas, candidate, refs[0])
             gap, g = out[step_map.gap], out[step_map.g]
             xs[0], x_metas[0], outs[0] = self.x, x_meas, out
             plans[0], us[0] = out[step_map.plan], out[step_map.u]

@@ -21,8 +21,9 @@ iteration (the most violated row made active) is tried from it; otherwise GI
 runs cold. A caller that forms the guess itself (the controller's step and
 rollout maps) hands it to the same test and fallback (``_from_guess``);
 ``guess_rows`` makes the guess for many linear terms at once and
-``kept_rows`` tests many guesses formed elsewhere. No state is kept between
-solves.
+``kept_rows`` tests many guesses formed elsewhere, by the rule ``keeps``
+applies to a guess's stacked products (which the step map composes into its
+own rows). No state is kept between solves.
 """
 
 from __future__ import annotations
@@ -132,15 +133,25 @@ class PrefactoredQp:
         guess = self._equality_guess(prod, linear, ineq_b, eq_b, x, nu, tol)
         if guess is not None and guess.status == "optimal":
             return guess, True
-        return self._fallback(prod, linear, ineq_b, eq_b, x, guess, tol, max_iter), False
+        return self._fallback(prod, linear, ineq_b, eq_b, x, guess is None, tol,
+                              max_iter), False
 
-    def _fallback(self, prod, linear, ineq_b, eq_b, x, guess, tol, max_iter):
-        """``solve``'s answer after the guess x was rejected (``guess`` is the
-        test's result, None when a row failed it; ``prod`` is ``stacked @
-        x``): GI's one-row step from x on a solver without equality rows when
-        a row failed, else, or when that step fails, GI from the unconstrained
-        optimum (``_cold``)."""
-        if guess is None and not self.meq and max_iter >= 1:
+    def _rejected(self, linear, x, viol, ineq_b, tol, max_iter=DEFAULT_MAX_ITER):
+        """``solve``'s answer from the unconstrained optimum x of ``linear``
+        that ``keeps`` rejected on rows the caller formed (``viol``, its row
+        residuals A x - b; ``oco.QuadraticStepMap``'s rows), on a solver with
+        inequality rows only: ``_from_guess``'s fallback from a rejected
+        guess, with ``stacked @ x`` formed here."""
+        return self._fallback(self.stacked @ x, linear, ineq_b, self.no_eq, x,
+                              float(np.maximum.reduce(viol)) > 0.1 * tol, tol, max_iter)
+
+    def _fallback(self, prod, linear, ineq_b, eq_b, x, row_failed, tol, max_iter):
+        """``solve``'s answer after the guess x was rejected (``row_failed``
+        is True when a row failed GI's stopping test, as ``_equality_guess``
+        tests it; ``prod`` is ``stacked @ x``): GI's one-row step from x on a
+        solver without equality rows when a row failed, else, or when that
+        step fails, GI from the unconstrained optimum (``_cold``)."""
+        if row_failed and not self.meq and max_iter >= 1:
             step = self._one_row_step(prod, linear, ineq_b, eq_b, x, tol)
             if step is not None and step.status == "optimal":
                 return step
@@ -232,26 +243,35 @@ class PrefactoredQp:
     def kept_rows(self, x, linears, ineq_offsets, tol=DEFAULT_TOL):
         """Whether ``solve`` keeps each row of ``x`` as the unconstrained
         optimum of the matching row of ``linears``, on a solver with
-        inequality rows only; the caller forms x = -H^-1 q (``guess_rows``,
-        or ``oco.QuadraticStepMap``'s rows).
-
-        One product gives every row's stacked products and so its slacks and
-        gradient. A row is kept under ``_equality_guess``'s rule: every slack
-        passes GI's stopping test and every KKT term of the zero-multiplier
-        point is within tol (``_residual_status`` says "optimal" exactly
-        then), so a NaN or inf term rejects the row. With one variable every
-        product is a single multiplication, so the terms are those
-        ``_from_guess`` forms to the bit; with more, the batched products may
-        round differently in the last bit, which can move only a row within
-        that rounding of a bound.
+        inequality rows only; the caller forms x = -H^-1 q (``guess_rows``).
+        One product gives every row's stacked products, and ``keeps`` tests
+        them. With one variable every product is a single multiplication, so
+        the terms are those ``_from_guess`` forms to the bit; with more, the
+        batched products may round differently in the last bit, which can
+        move only a row within that rounding of a bound.
         """
         prod = x @ self.stacked.T
         n = x.shape[1]
-        viol = prod[:, n:] - ineq_offsets
-        grad = prod[:, :n] + linears
-        return ((np.maximum.reduce(viol, axis=1) <= 0.1 * tol)
-                & (np.sqrt(np.einsum("ij,ij->i", grad, grad)) <= tol)
-                & (0.0 * np.minimum.reduce(viol, axis=1) <= tol))
+        return self.keeps(prod[:, :n] + linears, prod[:, n:] - ineq_offsets, tol)
+
+    @staticmethod
+    def keeps(grad, viol, tol=DEFAULT_TOL):
+        """Whether ``solve`` keeps a guess x of a solver with inequality rows
+        only, from its stacked products: the stationarity rows ``grad`` = H x
+        + q and the row residuals ``viol`` = A x - b, for one guess (1-D) or
+        one guess per row (2-D), formed by ``kept_rows`` or by the caller
+        (``oco.QuadraticStepMap``'s rows, which compose them into the map).
+
+        ``_equality_guess``'s rule: every row passes GI's stopping test and
+        every KKT term of the zero-multiplier point is within tol
+        (``_residual_status`` says "optimal" exactly then), so a NaN or inf
+        term rejects the guess: NaN fails the first test and the gradient
+        bound, a row at -inf (whose complementarity term 0 * -inf is NaN) the
+        second.
+        """
+        return ((np.maximum.reduce(viol, -1) <= 0.1 * tol)
+                & (np.minimum.reduce(viol, -1) > -np.inf)
+                & (np.sqrt(np.add.reduce(grad * grad, -1)) <= tol))
 
     def _assemble(self, prod, linear, ineq_b, eq_b, x, lam, nu, status, tol):
         """KKT residual of (x, lam, nu); an "optimal" above tol becomes "max_iter".

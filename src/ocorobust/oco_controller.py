@@ -160,11 +160,15 @@ class QuadraticStepMap:
     (``manifold.projector.kkt_q``) and theta = G_K eta, the reach gap d =
     theta - pred, the least-norm input g = S_c^+ d and the stage residuals
     base + R_u g of the blended plan (``explicit_map``), the plan [candidate
-    + g; eta] and the input plan[:m] + K x_meas. One product of ``matrix``
-    with [z; 1] gives them all; the slices ``base``, ``linear``, ``pred``,
-    ``theta``, ``gap``, ``g``, ``reach``, ``eta``, ``plan`` and ``u`` pick
-    them from it. ``step`` keeps a row only where its condition holds, and
-    takes the module functions everywhere else.
+    + g; eta] and the input plan[:m] + K x_meas. So are the guess's stacked
+    products, on which the projector decides it (``PrefactoredQp.keeps``):
+    the stationarity rows H_p eta + linear and the S-bar rows A eta - b,
+    composed here from ``manifold.projector.stacked``. One product of
+    ``matrix`` with [z; 1] gives them all; the slices ``base``, ``linear``,
+    ``pred``, ``theta``, ``gap``, ``g``, ``reach``, ``eta``, ``plan``,
+    ``u``, ``grad`` and ``viol`` pick them from it. ``step`` keeps a row
+    only where its condition holds, and takes the module functions
+    everywhere else.
     """
 
     def __init__(self, tables, manifold, cost, gamma):
@@ -182,6 +186,7 @@ class QuadraticStepMap:
         base = np.hstack([rx[:r], ru[:r], np.zeros((r, n + m)),
                           -tables.residual_offsets[:, None]])
         linear = np.hstack([lin_x, lin_u, -step_x, -step_v, np.zeros((m, 1))])
+        cols = linear.shape[1]
         pred_rows = np.hstack([rx[pred], ru[pred], np.zeros((n, n + m + 1))])
         eta = manifold.projector.kkt_q @ linear
         theta = manifold.g_k @ eta
@@ -190,7 +195,18 @@ class QuadraticStepMap:
         g = both[:nv]
         head = g + np.hstack([np.zeros((nv, n)), np.eye(nv), np.zeros((nv, n + m + 1))])
         u = head[:m] + np.hstack([tables.feedback, np.zeros((m, nv + n + m + 1))])
-        blocks = dict(base=base, linear=linear, pred=pred_rows, theta=theta, gap=gap, g=g,
+        # The projector's stacked products of the guess: H eta + linear and
+        # A eta - b, with S-bar's offsets b in the constant column. They go
+        # first, with zero rows up to a multiple of 8: BLAS kernels take a
+        # product's rows in groups, and a row's place in its group sets how
+        # its sum rounds, so every other row keeps the bits it has without
+        # them (in groups of up to 8).
+        stacked = manifold.projector.stacked @ eta
+        grad, viol = stacked[:m] + linear, stacked[m:]
+        viol[:, -1] -= manifold.sbar.offsets
+        self.grad, self.viol = slice(0, m), slice(m, len(stacked))
+        blocks = dict(guess=np.vstack([grad, viol, np.zeros((-len(stacked) % 8, cols))]),
+                      base=base, linear=linear, pred=pred_rows, theta=theta, gap=gap, g=g,
                       reach=base + both[nv:], head=head, eta=eta, u=u)
         at = 0
         for name, block in blocks.items():
@@ -524,27 +540,34 @@ def settled_rows(step_map, manifold, x_meas, outs, gap_norms, tol):
     """Which steps of a block ``step`` would take whole from the step map's
     rows ``outs`` (one row per step, at the step's ``x_meas`` and candidate):
     those with a finite ``x_meas`` (``as_vector``) whose guess the projector
-    keeps (``PrefactoredQp.kept_rows``, ``_from_guess``'s rule) and whose rows
-    settle the explicit step (``_rows_settle``, on the norms ``gap_norms``
-    of the rows' reach gaps). The explicit variant's steps only; a step with
-    gamma <= 0 fails before its rows.
+    keeps on the rows ``grad`` and ``viol`` (``PrefactoredQp.keeps``, as
+    ``step`` decides it) and whose rows settle the explicit step
+    (``_rows_settle``, on the norms ``gap_norms`` of the rows' reach gaps).
+    The explicit variant's steps only; a step with gamma <= 0 fails before
+    its rows.
     """
     return (np.logical_and.reduce(np.isfinite(x_meas), axis=1)
-            & manifold.projector.kept_rows(outs[:, step_map.eta], outs[:, step_map.linear],
-                                           manifold.sbar.offsets, PROJECTION_TOL)
+            & manifold.projector.keeps(outs[:, step_map.grad], outs[:, step_map.viol],
+                                       PROJECTION_TOL)
             & _rows_settle(gap_norms, np.maximum.reduce(outs[:, step_map.base], axis=1),
                            np.maximum.reduce(outs[:, step_map.reach], axis=1), tol))
 
 
-def step(state, model, tables, manifold, x_meas, grad_prev, options, step_map=None):
+def step(state, model, tables, manifold, x_meas, grad_prev, options, step_map=None,
+         ref=None):
     """Advance the controller one step; returns (u, new_state, diagnostics).
 
+    ``ref`` is the previous cost's reference [ref_x; ref_u] as one row when
+    the plant handed it as data (None: ``grad_prev``'s own ``ref_x`` and
+    ``ref_u``); the gradient path then steps on ``grad_prev`` with that
+    reference (``QuadraticCost.with_ref_x``).
     ``step_map`` is a ``QuadraticStepMap`` built from ``tables`` and
     ``manifold`` for ``options.gamma`` that serves ``grad_prev`` (any other
     map fails the step); without one the step calls the gradient oracle.
     With a map, the projection keeps the map's guess when the projector's
-    test keeps it (``PrefactoredQp._from_guess``, which goes on from a
-    rejected guess to the one-row step or GI), and the explicit variant then
+    rule keeps it on the map's ``grad`` and ``viol`` rows
+    (``PrefactoredQp.keeps``; a rejected guess goes on to the one-row step
+    or GI, ``PrefactoredQp._rejected``), and the explicit variant then
     takes g, beta = 1, the plan and u from the map's rows where they settle
     the step (``_rows_settle``). The optimized variant
     takes its reach gap from the map's rows, and its g, where the rollout's
@@ -559,6 +582,9 @@ def step(state, model, tables, manifold, x_meas, grad_prev, options, step_map=No
         candidate = state.plan[m:]  # the plan shifted by one step, u_ss held
         out = None  # the map's rows, while the step keeps its guess
         if step_map is None:
+            if ref is not None:
+                n = x_meas.size
+                grad_prev = grad_prev.with_ref_x(ref[:n], ref[n:])
             # One stacked product (see TighteningTables): the candidate's
             # stage residuals, the gradient point v, the projection's base
             # linear term q0 and the candidate's mu-step-ahead state pred.
@@ -573,16 +599,15 @@ def step(state, model, tables, manifold, x_meas, grad_prev, options, step_map=No
                 raise ValueError("gamma must be positive")
             if not step_map.fits(tables, manifold, options.gamma, grad_prev):
                 raise ValueError("step map built for other tables, manifold, gamma or weights")
-            out = step_map.product(x_meas, candidate, grad_prev)
-            base_vals, pred = out[step_map.base], out[step_map.pred]
-            linear, eta_hat = out[step_map.linear], out[step_map.eta]
-            projector = manifold.projector
-            sol, kept = projector._from_guess(linear, eta_hat, projector.no_eq,
-                                              manifold.sbar.offsets, projector.no_eq,
-                                              PROJECTION_TOL)
-            if kept:
+            out = (step_map.product(x_meas, candidate, grad_prev) if ref is None
+                   else step_map.rows_at(x_meas, candidate, ref))
+            base_vals, pred, eta_hat = out[step_map.base], out[step_map.pred], out[step_map.eta]
+            projector, viol = manifold.projector, out[step_map.viol]
+            if projector.keeps(out[step_map.grad], viol, PROJECTION_TOL):
                 theta_hat = out[step_map.theta]
             else:
+                sol = projector._rejected(out[step_map.linear], eta_hat, viol,
+                                          manifold.sbar.offsets, PROJECTION_TOL)
                 out = None
                 theta_hat, eta_hat = _projected(manifold, sol, PROJECTION_TOL)
         worst = float(np.maximum.reduce(base_vals))

@@ -419,8 +419,9 @@ class QuadraticCost:
         object.__setattr__(self, "ref_x", as_vector(self.ref_x, "ref_x"))
         object.__setattr__(self, "ref_u", as_vector(self.ref_u, "ref_u"))
 
-    def with_ref_x(self, ref_x):
-        """This cost with another state reference; only ``ref_x`` is validated.
+    def with_ref_x(self, ref_x, ref_u=None):
+        """This cost with another state reference, and input reference when
+        ``ref_u`` is given; only the new references are validated.
 
         The weight arrays are the same objects, so a ``SteadyStateBenchmark``
         or a step map that serves this cost serves the result too. Built
@@ -428,6 +429,8 @@ class QuadraticCost:
         """
         cost = object.__new__(type(self))
         cost.__dict__.update(self.__dict__, ref_x=as_vector(ref_x, "ref_x"))
+        if ref_u is not None:
+            cost.__dict__["ref_u"] = as_vector(ref_u, "ref_u")
         return cost
 
     def value(self, x, v):

@@ -113,9 +113,10 @@ class RunRecord:
     Each step writes x_true, x_meas, u, w and v; the controller's beta,
     g_norm, pred_state, theta_hat, eta_hat, u_pred, u_ss, candidate_ok,
     kkt_residual (NaN when the step has none) and g_fallback; its cost's
-    references ref_x and ref_u and weight pair ``pair``, an index into
-    ``pairs``, the first cost seen with each distinct (q_x, q_u) (see
-    ``pair_of``); and the cost object (costs), which ``finish`` never reads.
+    references ref_x and ref_u (those the plant handed as data, else the
+    cost's own) and weight pair ``pair``, an index into ``pairs``, the first
+    cost seen with each distinct (q_x, q_u) (see ``pair_of``); and the cost
+    object (costs), which ``finish`` never reads.
     ``finish`` adds ``flags`` (a boolean column per invariant flag), the
     benchmark steady state benchmark_theta, benchmark_eta (one benchmark per
     weight pair, not per run of consecutive steps), and cost and
@@ -145,7 +146,9 @@ class RunRecord:
         self.pairs.append(cost)
         return len(self.pairs) - 1
 
-    def write(self, t, x_true, x_meas, u, w, v, state, diag, cost, pair):
+    def write(self, t, x_true, x_meas, u, w, v, state, diag, cost, pair, ref=None):
+        """Write row t: ``cost``'s references, or ``ref`` = [ref_x; ref_u]
+        when the plant handed the step's reference as data."""
         self.x_true[t], self.x_meas[t], self.u[t], self.w[t], self.v[t] = x_true, x_meas, u, w, v
         self.beta[t], self.g_norm[t], self.pred_state[t] = diag.beta, diag.g_norm, diag.pred_state
         self.theta_hat[t], self.eta_hat[t] = diag.ogd_target
@@ -153,7 +156,11 @@ class RunRecord:
         self.candidate_ok[t], self.g_fallback[t] = diag.candidate_feasible, diag.g_fallback
         self.kkt_residual[t] = np.nan if diag.kkt_residual is None else diag.kkt_residual
         self.costs[t], self.pair[t] = cost, pair
-        self.ref_x[t], self.ref_u[t] = cost.ref_x, cost.ref_u
+        if ref is None:
+            self.ref_x[t], self.ref_u[t] = cost.ref_x, cost.ref_u
+        else:
+            n = self.ref_x.shape[1]
+            self.ref_x[t], self.ref_u[t] = ref[:n], ref[n:]
 
     def fill(self, rows, **columns):
         """Write the slice ``rows`` of each named column."""
@@ -310,6 +317,16 @@ def _check_cost(cost, n, m):
                                 f"not fit n={n}, m={m}")
 
 
+def _check_ref(ref, n, m, t):
+    """Raise unless ``ref``, a reference a plant handed as data, is a finite
+    [ref_x; ref_u] row: ``DimensionMismatch`` on a misfit, a failed step t
+    (``StepError``) on a non-finite entry."""
+    if np.shape(ref) != (n + m,):
+        raise DimensionMismatch(f"reference shape {np.shape(ref)} does not fit n + m = {n + m}")
+    if not np.logical_and.reduce(np.isfinite(ref)):
+        raise StepError(t, ValueError("ref has non-finite entries"))
+
+
 def _step_map(step_map, cost, next_cost, tables, manifold, gamma, t, step_maps):
     """The step map for step t, on ``cost``: ``step_map`` when it serves
     ``cost``; else the first of ``step_maps`` (built beforehand) that was
@@ -338,13 +355,19 @@ def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
                 abort_on_violation=False, benchmarks=(), step_maps=()):
     """The online loop for any plant; returns (trace, ledger).
 
-    ``plant.observe(t)`` returns (x_true, x_meas, v, cost_t) and
+    ``plant.observe(t)`` returns (x_true, x_meas, v, cost_t, ref_t) and
     ``plant.advance(u)`` applies u and returns the step's process disturbance w.
-    The controller gets cost_t only at step t + 1. Each step writes one row of
-    the trace, a ``RunRecord``, with cost_t as its ref_x, ref_u and pair
-    columns: each new cost object is checked against the model
-    (``_check_cost``; a misfit raises at t = 0 and aborts the run at t > 0)
-    and its weight pair found in ``record.pairs`` (``RunRecord.pair_of``).
+    ``ref_t`` is None, for cost_t's own references, or the step's reference
+    [ref_x; ref_u] as one row, handed as data so that a plant whose
+    reference moves every step hands the same cost object each time. The
+    controller gets cost_t and ref_t only at step t + 1. Each step writes one
+    row of the trace, a ``RunRecord``, with the step's references as its
+    ref_x and ref_u columns and cost_t's weight pair as its pair column: each
+    new cost object is checked against the model (``_check_cost``; a misfit
+    raises at t = 0 and aborts the run at t > 0) and its weight pair found in
+    ``record.pairs`` (``RunRecord.pair_of``), and each reference handed as
+    data is checked for its shape and finite entries at its step
+    (``_check_ref``, with the same outcomes).
     Flags, the benchmark steady states, cost values and totals come after
     the run (flags after each step under ``abort_on_violation``), with one
     benchmark per weight pair, not per run of consecutive steps: one of
@@ -353,9 +376,10 @@ def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
 
     A step on a ``QuadraticCost`` whose weight pair repeats on the next step
     uses an ``oco.QuadraticStepMap`` for that pair: one of ``step_maps``
-    (built beforehand, e.g. once for every run of a sweep design) that fits
-    the step, else one built on first use; the loop keeps only the map in
-    use (see ``_step_map``).
+    (built beforehand, e.g. once for every run of a sweep design or every
+    vehicle run) that fits the step, else one built on first use; the loop
+    keeps only the map in use, and looks it up (``_step_map``) only when the
+    step's cost object is not the one it looked the map up for.
 
     On a plant whose ``observe`` and ``advance`` are ``_LtiPlant``'s own,
     with the explicit variant and gamma > 0, the loop runs ahead over steps
@@ -388,10 +412,12 @@ def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
     of two or more steps whose ``max_beta`` ratio is strictly inside (0, 1).
     """
     check_horizon(horizon)
-    x_true, x_meas, v, cost_t = plant.observe(0)
+    x_true, x_meas, v, cost_t, ref_t = plant.observe(0)
     if not model.x_set.contains(x_true, tol=model.membership_tol):
         raise OcoRobustError("x0 violates the state constraints")
     _check_cost(cost_t, model.n, model.m)
+    if ref_t is not None:
+        _check_ref(ref_t, model.n, model.m, 0)
     record = RunRecord(model.n, model.m, model.mu, horizon)
     pair = record.pair_of(cost_t)
     c_g = controller.effective_c_g(model)
@@ -402,7 +428,7 @@ def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
                                ogd_target=state.zeta_hat, candidate_feasible=True)
 
     monitors = (model, tables, manifold, c_g)
-    step_map = None
+    step_map = map_cost = None  # the map in use, looked up for the cost map_cost
     ahead = _runs_ahead(plant, controller)
     serial = False  # the next step runs step by step
     cap = oco.RUN_AHEAD_BLOCK  # the most steps of the next block
@@ -413,6 +439,7 @@ def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
                 step_map, state, kept, whole, serial = _run_ahead(
                     plant, record, state, step_map, cost_t, t, min(t + cap, horizon), model,
                     tables, manifold, controller.gamma, step_maps)
+                map_cost = cost_t
             except OcoRobustError as exc:
                 raise SimulationAborted(str(exc), record, record.finish(t, monitors, benchmarks),
                                         t) from exc
@@ -428,23 +455,27 @@ def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
                 continue
         serial = False
         if t > 0:
-            prev_cost = cost_t
-            x_true, x_meas, v, cost_t = plant.observe(t)
+            prev_cost, prev_ref = cost_t, ref_t
+            x_true, x_meas, v, cost_t, ref_t = plant.observe(t)
             try:
                 if cost_t is not prev_cost:
                     _check_cost(cost_t, model.n, model.m)
                     pair = record.pair_of(cost_t)
                     cap = oco.RUN_AHEAD_BLOCK
-                step_map = _step_map(step_map, prev_cost, cost_t, tables, manifold,
-                                     controller.gamma, t, step_maps)
+                if ref_t is not None:
+                    _check_ref(ref_t, model.n, model.m, t)
+                if prev_cost is not map_cost:
+                    step_map, map_cost = _step_map(step_map, prev_cost, cost_t, tables,
+                                                   manifold, controller.gamma, t,
+                                                   step_maps), prev_cost
                 u, state, diag = oco.step(state, model, tables, manifold, x_meas, prev_cost,
-                                          controller, step_map)
+                                          controller, step_map, prev_ref)
             except OcoRobustError as exc:
                 raise SimulationAborted(str(exc), record, record.finish(t, monitors, benchmarks),
                                         t) from exc
 
         w = plant.advance(u)
-        record.write(t, x_true, x_meas, u, w, v, state, diag, cost_t, pair)
+        record.write(t, x_true, x_meas, u, w, v, state, diag, cost_t, pair, ref_t)
         if abort_on_violation:
             _abort_at_violation(record, t, t + 1, monitors, benchmarks)
         t += 1
@@ -562,7 +593,7 @@ class _LtiPlant:
     def observe(self, t):
         self.t = t
         v = self.v[t]
-        return self.x, self.x + v, v, self.cost_schedule.cost_at(t)
+        return self.x, self.x + v, v, self.cost_schedule.cost_at(t), None
 
     def advance(self, u):
         w = self.w[self.t]

@@ -135,7 +135,8 @@ def build_vehicle_model(params=None):
 class VehicleSetup:
     """What runs share; no run changes it.
 
-    ``benchmarks`` holds the ``SteadyStateBenchmark`` of each phase weight
+    ``benchmarks`` holds the ``SteadyStateBenchmark`` and ``step_maps`` the
+    ``oco.QuadraticStepMap`` (for ``params.gamma``) of each phase weight
     pair: phases 1 and 2, then phase 3.
     """
 
@@ -145,6 +146,7 @@ class VehicleSetup:
     manifold: object
     builder: object
     benchmarks: tuple
+    step_maps: tuple
 
 
 @functools.lru_cache(maxsize=8)
@@ -153,10 +155,11 @@ def vehicle_setup(params=None):
     model = build_vehicle_model(params)
     tables = build_tightening(model)
     manifold = steady_state_manifold(model, model.p_rpi, shrink=params.shrink)
-    benchmarks = tuple(SteadyStateBenchmark(manifold, model, cost)
-                       for cost in (_PHASE1_COST, _PHASE3_COST))
-    return VehicleSetup(params, model, tables, manifold,
-                        VehicleRolloutBuilder(model, params), benchmarks)
+    costs = (_PHASE1_COST, _PHASE3_COST)
+    return VehicleSetup(params, model, tables, manifold, VehicleRolloutBuilder(model, params),
+                        tuple(SteadyStateBenchmark(manifold, model, cost) for cost in costs),
+                        tuple(oco.QuadraticStepMap(tables, manifold, cost, params.gamma)
+                              for cost in costs))
 
 
 _Q_INPUT = np.eye(2) * 2.0 * INPUT_WEIGHT
@@ -176,8 +179,11 @@ def phase_cost(phase, target_speed_dev=None):
 
     Phase 2 needs the current leader-speed estimate (as deviation) for its
     velocity target; phases 1 and 3 have fixed targets. Phase 2 is phase 1's
-    cost with a new reference: the same weight arrays, so one benchmark solver
-    serves phases 1 and 2, and only the reference is validated per step.
+    cost with a new reference: the same weight arrays, so one benchmark
+    solver and one step map serve phases 1 and 2. The road plant builds no
+    phase-2 cost: it hands the loop phase 1's cost and the reference [0,
+    target_speed_dev, 0, 0] as data (``_RoadPlant.observe``), which this
+    cost carries as its ``ref_x`` and ``ref_u``.
     """
     if phase == 1:
         return _PHASE1_COST
@@ -313,6 +319,9 @@ class _RoadPlant:
                         "speed_kmh": [], "phase": [], "leader_est_kmh": []}
 
     def observe(self, t):
+        """``closed_loop``'s step-t values: in phase 2 phase 1's cost with the
+        step's reference [0, leader speed estimate; 0, 0] as data (see
+        ``phase_cost``), else the phase's cost and None."""
         metrics = self.metrics
         true_gap = self.leader_px - self.truth[0]
         self.gap_meas = gap_meas = true_gap + self.sensors.dist[t]
@@ -326,18 +335,18 @@ class _RoadPlant:
             if not self.detected and gap_meas <= self.params.detect_gap_m:
                 self.detected = True
             phase = 2 if self.detected else 1
-        self.phase, self.est_speed_dev = phase, None
+        self.phase, self.est_speed_dev, ref = phase, None, None
         if phase == 2:
             if self.prev_gap_meas is None:
                 est_abs = x_meas[1] + DELTA_BAR
             else:
                 est_abs = (gap_meas - self.prev_gap_meas) / TAU + (x_meas[1] + DELTA_BAR)
             self.est_speed_dev = est_abs - DELTA_BAR
-            cost_t = phase_cost(2, target_speed_dev=self.est_speed_dev)
+            ref = np.array([0.0, self.est_speed_dev, 0.0, 0.0])
             metrics["leader_est_kmh"].append(ms_to_kmh(est_abs))
         else:
             metrics["leader_est_kmh"].append(None)
-            cost_t = phase_cost(phase)
+        cost_t = _PHASE3_COST if phase == 3 else _PHASE1_COST
         if metrics["phase2_start"] is None and phase == 2:
             metrics["phase2_start"] = t
         if metrics["phase3_start"] is None and phase == 3:
@@ -346,7 +355,7 @@ class _RoadPlant:
         metrics["gap_m"].append(true_gap)
         metrics["speed_kmh"].append(ms_to_kmh(self.truth[2]))
         metrics["phase"].append(phase)
-        return x_true, x_meas, v, cost_t
+        return x_true, x_meas, v, cost_t, ref
 
     def rollout(self):
         return self.builder.rollout(self.phase, self.gap_meas, self.est_speed_dev)
@@ -384,7 +393,7 @@ def run_scenario(variant="optimized", seed=0, params=None, horizon_steps=300,
                                       rollout_builder=plant if variant == "optimized" else None)
     zeta0 = optimal_steady_state(manifold, phase_cost(1), model, setup.benchmarks[0])
     trace, ledger = closed_loop(model, tables, manifold, controller, plant, horizon_steps,
-                                zeta0, benchmarks=setup.benchmarks)
+                                zeta0, benchmarks=setup.benchmarks, step_maps=setup.step_maps)
     metrics = {"variant": variant, "seed": seed, **plant.metrics}
     _finalize_metrics(metrics, trace)
     return trace, ledger, metrics

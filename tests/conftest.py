@@ -186,19 +186,27 @@ def max_beta_bisect(tables, model, x_meas, base_seq, g, tol=None, resolution=1e-
     return lo
 
 
-def reference_ledger(trace, model):
+def row_cost(trace, i, column_refs=False):
+    """Row i's cost: the cost object, or with ``column_refs`` that object
+    with the row's ref_x and ref_u columns as its references (for a plant
+    that hands references as data)."""
+    cost = trace.costs[i]
+    return cost.with_ref_x(trace.ref_x[i], trace.ref_u[i]) if column_refs else cost
+
+
+def reference_ledger(trace, model, column_refs=False):
     """A run's costs and totals one step at a time, as a running loop sums them.
 
-    Per step: ``cost.value`` of the step's cost at the true state and input
-    and at the benchmark steady state, and ``np.linalg.norm`` of the
-    benchmark's move, w and v. Returns (costs, benchmark costs, cum_regret,
-    path_length, w_energy, v_energy).
+    Per step: ``cost.value`` of the step's cost (``row_cost``) at the true
+    state and input and at the benchmark steady state, and
+    ``np.linalg.norm`` of the benchmark's move, w and v. Returns (costs,
+    benchmark costs, cum_regret, path_length, w_energy, v_energy).
     """
     costs, benches = [], []
     regret = path = w_energy = v_energy = 0.0
     prev = None
     for i, rec in enumerate(trace):
-        cost = trace.costs[i]
+        cost = row_cost(trace, i, column_refs)
         theta, eta = trace.benchmark_theta[i], trace.benchmark_eta[i]
         costs.append(cost.value(rec.x_true, rec.u))
         benches.append(cost.value(theta, eta + model.k @ theta))
@@ -212,20 +220,21 @@ def reference_ledger(trace, model):
     return np.array(costs), np.array(benches), regret, path, w_energy, v_energy
 
 
-def assert_ledger_matches_reference(trace, ledger, model, rel=1e-12):
-    costs, benches, *totals = reference_ledger(trace, model)
+def assert_ledger_matches_reference(trace, ledger, model, rel=1e-12, column_refs=False):
+    costs, benches, *totals = reference_ledger(trace, model, column_refs)
     assert np.allclose(trace.cost, costs, rtol=rel, atol=1e-15)
     assert np.allclose(trace.benchmark_cost, benches, rtol=rel, atol=1e-15)
     got = (ledger.cum_regret, ledger.path_length, ledger.w_energy, ledger.v_energy)
     assert got == pytest.approx(tuple(totals), rel=rel, abs=0.0)
 
 
-def assert_benchmark_matches_per_row(trace, model, manifold, rel=1e-12):
+def assert_benchmark_matches_per_row(trace, model, manifold, rel=1e-12, column_refs=False):
     """Every row's benchmark steady state, solved after the run, against
-    ``optimal_steady_state`` of that row's cost alone (norm-wise relative)."""
+    ``optimal_steady_state`` of that row's cost (``row_cost``) alone
+    (norm-wise relative)."""
     assert len(trace.costs) == len(trace.benchmark_theta) == len(trace.benchmark_eta)
-    for i, cost in enumerate(trace.costs):
-        theta, eta = optimal_steady_state(manifold, cost, model)
+    for i in range(len(trace.costs)):
+        theta, eta = optimal_steady_state(manifold, row_cost(trace, i, column_refs), model)
         for got, want in ((trace.benchmark_theta[i], theta), (trace.benchmark_eta[i], eta)):
             assert np.linalg.norm(got - want) <= rel * np.linalg.norm(want), (i, got, want)
 
@@ -275,6 +284,17 @@ def guess_kept(projector, linear, x, offsets, tol):
     the test ``PrefactoredQp._from_guess`` applies, without its fallback."""
     guess = projector._equality_guess(projector.stacked @ x, linear, offsets, projector.no_eq,
                                       x, projector.no_eq, tol)
+    return guess is not None and guess.status == "optimal"
+
+
+def rows_kept(projector, grad, viol, tol):
+    """Whether the projection keeps a guess whose stacked products are the
+    rows ``grad`` (H x + q) and ``viol`` (A x - b): the test
+    ``PrefactoredQp._from_guess`` applies (``_equality_guess``), on those
+    numbers (q = 0 and b = 0)."""
+    n, zeros = grad.size, np.zeros(grad.size)
+    guess = projector._equality_guess(np.concatenate([grad, viol]), zeros, np.zeros(viol.size),
+                                      projector.no_eq, zeros, projector.no_eq, tol)
     return guess is not None and guess.status == "optimal"
 
 
@@ -405,10 +425,11 @@ def both_paths(monkeypatch, step_by_step):
     cost) of the compared steps."""
     real, seen = oco.step, []
 
-    def checked(state, model, tables, manifold, x_meas, grad_prev, options, step_map=None):
-        out = real(state, model, tables, manifold, x_meas, grad_prev, options, step_map)
+    def checked(state, model, tables, manifold, x_meas, grad_prev, options, step_map=None,
+                ref_row=None):
+        out = real(state, model, tables, manifold, x_meas, grad_prev, options, step_map, ref_row)
         assert step_map is not None and step_map.serves(grad_prev)
-        ref = real(state, model, tables, manifold, x_meas, grad_prev, options)
+        ref = real(state, model, tables, manifold, x_meas, grad_prev, options, None, ref_row)
         # The map's stage residuals against their per-step form, at the
         # scale of the offsets they are computed from.
         x_meas, candidate = np.asarray(x_meas, float), state.plan[model.m:]

@@ -557,6 +557,21 @@ def test_generic_resid_violations_fail_the_run(tmp_path, monkeypatch, capsys):
 
 
 class TestVehicleRuns:
+    def test_non_finite_reference_aborts_the_seed(self, tmp_path, monkeypatch, capsys):
+        # A NaN gap measurement at step 60 makes that phase-2 step's
+        # reference NaN: the run aborts at its step, names the seed and
+        # writes the 60 rows before it.
+        from test_vehicle import nan_gap_at
+
+        nan_gap_at(monkeypatch, 60)
+        code = main(["run", "--config", str(CONFIGS / "vehicle_explicit.cfg"),
+                     "--out", str(tmp_path / "o"), "--quiet"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == ("aborted: seed 0: simulation aborted at t=60: controller step t=60 "
+                       "failed: ref has non-finite entries\n")
+        assert len((tmp_path / "o" / "trace_partial.csv").read_text().splitlines()) == 1 + 60
+
     def test_explicit_zero_c_g_is_kept(self, tmp_path, capsys):
         # c_g = 0.0 is a value, not an absent key: both verbs reject it
         cfg = write_cfg(tmp_path, VEHICLE_SHORT.replace("c_g = 1000.0", "c_g = 0.0"))

@@ -55,7 +55,7 @@ class GreedyAdversaryPlant:
         self.scale = np.linalg.norm(normals, axis=1)
 
     def observe(self, t):
-        return self.x, self.x + self.v, self.v, self.schedule.cost_at(t)
+        return self.x, self.x + self.v, self.v, self.schedule.cost_at(t), None
 
     def advance(self, u):
         model = self.model

@@ -48,7 +48,7 @@ from ocorobust.simkit import (
 from test_drawn_models import build, drawn_models
 from test_step_map import coupled_cost
 
-from conftest import StepByStep, assert_close, assert_records_agree, guess_kept
+from conftest import StepByStep, assert_close, assert_records_agree, rows_kept
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 REL = 1e-12
@@ -523,8 +523,8 @@ def per_row(step_map, manifold, x_meas, out, tol):
         as_vector(x_meas)
     except ValueError:
         return False
-    if not guess_kept(manifold.projector, out[step_map.linear], out[step_map.eta],
-                      manifold.sbar.offsets, oco.PROJECTION_TOL):
+    if not rows_kept(manifold.projector, out[step_map.grad], out[step_map.viol],
+                     oco.PROJECTION_TOL):
         return False
     gap = out[step_map.gap]
     return bool(oco._rows_settle(math.sqrt(gap @ gap), float(np.max(out[step_map.base])),
@@ -533,17 +533,16 @@ def per_row(step_map, manifold, x_meas, out, tol):
 
 def test_batched_rule_matches_the_step(di_bundle):
     # oco.settled_rows on a block against the step's own tests row by row,
-    # on map rows edited to NaN and +-inf entries, guesses at the 0.1 tol
+    # on map rows edited to NaN and +-inf entries, guess rows at the 0.1 tol
     # slack boundary and the gradient bound, zero and tiny gaps (up to 2e-12),
-    # and reach and worst residuals at their bounds. The projector has one
-    # variable, so both sides form the same products.
+    # and reach and worst residuals at their bounds. Both sides decide the
+    # guess on the map's grad and viol rows.
     model, tables, manifold = di_bundle
     cost = coupled_cost(2, 1, [0.3, 0.0], [0.2])
     step_map = oco.QuadraticStepMap(tables, manifold, cost, 0.3)
     zeta = optimal_steady_state(manifold, cost, model)
     plan0 = oco.initialize(model, tables, manifold, zeta, zeta[0]).plan
-    projector, tol = manifold.projector, model.membership_tol
-    h = projector.hessian[0, 0]
+    tol = model.membership_tol
     nudges = st.integers(-3, 3)
     specials = st.sampled_from([np.nan, np.inf, -np.inf])
 
@@ -567,20 +566,21 @@ def test_batched_rule_matches_the_step(di_bundle):
                 x = x.copy()
                 x[data.draw(st.integers(0, 1))] = data.draw(specials)
             elif kind == "entry":
-                block = data.draw(st.sampled_from(["eta", "linear", "base", "reach", "gap"]))
+                block = data.draw(st.sampled_from(["eta", "linear", "grad", "viol", "base",
+                                                   "reach", "gap"]))
                 span = getattr(step_map, block)
                 out[data.draw(st.integers(span.start, span.stop - 1))] = data.draw(specials)
             elif kind in ("guess_boundary", "grad_boundary"):
-                facet = data.draw(st.integers(0, len(manifold.sbar.offsets) - 1))
-                normal = manifold.sbar.normals[facet, 0]
-                eta = (manifold.sbar.offsets[facet] + 0.1 * oco.PROJECTION_TOL) / normal
+                # every S-bar row inside, one on the stopping test's bound,
+                # or the stationarity row on the gradient bound
+                viol = np.full(step_map.viol.stop - step_map.viol.start, -1.0)
+                grad = np.zeros(step_map.grad.stop - step_map.grad.start)
                 if kind == "guess_boundary":
-                    eta = nudge(eta, data.draw(nudges))
-                    linear = -(h * eta)
+                    facet = data.draw(st.integers(0, viol.size - 1))
+                    viol[facet] = nudge(0.1 * oco.PROJECTION_TOL, data.draw(nudges))
                 else:
-                    eta = 0.5 * eta
-                    linear = nudge(-(h * eta) + oco.PROJECTION_TOL, data.draw(nudges))
-                out[step_map.eta], out[step_map.linear] = eta, linear
+                    grad[0] = nudge(oco.PROJECTION_TOL, data.draw(nudges))
+                out[step_map.viol], out[step_map.grad] = viol, grad
             elif kind == "tiny_gap":
                 direction = rng.normal(size=2)
                 size = data.draw(st.sampled_from([0.0, 0.5, 1.0, 2.0]))

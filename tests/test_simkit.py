@@ -396,7 +396,7 @@ class TestEngine:
                 self.x = np.asarray(x0, float)
 
             def observe(self, t):
-                return self.x, self.x.copy(), np.zeros(model.n), schedule.cost_at(t)
+                return self.x, self.x.copy(), np.zeros(model.n), schedule.cost_at(t), None
 
             def advance(self, u):
                 self.x = model.a @ self.x + model.b @ u
@@ -616,7 +616,7 @@ class HeldPlant:
         x_true = self.x_hold.copy()
         if t == self.leave_x_at:
             x_true[0] += 10.0
-        return x_true, self.x_hold.copy(), np.zeros(self.model.n), self.cost
+        return x_true, self.x_hold.copy(), np.zeros(self.model.n), self.cost, None
 
     def advance(self, u):
         return np.zeros(self.model.n)

@@ -251,9 +251,12 @@ class TestOneStep:
         gaps, real = [], oco.additional_input_optimized
         step = oco.step
 
-        def observed(state, model, tables, manifold, x_meas, grad_prev, options, step_map=None):
-            out = step(state, model, tables, manifold, x_meas, grad_prev, options, step_map)
-            rows = step_map.product(np.asarray(x_meas, float), state.plan[model.m:], grad_prev)
+        def observed(state, model, tables, manifold, x_meas, grad_prev, options, step_map=None,
+                     ref=None):
+            out = step(state, model, tables, manifold, x_meas, grad_prev, options, step_map, ref)
+            x_meas, candidate = np.asarray(x_meas, float), state.plan[model.m:]
+            rows = (step_map.product(x_meas, candidate, grad_prev) if ref is None
+                    else step_map.rows_at(x_meas, candidate, ref))
             d = gaps[-1]
             theta_hat, pred = out[2].ogd_target[0], out[2].pred_state
             if np.array_equal(theta_hat, rows[step_map.theta]):
@@ -400,9 +403,9 @@ class TestFallbackBranches:
 class TestCensus:
     def test_sweep_design_solves_only_rejected_guesses(self, monkeypatch):
         # On the bundled sweep design, the projector's fallback (one-row step
-        # or GI) runs only on steps whose guess its single-row check rejected,
-        # and ``solve`` never runs; the steps run ahead had their guesses kept
-        # by the batched check.
+        # or GI) runs only on steps whose guess its rule (``keeps``, on one
+        # step's map rows) rejected, and ``solve`` never runs; the steps run
+        # ahead had their guesses kept by the same rule on a block's rows.
         cfg = cli.load_config(CONFIGS / "regret_sweep.cfg", command="regret-sweep")
         sw = cfg["sweep"]
         model = build_model(cli._model_config(cfg))
@@ -414,30 +417,21 @@ class TestCensus:
         verdicts, fallbacks, solves, batches = [], [], [], []
 
         class Census(PrefactoredQp):
-            inside = False  # True while ``solve`` tests its own guess
-
-            def _from_guess(self, *args, **kwargs):
-                sol, kept = super()._from_guess(*args, **kwargs)
-                if not self.inside:
-                    verdicts.append(kept)
-                return sol, kept
+            def keeps(self, grad, viol, *args, **kwargs):
+                kept = super().keeps(grad, viol, *args, **kwargs)
+                if np.ndim(viol) == 1:  # one step's rows
+                    verdicts.append(bool(kept))
+                else:
+                    batches.append(kept)
+                return kept
 
             def _fallback(self, *args, **kwargs):
                 fallbacks.append(1)
                 return super()._fallback(*args, **kwargs)
 
-            def kept_rows(self, *args, **kwargs):
-                kept = super().kept_rows(*args, **kwargs)
-                batches.append(kept)
-                return kept
-
             def solve(self, *args, **kwargs):
                 solves.append(1)
-                self.inside = True
-                try:
-                    return super().solve(*args, **kwargs)
-                finally:
-                    self.inside = False
+                return super().solve(*args, **kwargs)
 
         real = manifold.projector
         manifold.projector = Census(real.hessian, ineq_normals=real.ineq_normals)
@@ -561,8 +555,8 @@ class TestFailures:
 
         class NanAtFour(simkit._LtiPlant):
             def observe(self, t):
-                x_true, x_meas, v, cost_t = super().observe(t)
-                return x_true, (np.full(2, np.nan) if t == 4 else x_meas), v, cost_t
+                x_true, x_meas, v, cost_t, ref_t = super().observe(t)
+                return x_true, (np.full(2, np.nan) if t == 4 else x_meas), v, cost_t, ref_t
 
         def make():
             return run(plant=NanAtFour(model, simkit.ConstantSchedule(cost),
@@ -584,8 +578,8 @@ class TestFailures:
 
         class JumpAtFive(simkit._LtiPlant):
             def observe(self, t):
-                x_true, x_meas, v, cost_t = super().observe(t)
-                return x_true, (np.array([2.9, 1.9]) if t == 5 else x_meas), v, cost_t
+                x_true, x_meas, v, cost_t, ref_t = super().observe(t)
+                return x_true, (np.array([2.9, 1.9]) if t == 5 else x_meas), v, cost_t, ref_t
 
         def make():
             return run(plant=JumpAtFive(model, simkit.ConstantSchedule(cost),
@@ -594,11 +588,11 @@ class TestFailures:
         assert self.both(monkeypatch, make) == (5, InfeasibleError)
 
     def test_failed_projection(self, loop, monkeypatch, di_bundle):
-        # Both paths decide the projection in the projector: its single-row
-        # and batched checks reject every guess, so every step runs step by
-        # step, every step goes on to the fallback (from ``solve`` on the
-        # oracle path, from the map's guess on the map's), and its third
-        # fallback fails.
+        # Both paths decide the projection in the projector: its guess test
+        # in ``solve`` and its rule on the map's rows (one step's or a
+        # block's) reject every guess, so every step runs step by step, every
+        # step goes on to the fallback (from ``solve`` on the oracle path,
+        # from the map's guess on the map's), and its third fallback fails.
         manifold = copy.copy(di_bundle[2])
         real = manifold.projector
         calls = []
@@ -607,8 +601,8 @@ class TestFailures:
             def _equality_guess(self, *args, **kwargs):
                 return None
 
-            def kept_rows(self, x, *args, **kwargs):
-                return np.zeros(len(x), bool)
+            def keeps(self, grad, *args, **kwargs):
+                return np.zeros(np.shape(grad)[:-1], bool)
 
             def _fallback(self, *args, **kwargs):
                 calls.append(1)

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from ocorobust import denseqp, vehicle
+from ocorobust import denseqp, simkit, vehicle
 from ocorobust import oco_controller as oco
-from ocorobust.errors import OcoRobustError
+from ocorobust.errors import OcoRobustError, StepError
 from unittest import mock
 
-from ocorobust.plant import SteadyStateBenchmark, optimal_steady_state
+from ocorobust.plant import QuadraticCost, SteadyStateBenchmark, optimal_steady_state
 
 from conftest import (
     assert_benchmark_matches_per_row,
@@ -437,14 +437,14 @@ class TestScenario:
     @pytest.mark.parametrize("variant", ["optimized", "explicit"])
     def test_totals_match_step_by_step_reference(self, setup, variant):
         trace, ledger, metrics = vehicle.run_scenario(variant, seed=0)
-        # phase 2 makes a new cost object each step on phase 1's weights;
-        # phase 3 switches the weights
-        phase2 = [c for c, p in zip(trace.costs, metrics["phase"]) if p == 2]
-        assert len({id(c) for c in phase2}) == len(phase2) > 1
-        assert phase2[0].q_x is trace.costs[0].q_x
+        # phase 2 hands phase 1's cost object with a new reference each step,
+        # as data in the ref_x column; phase 3 switches the weights
+        phase2 = np.array(metrics["phase"]) == 2
+        assert all(c is trace.costs[0] for c in trace.costs[phase2])
+        assert len({row.tobytes() for row in trace.ref_x[phase2]}) == np.count_nonzero(phase2) > 1
         assert trace.costs[-1].q_x is not trace.costs[0].q_x
-        assert_ledger_matches_reference(trace, ledger, setup.model)
-        assert_benchmark_matches_per_row(trace, setup.model, setup.manifold)
+        assert_ledger_matches_reference(trace, ledger, setup.model, column_refs=True)
+        assert_benchmark_matches_per_row(trace, setup.model, setup.manifold, column_refs=True)
         if variant == "optimized":
             kkt = [rec.diagnostics.kkt_residual for rec in trace]
             assert [k is None for k in kkt] == list(np.isnan(trace.kkt_residual))
@@ -477,3 +477,97 @@ class TestScenario:
     def test_bad_variant_rejected(self):
         with pytest.raises(ValueError):
             vehicle.run_scenario("fancy", seed=0)
+
+
+def nan_gap_at(monkeypatch, t):
+    """While active, every run's gap measurement noise is NaN at step t."""
+    init = vehicle._Sensors.__init__
+
+    def broken(sensors, *args):
+        init(sensors, *args)
+        sensors.dist[t] = np.nan
+
+    monkeypatch.setattr(vehicle._Sensors, "__init__", broken)
+
+
+class TestReferencesAsData:
+    def test_run_builds_no_cost_or_map(self, monkeypatch):
+        # A run on a shared setup builds no QuadraticStepMap and no
+        # QuadraticCost (with_ref_x included) between observe(0) and the
+        # last advance, finds a weight pair only where the cost object
+        # changes (t = 0 and phase 3's first step), leaves the setup's maps
+        # as they were, and records each phase-2 step's reference as [0,
+        # leader speed estimate] to the bit.
+        shared = vehicle.vehicle_setup.__wrapped__(vehicle.VehicleParams())
+
+        def snapshot():
+            return [{name: value.copy() if isinstance(value, np.ndarray) else value
+                     for name, value in vars(step_map).items()} for step_map in shared.step_maps]
+
+        events, estimates = [], {}
+
+        def log(name, method):
+            def call(*args, **kwargs):
+                events.append(name)
+                return method(*args, **kwargs)
+            return call
+
+        def observe(plant, t):
+            events.append(("observe", t))
+            out = real_observe(plant, t)
+            if plant.phase == 2:
+                estimates[t] = plant.est_speed_dev
+            return out
+
+        real_observe = vehicle._RoadPlant.observe
+        before = snapshot()
+        monkeypatch.setattr(vehicle._RoadPlant, "observe", observe)
+        monkeypatch.setattr(vehicle._RoadPlant, "advance",
+                            log("advance", vehicle._RoadPlant.advance))
+        monkeypatch.setattr(QuadraticCost, "__post_init__",
+                            log("cost", QuadraticCost.__post_init__))
+        monkeypatch.setattr(QuadraticCost, "with_ref_x", log("cost", QuadraticCost.with_ref_x))
+        monkeypatch.setattr(oco.QuadraticStepMap, "__init__",
+                            log("map", oco.QuadraticStepMap.__init__))
+        monkeypatch.setattr(simkit.RunRecord, "pair_of", log("pair_of", simkit.RunRecord.pair_of))
+        for variant in ("optimized", "explicit"):
+            events.clear()
+            estimates.clear()
+            trace, _, metrics = vehicle.run_scenario(variant, seed=2, setup=shared)
+            first = events.index(("observe", 0))
+            last = len(events) - 1 - events[::-1].index("advance")
+            inside = events[first:last + 1]
+            assert inside.count("advance") == 300
+            assert not {"cost", "map"} & set(inside)
+            steps = [name[1] for name in inside if isinstance(name, tuple)]
+            pairs = [steps[inside[:i].count("advance")] for i, name in enumerate(inside)
+                     if name == "pair_of"]
+            assert pairs == [0, metrics["phase3_start"]]
+            phase2 = np.flatnonzero(np.array(metrics["phase"]) == 2)
+            assert len(phase2) > 100 and sorted(estimates) == phase2.tolist()
+            want = np.array([[0.0, estimates[t]] for t in phase2])
+            assert trace.ref_x[phase2].tobytes() == want.tobytes()
+            assert not trace.ref_u.any()
+        for old, new in zip(before, snapshot(), strict=True):
+            assert old.keys() == new.keys()
+            for name, value in old.items():
+                if isinstance(value, np.ndarray):
+                    assert np.array_equal(value, new[name]), name
+                else:
+                    assert value is new[name] or value == new[name], name
+
+    def test_non_finite_reference_aborts_at_its_step(self, setup, monkeypatch):
+        # A NaN gap measurement at step 60 (phase 2) makes that step's
+        # leader estimate, and so its reference, NaN: the run aborts there,
+        # keeping the 60 rows before it as the whole run has them.
+        whole, _, metrics = vehicle.run_scenario("explicit", seed=0, setup=setup)
+        assert metrics["phase"][60] == 2
+        nan_gap_at(monkeypatch, 60)
+        with pytest.raises(simkit.SimulationAborted) as info:
+            vehicle.run_scenario("explicit", seed=0, setup=setup)
+        err = info.value
+        assert err.t == 60 and len(err.trace) == 60
+        assert isinstance(err.__cause__, StepError) and err.__cause__.t == 60
+        assert str(err.__cause__.cause) == "ref has non-finite entries"
+        for name in ("x_true", "x_meas", "u", "beta", "theta_hat", "ref_x", "ref_u"):
+            assert getattr(err.trace, name).tobytes() == getattr(whole, name)[:60].tobytes()

@@ -5,8 +5,8 @@
 PARENT_DIR and CHANGE_DIR are two checkouts of the repository. In each, every
 call runs in a fresh process, with the checkout as working directory and its
 ``src`` on PYTHONPATH: ``ocorobust run`` on the three bundled run configs, on
-copies of ``double_integrator.cfg`` and ``vehicle_explicit.cfg`` with
-``experiment.seeds = 3`` and on a copy of ``double_integrator.cfg`` whose
+copies of ``double_integrator.cfg``, ``vehicle_explicit.cfg`` and
+``vehicle_optimized.cfg`` with ``experiment.seeds = 3`` and on a copy of ``double_integrator.cfg`` whose
 weights go A -> B -> A (a piece with q_u = [[2.0]] from step 75, then the
 first weights again from step 150), ``regret-sweep`` on
 ``configs/regret_sweep.cfg`` and ``validate`` on all four configs. A call's
@@ -41,7 +41,8 @@ from pathlib import Path
 CALLS = (
     [("run", name, None) for name in ("double_integrator", "vehicle_explicit",
                                       "vehicle_optimized")]
-    + [("run", name, "seeds3") for name in ("double_integrator", "vehicle_explicit")]
+    + [("run", name, "seeds3") for name in ("double_integrator", "vehicle_explicit",
+                                            "vehicle_optimized")]
     + [("run", "double_integrator", "return")]
     + [("regret-sweep", "regret_sweep", None)]
     + [("validate", name, None) for name in ("double_integrator", "regret_sweep",

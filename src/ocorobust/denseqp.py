@@ -18,12 +18,13 @@ closed loop the inequality rows rarely bind, so ``solve`` has one fast path:
 the equality-constrained optimum, kept when no row binds and the KKT check
 passes. When it fails on a solver with inequality rows only, GI's first
 iteration (the most violated row made active) is tried from it; otherwise GI
-runs cold. A caller that forms the guess itself (the controller's step and
-rollout maps) hands it to the same test and fallback (``_from_guess``);
-``guess_rows`` makes the guess for many linear terms at once and
-``kept_rows`` tests many guesses formed elsewhere, by the rule ``keeps``
-applies to a guess's stacked products (which the step map composes into its
-own rows). No state is kept between solves.
+runs cold. A caller that forms the guess itself (the controller's rollout
+map) hands it to the same test and fallback (``_from_guess``); one that also
+forms the guess's stacked products (the controller's step map, which
+composes them into its own rows) hands those to the same rule (``keeps``)
+and a rejected guess to the fallback (``_rejected``). ``guess_rows`` makes
+the guess for many linear terms at once and ``kept_rows`` tests many guesses
+formed elsewhere by that rule. No state is kept between solves.
 """
 
 from __future__ import annotations

@@ -198,9 +198,9 @@ class QuadraticStepMap:
         # The projector's stacked products of the guess: H eta + linear and
         # A eta - b, with S-bar's offsets b in the constant column. They go
         # first, with zero rows up to a multiple of 8: BLAS kernels take a
-        # product's rows in groups, and a row's place in its group sets how
-        # its sum rounds, so every other row keeps the bits it has without
-        # them (in groups of up to 8).
+        # product's rows in groups (of 4 in OpenBLAS's), and a row's place
+        # in its group sets how its sum rounds, so every other row keeps the
+        # bits it has in a map without them.
         stacked = manifold.projector.stacked @ eta
         grad, viol = stacked[:m] + linear, stacked[m:]
         viol[:, -1] -= manifold.sbar.offsets

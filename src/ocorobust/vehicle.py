@@ -319,9 +319,9 @@ class _RoadPlant:
                         "speed_kmh": [], "phase": [], "leader_est_kmh": []}
 
     def observe(self, t):
-        """``closed_loop``'s step-t values: in phase 2 phase 1's cost with the
-        step's reference [0, leader speed estimate; 0, 0] as data (see
-        ``phase_cost``), else the phase's cost and None."""
+        """``closed_loop``'s step-t values: in phase 2 phase 1's cost and the
+        step's reference [ref_x; ref_u] = [0, est_speed_dev, 0, 0] as data
+        (see ``phase_cost``), else the phase's cost and None."""
         metrics = self.metrics
         true_gap = self.leader_px - self.truth[0]
         self.gap_meas = gap_meas = true_gap + self.sensors.dist[t]

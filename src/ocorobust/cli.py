@@ -187,8 +187,9 @@ def load_config(path, command="run"):
                     raise ConfigError("missing required key", field=f"{name}.{key}")
     ordered = [cost_pieces[index] for index in sorted(cost_pieces)]
     for (_, prev), (name, piece) in zip(ordered, ordered[1:]):
-        if piece["start"] < prev["start"]:
-            raise ConfigError("start precedes the previous piece's", field=f"{name}.start")
+        if piece["start"] <= prev["start"]:
+            raise ConfigError("start does not follow the previous piece's",
+                              field=f"{name}.start")
     cfg["costs"] = [piece for _, piece in ordered]
     if scenario == "generic" or command == "regret-sweep":
         if not cfg["costs"]:
@@ -429,7 +430,7 @@ def _validation_checks(cfg):
         c_g = params.c_g
         x0 = [0.0, vehicle.kmh_to_ms(params.initial_speed_kmh) - vehicle.DELTA_BAR]
         zeta0_u = None
-        cost0 = vehicle.phase_cost(1)
+        cost0 = vehicle.PHASE1_COST
     else:
         model_cfg = _model_config(cfg)
         gamma, shrink = cfg["controller"]["gamma"], cfg["controller"]["shrink"]

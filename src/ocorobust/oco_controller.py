@@ -17,7 +17,7 @@ import numpy as np
 from .denseqp import DEFAULT_TOL, PrefactoredQp
 from .errors import InfeasibleError, InitializationError, OcoRobustError, StepError
 from .matlin import as_vector
-from .plant import QuadraticCost, membership_zu, stage_values, stage_values_linear
+from .plant import membership_zu, stage_values, stage_values_linear
 
 # The optimized variant skips its rollout QP at a reach gap this small: the
 # cap c_g |d| then allows only g = 0, but the QP's optimum can be nonzero in
@@ -148,8 +148,10 @@ class QuadraticRolloutBuilder(RolloutMap):
 
 class QuadraticStepMap:
     """A step's affine part on ``tables`` and ``manifold``, for
-    ``QuadraticCost``'s own gradient with fixed weights (q_x, q_u) and step
-    size ``gamma``; ``step`` refuses the map for other ones.
+    ``QuadraticCost``'s own gradient with ``cost``'s weights (q_x, q_u) and
+    step size ``gamma``. The map keeps ``tables``, ``manifold`` and
+    ``gamma``, which ``simkit.closed_loop`` checks for a map built
+    beforehand; which weight pair it serves is its caller's (see ``step``).
 
     With the quadratic gradient (Q_x (pred - ref_x), Q_u (v - ref_u)), the
     projection's linear term q0 + 2 gamma M [gx; gv] (``ogd_step``) is affine
@@ -215,34 +217,13 @@ class QuadraticStepMap:
         self.plan = slice(self.head.start, self.eta.stop)  # [candidate + g; eta]
         self.matrix = np.vstack(list(blocks.values()))
         self.tables, self.manifold, self.gamma = tables, manifold, gamma
-        self.q_x, self.q_u = cost.q_x, cost.q_u
         self._lifted = None  # the map's LiftedSteps, built on first use
-
-    @staticmethod
-    def takes(cost):
-        """True when ``cost``'s gradient is ``QuadraticCost.grad`` itself; a
-        subclass that overrides it, and any other oracle, keep the gradient
-        path."""
-        return getattr(type(cost), "grad", None) is QuadraticCost.grad
-
-    def serves(self, cost):
-        """True when ``cost`` takes a map and has this map's weight arrays."""
-        return self.takes(cost) and cost.q_x is self.q_x and cost.q_u is self.q_u
-
-    def fits(self, tables, manifold, gamma, cost):
-        """True when this map was built on ``tables``, ``manifold`` and
-        ``gamma`` and serves ``cost``: a step there may use it."""
-        return (self.tables is tables and self.manifold is manifold and self.gamma == gamma
-                and self.serves(cost))
-
-    def product(self, x_meas, candidate, cost):
-        """The map's rows at (x_meas, candidate) for a cost this map serves."""
-        return self.rows_at(x_meas, candidate, cost.ref_x, cost.ref_u)
 
     def rows_at(self, x_meas, candidate, *ref):
         """The map's rows at (x_meas, candidate) and the reference [ref_x;
-        ref_u], given as one row or as its two parts; either way the same
-        product, so a step that ``product`` takes is the same to the bit."""
+        ref_u], given as one row or as its two parts: either way the same
+        product, so a reference handed as data takes the same step to the
+        bit as the cost's own."""
         return self.matrix @ np.concatenate((x_meas, candidate, *ref, _ONE))
 
     def lifted(self, a, b):
@@ -561,9 +542,12 @@ def step(state, model, tables, manifold, x_meas, grad_prev, options, step_map=No
     the plant handed it as data (None: ``grad_prev``'s own ``ref_x`` and
     ``ref_u``); the gradient path then steps on ``grad_prev`` with that
     reference (``QuadraticCost.with_ref_x``).
-    ``step_map`` is a ``QuadraticStepMap`` built from ``tables`` and
-    ``manifold`` for ``options.gamma`` that serves ``grad_prev`` (any other
-    map fails the step); without one the step calls the gradient oracle.
+    ``step_map`` is a ``QuadraticStepMap`` for ``grad_prev``'s weights,
+    built on ``tables`` and ``manifold`` for ``options.gamma``; the map
+    belongs to the caller, which keeps it for that weight pair
+    (``simkit.closed_loop`` checks a map built beforehand once, before its
+    first step), so the step does not check it. Without one the step calls
+    the gradient oracle.
     With a map, the projection keeps the map's guess when the projector's
     rule keeps it on the map's ``grad`` and ``viol`` rows
     (``PrefactoredQp.keeps``; a rejected guess goes on to the one-row step
@@ -597,10 +581,8 @@ def step(state, model, tables, manifold, x_meas, grad_prev, options, step_map=No
         else:
             if options.gamma <= 0:
                 raise ValueError("gamma must be positive")
-            if not step_map.fits(tables, manifold, options.gamma, grad_prev):
-                raise ValueError("step map built for other tables, manifold, gamma or weights")
-            out = (step_map.product(x_meas, candidate, grad_prev) if ref is None
-                   else step_map.rows_at(x_meas, candidate, ref))
+            out = (step_map.rows_at(x_meas, candidate, grad_prev.ref_x, grad_prev.ref_u)
+                   if ref is None else step_map.rows_at(x_meas, candidate, ref))
             base_vals, pred, eta_hat = out[step_map.base], out[step_map.pred], out[step_map.eta]
             projector, viol = manifold.projector, out[step_map.viol]
             if projector.keeps(out[step_map.grad], viol, PROJECTION_TOL):

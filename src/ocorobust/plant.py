@@ -423,9 +423,10 @@ class QuadraticCost:
         """This cost with another state reference, and input reference when
         ``ref_u`` is given; only the new references are validated.
 
-        The weight arrays are the same objects, so a ``SteadyStateBenchmark``
-        or a step map that serves this cost serves the result too. Built
-        without ``copy.copy``, which costs more than the rest of the call.
+        The weight arrays are the same objects, so the result has this
+        cost's weight pair by the loop's identity fast path
+        (``simkit.RunRecord.pair_of``). Built without ``copy.copy``, which
+        costs more than the rest of the call.
         """
         cost = object.__new__(type(self))
         cost.__dict__.update(self.__dict__, ref_x=as_vector(ref_x, "ref_x"))
@@ -492,14 +493,10 @@ class SteadyStateBenchmark:
         self.ref_x_map = cost.q_x.T @ g
         self.ref_u_map = cost.q_u.T @ mmap
 
-    def serves(self, cost):
-        """True when ``cost`` has this benchmark's weight arrays."""
-        return cost.q_x is self.q_x and cost.q_u is self.q_u
-
     def steady_states(self, ref_x, ref_u, steps):
         """The benchmark steady states of the reference rows ``ref_x`` (k, n)
         and ``ref_u`` (k, m) under this benchmark's weights, as rows (theta,
-        eta). ``RunRecord.finish`` calls it once per weight pair of
+        eta). ``RunRecord.finish`` calls it once per entry of
         ``record.pairs``, on the ref_x and ref_u columns of the rows whose
         ``pair`` names it: a benchmark is shared per weight pair, not per run
         of consecutive steps.
@@ -532,8 +529,8 @@ class SteadyStateBenchmark:
 def optimal_steady_state(manifold, cost, model, benchmark=None):
     """Benchmark steady state: argmin over S-bar of L(x, u + Kx).
 
-    ``benchmark`` is a ``SteadyStateBenchmark`` that serves ``cost``; without
-    one, a one-shot benchmark is built.
+    ``benchmark`` is a ``SteadyStateBenchmark`` built for ``cost``'s
+    weights; without one, a one-shot benchmark is built.
     """
     if benchmark is None:
         benchmark = SteadyStateBenchmark(manifold, model, cost)

@@ -8,7 +8,7 @@ for the whole run after the loop, from the record's reference and
 weight-pair columns.
 
 On the LTI plant with the explicit variant, the loop runs ahead over steps
-whose costs keep their weight arrays (reference hops included), a block of
+whose costs keep their weight pair (reference hops included), a block of
 them in closed form and checked in one pass; step t still reads only
 x_meas_t and cost t-1 (see ``closed_loop``).
 """
@@ -19,14 +19,18 @@ import copy
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from operator import is_
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import oco_controller as oco
 from .errors import DimensionMismatch, OcoRobustError, StepError
-from .plant import SteadyStateBenchmark, optimal_steady_state, worst_stage_residuals
+from .plant import (
+    QuadraticCost,
+    SteadyStateBenchmark,
+    optimal_steady_state,
+    worst_stage_residuals,
+)
 
 TUBE_TOL = 1e-6
 # tube_marginal asks the tube margin to clear -tube_band by more than
@@ -102,6 +106,25 @@ class SimulationAborted(OcoRobustError):
         super().__init__(f"simulation aborted at t={t}: {message}")
 
 
+@dataclass
+class WeightPair:
+    """An entry of ``RunRecord.pairs``: one weight pair (q_x, q_u) with the
+    first cost seen with it, its ``SteadyStateBenchmark`` (None until
+    ``RunRecord.finish`` builds it) and its ``oco.QuadraticStepMap`` (None
+    while the pair has none)."""
+
+    cost: object
+    benchmark: object = None
+    step_map: object = None
+
+
+def _same_weights(a, b):
+    """True when the costs ``a`` and ``b`` have one weight pair: the same
+    q_x and q_u arrays, or arrays equal in value."""
+    return ((a.q_x is b.q_x and a.q_u is b.q_u)
+            or (np.array_equal(a.q_x, b.q_x) and np.array_equal(a.q_u, b.q_u)))
+
+
 def _running_sum(x):
     """0.0 + x[0] + x[1] + ... added in step order (``np.sum`` pairs terms)."""
     return float(np.cumsum(np.concatenate([[0.0], x]))[-1])
@@ -114,17 +137,17 @@ class RunRecord:
     g_norm, pred_state, theta_hat, eta_hat, u_pred, u_ss, candidate_ok,
     kkt_residual (NaN when the step has none) and g_fallback; its cost's
     references ref_x and ref_u (those the plant handed as data, else the
-    cost's own) and weight pair ``pair``, an index into ``pairs``, the first
-    cost seen with each distinct (q_x, q_u) (see ``pair_of``); and the cost
-    object (costs), which ``finish`` never reads.
-    ``finish`` adds ``flags`` (a boolean column per invariant flag), the
-    benchmark steady state benchmark_theta, benchmark_eta (one benchmark per
-    weight pair, not per run of consecutive steps), and cost and
+    cost's own) and weight pair ``pair``, an index into ``pairs``, the run's
+    one table of ``WeightPair`` entries (see ``pair_of``): copies of the
+    entries built beforehand (``pairs``), then one per weight pair the run
+    brings. ``finish`` adds ``flags`` (a boolean column per invariant flag),
+    the benchmark steady state benchmark_theta, benchmark_eta (one benchmark
+    per weight pair, not per run of consecutive steps), and cost and
     benchmark_cost. Every array attribute is a column. Indexing (and so
     iteration) gives ``TraceRecord`` views of rows; a slice gives a record.
     """
 
-    def __init__(self, n, m, mu, horizon):
+    def __init__(self, n, m, mu, horizon, pairs=()):
         widths = dict(x_true=n, x_meas=n, u=m, w=n, v=n, beta=None, g_norm=None,
                       pred_state=n, theta_hat=n, eta_hat=m, u_pred=mu * m, u_ss=m,
                       kkt_residual=None, ref_x=n, ref_u=m)
@@ -132,18 +155,17 @@ class RunRecord:
             setattr(self, name, np.empty(horizon if width is None else (horizon, width)))
         self.t, self.pair = np.arange(horizon), np.empty(horizon, int)
         self.candidate_ok, self.g_fallback = np.empty((2, horizon), bool)
-        self.costs, self.pairs = np.empty(horizon, object), []
+        self.pairs = [copy.copy(entry) for entry in pairs]
         self.flags, self.flagged = {}, 0  # flagged: the rows that have their flags
 
     def pair_of(self, cost):
-        """The index in ``pairs`` of ``cost``'s (q_x, q_u): of the first entry
-        with the same arrays, else with weights equal in value; else ``cost``
-        is appended, the first cost seen with its weights."""
-        for same in (is_, np.array_equal):
-            for i, first in enumerate(self.pairs):
-                if same(first.q_x, cost.q_x) and same(first.q_u, cost.q_u):
-                    return i
-        self.pairs.append(cost)
+        """The index in ``pairs`` of the first entry with ``cost``'s weight
+        pair (``_same_weights``: the same arrays, or equal in value); else of
+        a new entry for ``cost``, the first cost seen with its weights."""
+        for i, entry in enumerate(self.pairs):
+            if _same_weights(entry.cost, cost):
+                return i
+        self.pairs.append(WeightPair(cost))
         return len(self.pairs) - 1
 
     def write(self, t, x_true, x_meas, u, w, v, state, diag, cost, pair, ref=None):
@@ -155,7 +177,7 @@ class RunRecord:
         self.u_pred[t], self.u_ss[t] = state.u_pred, state.u_ss
         self.candidate_ok[t], self.g_fallback[t] = diag.candidate_feasible, diag.g_fallback
         self.kkt_residual[t] = np.nan if diag.kkt_residual is None else diag.kkt_residual
-        self.costs[t], self.pair[t] = cost, pair
+        self.pair[t] = pair
         if ref is None:
             self.ref_x[t], self.ref_u[t] = cost.ref_x, cost.ref_u
         else:
@@ -175,15 +197,16 @@ class RunRecord:
                 self.flags.setdefault(name, np.ones(len(self.t), bool))[lo:hi] = column
             self.flagged = hi
 
-    def finish(self, rows, monitors, benchmarks):
+    def finish(self, rows, monitors):
         """Keep the first ``rows`` rows, flag them, solve their benchmark and
         value them; returns their ledger, whose totals add the rows in step
         order as running sums do.
 
         Each weight pair of ``pairs`` has one benchmark for all its rows,
-        not one per run of consecutive steps: the first of ``benchmarks``
-        (built beforehand) that serves the pair's first cost, else one built
-        for it. Its ``steady_states`` solves the pair's rows whose pair,
+        not one per run of consecutive steps: its entry's, else one built
+        into the entry for its first cost (a pair no kept row has, such as
+        that of the step a run aborted at, gets none). Its
+        ``steady_states`` solves the pair's rows whose pair,
         ref_x or ref_u differs from the row before's; ``cost`` and
         ``benchmark_cost`` are one quadratic form in x - ref_x and u - ref_u.
         """
@@ -196,12 +219,13 @@ class RunRecord:
                    | (ref_u[1:] != ref_u[:-1]).any(axis=1))
         theta, eta = np.empty_like(self.x_true), np.empty_like(self.u)
         self.cost, self.benchmark_cost = np.empty((2, len(pair)))
-        for p, first in enumerate(self.pairs):
+        for p, entry in enumerate(self.pairs):
             mine = pair == p
             if not mine.any():
-                continue  # the pair of the step the run aborted at
-            benchmark = (next((b for b in benchmarks if b.serves(first)), None)
-                         or SteadyStateBenchmark(manifold, model, first))
+                continue
+            if entry.benchmark is None:
+                entry.benchmark = SteadyStateBenchmark(manifold, model, entry.cost)
+            benchmark = entry.benchmark
             solved = np.flatnonzero(new & mine)
             theta_p, eta_p = benchmark.steady_states(ref_x[solved], ref_u[solved], solved)
             at = np.cumsum(new[mine]) - 1  # each row's entry among the pair's solved rows
@@ -327,32 +351,32 @@ def _check_ref(ref, n, m, t):
         raise StepError(t, ValueError("ref has non-finite entries"))
 
 
-def _step_map(step_map, cost, next_cost, tables, manifold, gamma, t, step_maps):
-    """The step map for step t, on ``cost``: ``step_map`` when it serves
-    ``cost``; else the first of ``step_maps`` (built beforehand) that was
-    built on ``tables``, ``manifold`` and ``gamma`` and serves ``cost``;
-    else, when ``cost`` takes one and the next step's cost ``next_cost``
-    takes one with the same weight arrays (so the map serves at least two
-    steps), one built for it; else None, the gradient path. A run whose
-    weights change every step builds none. A map that fails to build fails
-    step t."""
-    if step_map is not None and step_map.serves(cost):
-        return step_map
-    for built in step_maps:
-        if built.fits(tables, manifold, gamma, cost):
-            return built
-    takes = oco.QuadraticStepMap.takes
-    if not (takes(cost) and takes(next_cost) and next_cost.q_x is cost.q_x
-            and next_cost.q_u is cost.q_u):
+def _takes_map(cost):
+    """True when ``cost``'s gradient is ``QuadraticCost.grad`` itself, so a
+    step on it may take its weight pair's step map; a subclass that
+    overrides ``grad``, and any other oracle, keep the gradient path."""
+    return getattr(type(cost), "grad", None) is QuadraticCost.grad
+
+
+def _pair_map(entry, cost, repeats, tables, manifold, gamma, t):
+    """The step map of step t, on ``cost``, whose weight pair is the
+    ``WeightPair`` ``entry``: None unless ``_takes_map(cost)``, else the
+    entry's map, built into the entry first when it has none and
+    ``repeats`` (step t's cost has the same pair, so the map serves at
+    least two steps). A run whose weights change every step builds none. A
+    map that fails to build fails step t."""
+    if not _takes_map(cost):
         return None
-    try:
-        return oco.QuadraticStepMap(tables, manifold, cost, gamma)
-    except Exception as exc:
-        raise StepError(t, exc) from exc
+    if entry.step_map is None and repeats:
+        try:
+            entry.step_map = oco.QuadraticStepMap(tables, manifold, entry.cost, gamma)
+        except Exception as exc:
+            raise StepError(t, exc) from exc
+    return entry.step_map
 
 
 def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
-                abort_on_violation=False, benchmarks=(), step_maps=()):
+                abort_on_violation=False, pairs=()):
     """The online loop for any plant; returns (trace, ledger).
 
     ``plant.observe(t)`` returns (x_true, x_meas, v, cost_t, ref_t) and
@@ -361,64 +385,56 @@ def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
     [ref_x; ref_u] as one row, handed as data so that a plant whose
     reference moves every step hands the same cost object each time. The
     controller gets cost_t and ref_t only at step t + 1. Each step writes one
-    row of the trace, a ``RunRecord``, with the step's references as its
-    ref_x and ref_u columns and cost_t's weight pair as its pair column: each
-    new cost object is checked against the model (``_check_cost``; a misfit
-    raises at t = 0 and aborts the run at t > 0) and its weight pair found in
-    ``record.pairs`` (``RunRecord.pair_of``), and each reference handed as
-    data is checked for its shape and finite entries at its step
-    (``_check_ref``, with the same outcomes).
-    Flags, the benchmark steady states, cost values and totals come after
-    the run (flags after each step under ``abort_on_violation``), with one
-    benchmark per weight pair, not per run of consecutive steps: one of
-    ``benchmarks`` (``SteadyStateBenchmark``s built beforehand) or one
-    ``RunRecord.finish`` builds.
+    row of the trace, a ``RunRecord``, with the step's references and the
+    index of cost_t's weight pair in ``record.pairs``: each new cost object
+    is checked against the model (``_check_cost``) and its pair found
+    (``RunRecord.pair_of``), and each reference handed as data is checked at
+    its step (``_check_ref``); a misfit raises at t = 0 and aborts the run
+    at t > 0. Flags, benchmarks, cost values and totals come after the run
+    (``RunRecord.finish``; flags after each step under
+    ``abort_on_violation``).
 
-    A step on a ``QuadraticCost`` whose weight pair repeats on the next step
-    uses an ``oco.QuadraticStepMap`` for that pair: one of ``step_maps``
-    (built beforehand, e.g. once for every run of a sweep design or every
-    vehicle run) that fits the step, else one built on first use; the loop
-    keeps only the map in use, and looks it up (``_step_map``) only when the
-    step's cost object is not the one it looked the map up for.
+    ``pairs`` are ``WeightPair``s built beforehand, e.g. once for every run
+    of a sweep design or every vehicle run; ``record.pairs`` starts as
+    copies of them. Their maps must have been built on ``tables``,
+    ``manifold`` and the controller's gamma, else ``OcoRobustError`` before
+    t = 0. A step on a cost that takes a map (``_takes_map``) uses its
+    weight pair's, built on first use when the pair repeats on the next
+    step (``_pair_map``).
 
     On a plant whose ``observe`` and ``advance`` are ``_LtiPlant``'s own,
     with the explicit variant and gamma > 0, the loop runs ahead over steps
-    whose costs the map of the previous step's cost serves (the same weight
-    arrays, so across reference hops such as ``with_ref_x``'s): it takes a
-    block of them, up to ``oco.RUN_AHEAD_BLOCK`` steps (which bounds the
-    block's temporaries), in closed form as ``oco.step`` takes a step its
-    map's rows settle, each step on the reference of the cost before it
-    (``_LtiPlant.ahead``), checks the block in one pass
-    (``oco.settled_rows``) and keeps the steps before the first one the
-    check rejects, which runs step by step as every other step does: a cost
-    the map does not serve or that does not fit the model, too. So that the
-    rows a cut block computes in vain, and the scan of the schedule for the
-    block's end, stay linear in the horizon, the block after one that kept
-    fewer steps than it scanned (cut by a rejected step or non-finite noise,
-    or one step long) holds at most ``oco.RUN_AHEAD_STEPS`` steps; each
-    block that keeps every step it scanned doubles that cap, up to
-    ``oco.RUN_AHEAD_BLOCK``, and a new cost object on a step that runs step
-    by step resets it to ``oco.RUN_AHEAD_BLOCK``. After a block the loop
-    goes on from the cost of its last step. Step t still reads only
-    x_meas_t and cost t-1. Under
-    ``abort_on_violation`` a block is flagged after it is kept (see
-    ``_run_ahead``). A block's first step is the step-by-step step to the
-    bit; the closed form of the others rounds differently: every float
-    column and ledger total agrees with the run step by step within 1e-12
-    (1 + |step by step|), and beta, the flags and the steps that run step by
-    step are the same, on the bundled configs, the regret sweep and drawn
-    models (``MARGINAL_TOL`` keeps ``tube_marginal`` from rounding). Beta
-    may differ in its last bits only on a step-by-step step after a block
-    of two or more steps whose ``max_beta`` ratio is strictly inside (0, 1).
+    whose costs keep the previous step's weight pair (``_run_ahead``): a
+    block of up to ``oco.RUN_AHEAD_BLOCK`` steps in closed form, checked in
+    one pass, keeping the steps before the first one the check rejects,
+    which runs step by step. The block after one that kept fewer steps than
+    it scanned holds at most ``oco.RUN_AHEAD_STEPS`` steps, each block kept
+    whole doubles that cap up to ``oco.RUN_AHEAD_BLOCK``, and a new cost
+    object on a step that runs step by step resets it, so the rows computed
+    in vain and the scan for a block's end stay linear in the horizon. Under
+    ``abort_on_violation`` a block is flagged after it is kept. A block's
+    first step is the step-by-step step to the bit; every float column and
+    ledger total agrees with the run step by step within 1e-12 (1 + |step by
+    step|), and beta, the flags and the steps that run step by step are the
+    same, on the bundled configs, the regret sweep and drawn models
+    (``MARGINAL_TOL`` keeps ``tube_marginal`` from rounding). Beta may
+    differ in its last bits only on a step-by-step step after a block of two
+    or more steps whose ``max_beta`` ratio is strictly inside (0, 1).
     """
     check_horizon(horizon)
+    for entry in pairs:
+        built = entry.step_map
+        if built is not None and not (built.tables is tables and built.manifold is manifold
+                                      and built.gamma == controller.gamma):
+            raise OcoRobustError("a weight pair's step map was built for other tables, "
+                                 "manifold or gamma")
     x_true, x_meas, v, cost_t, ref_t = plant.observe(0)
     if not model.x_set.contains(x_true, tol=model.membership_tol):
         raise OcoRobustError("x0 violates the state constraints")
     _check_cost(cost_t, model.n, model.m)
     if ref_t is not None:
         _check_ref(ref_t, model.n, model.m, 0)
-    record = RunRecord(model.n, model.m, model.mu, horizon)
+    record = RunRecord(model.n, model.m, model.mu, horizon, pairs)
     pair = record.pair_of(cost_t)
     c_g = controller.effective_c_g(model)
     check_c_g(c_g, model)
@@ -428,7 +444,6 @@ def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
                                ogd_target=state.zeta_hat, candidate_feasible=True)
 
     monitors = (model, tables, manifold, c_g)
-    step_map = map_cost = None  # the map in use, looked up for the cost map_cost
     ahead = _runs_ahead(plant, controller)
     serial = False  # the next step runs step by step
     cap = oco.RUN_AHEAD_BLOCK  # the most steps of the next block
@@ -436,12 +451,11 @@ def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
     while t < horizon:
         if t > 0 and ahead and not serial:
             try:
-                step_map, state, kept, whole, serial = _run_ahead(
-                    plant, record, state, step_map, cost_t, t, min(t + cap, horizon), model,
-                    tables, manifold, controller.gamma, step_maps)
-                map_cost = cost_t
+                state, kept, whole, serial, cost_t = _run_ahead(
+                    plant, record, state, cost_t, pair, t, min(t + cap, horizon), model,
+                    tables, manifold, controller.gamma)
             except OcoRobustError as exc:
-                raise SimulationAborted(str(exc), record, record.finish(t, monitors, benchmarks),
+                raise SimulationAborted(str(exc), record, record.finish(t, monitors),
                                         t) from exc
             if not whole:
                 cap = oco.RUN_AHEAD_STEPS
@@ -449,13 +463,12 @@ def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
                 cap = min(2 * cap, oco.RUN_AHEAD_BLOCK)
             if kept:
                 if abort_on_violation:
-                    _abort_at_violation(record, t, t + kept, monitors, benchmarks)
+                    _abort_at_violation(record, t, t + kept, monitors)
                 t += kept
-                cost_t = record.costs[t - 1]
                 continue
         serial = False
         if t > 0:
-            prev_cost, prev_ref = cost_t, ref_t
+            prev_cost, prev_ref, prev_pair = cost_t, ref_t, pair
             x_true, x_meas, v, cost_t, ref_t = plant.observe(t)
             try:
                 if cost_t is not prev_cost:
@@ -464,25 +477,23 @@ def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
                     cap = oco.RUN_AHEAD_BLOCK
                 if ref_t is not None:
                     _check_ref(ref_t, model.n, model.m, t)
-                if prev_cost is not map_cost:
-                    step_map, map_cost = _step_map(step_map, prev_cost, cost_t, tables,
-                                                   manifold, controller.gamma, t,
-                                                   step_maps), prev_cost
+                step_map = _pair_map(record.pairs[prev_pair], prev_cost, pair == prev_pair,
+                                     tables, manifold, controller.gamma, t)
                 u, state, diag = oco.step(state, model, tables, manifold, x_meas, prev_cost,
                                           controller, step_map, prev_ref)
             except OcoRobustError as exc:
-                raise SimulationAborted(str(exc), record, record.finish(t, monitors, benchmarks),
+                raise SimulationAborted(str(exc), record, record.finish(t, monitors),
                                         t) from exc
 
         w = plant.advance(u)
         record.write(t, x_true, x_meas, u, w, v, state, diag, cost_t, pair, ref_t)
         if abort_on_violation:
-            _abort_at_violation(record, t, t + 1, monitors, benchmarks)
+            _abort_at_violation(record, t, t + 1, monitors)
         t += 1
-    return record, record.finish(horizon, monitors, benchmarks)
+    return record, record.finish(horizon, monitors)
 
 
-def _abort_at_violation(record, lo, hi, monitors, benchmarks):
+def _abort_at_violation(record, lo, hi, monitors):
     """Flag the rows below ``hi`` and abort the run at the first of rows
     lo..hi-1 with a violated flag, keeping the rows up to it."""
     record.flag(hi, monitors)
@@ -494,7 +505,7 @@ def _abort_at_violation(record, lo, hi, monitors, benchmarks):
         i = int(np.argmin(ok))
         violated = [name for name, column in columns.items() if not column[i]]
         raise SimulationAborted(f"invariant violation: {', '.join(violated)}", record,
-                                record.finish(lo + i + 1, monitors, benchmarks), lo + i)
+                                record.finish(lo + i + 1, monitors), lo + i)
 
 
 def _runs_ahead(plant, controller):
@@ -508,40 +519,39 @@ def _runs_ahead(plant, controller):
             and controller.rollout_builder is None and controller.gamma > 0)
 
 
-def _run_ahead(plant, record, state, step_map, cost, t, stop, model, tables, manifold,
-               gamma, step_maps):
+def _run_ahead(plant, record, state, cost, pair, t, stop, model, tables, manifold, gamma):
     """Run ``plant`` ahead from step t, to ``stop`` at most, over the steps
-    whose costs the step map of the previous step's cost ``cost`` serves;
-    returns (step map, state, kept, whole, rejected).
+    whose costs keep the weight pair ``pair`` of the previous step's cost
+    ``cost``; returns (state, kept, whole, rejected, the cost of the last
+    kept step, or ``cost``).
 
-    The map is ``_step_map``'s for step t; with none, nothing runs (kept =
-    0). The steps' costs come from the plant's schedule, scanned up to
-    ``stop`` only: the scan compares cost objects by identity and ends
-    before the first new one that the map does not serve or that does not
-    fit the model (``_fits``), which then runs step by step. Each step
-    reads the reference of the cost of the step before it (step t reads
-    ``cost``), so the block crosses reference hops. ``_LtiPlant.ahead``
-    takes one block of steps to the scan's end, and ``oco.settled_rows``
-    checks them in one pass. The block keeps the ``kept`` steps before the
-    first one the check rejects (then ``rejected`` is True and that step
-    runs step by step), or all its steps. ``whole`` is True when the kept
-    steps reach the scan's end (so also when the scan ends at t) and False
-    when they stop short of it, as a one-step block does on a longer
-    stretch. They go to ``record`` by slices, each with its own cost and
-    references and the pair of the row before them (a cost with the weight
-    arrays of ``cost`` has its pair); the plant moves past them and the
-    returned state is the controller's after them.
+    Nothing runs (kept = 0) unless ``cost`` takes a map (``_takes_map``).
+    The steps' costs come from the plant's schedule, scanned up to ``stop``
+    only: the scan compares cost objects by identity and ends before the
+    first new one that does not take a map, does not fit the model
+    (``_fits``) or has another weight pair (``_same_weights``), which then
+    runs step by step; it adds no entry to ``record.pairs``. The block runs
+    on the pair's map (``_pair_map``), each step on the reference of the
+    cost of the step before it (step t reads ``cost``), so it crosses
+    reference hops. ``_LtiPlant.ahead`` takes one block of steps to the
+    scan's end, and ``oco.settled_rows`` checks them in one pass. The block
+    keeps the ``kept`` steps before the first one the check rejects (then
+    ``rejected`` is True and that step runs step by step), or all its
+    steps. ``whole`` is True when the kept steps reach the scan's end (so
+    also when the scan ends at t) and False when they stop short of it, as
+    a one-step block does on a longer stretch. They go to ``record`` by
+    slices, each with its own references and ``pair``; the plant moves past
+    them and the returned state is the controller's after them.
     """
-    schedule = plant.cost_schedule
-    now, end = schedule.cost_at(t), t
-    step_map = _step_map(step_map, cost, now, tables, manifold, gamma, t, step_maps)
-    if step_map is None:
-        return step_map, state, 0, True, False
+    if not _takes_map(cost):
+        return state, 0, True, False, cost
+    schedule, entry = plant.cost_schedule, record.pairs[pair]
     n, m = model.n, model.m
+    now, end = schedule.cost_at(t), t
     costs, starts = [cost], [t - 1]  # each cost object of the scan, from its first step
     while True:  # ``now`` is the cost of step ``end``
         if now is not costs[-1]:
-            if not (step_map.serves(now) and _fits(now, n, m)):
+            if not (_takes_map(now) and _fits(now, n, m) and _same_weights(entry.cost, now)):
                 break
             costs.append(now)
             starts.append(end)
@@ -550,7 +560,8 @@ def _run_ahead(plant, record, state, step_map, cost, t, stop, model, tables, man
             break
         now = schedule.cost_at(end)
     if end == t:
-        return step_map, state, 0, True, False
+        return state, 0, True, False, cost
+    step_map = _pair_map(entry, cost, True, tables, manifold, gamma, t)
     # each row's cost among ``costs``, for steps t - 1 to end - 1
     which = np.repeat(np.arange(len(costs)), np.diff(starts + [end]))
     refs = np.array([np.concatenate((c.ref_x, c.ref_u)) for c in costs])[which]
@@ -563,22 +574,20 @@ def _run_ahead(plant, record, state, step_map, cost, t, stop, model, tables, man
     rejected = kept < len(ok)
     if kept:
         rows, last = slice(t, t + kept), kept - 1
-        objects = np.empty(len(costs), object)
-        objects[:] = costs
         record.fill(rows, x_true=x[:kept], x_meas=x_meas[:kept], u=u[:kept], w=plant.w[rows],
                     v=plant.v[rows], beta=1.0, g_norm=norms[:kept, 1],
                     pred_state=outs[:kept, step_map.pred],
                     theta_hat=outs[:kept, step_map.theta], eta_hat=outs[:kept, step_map.eta],
                     u_pred=plans[:kept, :-m], u_ss=plans[:kept, -m:], kkt_residual=np.nan,
-                    candidate_ok=True, g_fallback=False, costs=objects[which[1:kept + 1]],
-                    ref_x=refs[1:kept + 1, :n], ref_u=refs[1:kept + 1, n:],
-                    pair=record.pair[t - 1])
+                    candidate_ok=True, g_fallback=False, ref_x=refs[1:kept + 1, :n],
+                    ref_u=refs[1:kept + 1, n:], pair=pair)
         plant.x, plant.t = x[last], t + last
         plant.advance(u[last])
         state = oco.ControllerState(
             plan=plans[last], zeta_hat=(outs[last, step_map.theta], outs[last, step_map.eta]),
             t=t + last)
-    return step_map, state, kept, t + kept == end, rejected
+        cost = costs[which[kept]]
+    return state, kept, t + kept == end, rejected, cost
 
 
 class _LtiPlant:
@@ -647,15 +656,13 @@ _LTI_OWN = (_LtiPlant.observe, _LtiPlant.advance)
 
 
 def run_closed_loop(model, tables, manifold, controller, cost_schedule, dist_policy,
-                    horizon, zeta0=None, x0=None, abort_on_violation=False, benchmarks=(),
-                    step_maps=()):
+                    horizon, zeta0=None, x0=None, abort_on_violation=False, pairs=()):
     """Simulate Eq-style dynamics x+ = Ax + Bu + w with noisy measurements.
 
     Returns (trace, ledger). Deterministic for a fixed policy seed and config.
-    ``benchmarks`` are ``SteadyStateBenchmark``s and ``step_maps``
-    ``oco.QuadraticStepMap``s built beforehand for the schedule's weights,
-    so that many runs share one build and a map's ``LiftedSteps`` (see
-    ``closed_loop``).
+    ``pairs`` are ``WeightPair``s built beforehand for the schedule's
+    weights, so that many runs share one benchmark, step map and
+    ``LiftedSteps`` per weight pair (see ``closed_loop``).
     """
     check_horizon(horizon)
     x0 = np.zeros(model.n) if x0 is None else np.asarray(x0, float)
@@ -663,8 +670,7 @@ def run_closed_loop(model, tables, manifold, controller, cost_schedule, dist_pol
         zeta0 = (np.zeros(model.n), np.zeros(model.m))
     plant = _LtiPlant(model, cost_schedule, dist_policy, x0, horizon)
     return closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
-                       abort_on_violation=abort_on_violation, benchmarks=benchmarks,
-                       step_maps=step_maps)
+                       abort_on_violation=abort_on_violation, pairs=pairs)
 
 
 FLAG_NAMES = ("state_ok", "input_ok", "candidate_ok", "plan_ok", "zs_ok",
@@ -746,8 +752,8 @@ class PiecewiseSchedule:
 
     def __post_init__(self):
         starts = tuple(s for s, _ in self.pieces)
-        if not starts or starts[0] != 0 or list(starts) != sorted(starts):
-            raise ValueError("pieces must start at 0 and be sorted by start step")
+        if not starts or starts[0] != 0 or any(b <= a for a, b in zip(starts, starts[1:])):
+            raise ValueError("pieces must start at 0, each after the one before")
         object.__setattr__(self, "_starts", starts)  # bisected by cost_at
 
     def cost_at(self, t):
@@ -813,10 +819,11 @@ def regret_scaling_experiment(model, tables, manifold, controller, path_generato
 
     ``path_generator.make(level, benchmark)`` returns (schedule, zeta0, x0)
     for one path level, with zeta0 solved by ``benchmark``, the one
-    ``path_generator.benchmark()`` built for the whole design; every run gets
-    it for its regret benchmark, and one ``oco.QuadraticStepMap`` built for
-    the design's base weights and ``controller.gamma``, so the map and its
-    ``LiftedSteps`` are built once per design, not once per run. Emits one
+    ``path_generator.benchmark()`` built for the whole design. Every run
+    gets it and one ``oco.QuadraticStepMap`` for the design's base weights
+    and ``controller.gamma`` as the ``WeightPair`` of its weights, so the
+    benchmark, the map and its ``LiftedSteps`` are built once per design,
+    not once per run. Emits one
     row per (level, scale, seed) with the measured path length, disturbance
     energies, and final regret, plus an affine fit regret ~ c0 + c_path *
     path + c_noise * (w_energy + v_energy).
@@ -824,8 +831,9 @@ def regret_scaling_experiment(model, tables, manifold, controller, path_generato
     rows = []
     benchmark = path_generator.benchmark()
     base = path_generator.base_cost
-    step_maps = ((oco.QuadraticStepMap(tables, manifold, base, controller.gamma),)
-                 if oco.QuadraticStepMap.takes(base) else ())
+    pairs = (WeightPair(base, benchmark,
+                        oco.QuadraticStepMap(tables, manifold, base, controller.gamma)
+                        if _takes_map(base) else None),)
     for level in path_generator.levels:
         schedule, zeta0, x0 = path_generator.make(level, benchmark)
         for scale in dist_levels:
@@ -836,7 +844,7 @@ def regret_scaling_experiment(model, tables, manifold, controller, path_generato
                 # one call per row, in row order, through the module attribute
                 _, ledger = run_closed_loop(model, tables, manifold, controller, schedule,
                                             policy, horizon, zeta0=zeta0, x0=x0,
-                                            benchmarks=(benchmark,), step_maps=step_maps)
+                                            pairs=pairs)
                 rows.append(dict(path_level=level, noise_level=scale, seed=seed,
                                  path_length=ledger.path_length, w_energy=ledger.w_energy,
                                  v_energy=ledger.v_energy, regret=ledger.cum_regret))

@@ -36,7 +36,7 @@ from .plant import (
     optimal_steady_state,
     steady_state_manifold,
 )
-from .simkit import check_horizon, closed_loop
+from .simkit import WeightPair, check_horizon, closed_loop
 
 TAU = 0.1                      # s
 DELTA_BAR_KMH = 100.0          # linearization speed
@@ -135,9 +135,9 @@ def build_vehicle_model(params=None):
 class VehicleSetup:
     """What runs share; no run changes it.
 
-    ``benchmarks`` holds the ``SteadyStateBenchmark`` and ``step_maps`` the
-    ``oco.QuadraticStepMap`` (for ``params.gamma``) of each phase weight
-    pair: phases 1 and 2, then phase 3.
+    ``pairs`` holds a ``simkit.WeightPair`` per phase weight pair, with its
+    ``SteadyStateBenchmark`` and ``oco.QuadraticStepMap`` (for
+    ``params.gamma``): phases 1 and 2 (``PHASE1_COST``), then phase 3.
     """
 
     params: VehicleParams
@@ -145,8 +145,7 @@ class VehicleSetup:
     tables: object
     manifold: object
     builder: object
-    benchmarks: tuple
-    step_maps: tuple
+    pairs: tuple
 
 
 @functools.lru_cache(maxsize=8)
@@ -155,45 +154,25 @@ def vehicle_setup(params=None):
     model = build_vehicle_model(params)
     tables = build_tightening(model)
     manifold = steady_state_manifold(model, model.p_rpi, shrink=params.shrink)
-    costs = (_PHASE1_COST, _PHASE3_COST)
     return VehicleSetup(params, model, tables, manifold, VehicleRolloutBuilder(model, params),
-                        tuple(SteadyStateBenchmark(manifold, model, cost) for cost in costs),
-                        tuple(oco.QuadraticStepMap(tables, manifold, cost, params.gamma)
-                              for cost in costs))
+                        tuple(WeightPair(cost, SteadyStateBenchmark(manifold, model, cost),
+                                         oco.QuadraticStepMap(tables, manifold, cost,
+                                                              params.gamma))
+                              for cost in (PHASE1_COST, _PHASE3_COST)))
 
 
 _Q_INPUT = np.eye(2) * 2.0 * INPUT_WEIGHT
 _Q_STATE = np.eye(2)
 _Q_STATE_P3 = np.diag([1.0, PHASE3_SPEED_WEIGHT])
 _REF_U = np.zeros(2)
-_PHASE1_COST = QuadraticCost(_Q_STATE, _Q_INPUT,
-                             [0.0, kmh_to_ms(PHASE1_TARGET_KMH) - DELTA_BAR],
-                             _REF_U)
+# Phase 1's cost; phase 2 shares its weight arrays and hands its reference
+# as data (``_RoadPlant.observe``).
+PHASE1_COST = QuadraticCost(_Q_STATE, _Q_INPUT,
+                            [0.0, kmh_to_ms(PHASE1_TARGET_KMH) - DELTA_BAR],
+                            _REF_U)
 _PHASE3_COST = QuadraticCost(_Q_STATE_P3, _Q_INPUT,
                              [PHASE3_LANE_M, kmh_to_ms(PHASE3_TARGET_KMH) - DELTA_BAR],
                              _REF_U)
-
-
-def phase_cost(phase, target_speed_dev=None):
-    """Quadratic tracking cost of the active planner phase.
-
-    Phase 2 needs the current leader-speed estimate (as deviation) for its
-    velocity target; phases 1 and 3 have fixed targets. Phase 2 is phase 1's
-    cost with a new reference: the same weight arrays, so one benchmark
-    solver and one step map serve phases 1 and 2. The road plant builds no
-    phase-2 cost: it hands the loop phase 1's cost and the reference [0,
-    target_speed_dev, 0, 0] as data (``_RoadPlant.observe``), which this
-    cost carries as its ``ref_x`` and ``ref_u``.
-    """
-    if phase == 1:
-        return _PHASE1_COST
-    if phase == 2:
-        if target_speed_dev is None:
-            raise ValueError("phase 2 needs the estimated leader speed")
-        return _PHASE1_COST.with_ref_x([0.0, float(target_speed_dev)])
-    if phase == 3:
-        return _PHASE3_COST
-    raise ValueError(f"unknown phase {phase}")
 
 
 class VehicleRolloutBuilder:
@@ -321,7 +300,9 @@ class _RoadPlant:
     def observe(self, t):
         """``closed_loop``'s step-t values: in phase 2 phase 1's cost and the
         step's reference [ref_x; ref_u] = [0, est_speed_dev, 0, 0] as data
-        (see ``phase_cost``), else the phase's cost and None."""
+        (phase 2 tracks the leader-speed estimate with phase 1's weights, so
+        one weight pair serves phases 1 and 2), else the phase's cost and
+        None."""
         metrics = self.metrics
         true_gap = self.leader_px - self.truth[0]
         self.gap_meas = gap_meas = true_gap + self.sensors.dist[t]
@@ -346,7 +327,7 @@ class _RoadPlant:
             metrics["leader_est_kmh"].append(ms_to_kmh(est_abs))
         else:
             metrics["leader_est_kmh"].append(None)
-        cost_t = _PHASE3_COST if phase == 3 else _PHASE1_COST
+        cost_t = _PHASE3_COST if phase == 3 else PHASE1_COST
         if metrics["phase2_start"] is None and phase == 2:
             metrics["phase2_start"] = t
         if metrics["phase3_start"] is None and phase == 3:
@@ -391,9 +372,10 @@ def run_scenario(variant="optimized", seed=0, params=None, horizon_steps=300,
     plant = _RoadPlant(model, params, seed, setup.builder, horizon_steps)
     controller = oco.ControllerConfig(gamma=params.gamma, c_g=params.c_g,
                                       rollout_builder=plant if variant == "optimized" else None)
-    zeta0 = optimal_steady_state(manifold, phase_cost(1), model, setup.benchmarks[0])
+    first = setup.pairs[0]  # phase 1's
+    zeta0 = optimal_steady_state(manifold, first.cost, model, first.benchmark)
     trace, ledger = closed_loop(model, tables, manifold, controller, plant, horizon_steps,
-                                zeta0, benchmarks=setup.benchmarks, step_maps=setup.step_maps)
+                                zeta0, pairs=setup.pairs)
     metrics = {"variant": variant, "seed": seed, **plant.metrics}
     _finalize_metrics(metrics, trace)
     return trace, ledger, metrics

@@ -186,15 +186,13 @@ def max_beta_bisect(tables, model, x_meas, base_seq, g, tol=None, resolution=1e-
     return lo
 
 
-def row_cost(trace, i, column_refs=False):
-    """Row i's cost: the cost object, or with ``column_refs`` that object
-    with the row's ref_x and ref_u columns as its references (for a plant
-    that hands references as data)."""
-    cost = trace.costs[i]
-    return cost.with_ref_x(trace.ref_x[i], trace.ref_u[i]) if column_refs else cost
+def row_cost(trace, i):
+    """Row i's cost: the first cost of its weight pair (``trace.pairs``)
+    with the row's ref_x and ref_u columns as its references."""
+    return trace.pairs[trace.pair[i]].cost.with_ref_x(trace.ref_x[i], trace.ref_u[i])
 
 
-def reference_ledger(trace, model, column_refs=False):
+def reference_ledger(trace, model):
     """A run's costs and totals one step at a time, as a running loop sums them.
 
     Per step: ``cost.value`` of the step's cost (``row_cost``) at the true
@@ -206,7 +204,7 @@ def reference_ledger(trace, model, column_refs=False):
     regret = path = w_energy = v_energy = 0.0
     prev = None
     for i, rec in enumerate(trace):
-        cost = row_cost(trace, i, column_refs)
+        cost = row_cost(trace, i)
         theta, eta = trace.benchmark_theta[i], trace.benchmark_eta[i]
         costs.append(cost.value(rec.x_true, rec.u))
         benches.append(cost.value(theta, eta + model.k @ theta))
@@ -220,21 +218,21 @@ def reference_ledger(trace, model, column_refs=False):
     return np.array(costs), np.array(benches), regret, path, w_energy, v_energy
 
 
-def assert_ledger_matches_reference(trace, ledger, model, rel=1e-12, column_refs=False):
-    costs, benches, *totals = reference_ledger(trace, model, column_refs)
+def assert_ledger_matches_reference(trace, ledger, model, rel=1e-12):
+    costs, benches, *totals = reference_ledger(trace, model)
     assert np.allclose(trace.cost, costs, rtol=rel, atol=1e-15)
     assert np.allclose(trace.benchmark_cost, benches, rtol=rel, atol=1e-15)
     got = (ledger.cum_regret, ledger.path_length, ledger.w_energy, ledger.v_energy)
     assert got == pytest.approx(tuple(totals), rel=rel, abs=0.0)
 
 
-def assert_benchmark_matches_per_row(trace, model, manifold, rel=1e-12, column_refs=False):
+def assert_benchmark_matches_per_row(trace, model, manifold, rel=1e-12):
     """Every row's benchmark steady state, solved after the run, against
     ``optimal_steady_state`` of that row's cost (``row_cost``) alone
     (norm-wise relative)."""
-    assert len(trace.costs) == len(trace.benchmark_theta) == len(trace.benchmark_eta)
-    for i in range(len(trace.costs)):
-        theta, eta = optimal_steady_state(manifold, row_cost(trace, i, column_refs), model)
+    assert len(trace.pair) == len(trace.benchmark_theta) == len(trace.benchmark_eta)
+    for i in range(len(trace.pair)):
+        theta, eta = optimal_steady_state(manifold, row_cost(trace, i), model)
         for got, want in ((trace.benchmark_theta[i], theta), (trace.benchmark_eta[i], eta)):
             assert np.linalg.norm(got - want) <= rel * np.linalg.norm(want), (i, got, want)
 
@@ -415,8 +413,8 @@ def count_calls(monkeypatch, *names):
 
 @pytest.fixture
 def both_paths(monkeypatch, step_by_step):
-    """While active, every ``oco.step`` a loop makes must get a step map that
-    serves its cost, and must agree with the same step from the same state
+    """While active, every ``oco.step`` a loop makes must get a step map (its
+    cost's weight pair's), and must agree with the same step from the same state
     through the gradient oracle (``assert_steps_agree``). The map's stage
     residuals must match their per-step form within 1e-12 of the offsets'
     scale; beta may move by what that difference moves it
@@ -428,14 +426,15 @@ def both_paths(monkeypatch, step_by_step):
     def checked(state, model, tables, manifold, x_meas, grad_prev, options, step_map=None,
                 ref_row=None):
         out = real(state, model, tables, manifold, x_meas, grad_prev, options, step_map, ref_row)
-        assert step_map is not None and step_map.serves(grad_prev)
+        assert step_map is not None
         ref = real(state, model, tables, manifold, x_meas, grad_prev, options, None, ref_row)
         # The map's stage residuals against their per-step form, at the
         # scale of the offsets they are computed from.
         x_meas, candidate = np.asarray(x_meas, float), state.plan[model.m:]
         rows = tables.rollout_x @ x_meas + tables.rollout_u @ candidate
         base = rows[:tables.residual_offsets.size] - tables.residual_offsets
-        shift = np.abs(step_map.product(x_meas, candidate, grad_prev)[step_map.base] - base)
+        rows = step_map.rows_at(x_meas, candidate, grad_prev.ref_x, grad_prev.ref_u)
+        shift = np.abs(rows[step_map.base] - base)
         assert np.all(shift <= 1e-12 * (1.0 + np.abs(tables.residual_offsets))), "base"
         slack = 0.0
         if 0.0 < ref[2].beta < 1.0:
@@ -453,27 +452,26 @@ def _columns(record):
     return {name: value for name, value in vars(record).items() if isinstance(value, np.ndarray)}
 
 
-def _costs(column):
-    """A cost column by type and the bytes of its weights and references,
-    and by which rows share a cost object."""
-    return ([(type(c), *(np.asarray(getattr(c, f)).tobytes()
-                         for f in ("q_x", "q_u", "ref_x", "ref_u"))) for c in column],
-            [a is b for a, b in zip(column[1:], column[:-1])])
+def _pairs(record):
+    """A record's weight-pair table: each entry's first cost by type and the
+    bytes of its weights and references."""
+    return [(type(entry.cost), *(np.asarray(getattr(entry.cost, f)).tobytes()
+                                 for f in ("q_x", "q_u", "ref_x", "ref_u")))
+            for entry in record.pairs]
 
 
 def assert_records_agree(got, want, rel=None):
     """Two runs' (trace, ledger) agree: every float ``RunRecord`` column and
     every ledger total within ``rel`` (1 + |want|) entrywise, with NaN in the
-    same places, or to the bit when ``rel`` is None; every other column
-    (costs compared by ``_costs``) and every flag column the same."""
+    same places, or to the bit when ``rel`` is None; every other column,
+    every flag column and the weight-pair tables (``_pairs``) the same."""
     (trace, ledger), (trace_ref, ledger_ref) = got, want
     mine, ref = _columns(trace), _columns(trace_ref)
     assert mine.keys() == ref.keys()
+    assert _pairs(trace) == _pairs(trace_ref)
     for name, column in ref.items():
         assert mine[name].shape == column.shape and mine[name].dtype == column.dtype, name
-        if column.dtype == object:
-            assert _costs(mine[name]) == _costs(column), name
-        elif rel is not None and column.dtype.kind == "f":
+        if rel is not None and column.dtype.kind == "f":
             _assert_close_or_nan(mine[name], column, rel, name)
         else:
             assert mine[name].tobytes() == column.tobytes(), name

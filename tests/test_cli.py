@@ -274,6 +274,15 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o"), "--quiet"]) == 2
         assert "field 'cost.2.start'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "validate", "regret-sweep"])
+    def test_equal_cost_starts_exit_2(self, tmp_path, capsys, command):
+        # a piece that starts with the one before would silently replace it
+        text = MINI_GENERIC + SWEEP_TAIL + COST_PIECE.format(name="cost.1", start=0)
+        assert main([command, "--config", write_cfg(tmp_path, text),
+                     "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        assert ("field 'cost.1.start': start does not follow the previous piece's"
+                in capsys.readouterr().err)
+
     def test_unknown_disturbance_kind_exits_2(self, tmp_path):
         cfg = write_cfg(tmp_path, MINI_GENERIC.replace(
             "[disturbance]\n", "[disturbance]\nkind = seeded_sequence\n"))

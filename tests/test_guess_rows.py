@@ -56,8 +56,8 @@ def serial_verdicts(monkeypatch):
              ref=None):
         if step_map is not None:
             x, candidate = np.asarray(x_meas, float), state.plan[model.m:]
-            out = (step_map.product(x, candidate, grad_prev) if ref is None
-                   else step_map.rows_at(x, candidate, ref))
+            out = (step_map.rows_at(x, candidate, grad_prev.ref_x, grad_prev.ref_u)
+                   if ref is None else step_map.rows_at(x, candidate, ref))
             seen.append(map_verdicts(step_map, manifold, out))
         return real(state, model, tables, manifold, x_meas, grad_prev, options, step_map, ref)
 
@@ -200,11 +200,11 @@ def test_non_finite_rows_are_rejected(di_map, value):
         bad = x.copy()
         bad[i] = value
         with np.errstate(invalid="ignore"):
-            out = step_map.product(bad, candidate, cost)
+            out = step_map.rows_at(bad, candidate, cost.ref_x, cost.ref_u)
             assert map_verdicts(step_map, manifold, out) == (False, False)
     # each entry of the rows alone, one row at a time and in a batch, against
     # the single solve's test on the same numbers
-    out = step_map.product(x, candidate, cost)
+    out = step_map.rows_at(x, candidate, cost.ref_x, cost.ref_u)
     grad, viol = out[step_map.grad], out[step_map.viol]
     grads, viols = [], []
     for rows, i in [("grad", i) for i in range(grad.size)] + [("viol", i)

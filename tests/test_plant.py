@@ -445,10 +445,9 @@ class TestOptimalSteadyState:
         model, _, manifold = di_bundle
         benchmark = SteadyStateBenchmark(manifold, model, di_cost)
         moved = QuadraticCost(di_cost.q_x, di_cost.q_u, [0.4, 0.0], di_cost.ref_u)
-        assert benchmark.serves(moved)
-        assert not benchmark.serves(QuadraticCost(di_cost.q_x.copy(), di_cost.q_u,
-                                                  [0.4, 0.0], di_cost.ref_u))
-        for cost in (di_cost, moved):
+        # weight arrays of equal value are the same weight pair
+        fresh = QuadraticCost(di_cost.q_x.copy(), di_cost.q_u.copy(), [0.4, 0.0], di_cost.ref_u)
+        for cost in (di_cost, moved, fresh):
             reused = optimal_steady_state(manifold, cost, model, benchmark)
             one_shot = optimal_steady_state(manifold, cost, model)
             assert all(np.array_equal(a, b) for a, b in zip(reused, one_shot))

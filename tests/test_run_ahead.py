@@ -96,24 +96,24 @@ def assert_outcomes_agree(got, want):
 
 def expected_serial_steps(record, model, tables, manifold, gamma):
     """The steps after the first that ``closed_loop`` hands to ``oco.step``
-    when it runs the step-by-step run ``record`` ahead: those whose cost the
-    map of the step before's cost does not serve (other weight arrays, or a
-    gradient of its own), and those whose map rows at the record's x_meas
-    and candidate ``oco.step`` does not take whole (``per_row``). A step
-    reads the cost of the step before it, so a hop to a cost with the same
-    weight arrays runs ahead."""
-    steps, step_map = [], None
-    takes = oco.QuadraticStepMap.takes
+    when it runs the step-by-step run ``record`` ahead, for schedules of
+    plain ``QuadraticCost``s: those whose weight pair (``record.pair``) is
+    not the step before's, and those whose map rows at the record's x_meas,
+    candidate and the step before's reference ``oco.step`` does not take
+    whole (``per_row``). A step reads the cost of the step before it, so a
+    hop to a cost of the same weight pair runs ahead."""
+    steps, maps = [], {}
     for t in range(1, len(record)):
-        prev, cost = record.costs[t - 1], record.costs[t]
-        if not (takes(prev) and takes(cost) and cost.q_x is prev.q_x
-                and cost.q_u is prev.q_u):
+        pair = record.pair[t - 1]
+        if record.pair[t] != pair:
             steps.append(t)
             continue
-        if step_map is None or not step_map.serves(prev):
-            step_map = oco.QuadraticStepMap(tables, manifold, prev, gamma)
+        if pair not in maps:
+            maps[pair] = oco.QuadraticStepMap(tables, manifold, record.pairs[pair].cost, gamma)
+        step_map = maps[pair]
         candidate = np.concatenate([record.u_pred[t - 1][model.m:], record.u_ss[t - 1]])
-        out = step_map.product(record.x_meas[t], candidate, prev)
+        out = step_map.rows_at(record.x_meas[t], candidate, record.ref_x[t - 1],
+                               record.ref_u[t - 1])
         if not per_row(step_map, manifold, record.x_meas[t], out, model.membership_tol):
             steps.append(t)
     return steps
@@ -201,7 +201,8 @@ class TestConfigs:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_double_integrator_config(self, seed, monkeypatch):
         # The bundled config's target hops at t = 150 to a cost object with
-        # weight arrays of its own: that step runs step by step.
+        # weight arrays of its own but of equal value, so of the same weight
+        # pair: the block runs across the hop.
         cfg, model, tables, manifold, schedule, controller = generic_setup(
             "double_integrator", "run")
         u0 = np.zeros(model.m)
@@ -209,7 +210,7 @@ class TestConfigs:
         _, steps = run_both(monkeypatch, lambda: simkit.run_closed_loop(
             model, tables, manifold, controller, schedule, DisturbancePolicy(seed=seed),
             horizon, zeta0=(model.g_k @ u0, u0), x0=np.asarray(cfg["model"]["x0"], float)))
-        assert 150 in steps and len(steps) < 0.1 * horizon
+        assert 150 not in steps and len(steps) < 0.1 * horizon
 
 
 def test_level_8_sweep_run_is_one_block(monkeypatch):
@@ -238,8 +239,9 @@ def test_level_8_sweep_run_is_one_block(monkeypatch):
                                       DisturbancePolicy(seed=0), sw["horizon"], zeta0=zeta0,
                                       x0=x0)
     assert blocks == [sw["horizon"] - 1] and steps == []
-    assert [trace.costs[t] for t in range(len(trace))] == [
-        level_schedule.cost_at(t) for t in range(len(trace))]
+    assert len(trace.pairs) == 1 and trace.pairs[0].cost is level_schedule.cost_at(0)
+    assert trace.ref_x.tobytes() == np.array([level_schedule.cost_at(t).ref_x
+                                              for t in range(len(trace))]).tobytes()
 
 
 def test_lifted_steps_across_hops(di_bundle):
@@ -268,7 +270,7 @@ def test_lifted_steps_across_hops(di_bundle):
     want = [[] for _ in got]
     for j, c in enumerate(costs):
         x_meas = x + v[j]
-        out = step_map.product(x_meas, candidate, c)
+        out = step_map.rows_at(x_meas, candidate, c.ref_x, c.ref_u)
         gap, g = out[step_map.gap], out[step_map.g]
         for column, value in zip(want, (x, x_meas, out, out[step_map.plan], out[step_map.u],
                                         [math.sqrt(gap @ gap), math.sqrt(g @ g)])):
@@ -282,7 +284,8 @@ def test_lifted_steps_across_hops(di_bundle):
 def test_rejected_steps_keep_work_linear(monkeypatch):
     # The bundled double integrator with gamma = 3.0 over 3,000 steps: the
     # steps with beta < 1 are rejected inside blocks that span the rest of
-    # their cost object's stretch. After each, the next block holds at most
+    # their weight pair's stretch (here the whole run: the hop at t = 150
+    # keeps the pair). After each, the next block holds at most
     # RUN_AHEAD_STEPS steps, and each block kept whole doubles that, so the
     # rows computed stay linear in the horizon. The run agrees with the
     # steps one by one as every run here does, except that the rejected
@@ -316,10 +319,9 @@ def test_rejected_steps_keep_work_linear(monkeypatch):
     fractional = (want[0].beta > 0.0) & (want[0].beta < 1.0)
     assert got[0].beta[~fractional].tobytes() == want[0].beta[~fractional].tobytes()
     assert steps == expected_serial_steps(want[0], model, tables, manifold, controller.gamma)
-    rejected = [t for t in steps if t != 150]
-    assert 150 in steps and len(rejected) >= 10
-    assert np.flatnonzero(fractional).tolist() == rejected
-    assert sum(rows) <= 4 * horizon + oco.RUN_AHEAD_STEPS * len(rejected)
+    assert 150 not in steps and len(steps) >= 10
+    assert np.flatnonzero(fractional).tolist() == steps
+    assert sum(rows) <= 4 * horizon + oco.RUN_AHEAD_STEPS * len(steps)
 
 
 def test_one_step_blocks_keep_the_scan_linear(monkeypatch):
@@ -559,8 +561,8 @@ def test_batched_rule_matches_the_step(di_bundle):
         x_meas, outs = [], []
         for _ in range(rows):
             x = zeta[0] + rng.normal(0.0, 0.3, 2)
-            out = step_map.product(x, plan0[model.m:] + rng.normal(0.0, 0.2, plan0.size - 1),
-                                   cost).copy()
+            out = step_map.rows_at(x, plan0[model.m:] + rng.normal(0.0, 0.2, plan0.size - 1),
+                                   cost.ref_x, cost.ref_u).copy()
             kind = data.draw(st.sampled_from(ROW_KINDS))
             if kind == "x_meas":
                 x = x.copy()

@@ -136,7 +136,8 @@ class TestRunRecord:
             trace[30]
         part = trace[5:9]
         assert len(part) == 4 and part[0].t == 5
-        assert np.array_equal(part.u, trace.u[5:9]) and part.costs[0] is trace.costs[5]
+        assert np.array_equal(part.u, trace.u[5:9]) and part.pairs is trace.pairs
+        assert np.array_equal(part.ref_x, trace.ref_x[5:9])
 
     def test_totals_match_step_by_step_reference(self, di_bundle, di_run):
         trace, ledger = di_run(seed=9, horizon=120)
@@ -155,7 +156,11 @@ class TestRunRecord:
         trace, ledger = run_closed_loop(
             model, tables, manifold, ControllerConfig(gamma=0.3), schedule,
             DisturbancePolicy(seed=4), 90, zeta0=zeta0, x0=zeta0[0])
-        assert all(trace.costs[t] is schedule.cost_at(t) for t in range(90))
+        assert [entry.cost for entry in trace.pairs] == [di_cost, heavy]
+        for t in range(90):
+            cost = schedule.cost_at(t)
+            assert trace.pairs[trace.pair[t]].cost.q_x is cost.q_x
+            assert np.array_equal(trace.ref_x[t], cost.ref_x)
         assert_ledger_matches_reference(trace, ledger, model)
         assert_benchmark_matches_per_row(trace, model, manifold)
 
@@ -212,7 +217,8 @@ class TestRunRecord:
             run_closed_loop(model, tables, manifold, ControllerConfig(gamma=0.3), schedule,
                             DisturbancePolicy(seed=2), 30, zeta0=zeta0, x0=zeta0[0])
         trace = err.value.trace
-        assert err.value.t == 7 and trace.pairs == [di_cost, heavy]
+        assert err.value.t == 7 and [entry.cost for entry in trace.pairs] == [di_cost, heavy]
+        assert trace.pairs[1].benchmark is None
         assert trace.pair.tolist() == [0] * 7 and len(built) == 1
         assert_ledger_matches_reference(trace, err.value.ledger, model)
 
@@ -229,7 +235,9 @@ class TestBenchmarkPath:
         trace, ledger = run_closed_loop(model, tables, manifold, ControllerConfig(gamma=0.3),
                                         schedule, DisturbancePolicy(seed=3), 120, zeta0=zeta0,
                                         x0=x0)
-        assert len({id(c) for c in trace.costs}) == 6
+        # one weight pair; the reference hops at each of the 5 piece starts
+        assert len(trace.pairs) == 1
+        assert np.count_nonzero(np.diff(trace.ref_x, axis=0).any(axis=1)) == 5
         assert_benchmark_matches_per_row(trace, model, manifold)
         assert_ledger_matches_reference(trace, ledger, model)
 
@@ -276,8 +284,9 @@ class TestBenchmarkPath:
                             DisturbancePolicy(kind="zero"), 40, zeta0=zeta0, x0=zeta0[0])
 
     def test_finish_reads_no_cost_object(self, di_bundle, di_cost):
-        # With every entry of costs gone, finish gives the same benchmark,
-        # cost values and totals from the columns and ``pairs``.
+        # With the cost object of every entry of ``pairs`` gone (each keeps
+        # the benchmark finish built), finish gives the same benchmark, cost
+        # values and totals from the columns and the entries' benchmarks.
         model, tables, manifold = di_bundle
         heavy = QuadraticCost(3.0 * di_cost.q_x, 2.0 * di_cost.q_u, [0.3, 0.0], di_cost.ref_u)
         far = di_cost.with_ref_x([9.0, 0.0])  # a facet optimum: the single solve
@@ -289,9 +298,11 @@ class TestBenchmarkPath:
                                         DisturbancePolicy(seed=6), 60, zeta0=zeta0, x0=zeta0[0])
         names = ("benchmark_theta", "benchmark_eta", "cost", "benchmark_cost")
         before = {name: getattr(trace, name).copy() for name in names}
-        trace.costs[:] = None
+        assert len(trace.pairs) == 2
+        for entry in trace.pairs:
+            entry.cost = None
         monitors = (model, tables, manifold, controller.effective_c_g(model))
-        assert trace.finish(len(trace), monitors, ()) == ledger
+        assert trace.finish(len(trace), monitors) == ledger
         for name in names:
             assert np.array_equal(getattr(trace, name), before[name]), name
 
@@ -315,7 +326,7 @@ class TestBenchmarkPath:
                                         schedule, DisturbancePolicy(seed=1), 75, zeta0=zeta0,
                                         x0=zeta0[0])
         assert len(built) == 2
-        assert trace.pairs == [di_cost, other]
+        assert [entry.cost for entry in trace.pairs] == [di_cost, other]
         assert trace.pair.tolist() == [0] * 25 + [1] * 25 + [0] * 25
         assert_benchmark_matches_per_row(trace, model, manifold)
         assert_ledger_matches_reference(trace, ledger, model)
@@ -570,7 +581,8 @@ class TestInvariantReport:
         assert err.value.t == 5 and len(err.value.trace) == 5
         assert isinstance(err.value.__cause__, DimensionMismatch)
         assert np.isfinite(err.value.ledger.cum_regret)
-        assert all(cost is di_cost for cost in err.value.trace.costs)
+        assert [entry.cost for entry in err.value.trace.pairs] == [di_cost]
+        assert not err.value.trace.pair.any()
 
     @pytest.mark.parametrize("field,value", [("q_x", np.eye(3)), ("q_u", np.eye(2)),
                                              ("ref_x", [0.6]), ("ref_u", [0.0, 0.0])])
@@ -905,6 +917,12 @@ class TestSchedules:
     def test_piecewise_validation(self, di_cost):
         with pytest.raises(ValueError):
             PiecewiseSchedule(((5, di_cost),))
+
+    @pytest.mark.parametrize("starts", [(0, 0), (0, 10, 10), (0, 10, 5)])
+    def test_piecewise_starts_must_ascend_strictly(self, di_cost, starts):
+        # a piece with the start of the one before it would never be looked up
+        with pytest.raises(ValueError, match="each after the one before"):
+            PiecewiseSchedule(tuple((start, di_cost) for start in starts))
 
     def test_piecewise_lookup(self, di_cost):
         moved = QuadraticCost(di_cost.q_x, di_cost.q_u, [0.1, 0.0], di_cost.ref_u)

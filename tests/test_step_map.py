@@ -1,8 +1,8 @@
 """The quadratic step map against the gradient oracle it replaces.
 
-``closed_loop`` hands a step on a plain ``QuadraticCost`` whose weights
-repeat on the next step its ``oco.QuadraticStepMap``; any other cost goes
-through the cost's ``grad``.
+``closed_loop`` hands a step on a plain ``QuadraticCost`` the
+``oco.QuadraticStepMap`` of its weight pair, built when the pair repeats on
+the next step; any other cost goes through the cost's ``grad``.
 Both paths must take the same step: from identical states within 1e-12 of
 the oracle's values (beta also within what the stage residuals' rounding
 moves it, see ``conftest.both_paths``), over whole runs within 1e-10, with
@@ -24,7 +24,7 @@ import pytest
 from ocorobust import cli, simkit, vehicle
 from ocorobust import oco_controller as oco
 from ocorobust.denseqp import PrefactoredQp, QpSolution
-from ocorobust.errors import InfeasibleError, StepError
+from ocorobust.errors import InfeasibleError, OcoRobustError, StepError
 from ocorobust.plant import (
     QuadraticCost,
     SteadyStateBenchmark,
@@ -37,7 +37,9 @@ from ocorobust.simkit import DisturbancePolicy, PiecewiseSchedule, SimulationAbo
 
 from conftest import (
     StepByStep,
+    assert_benchmark_matches_per_row,
     assert_close,
+    assert_records_agree,
     assert_steps_agree,
     count_calls,
     guess_kept,
@@ -96,20 +98,22 @@ def di_schedule(model):
 
 
 class TestServes:
-    def test_which_costs_a_map_serves(self, di_bundle):
-        model, tables, manifold = di_bundle
+    def test_which_costs_a_map_serves(self):
+        # A step's map is its cost's weight pair's: costs with the same
+        # weight arrays, or arrays equal in value, share an entry of
+        # ``record.pairs``; a cost takes the map only when its ``grad`` is
+        # ``QuadraticCost``'s own.
         cost = QuadraticCost(np.eye(2), np.eye(1), [0.5, 0.0], [0.1])
-        step_map = oco.QuadraticStepMap(tables, manifold, cost, 0.3)
-        assert step_map.serves(cost)
-        assert step_map.serves(cost.with_ref_x([-0.2, 0.1]))
-        # equal values, other arrays
-        assert not step_map.serves(QuadraticCost(np.eye(2), np.eye(1), [0.5, 0.0], [0.1]))
-        assert not step_map.serves(QuadraticCost(cost.q_x, 2.0 * np.eye(1), [0.5, 0.0], [0.1]))
         own = OwnGrad(cost.q_x, cost.q_u, cost.ref_x, cost.ref_u)
-        assert own.q_x is cost.q_x and not step_map.serves(own)
-        assert not oco.QuadraticStepMap.takes(own)
-        assert not step_map.serves(GradOnly(cost))
-        assert not oco.QuadraticStepMap.takes(GradOnly(cost))
+        record = simkit.RunRecord(2, 1, 3, 1)
+        for same in (cost, cost.with_ref_x([-0.2, 0.1]), own,
+                     QuadraticCost(np.eye(2), np.eye(1), [0.5, 0.0], [0.1])):
+            assert record.pair_of(same) == 0
+        assert record.pair_of(QuadraticCost(cost.q_x, 2.0 * np.eye(1), [0.5, 0.0], [0.1])) == 1
+        assert record.pairs[0].cost is cost and len(record.pairs) == 2
+        assert simkit._takes_map(cost) and simkit._takes_map(cost.with_ref_x([-0.2, 0.1]))
+        assert not simkit._takes_map(own)
+        assert not simkit._takes_map(GradOnly(cost))
 
     def test_with_ref_x_keeps_type_weights_and_checks(self):
         cost = OwnGrad(np.eye(2), np.eye(1), [0.5, 0.0], [0.1])
@@ -134,27 +138,68 @@ class TestServes:
         schedule = di_schedule(model)
         zeta0 = optimal_steady_state(manifold, schedule.cost_at(0), model)
         controller = oco.ControllerConfig(gamma=0.3)
-        simkit.run_closed_loop(model, tables, manifold, controller, schedule,
-                               DisturbancePolicy(seed=2), 120, zeta0=zeta0, x0=zeta0[0])
-        assert [(q is schedule.cost_at(0).q_x, g) for q, g in built] == [(True, 0.3),
-                                                                        (False, 0.3)]
-        # Weights that change every step: no map is built, every step takes
-        # the gradient path, and the run agrees with one on the step maps'
-        # path for the same values.
-        built.clear()
-        fresh = FreshWeights(schedule)
         calls = []
         real = oco.ogd_step
         monkeypatch.setattr(oco, "ogd_step", lambda *a: calls.append(1) or real(*a))
-        trace, ledger = simkit.run_closed_loop(model, tables, manifold, controller, fresh,
-                                               DisturbancePolicy(seed=2), 120, zeta0=zeta0,
-                                               x0=zeta0[0])
-        assert built == [] and len(calls) == 119
-        calls.clear()
-        assert_runs_agree((trace, ledger), simkit.run_closed_loop(
-            model, tables, manifold, controller, schedule, DisturbancePolicy(seed=2), 120,
-            zeta0=zeta0, x0=zeta0[0]))
+
+        def run(costs):
+            return simkit.run_closed_loop(model, tables, manifold, controller, costs,
+                                          DisturbancePolicy(seed=2), 120, zeta0=zeta0,
+                                          x0=zeta0[0])
+
+        shared = run(schedule)
+        assert [(q is schedule.cost_at(0).q_x, g) for q, g in built] == [(True, 0.3),
+                                                                        (False, 0.3)]
+        assert not calls
+        # Fresh weight arrays of equal value at every step: the same two
+        # pairs, so one map per pair and no step on the gradient path; the
+        # run agrees with the shared-array run within run-ahead's tolerance,
+        # with beta and the flags the same.
+        built.clear()
+        fresh = run(FreshWeights(schedule))
         assert len(built) == 2 and not calls
+        assert_records_agree(fresh, shared, 1e-12)
+        assert fresh[0].beta.tobytes() == shared[0].beta.tobytes()
+
+    def test_own_grad_shares_its_pair_but_not_its_map(self, di_bundle, monkeypatch):
+        # A piece whose cost overrides grad (``OwnGrad``) with the first
+        # piece's weight arrays: its rows have the first piece's pair and so
+        # its benchmark, but the steps that read it take ogd_step, and it
+        # ends the run-ahead block before it. The run agrees with the same
+        # schedule on a plain cost.
+        model, tables, manifold = di_bundle
+        first = coupled_cost(2, 1, [0.4, 0.1], [0.3])
+        later = first.with_ref_x([0.2, 0.0])
+        own = OwnGrad(first.q_x, first.q_u, [-0.3, 0.1], first.ref_u)
+        zeta0 = optimal_steady_state(manifold, first, model)
+        built = []
+        init = SteadyStateBenchmark.__init__
+
+        def tracked(benchmark, *args):
+            init(benchmark, *args)
+            built.append(benchmark)
+
+        def run(middle):
+            schedule = PiecewiseSchedule(((0, first), (30, middle), (45, later)))
+            return simkit.run_closed_loop(model, tables, manifold,
+                                          oco.ControllerConfig(gamma=0.3), schedule,
+                                          DisturbancePolicy(seed=2), 90, zeta0=zeta0,
+                                          x0=zeta0[0])
+
+        plain = run(first.with_ref_x(own.ref_x))
+        with monkeypatch.context() as patch:
+            patch.setattr(SteadyStateBenchmark, "__init__", tracked)
+            calls = count_calls(patch, "step", "ogd_step")
+            steps, step = [], oco.step
+            patch.setattr(oco, "step", lambda state, *a: steps.append(state.t + 1)
+                          or step(state, *a))
+            trace, ledger = run(own)
+        assert len(trace.pairs) == 1 and not trace.pair.any() and len(built) == 1
+        assert trace.pairs[0].benchmark is built[0]
+        assert calls["ogd_step"] == 15 and set(range(30, 46)) <= set(steps)
+        assert min(steps) == 30  # steps 1..29 ran ahead
+        assert_benchmark_matches_per_row(trace, model, manifold)
+        assert_runs_agree((trace, ledger), plain)
 
     def test_fresh_weight_arrays_share_their_benchmark(self, di_bundle, monkeypatch):
         # Weights with equal values in new arrays at every step: the run's
@@ -187,25 +232,36 @@ class TestServes:
             assert_close(getattr(trace, name), getattr(shared, name), RUN_REL, name)
         assert_close(ledger.cum_regret, shared_ledger.cum_regret, RUN_REL, "cum_regret")
 
-    def test_step_rejects_a_map_it_does_not_fit(self, di_bundle):
-        # A map built for other tables, another manifold, another gamma or
-        # other weight arrays fails the step instead of taking a wrong one.
+    def test_step_rejects_a_map_it_does_not_fit(self, di_bundle, monkeypatch):
+        # A weight pair built beforehand whose map was built for other
+        # tables, another manifold or another gamma fails the run before
+        # t = 0 (``closed_loop`` checks each such entry once) instead of
+        # steps taking a wrong map. One built for the run's own is used.
         model, tables, manifold = di_bundle
         cost = coupled_cost(2, 1, [0.3, 0.0], [0.2])
         zeta = optimal_steady_state(manifold, cost, model)
-        state = oco.initialize(model, tables, manifold, zeta, zeta[0])
-        options = oco.ControllerConfig(gamma=0.3)
+        benchmark = SteadyStateBenchmark(manifold, model, cost)
         other_tables, other_manifold = copy.copy(tables), copy.copy(manifold)
-        same = QuadraticCost(cost.q_x.copy(), cost.q_u.copy(), cost.ref_x, cost.ref_u)
-        for step_map in (oco.QuadraticStepMap(other_tables, manifold, cost, 0.3),
-                         oco.QuadraticStepMap(tables, other_manifold, cost, 0.3),
-                         oco.QuadraticStepMap(tables, manifold, cost, 0.2),
-                         oco.QuadraticStepMap(tables, manifold, same, 0.3)):
-            with pytest.raises(StepError) as info:
-                oco.step(state, model, tables, manifold, zeta[0], cost, options, step_map)
-            assert info.value.t == 1 and isinstance(info.value.cause, ValueError)
-        oco.step(state, model, tables, manifold, zeta[0], cost, options,
-                 oco.QuadraticStepMap(tables, manifold, cost, 0.3))
+
+        def run(step_map):
+            return simkit.run_closed_loop(
+                model, tables, manifold, oco.ControllerConfig(gamma=0.3),
+                simkit.ConstantSchedule(cost), DisturbancePolicy(seed=0), 20, zeta0=zeta,
+                x0=zeta[0], pairs=(simkit.WeightPair(cost, benchmark, step_map),))
+
+        observed, observe = [], simkit._LtiPlant.observe
+        with monkeypatch.context() as patch:
+            patch.setattr(simkit._LtiPlant, "observe",
+                          lambda plant, t: observed.append(t) or observe(plant, t))
+            for step_map in (oco.QuadraticStepMap(other_tables, manifold, cost, 0.3),
+                             oco.QuadraticStepMap(tables, other_manifold, cost, 0.3),
+                             oco.QuadraticStepMap(tables, manifold, cost, 0.2)):
+                with pytest.raises(OcoRobustError, match="other tables, manifold or gamma"):
+                    run(step_map)
+        assert observed == []
+        step_map = oco.QuadraticStepMap(tables, manifold, cost, 0.3)
+        trace, _ = run(step_map)
+        assert trace.pairs[0].step_map is step_map and trace.pairs[0].benchmark is benchmark
 
 
 class TestOneStep:
@@ -255,8 +311,8 @@ class TestOneStep:
                      ref=None):
             out = step(state, model, tables, manifold, x_meas, grad_prev, options, step_map, ref)
             x_meas, candidate = np.asarray(x_meas, float), state.plan[model.m:]
-            rows = (step_map.product(x_meas, candidate, grad_prev) if ref is None
-                    else step_map.rows_at(x_meas, candidate, ref))
+            rows = (step_map.rows_at(x_meas, candidate, grad_prev.ref_x, grad_prev.ref_u)
+                    if ref is None else step_map.rows_at(x_meas, candidate, ref))
             d = gaps[-1]
             theta_hat, pred = out[2].ogd_target[0], out[2].pred_state
             if np.array_equal(theta_hat, rows[step_map.theta]):
@@ -343,7 +399,7 @@ class TestFallbackBranches:
             calls = count_calls(patch, *names)
             mapped = run()
         with monkeypatch.context() as patch:
-            patch.setattr(simkit, "_step_map", lambda *args: None)
+            patch.setattr(simkit, "_takes_map", lambda cost: False)
             oracle_calls = count_calls(patch, *names)
             oracle = run()
         assert_runs_agree(mapped, oracle)
@@ -383,7 +439,7 @@ class TestFallbackBranches:
         for _ in range(5000):
             x = rng.uniform([-3.0, -2.0], [3.0, 2.0])
             plan = plan0 + rng.standard_normal(plan0.size) * rng.uniform(0.0, 3.0)
-            out = step_map.product(x, plan[model.m:], cost)
+            out = step_map.rows_at(x, plan[model.m:], cost.ref_x, cost.ref_u)
             if (out[step_map.base].max() > model.membership_tol
                     and out[step_map.reach].max() <= 0.0
                     and guess_kept(manifold.projector, out[step_map.linear],
@@ -457,7 +513,7 @@ def run_pair(monkeypatch, run):
     to any step (the oracle path)."""
     mapped = run()
     with monkeypatch.context() as patch:
-        patch.setattr(simkit, "_step_map", lambda *args: None)
+        patch.setattr(simkit, "_takes_map", lambda cost: False)
         return mapped, run()
 
 

@@ -66,38 +66,48 @@ class TestReducedModel:
 
 
 class TestPhaseCosts:
-    def test_phase1_gradient_zero_at_target(self):
-        cost = vehicle.phase_cost(1)
+    """The setup's weight pairs: phases 1 and 2 (``vehicle.PHASE1_COST``),
+    then phase 3."""
+
+    def test_phase1_gradient_zero_at_target(self, setup):
+        cost = setup.pairs[0].cost
+        assert cost is vehicle.PHASE1_COST
+        assert cost.ref_x[1] == pytest.approx(120.0 / 3.6 - vehicle.DELTA_BAR)
         gx, gv = cost.grad(cost.ref_x, [0.0, 0.0])
         assert np.allclose(gx, 0.0)
         assert np.allclose(gv, 0.0)
 
-    def test_phase2_needs_estimate(self):
-        with pytest.raises(ValueError):
-            vehicle.phase_cost(2)
-        cost = vehicle.phase_cost(2, target_speed_dev=-4.0)
-        assert cost.ref_x[1] == -4.0
+    def test_phase2_needs_estimate(self, setup):
+        # Every phase-2 step has a leader-speed estimate, and its reference
+        # is [0, estimate] as data on phase 1's cost.
+        trace, _, metrics = vehicle.run_scenario("explicit", seed=0, setup=setup)
+        phase2 = np.flatnonzero(np.array(metrics["phase"]) == 2)
+        estimates = [metrics["leader_est_kmh"][t] for t in phase2]
+        assert len(phase2) > 100 and None not in estimates
+        want = vehicle.kmh_to_ms(np.array(estimates)) - vehicle.DELTA_BAR
+        assert np.allclose(trace.ref_x[phase2, 1], want, rtol=0.0, atol=1e-12)
+        assert not trace.ref_x[phase2, 0].any() and not trace.ref_u[phase2].any()
 
     def test_phase2_shares_phase1_weights(self, setup):
-        # the same arrays, so the phase-1 benchmark solver serves phase 2
-        follow = vehicle.phase_cost(1)
-        cost = vehicle.phase_cost(2, target_speed_dev=-4.0)
-        assert cost.q_x is follow.q_x and cost.q_u is follow.q_u
-        assert cost.ref_u is follow.ref_u
-        assert SteadyStateBenchmark(setup.manifold, setup.model, follow).serves(cost)
-        with pytest.raises(ValueError):
-            vehicle.phase_cost(2, target_speed_dev=np.nan)
+        # Phase 2 steps on phase 1's weight pair, so on its benchmark and
+        # step map; phase 3 on its own.
+        trace, _, metrics = vehicle.run_scenario("explicit", seed=0, setup=setup)
+        phases = np.array(metrics["phase"])
+        assert trace.pair.tolist() == (phases == 3).astype(int).tolist()
+        for mine, shared in zip(trace.pairs, setup.pairs, strict=True):
+            assert mine.cost is shared.cost and mine.benchmark is shared.benchmark
+            assert mine.step_map is shared.step_map
 
-    def test_phase3_weight_ratio(self):
-        cost = vehicle.phase_cost(3)
+    def test_phase3_weight_ratio(self, setup):
+        cost = setup.pairs[1].cost
         assert cost.q_x[1, 1] / cost.q_x[0, 0] == 5.0
         assert cost.ref_x[0] == 3.0
         assert cost.ref_x[1] == pytest.approx(130.0 / 3.6 - vehicle.DELTA_BAR)
 
-    def test_input_weight(self):
-        # 50 ||u||^2 means a Hessian of 100 per input channel
-        cost = vehicle.phase_cost(1)
-        assert np.allclose(cost.q_u, 100.0 * np.eye(2))
+    def test_input_weight(self, setup):
+        # 50 ||u||^2 means a Hessian of 100 per input channel, in every phase
+        for entry in setup.pairs:
+            assert np.allclose(entry.cost.q_u, 100.0 * np.eye(2))
 
 
 def slack_rollout(builder, gap_meas, d, x_meas=np.zeros(2), candidate=np.zeros(20)):
@@ -192,7 +202,7 @@ class TestBenchmarkPath:
         # The benchmark solvers (one per SteadyStateBenchmark) are called
         # before observe(0) (zeta0) and after the last advance only: those
         # the setup holds and any built during the run.
-        events, solvers = [], [benchmark.solver for benchmark in setup.benchmarks]
+        events, solvers = [], [entry.benchmark.solver for entry in setup.pairs]
         init = SteadyStateBenchmark.__init__
         real = {name: getattr(denseqp.PrefactoredQp, name) for name in ("solve", "guess_rows")}
 
@@ -233,9 +243,9 @@ class TestBenchmarkPath:
         # still equals the single solve.
         model, manifold = setup.model, setup.manifold
         angles = np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False)
-        near = [vehicle.phase_cost(2, target_speed_dev=d) for d in (-4.0, 0.0, 2.0)]
+        near = [vehicle.PHASE1_COST.with_ref_x([0.0, d]) for d in (-4.0, 0.0, 2.0)]
         costs = np.array(near + [
-            vehicle.phase_cost(1).with_ref_x([30.0 * np.cos(a), 30.0 * np.sin(a)])
+            vehicle.PHASE1_COST.with_ref_x([30.0 * np.cos(a), 30.0 * np.sin(a)])
             for a in angles], dtype=object)
         benchmark = SteadyStateBenchmark(manifold, model, costs[0])
         ref_x, ref_u = np.array([c.ref_x for c in costs]), np.array([c.ref_u for c in costs])
@@ -437,14 +447,14 @@ class TestScenario:
     @pytest.mark.parametrize("variant", ["optimized", "explicit"])
     def test_totals_match_step_by_step_reference(self, setup, variant):
         trace, ledger, metrics = vehicle.run_scenario(variant, seed=0)
-        # phase 2 hands phase 1's cost object with a new reference each step,
-        # as data in the ref_x column; phase 3 switches the weights
+        # phase 2 steps on phase 1's weight pair with a new reference each
+        # step, as data in the ref_x column; phase 3 switches the weights
         phase2 = np.array(metrics["phase"]) == 2
-        assert all(c is trace.costs[0] for c in trace.costs[phase2])
+        assert not trace.pair[phase2].any() and trace.pair[-1] == 1
         assert len({row.tobytes() for row in trace.ref_x[phase2]}) == np.count_nonzero(phase2) > 1
-        assert trace.costs[-1].q_x is not trace.costs[0].q_x
-        assert_ledger_matches_reference(trace, ledger, setup.model, column_refs=True)
-        assert_benchmark_matches_per_row(trace, setup.model, setup.manifold, column_refs=True)
+        assert trace.pairs[1].cost.q_x is not trace.pairs[0].cost.q_x
+        assert_ledger_matches_reference(trace, ledger, setup.model)
+        assert_benchmark_matches_per_row(trace, setup.model, setup.manifold)
         if variant == "optimized":
             kkt = [rec.diagnostics.kkt_residual for rec in trace]
             assert [k is None for k in kkt] == list(np.isnan(trace.kkt_residual))
@@ -495,14 +505,15 @@ class TestReferencesAsData:
         # A run on a shared setup builds no QuadraticStepMap and no
         # QuadraticCost (with_ref_x included) between observe(0) and the
         # last advance, finds a weight pair only where the cost object
-        # changes (t = 0 and phase 3's first step), leaves the setup's maps
-        # as they were, and records each phase-2 step's reference as [0,
-        # leader speed estimate] to the bit.
+        # changes (t = 0 and phase 3's first step), leaves the setup's pair
+        # entries and their maps as they were, and records each phase-2
+        # step's reference as [0, leader speed estimate] to the bit.
         shared = vehicle.vehicle_setup.__wrapped__(vehicle.VehicleParams())
 
         def snapshot():
+            parts = [*shared.pairs, *(entry.step_map for entry in shared.pairs)]
             return [{name: value.copy() if isinstance(value, np.ndarray) else value
-                     for name, value in vars(step_map).items()} for step_map in shared.step_maps]
+                     for name, value in vars(part).items()} for part in parts]
 
         events, estimates = [], {}
 

@@ -25,12 +25,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import oco_controller as oco
 from .errors import DimensionMismatch, OcoRobustError, StepError
-from .plant import (
-    QuadraticCost,
-    SteadyStateBenchmark,
-    optimal_steady_state,
-    worst_stage_residuals,
-)
+from .plant import QuadraticCost, SteadyStateBenchmark, optimal_steady_state, worst_stage_residuals
 
 TUBE_TOL = 1e-6
 # tube_marginal asks the tube margin to clear -tube_band by more than
@@ -397,8 +392,8 @@ def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
     ``pairs`` are ``WeightPair``s built beforehand, e.g. once for every run
     of a sweep design or every vehicle run; ``record.pairs`` starts as
     copies of them. Their maps must have been built on ``tables``,
-    ``manifold`` and the controller's gamma, else ``OcoRobustError`` before
-    t = 0. A step on a cost that takes a map (``_takes_map``) uses its
+    ``manifold`` and the controller's gamma and their benchmarks on
+    ``manifold``, else ``OcoRobustError`` before t = 0. A step on a cost that takes a map (``_takes_map``) uses its
     weight pair's, built on first use when the pair repeats on the next
     step (``_pair_map``).
 
@@ -409,8 +404,8 @@ def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
     one pass, keeping the steps before the first one the check rejects,
     which runs step by step. The block after one that kept fewer steps than
     it scanned holds at most ``oco.RUN_AHEAD_STEPS`` steps, each block kept
-    whole doubles that cap up to ``oco.RUN_AHEAD_BLOCK``, and a new cost
-    object on a step that runs step by step resets it, so the rows computed
+    whole doubles that cap up to ``oco.RUN_AHEAD_BLOCK``, and a new weight
+    pair on a step that runs step by step resets it, so the rows computed
     in vain and the scan for a block's end stay linear in the horizon. Under
     ``abort_on_violation`` a block is flagged after it is kept. A block's
     first step is the step-by-step step to the bit; every float column and
@@ -423,10 +418,11 @@ def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
     """
     check_horizon(horizon)
     for entry in pairs:
-        built = entry.step_map
-        if built is not None and not (built.tables is tables and built.manifold is manifold
-                                      and built.gamma == controller.gamma):
-            raise OcoRobustError("a weight pair's step map was built for other tables, "
+        built, benchmark = entry.step_map, entry.benchmark
+        if ((built is not None and not (built.tables is tables and built.manifold is manifold
+                                        and built.gamma == controller.gamma))
+                or (benchmark is not None and benchmark.manifold is not manifold)):
+            raise OcoRobustError("a weight pair built beforehand was built for other tables, "
                                  "manifold or gamma")
     x_true, x_meas, v, cost_t, ref_t = plant.observe(0)
     if not model.x_set.contains(x_true, tol=model.membership_tol):
@@ -474,7 +470,8 @@ def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
                 if cost_t is not prev_cost:
                     _check_cost(cost_t, model.n, model.m)
                     pair = record.pair_of(cost_t)
-                    cap = oco.RUN_AHEAD_BLOCK
+                    if pair != prev_pair:
+                        cap = oco.RUN_AHEAD_BLOCK
                 if ref_t is not None:
                     _check_ref(ref_t, model.n, model.m, t)
                 step_map = _pair_map(record.pairs[prev_pair], prev_cost, pair == prev_pair,

@@ -46,7 +46,7 @@ from ocorobust.simkit import (
     SimulationAborted,
 )
 from test_drawn_models import build, drawn_models
-from test_step_map import coupled_cost
+from test_step_map import FreshWeights, coupled_cost
 
 from conftest import StepByStep, assert_close, assert_records_agree, rows_kept
 
@@ -322,6 +322,39 @@ def test_rejected_steps_keep_work_linear(monkeypatch):
     assert 150 not in steps and len(steps) >= 10
     assert np.flatnonzero(fractional).tolist() == steps
     assert sum(rows) <= 4 * horizon + oco.RUN_AHEAD_STEPS * len(steps)
+
+
+def test_fresh_weight_arrays_keep_work_linear(monkeypatch):
+    # The run of test_rejected_steps_keep_work_linear with new weight
+    # arrays of equal value at every step: a new cost object of the same
+    # weight pair on a rejected step does not reset the block cap, so the
+    # run computes the same blocks as the run on shared arrays, and its
+    # record is that run's to the bit.
+    cfg, model, tables, manifold, schedule, controller = generic_setup(
+        "double_integrator", "run")
+    controller = dataclasses.replace(controller, gamma=3.0)
+    u0, horizon = np.zeros(model.m), 3000
+    ahead = simkit._LtiPlant.ahead
+
+    def run(costs):
+        rows = []
+
+        def counted(plant, *args):
+            out = ahead(plant, *args)
+            rows.append(len(out[0]))
+            return out
+
+        with monkeypatch.context() as patch:
+            patch.setattr(simkit._LtiPlant, "ahead", counted)
+            result = simkit.run_closed_loop(
+                model, tables, manifold, controller, costs,
+                DisturbancePolicy(kind="uniform_box", seed=1), horizon,
+                zeta0=(model.g_k @ u0, u0), x0=np.asarray(cfg["model"]["x0"], float))
+        return result, rows
+
+    (shared, shared_rows), (fresh, fresh_rows) = run(schedule), run(FreshWeights(schedule))
+    assert fresh_rows == shared_rows and sum(fresh_rows) <= 5 * horizon
+    assert_records_agree(fresh, shared)
 
 
 def test_one_step_blocks_keep_the_scan_linear(monkeypatch):

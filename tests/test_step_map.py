@@ -189,7 +189,7 @@ class TestServes:
         plain = run(first.with_ref_x(own.ref_x))
         with monkeypatch.context() as patch:
             patch.setattr(SteadyStateBenchmark, "__init__", tracked)
-            calls = count_calls(patch, "step", "ogd_step")
+            calls = count_calls(patch, "ogd_step")
             steps, step = [], oco.step
             patch.setattr(oco, "step", lambda state, *a: steps.append(state.t + 1)
                           or step(state, *a))
@@ -234,16 +234,18 @@ class TestServes:
 
     def test_step_rejects_a_map_it_does_not_fit(self, di_bundle, monkeypatch):
         # A weight pair built beforehand whose map was built for other
-        # tables, another manifold or another gamma fails the run before
-        # t = 0 (``closed_loop`` checks each such entry once) instead of
-        # steps taking a wrong map. One built for the run's own is used.
+        # tables, another manifold or another gamma, or whose benchmark was
+        # built on another manifold, fails the run before t = 0
+        # (``closed_loop`` checks each such entry once) instead of steps
+        # taking a wrong map or rows a wrong benchmark. One built for the
+        # run's own is used.
         model, tables, manifold = di_bundle
         cost = coupled_cost(2, 1, [0.3, 0.0], [0.2])
         zeta = optimal_steady_state(manifold, cost, model)
         benchmark = SteadyStateBenchmark(manifold, model, cost)
         other_tables, other_manifold = copy.copy(tables), copy.copy(manifold)
 
-        def run(step_map):
+        def run(step_map, benchmark=benchmark):
             return simkit.run_closed_loop(
                 model, tables, manifold, oco.ControllerConfig(gamma=0.3),
                 simkit.ConstantSchedule(cost), DisturbancePolicy(seed=0), 20, zeta0=zeta,
@@ -258,6 +260,8 @@ class TestServes:
                              oco.QuadraticStepMap(tables, manifold, cost, 0.2)):
                 with pytest.raises(OcoRobustError, match="other tables, manifold or gamma"):
                     run(step_map)
+            with pytest.raises(OcoRobustError, match="other tables, manifold or gamma"):
+                run(None, SteadyStateBenchmark(other_manifold, model, cost))
         assert observed == []
         step_map = oco.QuadraticStepMap(tables, manifold, cost, 0.3)
         trace, _ = run(step_map)

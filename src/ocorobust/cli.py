@@ -196,6 +196,14 @@ def load_config(path, command="run"):
             raise ConfigError("at least one [cost.N] section is required", field="cost.0")
         if cfg["costs"][0]["start"] != 0:
             raise ConfigError("first cost piece must start at 0", field="cost.0.start")
+    sweep = cfg["sweep"]
+    if "path_levels" in sweep and "horizon" in sweep:
+        # A level is a hop count (``AlternatingTargetGenerator.make``): each
+        # hop needs a step of its own after step 0.
+        horizon = sweep["horizon"]
+        if any(level < 0 or round(level) >= horizon for level in sweep["path_levels"]):
+            raise ConfigError(f"every level must be at least 0 and round to fewer hops than "
+                              f"sweep.horizon = {horizon}", field="sweep.path_levels")
     return cfg
 
 

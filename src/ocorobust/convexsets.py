@@ -297,6 +297,76 @@ class ZonotopeMembership:
         return out
 
 
+class FacetStack:
+    """Worst facet margins of several polytopes at once, each read on its own
+    group of a point's coordinates.
+
+    ``blocks`` holds one (normals, offsets) pair per polytope: polytope k is
+    {p : normals_k p <= offsets_k} on the k-th group of a row's columns, as
+    wide as normals_k. Its matrix is the block-diagonal stack of the normals
+    with the negated offsets as a last column, so one product with a block of
+    rows (and a column of ones) gives every facet value and one maximum per
+    polytope its worst margin. ``rows`` rows go into one product:
+    ``ROW_BLOCK`` rows of ``widest`` facets, or of the largest polytope's if
+    it has more, spread over the stack's facets, so the product never holds
+    more than a ``ROW_BLOCK``-row product of the widest set would.
+    """
+
+    def __init__(self, blocks, widest=0):
+        self.blocks = [(as_matrix(n, "normals"), as_vector(o, "offsets")) for n, o in blocks]
+        facets = np.cumsum([0] + [len(o) for _, o in self.blocks])
+        widths = np.cumsum([0] + [n.shape[1] for n, _ in self.blocks])
+        self.facets = list(zip(facets[:-1], facets[1:]))
+        self.columns = list(zip(widths[:-1], widths[1:]))
+        self.matrix = np.zeros((facets[-1], widths[-1] + 1))
+        for (n, o), (a, b), (c, d) in zip(self.blocks, self.facets, self.columns):
+            self.matrix[a:b, c:d], self.matrix[a:b, -1] = n, -o
+        self.rows = max(1, ROW_BLOCK * max(widest, *np.diff(facets)) // facets[-1])
+        # Polytope k's stacked margin and its own product add the same
+        # w_k + 1 nonzero terms (w_k its width, the offset one), in whatever
+        # order, each within about (w_k + 1) eps/2 times the terms' absolute
+        # sum of the exact value; that sum is at most |normals_k|_1 max|p| +
+        # max|offsets_k|. The slack, _slope max|p| + _floor, is twice the
+        # bound on their difference.
+        scale = 2.0 * np.finfo(float).eps * (np.diff(widths) + 1)
+        self._slope = (scale * [np.abs(n).sum(axis=1).max() for n, _ in self.blocks])[:, None]
+        self._floor = (scale * [np.abs(o).max() for _, o in self.blocks])[:, None]
+
+    def within(self, columns, tol):
+        """(polytopes, rows) booleans: whether each row's worst margin in
+        each polytope is at most ``tol``. ``columns`` are arrays with one row
+        per point whose columns, side by side, are the groups.
+
+        Every answer is the polytope's own product's on the block of rows,
+        ``(p_k @ normals_k.T - offsets_k).max(axis=1)`` as
+        ``HPolytope.violations`` takes it: a polytope whose stacked margin of
+        some row lies within rounding of ``tol`` (the slack), or is not
+        finite, takes its own products. So a non-finite entry fails only the
+        polytopes whose groups hold it (0 x NaN in the stacked product
+        reaches every polytope).
+        """
+        count = len(columns[0])
+        worst = np.empty((len(self.blocks), count))
+        with np.errstate(invalid="ignore"):  # 0 x inf in the zero blocks
+            for lo in range(0, count, self.rows):
+                values = self.matrix @ self._points(columns, lo).T
+                for k, (a, b) in enumerate(self.facets):
+                    np.max(values[a:b], axis=0, out=worst[k, lo:lo + self.rows])
+            scale = np.max([np.abs(column).max(initial=0.0) for column in columns])
+            near = ~(np.abs(worst - tol) > self._slope * scale + self._floor)
+            for k in np.flatnonzero(near.any(axis=1)):
+                (normals, offsets), (c, d) = self.blocks[k], self.columns[k]
+                for lo in range(0, count, self.rows):
+                    own = self._points(columns, lo)[:, c:d] @ normals.T - offsets
+                    worst[k, lo:lo + self.rows] = own.max(axis=1)
+        return worst <= tol
+
+    def _points(self, columns, lo):
+        """The block of rows from ``lo``: the columns side by side, then ones."""
+        block = [column[lo:lo + self.rows] for column in columns]
+        return np.hstack(block + [np.ones((len(block[0]), 1))])
+
+
 def pontryagin_deduct(p, z):
     """Pontryagin difference p (-) z of a polytope and a convex set.
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import invariance
 from .convexsets import (
-    ROW_BLOCK,
+    FacetStack,
     HPolytope,
     Zonotope,
     ZonotopeMembership,
@@ -72,7 +72,6 @@ class PlantModel:
         self.c_g_min = spectral_norm_upper(s_c_pinv)
         self._build_rollout_maps()
         self._tube = ZonotopeMembership(p_tail)
-        self._w = ZonotopeMembership(cfg.w_set)
         self.tube_band = spectral_norm_upper(
             np.linalg.matrix_power(a_k, mu)) * p_rpi.epsilon_bound
 
@@ -102,10 +101,6 @@ class PlantModel:
     # The loop's tube monitor calls it under this name, which perfbench traces
     # as a monitor span (perfbench/layers.py MONITORS).
     tube_margin = tube_margins
-
-    def w_margins(self, ws):
-        """Signed margin (<= 0 inside) of each row of ``ws`` against W."""
-        return self._w.margins(ws)
 
 
 def build_w_bar(a, w_set, v_set):
@@ -222,6 +217,12 @@ class TighteningTables:
     = ``residual_u``: one product with the reach gap d gives the least-norm
     additional input S_c^+ d and its growth of the stage residuals.
     ``feedback`` is the gain K of the step's input u = plan[:m] + K x_meas.
+
+    ``monitor`` checks recorded steps against X, U, the residual map and W
+    in one ``FacetStack``: a row is [x_true | u | x_meas, useq | w - W's
+    center], W in its facet form (``ZonotopeMembership``). A block's product
+    is no larger than the tail-set check's of ``ROW_BLOCK`` rows, or than
+    one of the largest stacked set's if it has more facets.
     """
 
     rollout_x: np.ndarray = field(repr=False)         # (mu*(fx+fu) + n + 2m, n)
@@ -234,6 +235,7 @@ class TighteningTables:
     state_offsets: np.ndarray = field(repr=False)     # (mu, fx) tightened
     input_offsets: np.ndarray = field(repr=False)     # (mu, fu) tightened
     residual_offsets: np.ndarray = field(repr=False)  # both, flattened
+    monitor: FacetStack = field(repr=False)
 
 
 def build_tightening(model):
@@ -275,6 +277,8 @@ def build_tightening(model):
     rollout_u = np.vstack([hx @ model._su, hu @ (np.eye(mu * m) + kb @ model._pu),
                            model.k @ pred_u + last, -2.0 * (gt @ pred_u + last), pred_u])
     residual_u = rollout_u[:r]
+    residual_offsets = np.concatenate([state_offsets.ravel(), input_offsets.ravel()])
+    w = ZonotopeMembership(model.w_set)
     return TighteningTables(
         rollout_x=rollout_x,
         rollout_u=rollout_u,
@@ -285,7 +289,11 @@ def build_tightening(model):
         feedback=model.k,
         state_offsets=state_offsets,
         input_offsets=input_offsets,
-        residual_offsets=np.concatenate([state_offsets.ravel(), input_offsets.ravel()]),
+        residual_offsets=residual_offsets,
+        monitor=FacetStack([(model.x_set.normals, model.x_set.offsets),
+                            (model.u_set.normals, model.u_set.offsets),
+                            (np.hstack([rollout_x[:r], residual_u]), residual_offsets),
+                            (w.normals, w.offsets)], widest=len(model._tube.offsets)),
     )
 
 
@@ -300,17 +308,6 @@ def stage_values(tables, x, useq):
 def stage_values_linear(tables, useq):
     """Linear part of the stage residuals in the input sequence (x = 0, no offsets)."""
     return tables.residual_u @ np.asarray(useq, float).reshape(-1)
-
-
-def worst_stage_residuals(tables, xs, useqs):
-    """The worst stage residual of each rollout from a row of ``xs`` under
-    the same row of ``useqs``: ``membership_zu``'s worst value, batched."""
-    out = np.empty(len(xs))
-    for lo in range(0, len(xs), ROW_BLOCK):
-        rows = slice(lo, lo + ROW_BLOCK)
-        out[rows] = (xs[rows] @ tables.residual_x.T + useqs[rows] @ tables.residual_u.T
-                     - tables.residual_offsets).max(axis=1)
-    return out
 
 
 def membership_zu(tables, model, x, useq, tol=None):

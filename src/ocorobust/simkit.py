@@ -25,7 +25,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import oco_controller as oco
 from .errors import DimensionMismatch, OcoRobustError, StepError
-from .plant import QuadraticCost, SteadyStateBenchmark, optimal_steady_state, worst_stage_residuals
+from .plant import QuadraticCost, SteadyStateBenchmark, optimal_steady_state
 
 TUBE_TOL = 1e-6
 # tube_marginal asks the tube margin to clear -tube_band by more than
@@ -120,11 +120,6 @@ def _same_weights(a, b):
             or (np.array_equal(a.q_x, b.q_x) and np.array_equal(a.q_u, b.q_u)))
 
 
-def _running_sum(x):
-    """0.0 + x[0] + x[1] + ... added in step order (``np.sum`` pairs terms)."""
-    return float(np.cumsum(np.concatenate([[0.0], x]))[-1])
-
-
 class RunRecord:
     """The record of one closed-loop run: (horizon, .) columns, one row per step.
 
@@ -189,7 +184,9 @@ class RunRecord:
         lo = self.flagged
         if lo < hi:
             for name, column in _step_flags(self, monitors, lo, hi).items():
-                self.flags.setdefault(name, np.ones(len(self.t), bool))[lo:hi] = column
+                if name not in self.flags:
+                    self.flags[name] = np.ones(len(self.t), bool)
+                self.flags[name][lo:hi] = column
             self.flagged = hi
 
     def finish(self, rows, monitors):
@@ -203,7 +200,8 @@ class RunRecord:
         that of the step a run aborted at, gets none). Its
         ``steady_states`` solves the pair's rows whose pair,
         ref_x or ref_u differs from the row before's; ``cost`` and
-        ``benchmark_cost`` are one quadratic form in x - ref_x and u - ref_u.
+        ``benchmark_cost`` are one quadratic form in x - ref_x and u - ref_u
+        over the pair's rows, taken as one slice when they are consecutive.
         """
         self.flag(rows, monitors)
         self._take(slice(0, rows))
@@ -215,28 +213,33 @@ class RunRecord:
         theta, eta = np.empty_like(self.x_true), np.empty_like(self.u)
         self.cost, self.benchmark_cost = np.empty((2, len(pair)))
         for p, entry in enumerate(self.pairs):
-            mine = pair == p
-            if not mine.any():
+            at = np.flatnonzero(pair == p)
+            if not len(at):
                 continue
+            mine = slice(at[0], at[-1] + 1) if at[-1] - at[0] == len(at) - 1 else at
             if entry.benchmark is None:
                 entry.benchmark = SteadyStateBenchmark(manifold, model, entry.cost)
             benchmark = entry.benchmark
-            solved = np.flatnonzero(new & mine)
+            starts = new[mine]
+            solved = at[starts]
             theta_p, eta_p = benchmark.steady_states(ref_x[solved], ref_u[solved], solved)
-            at = np.cumsum(new[mine]) - 1  # each row's entry among the pair's solved rows
-            theta[mine], eta[mine] = theta_p[at], eta_p[at]
+            which = np.cumsum(starts) - 1  # each row's entry among the pair's solved rows
+            theta[mine], eta[mine] = theta_p[which], eta_p[which]
             dx = np.stack([self.x_true[mine], theta[mine]]) - ref_x[mine]
             dv = np.stack([self.u[mine], eta[mine] + theta[mine] @ model.k.T]) - ref_u[mine]
             self.cost[mine], self.benchmark_cost[mine] = (
                 0.5 * ((dx @ benchmark.q_x) * dx).sum(axis=2)
                 + 0.5 * ((dv @ benchmark.q_u) * dv).sum(axis=2))
         self.benchmark_theta, self.benchmark_eta = theta, eta
-        return RegretLedger(
-            cum_regret=_running_sum(self.cost - self.benchmark_cost),
-            path_length=_running_sum(np.linalg.norm(np.diff(np.hstack([theta, eta]), axis=0),
-                                                    axis=1)),
-            w_energy=_running_sum(np.linalg.norm(self.w, axis=1)),
-            v_energy=_running_sum(np.linalg.norm(self.v, axis=1)))
+        # Each total is 0.0 + x[0] + x[1] + ... added in step order, one
+        # cumsum row per total (np.sum would pair the terms); the path's
+        # terms, one fewer, start a column later.
+        terms = np.zeros((4, len(pair) + 1))
+        terms[0, 1:] = self.cost - self.benchmark_cost
+        terms[1, 2:] = np.linalg.norm(np.diff(np.hstack([theta, eta]), axis=0), axis=1)
+        terms[2, 1:] = np.linalg.norm(self.w, axis=1)
+        terms[3, 1:] = np.linalg.norm(self.v, axis=1)
+        return RegretLedger(*np.cumsum(terms, axis=1)[:, -1].tolist())
 
     def _take(self, rows):
         self.__dict__.update({name: value[rows] for name, value in vars(self).items()
@@ -266,20 +269,28 @@ class RunRecord:
 def _step_flags(record, monitors, lo, hi):
     """Invariant flags of steps lo..hi-1 of a run, one boolean column per flag.
 
-    Every monitor is a matrix product over the recorded rows: state and input
-    membership against X and U, the plan against the tightened stage-residual
-    map, the steady-state input against S-bar, the c_g cap, the step's
+    State and input membership against X and U, the plan against the
+    tightened stage-residual map and the step's process disturbance w against
+    W (for the vehicle, the linearization residual) come from one product of
+    the recorded columns [x_true | u | x_meas, u_pred | w] with the stacked
+    facets of ``tables.monitor`` (a ``FacetStack``), in blocks of rows whose
+    product stays within a ``ROW_BLOCK``-row product of the tail set's
+    facets. Each answer is its set's own product's: a row within rounding of
+    the tolerance, or with a non-finite entry, takes those; so a NaN or inf
+    fails only the monitors whose columns hold it. The steady-state input is
+    checked against S-bar, the c_g cap by its norms, and the step's
     prediction against the previous steady state through the tail-set
-    facets, and the step's process disturbance w against W (for the vehicle,
-    the linearization residual). A NaN input fails its monitor. The tube
-    margin is raised to -tube_band, which leaves both tube flags as they are
-    and lets the facet product skip the rows whose distance from G_K u_ss
-    cannot reach the facets (``ZonotopeMembership.margins``).
+    facets; there the tube margin is raised to -tube_band, which leaves both
+    tube flags as they are and lets the facet product skip the rows whose
+    distance from G_K u_ss cannot reach the facets
+    (``ZonotopeMembership.margins``).
     """
     model, tables, manifold, c_g = monitors
     tol = model.membership_tol
     rows = slice(lo, hi)
-    plan = worst_stage_residuals(tables, record.x_meas[rows], record.u_pred[rows])
+    state_ok, input_ok, plan_ok, resid_ok = tables.monitor.within(
+        [record.x_true[rows], record.u[rows], record.x_meas[rows], record.u_pred[rows],
+         record.w[rows] - model.w_set.center], tol)
     dist = np.linalg.norm(record.theta_hat[rows] - record.pred_state[rows], axis=1)
     # The tube compares step t's prediction with G_K u_ss of step t - 1; step
     # 0 has no predecessor and passes.
@@ -294,15 +305,15 @@ def _step_flags(record, monitors, lo, hi):
         tube_marginal[first - lo:] = tube_ok[first - lo:] & (
             margin + model.tube_band > MARGINAL_TOL)
     return {
-        "state_ok": model.x_set.violations(record.x_true[rows]) <= tol,
-        "input_ok": model.u_set.violations(record.u[rows]) <= tol,
+        "state_ok": state_ok,
+        "input_ok": input_ok,
         "candidate_ok": record.candidate_ok[rows],
-        "plan_ok": plan <= tol,
+        "plan_ok": plan_ok,
         "zs_ok": manifold.sbar.violations(record.u_ss[rows]) <= 1e-7,
         "g_cap_ok": record.g_norm[rows] <= c_g * dist + 1e-8,
         "tube_ok": tube_ok,
         "tube_marginal": tube_marginal,
-        "resid_ok": model.w_margins(record.w[rows]) <= tol,
+        "resid_ok": resid_ok,
     }
 
 

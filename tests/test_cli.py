@@ -479,6 +479,39 @@ class TestCountsBelowOne:
         assert not (tmp_path / "s" / "sweep_rows.csv").exists()
 
 
+class TestPathLevels:
+    """A path level is a hop count, and each hop needs a step of its own: a
+    level below 0, or one that rounds to sweep.horizon hops or more, is a
+    config error naming the field (exit 2) in regret-sweep and validate."""
+
+    @pytest.mark.parametrize("new", ["path_levels = [0, 30]", "path_levels = [-1]",
+                                     "path_levels = [29.6]"])
+    @pytest.mark.parametrize("command", ["regret-sweep", "validate"])
+    def test_exit_2(self, tmp_path, capsys, command, new):
+        cfg = write_cfg(tmp_path, MINI_GENERIC + SWEEP_TAIL.replace("path_levels = [0]", new))
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "s"), "--quiet"]) == 2
+        captured = capsys.readouterr()
+        assert "field 'sweep.path_levels'" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+        assert not (tmp_path / "s" / "sweep_rows.csv").exists()
+
+    @pytest.mark.parametrize("command", ["regret-sweep", "validate"])
+    def test_bundled_design_on_a_short_horizon_exits_2(self, tmp_path, capsys, command):
+        text = (CONFIGS / "regret_sweep.cfg").read_text()
+        assert text.count("horizon = 400") == 2
+        cfg = write_cfg(tmp_path, text.replace("horizon = 400", "horizon = 5"))
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "s"), "--quiet"]) == 2
+        assert "field 'sweep.path_levels'" in capsys.readouterr().err
+
+    def test_one_hop_per_step_runs(self, tmp_path):
+        # 29.4 rounds to 29 hops on 30 steps: a hop at every step after step 0
+        cfg = write_cfg(tmp_path, MINI_GENERIC + SWEEP_TAIL.replace("path_levels = [0]",
+                                                                    "path_levels = [29.4]"))
+        assert main(["regret-sweep", "--config", cfg, "--out", str(tmp_path / "s"),
+                     "--quiet"]) == 0
+        assert len((tmp_path / "s" / "sweep_rows.csv").read_text().splitlines()) == 1 + 2
+
+
 class TestFloatBounds:
     """Out-of-range floats are config errors naming the field (exit 2) in
     every command, before anything is built or run."""

@@ -11,6 +11,8 @@ from hypothesis.extra.numpy import arrays
 from scipy.optimize import linprog
 
 from ocorobust.convexsets import (
+    ROW_BLOCK,
+    FacetStack,
     HPolytope,
     Zonotope,
     ZonotopeMembership,
@@ -398,3 +400,54 @@ class TestMergeParallel:
             dirs = rng.standard_normal((50, 3))
             assert np.allclose(merged.support_batch(dirs), z.support_batch(dirs),
                                rtol=0.0, atol=1e-12)
+
+
+class TestFacetStack:
+    """``FacetStack.within`` against each polytope's own product on its own
+    columns, on general (not axis-aligned) normals, over several blocks."""
+
+    def stack_and_points(self):
+        rng = np.random.default_rng(7)
+        blocks = [(rng.normal(size=(f, w)), rng.uniform(0.5, 2.0, f))
+                  for f, w in ((4, 2), (3, 1), (7, 5))]
+        stack = FacetStack(blocks, widest=1)
+        assert stack.rows == ROW_BLOCK * 7 // 14 and 2 * stack.rows < 90
+        return blocks, stack, rng.normal(size=(90, 8))
+
+    @staticmethod
+    def own(blocks, stack, points):
+        return np.array([(points[:, c:d] @ n.T - o).max(axis=1)
+                         for (n, o), (c, d) in zip(blocks, stack.columns)])
+
+    def test_margins_at_and_one_ulp_around_the_tolerance(self):
+        blocks, stack, points = self.stack_and_points()
+        own = self.own(blocks, stack, points)
+        columns = [points[:, :3], points[:, 3:]]  # a column array may span groups
+        for k, row in ((0, 5), (1, 40), (2, 77)):
+            for tol in (own[k, row], np.nextafter(own[k, row], -np.inf),
+                        np.nextafter(own[k, row], np.inf)):
+                assert np.array_equal(stack.within(columns, tol), own <= tol)
+
+    def test_margins_at_and_one_ulp_around_zero(self):
+        blocks, stack, points = self.stack_and_points()
+        normals, offsets = blocks[1]
+        # group 1 is one column: put rows on a facet of it (margin 0 there)
+        # and one ulp inside and outside
+        edge = offsets[0] / normals[0, 0]
+        points[10:13, 2] = [edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)]
+        own = self.own(blocks, stack, points)
+        assert (own[1, 10:13] == 0.0).any()
+        for tol in (0.0, -5e-324, 5e-324):
+            assert np.array_equal(stack.within([points], tol), own <= tol)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_fails_only_its_polytope(self, value):
+        blocks, stack, points = self.stack_and_points()
+        clean = stack.within([points], 0.5)
+        for k, (c, d) in enumerate(stack.columns):
+            hit = points.copy()
+            hit[3 + k, c] = value
+            got = stack.within([hit], 0.5)
+            want = clean.copy()
+            want[k, 3 + k] = False
+            assert np.array_equal(got, want), k

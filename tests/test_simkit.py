@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ocorobust import oco_controller as oco
 from ocorobust import simkit
+from ocorobust.convexsets import ZonotopeMembership
 from ocorobust.errors import DimensionMismatch, InfeasibleError, OcoRobustError
 from ocorobust.oco_controller import ControllerConfig
 from ocorobust.denseqp import PrefactoredQp
@@ -845,6 +846,131 @@ class TestBatchedFlags:
         assert trace.flags["tube_ok"].all()
         assert np.flatnonzero(~flags["tube_ok"]).tolist() == [7]
         assert not flags["tube_marginal"][7]
+
+
+# The monitors of the one stacked product (``tables.monitor``) and S-bar's,
+# by the recorded column each reads.
+READERS = {"x_true": "state_ok", "u": "input_ok", "x_meas": "plan_ok", "u_pred": "plan_ok",
+           "u_ss": "zs_ok", "w": "resid_ok"}
+
+
+@pytest.fixture(params=["double_integrator", "vehicle"])
+def flagged_run(request, di_bundle, di_cost):
+    """(trace, monitors) of a finished run on the bundled double integrator's
+    model and on the vehicle's, every monitor passing."""
+    if request.param == "vehicle":
+        from ocorobust import vehicle
+
+        setup = vehicle.vehicle_setup(vehicle.VehicleParams())
+        model, tables, manifold = setup.model, setup.tables, setup.manifold
+        c_g = ControllerConfig(gamma=setup.params.gamma, c_g=setup.params.c_g).effective_c_g(model)
+        trace, _, _ = vehicle.run_scenario("explicit", seed=0, horizon_steps=120, setup=setup)
+    else:
+        model, tables, manifold = di_bundle
+        controller = ControllerConfig(gamma=0.3)
+        c_g = controller.effective_c_g(model)
+        zeta0 = optimal_steady_state(manifold, di_cost, model)
+        trace, _ = run_closed_loop(model, tables, manifold, controller, ConstantSchedule(di_cost),
+                                   DisturbancePolicy(seed=0), 150, zeta0=zeta0, x0=zeta0[0])
+    assert all(trace.flags[name].all() for name in READERS.values())
+    return trace, (model, tables, manifold, c_g)
+
+
+def with_columns(trace, **columns):
+    """A copy of ``trace`` with the given columns replaced."""
+    out = copy.copy(trace)
+    out.__dict__.update(columns)
+    return out
+
+
+def at_bounds(trace, monitors):
+    """A copy of ``trace`` whose rows 10..15 put the first coordinate of
+    x_true, u and w on the upper face of X, U and W, one ulp inside and one
+    outside it, then at the face plus the default tolerance and one ulp
+    either side; and whose u_ss rows 10..15 lie on S-bar's 1e-7 bound along
+    its first facet normal, rows 11 and 12 one ulp inside and outside."""
+    model, _, manifold, _ = monitors
+    rows = slice(10, 16)
+    columns = {}
+    for name, face in (("x_true", model.x_set), ("u", model.u_set), ("w", None)):
+        column = getattr(trace, name).copy()
+        unit = np.eye(column.shape[1])[0]
+        top = model.w_set.support_batch([unit])[0] if face is None else face.offsets[
+            np.flatnonzero((face.normals == unit).all(axis=1))[0]]
+        past = top + model.membership_tol
+        column[rows, 0] = [top, np.nextafter(top, -np.inf), np.nextafter(top, np.inf),
+                           past, np.nextafter(past, -np.inf), np.nextafter(past, np.inf)]
+        columns[name] = column
+    normal, offset = manifold.sbar.normals[0], manifold.sbar.offsets[0]
+    reach = (offset + 1e-7) / (normal @ normal) * normal
+    u_ss = trace.u_ss.copy()
+    u_ss[rows] = reach
+    u_ss[11:13, 0] = np.nextafter(reach[0], [-np.inf, np.inf])
+    columns["u_ss"] = u_ss
+    return with_columns(trace, **columns)
+
+
+class TestMonitorProduct:
+    """The flags of the one stacked product against each set's own answer."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_fails_only_its_monitor(self, flagged_run, value):
+        trace, monitors = flagged_run
+        clean = simkit._step_flags(trace, monitors, 0, len(trace))
+        for column, reader in READERS.items():
+            for j in range(getattr(trace, column).shape[1]):
+                hit = getattr(trace, column).copy()
+                hit[9, j] = value
+                with np.errstate(invalid="ignore"):  # the tube's product of an inf u_ss
+                    flags = simkit._step_flags(with_columns(trace, **{column: hit}), monitors,
+                                               0, len(trace))
+                for name in set(READERS.values()):
+                    want = clean[name].copy()
+                    want[9] &= name != reader
+                    assert np.array_equal(flags[name], want), (column, j, name)
+
+    def test_margins_at_the_bounds_get_the_per_set_answer(self, flagged_run):
+        # X, U and W are boxes here, faces along the axes; S-bar's facets
+        # are not. The plan's margin has no set method: its own product is
+        # checked on general normals in test_convexsets.TestFacetStack.
+        trace, monitors = flagged_run
+        model, tables, manifold, c_g = monitors
+        hit = at_bounds(trace, monitors)
+        per_set = {"state_ok": model.x_set.violations(hit.x_true),
+                   "input_ok": model.u_set.violations(hit.u),
+                   "resid_ok": ZonotopeMembership(model.w_set).margins(hit.w)}
+        for name, margins in per_set.items():
+            assert margins[10] == 0.0 and margins[11] < 0.0 < margins[12]
+            assert margins[14] < margins[13] < margins[15]
+        zs = manifold.sbar.violations(hit.u_ss)
+        assert np.abs(zs[10:16] - 1e-7).max() < 1e-12
+        for tol in (0.0, model.membership_tol, per_set["state_ok"][13],
+                    per_set["resid_ok"][13]):
+            model_at = copy.copy(model)
+            model_at.membership_tol = tol
+            flags = simkit._step_flags(hit, (model_at, tables, manifold, c_g), 0, len(hit))
+            for name, margins in per_set.items():
+                assert np.array_equal(flags[name], margins <= tol), (name, tol)
+            assert np.array_equal(flags["zs_ok"], zs <= 1e-7)
+
+    def test_one_row_and_one_block_calls_match_the_whole_run(self, flagged_run):
+        # abort_on_violation flags a step-by-step step as one row and a
+        # run-ahead block as one call
+        trace, monitors = flagged_run
+        for record in (trace, at_bounds(trace, monitors)):
+            whole = simkit._step_flags(record, monitors, 0, len(record))
+            for size in (1, 37):
+                part = with_columns(record)
+                part.flags, part.flagged = {}, 0
+                for hi in range(size, len(record) + size, size):
+                    part.flag(min(hi, len(record)), monitors)
+                for name, column in whole.items():
+                    assert np.array_equal(part.flags[name], column), (size, name)
+
+    def test_abort_on_violation_run_has_the_whole_run_flags(self, di_run):
+        flags = di_run(horizon=150)[0].flags
+        aborting = di_run(horizon=150, abort_on_violation=True)[0].flags
+        assert all(np.array_equal(aborting[name], column) for name, column in flags.items())
 
 
 class TestRegretScaling:

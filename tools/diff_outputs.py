@@ -6,9 +6,11 @@ PARENT_DIR and CHANGE_DIR are two checkouts of the repository. In each, every
 call runs in a fresh process, with the checkout as working directory and its
 ``src`` on PYTHONPATH: ``ocorobust run`` on the three bundled run configs, on
 copies of ``double_integrator.cfg``, ``vehicle_explicit.cfg`` and
-``vehicle_optimized.cfg`` with ``experiment.seeds = 3`` and on a copy of ``double_integrator.cfg`` whose
-weights go A -> B -> A (a piece with q_u = [[2.0]] from step 75, then the
-first weights again from step 150), ``regret-sweep`` on
+``vehicle_optimized.cfg`` with ``experiment.seeds = 3``, on a copy of
+``double_integrator.cfg`` whose weights go A -> B -> A (a piece with q_u =
+[[2.0]] from step 75, then the first weights again from step 150) and on a
+copy of ``double_integrator.cfg`` with ``experiment.abort_on_violation =
+true`` (flagged block by block as the run goes), ``regret-sweep`` on
 ``configs/regret_sweep.cfg`` and ``validate`` on all four configs. A call's
 outputs are the files it writes to ``--out``, its stdout, its stderr and its
 exit code. They go under ``--work`` (by default a temporary directory,
@@ -43,7 +45,7 @@ CALLS = (
                                       "vehicle_optimized")]
     + [("run", name, "seeds3") for name in ("double_integrator", "vehicle_explicit",
                                             "vehicle_optimized")]
-    + [("run", "double_integrator", "return")]
+    + [("run", "double_integrator", copy) for copy in ("return", "abort")]
     + [("regret-sweep", "regret_sweep", None)]
     + [("validate", name, None) for name in ("double_integrator", "regret_sweep",
                                              "vehicle_explicit", "vehicle_optimized")])
@@ -64,6 +66,7 @@ ref_u = [0.0]
 COPIES = {
     "seeds3": ("\nseeds = 1\n", "\nseeds = 3\n"),
     "return": ("\n[cost.1]\n", "\n" + RETURN_PIECE),
+    "abort": ("\nseeds = 1\n", "\nseeds = 1\nabort_on_violation = true\n"),
 }
 
 

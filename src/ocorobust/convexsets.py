@@ -312,7 +312,7 @@ class FacetStack:
     more than a ``ROW_BLOCK``-row product of the widest set would.
     """
 
-    def __init__(self, blocks, widest=0):
+    def __init__(self, blocks, widest):
         self.blocks = [(as_matrix(n, "normals"), as_vector(o, "offsets")) for n, o in blocks]
         facets = np.cumsum([0] + [len(o) for _, o in self.blocks])
         widths = np.cumsum([0] + [n.shape[1] for n, _ in self.blocks])
@@ -329,8 +329,8 @@ class FacetStack:
         # max|offsets_k|. The slack, _slope max|p| + _floor, is twice the
         # bound on their difference.
         scale = 2.0 * np.finfo(float).eps * (np.diff(widths) + 1)
-        self._slope = (scale * [np.abs(n).sum(axis=1).max() for n, _ in self.blocks])[:, None]
-        self._floor = (scale * [np.abs(o).max() for _, o in self.blocks])[:, None]
+        self._slope = scale * [np.abs(n).sum(axis=1).max() for n, _ in self.blocks]
+        self._floor = scale * [np.abs(o).max() for _, o in self.blocks]
 
     def within(self, columns, tol):
         """(polytopes, rows) booleans: whether each row's worst margin in
@@ -347,14 +347,16 @@ class FacetStack:
         """
         count = len(columns[0])
         worst = np.empty((len(self.blocks), count))
+        scale = 0.0  # the largest |entry| of the rows, their ones included
         with np.errstate(invalid="ignore"):  # 0 x inf in the zero blocks
             for lo in range(0, count, self.rows):
-                values = self.matrix @ self._points(columns, lo).T
+                points = self._points(columns, lo)
+                scale = np.maximum(scale, np.abs(points).max())
+                values = self.matrix @ points.T
                 for k, (a, b) in enumerate(self.facets):
                     np.max(values[a:b], axis=0, out=worst[k, lo:lo + self.rows])
-            scale = np.max([np.abs(column).max(initial=0.0) for column in columns])
-            near = ~(np.abs(worst - tol) > self._slope * scale + self._floor)
-            for k in np.flatnonzero(near.any(axis=1)):
+            gap = np.abs(worst - tol).min(axis=1, initial=np.inf)
+            for k in np.flatnonzero(~(gap > self._slope * scale + self._floor)):
                 (normals, offsets), (c, d) = self.blocks[k], self.columns[k]
                 for lo in range(0, count, self.rows):
                     own = self._points(columns, lo)[:, c:d] @ normals.T - offsets

@@ -183,9 +183,10 @@ class RunRecord:
         """Compute the flags of the rows not yet flagged below ``hi``."""
         lo = self.flagged
         if lo < hi:
-            for name, column in _step_flags(self, monitors, lo, hi).items():
-                if name not in self.flags:
-                    self.flags[name] = np.ones(len(self.t), bool)
+            flags = _step_flags(self, monitors, lo, hi)
+            if not self.flags:  # each flag's column for every row, made once
+                self.flags = dict(zip(flags, np.ones((len(flags), len(self.t)), bool)))
+            for name, column in flags.items():
                 self.flags[name][lo:hi] = column
             self.flagged = hi
 

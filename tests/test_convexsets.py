@@ -416,8 +416,11 @@ class TestFacetStack:
 
     @staticmethod
     def own(blocks, stack, points):
-        return np.array([(points[:, c:d] @ n.T - o).max(axis=1)
-                         for (n, o), (c, d) in zip(blocks, stack.columns)])
+        """Each polytope's own product on each block of ``stack.rows`` rows."""
+        parts = np.split(points, range(stack.rows, len(points), stack.rows))
+        return np.hstack([[(part[:, c:d] @ n.T - o).max(axis=1)
+                           for (n, o), (c, d) in zip(blocks, stack.columns)]
+                          for part in parts])
 
     def test_margins_at_and_one_ulp_around_the_tolerance(self):
         blocks, stack, points = self.stack_and_points()

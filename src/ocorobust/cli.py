@@ -204,6 +204,12 @@ def load_config(path, command="run"):
         if any(level < 0 or round(level) >= horizon for level in sweep["path_levels"]):
             raise ConfigError(f"every level must be at least 0 and round to fewer hops than "
                               f"sweep.horizon = {horizon}", field="sweep.path_levels")
+    if "direction" in sweep and "a" in cfg["model"]:
+        # The hops move ref_x along it, one entry per state.
+        states = len(cfg["model"]["a"])
+        if len(sweep["direction"]) != states:
+            raise ConfigError(f"needs one entry per state of model.a ({states})",
+                              field="sweep.direction")
     return cfg
 
 

@@ -21,7 +21,8 @@ iteration (the most violated row made active) is tried from it; otherwise GI
 runs cold. A caller that forms the guess itself (the controller's rollout
 map) hands it to the same test and fallback (``_from_guess``); one that also
 forms the guess's stacked products (the controller's step map, which
-composes them into its own rows) hands those to the same rule (``keeps``)
+composes them into its own rows) hands those to the same rule (``keeps``,
+or ``guess_status`` with equality rows: the controller's optimized rows)
 and a rejected guess to the fallback (``_rejected``). ``guess_rows`` makes
 the guess for many linear terms at once and ``kept_rows`` tests many guesses
 formed elsewhere by that rule. No state is kept between solves.
@@ -184,26 +185,44 @@ class PrefactoredQp:
         multipliers, as ``_assemble`` would return it with lam = 0; None when
         a row fails GI's stopping test (slack b - A x >= -0.1 tol).
 
-        ``prod`` is ``stacked @ x``. One max and one min of the row slacks
-        give the stopping test and the KKT terms: with lam = 0 the
-        complementarity term is 0 * min(viol), NaN exactly when a row is NaN
-        or -inf (a +inf row has failed the stopping test).
+        ``prod`` is ``stacked @ x``; ``guess_status`` tests the stacked
+        products.
         """
         n, mineq = x.size, ineq_b.size
+        grad = prod[:n] + linear
+        if self.meq:
+            grad += self.eq_normals.T @ nu
+        checked = self.guess_status(grad, prod[n:n + mineq] - ineq_b if mineq else None,
+                                    prod[n + mineq:] - eq_b if self.meq else None, tol)
+        if checked is None:
+            return None
+        return QpSolution(x=x, kkt_residual=checked[0], status=checked[1],
+                          ineq_multipliers=self.no_ineq, eq_multipliers=nu)
+
+    @staticmethod
+    def guess_status(grad, viol, eq_res, tol=DEFAULT_TOL):
+        """``_equality_guess``'s test of a guess x with zero inequality
+        multipliers, from its stationarity rows ``grad`` = H x + q + E' nu,
+        its row residuals ``viol`` = A x - b and its equality residuals
+        ``eq_res`` = E x - b_eq (None for a solver without such rows),
+        formed by ``_equality_guess`` or by the caller
+        (``oco.OptimizedRows``, which composes them into its rows). Returns
+        None when a row fails GI's stopping test (slack b - A x >= -0.1
+        tol), else (KKT residual, status): "optimal" exactly when every term
+        is within tol (``keeps``' rule, with the equality term). One max and
+        one min of the row residuals give the stopping test and the KKT
+        terms: with lam = 0 the complementarity term is 0 * min(viol), NaN
+        exactly when a row is NaN or -inf (a +inf row has failed the
+        stopping test)."""
         terms = []
-        if mineq:
-            viol = prod[n:n + mineq] - ineq_b
+        if viol is not None:
             top = float(np.maximum.reduce(viol))
             if top > 0.1 * tol:
                 return None
             terms += [max(top, 0.0), 0.0 * float(np.minimum.reduce(viol))]
-        grad = prod[:n] + linear
-        if self.meq:
-            grad += self.eq_normals.T @ nu
-            terms.append(float(np.maximum.reduce(np.abs(prod[n + mineq:] - eq_b))))
-        res, status = _residual_status([math.sqrt(grad @ grad), *terms], "optimal", tol)
-        return QpSolution(x=x, kkt_residual=res, status=status,
-                          ineq_multipliers=self.no_ineq, eq_multipliers=nu)
+        if eq_res is not None:
+            terms.append(float(np.maximum.reduce(np.abs(eq_res))))
+        return _residual_status([math.sqrt(grad @ grad), *terms], "optimal", tol)
 
     def _one_row_step(self, prod, linear, ineq_b, eq_b, x, tol):
         """GI's first iteration from the failed guess x (no equality rows):

@@ -170,7 +170,8 @@ class QuadraticStepMap:
     ``pred``, ``theta``, ``gap``, ``g``, ``reach``, ``eta``, ``plan``,
     ``u``, ``grad`` and ``viol`` pick them from it. ``step`` keeps a row
     only where its condition holds, and takes the module functions
-    everywhere else.
+    everywhere else. The optimized variant takes its rows from the map's
+    ``OptimizedRows`` for its rollout map (``optimized``).
     """
 
     def __init__(self, tables, manifold, cost, gamma):
@@ -218,6 +219,7 @@ class QuadraticStepMap:
         self.matrix = np.vstack(list(blocks.values()))
         self.tables, self.manifold, self.gamma = tables, manifold, gamma
         self._lifted = None  # the map's LiftedSteps, built on first use
+        self._optimized = []  # its OptimizedRows, one per rollout map, built on first use
 
     def rows_at(self, x_meas, candidate, *ref):
         """The map's rows at (x_meas, candidate) and the reference [ref_x;
@@ -225,6 +227,18 @@ class QuadraticStepMap:
         product, so a reference handed as data takes the same step to the
         bit as the cost's own."""
         return self.matrix @ np.concatenate((x_meas, candidate, *ref, _ONE))
+
+    def optimized(self, rollout_map):
+        """The map's ``OptimizedRows`` for the ``RolloutMap`` ``rollout_map``:
+        built on the first call for that map and kept. A step map serves the
+        rollout maps of one weight pair's phases, a few at most, so they are
+        found by identity in a list."""
+        for rows in self._optimized:
+            if rows.rollout_map is rollout_map:
+                return rows
+        rows = OptimizedRows(self, rollout_map)
+        self._optimized.append(rows)
+        return rows
 
     def lifted(self, a, b):
         """The map's ``LiftedSteps`` for the plant x+ = A x + B u + w (``a``,
@@ -234,6 +248,119 @@ class QuadraticStepMap:
         if self._lifted is None:
             self._lifted = LiftedSteps(self, a, b)
         return self._lifted
+
+
+class OptimizedRows:
+    """A ``QuadraticStepMap``'s rows for the optimized variant with one
+    ``RolloutMap``, the map of the step's rollout QP.
+
+    Where the projector keeps the step map's guess, the rollout map's w =
+    [x_meas; candidate; theta_hat; d; 1] is affine in the step map's z =
+    [x_meas; candidate; ref_x; ref_u; 1], since theta_hat and the reach gap
+    d are the step map's ``theta`` and ``gap`` rows. So the rollout map's
+    rows composed with them are affine in z too, and with them the rollout
+    QP's equality-constrained optimum: on the region where no inequality row
+    binds, the QP's solution is one affine law of its data, the observation
+    of explicit MPC (Bemporad, Morari, Dua & Pistikopoulos, *Automatica*
+    2002). The rows hold, from that optimum, g (its first mu*m variables),
+    g's growth R_u g of the stage residuals (``growth``), the residuals base
+    + R_u g of the plan at beta = 1 (``reach``), the plan [candidate + g;
+    eta] and the input plan[:m] + K x_meas; and the optimum's stacked
+    products, on which the rollout solver decides it
+    (``PrefactoredQp.guess_status``), composed from ``solver.stacked`` as
+    ``QuadraticStepMap`` composes the projector's: the stationarity rows H x
+    + linear + E' nu (``rollout_grad``), the inequality rows A x less the
+    map's offsets (``rollout_viol``; the step subtracts its offset shift)
+    and the equality residual E x - d (``rollout_eq``).
+
+    The rows keep the step map's layout, with these g, reach, head and u in
+    place of the explicit step's, and the four blocks above after them; so
+    the step map's slices pick the rows here too, and every row the two
+    share sits at the same place in its group of rows, where BLAS rounds it
+    as the step map's product does (see ``QuadraticStepMap``; only the step
+    map's last rows, when their count is not a multiple of 4, are grouped
+    otherwise here: its ``u`` rows on the bundled double integrator). One
+    product of ``matrix`` (``rows_at``) gives them all.
+    """
+
+    rows_at = QuadraticStepMap.rows_at  # the same product, of this matrix
+
+    def __init__(self, step_map, rollout_map):
+        matrix, tables, solver = step_map.matrix, step_map.tables, rollout_map.solver
+        m, cols = tables.feedback.shape[0], matrix.shape[1]
+        nv = step_map.g.stop - step_map.g.start
+        n, nvar, mineq = solver.meq, solver.hessian.shape[0], solver.ineq_normals.shape[0]
+        gap, rollout = matrix[step_map.gap], rollout_map.matrix
+        # w from z: x_meas and candidate as they are, then theta_hat, d and 1
+        to_w = np.vstack([np.eye(n + nv, cols), matrix[step_map.theta], gap,
+                          np.eye(1, cols, cols - 1)])
+        rows = rollout @ to_w
+        x = rows[rollout_map.x]
+        stacked = solver.stacked @ x
+        g = x[:nv]
+        growth = tables.residual_u @ g
+        head = g + np.eye(nv, cols, n)  # + candidate
+        blocks = dict(
+            g=g, reach=matrix[step_map.base] + growth, head=head, eta=matrix[step_map.eta],
+            u=head[:m] + np.hstack([tables.feedback, np.zeros((m, cols - n))]),
+            growth=growth,
+            rollout_grad=(stacked[:nvar] + rows[rollout_map.linear]
+                          + solver.eq_normals.T @ rows[rollout_map.nu]),
+            rollout_viol=stacked[nvar:nvar + mineq] - rows[rollout_map.offsets],
+            rollout_eq=stacked[nvar + mineq:] - gap)
+        at = step_map.g.start  # the step map's rows before g, as they are
+        for name, block in blocks.items():
+            setattr(self, name, slice(at, at + len(block)))
+            at += len(block)
+        for name in ("grad", "viol", "base", "linear", "pred", "theta", "gap", "plan"):
+            setattr(self, name, getattr(step_map, name))
+        self.has_viol = mineq > 0
+        self.matrix = np.vstack([matrix[:step_map.g.start], *blocks.values()])
+        self.rollout_map = rollout_map
+        # How far the rollout map's own product and the solver's, from w,
+        # may round the guess's KKT terms, per unit of |w|: the row sums of
+        # |H| |x rows| + |linear rows| + |E'| |nu rows| and of |E| |x rows|
+        # + |d columns|, each row's terms summed with at most cols + nvar + 2
+        # roundings (Higham, *Accuracy and Stability of Numerical
+        # Algorithms*, 2nd ed., 2002, sec. 3.1), and sqrt(nvar) for the
+        # stationarity norm.
+        abs_x = np.abs(rollout[rollout_map.x])
+        sums = np.concatenate([
+            (np.abs(solver.hessian) @ abs_x + np.abs(rollout[rollout_map.linear])
+             + np.abs(solver.eq_normals.T) @ np.abs(rollout[rollout_map.nu])).sum(axis=1),
+            (np.abs(solver.eq_normals) @ abs_x).sum(axis=1) + 1.0])
+        self.rounding = ((rollout.shape[1] + nvar + 2) * np.finfo(float).eps
+                         * math.sqrt(nvar) * float(sums.max()))
+
+    def additional_input(self, out, x_meas, candidate, shift, gap_norm, c_g):
+        """The optimized step's (g, growth, KKT residual) from the rows
+        ``out`` at (``x_meas``, ``candidate``) of a step whose projection
+        kept the step map's guess, with the rollout's offset shift ``shift``
+        (None: none) and the reach gap's norm ``gap_norm``, where they
+        decide it as ``additional_input_optimized`` decides it from its own
+        products: DEGENERATE_TOL < |d| < inf, the rollout solver keeps the
+        guess (``PrefactoredQp.guess_status``) with room for those products'
+        rounding (``rounding`` |w| more in its KKT residual, so their own
+        test keeps it too), and |g| is within the cap c_g |d|. Else None,
+        and the step takes ``additional_input_optimized``."""
+        if not DEGENERATE_TOL < gap_norm < np.inf:
+            return None
+        viol = None
+        if self.has_viol:
+            viol = out[self.rollout_viol] if shift is None else out[self.rollout_viol] - shift
+        checked = self.rollout_map.solver.guess_status(out[self.rollout_grad], viol,
+                                                       out[self.rollout_eq], DEFAULT_TOL)
+        if checked is None:
+            return None
+        theta = out[self.theta]
+        w_norm = math.sqrt(x_meas @ x_meas + candidate @ candidate + theta @ theta
+                           + gap_norm * gap_norm + 1.0)
+        if not checked[0] + self.rounding * w_norm <= DEFAULT_TOL:
+            return None
+        g = out[self.g]
+        if math.sqrt(g @ g) > c_g * gap_norm * (1 + 1e-9):
+            return None
+        return g, out[self.growth], checked[0]
 
 
 class LiftedSteps:
@@ -548,16 +675,22 @@ def step(state, model, tables, manifold, x_meas, grad_prev, options, step_map=No
     (``simkit.closed_loop`` checks a map built beforehand once, before its
     first step), so the step does not check it. Without one the step calls
     the gradient oracle.
-    With a map, the projection keeps the map's guess when the projector's
-    rule keeps it on the map's ``grad`` and ``viol`` rows
-    (``PrefactoredQp.keeps``; a rejected guess goes on to the one-row step
-    or GI, ``PrefactoredQp._rejected``), and the explicit variant then
-    takes g, beta = 1, the plan and u from the map's rows where they settle
-    the step (``_rows_settle``). The optimized variant
-    takes its reach gap from the map's rows, and its g, where the rollout's
-    own guess is kept, from the rollout map's rows
-    (``additional_input_optimized``). Every other case takes the additional
-    input, ``max_beta`` and the blend.
+    With a map, the step makes one product: of the map, or in the
+    optimized variant of the map's ``OptimizedRows`` for the step's rollout
+    map, which holds the map's rows with the rollout's composed in. The
+    projection keeps the map's guess when the projector's rule keeps it on
+    the ``grad`` and ``viol`` rows (``PrefactoredQp.keeps``; a rejected
+    guess goes on to the one-row step or GI, ``PrefactoredQp._rejected``).
+    The explicit variant then takes g, beta = 1, the plan and u from the
+    rows where they settle the step (``_rows_settle``). The optimized
+    variant takes g, its growth and its KKT residual from the rows where
+    they decide it (``OptimizedRows.additional_input``), and then beta = 1,
+    the plan and u from the rows where they settle the step; where they do
+    not, ``max_beta`` gets the rows' g and growth. Where the rows do not
+    decide g, the optimized variant takes its reach gap from the map's rows
+    (while the guess is kept) and g from ``additional_input_optimized``.
+    Every other case takes the additional input, ``max_beta`` and the
+    blend.
     """
     t = state.t + 1
     try:
@@ -565,6 +698,7 @@ def step(state, model, tables, manifold, x_meas, grad_prev, options, step_map=No
         m = model.m
         candidate = state.plan[m:]  # the plan shifted by one step, u_ss held
         out = None  # the map's rows, while the step keeps its guess
+        rollout = None if options.rollout_builder is None else options.rollout_builder.rollout()
         if step_map is None:
             if ref is not None:
                 n = x_meas.size
@@ -572,43 +706,53 @@ def step(state, model, tables, manifold, x_meas, grad_prev, options, step_map=No
             # One stacked product (see TighteningTables): the candidate's
             # stage residuals, the gradient point v, the projection's base
             # linear term q0 and the candidate's mu-step-ahead state pred.
-            rows = tables.rollout_x @ x_meas + tables.rollout_u @ candidate
+            stacked = tables.rollout_x @ x_meas + tables.rollout_u @ candidate
             r = tables.residual_offsets.size
-            base_vals = rows[:r] - tables.residual_offsets
-            pred = rows[r + 2 * m:]
+            base_vals = stacked[:r] - tables.residual_offsets
+            pred = stacked[r + 2 * m:]
             theta_hat, eta_hat = ogd_step(tables, manifold, grad_prev, options.gamma, pred,
-                                          rows[r:r + m], rows[r + m:r + 2 * m])
+                                          stacked[r:r + m], stacked[r + m:r + 2 * m])
         else:
             if options.gamma <= 0:
                 raise ValueError("gamma must be positive")
-            out = (step_map.rows_at(x_meas, candidate, grad_prev.ref_x, grad_prev.ref_u)
-                   if ref is None else step_map.rows_at(x_meas, candidate, ref))
-            base_vals, pred, eta_hat = out[step_map.base], out[step_map.pred], out[step_map.eta]
-            projector, viol = manifold.projector, out[step_map.viol]
-            if projector.keeps(out[step_map.grad], viol, PROJECTION_TOL):
-                theta_hat = out[step_map.theta]
+            # The optimized variant's rows hold the step map's with its
+            # rollout's composed in (OptimizedRows), at the same slices.
+            rows = step_map if rollout is None else step_map.optimized(rollout[0])
+            out = (rows.rows_at(x_meas, candidate, grad_prev.ref_x, grad_prev.ref_u)
+                   if ref is None else rows.rows_at(x_meas, candidate, ref))
+            base_vals, pred, eta_hat = out[rows.base], out[rows.pred], out[rows.eta]
+            projector, viol = manifold.projector, out[rows.viol]
+            if projector.keeps(out[rows.grad], viol, PROJECTION_TOL):
+                theta_hat = out[rows.theta]
             else:
-                sol = projector._rejected(out[step_map.linear], eta_hat, viol,
+                sol = projector._rejected(out[rows.linear], eta_hat, viol,
                                           manifold.sbar.offsets, PROJECTION_TOL)
                 out = None
                 theta_hat, eta_hat = _projected(manifold, sol, PROJECTION_TOL)
         worst = float(np.maximum.reduce(base_vals))
 
-        kkt, fallback, growth, plan, u = None, False, None, None, None
-        if options.rollout_builder is not None:
-            d = theta_hat - pred if out is None else out[step_map.gap]
-            g, kkt, fallback = additional_input_optimized(
-                model, options.rollout_builder.rollout(), x_meas, candidate, theta_hat, d,
-                options.effective_c_g(model))
-        else:
-            if out is not None:
-                gap = out[step_map.gap]
-                reach = float(np.maximum.reduce(out[step_map.reach]))
-                if _rows_settle(math.sqrt(gap @ gap), worst, reach, model.membership_tol):
-                    g, plan, u = out[step_map.g], out[step_map.plan], out[step_map.u]
-                    beta = 1.0
-            if plan is None:
+        kkt, fallback, g, growth, plan, u = None, False, None, None, None, None
+        c_g = None if rollout is None else options.effective_c_g(model)
+        if out is not None:
+            gap = out[rows.gap]
+            gap_norm = math.sqrt(gap @ gap)
+            if rollout is not None:
+                decided = rows.additional_input(out, x_meas, candidate, rollout[1], gap_norm,
+                                                c_g)
+                if decided is not None:
+                    g, growth, kkt = decided
+            if ((rollout is None or g is not None)
+                    and _rows_settle(gap_norm, worst, float(np.maximum.reduce(out[rows.reach])),
+                                     model.membership_tol)):
+                g, plan, u = out[rows.g], out[rows.plan], out[rows.u]
+                beta = 1.0
+        if g is None:
+            if rollout is None:
                 g, growth = additional_input_explicit(tables, theta_hat, pred)
+            else:
+                d = theta_hat - pred if out is None else gap
+                g, kkt, fallback = additional_input_optimized(
+                    model, rollout, x_meas, candidate, theta_hat, d, c_g)
 
         if plan is None:
             beta = max_beta(tables, model, x_meas, candidate, g, _base=(base_vals, worst),

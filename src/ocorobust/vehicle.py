@@ -245,25 +245,22 @@ class _Sensors:
         self.dist = dist.tolist()
 
 
-def _truth_rhs(speed, cos_steer, sin_steer, accel):
-    """Time derivative of (p_x, p_y, speed); the state enters through the speed only."""
-    return speed * cos_steer, speed * sin_steer, accel
-
-
 def _rk4_step(state, u):
-    """One RK4 step of the kinematics on Python floats, in the operation order
-    of the vector form: stage states state + (TAU/2) k_i and state + TAU k_3,
-    then state + (TAU/6) (k1 + 2 k2 + 2 k3 + k4). Only the stage speeds are
-    formed, since nothing else of a stage state enters the derivative."""
+    """One RK4 step of the kinematics (p_x, p_y, speed)' = (speed cos(steer),
+    speed sin(steer), accel) on Python floats, in the operation order of the
+    vector form: stage states state + (TAU/2) k_i and state + TAU k_3, then
+    state + (TAU/6) (k1 + 2 k2 + 2 k3 + k4). The state enters the derivative
+    through the speed only, so only the stage speeds are formed: stages 2
+    and 3 both have speed + (TAU/2) accel, and so the same derivative."""
     steer, accel = float(u[0]), float(u[1])
     cos_steer, sin_steer = math.cos(steer), math.sin(steer)
-    speed = state[2]
-    k1 = _truth_rhs(speed, cos_steer, sin_steer, accel)
-    k2 = _truth_rhs(speed + 0.5 * TAU * k1[2], cos_steer, sin_steer, accel)
-    k3 = _truth_rhs(speed + 0.5 * TAU * k2[2], cos_steer, sin_steer, accel)
-    k4 = _truth_rhs(speed + TAU * k3[2], cos_steer, sin_steer, accel)
-    return tuple(s + (TAU / 6.0) * (a + 2 * b + 2 * c + d)
-                 for s, a, b, c, d in zip(state, k1, k2, k3, k4))
+    p_x, p_y, speed = state
+    mid = speed + 0.5 * TAU * accel  # stages 2 and 3
+    end = speed + TAU * accel  # stage 4
+    mid_x, mid_y = 2 * (mid * cos_steer), 2 * (mid * sin_steer)
+    return (p_x + (TAU / 6.0) * (speed * cos_steer + mid_x + mid_x + end * cos_steer),
+            p_y + (TAU / 6.0) * (speed * sin_steer + mid_y + mid_y + end * sin_steer),
+            speed + (TAU / 6.0) * (accel + 2 * accel + 2 * accel + accel))
 
 
 _REDUCED_A, _REDUCED_B = reduced_dynamics()

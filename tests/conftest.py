@@ -323,25 +323,46 @@ def per_step_rollout(model, rollout, x_meas, candidate, theta_hat, d, c_g):
 
 @pytest.fixture
 def rollout_oracle(monkeypatch):
-    """While active, every ``oco.additional_input_optimized`` call must agree
-    with ``per_step_rollout``: g within 1e-12 relative, the KKT residual
-    within 1e-12 of the linear term's scale, the same fallback. Returns the
-    list of (rollout, (x_meas, candidate, theta_hat, d), result) of the
-    compared calls."""
-    real, seen = oco.additional_input_optimized, []
+    """While active, every optimized step's additional input must agree with
+    ``per_step_rollout``: g within 1e-12 relative, the KKT residual within
+    1e-12 of the linear term's scale, the same fallback. That covers the
+    steps whose ``oco.OptimizedRows`` rows decide it
+    (``OptimizedRows.additional_input`` returns it) and every
+    ``oco.additional_input_optimized`` call. Returns the list of (rollout,
+    (x_meas, candidate, theta_hat, d), (g, KKT residual, fallback), whether
+    the rows decided it) of the compared steps."""
+    real, real_rows, seen = oco.additional_input_optimized, oco.OptimizedRows.additional_input, []
+    step, context = oco.step, {}
 
-    def checked(model, rollout, x_meas, candidate, theta_hat, d, c_g):
-        got = real(model, rollout, x_meas, candidate, theta_hat, d, c_g)
+    def compare(model, rollout, args, got, c_g, from_rows):
         g, kkt, fallback = got
-        want = per_step_rollout(model, rollout, x_meas, candidate, theta_hat, d, c_g)
+        want = per_step_rollout(model, rollout, *args, c_g)
         assert_close(g, want[0], 1e-12, "g")
         assert (kkt is None) == (want[1] is None) and fallback == want[2]
         if kkt is not None:
             assert abs(kkt - want[1]) <= 1e-12 * (1.0 + want[3]), (kkt, want)
-        seen.append((rollout, (x_meas, candidate, theta_hat, d), got))
+        seen.append((rollout, args, got, from_rows))
+
+    def checked(model, rollout, x_meas, candidate, theta_hat, d, c_g):
+        got = real(model, rollout, x_meas, candidate, theta_hat, d, c_g)
+        compare(model, rollout, (x_meas, candidate, theta_hat, d), got, c_g, False)
         return got
 
+    def from_rows(rows, out, x_meas, candidate, shift, gap_norm, c_g):
+        got = real_rows(rows, out, x_meas, candidate, shift, gap_norm, c_g)
+        if got is not None:
+            compare(context["model"], (rows.rollout_map, shift),
+                    (x_meas, candidate, out[rows.theta], out[rows.gap]),
+                    (got[0], got[2], False), c_g, True)
+        return got
+
+    def stepped(state, model, *args):
+        context["model"] = model  # the model from_rows compares on
+        return step(state, model, *args)
+
     monkeypatch.setattr(oco, "additional_input_optimized", checked)
+    monkeypatch.setattr(oco.OptimizedRows, "additional_input", from_rows)
+    monkeypatch.setattr(oco, "step", stepped)
     return seen
 
 

@@ -512,6 +512,33 @@ class TestPathLevels:
         assert len((tmp_path / "s" / "sweep_rows.csv").read_text().splitlines()) == 1 + 2
 
 
+class TestSweepDirection:
+    """The hops move ref_x along sweep.direction, so it has one entry per
+    state of model.a: a longer one (which numpy cannot broadcast) or a
+    shorter one (which it would broadcast to another design) is a config
+    error naming the field (exit 2) in regret-sweep and validate."""
+
+    @pytest.mark.parametrize("new", ["direction = [1.0, 0.0, 0.0]", "direction = [1.0]"])
+    @pytest.mark.parametrize("command", ["regret-sweep", "validate"])
+    def test_bundled_design_exits_2(self, tmp_path, capsys, command, new):
+        text = (CONFIGS / "regret_sweep.cfg").read_text()
+        assert text.count("direction = [1.0, 0.0]\n") == 1
+        cfg = write_cfg(tmp_path, text.replace("direction = [1.0, 0.0]\n", new + "\n"))
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "s"), "--quiet"]) == 2
+        captured = capsys.readouterr()
+        assert "field 'sweep.direction'" in captured.err and "(2)" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+        assert not (tmp_path / "s" / "sweep_rows.csv").exists()
+
+    def test_one_entry_per_state_runs(self, tmp_path):
+        # The 1-state model of MINI_GENERIC with its one-entry direction.
+        cfg = write_cfg(tmp_path, MINI_GENERIC + SWEEP_TAIL)
+        assert main(["validate", "--config", cfg, "--quiet"]) == 0
+        too_long = write_cfg(tmp_path, MINI_GENERIC + SWEEP_TAIL.replace(
+            "direction = [1.0]", "direction = [1.0, 0.0]"))
+        assert main(["validate", "--config", too_long, "--quiet"]) == 2
+
+
 class TestFloatBounds:
     """Out-of-range floats are config errors naming the field (exit 2) in
     every command, before anything is built or run."""

@@ -24,9 +24,10 @@ import itertools
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 
-from ocorobust import cli, simkit
+from ocorobust import cli, simkit, vehicle
 from ocorobust import oco_controller as oco
 from ocorobust.errors import OcoRobustError
 from ocorobust.plant import (
@@ -40,6 +41,7 @@ from ocorobust.plant import (
 )
 from ocorobust.simkit import ConstantSchedule, DisturbancePolicy, PiecewiseSchedule
 from test_drawn_models import build, drawn_models
+from test_step_map import di_schedule
 
 from conftest import assert_close, max_beta_bisect
 
@@ -272,3 +274,105 @@ def test_drawn_models():
     check()
     assert len(ran) >= 20
     print(f"drawn models: {len(ran)} runs, {ties} flag rows at a bound")
+
+
+def equality_rollout(model, q_x, q_u, x_meas, candidate, theta_hat):
+    """g of the equality-only rollout QP, written out from A, B, K and mu:
+    the rollout of the inputs v_t + g_t + K x_t from x_0 = x_meas (v the
+    candidate), the cost 1/2 sum over t < mu of (x_t - theta_hat)' q_x
+    (x_t - theta_hat) + u_t' q_u u_t, and the reach constraint x_mu =
+    theta_hat, each state and input carried as its value at g = 0 and its
+    Jacobian in g; the KKT system solved by ``np.linalg.solve``."""
+    a, b, k, mu = model.a, model.b, model.k, model.mu
+    n, m = b.shape
+    x, dx = np.asarray(x_meas, float), np.zeros((n, mu * m))
+    hessian, linear = np.zeros((mu * m, mu * m)), np.zeros(mu * m)
+    for t in range(mu):
+        u = candidate[t * m:(t + 1) * m] + k @ x
+        du = k @ dx
+        du[:, t * m:(t + 1) * m] += np.eye(m)
+        hessian += dx.T @ q_x @ dx + du.T @ q_u @ du
+        linear += dx.T @ q_x @ (x - theta_hat) + du.T @ q_u @ u
+        x, dx = a @ x + b @ u, a @ dx + b @ du
+    kkt = np.block([[hessian, dx.T], [dx, np.zeros((n, n))]])
+    return np.linalg.solve(kkt, np.concatenate([-linear, theta_hat - x]))[:mu * m]
+
+
+@pytest.fixture
+def optimized_steps(monkeypatch):
+    """While active, records every optimized step's rollout map, x_meas,
+    candidate, theta_hat and g, where the rollout QP set g (its guess kept,
+    with no fallback and a reach gap above DEGENERATE_TOL): whether the
+    step's ``oco.OptimizedRows`` rows decided it (the last entry, True) or
+    ``oco.additional_input_optimized`` did."""
+    real, real_rows, seen = oco.additional_input_optimized, oco.OptimizedRows.additional_input, []
+
+    def from_rows(rows, out, x_meas, candidate, *args):
+        got = real_rows(rows, out, x_meas, candidate, *args)
+        if got is not None:
+            seen.append((rows.rollout_map, x_meas, candidate, out[rows.theta], got[0], True))
+        return got
+
+    def two_products(model, rollout, x_meas, candidate, theta_hat, d, c_g):
+        got = real(model, rollout, x_meas, candidate, theta_hat, d, c_g)
+        if got[1] is not None and not got[2]:
+            seen.append((rollout[0], x_meas, candidate, theta_hat, got[0], False))
+        return got
+
+    monkeypatch.setattr(oco.OptimizedRows, "additional_input", from_rows)
+    monkeypatch.setattr(oco, "additional_input_optimized", two_products)
+    return seen
+
+
+def assert_rollouts_match(model, seen, weights):
+    """Every recorded g of an equality-only rollout map (a key of
+    ``weights``, its stage weights) against ``equality_rollout``, within
+    1e-9 of its norm; returns the number of steps the rows decided."""
+    fused = 0
+    for rollout_map, x_meas, candidate, theta_hat, g, from_rows in seen:
+        if rollout_map not in weights:
+            continue
+        want = equality_rollout(model, *weights[rollout_map], x_meas, candidate, theta_hat)
+        assert np.linalg.norm(g - want) <= 1e-9 * np.linalg.norm(want), (from_rows, g, want)
+        fused += from_rows
+    return fused
+
+
+class TestEqualityOnlyRollouts:
+    """The optimized variant's equality-only rollouts (``QuadraticRolloutBuilder``:
+    the vehicle's phases 1 and 3, the double integrator) against
+    ``equality_rollout``, which shares no code with the rollout maps, the
+    step map or ``PrefactoredQp``."""
+
+    def test_vehicle_phases_1_and_3(self, optimized_steps):
+        setup = vehicle.vehicle_setup()
+        maps = setup.builder.maps
+        weights = {maps[1]: (vehicle._Q_STATE, vehicle._Q_INPUT),
+                   maps[3]: (vehicle._Q_STATE_P3, vehicle._Q_INPUT)}
+        for seed in (0, 1, 2):
+            vehicle.run_scenario("optimized", seed=seed, setup=setup)
+        fused = assert_rollouts_match(setup.model, optimized_steps, weights)
+        phases = {rollout_map for rollout_map, *_ in optimized_steps}
+        assert {maps[1], maps[3]} <= phases and fused > 150
+        print(f"vehicle: {fused} of {len(optimized_steps)} rollouts decided by the rows")
+
+    def test_double_integrator_runs(self, di_bundle, optimized_steps):
+        # The optimized runs of test_step_map.py: unit weights, and the
+        # schedule's first weights with the default cap and c_g = 1000.
+        model, tables, manifold = di_bundle
+        schedule = di_schedule(model)
+        cost0 = schedule.cost_at(0)
+        zeta0 = optimal_steady_state(manifold, cost0, model)
+        fused = 0
+        for (q_x, q_u), c_g in (((np.eye(2), np.eye(1)), None), ((cost0.q_x, cost0.q_u), None),
+                                ((cost0.q_x, cost0.q_u), 1000.0)):
+            builder = oco.QuadraticRolloutBuilder(model, q_x, q_u)
+            optimized_steps.clear()
+            simkit.run_closed_loop(
+                model, tables, manifold,
+                oco.ControllerConfig(gamma=0.3, c_g=c_g, rollout_builder=builder),
+                schedule, DisturbancePolicy(seed=5), 120, zeta0=zeta0, x0=zeta0[0])
+            assert optimized_steps
+            fused += assert_rollouts_match(model, optimized_steps, {builder: (q_x, q_u)})
+        assert fused > 100
+        print(f"double integrator: {fused} rollouts decided by the rows")

@@ -47,6 +47,7 @@ from conftest import (
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 RUN_REL = 1e-10
+STEP = oco.step  # as the module has it, before a fixture wraps it
 
 
 class OwnGrad(QuadraticCost):
@@ -301,15 +302,17 @@ class TestOneStep:
                 schedule, DisturbancePolicy(seed=5), 120, zeta0=zeta0, x0=zeta0[0])
             assert len(seen) == 119
             assert all(rollout == (builder, None) for rollout, *_ in seen)
-            kept[c_g] = sum(not fallback for *_, (_, _, fallback) in seen)
+            kept[c_g] = sum(not fallback for _, _, (_, _, fallback), _ in seen)
         assert 0 < kept[None] < 20 and kept[1000.0] == 119
 
     def test_optimized_reach_gap_comes_from_the_rows(self, monkeypatch):
         # Where the projection keeps the map's guess, the rollout's reach gap
         # is the map's gap rows; where it does not, theta_hat - pred of the
-        # projected theta_hat. Seed 3 of the vehicle has both kinds.
+        # projected theta_hat. Seed 3 of the vehicle has both kinds. The gap
+        # is the one the step's ``OptimizedRows`` rows decide the input on,
+        # or the one ``additional_input_optimized`` gets.
         gaps, real = [], oco.additional_input_optimized
-        step = oco.step
+        step, real_rows = oco.step, oco.OptimizedRows.additional_input
 
         def observed(state, model, tables, manifold, x_meas, grad_prev, options, step_map=None,
                      ref=None):
@@ -331,8 +334,15 @@ class TestOneStep:
             gaps.append(d)
             return real(model, rollout, x_meas, candidate, theta_hat, d, c_g)
 
+        def from_rows(rows, out, *args):
+            got = real_rows(rows, out, *args)
+            if got is not None:
+                gaps.append(out[rows.gap])
+            return got
+
         kinds = []
         monkeypatch.setattr(oco, "additional_input_optimized", recorded)
+        monkeypatch.setattr(oco.OptimizedRows, "additional_input", from_rows)
         monkeypatch.setattr(oco, "step", observed)
         vehicle.run_scenario("optimized", seed=3)
         assert len(kinds) == 299 and 0 < kinds.count("projected") < kinds.count("rows")
@@ -360,6 +370,114 @@ class TestOneStep:
         wrapped = oco.step(state, model, tables, manifold, x, GradOnly(cost), options)
         assert calls == [1]
         assert_steps_agree(mapped, wrapped)
+
+
+def rows_off(patch):
+    """Turn the ``OptimizedRows`` rows' decision off: every optimized step
+    then takes the two products the rows fuse, the step map's and the
+    rollout map's (``additional_input_optimized``)."""
+    patch.setattr(oco.OptimizedRows, "additional_input", lambda rows, *args: None)
+
+
+@pytest.fixture
+def fused_steps(monkeypatch):
+    """While active, every optimized ``oco.step`` is also taken from the same
+    state with the rows' decision off (``rows_off``), and the two must
+    agree: g, the plan and u within 1e-12 (1 + |two products|), theta_hat
+    and eta_hat to the bit (the rows the two share round alike), g_fallback
+    the same, beta the same where either is 1 and within 1e-12 elsewhere
+    (the rows' growth of the stage residuals rounds differently). Returns
+    a list with one entry per compared step: whether the rows decided it."""
+    step, real_rows, real = (oco.step, oco.OptimizedRows.additional_input,
+                             oco.additional_input_optimized)
+    gs, seen = [], []
+
+    def from_rows(rows, *args):
+        got = real_rows(rows, *args)
+        gs.append(None if got is None else got[0])
+        return got
+
+    def two_products(*args):
+        got = real(*args)
+        gs.append(got[0])
+        return got
+
+    def checked(state, model, *args):
+        gs.clear()
+        u, new, diag = got = step(state, model, *args)
+        g, decided = gs[-1], gs[0] is not None
+        with monkeypatch.context() as patch:
+            rows_off(patch)
+            u_ref, new_ref, diag_ref = step(state, model, *args)
+        assert_close(g, gs[-1], 1e-12, "g")
+        assert_close(u, u_ref, 1e-12, "u")
+        assert_close(new.plan, new_ref.plan, 1e-12, "plan")
+        for got_part, want_part in zip(diag.ogd_target, diag_ref.ogd_target):
+            assert np.array_equal(got_part, want_part)
+        assert diag.g_fallback == diag_ref.g_fallback
+        if 1.0 in (diag.beta, diag_ref.beta):
+            assert diag.beta == diag_ref.beta
+        else:
+            assert abs(diag.beta - diag_ref.beta) <= 1e-12 * (1.0 + diag_ref.beta)
+        seen.append(decided)
+        return got
+
+    monkeypatch.setattr(oco.OptimizedRows, "additional_input", from_rows)
+    monkeypatch.setattr(oco, "additional_input_optimized", two_products)
+    monkeypatch.setattr(oco, "step", checked)
+    return seen
+
+
+class TestOptimizedRows:
+    """``oco.OptimizedRows`` against the two products it fuses, step by step
+    (``fused_steps``) and over whole runs: columns within RUN_REL of the
+    runs with the rows' decision off, with identical flags and
+    g_fallback."""
+
+    def test_vehicle_seeds(self, fused_steps, monkeypatch):
+        setup = vehicle.vehicle_setup()
+        capped = 0
+        for seed in range(10):
+            trace, ledger, _ = vehicle.run_scenario("optimized", seed=seed, setup=setup)
+            with monkeypatch.context() as patch:
+                patch.setattr(oco, "step", STEP)
+                rows_off(patch)
+                off = vehicle.run_scenario("optimized", seed=seed, setup=setup)
+            assert_runs_agree((trace, ledger), off[:2])
+            capped += int(np.count_nonzero(trace.g_fallback))
+        assert len(fused_steps) == 10 * 299 and sum(fused_steps) > 2000
+        assert capped == 17
+        # One block per step map and rollout map it served: phases 1 and 2
+        # share the first weight pair's step map, which also serves the
+        # step into phase 3 (it reads phase 2's cost with phase 3's rollout).
+        maps = setup.builder.maps
+        assert [[rows.rollout_map for rows in pair.step_map._optimized]
+                for pair in setup.pairs] == [[maps[1], maps[2], maps[3]], [maps[3]]]
+
+    def test_double_integrator_runs(self, di_bundle, fused_steps, monkeypatch):
+        # The optimized runs of TestOneStep: unit weights, and the
+        # schedule's first weights with the default cap and c_g = 1000.
+        model, tables, manifold = di_bundle
+        schedule = di_schedule(model)
+        cost0 = schedule.cost_at(0)
+        zeta0 = optimal_steady_state(manifold, cost0, model)
+        for (q_x, q_u), c_g in (((np.eye(2), np.eye(1)), None), ((cost0.q_x, cost0.q_u), None),
+                                ((cost0.q_x, cost0.q_u), 1000.0)):
+            builder = oco.QuadraticRolloutBuilder(model, q_x, q_u)
+            controller = oco.ControllerConfig(gamma=0.3, c_g=c_g, rollout_builder=builder)
+
+            def run():
+                return simkit.run_closed_loop(model, tables, manifold, controller, schedule,
+                                              DisturbancePolicy(seed=5), 120, zeta0=zeta0,
+                                              x0=zeta0[0])
+
+            fused_steps.clear()
+            fused = run()
+            assert len(fused_steps) == 119 and any(fused_steps)
+            with monkeypatch.context() as patch:
+                patch.setattr(oco, "step", STEP)
+                rows_off(patch)
+                assert_runs_agree(fused, run())
 
 
 # Runs that reach each fallback branch of the map's step: the state

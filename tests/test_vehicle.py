@@ -174,27 +174,40 @@ class TestSoftSafety:
 
     def test_recorded_run_matches_cold_gi(self, setup, monkeypatch):
         # Every phase-2 slack QP of a seed-0 optimized run, decided from the
-        # rollout map's guess, re-solved by the GI iteration from scratch.
+        # step's ``OptimizedRows`` rows or from the rollout map's guess,
+        # re-solved by the GI iteration from scratch: the same g (the rows
+        # hold g, not the slack).
         recorded = []
-        real = denseqp.PrefactoredQp._from_guess
+        real, real_rows = denseqp.PrefactoredQp._from_guess, oco.OptimizedRows.additional_input
+        slack = setup.builder.maps[2]
 
         def record(pre, linear, x, nu, ineq_b, eq_b, tol, *args):
             sol, kept = real(pre, linear, x, nu, ineq_b, eq_b, tol, *args)
             if pre.meq and pre.ineq_normals.shape[0]:
-                recorded.append((pre, linear, ineq_b, eq_b, tol, sol))
+                recorded.append((pre, linear, ineq_b, eq_b, tol, sol.status, sol.x))
             return sol, kept
 
+        def from_rows(rows, out, x_meas, candidate, shift, *args):
+            got = real_rows(rows, out, x_meas, candidate, shift, *args)
+            if got is not None and rows.rollout_map is slack:
+                d = out[rows.gap]
+                own = slack.product(x_meas, candidate, out[rows.theta], d)
+                recorded.append((slack.solver, own[slack.linear], own[slack.offsets] + shift, d,
+                                 denseqp.DEFAULT_TOL, "optimal", got[0]))
+            return got
+
         monkeypatch.setattr(denseqp.PrefactoredQp, "_from_guess", record)
+        monkeypatch.setattr(oco.OptimizedRows, "additional_input", from_rows)
         vehicle.run_scenario("optimized", seed=0, setup=setup)
         monkeypatch.undo()
         assert len(recorded) > 100
-        assert {id(pre) for pre, *_ in recorded} == {id(setup.builder.maps[2].solver)}
-        for pre, linear, ineq_b, eq_b, tol, sol in recorded:
-            x, _, _, _, status = denseqp._gi_core(
+        assert {id(pre) for pre, *_ in recorded} == {id(slack.solver)}
+        for pre, linear, ineq_b, eq_b, tol, status, got in recorded:
+            x, _, _, _, gi_status = denseqp._gi_core(
                 pre, -(pre.hinv @ linear), np.concatenate([eq_b, -ineq_b]),
                 tol, denseqp.DEFAULT_MAX_ITER)
-            assert sol.status == status == "optimal"
-            assert np.linalg.norm(sol.x - x) <= 1e-12 * np.linalg.norm(x)
+            assert status == gi_status == "optimal"
+            assert np.linalg.norm(got - x[:got.size]) <= 1e-12 * np.linalg.norm(x)
 
 
 class TestBenchmarkPath:
@@ -283,7 +296,7 @@ class TestRolloutBuilderMaps:
         weights = {1: follow, 2: follow, 3: (vehicle._Q_STATE_P3, vehicle._Q_INPUT)}
         assert len(contexts) == len(seen) == 299
         assert {phase for phase, *_ in contexts} == {1, 2, 3}
-        for (phase, gap_meas, est), ((rollout_map, shift), step_args, _) in zip(contexts, seen):
+        for (phase, gap_meas, est), ((rollout_map, shift), step_args, *_) in zip(contexts, seen):
             assert rollout_map is setup.builder.maps[phase]
             rows = rollout_map.product(*step_args)
             want, scale = reference_rollout_linear(setup.model, *weights[phase], *step_args[:3])
@@ -300,12 +313,20 @@ class TestRolloutBuilderMaps:
                 assert shift is None and rows[rollout_map.offsets].size == 0
 
     def test_every_rollout_decided_by_the_rows(self, setup, monkeypatch):
-        # Optimized seeds 0..9: the rollout map's guess is kept at every step
-        # (no rollout reaches the solver's fallback), and the c_g cap still
-        # sends 17 steps to the explicit input, reported in g_fallback.
+        # Optimized seeds 0..9: every step's rollout guess is kept, from the
+        # step's ``OptimizedRows`` rows or from the rollout map's (no rollout
+        # reaches the solver's fallback), and the c_g cap still sends 17
+        # steps to the explicit input, reported in g_fallback.
         decided, fallbacks = [], []
         solvers = {id(m.solver) for m in setup.builder.maps.values()}
         real = {name: getattr(denseqp.PrefactoredQp, name) for name in ("_from_guess", "_fallback")}
+        real_rows = oco.OptimizedRows.additional_input
+
+        def from_rows(rows, *args):
+            got = real_rows(rows, *args)
+            if got is not None:
+                decided.append(True)
+            return got
 
         def from_guess(pre, *args):
             sol, kept = real["_from_guess"](pre, *args)
@@ -318,6 +339,7 @@ class TestRolloutBuilderMaps:
                 fallbacks.append(1)
             return real["_fallback"](pre, *args)
 
+        monkeypatch.setattr(oco.OptimizedRows, "additional_input", from_rows)
         monkeypatch.setattr(denseqp.PrefactoredQp, "_from_guess", from_guess)
         monkeypatch.setattr(denseqp.PrefactoredQp, "_fallback", fallback)
         capped = 0

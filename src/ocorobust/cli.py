@@ -306,6 +306,8 @@ def write_ledger_csv(path, trace, ledger):
 
 def cmd_run(args):
     cfg = load_config(args.config, command="run")
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError("must be at least 0", field="--seed")
     out_dir = Path(args.out or cfg["output"]["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     quiet = args.quiet or cfg["output"]["quiet"]

@@ -230,6 +230,9 @@ class Zonotope:
 # Rows per matrix product in the batched checks, so their temporaries stay
 # (ROW_BLOCK, facets) however many rows (steps) there are.
 ROW_BLOCK = 64
+# Entries (rows x stacked facets) per FacetStack product: 512 KB of floats,
+# so a 300-step vehicle run (92 facets) takes one product.
+STACK_ENTRIES = ROW_BLOCK * 1024
 
 
 class ZonotopeMembership:
@@ -306,13 +309,11 @@ class FacetStack:
     wide as normals_k. Its matrix is the block-diagonal stack of the normals
     with the negated offsets as a last column, so one product with a block of
     rows (and a column of ones) gives every facet value and one maximum per
-    polytope its worst margin. ``rows`` rows go into one product:
-    ``ROW_BLOCK`` rows of ``widest`` facets, or of the largest polytope's if
-    it has more, spread over the stack's facets, so the product never holds
-    more than a ``ROW_BLOCK``-row product of the widest set would.
+    polytope its worst margin. ``rows`` rows go into one product, so that
+    it holds at most ``STACK_ENTRIES`` facet values.
     """
 
-    def __init__(self, blocks, widest):
+    def __init__(self, blocks):
         self.blocks = [(as_matrix(n, "normals"), as_vector(o, "offsets")) for n, o in blocks]
         facets = np.cumsum([0] + [len(o) for _, o in self.blocks])
         widths = np.cumsum([0] + [n.shape[1] for n, _ in self.blocks])
@@ -321,7 +322,7 @@ class FacetStack:
         self.matrix = np.zeros((facets[-1], widths[-1] + 1))
         for (n, o), (a, b), (c, d) in zip(self.blocks, self.facets, self.columns):
             self.matrix[a:b, c:d], self.matrix[a:b, -1] = n, -o
-        self.rows = max(1, ROW_BLOCK * max(widest, *np.diff(facets)) // facets[-1])
+        self.rows = max(1, STACK_ENTRIES // facets[-1])
         # Polytope k's stacked margin and its own product add the same
         # w_k + 1 nonzero terms (w_k its width, the offset one), in whatever
         # order, each within about (w_k + 1) eps/2 times the terms' absolute

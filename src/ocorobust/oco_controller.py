@@ -74,6 +74,31 @@ class StepDiagnostics:
     g_fallback: bool = False
 
 
+class ControllerRows:
+    """The controller's (horizon, .) columns, one row per step ``t``: the
+    plan [u_pred; u_ss] (``u_pred`` and ``u_ss`` are views of it),
+    theta_hat, eta_hat, pred_state, u, beta, g_norm, kkt_residual (NaN when
+    the step has none), candidate_ok and g_fallback."""
+
+    def __init__(self, n, m, mu, horizon):
+        self.plan = np.empty((horizon, (mu + 1) * m))
+        self.u_pred, self.u_ss = self.plan[:, :-m], self.plan[:, -m:]
+        for name, width in dict(theta_hat=n, eta_hat=m, pred_state=n, u=m).items():
+            setattr(self, name, np.empty((horizon, width)))
+        self.beta, self.g_norm, self.kkt_residual = np.empty((3, horizon))
+        self.candidate_ok, self.g_fallback = np.empty((2, horizon), bool)
+        self.t = np.arange(horizon)
+
+    def diagnostics(self, i):
+        """Row i's ``StepDiagnostics``; a NaN kkt_residual reads as None."""
+        kkt = float(self.kkt_residual[i])
+        return StepDiagnostics(
+            beta=float(self.beta[i]), g_norm=float(self.g_norm[i]),
+            pred_state=self.pred_state[i], ogd_target=(self.theta_hat[i], self.eta_hat[i]),
+            candidate_feasible=bool(self.candidate_ok[i]),
+            kkt_residual=None if math.isnan(kkt) else kkt, g_fallback=bool(self.g_fallback[i]))
+
+
 class RolloutMap:
     """A rollout QP over the additional input sequence g, with the fixed
     affine map of what a step needs from it.
@@ -472,11 +497,6 @@ class LiftedSteps:
         return states[:, :n], x_meas, outs, outs[:, step_map.plan], outs[:, step_map.u], norms
 
 
-def control_input(state, model, x_meas):
-    """First planned input plus state feedback."""
-    return state.plan[:model.m] + model.k @ x_meas
-
-
 def initialize(model, tables, manifold, zeta0, x0_meas, tol=None):
     """Build the t=0 plan from a steady-state guess.
 
@@ -663,7 +683,21 @@ def settled_rows(step_map, manifold, x_meas, outs, gap_norms, tol):
 
 def step(state, model, tables, manifold, x_meas, grad_prev, options, step_map=None,
          ref=None):
-    """Advance the controller one step; returns (u, new_state, diagnostics).
+    """Advance the controller one step; returns (u, new_state, diagnostics):
+    ``step_row`` on two rows, the first holding ``state``'s plan."""
+    rows = ControllerRows(model.n, model.m, model.mu, 2)
+    rows.plan[0] = state.plan
+    rows.t += state.t
+    step_row(rows, 1, model, tables, manifold, x_meas, grad_prev, options, step_map, ref)
+    new_state = ControllerState(plan=rows.plan[1],
+                                zeta_hat=(rows.theta_hat[1], rows.eta_hat[1]), t=state.t + 1)
+    return rows.u[1], new_state, rows.diagnostics(1)
+
+
+def step_row(rows, i, model, tables, manifold, x_meas, grad_prev, options, step_map=None,
+             ref=None):
+    """Take step ``rows.t[i]`` from row i - 1's plan and write row i of the
+    ``ControllerRows`` ``rows``; a failed step raises ``StepError``.
 
     ``ref`` is the previous cost's reference [ref_x; ref_u] as one row when
     the plant handed it as data (None: ``grad_prev``'s own ``ref_x`` and
@@ -692,11 +726,10 @@ def step(state, model, tables, manifold, x_meas, grad_prev, options, step_map=No
     Every other case takes the additional input, ``max_beta`` and the
     blend.
     """
-    t = state.t + 1
     try:
         x_meas = as_vector(x_meas, "x_meas")
         m = model.m
-        candidate = state.plan[m:]  # the plan shifted by one step, u_ss held
+        candidate = rows.plan[i - 1, m:]  # the plan shifted by one step, u_ss held
         out = None  # the map's rows, while the step keeps its guess
         rollout = None if options.rollout_builder is None else options.rollout_builder.rollout()
         if step_map is None:
@@ -717,15 +750,15 @@ def step(state, model, tables, manifold, x_meas, grad_prev, options, step_map=No
                 raise ValueError("gamma must be positive")
             # The optimized variant's rows hold the step map's with its
             # rollout's composed in (OptimizedRows), at the same slices.
-            rows = step_map if rollout is None else step_map.optimized(rollout[0])
-            out = (rows.rows_at(x_meas, candidate, grad_prev.ref_x, grad_prev.ref_u)
-                   if ref is None else rows.rows_at(x_meas, candidate, ref))
-            base_vals, pred, eta_hat = out[rows.base], out[rows.pred], out[rows.eta]
-            projector, viol = manifold.projector, out[rows.viol]
-            if projector.keeps(out[rows.grad], viol, PROJECTION_TOL):
-                theta_hat = out[rows.theta]
+            mapped = step_map if rollout is None else step_map.optimized(rollout[0])
+            out = (mapped.rows_at(x_meas, candidate, grad_prev.ref_x, grad_prev.ref_u)
+                   if ref is None else mapped.rows_at(x_meas, candidate, ref))
+            base_vals, pred, eta_hat = out[mapped.base], out[mapped.pred], out[mapped.eta]
+            projector, viol = manifold.projector, out[mapped.viol]
+            if projector.keeps(out[mapped.grad], viol, PROJECTION_TOL):
+                theta_hat = out[mapped.theta]
             else:
-                sol = projector._rejected(out[rows.linear], eta_hat, viol,
+                sol = projector._rejected(out[mapped.linear], eta_hat, viol,
                                           manifold.sbar.offsets, PROJECTION_TOL)
                 out = None
                 theta_hat, eta_hat = _projected(manifold, sol, PROJECTION_TOL)
@@ -734,17 +767,17 @@ def step(state, model, tables, manifold, x_meas, grad_prev, options, step_map=No
         kkt, fallback, g, growth, plan, u = None, False, None, None, None, None
         c_g = None if rollout is None else options.effective_c_g(model)
         if out is not None:
-            gap = out[rows.gap]
+            gap = out[mapped.gap]
             gap_norm = math.sqrt(gap @ gap)
             if rollout is not None:
-                decided = rows.additional_input(out, x_meas, candidate, rollout[1], gap_norm,
-                                                c_g)
+                decided = mapped.additional_input(out, x_meas, candidate, rollout[1], gap_norm,
+                                                  c_g)
                 if decided is not None:
                     g, growth, kkt = decided
             if ((rollout is None or g is not None)
-                    and _rows_settle(gap_norm, worst, float(np.maximum.reduce(out[rows.reach])),
+                    and _rows_settle(gap_norm, worst, float(np.maximum.reduce(out[mapped.reach])),
                                      model.membership_tol)):
-                g, plan, u = out[rows.g], out[rows.plan], out[rows.u]
+                g, plan, u = out[mapped.g], out[mapped.plan], out[mapped.u]
                 beta = 1.0
         if g is None:
             if rollout is None:
@@ -761,21 +794,14 @@ def step(state, model, tables, manifold, x_meas, grad_prev, options, step_map=No
                 plan = np.concatenate([candidate + g, eta_hat])
             else:
                 plan = np.concatenate([candidate + beta * g,
-                                       (1.0 - beta) * state.plan[-m:] + beta * eta_hat])
-        new_state = ControllerState(plan=plan, zeta_hat=(theta_hat, eta_hat), t=t)
-        if u is None:
-            u = control_input(new_state, model, x_meas)
-        diag = StepDiagnostics(
-            beta=float(beta),
-            g_norm=math.sqrt(g @ g),
-            pred_state=pred,
-            ogd_target=(theta_hat, eta_hat),
-            candidate_feasible=worst <= model.membership_tol,
-            kkt_residual=kkt,
-            g_fallback=bool(fallback),
-        )
-        return u, new_state, diag
+                                       (1.0 - beta) * rows.u_ss[i - 1] + beta * eta_hat])
+            u = plan[:m] + model.k @ x_meas  # the first planned input plus feedback
+        rows.plan[i], rows.u[i] = plan, u
+        rows.theta_hat[i], rows.eta_hat[i], rows.pred_state[i] = theta_hat, eta_hat, pred
+        rows.beta[i], rows.g_norm[i] = beta, math.sqrt(g @ g)
+        rows.kkt_residual[i] = np.nan if kkt is None else kkt
+        rows.candidate_ok[i], rows.g_fallback[i] = worst <= model.membership_tol, fallback
     except StepError:
         raise
     except Exception as exc:
-        raise StepError(t, exc) from exc
+        raise StepError(int(rows.t[i]), exc) from exc

@@ -220,9 +220,8 @@ class TighteningTables:
 
     ``monitor`` checks recorded steps against X, U, the residual map and W
     in one ``FacetStack``: a row is [x_true | u | x_meas, useq | w - W's
-    center], W in its facet form (``ZonotopeMembership``). A block's product
-    is no larger than the tail-set check's of ``ROW_BLOCK`` rows, or than
-    one of the largest stacked set's if it has more facets.
+    center], W in its facet form (``ZonotopeMembership``), in products of
+    at most ``STACK_ENTRIES`` facet values.
     """
 
     rollout_x: np.ndarray = field(repr=False)         # (mu*(fx+fu) + n + 2m, n)
@@ -293,7 +292,7 @@ def build_tightening(model):
         monitor=FacetStack([(model.x_set.normals, model.x_set.offsets),
                             (model.u_set.normals, model.u_set.offsets),
                             (np.hstack([rollout_x[:r], residual_u]), residual_offsets),
-                            (w.normals, w.offsets)], widest=len(model._tube.offsets)),
+                            (w.normals, w.offsets)]),
     )
 
 

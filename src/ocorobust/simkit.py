@@ -120,31 +120,27 @@ def _same_weights(a, b):
             or (np.array_equal(a.q_x, b.q_x) and np.array_equal(a.q_u, b.q_u)))
 
 
-class RunRecord:
+class RunRecord(oco.ControllerRows):
     """The record of one closed-loop run: (horizon, .) columns, one row per step.
 
-    Each step writes x_true, x_meas, u, w and v; the controller's beta,
-    g_norm, pred_state, theta_hat, eta_hat, u_pred, u_ss, candidate_ok,
-    kkt_residual (NaN when the step has none) and g_fallback; its cost's
-    references ref_x and ref_u (those the plant handed as data, else the
-    cost's own) and weight pair ``pair``, an index into ``pairs``, the run's
-    one table of ``WeightPair`` entries (see ``pair_of``): copies of the
-    entries built beforehand (``pairs``), then one per weight pair the run
-    brings. ``finish`` adds ``flags`` (a boolean column per invariant flag),
-    the benchmark steady state benchmark_theta, benchmark_eta (one benchmark
-    per weight pair, not per run of consecutive steps), and cost and
-    benchmark_cost. Every array attribute is a column. Indexing (and so
-    iteration) gives ``TraceRecord`` views of rows; a slice gives a record.
+    Each step writes the controller's columns (``oco.ControllerRows``) and
+    x_true, x_meas, w and v; its cost's references ref_x and ref_u (those
+    the plant handed as data, else the cost's own) and weight pair ``pair``,
+    an index into ``pairs``, the run's one table of ``WeightPair`` entries
+    (see ``pair_of``): copies of the entries built beforehand (``pairs``),
+    then one per weight pair the run brings. ``finish`` adds ``flags`` (a
+    boolean column per invariant flag), the benchmark steady state
+    benchmark_theta, benchmark_eta (one benchmark per weight pair, not per
+    run of consecutive steps), and cost and benchmark_cost. Every array
+    attribute is a column. Indexing (and so iteration) gives ``TraceRecord``
+    views of rows; a slice gives a record.
     """
 
     def __init__(self, n, m, mu, horizon, pairs=()):
-        widths = dict(x_true=n, x_meas=n, u=m, w=n, v=n, beta=None, g_norm=None,
-                      pred_state=n, theta_hat=n, eta_hat=m, u_pred=mu * m, u_ss=m,
-                      kkt_residual=None, ref_x=n, ref_u=m)
-        for name, width in widths.items():
-            setattr(self, name, np.empty(horizon if width is None else (horizon, width)))
-        self.t, self.pair = np.arange(horizon), np.empty(horizon, int)
-        self.candidate_ok, self.g_fallback = np.empty((2, horizon), bool)
+        super().__init__(n, m, mu, horizon)
+        for name, width in dict(x_true=n, x_meas=n, w=n, v=n, ref_x=n, ref_u=m).items():
+            setattr(self, name, np.empty((horizon, width)))
+        self.pair = np.empty(horizon, int)
         self.pairs = [copy.copy(entry) for entry in pairs]
         self.flags, self.flagged = {}, 0  # flagged: the rows that have their flags
 
@@ -158,24 +154,8 @@ class RunRecord:
         self.pairs.append(WeightPair(cost))
         return len(self.pairs) - 1
 
-    def write(self, t, x_true, x_meas, u, w, v, state, diag, cost, pair, ref=None):
-        """Write row t: ``cost``'s references, or ``ref`` = [ref_x; ref_u]
-        when the plant handed the step's reference as data."""
-        self.x_true[t], self.x_meas[t], self.u[t], self.w[t], self.v[t] = x_true, x_meas, u, w, v
-        self.beta[t], self.g_norm[t], self.pred_state[t] = diag.beta, diag.g_norm, diag.pred_state
-        self.theta_hat[t], self.eta_hat[t] = diag.ogd_target
-        self.u_pred[t], self.u_ss[t] = state.u_pred, state.u_ss
-        self.candidate_ok[t], self.g_fallback[t] = diag.candidate_feasible, diag.g_fallback
-        self.kkt_residual[t] = np.nan if diag.kkt_residual is None else diag.kkt_residual
-        self.pair[t] = pair
-        if ref is None:
-            self.ref_x[t], self.ref_u[t] = cost.ref_x, cost.ref_u
-        else:
-            n = self.ref_x.shape[1]
-            self.ref_x[t], self.ref_u[t] = ref[:n], ref[n:]
-
     def fill(self, rows, **columns):
-        """Write the slice ``rows`` of each named column."""
+        """Write ``rows`` (a row or a slice) of each named column."""
         for name, value in columns.items():
             getattr(self, name)[rows] = value
 
@@ -256,14 +236,8 @@ class RunRecord:
             out._take(i)
             return out
         i = range(len(self))[i]
-        kkt = float(self.kkt_residual[i])
-        diag = oco.StepDiagnostics(
-            beta=float(self.beta[i]), g_norm=float(self.g_norm[i]),
-            pred_state=self.pred_state[i], ogd_target=(self.theta_hat[i], self.eta_hat[i]),
-            candidate_feasible=bool(self.candidate_ok[i]),
-            kkt_residual=None if np.isnan(kkt) else kkt, g_fallback=bool(self.g_fallback[i]))
         return TraceRecord(int(self.t[i]), self.x_true[i], self.x_meas[i], self.u[i],
-                           self.w[i], self.v[i], diag,
+                           self.w[i], self.v[i], self.diagnostics(i),
                            {name: bool(column[i]) for name, column in self.flags.items()})
 
 
@@ -275,16 +249,15 @@ def _step_flags(record, monitors, lo, hi):
     W (for the vehicle, the linearization residual) come from one product of
     the recorded columns [x_true | u | x_meas, u_pred | w] with the stacked
     facets of ``tables.monitor`` (a ``FacetStack``), in blocks of rows whose
-    product stays within a ``ROW_BLOCK``-row product of the tail set's
-    facets. Each answer is its set's own product's: a row within rounding of
-    the tolerance, or with a non-finite entry, takes those; so a NaN or inf
-    fails only the monitors whose columns hold it. The steady-state input is
-    checked against S-bar, the c_g cap by its norms, and the step's
-    prediction against the previous steady state through the tail-set
-    facets; there the tube margin is raised to -tube_band, which leaves both
-    tube flags as they are and lets the facet product skip the rows whose
-    distance from G_K u_ss cannot reach the facets
-    (``ZonotopeMembership.margins``).
+    product holds at most ``STACK_ENTRIES`` facet values. Each answer is its
+    set's own product's: a row within rounding of the tolerance, or with a
+    non-finite entry, takes those; so a NaN or inf fails only the monitors
+    whose columns hold it. The steady-state input is checked against S-bar,
+    the c_g cap by its norms, and the step's prediction against the previous
+    steady state through the tail-set facets; there the tube margin is raised
+    to -tube_band, which leaves both tube flags as they are and lets the
+    facet product skip the rows whose distance from G_K u_ss cannot reach the
+    facets (``ZonotopeMembership.margins``).
     """
     model, tables, manifold, c_g = monitors
     tol = model.membership_tol
@@ -387,14 +360,16 @@ def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
     """The online loop for any plant; returns (trace, ledger).
 
     ``plant.observe(t)`` returns (x_true, x_meas, v, cost_t, ref_t) and
-    ``plant.advance(u)`` applies u and returns the step's process disturbance w.
-    ``ref_t`` is None, for cost_t's own references, or the step's reference
-    [ref_x; ref_u] as one row, handed as data so that a plant whose
-    reference moves every step hands the same cost object each time. The
-    controller gets cost_t and ref_t only at step t + 1. Each step writes one
-    row of the trace, a ``RunRecord``, with the step's references and the
-    index of cost_t's weight pair in ``record.pairs``: each new cost object
-    is checked against the model (``_check_cost``) and its pair found
+    ``plant.advance(u)`` applies u and returns the step's process
+    disturbance w. ``ref_t`` is None, for cost_t's own references, or the
+    step's reference [ref_x; ref_u] as one row, handed as data so that a
+    plant whose reference moves every step hands the same cost object each
+    time. The controller gets cost_t and ref_t only at step t + 1. Each step
+    writes one row of the trace, a ``RunRecord`` (the controller's columns
+    by ``oco.step_row`` from the row before's plan, row 0's from
+    ``oco.initialize``), with the step's references and the index of
+    cost_t's weight pair in ``record.pairs``: each new cost object is
+    checked against the model (``_check_cost``) and its pair found
     (``RunRecord.pair_of``), and each reference handed as data is checked at
     its step (``_check_ref``); a misfit raises at t = 0 and aborts the run
     at t > 0. Flags, benchmarks, cost values and totals come after the run
@@ -405,9 +380,9 @@ def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
     of a sweep design or every vehicle run; ``record.pairs`` starts as
     copies of them. Their maps must have been built on ``tables``,
     ``manifold`` and the controller's gamma and their benchmarks on
-    ``manifold``, else ``OcoRobustError`` before t = 0. A step on a cost that takes a map (``_takes_map``) uses its
-    weight pair's, built on first use when the pair repeats on the next
-    step (``_pair_map``).
+    ``manifold``, else ``OcoRobustError`` before t = 0. A step on a cost
+    that takes a map (``_takes_map``) uses its weight pair's, built on
+    first use when the pair repeats on the next step (``_pair_map``).
 
     On a plant whose ``observe`` and ``advance`` are ``_LtiPlant``'s own,
     with the explicit variant and gamma > 0, the loop runs ahead over steps
@@ -447,9 +422,9 @@ def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
     c_g = controller.effective_c_g(model)
     check_c_g(c_g, model)
     state = oco.initialize(model, tables, manifold, zeta0, x_meas)
-    u = oco.control_input(state, model, x_meas)
-    diag = oco.StepDiagnostics(beta=0.0, g_norm=0.0, pred_state=model.g_k @ state.u_ss,
-                               ogd_target=state.zeta_hat, candidate_feasible=True)
+    record.fill(0, plan=state.plan, theta_hat=state.zeta_hat[0], eta_hat=state.zeta_hat[1],
+                pred_state=model.g_k @ state.u_ss, u=state.plan[:model.m] + model.k @ x_meas,
+                beta=0.0, g_norm=0.0, kkt_residual=np.nan, candidate_ok=True, g_fallback=False)
 
     monitors = (model, tables, manifold, c_g)
     ahead = _runs_ahead(plant, controller)
@@ -459,9 +434,9 @@ def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
     while t < horizon:
         if t > 0 and ahead and not serial:
             try:
-                state, kept, whole, serial, cost_t = _run_ahead(
-                    plant, record, state, cost_t, pair, t, min(t + cap, horizon), model,
-                    tables, manifold, controller.gamma)
+                kept, whole, serial, cost_t = _run_ahead(
+                    plant, record, cost_t, pair, t, min(t + cap, horizon), model, tables,
+                    manifold, controller.gamma)
             except OcoRobustError as exc:
                 raise SimulationAborted(str(exc), record, record.finish(t, monitors),
                                         t) from exc
@@ -488,14 +463,17 @@ def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
                     _check_ref(ref_t, model.n, model.m, t)
                 step_map = _pair_map(record.pairs[prev_pair], prev_cost, pair == prev_pair,
                                      tables, manifold, controller.gamma, t)
-                u, state, diag = oco.step(state, model, tables, manifold, x_meas, prev_cost,
-                                          controller, step_map, prev_ref)
+                oco.step_row(record, t, model, tables, manifold, x_meas, prev_cost, controller,
+                             step_map, prev_ref)
             except OcoRobustError as exc:
                 raise SimulationAborted(str(exc), record, record.finish(t, monitors),
                                         t) from exc
 
-        w = plant.advance(u)
-        record.write(t, x_true, x_meas, u, w, v, state, diag, cost_t, pair, ref_t)
+        w = plant.advance(record.u[t])
+        ref_x, ref_u = ((cost_t.ref_x, cost_t.ref_u) if ref_t is None
+                        else (ref_t[:model.n], ref_t[model.n:]))
+        record.fill(t, x_true=x_true, x_meas=x_meas, w=w, v=v, ref_x=ref_x, ref_u=ref_u,
+                    pair=pair)
         if abort_on_violation:
             _abort_at_violation(record, t, t + 1, monitors)
         t += 1
@@ -520,19 +498,19 @@ def _abort_at_violation(record, lo, hi, monitors):
 def _runs_ahead(plant, controller):
     """True when ``closed_loop`` may run ``plant`` ahead: its class's
     ``observe`` and ``advance`` are ``_LtiPlant``'s own (``_LTI_OWN``) and
-    the controller is the explicit variant with gamma > 0 (else ``oco.step``
-    fails at t = 1)."""
+    the controller is the explicit variant with gamma > 0 (else
+    ``oco.step_row`` fails at t = 1)."""
     cls = type(plant)
     return (getattr(cls, "observe", None) is _LTI_OWN[0]
             and getattr(cls, "advance", None) is _LTI_OWN[1]
             and controller.rollout_builder is None and controller.gamma > 0)
 
 
-def _run_ahead(plant, record, state, cost, pair, t, stop, model, tables, manifold, gamma):
+def _run_ahead(plant, record, cost, pair, t, stop, model, tables, manifold, gamma):
     """Run ``plant`` ahead from step t, to ``stop`` at most, over the steps
     whose costs keep the weight pair ``pair`` of the previous step's cost
-    ``cost``; returns (state, kept, whole, rejected, the cost of the last
-    kept step, or ``cost``).
+    ``cost``, from row t - 1's plan; returns (kept, whole, rejected, the
+    cost of the last kept step, or ``cost``).
 
     Nothing runs (kept = 0) unless ``cost`` takes a map (``_takes_map``).
     The steps' costs come from the plant's schedule, scanned up to ``stop``
@@ -549,11 +527,11 @@ def _run_ahead(plant, record, state, cost, pair, t, stop, model, tables, manifol
     steps. ``whole`` is True when the kept steps reach the scan's end (so
     also when the scan ends at t) and False when they stop short of it, as
     a one-step block does on a longer stretch. They go to ``record`` by
-    slices, each with its own references and ``pair``; the plant moves past
-    them and the returned state is the controller's after them.
+    slices, each with its own references and ``pair``, and the plant moves
+    past them.
     """
     if not _takes_map(cost):
-        return state, 0, True, False, cost
+        return 0, True, False, cost
     schedule, entry = plant.cost_schedule, record.pairs[pair]
     n, m = model.n, model.m
     now, end = schedule.cost_at(t), t
@@ -569,14 +547,14 @@ def _run_ahead(plant, record, state, cost, pair, t, stop, model, tables, manifol
             break
         now = schedule.cost_at(end)
     if end == t:
-        return state, 0, True, False, cost
+        return 0, True, False, cost
     step_map = _pair_map(entry, cost, True, tables, manifold, gamma, t)
     # each row's cost among ``costs``, for steps t - 1 to end - 1
     which = np.repeat(np.arange(len(costs)), np.diff(starts + [end]))
     refs = np.array([np.concatenate((c.ref_x, c.ref_u)) for c in costs])[which]
     with np.errstate(all="ignore"):  # a rejected row may hold NaN or inf
-        x, x_meas, outs, plans, u, norms = plant.ahead(step_map, refs[:-1], state.plan[m:],
-                                                       t, end)
+        x, x_meas, outs, plans, u, norms = plant.ahead(step_map, refs[:-1],
+                                                       record.plan[t - 1, m:], t, end)
         ok = oco.settled_rows(step_map, manifold, x_meas, outs, norms[:, 0],
                               model.membership_tol)
     kept = len(ok) if ok.all() else int(np.argmin(ok))
@@ -587,16 +565,12 @@ def _run_ahead(plant, record, state, cost, pair, t, stop, model, tables, manifol
                     v=plant.v[rows], beta=1.0, g_norm=norms[:kept, 1],
                     pred_state=outs[:kept, step_map.pred],
                     theta_hat=outs[:kept, step_map.theta], eta_hat=outs[:kept, step_map.eta],
-                    u_pred=plans[:kept, :-m], u_ss=plans[:kept, -m:], kkt_residual=np.nan,
-                    candidate_ok=True, g_fallback=False, ref_x=refs[1:kept + 1, :n],
-                    ref_u=refs[1:kept + 1, n:], pair=pair)
+                    plan=plans[:kept], kkt_residual=np.nan, candidate_ok=True, g_fallback=False,
+                    ref_x=refs[1:kept + 1, :n], ref_u=refs[1:kept + 1, n:], pair=pair)
         plant.x, plant.t = x[last], t + last
         plant.advance(u[last])
-        state = oco.ControllerState(
-            plan=plans[last], zeta_hat=(outs[last, step_map.theta], outs[last, step_map.eta]),
-            t=t + last)
         cost = costs[which[kept]]
-    return state, kept, t + kept == end, rejected, cost
+    return kept, t + kept == end, rejected, cost
 
 
 class _LtiPlant:
@@ -621,14 +595,14 @@ class _LtiPlant:
     def ahead(self, step_map, refs, candidate, t, stop):
         """A block of steps from step t, at most to ``stop``, from the
         plant's state and the shifted plan ``candidate``, each taken as
-        ``oco.step`` takes an explicit step that ``step_map``'s rows settle
-        on a cost with the step's row of ``refs`` ([ref_x; ref_u], one row
-        per step; g, the plan and u are the rows ``g``, ``plan`` and ``u``)
-        and applied as ``observe`` and ``advance`` would; nothing is checked
-        and the plant does not move.
+        ``oco.step_row`` takes an explicit step that ``step_map``'s rows
+        settle on a cost with the step's row of ``refs`` ([ref_x; ref_u], one
+        row per step; g, the plan and u are the rows ``g``, ``plan`` and
+        ``u``) and applied as ``observe`` and ``advance`` would; nothing is
+        checked and the plant does not move.
 
-        The block's first step is taken as ``oco.step`` takes it, from the
-        map's product at the plant's state, so it is the step-by-step step
+        The block's first step is taken as ``oco.step_row`` takes it, from
+        the map's product at the plant's state, so it is the step-by-step step
         to the bit; its other steps come in closed form from the map's
         ``LiftedSteps``, in chained chunks of at most its ``steps`` rows (one
         map product, one check and one record fill serve the whole block).
@@ -648,12 +622,11 @@ class _LtiPlant:
             rows = min(rows, 1)
         xs, x_metas, outs, plans, us, norms = lifted.run(step_map, self.x, candidate,
                                                          refs[:rows], v[:rows], w[:rows])
-        if rows:  # the first step as oco.step takes it, to the bit
+        if rows:  # the first step as oco.step_row takes it, to the bit
             x_meas = self.x + v[0]
             out = step_map.rows_at(x_meas, candidate, refs[0])
             gap, g = out[step_map.gap], out[step_map.g]
-            xs[0], x_metas[0], outs[0] = self.x, x_meas, out
-            plans[0], us[0] = out[step_map.plan], out[step_map.u]
+            xs[0], x_metas[0], outs[0] = self.x, x_meas, out  # plans, us: views of outs
             norms[0] = math.sqrt(gap @ gap), math.sqrt(g @ g)
         return xs, x_metas, outs, plans, us, norms
 

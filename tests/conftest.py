@@ -332,7 +332,7 @@ def rollout_oracle(monkeypatch):
     (x_meas, candidate, theta_hat, d), (g, KKT residual, fallback), whether
     the rows decided it) of the compared steps."""
     real, real_rows, seen = oco.additional_input_optimized, oco.OptimizedRows.additional_input, []
-    step, context = oco.step, {}
+    step, context = oco.step_row, {}
 
     def compare(model, rollout, args, got, c_g, from_rows):
         g, kkt, fallback = got
@@ -356,14 +356,34 @@ def rollout_oracle(monkeypatch):
                     (got[0], got[2], False), c_g, True)
         return got
 
-    def stepped(state, model, *args):
+    def stepped(rows, i, model, *args):
         context["model"] = model  # the model from_rows compares on
-        return step(state, model, *args)
+        return step(rows, i, model, *args)
 
     monkeypatch.setattr(oco, "additional_input_optimized", checked)
     monkeypatch.setattr(oco.OptimizedRows, "additional_input", from_rows)
-    monkeypatch.setattr(oco, "step", stepped)
+    monkeypatch.setattr(oco, "step_row", stepped)
     return seen
+
+
+def row_state(rows, i):
+    """Row i of ``oco.ControllerRows`` as the ``oco.ControllerState`` that
+    ``oco.step`` takes and returns."""
+    return oco.ControllerState(plan=rows.plan[i], zeta_hat=(rows.theta_hat[i], rows.eta_hat[i]),
+                               t=int(rows.t[i]))
+
+
+def row_step(rows, i):
+    """Row i as ``oco.step`` returns a step: (u, state, diagnostics)."""
+    return rows.u[i], row_state(rows, i), rows.diagnostics(i)
+
+
+def step_with(monkeypatch, step_row, *args):
+    """``oco.step(*args)`` with ``step_row`` as its row step: a spy on
+    ``oco.step_row`` takes its reference steps through the step it wraps."""
+    with monkeypatch.context() as patch:
+        patch.setattr(oco, "step_row", step_row)
+        return oco.step(*args)
 
 
 def assert_close(got, want, rel, what):
@@ -402,7 +422,7 @@ def beta_roundoff(residual_u, base, shift, g):
 class StepByStep(simkit._LtiPlant):
     """An ``_LtiPlant`` with ``observe`` and ``advance`` of its own (the
     same ones), so ``closed_loop`` runs it step by step: every step after
-    the first goes through ``oco.step``."""
+    the first goes through ``oco.step_row``."""
 
     def observe(self, t):
         return super().observe(t)
@@ -434,21 +454,23 @@ def count_calls(monkeypatch, *names):
 
 @pytest.fixture
 def both_paths(monkeypatch, step_by_step):
-    """While active, every ``oco.step`` a loop makes must get a step map (its
-    cost's weight pair's), and must agree with the same step from the same state
-    through the gradient oracle (``assert_steps_agree``). The map's stage
-    residuals must match their per-step form within 1e-12 of the offsets'
-    scale; beta may move by what that difference moves it
-    (``beta_roundoff``). ``run_closed_loop`` runs step by step
+    """While active, every ``oco.step_row`` a loop makes must get a step map
+    (its cost's weight pair's), and its row must agree with the same step
+    from the row before through the gradient oracle (``oco.step``,
+    ``assert_steps_agree``). The map's stage residuals must match their
+    per-step form within 1e-12 of the offsets' scale; beta may move by what
+    that difference moves it (``beta_roundoff``). ``run_closed_loop`` runs step by step
     (``step_by_step``), so every step is compared. Returns the list of (t,
     cost) of the compared steps."""
-    real, seen = oco.step, []
+    real, seen = oco.step_row, []
 
-    def checked(state, model, tables, manifold, x_meas, grad_prev, options, step_map=None,
+    def checked(record, i, model, tables, manifold, x_meas, grad_prev, options, step_map=None,
                 ref_row=None):
-        out = real(state, model, tables, manifold, x_meas, grad_prev, options, step_map, ref_row)
+        real(record, i, model, tables, manifold, x_meas, grad_prev, options, step_map, ref_row)
+        out, state = row_step(record, i), row_state(record, i - 1)
         assert step_map is not None
-        ref = real(state, model, tables, manifold, x_meas, grad_prev, options, None, ref_row)
+        ref = step_with(monkeypatch, real, state, model, tables, manifold, x_meas, grad_prev,
+                        options, None, ref_row)
         # The map's stage residuals against their per-step form, at the
         # scale of the offsets they are computed from.
         x_meas, candidate = np.asarray(x_meas, float), state.plan[model.m:]
@@ -463,9 +485,8 @@ def both_paths(monkeypatch, step_by_step):
             slack = beta_roundoff(tables.residual_u, base, float(shift.max()), g)
         assert_steps_agree(out, ref, beta_slack=slack)
         seen.append((state.t + 1, grad_prev))
-        return out
 
-    monkeypatch.setattr(oco, "step", checked)
+    monkeypatch.setattr(oco, "step_row", checked)
     return seen
 
 

@@ -157,14 +157,14 @@ class TestExitCodes:
         from ocorobust import oco_controller
         from ocorobust.errors import StepError
 
-        real_step = oco_controller.step
+        real_step = oco_controller.step_row
 
-        def failing_step(state, *args, **kwargs):
-            if state.t + 1 == 5:
+        def failing_step(rows, i, *args, **kwargs):
+            if i == 5:
                 raise StepError(5, RuntimeError("controller died"))
-            return real_step(state, *args, **kwargs)
+            return real_step(rows, i, *args, **kwargs)
 
-        monkeypatch.setattr(oco_controller, "step", failing_step)
+        monkeypatch.setattr(oco_controller, "step_row", failing_step)
         code = main(["run", "--config", str(CONFIGS / "vehicle_explicit.cfg"),
                      "--out", str(tmp_path / "o"), "--quiet"])
         assert code == 1
@@ -540,8 +540,8 @@ class TestSweepDirection:
 
 
 class TestFloatBounds:
-    """Out-of-range floats are config errors naming the field (exit 2) in
-    every command, before anything is built or run."""
+    """Out-of-range floats, and negative seeds, are config errors naming the
+    field (exit 2) in every command, before anything is built or run."""
 
     @pytest.mark.parametrize("old, new, field, message", [
         ("seed = 0", "seed = 0\nscale = 2.0", "disturbance.scale", "must be at most 1"),
@@ -553,6 +553,9 @@ class TestFloatBounds:
         ("noise_levels = [1.0]", "noise_levels = [0.5, 1.5]", "sweep.noise_levels",
          "must be at most 1"),
         ("noise_levels = [1.0]", "noise_levels = [-0.1]", "sweep.noise_levels",
+         "must be at least 0"),
+        ("seed = 0", "seed = -3", "disturbance.seed", "must be at least 0"),
+        ("hop_size = 0.3", "hop_size = 0.3\nbase_seed = -1", "sweep.base_seed",
          "must be at least 0"),
     ])
     @pytest.mark.parametrize("command", ["run", "validate", "regret-sweep"])
@@ -566,6 +569,15 @@ class TestFloatBounds:
         assert f"field '{field}'" in captured.err and message in captured.err
         assert "Traceback" not in captured.out + captured.err
         assert not out.exists() or not any(out.iterdir())
+
+    def test_negative_seed_option_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, MINI_GENERIC)
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfg, "--out", str(out), "--seed", "-1", "--quiet"]) == 2
+        captured = capsys.readouterr()
+        assert "field '--seed'" in captured.err and "must be at least 0" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+        assert not out.exists()
 
     def test_bounds_are_inclusive_where_the_range_is_closed(self, tmp_path):
         text = (MINI_GENERIC + SWEEP_TAIL).replace("seed = 0", "seed = 0\nscale = 0.0").replace(

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import linprog
 
+from ocorobust import convexsets
 from ocorobust.convexsets import (
     ROW_BLOCK,
     FacetStack,
@@ -410,7 +411,10 @@ class TestFacetStack:
         rng = np.random.default_rng(7)
         blocks = [(rng.normal(size=(f, w)), rng.uniform(0.5, 2.0, f))
                   for f, w in ((4, 2), (3, 1), (7, 5))]
-        stack = FacetStack(blocks, widest=1)
+        # products of 7 x ROW_BLOCK entries, so the 90 points take 3 blocks
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(convexsets, "STACK_ENTRIES", ROW_BLOCK * 7)
+            stack = FacetStack(blocks)
         assert stack.rows == ROW_BLOCK * 7 // 14 and 2 * stack.rows < 90
         return blocks, stack, rng.normal(size=(90, 8))
 

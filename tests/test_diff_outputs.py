@@ -112,3 +112,26 @@ def test_exit_code(tmp_path, monkeypatch, capsys, beyond):
     assert out[-2] == (f"{len(diff_outputs.CALLS)} file(s) differ beyond tolerance" if beyond
                        else "no file differs beyond tolerance")
     assert out[-1].startswith("largest ratio: ") and "column x_0" in out[-1]
+
+
+def test_config_copy_makes_each_replacement(tmp_path, monkeypatch):
+    checkout = tree(tmp_path / "c", {"configs/x.cfg": "[a]\nk = 1\n[b]\nj = 2\n"})
+    monkeypatch.setitem(diff_outputs.COPIES, "two",
+                        [("\nk = 1\n", "\nk = 3\n"), ("\nj = 2\n", "\nj = 4\n")])
+    path = diff_outputs.config_copy(checkout, "x", "two", tmp_path / "copies")
+    assert path.name == "x_two.cfg" and path.read_text() == "[a]\nk = 3\n[b]\nj = 4\n"
+    # each text must occur once in the config as the replacements before left it
+    monkeypatch.setitem(diff_outputs.COPIES, "gone",
+                        [("\nk = 1\n", "\nk = 3\n"), ("\nk = 1\n", "\nk = 5\n")])
+    with pytest.raises(SystemExit, match="x.cfg: no single 'k = 1' line"):
+        diff_outputs.config_copy(checkout, "x", "gone", tmp_path / "copies")
+
+
+def test_aborted_copy_of_the_bundled_config(tmp_path):
+    # The copy that aborts the bundled double integrator: the abort flag and
+    # a membership tolerance below zero, each added once.
+    text = diff_outputs.config_copy(TOOL.parent.parent, "double_integrator", "aborted",
+                                    tmp_path).read_text()
+    assert text.count("\nabort_on_violation = true\n") == 1
+    assert text.count("\nmembership_tol = -1e-4\n") == 1
+    assert ("run", "double_integrator", "aborted") in diff_outputs.CALLS

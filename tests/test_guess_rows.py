@@ -2,7 +2,7 @@
 
 ``oco.QuadraticStepMap`` composes the projector's stacked products of its
 guess eta (the stationarity rows H eta + linear and the S-bar rows A eta - b)
-into its matrix, and ``oco.step`` and ``oco.settled_rows`` decide the guess
+into its matrix, and ``oco.step_row`` and ``oco.settled_rows`` decide the guess
 from those rows with ``PrefactoredQp.keeps``. The verdicts must be those of
 the single solve's own test (``PrefactoredQp._from_guess``, on eta and the
 linear term) on every step-by-step step, and those of ``kept_rows`` (which
@@ -48,20 +48,20 @@ def map_verdicts(step_map, manifold, out):
 
 @pytest.fixture
 def serial_verdicts(monkeypatch):
-    """While active, every ``oco.step`` given a map records both verdicts on
-    its map rows; returns the list of them."""
-    real, seen = oco.step, []
+    """While active, every ``oco.step_row`` given a map records both verdicts
+    on its map rows; returns the list of them."""
+    real, seen = oco.step_row, []
 
-    def step(state, model, tables, manifold, x_meas, grad_prev, options, step_map=None,
+    def step(rows, i, model, tables, manifold, x_meas, grad_prev, options, step_map=None,
              ref=None):
         if step_map is not None:
-            x, candidate = np.asarray(x_meas, float), state.plan[model.m:]
+            x, candidate = np.asarray(x_meas, float), rows.plan[i - 1, model.m:]
             out = (step_map.rows_at(x, candidate, grad_prev.ref_x, grad_prev.ref_u)
                    if ref is None else step_map.rows_at(x, candidate, ref))
             seen.append(map_verdicts(step_map, manifold, out))
-        return real(state, model, tables, manifold, x_meas, grad_prev, options, step_map, ref)
+        return real(rows, i, model, tables, manifold, x_meas, grad_prev, options, step_map, ref)
 
-    monkeypatch.setattr(oco, "step", step)
+    monkeypatch.setattr(oco, "step_row", step)
     return seen
 
 

@@ -2,18 +2,17 @@
 
 ``closed_loop`` runs an ``_LtiPlant`` with the explicit variant ahead over
 stretches of steps whose costs keep their weight arrays (reference hops
-included): it takes each block of
-steps in closed form from the step map's ``LiftedSteps`` (the steps as
-``oco.step`` takes one whose map rows settle it), checks the block after in
-one pass (``oco.settled_rows``) and hands the first rejected step to
-``oco.step``. Every run here is compared with the same run on a
-``conftest.StepByStep`` plant, which runs step by step. A block's first
-step is the step-by-step step to the bit, but the closed form of the others
-rounds differently from the step-by-step products, so every float column
-and ledger total must agree within REL (1 + |step by step|); beta, every
-flag column, the cost objects and the steps ``oco.step`` takes must be the
-same, and a failed run must fail at the same step with the same message and
-partial record.
+included): it takes each block of steps in closed form from the step map's
+``LiftedSteps`` (the steps as ``oco.step_row`` takes one whose map rows
+settle it), checks the block after in one pass (``oco.settled_rows``) and
+hands the first rejected step to ``oco.step_row``. Every run here is
+compared with the same run on a ``conftest.StepByStep`` plant, which runs
+step by step. A block's first step is the step-by-step step to the bit, but
+the closed form of the others rounds differently from the step-by-step
+products, so every float column and ledger total must agree within REL (1 +
+|step by step|); beta, every flag column, the cost objects and the steps
+``oco.step_row`` takes must be the same, and a failed run must fail at the
+same step with the same message and partial record.
 """
 
 import dataclasses
@@ -55,15 +54,15 @@ REL = 1e-12
 
 
 def serial_steps(monkeypatch):
-    """The steps ``oco.step`` takes while patched, in order."""
+    """The steps ``oco.step_row`` takes while patched, in order."""
     steps = []
-    real = oco.step
+    real = oco.step_row
 
-    def recorded(state, *args, **kwargs):
-        steps.append(state.t + 1)
-        return real(state, *args, **kwargs)
+    def recorded(rows, i, *args, **kwargs):
+        steps.append(i)
+        return real(rows, i, *args, **kwargs)
 
-    monkeypatch.setattr(oco, "step", recorded)
+    monkeypatch.setattr(oco, "step_row", recorded)
     return steps
 
 
@@ -95,11 +94,11 @@ def assert_outcomes_agree(got, want):
 
 
 def expected_serial_steps(record, model, tables, manifold, gamma):
-    """The steps after the first that ``closed_loop`` hands to ``oco.step``
+    """The steps after the first that ``closed_loop`` hands to ``oco.step_row``
     when it runs the step-by-step run ``record`` ahead, for schedules of
     plain ``QuadraticCost``s: those whose weight pair (``record.pair``) is
     not the step before's, and those whose map rows at the record's x_meas,
-    candidate and the step before's reference ``oco.step`` does not take
+    candidate and the step before's reference ``oco.step_row`` does not take
     whole (``per_row``). A step reads the cost of the step before it, so a
     hop to a cost of the same weight pair runs ahead."""
     steps, maps = [], {}
@@ -121,7 +120,7 @@ def expected_serial_steps(record, model, tables, manifold, gamma):
 
 def run_both(monkeypatch, run):
     """The outcome of ``run()`` as it stands and with every LTI plant step by
-    step, and the steps ``oco.step`` took in the first. For a run that ends,
+    step, and the steps ``oco.step_row`` took in the first. For a run that ends,
     those are the steps ``expected_serial_steps`` finds in the step-by-step run."""
     loops = []
 
@@ -216,7 +215,7 @@ class TestConfigs:
 def test_level_8_sweep_run_is_one_block(monkeypatch):
     # The bundled sweep design's top level hops its target 8 times, each to
     # a cost with the base weight arrays: steps 1..399 run ahead in one
-    # block, and no step goes through oco.step.
+    # block, and no step goes through oco.step_row.
     cfg, model, tables, manifold, schedule, controller = generic_setup(
         "regret_sweep", "regret-sweep")
     sw = cfg["sweep"]
@@ -439,7 +438,7 @@ def test_non_contracting_model(monkeypatch, scale, box, noise, steps, serial):
     # passes RUN_AHEAD_GROWTH at j = 12 on the map of the first weights and
     # j = 7 on that of the last piece's, so blocks stop there; with A eight
     # times that, F itself passes it, every block is its first step, taken as
-    # oco.step takes it, and the run is the step-by-step run to the bit (its
+    # oco.step_row takes it, and the run is the step-by-step run to the bit (its
     # projections keep an S-bar facet active from step 4 on, so only steps 1
     # to 3 run ahead). Runs on two pieces of the first weights and one of
     # others agree with the steps one by one. The hop at step 20 keeps the
@@ -494,7 +493,7 @@ class TestFailures:
 
     def test_nan_in_the_plants_own_noise(self, lti, monkeypatch):
         # v[4] is NaN: the block from step 1 ends before step 4, the next
-        # block holds no step, and oco.step fails step 4 as it fails any
+        # block holds no step, and oco.step_row fails step 4 as it fails any
         # non-finite measurement.
         _, _, run = lti
 
@@ -512,7 +511,7 @@ class TestFailures:
         # A non-finite w at step 20 reaches x at step 21, a non-finite v at
         # step 20 reaches x_meas at step 20: the block of steps 1..32 ends
         # before that step (its products would spread the value over the
-        # whole block), and oco.step fails it alone.
+        # whole block), and oco.step_row fails it alone.
         _, _, run = lti
 
         def edit(plant):
@@ -553,7 +552,7 @@ ROW_KINDS = ("plain", "x_meas", "entry", "guess_boundary", "grad_boundary", "tin
 
 
 def per_row(step_map, manifold, x_meas, out, tol):
-    """``oco.step``'s decision on one step: does it take the map's rows whole?"""
+    """``oco.step_row``'s decision on one step: does it take the map's rows whole?"""
     try:
         as_vector(x_meas)
     except ValueError:

@@ -39,6 +39,7 @@ from ocorobust.simkit import (
 from conftest import (
     assert_benchmark_matches_per_row,
     assert_ledger_matches_reference,
+    row_state,
     zonotope_contains,
 )
 
@@ -758,41 +759,40 @@ class TestBatchedFlags:
         controller = ControllerConfig(gamma=0.3)
         c_g = controller.effective_c_g(model)
         zeta0 = optimal_steady_state(manifold, di_cost, model)
-        real_initialize, real_step = oco.initialize, oco.step
+        real_initialize, real_step = oco.initialize, oco.step_row
         states = []       # the controller state of each step, as the engine saw it
-        held = {}         # the uncorrupted state the controller continues from
+        held = {}         # the uncorrupted rows the controller continues from
 
-        def initialize(*args, **kwargs):
-            held["state"] = real_initialize(*args, **kwargs)
-            states.append(held["state"])
-            return held["state"]
+        def initialize(model, *args, **kwargs):
+            state = real_initialize(model, *args, **kwargs)
+            held["rows"] = oco.ControllerRows(model.n, model.m, model.mu, 14)
+            held["rows"].plan[0] = state.plan
+            states.append(state)
+            return state
 
-        def step(state, *args, **kwargs):
+        def step(rows, i, *args, **kwargs):
             # Corrupt what the engine records at one step per monitor; the
-            # controller itself continues from its own state.
-            u, new, diag = real_step(held["state"], *args, **kwargs)
-            held["state"] = new
-            if new.t == 3:
-                u = u + 10.0
-            if new.t == 4:
-                diag = dataclasses.replace(diag, candidate_feasible=False)
-            if new.t == 5:  # the plan is [u_pred; u_ss]
-                plan = new.plan.copy()
-                plan[:-model.m] += 10.0
-                new = dataclasses.replace(new, plan=plan)
-            if new.t == 6:
-                plan = new.plan.copy()
-                plan[-model.m:] += 10.0
-                new = dataclasses.replace(new, plan=plan)
-            if new.t == 8:
-                diag = dataclasses.replace(diag, g_norm=diag.g_norm + 1.0)
-            if new.t == 10:
-                diag = dataclasses.replace(diag, pred_state=diag.pred_state + 1.0)
-            states.append(new)
-            return u, new, diag
+            # controller itself continues from its own rows.
+            own = held["rows"]
+            real_step(own, i, *args, **kwargs)
+            for name, column in vars(own).items():
+                getattr(rows, name)[i] = column[i]
+            if i == 3:
+                rows.u[i] += 10.0
+            if i == 4:
+                rows.candidate_ok[i] = False
+            if i == 5:  # the plan is [u_pred; u_ss]
+                rows.plan[i, :-model.m] += 10.0
+            if i == 6:
+                rows.plan[i, -model.m:] += 10.0
+            if i == 8:
+                rows.g_norm[i] += 1.0
+            if i == 10:
+                rows.pred_state[i] += 1.0
+            states.append(row_state(rows, i))
 
         monkeypatch.setattr(oco, "initialize", initialize)
-        monkeypatch.setattr(oco, "step", step)
+        monkeypatch.setattr(oco, "step_row", step)
         trace, _ = closed_loop(model, tables, manifold, controller,
                                HeldPlant(model, zeta0[0], di_cost, leave_x_at=2), 14, zeta0)
 

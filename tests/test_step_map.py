@@ -43,11 +43,14 @@ from conftest import (
     assert_steps_agree,
     count_calls,
     guess_kept,
+    row_state,
+    row_step,
+    step_with,
 )
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 RUN_REL = 1e-10
-STEP = oco.step  # as the module has it, before a fixture wraps it
+STEP_ROW = oco.step_row  # as the module has it, before a fixture wraps it
 
 
 class OwnGrad(QuadraticCost):
@@ -191,9 +194,9 @@ class TestServes:
         with monkeypatch.context() as patch:
             patch.setattr(SteadyStateBenchmark, "__init__", tracked)
             calls = count_calls(patch, "ogd_step")
-            steps, step = [], oco.step
-            patch.setattr(oco, "step", lambda state, *a: steps.append(state.t + 1)
-                          or step(state, *a))
+            steps, step = [], oco.step_row
+            patch.setattr(oco, "step_row", lambda rows, i, *a: steps.append(i)
+                          or step(rows, i, *a))
             trace, ledger = run(own)
         assert len(trace.pairs) == 1 and not trace.pair.any() and len(built) == 1
         assert trace.pairs[0].benchmark is built[0]
@@ -312,12 +315,13 @@ class TestOneStep:
         # is the one the step's ``OptimizedRows`` rows decide the input on,
         # or the one ``additional_input_optimized`` gets.
         gaps, real = [], oco.additional_input_optimized
-        step, real_rows = oco.step, oco.OptimizedRows.additional_input
+        step, real_rows = oco.step_row, oco.OptimizedRows.additional_input
 
-        def observed(state, model, tables, manifold, x_meas, grad_prev, options, step_map=None,
-                     ref=None):
-            out = step(state, model, tables, manifold, x_meas, grad_prev, options, step_map, ref)
-            x_meas, candidate = np.asarray(x_meas, float), state.plan[model.m:]
+        def observed(record, i, model, tables, manifold, x_meas, grad_prev, options,
+                     step_map=None, ref=None):
+            step(record, i, model, tables, manifold, x_meas, grad_prev, options, step_map, ref)
+            out = row_step(record, i)
+            x_meas, candidate = np.asarray(x_meas, float), record.plan[i - 1, model.m:]
             rows = (step_map.rows_at(x_meas, candidate, grad_prev.ref_x, grad_prev.ref_u)
                     if ref is None else step_map.rows_at(x_meas, candidate, ref))
             d = gaps[-1]
@@ -328,7 +332,6 @@ class TestOneStep:
             else:
                 assert np.array_equal(d, theta_hat - pred), "projected"
                 kinds.append("projected")
-            return out
 
         def recorded(model, rollout, x_meas, candidate, theta_hat, d, c_g):
             gaps.append(d)
@@ -343,7 +346,7 @@ class TestOneStep:
         kinds = []
         monkeypatch.setattr(oco, "additional_input_optimized", recorded)
         monkeypatch.setattr(oco.OptimizedRows, "additional_input", from_rows)
-        monkeypatch.setattr(oco, "step", observed)
+        monkeypatch.setattr(oco, "step_row", observed)
         vehicle.run_scenario("optimized", seed=3)
         assert len(kinds) == 299 and 0 < kinds.count("projected") < kinds.count("rows")
 
@@ -381,14 +384,14 @@ def rows_off(patch):
 
 @pytest.fixture
 def fused_steps(monkeypatch):
-    """While active, every optimized ``oco.step`` is also taken from the same
-    state with the rows' decision off (``rows_off``), and the two must
+    """While active, every optimized ``oco.step_row`` is also taken from the
+    row before with the rows' decision off (``rows_off``), and the two must
     agree: g, the plan and u within 1e-12 (1 + |two products|), theta_hat
     and eta_hat to the bit (the rows the two share round alike), g_fallback
     the same, beta the same where either is 1 and within 1e-12 elsewhere
     (the rows' growth of the stage residuals rounds differently). Returns
     a list with one entry per compared step: whether the rows decided it."""
-    step, real_rows, real = (oco.step, oco.OptimizedRows.additional_input,
+    step, real_rows, real = (oco.step_row, oco.OptimizedRows.additional_input,
                              oco.additional_input_optimized)
     gs, seen = [], []
 
@@ -402,13 +405,15 @@ def fused_steps(monkeypatch):
         gs.append(got[0])
         return got
 
-    def checked(state, model, *args):
+    def checked(rows, i, model, *args):
         gs.clear()
-        u, new, diag = got = step(state, model, *args)
+        step(rows, i, model, *args)
+        u, new, diag = row_step(rows, i)
         g, decided = gs[-1], gs[0] is not None
         with monkeypatch.context() as patch:
             rows_off(patch)
-            u_ref, new_ref, diag_ref = step(state, model, *args)
+            u_ref, new_ref, diag_ref = step_with(patch, step, row_state(rows, i - 1), model,
+                                                 *args)
         assert_close(g, gs[-1], 1e-12, "g")
         assert_close(u, u_ref, 1e-12, "u")
         assert_close(new.plan, new_ref.plan, 1e-12, "plan")
@@ -420,11 +425,10 @@ def fused_steps(monkeypatch):
         else:
             assert abs(diag.beta - diag_ref.beta) <= 1e-12 * (1.0 + diag_ref.beta)
         seen.append(decided)
-        return got
 
     monkeypatch.setattr(oco.OptimizedRows, "additional_input", from_rows)
     monkeypatch.setattr(oco, "additional_input_optimized", two_products)
-    monkeypatch.setattr(oco, "step", checked)
+    monkeypatch.setattr(oco, "step_row", checked)
     return seen
 
 
@@ -440,7 +444,7 @@ class TestOptimizedRows:
         for seed in range(10):
             trace, ledger, _ = vehicle.run_scenario("optimized", seed=seed, setup=setup)
             with monkeypatch.context() as patch:
-                patch.setattr(oco, "step", STEP)
+                patch.setattr(oco, "step_row", STEP_ROW)
                 rows_off(patch)
                 off = vehicle.run_scenario("optimized", seed=seed, setup=setup)
             assert_runs_agree((trace, ledger), off[:2])
@@ -475,7 +479,7 @@ class TestOptimizedRows:
             fused = run()
             assert len(fused_steps) == 119 and any(fused_steps)
             with monkeypatch.context() as patch:
-                patch.setattr(oco, "step", STEP)
+                patch.setattr(oco, "step_row", STEP_ROW)
                 rows_off(patch)
                 assert_runs_agree(fused, run())
 
@@ -617,14 +621,14 @@ class TestCensus:
             model=model, manifold=manifold, base_cost=schedule.cost_at(0),
             direction=tuple(sw["direction"]), levels=tuple(sw["path_levels"]),
             hop_size=sw["hop_size"], horizon=sw["horizon"])
-        serial = count_calls(monkeypatch, "step")
+        serial = count_calls(monkeypatch, "step_row")
         result = simkit.regret_scaling_experiment(
             model, tables, manifold, controller, generator,
             dist_levels=list(sw["noise_levels"]), seeds=[0], horizon=sw["horizon"])
         steps = len(result.rows) * (sw["horizon"] - 1)
-        ahead = steps - serial["step"]
+        ahead = steps - serial["step_row"]
         # every step's guess is tested: step by step once, or in its block
-        assert len(verdicts) == serial["step"]
+        assert len(verdicts) == serial["step_row"]
         assert len(fallbacks) == verdicts.count(False) and not solves
         assert ahead <= sum(int(np.count_nonzero(kept)) for kept in batches)
         assert sum(verdicts) + ahead > 0.9 * steps

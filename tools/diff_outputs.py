@@ -8,9 +8,11 @@ call runs in a fresh process, with the checkout as working directory and its
 copies of ``double_integrator.cfg``, ``vehicle_explicit.cfg`` and
 ``vehicle_optimized.cfg`` with ``experiment.seeds = 3``, on a copy of
 ``double_integrator.cfg`` whose weights go A -> B -> A (a piece with q_u =
-[[2.0]] from step 75, then the first weights again from step 150) and on a
+[[2.0]] from step 75, then the first weights again from step 150), on a
 copy of ``double_integrator.cfg`` with ``experiment.abort_on_violation =
-true`` (flagged block by block as the run goes), ``regret-sweep`` on
+true`` (flagged block by block as the run goes) and on one that also sets
+``controller.membership_tol = -1e-4`` (it aborts at t = 81 and writes
+``trace_partial.csv``), ``regret-sweep`` on
 ``configs/regret_sweep.cfg`` and ``validate`` on all four configs. A call's
 outputs are the files it writes to ``--out``, its stdout, its stderr and its
 exit code. They go under ``--work`` (by default a temporary directory,
@@ -45,7 +47,7 @@ CALLS = (
                                       "vehicle_optimized")]
     + [("run", name, "seeds3") for name in ("double_integrator", "vehicle_explicit",
                                             "vehicle_optimized")]
-    + [("run", "double_integrator", copy) for copy in ("return", "abort")]
+    + [("run", "double_integrator", copy) for copy in ("return", "abort", "aborted")]
     + [("regret-sweep", "regret_sweep", None)]
     + [("validate", name, None) for name in ("double_integrator", "regret_sweep",
                                              "vehicle_explicit", "vehicle_optimized")])
@@ -62,11 +64,14 @@ ref_u = [0.0]
 """
 
 
-# copy name -> (text that occurs once in the bundled config, its replacement)
+ABORT = ("\nseeds = 1\n", "\nseeds = 1\nabort_on_violation = true\n")
+# copy name -> (text that occurs once in the bundled config, its replacement) pairs
 COPIES = {
-    "seeds3": ("\nseeds = 1\n", "\nseeds = 3\n"),
-    "return": ("\n[cost.1]\n", "\n" + RETURN_PIECE),
-    "abort": ("\nseeds = 1\n", "\nseeds = 1\nabort_on_violation = true\n"),
+    "seeds3": [("\nseeds = 1\n", "\nseeds = 3\n")],
+    "return": [("\n[cost.1]\n", "\n" + RETURN_PIECE)],
+    "abort": [ABORT],
+    "aborted": [ABORT, ("\nvariant = explicit\n",
+                        "\nvariant = explicit\nmembership_tol = -1e-4\n")],
 }
 
 
@@ -74,12 +79,13 @@ def config_copy(checkout, config, copy, copies):
     """The copy ``copy`` (a key of ``COPIES``) of ``checkout``'s bundled
     ``config``, written in ``copies``; returns its path."""
     text = Path(checkout, "configs", f"{config}.cfg").read_text()
-    old, new = COPIES[copy]
-    if text.count(old) != 1:
-        raise SystemExit(f"{config}.cfg: no single {old.strip()!r} line to replace")
+    for old, new in COPIES[copy]:
+        if text.count(old) != 1:
+            raise SystemExit(f"{config}.cfg: no single {old.strip()!r} line to replace")
+        text = text.replace(old, new)
     copies.mkdir(parents=True, exist_ok=True)
     path = copies / f"{config}_{copy}.cfg"
-    path.write_text(text.replace(old, new))
+    path.write_text(text)
     return path.resolve()
 
 

@@ -304,13 +304,28 @@ def write_ledger_csv(path, trace, ledger):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _output(args, cfg):
+    """The command's output directory, made if missing, and whether it is quiet."""
+    out_dir = Path(args.out or cfg["output"]["out_dir"])
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir, args.quiet or cfg["output"]["quiet"]
+
+
+def _generic_setup(cfg):
+    """The generic scenario's model, tables, manifold, cost schedule and
+    controller."""
+    model = build_model(_model_config(cfg))
+    tables = build_tightening(model)
+    manifold = steady_state_manifold(model, model.p_rpi, shrink=cfg["controller"]["shrink"])
+    schedule = _schedule(cfg)
+    return model, tables, manifold, schedule, _controller(cfg, model, schedule)
+
+
 def cmd_run(args):
     cfg = load_config(args.config, command="run")
     if args.seed is not None and args.seed < 0:
         raise ConfigError("must be at least 0", field="--seed")
-    out_dir = Path(args.out or cfg["output"]["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    quiet = args.quiet or cfg["output"]["quiet"]
+    out_dir, quiet = _output(args, cfg)
     scenario = cfg["experiment"]["scenario"]
     horizon = cfg["experiment"]["horizon"]
     n_seeds = cfg["experiment"]["seeds"]
@@ -323,11 +338,7 @@ def cmd_run(args):
         setup = vehicle.vehicle_setup(params)
         model = setup.model
     else:
-        model = build_model(_model_config(cfg))
-        tables = build_tightening(model)
-        manifold = steady_state_manifold(model, model.p_rpi, shrink=cfg["controller"]["shrink"])
-        schedule = _schedule(cfg)
-        controller = _controller(cfg, model, schedule)
+        model, tables, manifold, schedule, controller = _generic_setup(cfg)
         u0 = cfg["controller"].get("zeta0_u")
         u0 = np.zeros(model.m) if u0 is None else np.asarray(u0, float)
         zeta0 = (model.g_k @ u0, u0)
@@ -386,15 +397,9 @@ def cmd_run(args):
 
 def cmd_regret_sweep(args):
     cfg = load_config(args.config, command="regret-sweep")
-    out_dir = Path(args.out or cfg["output"]["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    quiet = args.quiet or cfg["output"]["quiet"]
+    out_dir, quiet = _output(args, cfg)
     sw = cfg["sweep"]
-    model = build_model(_model_config(cfg))
-    tables = build_tightening(model)
-    manifold = steady_state_manifold(model, model.p_rpi, shrink=cfg["controller"]["shrink"])
-    schedule = _schedule(cfg)
-    controller = _controller(cfg, model, schedule)
+    model, tables, manifold, schedule, controller = _generic_setup(cfg)
     gen = AlternatingTargetGenerator(
         model=model, manifold=manifold, base_cost=schedule.cost_at(0),
         direction=tuple(sw["direction"]), levels=tuple(sw["path_levels"]),

@@ -26,6 +26,13 @@ or ``guess_status`` with equality rows: the controller's optimized rows)
 and a rejected guess to the fallback (``_rejected``). ``guess_rows`` makes
 the guess for many linear terms at once and ``kept_rows`` tests many guesses
 formed elsewhere by that rule. No state is kept between solves.
+
+A solver is built for one KKT tolerance ``tol`` (``DEFAULT_TOL`` unless its
+owner passes another: ``plant.SteadyStateManifold`` builds its projector
+with ``plant.PROJECTION_TOL``), as OSQP fixes its tolerances at set-up
+(Stellato, Banjac, Goulart, Bemporad & Boyd, *Math. Prog. Comp.* 2020): every
+solve, guess test and fallback reads it, and GI's stopping threshold
+0.1 tol (``stop_tol``), from the solver.
 """
 
 from __future__ import annotations
@@ -69,9 +76,17 @@ class PrefactoredQp:
     case (two or more binding rows, or rank-deficient and possibly
     inconsistent equalities) it runs the GI iteration from the unconstrained
     optimum.
+
+    ``tol`` is the KKT tolerance of every solve and guess test, fixed at
+    construction: a solve is "optimal" only with a KKT residual within it, and
+    a row passes GI's stopping test with a slack of at least -``stop_tol`` =
+    -0.1 tol.
     """
 
-    def __init__(self, hessian, ineq_normals=None, eq_normals=None):
+    def __init__(self, hessian, ineq_normals=None, eq_normals=None, tol=DEFAULT_TOL):
+        if not tol > 0:
+            raise ValueError("tol must be positive")
+        self.tol, self.stop_tol = tol, 0.1 * tol
         self.hessian = as_matrix(hessian, "hessian")
         self.hinv = spd_inverse(self.hessian, "hessian")
         n = self.hessian.shape[0]
@@ -107,10 +122,7 @@ class PrefactoredQp:
                 self.kkt_q = np.vstack([m @ hinv_e.T - self.hinv, -m.T])
                 self.kkt_b = np.vstack([m, -s])
 
-    def solve(self, linear, ineq_offsets=None, eq_offsets=None,
-              tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
-        if tol <= 0:
-            raise ValueError("tol must be positive")
+    def solve(self, linear, ineq_offsets=None, eq_offsets=None):
         ineq_b = self.no_ineq if ineq_offsets is None else np.asarray(ineq_offsets, float)
         eq_b = self.no_eq if eq_offsets is None else np.asarray(eq_offsets, float)
         linear = np.asarray(linear, float)
@@ -119,10 +131,10 @@ class PrefactoredQp:
             sol = (self.kkt_q @ linear + self.kkt_b @ eq_b if self.meq
                    else self.kkt_q @ linear)
             n = linear.size
-            return self._from_guess(linear, sol[:n], sol[n:], ineq_b, eq_b, tol, max_iter)[0]
-        return self._cold(linear, ineq_b, eq_b, tol, max_iter)
+            return self._from_guess(linear, sol[:n], sol[n:], ineq_b, eq_b)[0]
+        return self._cold(linear, ineq_b, eq_b)
 
-    def _from_guess(self, linear, x, nu, ineq_b, eq_b, tol, max_iter=DEFAULT_MAX_ITER):
+    def _from_guess(self, linear, x, nu, ineq_b, eq_b):
         """``solve``'s answer from the equality-constrained optimum (x, nu)
         of ``linear``, which the caller formed (``solve`` itself, or
         ``oco.QuadraticStepMap``'s and ``oco.RolloutMap``'s rows). Returns
@@ -132,39 +144,37 @@ class PrefactoredQp:
         formed or tested again.
         """
         prod = self.stacked @ x
-        guess = self._equality_guess(prod, linear, ineq_b, eq_b, x, nu, tol)
+        guess = self._equality_guess(prod, linear, ineq_b, eq_b, x, nu)
         if guess is not None and guess.status == "optimal":
             return guess, True
-        return self._fallback(prod, linear, ineq_b, eq_b, x, guess is None, tol,
-                              max_iter), False
+        return self._fallback(prod, linear, ineq_b, eq_b, x, guess is None), False
 
-    def _rejected(self, linear, x, viol, ineq_b, tol, max_iter=DEFAULT_MAX_ITER):
+    def _rejected(self, linear, x, viol, ineq_b):
         """``solve``'s answer from the unconstrained optimum x of ``linear``
         that ``keeps`` rejected on rows the caller formed (``viol``, its row
         residuals A x - b; ``oco.QuadraticStepMap``'s rows), on a solver with
         inequality rows only: ``_from_guess``'s fallback from a rejected
         guess, with ``stacked @ x`` formed here."""
         return self._fallback(self.stacked @ x, linear, ineq_b, self.no_eq, x,
-                              float(np.maximum.reduce(viol)) > 0.1 * tol, tol, max_iter)
+                              float(np.maximum.reduce(viol)) > self.stop_tol)
 
-    def _fallback(self, prod, linear, ineq_b, eq_b, x, row_failed, tol, max_iter):
+    def _fallback(self, prod, linear, ineq_b, eq_b, x, row_failed):
         """``solve``'s answer after the guess x was rejected (``row_failed``
         is True when a row failed GI's stopping test, as ``_equality_guess``
         tests it; ``prod`` is ``stacked @ x``): GI's one-row step from x on a
         solver without equality rows when a row failed, else, or when that
         step fails, GI from the unconstrained optimum (``_cold``)."""
-        if row_failed and not self.meq and max_iter >= 1:
-            step = self._one_row_step(prod, linear, ineq_b, eq_b, x, tol)
+        if row_failed and not self.meq:
+            step = self._one_row_step(prod, linear, ineq_b, eq_b, x)
             if step is not None and step.status == "optimal":
                 return step
-        return self._cold(linear, ineq_b, eq_b, tol, max_iter)
+        return self._cold(linear, ineq_b, eq_b)
 
-    def _cold(self, linear, ineq_b, eq_b, tol, max_iter):
+    def _cold(self, linear, ineq_b, eq_b):
         """The GI iteration from the unconstrained optimum, with its status
         and multipliers checked by ``_assemble``."""
         cd = np.concatenate([eq_b, -ineq_b])
-        x, active, mult, signs, status = _gi_core(self, -(self.hinv @ linear), cd,
-                                                  tol, max_iter)
+        x, active, mult, signs, status = _gi_core(self, -(self.hinv @ linear), cd)
         # NaN fails every ratio test in GI, so non-finite data usually ends
         # "infeasible"; name the actual cause.
         if status != "optimal" and not (np.logical_and.reduce(np.isfinite(linear))
@@ -177,10 +187,9 @@ class PrefactoredQp:
                 nu[j] = -u * sigma
             else:
                 lam[j - self.meq] = u
-        return self._assemble(self.stacked @ x, linear, ineq_b, eq_b, x, lam, nu, status,
-                              tol)
+        return self._assemble(self.stacked @ x, linear, ineq_b, eq_b, x, lam, nu, status)
 
-    def _equality_guess(self, prod, linear, ineq_b, eq_b, x, nu, tol):
+    def _equality_guess(self, prod, linear, ineq_b, eq_b, x, nu):
         """The equality-constrained optimum (x, nu) with zero inequality
         multipliers, as ``_assemble`` would return it with lam = 0; None when
         a row fails GI's stopping test (slack b - A x >= -0.1 tol).
@@ -193,14 +202,13 @@ class PrefactoredQp:
         if self.meq:
             grad += self.eq_normals.T @ nu
         checked = self.guess_status(grad, prod[n:n + mineq] - ineq_b if mineq else None,
-                                    prod[n + mineq:] - eq_b if self.meq else None, tol)
+                                    prod[n + mineq:] - eq_b if self.meq else None)
         if checked is None:
             return None
         return QpSolution(x=x, kkt_residual=checked[0], status=checked[1],
                           ineq_multipliers=self.no_ineq, eq_multipliers=nu)
 
-    @staticmethod
-    def guess_status(grad, viol, eq_res, tol=DEFAULT_TOL):
+    def guess_status(self, grad, viol, eq_res):
         """``_equality_guess``'s test of a guess x with zero inequality
         multipliers, from its stationarity rows ``grad`` = H x + q + E' nu,
         its row residuals ``viol`` = A x - b and its equality residuals
@@ -217,14 +225,14 @@ class PrefactoredQp:
         terms = []
         if viol is not None:
             top = float(np.maximum.reduce(viol))
-            if top > 0.1 * tol:
+            if top > self.stop_tol:
                 return None
             terms += [max(top, 0.0), 0.0 * float(np.minimum.reduce(viol))]
         if eq_res is not None:
             terms.append(float(np.maximum.reduce(np.abs(eq_res))))
-        return _residual_status([math.sqrt(grad @ grad), *terms], "optimal", tol)
+        return self._residual_status([math.sqrt(grad @ grad), *terms], "optimal")
 
-    def _one_row_step(self, prod, linear, ineq_b, eq_b, x, tol):
+    def _one_row_step(self, prod, linear, ineq_b, eq_b, x):
         """GI's first iteration from the failed guess x (no equality rows):
         the most violated row j (the lowest index on ties, as GI's argmin)
         becomes active and x steps along z = H^-1 C_j' by t = -slack / z'C_j',
@@ -244,23 +252,22 @@ class PrefactoredQp:
         prod = self.stacked @ x
         viol = prod[n:] - ineq_b
         viol[j] = 0.0  # GI zeroes the active row's slack in its test
-        if not float(np.maximum.reduce(viol)) <= 0.1 * tol:
+        if not float(np.maximum.reduce(viol)) <= self.stop_tol:
             return None
         lam = np.zeros(ineq_b.size)
         lam[j] = step
-        return self._assemble(prod, linear, ineq_b, eq_b, x, lam, self.no_eq, "optimal",
-                              tol)
+        return self._assemble(prod, linear, ineq_b, eq_b, x, lam, self.no_eq, "optimal")
 
-    def guess_rows(self, linears, ineq_offsets, tol=DEFAULT_TOL):
+    def guess_rows(self, linears, ineq_offsets):
         """The fast path of ``solve`` for many linear terms at once, on a
         solver with inequality rows only: returns the unconstrained optimum
         x = -H^-1 q of each row q of ``linears`` (one product) and whether
         ``solve`` keeps it (``kept_rows``).
         """
         x = linears @ self.kkt_q.T
-        return x, self.kept_rows(x, linears, ineq_offsets, tol)
+        return x, self.kept_rows(x, linears, ineq_offsets)
 
-    def kept_rows(self, x, linears, ineq_offsets, tol=DEFAULT_TOL):
+    def kept_rows(self, x, linears, ineq_offsets):
         """Whether ``solve`` keeps each row of ``x`` as the unconstrained
         optimum of the matching row of ``linears``, on a solver with
         inequality rows only; the caller forms x = -H^-1 q (``guess_rows``).
@@ -272,10 +279,9 @@ class PrefactoredQp:
         """
         prod = x @ self.stacked.T
         n = x.shape[1]
-        return self.keeps(prod[:, :n] + linears, prod[:, n:] - ineq_offsets, tol)
+        return self.keeps(prod[:, :n] + linears, prod[:, n:] - ineq_offsets)
 
-    @staticmethod
-    def keeps(grad, viol, tol=DEFAULT_TOL):
+    def keeps(self, grad, viol):
         """Whether ``solve`` keeps a guess x of a solver with inequality rows
         only, from its stacked products: the stationarity rows ``grad`` = H x
         + q and the row residuals ``viol`` = A x - b, for one guess (1-D) or
@@ -289,11 +295,11 @@ class PrefactoredQp:
         bound, a row at -inf (whose complementarity term 0 * -inf is NaN) the
         second.
         """
-        return ((np.maximum.reduce(viol, -1) <= 0.1 * tol)
+        return ((np.maximum.reduce(viol, -1) <= self.stop_tol)
                 & (np.minimum.reduce(viol, -1) > -np.inf)
-                & (np.sqrt(np.add.reduce(grad * grad, -1)) <= tol))
+                & (np.sqrt(np.add.reduce(grad * grad, -1)) <= self.tol))
 
-    def _assemble(self, prod, linear, ineq_b, eq_b, x, lam, nu, status, tol):
+    def _assemble(self, prod, linear, ineq_b, eq_b, x, lam, nu, status):
         """KKT residual of (x, lam, nu); an "optimal" above tol becomes "max_iter".
 
         ``prod`` is ``stacked @ x``: H x, then the inequality and the equality
@@ -314,9 +320,18 @@ class PrefactoredQp:
                       max(0.0, -float(np.minimum.reduce(lam, initial=0.0)))]
         if self.meq:
             terms.append(float(np.maximum.reduce(np.abs(prod[n + mineq:] - eq_b))))
-        res, status = _residual_status(terms, status, tol)
+        res, status = self._residual_status(terms, status)
         return QpSolution(x=x, kkt_residual=res, status=status, ineq_multipliers=lam,
                           eq_multipliers=nu)
+
+    def _residual_status(self, terms, status):
+        """The KKT residual (the largest term) and the status it leaves."""
+        # max() skips a NaN that is not its first argument; the sum does not.
+        total = sum(terms)
+        res = max(terms) if total < np.inf else total
+        if status == "optimal" and not res <= self.tol:
+            status = "max_iter" if res < np.inf else "non_finite"
+        return res, status
 
 
 def _read_only_zeros(size):
@@ -325,24 +340,15 @@ def _read_only_zeros(size):
     return out
 
 
-def _residual_status(terms, status, tol):
-    """The KKT residual (the largest term) and the status it leaves."""
-    # max() skips a NaN that is not its first argument; the sum does not.
-    total = sum(terms)
-    res = max(terms) if total < np.inf else total
-    if status == "optimal" and not res <= tol:
-        status = "max_iter" if res < np.inf else "non_finite"
-    return res, status
-
-
-def _gi_core(qp, x, cd, tol, max_iter):
+def _gi_core(qp, x, cd, max_iter=DEFAULT_MAX_ITER):
     """Dual active-set iteration from the unconstrained optimum ``x``.
 
-    ``cd`` holds the right-hand sides of ``qp.cn x >= cd``. Step directions
+    ``cd`` holds the right-hand sides of ``qp.cn x >= cd``; a row stops the
+    iteration once every slack is at least -``qp.stop_tol``. Step directions
     are slices of ``qp.hinv_cn`` and ``qp.gram``; each iteration solves one
     system the size of the active set. No validation.
     """
-    cn, hinv_cn, gram, meq = qp.cn, qp.hinv_cn, qp.gram, qp.meq
+    cn, hinv_cn, gram, meq, stop_tol = qp.cn, qp.hinv_cn, qp.gram, qp.meq, qp.stop_tol
     mineq = cd.size - meq
     cn_in, cd_in = cn[meq:], cd[meq:]
     active: list[int] = []
@@ -375,7 +381,7 @@ def _gi_core(qp, x, cd, tol, max_iter):
                 if active:
                     slacks[[j - meq for j in active if j >= meq]] = 0.0
                 cand = int(np.argmin(slacks))
-                if slacks[cand] >= -tol * 0.1:
+                if slacks[cand] >= -stop_tol:
                     return x, active, mult, signs, "optimal"
                 idx, sigma = cand + meq, 1.0
             else:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .denseqp import DEFAULT_TOL, PrefactoredQp
+from .denseqp import PrefactoredQp
 from .errors import InfeasibleError, InitializationError, OcoRobustError, StepError
 from .matlin import as_vector
 from .plant import membership_zu, stage_values, stage_values_linear
@@ -24,7 +24,6 @@ from .plant import membership_zu, stage_values, stage_values_linear
 # S_c's null space, which the rollout cost shapes, so solving would report a
 # spurious cap fallback.
 DEGENERATE_TOL = 1e-12
-PROJECTION_TOL = 1e-9
 RUN_AHEAD_STEPS = 32  # the most rows of a LiftedSteps chunk; see also simkit.closed_loop
 RUN_AHEAD_GROWTH = 100.0  # the largest norm of F^j a chunk may use (see LiftedSteps)
 RUN_AHEAD_BLOCK = 1024  # the most rows of a LiftedSteps.run call; see simkit.closed_loop
@@ -99,6 +98,17 @@ class ControllerRows:
             kkt_residual=None if math.isnan(kkt) else kkt, g_fallback=bool(self.g_fallback[i]))
 
 
+def _stack_rows(owner, blocks, *above):
+    """One matrix of the rows ``above`` (arrays), then the named row blocks
+    ``blocks``, in order; sets each block's name on ``owner`` to the slice
+    of its rows."""
+    at = sum(len(rows) for rows in above)
+    for name, block in blocks.items():
+        setattr(owner, name, slice(at, at + len(block)))
+        at += len(block)
+    return np.vstack([*above, *blocks.values()])
+
+
 class RolloutMap:
     """A rollout QP over the additional input sequence g, with the fixed
     affine map of what a step needs from it.
@@ -121,13 +131,9 @@ class RolloutMap:
         nvar, cols = linear.shape
         optimum = solver.kkt_q @ linear
         optimum[:, cols - 1 - solver.meq:cols - 1] += solver.kkt_b  # the d columns
-        blocks = dict(linear=linear, x=optimum[:nvar], nu=optimum[nvar:],
-                      offsets=np.zeros((0, cols)) if offsets is None else offsets)
-        at = 0
-        for name, block in blocks.items():
-            setattr(self, name, slice(at, at + len(block)))
-            at += len(block)
-        self.matrix = np.vstack(list(blocks.values()))
+        self.matrix = _stack_rows(self, dict(
+            linear=linear, x=optimum[:nvar], nu=optimum[nvar:],
+            offsets=np.zeros((0, cols)) if offsets is None else offsets))
         self.solver = solver
 
     def product(self, x_meas, candidate, theta_hat, d):
@@ -233,15 +239,11 @@ class QuadraticStepMap:
         grad, viol = stacked[:m] + linear, stacked[m:]
         viol[:, -1] -= manifold.sbar.offsets
         self.grad, self.viol = slice(0, m), slice(m, len(stacked))
-        blocks = dict(guess=np.vstack([grad, viol, np.zeros((-len(stacked) % 8, cols))]),
-                      base=base, linear=linear, pred=pred_rows, theta=theta, gap=gap, g=g,
-                      reach=base + both[nv:], head=head, eta=eta, u=u)
-        at = 0
-        for name, block in blocks.items():
-            setattr(self, name, slice(at, at + len(block)))
-            at += len(block)
+        self.matrix = _stack_rows(self, dict(
+            guess=np.vstack([grad, viol, np.zeros((-len(stacked) % 8, cols))]),
+            base=base, linear=linear, pred=pred_rows, theta=theta, gap=gap, g=g,
+            reach=base + both[nv:], head=head, eta=eta, u=u))
         self.plan = slice(self.head.start, self.eta.stop)  # [candidate + g; eta]
-        self.matrix = np.vstack(list(blocks.values()))
         self.tables, self.manifold, self.gamma = tables, manifold, gamma
         self._lifted = None  # the map's LiftedSteps, built on first use
         self._optimized = []  # its OptimizedRows, one per rollout map, built on first use
@@ -325,22 +327,18 @@ class OptimizedRows:
         g = x[:nv]
         growth = tables.residual_u @ g
         head = g + np.eye(nv, cols, n)  # + candidate
-        blocks = dict(
+        # The step map's rows before g, as they are, then this variant's.
+        self.matrix = _stack_rows(self, dict(
             g=g, reach=matrix[step_map.base] + growth, head=head, eta=matrix[step_map.eta],
             u=head[:m] + np.hstack([tables.feedback, np.zeros((m, cols - n))]),
             growth=growth,
             rollout_grad=(stacked[:nvar] + rows[rollout_map.linear]
                           + solver.eq_normals.T @ rows[rollout_map.nu]),
             rollout_viol=stacked[nvar:nvar + mineq] - rows[rollout_map.offsets],
-            rollout_eq=stacked[nvar + mineq:] - gap)
-        at = step_map.g.start  # the step map's rows before g, as they are
-        for name, block in blocks.items():
-            setattr(self, name, slice(at, at + len(block)))
-            at += len(block)
+            rollout_eq=stacked[nvar + mineq:] - gap), matrix[:step_map.g.start])
         for name in ("grad", "viol", "base", "linear", "pred", "theta", "gap", "plan"):
             setattr(self, name, getattr(step_map, name))
         self.has_viol = mineq > 0
-        self.matrix = np.vstack([matrix[:step_map.g.start], *blocks.values()])
         self.rollout_map = rollout_map
         # How far the rollout map's own product and the solver's, from w,
         # may round the guess's KKT terms, per unit of |w|: the row sums of
@@ -373,14 +371,14 @@ class OptimizedRows:
         viol = None
         if self.has_viol:
             viol = out[self.rollout_viol] if shift is None else out[self.rollout_viol] - shift
-        checked = self.rollout_map.solver.guess_status(out[self.rollout_grad], viol,
-                                                       out[self.rollout_eq], DEFAULT_TOL)
+        solver = self.rollout_map.solver
+        checked = solver.guess_status(out[self.rollout_grad], viol, out[self.rollout_eq])
         if checked is None:
             return None
         theta = out[self.theta]
         w_norm = math.sqrt(x_meas @ x_meas + candidate @ candidate + theta @ theta
                            + gap_norm * gap_norm + 1.0)
-        if not checked[0] + self.rounding * w_norm <= DEFAULT_TOL:
+        if not checked[0] + self.rounding * w_norm <= solver.tol:
             return None
         g = out[self.g]
         if math.sqrt(g @ g) > c_g * gap_norm * (1 + 1e-9):
@@ -497,7 +495,7 @@ class LiftedSteps:
         return states[:, :n], x_meas, outs, outs[:, step_map.plan], outs[:, step_map.u], norms
 
 
-def initialize(model, tables, manifold, zeta0, x0_meas, tol=None):
+def initialize(model, tables, manifold, zeta0, x0_meas):
     """Build the t=0 plan from a steady-state guess.
 
     The plan holds eta0 for mu steps plus a least-norm correction pulling the
@@ -508,8 +506,7 @@ def initialize(model, tables, manifold, zeta0, x0_meas, tol=None):
     theta0 = as_vector(theta0, "theta0")
     eta0 = as_vector(eta0, "eta0")
     x0_meas = as_vector(x0_meas, "x0_meas")
-    if tol is None:
-        tol = model.membership_tol
+    tol = model.membership_tol
     if not manifold.contains_zeta(theta0, eta0, tol=max(tol, 1e-7)):
         raise InitializationError("zeta0 is not a steady state inside the shrunk manifold")
     correction = model.s_c_pinv @ (model.a_k_powers[model.mu] @ (theta0 - x0_meas))
@@ -540,24 +537,25 @@ def ogd_step(tables, manifold, grad_prev, gamma, pred_state, v, q0):
     return project_manifold(manifold, q0 + (2.0 * gamma) * (tables.ogd_map @ grad))
 
 
-def project_manifold(manifold, linear, tol=PROJECTION_TOL):
+def project_manifold(manifold, linear):
     """Euclidean projection onto the shrunk manifold of the (x, u) point whose
     projection QP has the linear term ``linear`` = -2 (G_K' x + u).
 
     Solved in u-coordinates with x = G_K u substituted, which is exact.
     """
     return _projected(manifold, manifold.projector.solve(
-        linear, ineq_offsets=manifold.sbar.offsets, tol=tol), tol)
+        linear, ineq_offsets=manifold.sbar.offsets))
 
 
-def _projected(manifold, sol, tol):
+def _projected(manifold, sol):
     """The steady state (theta, eta) of the projection QP's solution ``sol``,
-    solved to the KKT tolerance ``tol``; a failed solve raises with its KKT
-    residual, since a solve whose residual misses ``tol`` reports "max_iter"
-    (``PrefactoredQp._assemble``)."""
+    solved to the projector's KKT tolerance; a failed solve raises with its
+    KKT residual, since a solve whose residual misses the tolerance reports
+    "max_iter" (``PrefactoredQp._assemble``)."""
     if sol.status != "optimal":
         raise InfeasibleError(f"manifold projection failed: {sol.status} "
-                              f"(KKT residual {sol.kkt_residual:.3g}, tol {tol:g})")
+                              f"(KKT residual {sol.kkt_residual:.3g}, "
+                              f"tol {manifold.projector.tol:g})")
     return manifold.zeta_of_u(sol.x)
 
 
@@ -604,7 +602,7 @@ def additional_input_optimized(model, rollout, x_meas, candidate, theta_hat, d, 
     try:
         sol, _ = rollout_map.solver._from_guess(
             rows[rollout_map.linear], rows[rollout_map.x], rows[rollout_map.nu],
-            offsets if shift is None else offsets + shift, d, DEFAULT_TOL)
+            offsets if shift is None else offsets + shift, d)
     except (OcoRobustError, np.linalg.LinAlgError):
         return model.s_c_pinv @ d, None, True
     g = sol.x[:nv]
@@ -675,8 +673,7 @@ def settled_rows(step_map, manifold, x_meas, outs, gap_norms, tol):
     its rows.
     """
     return (np.logical_and.reduce(np.isfinite(x_meas), axis=1)
-            & manifold.projector.keeps(outs[:, step_map.grad], outs[:, step_map.viol],
-                                       PROJECTION_TOL)
+            & manifold.projector.keeps(outs[:, step_map.grad], outs[:, step_map.viol])
             & _rows_settle(gap_norms, np.maximum.reduce(outs[:, step_map.base], axis=1),
                            np.maximum.reduce(outs[:, step_map.reach], axis=1), tol))
 
@@ -755,13 +752,13 @@ def step_row(rows, i, model, tables, manifold, x_meas, grad_prev, options, step_
                    if ref is None else mapped.rows_at(x_meas, candidate, ref))
             base_vals, pred, eta_hat = out[mapped.base], out[mapped.pred], out[mapped.eta]
             projector, viol = manifold.projector, out[mapped.viol]
-            if projector.keeps(out[mapped.grad], viol, PROJECTION_TOL):
+            if projector.keeps(out[mapped.grad], viol):
                 theta_hat = out[mapped.theta]
             else:
                 sol = projector._rejected(out[mapped.linear], eta_hat, viol,
-                                          manifold.sbar.offsets, PROJECTION_TOL)
+                                          manifold.sbar.offsets)
                 out = None
-                theta_hat, eta_hat = _projected(manifold, sol, PROJECTION_TOL)
+                theta_hat, eta_hat = _projected(manifold, sol)
         worst = float(np.maximum.reduce(base_vals))
 
         kkt, fallback, g, growth, plan, u = None, False, None, None, None, None

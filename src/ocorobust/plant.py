@@ -34,6 +34,8 @@ from .matlin import (
     symmetric_eig_bounds,
 )
 
+PROJECTION_TOL = 1e-9  # the KKT tolerance of the manifold's projector
+
 
 @dataclass
 class ModelConfig:
@@ -324,7 +326,7 @@ class SteadyStateManifold:
     ``sbar`` is S in u-coordinates with its offsets scaled by the shrink
     factor, the set the controller projects onto. ``projector`` is the
     Euclidean projection QP onto S-bar in u-coordinates, with x = G_K u
-    substituted: Hessian 2 (G_K' G_K + I).
+    substituted: Hessian 2 (G_K' G_K + I), solved to PROJECTION_TOL.
     """
 
     sbar: HPolytope
@@ -334,7 +336,7 @@ class SteadyStateManifold:
     def __post_init__(self):
         g = self.g_k
         self.projector = PrefactoredQp(2.0 * (g.T @ g + np.eye(g.shape[1])),
-                                       ineq_normals=self.sbar.normals)
+                                       ineq_normals=self.sbar.normals, tol=PROJECTION_TOL)
 
     def contains_u(self, u, tol=1e-9):
         return self.sbar.contains(u, tol=tol)
@@ -399,7 +401,7 @@ class QuadraticCost:
     what the controller consumes; any object with the same ``grad`` shape
     works in its place. A quadratic form sees only the symmetric part of its
     weight, so a weight that differs from its transpose is stored as its
-    symmetric part (Q + Q')/2: ``value`` is the same, and ``grad`` and every
+    symmetric part (Q + Q')/2: the cost is the same, and ``grad`` and every
     map built from the weights are the true gradient's. A symmetric weight
     is kept as the array given.
     """
@@ -429,11 +431,6 @@ class QuadraticCost:
         if ref_u is not None:
             cost.__dict__["ref_u"] = as_vector(ref_u, "ref_u")
         return cost
-
-    def value(self, x, v):
-        dx = np.asarray(x, float) - self.ref_x
-        dv = np.asarray(v, float) - self.ref_u
-        return float(0.5 * dx @ self.q_x @ dx + 0.5 * dv @ self.q_u @ dv)
 
     def grad(self, x, v):
         dx = np.asarray(x, float) - self.ref_x

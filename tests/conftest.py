@@ -186,6 +186,15 @@ def max_beta_bisect(tables, model, x_meas, base_seq, g, tol=None, resolution=1e-
     return lo
 
 
+def cost_value(cost, x, v):
+    """The ``QuadraticCost`` ``cost`` at the state ``x`` and the physical input
+    ``v``: 1/2 (x-ref_x)'Qx(x-ref_x) + 1/2 (v-ref_u)'Qu(v-ref_u), one point
+    at a time (the package's ledger sums every row's cost at once)."""
+    dx = np.asarray(x, float) - cost.ref_x
+    dv = np.asarray(v, float) - cost.ref_u
+    return float(0.5 * dx @ cost.q_x @ dx + 0.5 * dv @ cost.q_u @ dv)
+
+
 def row_cost(trace, i):
     """Row i's cost: the first cost of its weight pair (``trace.pairs``)
     with the row's ref_x and ref_u columns as its references."""
@@ -195,7 +204,7 @@ def row_cost(trace, i):
 def reference_ledger(trace, model):
     """A run's costs and totals one step at a time, as a running loop sums them.
 
-    Per step: ``cost.value`` of the step's cost (``row_cost``) at the true
+    Per step: ``cost_value`` of the step's cost (``row_cost``) at the true
     state and input and at the benchmark steady state, and
     ``np.linalg.norm`` of the benchmark's move, w and v. Returns (costs,
     benchmark costs, cum_regret, path_length, w_energy, v_energy).
@@ -206,8 +215,8 @@ def reference_ledger(trace, model):
     for i, rec in enumerate(trace):
         cost = row_cost(trace, i)
         theta, eta = trace.benchmark_theta[i], trace.benchmark_eta[i]
-        costs.append(cost.value(rec.x_true, rec.u))
-        benches.append(cost.value(theta, eta + model.k @ theta))
+        costs.append(cost_value(cost, rec.x_true, rec.u))
+        benches.append(cost_value(cost, theta, eta + model.k @ theta))
         regret += costs[-1] - benches[-1]
         zeta = np.concatenate([theta, eta])
         if prev is not None:
@@ -277,22 +286,22 @@ def reference_gap_offsets(model, x_meas, candidate, gap_meas, est_speed_dev, saf
             sum(float(np.linalg.norm(part)) for part in parts))
 
 
-def guess_kept(projector, linear, x, offsets, tol):
+def guess_kept(projector, linear, x, offsets):
     """Whether the step's projection keeps the guess ``x`` of ``linear``:
     the test ``PrefactoredQp._from_guess`` applies, without its fallback."""
     guess = projector._equality_guess(projector.stacked @ x, linear, offsets, projector.no_eq,
-                                      x, projector.no_eq, tol)
+                                      x, projector.no_eq)
     return guess is not None and guess.status == "optimal"
 
 
-def rows_kept(projector, grad, viol, tol):
+def rows_kept(projector, grad, viol):
     """Whether the projection keeps a guess whose stacked products are the
     rows ``grad`` (H x + q) and ``viol`` (A x - b): the test
     ``PrefactoredQp._from_guess`` applies (``_equality_guess``), on those
     numbers (q = 0 and b = 0)."""
     n, zeros = grad.size, np.zeros(grad.size)
     guess = projector._equality_guess(np.concatenate([grad, viol]), zeros, np.zeros(viol.size),
-                                      projector.no_eq, zeros, projector.no_eq, tol)
+                                      projector.no_eq, zeros, projector.no_eq)
     return guess is not None and guess.status == "optimal"
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ocorobust import oco_controller as oco
-from ocorobust.denseqp import PrefactoredQp, QpSolution
+from ocorobust.denseqp import DEFAULT_TOL, PrefactoredQp, QpSolution
 from ocorobust.errors import (
     FactorizationError,
     InfeasibleError,
@@ -156,7 +156,7 @@ class TestOgdStep:
         _, _, manifold = di_bundle
         sol = QpSolution(x=np.zeros(1), kkt_residual=2.79e-9, status="max_iter")
         with pytest.raises(InfeasibleError) as info:
-            oco._projected(manifold, sol, oco.PROJECTION_TOL)
+            oco._projected(manifold, sol)
         assert str(info.value) == ("manifold projection failed: max_iter "
                                    "(KKT residual 2.79e-09, tol 1e-09)")
 
@@ -270,6 +270,11 @@ class TestRolloutBuilder:
         assert oco.ControllerConfig(gamma=0.2, rollout_builder=builder).variant == "optimized"
         fields = [f.name for f in dataclasses.fields(oco.ControllerConfig)]
         assert fields == ["gamma", "c_g", "rollout_builder"]
+
+    def test_solver_has_the_default_tolerance(self, di_bundle):
+        model, _, _ = di_bundle
+        builder = oco.QuadraticRolloutBuilder(model, np.eye(2), np.eye(1))
+        assert builder.solver.tol == DEFAULT_TOL
 
     def test_solver_serves_every_step(self, di_bundle):
         model, _, _ = di_bundle

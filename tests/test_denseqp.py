@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from ocorobust import denseqp
 from ocorobust.convexsets import HPolytope
-from ocorobust.denseqp import DEFAULT_MAX_ITER, PrefactoredQp, polytope_is_empty
+from ocorobust.denseqp import PrefactoredQp, polytope_is_empty
 from ocorobust.errors import FactorizationError, InfeasibleError
 
 from conftest import random_spd
@@ -121,6 +121,17 @@ class TestSolveQp:
         with pytest.raises(FactorizationError):
             PrefactoredQp(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan])
+    def test_non_positive_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            PrefactoredQp(np.eye(2), ineq_normals=np.eye(2), tol=tol)
+
+    def test_solver_keeps_its_tol(self):
+        # the default, or the one given, with GI's stopping threshold 0.1 tol
+        assert PrefactoredQp(np.eye(1)).tol == denseqp.DEFAULT_TOL == 1e-8
+        pre = PrefactoredQp(np.eye(1), tol=1e-6)
+        assert (pre.tol, pre.stop_tol) == (1e-6, 0.1 * 1e-6)
+
 
 def project_polytope(x, target, eq=None):
     """Euclidean projection of x onto a polytope (and optional equalities),
@@ -228,27 +239,26 @@ def oracle_qp(h, q, ineq_n, ineq_b, eq_n, eq_b, tol=1e-9):
     return None
 
 
-def cold_gi(pre, q, ineq_b, eq_b, tol=1e-8):
+def cold_gi(pre, q, ineq_b, eq_b):
     """(x, status) of the GI iteration run from scratch on ``pre``'s data."""
     x, _, _, _, status = denseqp._gi_core(pre, -(pre.hinv @ q),
-                                          np.concatenate([eq_b, -ineq_b]), tol,
-                                          DEFAULT_MAX_ITER)
+                                          np.concatenate([eq_b, -ineq_b]))
     return x, status
 
 
-def solve_tracing_gi(pre, q, ineq_b=None, eq_b=None, tol=1e-8):
+def solve_tracing_gi(pre, q, ineq_b=None, eq_b=None):
     """``pre.solve`` and whether it ran the GI iteration (False: the
     equality-constrained guess, or GI's one-row step from it, was kept)."""
     with mock.patch.object(denseqp, "_gi_core", wraps=denseqp._gi_core) as gi:
-        sol = pre.solve(q, ineq_offsets=ineq_b, eq_offsets=eq_b, tol=tol)
+        sol = pre.solve(q, ineq_offsets=ineq_b, eq_offsets=eq_b)
     return sol, gi.called
 
 
 def check_against_oracle(h, q, ineq_n, ineq_b, eq_n, eq_b, tol=1e-8):
     """Check one solve against the enumeration oracle and against cold GI;
     returns the solver, the solution and whether GI ran."""
-    pre = PrefactoredQp(h, ineq_normals=ineq_n, eq_normals=eq_n)
-    sol, ran_gi = solve_tracing_gi(pre, q, ineq_b, eq_b, tol)
+    pre = PrefactoredQp(h, ineq_normals=ineq_n, eq_normals=eq_n, tol=tol)
+    sol, ran_gi = solve_tracing_gi(pre, q, ineq_b, eq_b)
     want = oracle_qp(h, q, ineq_n, ineq_b, eq_n, eq_b)
     assert sol.ineq_multipliers.shape == (ineq_b.size,)
     assert sol.eq_multipliers.shape == (eq_b.size,)
@@ -258,7 +268,7 @@ def check_against_oracle(h, q, ineq_n, ineq_b, eq_n, eq_b, tol=1e-8):
         assert sol.status == "optimal"
         assert np.allclose(sol.x, want, rtol=0.0, atol=1e-8)
         assert sol.kkt_residual <= tol
-    x_gi, status_gi = cold_gi(pre, q, ineq_b, eq_b, tol)
+    x_gi, status_gi = cold_gi(pre, q, ineq_b, eq_b)
     assert sol.status == status_gi
     if status_gi == "optimal":
         assert np.allclose(sol.x, x_gi, rtol=0.0, atol=1e-8)
@@ -359,14 +369,15 @@ class TestPrefactoredQpOracle:
         assert kept > 0
 
     def test_guess_failing_the_kkt_check_runs_gi(self):
-        # No row binds, so the guess passes the row test; a tol below the
-        # rounding of its KKT residual rejects it, and GI answers instead.
-        pre = PrefactoredQp(2.0 * np.eye(2), ineq_normals=np.vstack([np.eye(2), -np.eye(2)]),
-                            eq_normals=np.array([[1.0, 1.0]]))
+        # No row binds, so the guess passes the row test; a solver whose tol
+        # is below the rounding of its KKT residual rejects it, and GI
+        # answers instead.
+        data = (2.0 * np.eye(2), np.vstack([np.eye(2), -np.eye(2)]), np.array([[1.0, 1.0]]))
+        pre = PrefactoredQp(*data)
         q, ineq_b, eq_b = np.array([-0.3, 0.1]), np.ones(4), np.array([0.2])
         sol, ran_gi = solve_tracing_gi(pre, q, ineq_b, eq_b)
         assert sol.status == "optimal" and not ran_gi
-        strict, ran_gi = solve_tracing_gi(pre, q, ineq_b, eq_b, tol=1e-300)
+        strict, ran_gi = solve_tracing_gi(PrefactoredQp(*data, tol=1e-300), q, ineq_b, eq_b)
         assert ran_gi and strict.status == "max_iter"
         assert np.allclose(strict.x, sol.x, rtol=0.0, atol=1e-12)
 
@@ -444,8 +455,8 @@ class TestPrefactoredQpOracle:
     # iteration: it ends "optimal" exactly when one added row settles the QP.
 
     @staticmethod
-    def one_iteration_gi(pre, q, ineq_b, tol=1e-8):
-        return denseqp._gi_core(pre, -(pre.hinv @ q), -ineq_b, tol, 1)
+    def one_iteration_gi(pre, q, ineq_b):
+        return denseqp._gi_core(pre, -(pre.hinv @ q), -ineq_b, 1)
 
     @staticmethod
     def assert_close(got, want, rel=1e-12):
@@ -462,7 +473,7 @@ class TestPrefactoredQpOracle:
         if sol.status != "optimal" or not sol.ineq_multipliers.any():
             return
         x1, active, mult, _, status = self.one_iteration_gi(pre, q, ineq_b)
-        _, act_gi, *_ = denseqp._gi_core(pre, -(pre.hinv @ q), -ineq_b, 1e-8, DEFAULT_MAX_ITER)
+        _, act_gi, *_ = denseqp._gi_core(pre, -(pre.hinv @ q), -ineq_b)
         if status == "optimal":
             # one active row: the step is GI's first iteration, kept
             assert not ran_gi and len(active) == 1
@@ -523,7 +534,7 @@ class TestPrefactoredQpOracle:
                                                 np.zeros((0, 2)), np.zeros(0))
         assert ran_gi and np.count_nonzero(sol.ineq_multipliers) == 2
         assert pre._one_row_step(pre.stacked @ (-(pre.hinv @ q)), q, ineq_b, np.zeros(0),
-                                 -(pre.hinv @ q), 1e-8) is None
+                                 -(pre.hinv @ q)) is None
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -538,20 +549,18 @@ class TestPrefactoredQpOracle:
         for row in range(4):
             ineq_b = np.ones(4)
             ineq_b[row] = bad
-            step = pre._one_row_step(pre.stacked @ x, q, ineq_b, np.zeros(0), x, 1e-8)
+            step = pre._one_row_step(pre.stacked @ x, q, ineq_b, np.zeros(0), x)
             if step is not None:
                 full = pre._assemble(pre.stacked @ step.x, q, ineq_b, np.zeros(0), step.x,
-                                     step.ineq_multipliers, np.zeros(0), "optimal", 1e-8)
+                                     step.ineq_multipliers, np.zeros(0), "optimal")
                 assert step.status == full.status != "optimal"
             # the reference: cold GI, its non-optimal exit named "non_finite",
             # then `_assemble`
-            x_gi, active, mult, _, status = denseqp._gi_core(pre, x, -ineq_b, 1e-8,
-                                                             DEFAULT_MAX_ITER)
+            x_gi, active, mult, _, status = denseqp._gi_core(pre, x, -ineq_b)
             lam = np.zeros(4)
             lam[active] = mult
             ref = pre._assemble(pre.stacked @ x_gi, q, ineq_b, np.zeros(0), x_gi, lam,
-                                np.zeros(0), "optimal" if status == "optimal" else "non_finite",
-                                1e-8)
+                                np.zeros(0), "optimal" if status == "optimal" else "non_finite")
             assert pre.solve(q, ineq_offsets=ineq_b).status == ref.status == "non_finite"
 
 
@@ -627,15 +636,14 @@ class TestNonFiniteData:
                                                  eq_offsets=np.zeros(pre.meq)))
 
     @staticmethod
-    def assert_guess_matches_full_form(pre, q, ineq_b, eq_b, x, nu, tol=1e-8):
+    def assert_guess_matches_full_form(pre, q, ineq_b, eq_b, x, nu):
         # The fast path's guess has the status and the KKT residual of the
         # full form with lam = 0, bit for bit or both NaN; it is None only
         # when a row fails GI's stopping test, and "optimal" only when none
         # does.
-        prod = pre.stacked @ x
-        guess = pre._equality_guess(prod, q, ineq_b, eq_b, x, nu, tol)
-        full = pre._assemble(prod, q, ineq_b, eq_b, x, np.zeros(len(ineq_b)), nu, "optimal",
-                             tol)
+        prod, tol = pre.stacked @ x, pre.tol
+        guess = pre._equality_guess(prod, q, ineq_b, eq_b, x, nu)
+        full = pre._assemble(prod, q, ineq_b, eq_b, x, np.zeros(len(ineq_b)), nu, "optimal")
         failing = (prod[len(x):len(x) + len(ineq_b)] - ineq_b > 0.1 * tol).any()
         if guess is None:
             assert failing
@@ -696,7 +704,7 @@ class TestNonFiniteData:
             assert np.array_equal(x[i], single, equal_nan=True) or np.allclose(
                 x[i], single, rtol=1e-12, atol=0.0)
             guess = pre._equality_guess(pre.stacked @ single, linear, ineq_b, np.zeros(0),
-                                        single, np.zeros(0), 1e-8)
+                                        single, np.zeros(0))
             assert kept[i] == (guess is not None and guess.status == "optimal")
 
     def test_finite_data_unchanged(self):

@@ -35,15 +35,14 @@ from test_drawn_models import HORIZON, GreedyAdversaryPlant, build, drawn_models
 from test_step_map import coupled_cost
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
-TOL = oco.PROJECTION_TOL
 
 
 def map_verdicts(step_map, manifold, out):
     """(the rule on the map's rows, the single solve's test) of one step."""
     projector = manifold.projector
-    return (bool(projector.keeps(out[step_map.grad], out[step_map.viol], TOL)),
+    return (bool(projector.keeps(out[step_map.grad], out[step_map.viol])),
             guess_kept(projector, out[step_map.linear], out[step_map.eta],
-                       manifold.sbar.offsets, TOL))
+                       manifold.sbar.offsets))
 
 
 @pytest.fixture
@@ -138,9 +137,9 @@ def test_sweep_block_rows(monkeypatch):
 
     def settled(step_map, manifold, x_meas, outs, gap_norms, tol):
         projector = manifold.projector
-        blocks.append((projector.keeps(outs[:, step_map.grad], outs[:, step_map.viol], TOL),
+        blocks.append((projector.keeps(outs[:, step_map.grad], outs[:, step_map.viol]),
                        projector.kept_rows(outs[:, step_map.eta], outs[:, step_map.linear],
-                                           manifold.sbar.offsets, TOL)))
+                                           manifold.sbar.offsets)))
         return real(step_map, manifold, x_meas, outs, gap_norms, tol)
 
     monkeypatch.setattr(oco, "settled_rows", settled)
@@ -212,12 +211,12 @@ def test_non_finite_rows_are_rejected(di_map, value):
         g, v = grad.copy(), viol.copy()
         (g if rows == "grad" else v)[i] = value
         with np.errstate(invalid="ignore"):
-            assert not projector.keeps(g, v, TOL)
-            assert not rows_kept(projector, g, v, TOL)
+            assert not projector.keeps(g, v)
+            assert not rows_kept(projector, g, v)
         grads.append(g)
         viols.append(v)
     grads.append(grad)
     viols.append(viol)
     with np.errstate(invalid="ignore"):
-        batch = projector.keeps(np.array(grads), np.array(viols), TOL)
+        batch = projector.keeps(np.array(grads), np.array(viols))
     assert batch.tolist() == [False] * (len(grads) - 1) + [True]

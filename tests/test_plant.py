@@ -6,7 +6,9 @@ import pytest
 
 from ocorobust.convexsets import ROW_BLOCK, HPolytope, Zonotope, ZonotopeMembership
 from ocorobust.errors import AssumptionViolation, DimensionMismatch, InfeasibleError
+from ocorobust.denseqp import DEFAULT_TOL
 from ocorobust.plant import (
+    PROJECTION_TOL,
     ModelConfig,
     QuadraticCost,
     SteadyStateBenchmark,
@@ -22,7 +24,7 @@ from ocorobust.plant import (
     steady_state_manifold,
 )
 
-from conftest import lp_support, support
+from conftest import cost_value, lp_support, support
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -337,6 +339,11 @@ class TestSteadyStateManifold:
         assert lp_support(man.sbar, [1.0]) == pytest.approx(expected, abs=1e-9)
         assert lp_support(man.sbar, [-1.0]) == pytest.approx(expected, abs=1e-9)
 
+    def test_projector_tolerance(self, scalar_bundle):
+        model, _, _ = scalar_bundle
+        man = steady_state_manifold(model, model.p_rpi, shrink=1.0)
+        assert man.projector.tol == PROJECTION_TOL == 1e-9
+
     def test_shrink_one_reproduces_s(self, scalar_bundle):
         model, _, _ = scalar_bundle
         man = steady_state_manifold(model, model.p_rpi, shrink=1.0)
@@ -367,7 +374,7 @@ def skew_weights(rng, n):
 class TestQuadraticCost:
     def test_value_and_grad(self):
         cost = QuadraticCost([[2.0]], [[4.0]], [1.0], [0.5])
-        assert cost.value([1.0], [0.5]) == 0.0
+        assert cost_value(cost, [1.0], [0.5]) == 0.0
         gx, gv = cost.grad([2.0], [1.5])
         assert gx == pytest.approx([2.0])
         assert gv == pytest.approx([4.0])
@@ -380,17 +387,17 @@ class TestQuadraticCost:
         cost = QuadraticCost(q_x, q_u, [0.3, -0.2, 0.1], [0.4, -0.5])
         x, v = rng.standard_normal(3), rng.standard_normal(2)
         dx, dv = x - cost.ref_x, v - cost.ref_u
-        assert cost.value(x, v) == pytest.approx(0.5 * dx @ q_x @ dx + 0.5 * dv @ q_u @ dv,
-                                                 rel=1e-14)
+        assert cost_value(cost, x, v) == pytest.approx(0.5 * dx @ q_x @ dx + 0.5 * dv @ q_u @ dv,
+                                                       rel=1e-14)
         h = 1e-6
         gx, gv = cost.grad(x, v)
         for i in range(3):
             e = h * np.eye(3)[i]
-            fd = (cost.value(x + e, v) - cost.value(x - e, v)) / (2 * h)
+            fd = (cost_value(cost, x + e, v) - cost_value(cost, x - e, v)) / (2 * h)
             assert gx[i] == pytest.approx(fd, rel=1e-7, abs=1e-8)
         for i in range(2):
             e = h * np.eye(2)[i]
-            fd = (cost.value(x, v + e) - cost.value(x, v - e)) / (2 * h)
+            fd = (cost_value(cost, x, v + e) - cost_value(cost, x, v - e)) / (2 * h)
             assert gv[i] == pytest.approx(fd, rel=1e-7, abs=1e-8)
 
     def test_weights_stored_symmetric_and_symmetric_arrays_kept(self):
@@ -441,6 +448,10 @@ class TestOptimalSteadyState:
         t2 = optimal_steady_state(manifold, doubled, model)
         assert np.allclose(np.concatenate(t1), np.concatenate(t2), atol=1e-8)
 
+    def test_benchmark_solver_has_the_default_tolerance(self, di_bundle, di_cost):
+        model, _, manifold = di_bundle
+        assert SteadyStateBenchmark(manifold, model, di_cost).solver.tol == DEFAULT_TOL
+
     def test_benchmark_reused_across_costs_with_same_weights(self, di_bundle, di_cost):
         model, _, manifold = di_bundle
         benchmark = SteadyStateBenchmark(manifold, model, di_cost)
@@ -463,14 +474,14 @@ class TestOptimalSteadyState:
         theta, eta = optimal_steady_state(manifold, cost, model)
         limit = float(np.min(manifold.sbar.offsets / np.abs(manifold.sbar.normals[:, 0])))
         grid = np.linspace(-limit, limit, 200001)
-        values = [cost.value(model.g_k @ [u], [u] + model.k @ model.g_k @ [u])
+        values = [cost_value(cost, model.g_k @ [u], [u] + model.k @ model.g_k @ [u])
                   for u in grid[::100]]
         coarse = int(np.argmin(values)) * 100
         fine = grid[max(coarse - 100, 0):coarse + 101]
-        values = [cost.value(model.g_k @ [u], [u] + model.k @ model.g_k @ [u]) for u in fine]
+        values = [cost_value(cost, model.g_k @ [u], [u] + model.k @ model.g_k @ [u]) for u in fine]
         best = fine[int(np.argmin(values))]
         assert abs(eta[0] - best) <= grid[1] - grid[0]
-        assert cost.value(theta, eta + model.k @ theta) <= min(values) + 1e-12
+        assert cost_value(cost, theta, eta + model.k @ theta) <= min(values) + 1e-12
 
     def test_coupling_residual(self, di_bundle, di_cost):
         model, _, manifold = di_bundle

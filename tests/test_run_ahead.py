@@ -557,8 +557,7 @@ def per_row(step_map, manifold, x_meas, out, tol):
         as_vector(x_meas)
     except ValueError:
         return False
-    if not rows_kept(manifold.projector, out[step_map.grad], out[step_map.viol],
-                     oco.PROJECTION_TOL):
+    if not rows_kept(manifold.projector, out[step_map.grad], out[step_map.viol]):
         return False
     gap = out[step_map.gap]
     return bool(oco._rows_settle(math.sqrt(gap @ gap), float(np.max(out[step_map.base])),
@@ -611,9 +610,9 @@ def test_batched_rule_matches_the_step(di_bundle):
                 grad = np.zeros(step_map.grad.stop - step_map.grad.start)
                 if kind == "guess_boundary":
                     facet = data.draw(st.integers(0, viol.size - 1))
-                    viol[facet] = nudge(0.1 * oco.PROJECTION_TOL, data.draw(nudges))
+                    viol[facet] = nudge(manifold.projector.stop_tol, data.draw(nudges))
                 else:
-                    grad[0] = nudge(oco.PROJECTION_TOL, data.draw(nudges))
+                    grad[0] = nudge(manifold.projector.tol, data.draw(nudges))
                 out[step_map.viol], out[step_map.grad] = viol, grad
             elif kind == "tiny_gap":
                 direction = rng.normal(size=2)

@@ -569,8 +569,7 @@ class TestFallbackBranches:
             if (out[step_map.base].max() > model.membership_tol
                     and out[step_map.reach].max() <= 0.0
                     and guess_kept(manifold.projector, out[step_map.linear],
-                                   out[step_map.eta], manifold.sbar.offsets,
-                                   oco.PROJECTION_TOL)):
+                                   out[step_map.eta], manifold.sbar.offsets)):
                 break
         else:
             pytest.fail("no such state drawn")
@@ -616,7 +615,7 @@ class TestCensus:
                 return super().solve(*args, **kwargs)
 
         real = manifold.projector
-        manifold.projector = Census(real.hessian, ineq_normals=real.ineq_normals)
+        manifold.projector = Census(real.hessian, ineq_normals=real.ineq_normals, tol=real.tol)
         generator = simkit.AlternatingTargetGenerator(
             model=model, manifold=manifold, base_cost=schedule.cost_at(0),
             direction=tuple(sw["direction"]), levels=tuple(sw["path_levels"]),
@@ -792,7 +791,8 @@ class TestFailures:
                     return QpSolution(x=np.zeros(1), kkt_residual=np.inf, status="infeasible")
                 return super()._fallback(*args, **kwargs)
 
-        manifold.projector = FailsThird(real.hessian, ineq_normals=real.ineq_normals)
+        manifold.projector = FailsThird(real.hessian, ineq_normals=real.ineq_normals,
+                                        tol=real.tol)
 
         def run():
             calls.clear()

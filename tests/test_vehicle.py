@@ -168,7 +168,7 @@ class TestSoftSafety:
         assert not fallback and kkt <= denseqp.DEFAULT_TOL
         x, _, _, _, status = denseqp._gi_core(
             rollout_map.solver, -(rollout_map.solver.hinv @ rows[rollout_map.linear]),
-            np.concatenate([d, -offsets]), denseqp.DEFAULT_TOL, denseqp.DEFAULT_MAX_ITER)
+            np.concatenate([d, -offsets]))
         assert status == "optimal" and x[-1] >= 5.0 - 1e-6
         assert np.array_equal(g, x[:20])
 
@@ -181,10 +181,10 @@ class TestSoftSafety:
         real, real_rows = denseqp.PrefactoredQp._from_guess, oco.OptimizedRows.additional_input
         slack = setup.builder.maps[2]
 
-        def record(pre, linear, x, nu, ineq_b, eq_b, tol, *args):
-            sol, kept = real(pre, linear, x, nu, ineq_b, eq_b, tol, *args)
+        def record(pre, linear, x, nu, ineq_b, eq_b):
+            sol, kept = real(pre, linear, x, nu, ineq_b, eq_b)
             if pre.meq and pre.ineq_normals.shape[0]:
-                recorded.append((pre, linear, ineq_b, eq_b, tol, sol.status, sol.x))
+                recorded.append((pre, linear, ineq_b, eq_b, sol.status, sol.x))
             return sol, kept
 
         def from_rows(rows, out, x_meas, candidate, shift, *args):
@@ -193,7 +193,7 @@ class TestSoftSafety:
                 d = out[rows.gap]
                 own = slack.product(x_meas, candidate, out[rows.theta], d)
                 recorded.append((slack.solver, own[slack.linear], own[slack.offsets] + shift, d,
-                                 denseqp.DEFAULT_TOL, "optimal", got[0]))
+                                 "optimal", got[0]))
             return got
 
         monkeypatch.setattr(denseqp.PrefactoredQp, "_from_guess", record)
@@ -202,10 +202,9 @@ class TestSoftSafety:
         monkeypatch.undo()
         assert len(recorded) > 100
         assert {id(pre) for pre, *_ in recorded} == {id(slack.solver)}
-        for pre, linear, ineq_b, eq_b, tol, status, got in recorded:
+        for pre, linear, ineq_b, eq_b, status, got in recorded:
             x, _, _, _, gi_status = denseqp._gi_core(
-                pre, -(pre.hinv @ linear), np.concatenate([eq_b, -ineq_b]),
-                tol, denseqp.DEFAULT_MAX_ITER)
+                pre, -(pre.hinv @ linear), np.concatenate([eq_b, -ineq_b]))
             assert status == gi_status == "optimal"
             assert np.linalg.norm(got - x[:got.size]) <= 1e-12 * np.linalg.norm(x)
 
@@ -275,6 +274,10 @@ class TestBenchmarkPath:
 
 
 class TestRolloutBuilderMaps:
+    def test_solvers_have_the_default_tolerance(self, setup):
+        # the follow, slack and phase-3 solvers
+        assert [setup.builder.maps[p].solver.tol for p in (1, 2, 3)] == [denseqp.DEFAULT_TOL] * 3
+
     def test_builders_match_the_per_step_form(self, setup, monkeypatch, rollout_oracle):
         # Every rollout of a seed-0 optimized run, phases 1 to 3: the map's
         # linear term and soft-row offsets against the per-step formulas the

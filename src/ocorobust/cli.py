@@ -312,8 +312,7 @@ def _output(args, cfg):
 
 
 def _generic_setup(cfg):
-    """The generic scenario's model, tables, manifold, cost schedule and
-    controller."""
+    """The generic scenario's model, tables, manifold, schedule and controller."""
     model = build_model(_model_config(cfg))
     tables = build_tightening(model)
     manifold = steady_state_manifold(model, model.p_rpi, shrink=cfg["controller"]["shrink"])

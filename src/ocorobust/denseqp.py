@@ -27,12 +27,10 @@ and a rejected guess to the fallback (``_rejected``). ``guess_rows`` makes
 the guess for many linear terms at once and ``kept_rows`` tests many guesses
 formed elsewhere by that rule. No state is kept between solves.
 
-A solver is built for one KKT tolerance ``tol`` (``DEFAULT_TOL`` unless its
-owner passes another: ``plant.SteadyStateManifold`` builds its projector
-with ``plant.PROJECTION_TOL``), as OSQP fixes its tolerances at set-up
-(Stellato, Banjac, Goulart, Bemporad & Boyd, *Math. Prog. Comp.* 2020): every
-solve, guess test and fallback reads it, and GI's stopping threshold
-0.1 tol (``stop_tol``), from the solver.
+A solver is built for one KKT tolerance ``tol``: ``DEFAULT_TOL``, except the
+projector that ``plant.SteadyStateManifold`` builds with
+``plant.PROJECTION_TOL``. Every solve, guess test and fallback reads it, and
+GI's stopping threshold 0.1 tol, from the solver.
 """
 
 from __future__ import annotations
@@ -77,10 +75,9 @@ class PrefactoredQp:
     inconsistent equalities) it runs the GI iteration from the unconstrained
     optimum.
 
-    ``tol`` is the KKT tolerance of every solve and guess test, fixed at
-    construction: a solve is "optimal" only with a KKT residual within it, and
-    a row passes GI's stopping test with a slack of at least -``stop_tol`` =
-    -0.1 tol.
+    ``tol``, fixed at construction, bounds the KKT residual of an "optimal"
+    solve; a row passes GI's stopping test with a slack of at least
+    -``stop_tol`` = -0.1 tol.
     """
 
     def __init__(self, hessian, ineq_normals=None, eq_normals=None, tol=DEFAULT_TOL):

@@ -22,10 +22,16 @@ runs cold. A caller that forms the guess itself (the controller's rollout
 map) hands it to the same test and fallback (``_from_guess``); one that also
 forms the guess's stacked products (the controller's step map, which
 composes them into its own rows) hands those to the same rule (``keeps``,
-or ``guess_status`` with equality rows: the controller's optimized rows)
-and a rejected guess to the fallback (``_rejected``). ``guess_rows`` makes
-the guess for many linear terms at once and ``kept_rows`` tests many guesses
-formed elsewhere by that rule. No state is kept between solves.
+or ``kkt_status`` with equality rows: the controller's optimized rows) and a
+rejected guess to the fallback (``_rejected``). ``guess_rows`` makes and
+tests the guess for many linear terms at once. No state is kept between
+solves.
+
+One rule, ``kkt_status``, makes every decision on one point, a guess or the
+result of a GI step: the KKT residual, the status it leaves, and for a guess
+GI's stopping test, with ``room`` for a caller whose products may round
+otherwise than the solver's (the controller's optimized rows). ``keeps`` is
+the same rule in numpy for many guesses at once.
 
 A solver is built for one KKT tolerance ``tol``: ``DEFAULT_TOL``, except the
 projector that ``plant.SteadyStateManifold`` builds with
@@ -45,6 +51,7 @@ from .matlin import as_matrix, as_vector, numeric_rank, spd_inverse
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 10000
+DROP_TOL = 1e-11  # GI's drop tolerance: a z'n or multiplier step r at most this is 0
 
 
 @dataclass
@@ -69,11 +76,11 @@ class PrefactoredQp:
     alone are precomputed, so the equality-constrained optimum is the closed
     form [x; nu] = K_q q + K_b b_eq (with no equalities, x = -H^-1 q). ``solve``
     returns it when no inequality row is violated beyond GI's stopping test
-    and the KKT check passes. With no equality rows and a violated row, it
-    next tries GI's one-row step from it (``_one_row_step``). In every other
-    case (two or more binding rows, or rank-deficient and possibly
-    inconsistent equalities) it runs the GI iteration from the unconstrained
-    optimum.
+    and the KKT check passes (``kkt_status``). With no equality rows and a
+    violated row, it next tries GI's one-row step from it (``_one_row_step``).
+    In every other case (two or more binding rows, or rank-deficient and
+    possibly inconsistent equalities) it runs the GI iteration from the
+    unconstrained optimum.
 
     ``tol``, fixed at construction, bounds the KKT residual of an "optimal"
     solve; a row passes GI's stopping test with a slack of at least
@@ -135,13 +142,13 @@ class PrefactoredQp:
         """``solve``'s answer from the equality-constrained optimum (x, nu)
         of ``linear``, which the caller formed (``solve`` itself, or
         ``oco.QuadraticStepMap``'s and ``oco.RolloutMap``'s rows). Returns
-        (solution, kept): kept is True when the guess passes the fast path's
-        test (``_equality_guess``) and is the solution. A rejected guess goes
-        on, with its product ``stacked @ x``, to ``_fallback``; it is not
-        formed or tested again.
+        (solution, kept): kept is True when ``kkt_status`` finds the guess,
+        with zero inequality multipliers, "optimal"; it is then the solution.
+        A rejected guess goes on, with its product ``stacked @ x``, to
+        ``_fallback``; it is not formed or tested again.
         """
         prod = self.stacked @ x
-        guess = self._equality_guess(prod, linear, ineq_b, eq_b, x, nu)
+        guess = self._assemble(prod, linear, ineq_b, eq_b, x, None, nu, "optimal")
         if guess is not None and guess.status == "optimal":
             return guess, True
         return self._fallback(prod, linear, ineq_b, eq_b, x, guess is None), False
@@ -157,7 +164,7 @@ class PrefactoredQp:
 
     def _fallback(self, prod, linear, ineq_b, eq_b, x, row_failed):
         """``solve``'s answer after the guess x was rejected (``row_failed``
-        is True when a row failed GI's stopping test, as ``_equality_guess``
+        is True when a row failed GI's stopping test, as ``kkt_status``
         tests it; ``prod`` is ``stacked @ x``): GI's one-row step from x on a
         solver without equality rows when a row failed, else, or when that
         step fails, GI from the unconstrained optimum (``_cold``)."""
@@ -186,49 +193,6 @@ class PrefactoredQp:
                 lam[j - self.meq] = u
         return self._assemble(self.stacked @ x, linear, ineq_b, eq_b, x, lam, nu, status)
 
-    def _equality_guess(self, prod, linear, ineq_b, eq_b, x, nu):
-        """The equality-constrained optimum (x, nu) with zero inequality
-        multipliers, as ``_assemble`` would return it with lam = 0; None when
-        a row fails GI's stopping test (slack b - A x >= -0.1 tol).
-
-        ``prod`` is ``stacked @ x``; ``guess_status`` tests the stacked
-        products.
-        """
-        n, mineq = x.size, ineq_b.size
-        grad = prod[:n] + linear
-        if self.meq:
-            grad += self.eq_normals.T @ nu
-        checked = self.guess_status(grad, prod[n:n + mineq] - ineq_b if mineq else None,
-                                    prod[n + mineq:] - eq_b if self.meq else None)
-        if checked is None:
-            return None
-        return QpSolution(x=x, kkt_residual=checked[0], status=checked[1],
-                          ineq_multipliers=self.no_ineq, eq_multipliers=nu)
-
-    def guess_status(self, grad, viol, eq_res):
-        """``_equality_guess``'s test of a guess x with zero inequality
-        multipliers, from its stationarity rows ``grad`` = H x + q + E' nu,
-        its row residuals ``viol`` = A x - b and its equality residuals
-        ``eq_res`` = E x - b_eq (None for a solver without such rows),
-        formed by ``_equality_guess`` or by the caller
-        (``oco.OptimizedRows``, which composes them into its rows). Returns
-        None when a row fails GI's stopping test (slack b - A x >= -0.1
-        tol), else (KKT residual, status): "optimal" exactly when every term
-        is within tol (``keeps``' rule, with the equality term). One max and
-        one min of the row residuals give the stopping test and the KKT
-        terms: with lam = 0 the complementarity term is 0 * min(viol), NaN
-        exactly when a row is NaN or -inf (a +inf row has failed the
-        stopping test)."""
-        terms = []
-        if viol is not None:
-            top = float(np.maximum.reduce(viol))
-            if top > self.stop_tol:
-                return None
-            terms += [max(top, 0.0), 0.0 * float(np.minimum.reduce(viol))]
-        if eq_res is not None:
-            terms.append(float(np.maximum.reduce(np.abs(eq_res))))
-        return self._residual_status([math.sqrt(grad @ grad), *terms], "optimal")
-
     def _one_row_step(self, prod, linear, ineq_b, eq_b, x):
         """GI's first iteration from the failed guess x (no equality rows):
         the most violated row j (the lowest index on ties, as GI's argmin)
@@ -242,7 +206,7 @@ class PrefactoredQp:
         j = int(np.argmax(viol))
         z = self.hinv_cn[:, j]
         ztn = float(self.cn[j] @ z)
-        if not ztn > 1e-11:
+        if not ztn > DROP_TOL:
             return None
         step = float(viol[j]) / ztn  # -slack / ztn, with slack = -viol
         x = x + step * z
@@ -259,76 +223,100 @@ class PrefactoredQp:
         """The fast path of ``solve`` for many linear terms at once, on a
         solver with inequality rows only: returns the unconstrained optimum
         x = -H^-1 q of each row q of ``linears`` (one product) and whether
-        ``solve`` keeps it (``kept_rows``).
+        ``solve`` keeps it (``keeps``, on every row's stacked products from
+        one more product). With one variable every product is a single
+        multiplication, so the terms are those ``_from_guess`` forms to the
+        bit; with more, the batched products may round differently in the
+        last bit, which can move only a row within that rounding of a bound.
         """
         x = linears @ self.kkt_q.T
-        return x, self.kept_rows(x, linears, ineq_offsets)
-
-    def kept_rows(self, x, linears, ineq_offsets):
-        """Whether ``solve`` keeps each row of ``x`` as the unconstrained
-        optimum of the matching row of ``linears``, on a solver with
-        inequality rows only; the caller forms x = -H^-1 q (``guess_rows``).
-        One product gives every row's stacked products, and ``keeps`` tests
-        them. With one variable every product is a single multiplication, so
-        the terms are those ``_from_guess`` forms to the bit; with more, the
-        batched products may round differently in the last bit, which can
-        move only a row within that rounding of a bound.
-        """
         prod = x @ self.stacked.T
         n = x.shape[1]
-        return self.keeps(prod[:, :n] + linears, prod[:, n:] - ineq_offsets)
+        return x, self.keeps(prod[:, :n] + linears, prod[:, n:] - ineq_offsets)
 
     def keeps(self, grad, viol):
         """Whether ``solve`` keeps a guess x of a solver with inequality rows
         only, from its stacked products: the stationarity rows ``grad`` = H x
         + q and the row residuals ``viol`` = A x - b, for one guess (1-D) or
-        one guess per row (2-D), formed by ``kept_rows`` or by the caller
+        one guess per row (2-D), formed by ``guess_rows`` or by the caller
         (``oco.QuadraticStepMap``'s rows, which compose them into the map).
 
-        ``_equality_guess``'s rule: every row passes GI's stopping test and
-        every KKT term of the zero-multiplier point is within tol
-        (``_residual_status`` says "optimal" exactly then), so a NaN or inf
-        term rejects the guess: NaN fails the first test and the gradient
-        bound, a row at -inf (whose complementarity term 0 * -inf is NaN) the
-        second.
+        ``kkt_status``'s rule for a guess, in numpy for many rows (the
+        scalar form is cheaper on one point with equality rows): every row
+        passes GI's stopping test and every KKT term of the zero-multiplier
+        point is within tol, so a NaN or inf term rejects the guess: NaN
+        fails the first test and the gradient bound, a row at -inf (whose
+        complementarity term 0 * -inf is NaN) the second.
         """
         return ((np.maximum.reduce(viol, -1) <= self.stop_tol)
                 & (np.minimum.reduce(viol, -1) > -np.inf)
                 & (np.sqrt(np.add.reduce(grad * grad, -1)) <= self.tol))
 
     def _assemble(self, prod, linear, ineq_b, eq_b, x, lam, nu, status):
-        """KKT residual of (x, lam, nu); an "optimal" above tol becomes "max_iter".
-
-        ``prod`` is ``stacked @ x``: H x, then the inequality and the equality
-        rows. A non-finite x or problem datum makes the residual NaN or inf,
-        and the status "non_finite".
+        """The point (x, lam, nu) as a solution, with ``kkt_status``'s
+        residual; an "optimal" ``status`` becomes its status, any other
+        stays. ``prod`` is ``stacked @ x``: H x, then the inequality and the
+        equality rows. lam None is a guess with zero inequality multipliers
+        (the shared ``no_ineq``), None when a row fails GI's stopping test.
         """
         n, mineq = x.size, ineq_b.size
         grad = prod[:n] + linear
-        if mineq:
+        if mineq and lam is not None:
             grad += self.ineq_normals.T @ lam
         if self.meq:
             grad += self.eq_normals.T @ nu
-        terms = [math.sqrt(grad @ grad)]
-        if mineq:
-            viol = prod[n:n + mineq] - ineq_b
-            terms += [float(np.maximum.reduce(viol, initial=0.0)),
-                      float(np.maximum.reduce(np.abs(lam * viol), initial=0.0)),
-                      max(0.0, -float(np.minimum.reduce(lam, initial=0.0)))]
-        if self.meq:
-            terms.append(float(np.maximum.reduce(np.abs(prod[n + mineq:] - eq_b))))
-        res, status = self._residual_status(terms, status)
-        return QpSolution(x=x, kkt_residual=res, status=status, ineq_multipliers=lam,
+        checked = self.kkt_status(grad, prod[n:n + mineq] - ineq_b if mineq else None, lam,
+                                  prod[n + mineq:] - eq_b if self.meq else None)
+        if checked is None:
+            return None
+        return QpSolution(x=x, kkt_residual=checked[0],
+                          status=checked[1] if status == "optimal" else status,
+                          ineq_multipliers=self.no_ineq if lam is None else lam,
                           eq_multipliers=nu)
 
-    def _residual_status(self, terms, status):
-        """The KKT residual (the largest term) and the status it leaves."""
+    def kkt_status(self, grad, viol=None, lam=None, eq_res=None, room=0.0):
+        """The solver's one acceptance rule for a point x: (KKT residual,
+        status) from its stationarity rows ``grad`` = H x + q + A' lam + E'
+        nu, its row residuals ``viol`` = A x - b, its inequality multipliers
+        ``lam`` and its equality residuals ``eq_res`` = E x - b_eq (``viol``
+        or ``eq_res`` None: the solver has no such rows).
+
+        The residual is the largest KKT term: |grad|, the largest row
+        residual above 0, the largest |lam_i viol_i| and negative multiplier,
+        and the largest |eq_res|; NaN or inf when a term is. The status is
+        "optimal" when the residual plus ``room`` is within tol, else
+        "max_iter" (a finite residual) or "non_finite". ``room`` is what a
+        caller that formed the rows in products other than the solver's
+        adds for their rounding (``oco.OptimizedRows``); the residual does
+        not include it.
+
+        lam None is a guess with zero multipliers, which also must pass GI's
+        stopping test (slack b - A x >= -stop_tol on every row): None when a
+        row fails it. One max and one min of the row residuals give that
+        test and the terms: with lam = 0 the complementarity term is 0 *
+        min(viol), NaN exactly when a row is NaN or -inf (a +inf row has
+        failed the stopping test). ``keeps`` is this rule for many guesses at
+        once, on a solver with inequality rows only.
+        """
+        terms = [math.sqrt(grad @ grad)]
+        if viol is not None:
+            if lam is None:
+                top = float(np.maximum.reduce(viol))
+                if top > self.stop_tol:
+                    return None
+                terms += [max(top, 0.0), 0.0 * float(np.minimum.reduce(viol))]
+            else:
+                terms += [float(np.maximum.reduce(viol, initial=0.0)),
+                          float(np.maximum.reduce(np.abs(lam * viol), initial=0.0)),
+                          max(0.0, -float(np.minimum.reduce(lam, initial=0.0)))]
+        if eq_res is not None:
+            terms.append(float(np.maximum.reduce(np.abs(eq_res))))
         # max() skips a NaN that is not its first argument; the sum does not.
         total = sum(terms)
         res = max(terms) if total < np.inf else total
-        if status == "optimal" and not res <= self.tol:
-            status = "max_iter" if res < np.inf else "non_finite"
-        return res, status
+        if res + room <= self.tol:
+            return res, "optimal"
+        return res, "max_iter" if res < np.inf else "non_finite"
 
 
 def _read_only_zeros(size):
@@ -352,7 +340,6 @@ def _gi_core(qp, x, cd, max_iter=DEFAULT_MAX_ITER):
     mult: list[float] = []
     signs: list[float] = []  # working sign of each active row (equalities may flip)
     feas_scale = 1.0 + float(np.abs(cd).max()) if cd.size else 1.0
-    drop_tol = 1e-11
 
     def directions(idx, sigma):
         # z = H^-1 n - H^-1 N r and r = (N' H^-1 N)^-1 N' H^-1 n, for the
@@ -394,15 +381,15 @@ def _gi_core(qp, x, cd, max_iter=DEFAULT_MAX_ITER):
             z, r = directions(idx, sigma)
             ztn = float(n_eff @ z)
             slack = float(n_eff @ x - d_eff)
-            if abs(slack) <= 1e-13 * feas_scale and ztn <= drop_tol and idx < meq:
+            if abs(slack) <= 1e-13 * feas_scale and ztn <= DROP_TOL and idx < meq:
                 break  # redundant but consistent equality
             t1, block = np.inf, None
             for pos, j in enumerate(active):
-                if j >= meq and r[pos] > drop_tol:
+                if j >= meq and r[pos] > DROP_TOL:
                     ratio = mult[pos] / r[pos]
                     if ratio < t1 - 1e-15:
                         t1, block = ratio, pos
-            t2 = -slack / ztn if ztn > drop_tol else np.inf
+            t2 = -slack / ztn if ztn > DROP_TOL else np.inf
             if not np.isfinite(t1) and not np.isfinite(t2):
                 return x, active, mult, signs, "infeasible"
             step = min(t1, t2)

@@ -294,7 +294,7 @@ class OptimizedRows:
     + R_u g of the plan at beta = 1 (``reach``), the plan [candidate + g;
     eta] and the input plan[:m] + K x_meas; and the optimum's stacked
     products, on which the rollout solver decides it
-    (``PrefactoredQp.guess_status``), composed from ``solver.stacked`` as
+    (``PrefactoredQp.kkt_status``), composed from ``solver.stacked`` as
     ``QuadraticStepMap`` composes the projector's: the stationarity rows H x
     + linear + E' nu (``rollout_grad``), the inequality rows A x less the
     map's offsets (``rollout_viol``; the step subtracts its offset shift)
@@ -362,26 +362,25 @@ class OptimizedRows:
         (None: none) and the reach gap's norm ``gap_norm``, where they
         decide it as ``additional_input_optimized`` decides it from its own
         products: DEGENERATE_TOL < |d| < inf, the rollout solver keeps the
-        guess (``PrefactoredQp.guess_status``) with room for those products'
-        rounding (``rounding`` |w| more in its KKT residual, so their own
-        test keeps it too), and |g| is within the cap c_g |d|. Else None,
-        and the step takes ``additional_input_optimized``."""
+        guess (``PrefactoredQp.kkt_status``) with room for those products'
+        rounding (``room`` = ``rounding`` |w|, so their own test keeps it
+        too), and |g| is within the cap c_g |d|. Else None, and the step
+        takes ``additional_input_optimized``."""
         if not DEGENERATE_TOL < gap_norm < np.inf:
             return None
         viol = None
         if self.has_viol:
             viol = out[self.rollout_viol] if shift is None else out[self.rollout_viol] - shift
-        solver = self.rollout_map.solver
-        checked = solver.guess_status(out[self.rollout_grad], viol, out[self.rollout_eq])
-        if checked is None:
-            return None
         theta = out[self.theta]
         w_norm = math.sqrt(x_meas @ x_meas + candidate @ candidate + theta @ theta
                            + gap_norm * gap_norm + 1.0)
-        if not checked[0] + self.rounding * w_norm <= solver.tol:
+        checked = self.rollout_map.solver.kkt_status(
+            out[self.rollout_grad], viol, eq_res=out[self.rollout_eq],
+            room=self.rounding * w_norm)
+        if checked is None or checked[1] != "optimal":
             return None
         g = out[self.g]
-        if math.sqrt(g @ g) > c_g * gap_norm * (1 + 1e-9):
+        if _over_cap(g, c_g, gap_norm):
             return None
         return g, out[self.growth], checked[0]
 
@@ -551,7 +550,7 @@ def _projected(manifold, sol):
     """The steady state (theta, eta) of the projection QP's solution ``sol``,
     solved to the projector's KKT tolerance; a failed solve raises with its
     KKT residual, since a solve whose residual misses the tolerance reports
-    "max_iter" (``PrefactoredQp._assemble``)."""
+    "max_iter" (``PrefactoredQp.kkt_status``)."""
     if sol.status != "optimal":
         raise InfeasibleError(f"manifold projection failed: {sol.status} "
                               f"(KKT residual {sol.kkt_residual:.3g}, "
@@ -569,6 +568,12 @@ def additional_input_explicit(tables, theta_hat, pred_state):
     _gap_norm(d)  # rejects a non-finite gap
     both = tables.explicit_map @ d
     return both[:nv], both[nv:]
+
+
+def _over_cap(g, c_g, gap_norm):
+    """Whether the optimized input g breaks the norm cap c_g |d| (with
+    relative room 1e-9), for the reach gap's norm ``gap_norm`` = |d|."""
+    return math.sqrt(g @ g) > c_g * gap_norm * (1 + 1e-9)
 
 
 def _gap_norm(d):
@@ -606,7 +611,7 @@ def additional_input_optimized(model, rollout, x_meas, candidate, theta_hat, d, 
     except (OcoRobustError, np.linalg.LinAlgError):
         return model.s_c_pinv @ d, None, True
     g = sol.x[:nv]
-    if sol.status != "optimal" or math.sqrt(g @ g) > c_g * norm * (1 + 1e-9):
+    if sol.status != "optimal" or _over_cap(g, c_g, norm):
         return model.s_c_pinv @ d, sol.kkt_residual, True
     return g, sol.kkt_residual, False
 
@@ -710,14 +715,16 @@ def step_row(rows, i, model, tables, manifold, x_meas, grad_prev, options, step_
     optimized variant of the map's ``OptimizedRows`` for the step's rollout
     map, which holds the map's rows with the rollout's composed in. The
     projection keeps the map's guess when the projector's rule keeps it on
-    the ``grad`` and ``viol`` rows (``PrefactoredQp.keeps``; a rejected
-    guess goes on to the one-row step or GI, ``PrefactoredQp._rejected``).
+    the ``grad`` and ``viol`` rows (``PrefactoredQp.keeps``, its one rule
+    ``kkt_status`` in numpy; a rejected guess goes on to the one-row step
+    or GI, ``PrefactoredQp._rejected``).
     The explicit variant then takes g, beta = 1, the plan and u from the
     rows where they settle the step (``_rows_settle``). The optimized
     variant takes g, its growth and its KKT residual from the rows where
-    they decide it (``OptimizedRows.additional_input``), and then beta = 1,
-    the plan and u from the rows where they settle the step; where they do
-    not, ``max_beta`` gets the rows' g and growth. Where the rows do not
+    they decide it (``OptimizedRows.additional_input``: the rollout
+    solver's ``kkt_status``, with the rows' rounding as its room), and then
+    beta = 1, the plan and u from the rows where they settle the step; where
+    they do not, ``max_beta`` gets the rows' g and growth. Where the rows do not
     decide g, the optimized variant takes its reach gap from the map's rows
     (while the guess is kept) and g from ``additional_input_optimized``.
     Every other case takes the additional input, ``max_beta`` and the

@@ -289,19 +289,19 @@ def reference_gap_offsets(model, x_meas, candidate, gap_meas, est_speed_dev, saf
 def guess_kept(projector, linear, x, offsets):
     """Whether the step's projection keeps the guess ``x`` of ``linear``:
     the test ``PrefactoredQp._from_guess`` applies, without its fallback."""
-    guess = projector._equality_guess(projector.stacked @ x, linear, offsets, projector.no_eq,
-                                      x, projector.no_eq)
+    guess = projector._assemble(projector.stacked @ x, linear, offsets, projector.no_eq,
+                                x, None, projector.no_eq, "optimal")
     return guess is not None and guess.status == "optimal"
 
 
 def rows_kept(projector, grad, viol):
     """Whether the projection keeps a guess whose stacked products are the
     rows ``grad`` (H x + q) and ``viol`` (A x - b): the test
-    ``PrefactoredQp._from_guess`` applies (``_equality_guess``), on those
+    ``PrefactoredQp._from_guess`` applies (``_assemble``), on those
     numbers (q = 0 and b = 0)."""
     n, zeros = grad.size, np.zeros(grad.size)
-    guess = projector._equality_guess(np.concatenate([grad, viol]), zeros, np.zeros(viol.size),
-                                      projector.no_eq, zeros, projector.no_eq)
+    guess = projector._assemble(np.concatenate([grad, viol]), zeros, np.zeros(viol.size),
+                                projector.no_eq, zeros, None, projector.no_eq, "optimal")
     return guess is not None and guess.status == "optimal"
 
 

@@ -132,6 +132,22 @@ class TestSolveQp:
         pre = PrefactoredQp(np.eye(1), tol=1e-6)
         assert (pre.tol, pre.stop_tol) == (1e-6, 0.1 * 1e-6)
 
+    @pytest.mark.parametrize("lam", [None, np.zeros(4)])
+    @pytest.mark.parametrize("eq", [False, True])
+    def test_rule_room(self, eq, lam):
+        # A point the rule keeps at room 0 (residual 3e-9, the stationarity
+        # term) stays kept while residual + room is within tol and is
+        # rejected beyond it; the residual it reports is the same throughout.
+        box = np.vstack([np.eye(2), -np.eye(2)])
+        pre = PrefactoredQp(2.0 * np.eye(2), ineq_normals=box,
+                            eq_normals=np.array([[1.0, 1.0]]) if eq else None)
+        grad, viol = np.array([3e-9, 0.0]), np.full(4, -0.75)
+        eq_res = np.array([2e-9]) if eq else None
+        seen = [pre.kkt_status(grad, viol, lam, eq_res, room)
+                for room in (0.0, 0.5 * pre.tol, 0.8 * pre.tol)]
+        assert [status for _, status in seen] == ["optimal", "optimal", "max_iter"]
+        assert [res for res, _ in seen] == [3e-9] * 3
+
 
 def project_polytope(x, target, eq=None):
     """Euclidean projection of x onto a polytope (and optional equalities),
@@ -642,7 +658,7 @@ class TestNonFiniteData:
         # when a row fails GI's stopping test, and "optimal" only when none
         # does.
         prod, tol = pre.stacked @ x, pre.tol
-        guess = pre._equality_guess(prod, q, ineq_b, eq_b, x, nu)
+        guess = pre._assemble(prod, q, ineq_b, eq_b, x, None, nu, "optimal")
         full = pre._assemble(prod, q, ineq_b, eq_b, x, np.zeros(len(ineq_b)), nu, "optimal")
         failing = (prod[len(x):len(x) + len(ineq_b)] - ineq_b > 0.1 * tol).any()
         if guess is None:
@@ -703,8 +719,8 @@ class TestNonFiniteData:
             single = -(pre.hinv @ linear)
             assert np.array_equal(x[i], single, equal_nan=True) or np.allclose(
                 x[i], single, rtol=1e-12, atol=0.0)
-            guess = pre._equality_guess(pre.stacked @ single, linear, ineq_b, np.zeros(0),
-                                        single, np.zeros(0))
+            guess = pre._assemble(pre.stacked @ single, linear, ineq_b, np.zeros(0),
+                                  single, None, np.zeros(0), "optimal")
             assert kept[i] == (guess is not None and guess.status == "optimal")
 
     def test_finite_data_unchanged(self):

@@ -135,3 +135,13 @@ def test_aborted_copy_of_the_bundled_config(tmp_path):
     assert text.count("\nabort_on_violation = true\n") == 1
     assert text.count("\nmembership_tol = -1e-4\n") == 1
     assert ("run", "double_integrator", "aborted") in diff_outputs.CALLS
+
+
+def test_optimized_copy_of_the_bundled_config(tmp_path):
+    # The bundled double integrator on the optimized variant: the generic
+    # rollout builder's path, under the same byte-identity check.
+    text = diff_outputs.config_copy(TOOL.parent.parent, "double_integrator", "optimized",
+                                    tmp_path).read_text()
+    assert text.count("\nvariant = optimized\n") == 1
+    assert "\nvariant = explicit\n" not in text
+    assert ("run", "double_integrator", "optimized") in diff_outputs.CALLS

@@ -6,9 +6,9 @@ into its matrix, and ``oco.step_row`` and ``oco.settled_rows`` decide the guess
 from those rows with ``PrefactoredQp.keeps``. The verdicts must be those of
 the single solve's own test (``PrefactoredQp._from_guess``, on eta and the
 linear term) on every step-by-step step, and those of ``kept_rows`` (which
-forms the products itself) on every block row: on vehicle seeds 0-9, the
-bundled double integrator, drawn models and the 18 runs of the bundled sweep
-design with seeds 0 and 1. At an S-bar facet, a few ulps either side, both
+forms the products itself, as ``PrefactoredQp.guess_rows`` does) on every
+block row: on vehicle seeds 0-9, the bundled double integrator, drawn models
+and the 18 runs of the bundled sweep design with seeds 0 and 1. At an S-bar facet, a few ulps either side, both
 keep the guess; a row with NaN or inf is rejected.
 """
 
@@ -43,6 +43,14 @@ def map_verdicts(step_map, manifold, out):
     return (bool(projector.keeps(out[step_map.grad], out[step_map.viol])),
             guess_kept(projector, out[step_map.linear], out[step_map.eta],
                        manifold.sbar.offsets))
+
+
+def kept_rows(projector, x, linears, offsets):
+    """``keeps`` on each row of ``x`` as the unconstrained optimum of the
+    matching row of ``linears``, on stacked products from one product."""
+    prod = x @ projector.stacked.T
+    n = x.shape[1]
+    return projector.keeps(prod[:, :n] + linears, prod[:, n:] - offsets)
 
 
 @pytest.fixture
@@ -138,8 +146,8 @@ def test_sweep_block_rows(monkeypatch):
     def settled(step_map, manifold, x_meas, outs, gap_norms, tol):
         projector = manifold.projector
         blocks.append((projector.keeps(outs[:, step_map.grad], outs[:, step_map.viol]),
-                       projector.kept_rows(outs[:, step_map.eta], outs[:, step_map.linear],
-                                           manifold.sbar.offsets)))
+                       kept_rows(projector, outs[:, step_map.eta], outs[:, step_map.linear],
+                                 manifold.sbar.offsets)))
         return real(step_map, manifold, x_meas, outs, gap_norms, tol)
 
     monkeypatch.setattr(oco, "settled_rows", settled)

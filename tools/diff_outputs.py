@@ -12,7 +12,9 @@ copies of ``double_integrator.cfg``, ``vehicle_explicit.cfg`` and
 copy of ``double_integrator.cfg`` with ``experiment.abort_on_violation =
 true`` (flagged block by block as the run goes) and on one that also sets
 ``controller.membership_tol = -1e-4`` (it aborts at t = 81 and writes
-``trace_partial.csv``), ``regret-sweep`` on
+``trace_partial.csv``) and on one with ``controller.variant = optimized``
+(the generic rollout builder and the optimized step's rows),
+``regret-sweep`` on
 ``configs/regret_sweep.cfg`` and ``validate`` on all four configs. A call's
 outputs are the files it writes to ``--out``, its stdout, its stderr and its
 exit code. They go under ``--work`` (by default a temporary directory,
@@ -47,7 +49,8 @@ CALLS = (
                                       "vehicle_optimized")]
     + [("run", name, "seeds3") for name in ("double_integrator", "vehicle_explicit",
                                             "vehicle_optimized")]
-    + [("run", "double_integrator", copy) for copy in ("return", "abort", "aborted")]
+    + [("run", "double_integrator", copy) for copy in ("return", "abort", "aborted",
+                                                       "optimized")]
     + [("regret-sweep", "regret_sweep", None)]
     + [("validate", name, None) for name in ("double_integrator", "regret_sweep",
                                              "vehicle_explicit", "vehicle_optimized")])
@@ -72,6 +75,7 @@ COPIES = {
     "abort": [ABORT],
     "aborted": [ABORT, ("\nvariant = explicit\n",
                         "\nvariant = explicit\nmembership_tol = -1e-4\n")],
+    "optimized": [("\nvariant = explicit\n", "\nvariant = optimized\n")],
 }
 
 

@@ -257,7 +257,8 @@ class PrefactoredQp:
         residual; an "optimal" ``status`` becomes its status, any other
         stays. ``prod`` is ``stacked @ x``: H x, then the inequality and the
         equality rows. lam None is a guess with zero inequality multipliers
-        (the shared ``no_ineq``), None when a row fails GI's stopping test.
+        (returned as the shared ``no_ineq``); it gives None when a row fails
+        GI's stopping test.
         """
         n, mineq = x.size, ineq_b.size
         grad = prod[:n] + linear

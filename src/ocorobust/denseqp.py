@@ -23,9 +23,14 @@ map) hands it to the same test and fallback (``_from_guess``); one that also
 forms the guess's stacked products (the controller's step map, which
 composes them into its own rows) hands those to the same rule (``keeps``,
 or ``kkt_status`` with equality rows: the controller's optimized rows) and a
-rejected guess to the fallback (``_rejected``). ``guess_rows`` makes and
-tests the guess for many linear terms at once. No state is kept between
-solves.
+rejected guess to the fallback (``_rejected``). GI's first iteration is
+written once: ``first_row`` picks the row and the step, and
+``row_multipliers`` applies GI's stopping test to the other rows of the
+point reached; ``_one_row_step`` forms that point from its own products,
+the controller's step map from its rows moved along one face (its one-row
+step's law), and ``kkt_status`` decides it for both. ``guess_rows`` makes
+and tests the guess for many linear terms at once. No state is kept
+between solves.
 
 One rule, ``kkt_status``, makes every decision on one point, a guess or the
 result of a GI step: the KKT residual, the status it leaves, and for a guess
@@ -195,29 +200,54 @@ class PrefactoredQp:
 
     def _one_row_step(self, prod, linear, ineq_b, eq_b, x):
         """GI's first iteration from the failed guess x (no equality rows):
-        the most violated row j (the lowest index on ties, as GI's argmin)
-        becomes active and x steps along z = H^-1 C_j' by t = -slack / z'C_j',
-        with multiplier t. ``prod`` is ``stacked @ x``. Returns the point as
-        ``_assemble`` checks it when every other row then passes GI's stopping
-        test and z'C_j' is above GI's drop tolerance, else None.
+        row j becomes active and x steps along z = H^-1 C_j' by t
+        (``first_row``), with multiplier t. ``prod`` is ``stacked @ x``.
+        Returns the point as ``_assemble`` checks it when ``first_row`` takes
+        a step and every other row then passes GI's stopping test
+        (``row_multipliers``), else None.
         """
         n = x.size
-        viol = prod[n:] - ineq_b
-        j = int(np.argmax(viol))
-        z = self.hinv_cn[:, j]
-        ztn = float(self.cn[j] @ z)
-        if not ztn > DROP_TOL:
+        first = self.first_row(prod[n:] - ineq_b)
+        if first is None:
             return None
-        step = float(viol[j]) / ztn  # -slack / ztn, with slack = -viol
-        x = x + step * z
+        j, step = first
+        x = x + step * self.hinv_cn[:, j]
         prod = self.stacked @ x
-        viol = prod[n:] - ineq_b
-        viol[j] = 0.0  # GI zeroes the active row's slack in its test
+        lam = self.row_multipliers(prod[n:] - ineq_b, j, step)
+        if lam is None:
+            return None
+        return self._assemble(prod, linear, ineq_b, eq_b, x, lam, self.no_eq, "optimal")
+
+    def first_row(self, viol):
+        """GI's first iteration from a guess with the row residuals ``viol``
+        = A x - b, on a solver with inequality rows only: (j, t), the most
+        violated row j (the lowest index on ties, as GI's argmin) and the
+        step t = -slack / z'C_j' (slack = -viol_j) along z = H^-1 C_j'
+        (``hinv_cn[:, j]``), which is also row j's multiplier. None unless
+        row j fails GI's stopping test with a finite residual and z'C_j' is
+        above GI's drop tolerance: a NaN row is the argmax, and a +inf row
+        would step without end. ``_one_row_step`` and the controller's face
+        rows (``oco.QuadraticStepMap``) both step by it."""
+        j = int(np.argmax(viol))
+        top = float(viol[j])
+        ztn = float(self.cn[j] @ self.hinv_cn[:, j])
+        if not (self.stop_tol < top < np.inf and ztn > DROP_TOL):
+            return None
+        return j, top / ztn
+
+    def row_multipliers(self, viol, j, step):
+        """The multipliers of the point row j's step (``first_row``) reached,
+        with the row residuals ``viol`` there: ``step`` in row j and zero
+        elsewhere, or None when another row fails GI's stopping test (GI
+        zeroes the active row's slack in its test). ``kkt_status`` with
+        them then decides the point."""
+        viol = viol.copy()
+        viol[j] = 0.0
         if not float(np.maximum.reduce(viol)) <= self.stop_tol:
             return None
-        lam = np.zeros(ineq_b.size)
+        lam = np.zeros(viol.size)
         lam[j] = step
-        return self._assemble(prod, linear, ineq_b, eq_b, x, lam, self.no_eq, "optimal")
+        return lam
 
     def guess_rows(self, linears, ineq_offsets):
         """The fast path of ``solve`` for many linear terms at once, on a

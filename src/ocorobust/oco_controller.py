@@ -203,6 +203,18 @@ class QuadraticStepMap:
     only where its condition holds, and takes the module functions
     everywhere else. The optimized variant takes its rows from the map's
     ``OptimizedRows`` for its rollout map (``optimized``).
+
+    While one row j of S-bar is active, the projection's solution is the
+    guess moved along one fixed direction: eta + lam_j d_j, with d_j = -H_p^-1
+    a_j and lam_j the row's multiplier (GI's one-row step, Goldfarb & Idnani
+    1983), so every row moves by lam_j times a fixed column: the map's
+    affine law on that face (Bemporad, Morari, Dua & Pistikopoulos,
+    *Automatica* 2002). ``faces`` holds these columns, one per row of S-bar,
+    each the image of d_j under the same composition as the rows (with a_j
+    added to the stationarity rows); a separate array, so ``matrix`` keeps
+    its bits. ``face_rounding`` bounds how far they and the projector's own
+    one-row step may round the face point's KKT terms (``_face_rows``, which
+    takes a rejected guess's step from them).
     """
 
     def __init__(self, tables, manifold, cost, gamma):
@@ -244,6 +256,39 @@ class QuadraticStepMap:
             base=base, linear=linear, pred=pred_rows, theta=theta, gap=gap, g=g,
             reach=base + both[nv:], head=head, eta=eta, u=u))
         self.plan = slice(self.head.start, self.eta.stop)  # [candidate + g; eta]
+        # The rows' change per unit of S-bar row j's multiplier while row j
+        # is active: eta moves along d_j = -H^-1 a_j (column j of
+        # ``projector.hinv_cn``), and the stationarity rows gain a_j. Stored
+        # by column, each one contiguous.
+        projector = manifold.projector
+        d = projector.hinv_cn
+        theta_d = manifold.g_k @ d
+        both_d = tables.explicit_map @ theta_d
+        stacked_d = projector.stacked @ d
+        faces = np.zeros((len(self.matrix), d.shape[1]), order="F")
+        faces[self.grad] = stacked_d[:m] + projector.ineq_normals.T
+        faces[self.viol] = stacked_d[m:]
+        faces[self.theta] = faces[self.gap] = theta_d
+        faces[self.g] = faces[self.head] = both_d[:nv]
+        faces[self.reach] = both_d[nv:]
+        faces[self.eta] = d
+        faces[self.u] = both_d[:m]
+        self.faces = faces
+        # How far these rows and the projector's own one-row step, from z =
+        # [x_meas; candidate; ref_x; ref_u; 1] and the multiplier lam, may
+        # round a face point's stationarity norm and its row residuals, per
+        # unit of |z| + lam: the row sums of |H| |eta rows| + |linear rows|
+        # and of |A| |eta rows| + |b|, and the largest entries of |H| |d_j| +
+        # |a_j| and of |A| |d_j|, each term summed with at most cols + m + 3
+        # roundings (as ``OptimizedRows.rounding``), and sqrt(m) for the norm.
+        h, a = np.abs(projector.hessian), np.abs(projector.ineq_normals)
+        eta_abs, d_abs = np.abs(eta), np.abs(d)
+        unit = (cols + m + 3) * np.finfo(float).eps
+        self.face_rounding = (
+            unit * math.sqrt(m) * max(float((h @ eta_abs + np.abs(linear)).sum(axis=1).max()),
+                                      float((h @ d_abs + a.T).max())),
+            unit * max(float(((a @ eta_abs).sum(axis=1) + np.abs(manifold.sbar.offsets)).max()),
+                       float((a @ d_abs).max())))
         self.tables, self.manifold, self.gamma = tables, manifold, gamma
         self._lifted = None  # the map's LiftedSteps, built on first use
         self._optimized = []  # its OptimizedRows, one per rollout map, built on first use
@@ -308,6 +353,14 @@ class OptimizedRows:
     map's last rows, when their count is not a multiple of 4, are grouped
     otherwise here: its ``u`` rows on the bundled double integrator). One
     product of ``matrix`` (``rows_at``) gives them all.
+
+    Where a face of S-bar decides the projection (see ``QuadraticStepMap``),
+    theta_hat and d move along the step map's ``faces`` columns, and so does
+    everything composed from them: ``faces`` here holds the step map's
+    columns of its rows before g, then these blocks composed from its
+    ``theta`` and ``gap`` columns as the rows are, with no constant terms.
+    A face step then goes on from ``additional_input`` as a kept guess's
+    step does.
     """
 
     rows_at = QuadraticStepMap.rows_at  # the same product, of this matrix
@@ -317,26 +370,40 @@ class OptimizedRows:
         m, cols = tables.feedback.shape[0], matrix.shape[1]
         nv = step_map.g.stop - step_map.g.start
         n, nvar, mineq = solver.meq, solver.hessian.shape[0], solver.ineq_normals.shape[0]
-        gap, rollout = matrix[step_map.gap], rollout_map.matrix
-        # w from z: x_meas and candidate as they are, then theta_hat, d and 1
-        to_w = np.vstack([np.eye(n + nv, cols), matrix[step_map.theta], gap,
-                          np.eye(1, cols, cols - 1)])
-        rows = rollout @ to_w
-        x = rows[rollout_map.x]
-        stacked = solver.stacked @ x
-        g = x[:nv]
-        growth = tables.residual_u @ g
-        head = g + np.eye(nv, cols, n)  # + candidate
-        # The step map's rows before g, as they are, then this variant's.
-        self.matrix = _stack_rows(self, dict(
-            g=g, reach=matrix[step_map.base] + growth, head=head, eta=matrix[step_map.eta],
-            u=head[:m] + np.hstack([tables.feedback, np.zeros((m, cols - n))]),
-            growth=growth,
-            rollout_grad=(stacked[:nvar] + rows[rollout_map.linear]
-                          + solver.eq_normals.T @ rows[rollout_map.nu]),
-            rollout_viol=stacked[nvar:nvar + mineq] - rows[rollout_map.offsets],
-            rollout_eq=stacked[nvar + mineq:] - gap), matrix[:step_map.g.start])
-        for name in ("grad", "viol", "base", "linear", "pred", "theta", "gap", "plan"):
+        rollout = rollout_map.matrix
+
+        def blocks(step_rows, lead, one, cand, feedback):
+            """This variant's row blocks from ``step_rows`` (the step map's
+            matrix or faces), with w's rows [lead; theta; d; one] in their
+            columns, and the plan's and u's terms not from g (``cand``,
+            ``feedback``)."""
+            gap = step_rows[step_map.gap]
+            rows = rollout @ np.vstack([lead, step_rows[step_map.theta], gap, one])
+            x = rows[rollout_map.x]
+            stacked = solver.stacked @ x
+            g = x[:nv]
+            growth = tables.residual_u @ g
+            head = g + cand
+            return dict(
+                g=g, reach=step_rows[step_map.base] + growth, head=head,
+                eta=step_rows[step_map.eta], u=head[:m] + feedback, growth=growth,
+                rollout_grad=(stacked[:nvar] + rows[rollout_map.linear]
+                              + solver.eq_normals.T @ rows[rollout_map.nu]),
+                rollout_viol=stacked[nvar:nvar + mineq] - rows[rollout_map.offsets],
+                rollout_eq=stacked[nvar + mineq:] - gap)
+
+        # The step map's rows before g, as they are, then this variant's; w
+        # from z: x_meas and candidate as they are, then theta_hat, d and 1.
+        self.matrix = _stack_rows(self, blocks(
+            matrix, np.eye(n + nv, cols), np.eye(1, cols, cols - 1), np.eye(nv, cols, n),
+            np.hstack([tables.feedback, np.zeros((m, cols - n))])), matrix[:step_map.g.start])
+        # The faces the same way, from the step map's: no constant terms.
+        faces = step_map.faces
+        k = faces.shape[1]
+        self.faces = np.asfortranarray(np.vstack([faces[:step_map.g.start], *blocks(
+            faces, np.zeros((n + nv, k)), np.zeros((1, k)), 0.0, 0.0).values()]))
+        for name in ("grad", "viol", "base", "linear", "pred", "theta", "gap", "plan",
+                     "face_rounding"):
             setattr(self, name, getattr(step_map, name))
         self.has_viol = mineq > 0
         self.rollout_map = rollout_map
@@ -654,6 +721,37 @@ def max_beta(tables, model, x_meas, base_seq, g, tol=None, _base=None, _growth=N
     return float(min(1.0, np.minimum.reduce(np.maximum(-base_vals[mask], 0.0) / rising)))
 
 
+def _face_rows(mapped, projector, out, viol, z_parts):
+    """The rows of a step whose projection guess the projector rejected, at
+    the point its one-row step reaches (``PrefactoredQp.first_row``: row j,
+    multiplier lam, from the guess's ``viol`` rows): ``out`` + lam times
+    face j of ``mapped`` (a ``QuadraticStepMap`` or ``OptimizedRows``).
+    Kept where the projector's rule decides the point as it decides its own
+    one-row step: every other row passes GI's stopping test
+    (``row_multipliers``) and ``kkt_status`` finds it "optimal" with room
+    for the rows' rounding: ``face_rounding`` times |z| + lam, the row
+    residuals' part also times lam for the complementarity term lam viol_j
+    (z is the concatenation of ``z_parts``). Else None, and the step takes
+    ``PrefactoredQp._rejected``.
+    """
+    first = projector.first_row(viol)
+    if first is None:
+        return None
+    j, lam = first
+    face = out + lam * mapped.faces[:, j]
+    viol = face[mapped.viol]
+    multipliers = projector.row_multipliers(viol, j, lam)
+    if multipliers is None:
+        return None
+    grad_unit, viol_unit = mapped.face_rounding
+    z = np.concatenate(z_parts)
+    z_norm = math.sqrt(z @ z + 1.0)
+    room = (z_norm + lam) * max(grad_unit, viol_unit, lam * viol_unit)
+    if projector.kkt_status(face[mapped.grad], viol, multipliers, room=room)[1] != "optimal":
+        return None
+    return face
+
+
 def _rows_settle(gap_norm, worst, reach, tol):
     """Where the step map's rows (their guess kept) settle the explicit step
     at beta = 1, for one step (floats) or a block of steps (arrays,
@@ -716,8 +814,11 @@ def step_row(rows, i, model, tables, manifold, x_meas, grad_prev, options, step_
     map, which holds the map's rows with the rollout's composed in. The
     projection keeps the map's guess when the projector's rule keeps it on
     the ``grad`` and ``viol`` rows (``PrefactoredQp.keeps``, its one rule
-    ``kkt_status`` in numpy; a rejected guess goes on to the one-row step
-    or GI, ``PrefactoredQp._rejected``).
+    ``kkt_status`` in numpy). A rejected guess takes the point of the
+    projector's one-row step from the rows, moved along one face
+    (``_face_rows``), where the same rule keeps that point; the step then
+    goes on from those rows as from a kept guess's. Any other rejected
+    guess goes on to the one-row step or GI (``PrefactoredQp._rejected``).
     The explicit variant then takes g, beta = 1, the plan and u from the
     rows where they settle the step (``_rows_settle``). The optimized
     variant takes g, its growth and its KKT residual from the rows where
@@ -726,7 +827,8 @@ def step_row(rows, i, model, tables, manifold, x_meas, grad_prev, options, step_
     beta = 1, the plan and u from the rows where they settle the step; where
     they do not, ``max_beta`` gets the rows' g and growth. Where the rows do not
     decide g, the optimized variant takes its reach gap from the map's rows
-    (while the guess is kept) and g from ``additional_input_optimized``.
+    (while the guess or a face is kept) and g from
+    ``additional_input_optimized``.
     Every other case takes the additional input, ``max_beta`` and the
     blend.
     """
@@ -755,17 +857,19 @@ def step_row(rows, i, model, tables, manifold, x_meas, grad_prev, options, step_
             # The optimized variant's rows hold the step map's with its
             # rollout's composed in (OptimizedRows), at the same slices.
             mapped = step_map if rollout is None else step_map.optimized(rollout[0])
-            out = (mapped.rows_at(x_meas, candidate, grad_prev.ref_x, grad_prev.ref_u)
-                   if ref is None else mapped.rows_at(x_meas, candidate, ref))
-            base_vals, pred, eta_hat = out[mapped.base], out[mapped.pred], out[mapped.eta]
+            refs = (grad_prev.ref_x, grad_prev.ref_u) if ref is None else (ref,)
+            out = mapped.rows_at(x_meas, candidate, *refs)
+            base_vals, pred = out[mapped.base], out[mapped.pred]
             projector, viol = manifold.projector, out[mapped.viol]
-            if projector.keeps(out[mapped.grad], viol):
-                theta_hat = out[mapped.theta]
-            else:
-                sol = projector._rejected(out[mapped.linear], eta_hat, viol,
-                                          manifold.sbar.offsets)
-                out = None
-                theta_hat, eta_hat = _projected(manifold, sol)
+            if not projector.keeps(out[mapped.grad], viol):
+                face = _face_rows(mapped, projector, out, viol, (x_meas, candidate, *refs))
+                if face is None:
+                    sol = projector._rejected(out[mapped.linear], out[mapped.eta], viol,
+                                              manifold.sbar.offsets)
+                    theta_hat, eta_hat = _projected(manifold, sol)
+                out = face
+            if out is not None:
+                theta_hat, eta_hat = out[mapped.theta], out[mapped.eta]
         worst = float(np.maximum.reduce(base_vals))
 
         kkt, fallback, g, growth, plan, u = None, False, None, None, None, None

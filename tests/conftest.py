@@ -461,6 +461,28 @@ def count_calls(monkeypatch, *names):
     return calls
 
 
+def faces_off(patch):
+    """Turn the step's face rows off (``oco._face_rows``): every rejected
+    projection guess then takes ``PrefactoredQp._rejected``, the one-row
+    step or GI, as the faces' reference."""
+    patch.setattr(oco, "_face_rows", lambda *args: None)
+
+
+def count_faces(monkeypatch):
+    """While patched, one entry per call of ``oco._face_rows`` (one per
+    rejected projection guess of a map step): whether the face decided
+    the step."""
+    real, decided = oco._face_rows, []
+
+    def counted(*args):
+        face = real(*args)
+        decided.append(face is not None)
+        return face
+
+    monkeypatch.setattr(oco, "_face_rows", counted)
+    return decided
+
+
 @pytest.fixture
 def both_paths(monkeypatch, step_by_step):
     """While active, every ``oco.step_row`` a loop makes must get a step map

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -578,6 +579,89 @@ class TestPrefactoredQpOracle:
             ref = pre._assemble(pre.stacked @ x_gi, q, ineq_b, np.zeros(0), x_gi, lam,
                                 np.zeros(0), "optimal" if status == "optimal" else "non_finite")
             assert pre.solve(q, ineq_offsets=ineq_b).status == ref.status == "non_finite"
+
+    # The face rule: the controller's rows of the guess (its stationarity
+    # rows and row residuals) moved along face j, the rows' change per unit
+    # of row j's multiplier, by the step ``first_row`` takes, then decided by
+    # ``row_multipliers`` and ``kkt_status`` with room for the rows' rounding.
+
+    @staticmethod
+    def face_rule(pre, q, ineq_b):
+        """(j, status, near) of the face rule from the guess x = -H^-1 q:
+        status None when another row fails GI's stopping test, and near
+        whether the rule's point lies within its room of a bound, where it
+        may decide otherwise than ``_one_row_step``; (None, None, False)
+        when ``first_row`` takes no step."""
+        n = q.size
+        x = -(pre.hinv @ q)
+        prod = pre.stacked @ x
+        grad, viol = prod[:n] + q, prod[n:] - ineq_b
+        first = pre.first_row(viol)
+        if first is None:
+            return None, None, False
+        j, lam = first
+        d = pre.hinv_cn[:, j]
+        grad = grad + lam * (pre.hessian @ d + pre.ineq_normals[j])
+        viol = viol + lam * (pre.ineq_normals @ d)
+        # per row, the terms' absolute sums, with n + 4 roundings each
+        x_abs = np.abs(x) + lam * np.abs(d)
+        scale = max(float((np.abs(pre.hessian) @ x_abs + np.abs(q)
+                           + lam * np.abs(pre.ineq_normals[j])).max()),
+                    float((np.abs(pre.ineq_normals) @ x_abs + np.abs(ineq_b)).max()))
+        room = (n + 4) * np.finfo(float).eps * np.sqrt(n) * scale * max(1.0, lam)
+        others = np.delete(viol, j)
+        near = bool(others.size) and abs(float(others.max()) - pre.stop_tol) <= room
+        lam_vec = pre.row_multipliers(viol, j, lam)
+        if lam_vec is None:
+            return j, None, near
+        res, status = pre.kkt_status(grad, viol, lam_vec, room=room)
+        return j, status, near or abs(res - pre.tol) <= 2.0 * room
+
+    def test_drawn_face_rule_matches_one_row_step(self):
+        # Drawn inequality-only QPs whose guess fails: the face rule and the
+        # one-row step take the row one iteration of GI takes (the lowest
+        # index on ties), and keep the same points except within the room.
+        outcomes = Counter()
+
+        @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+        @given(qp_instances())
+        def check(instance):
+            h, q, ineq_n, ineq_b, _, _ = instance
+            pre = PrefactoredQp(h, ineq_normals=ineq_n)
+            q = 3.0 * q  # pushes the unconstrained optimum out more often
+            x = -(pre.hinv @ q)
+            if not ineq_b.size or not np.max(pre.ineq_normals @ x - ineq_b) > pre.stop_tol:
+                return
+            j, status, near = self.face_rule(pre, q, ineq_b)
+            _, active, *_ = self.one_iteration_gi(pre, q, ineq_b)
+            step = pre._one_row_step(pre.stacked @ x, q, ineq_b, np.zeros(0), x)
+            assert j == (active[0] if active else None)
+            if step is not None:
+                assert np.flatnonzero(step.ineq_multipliers).tolist() == [j]
+            kept = step is not None and step.status == "optimal"
+            if (status == "optimal") != kept:
+                assert near
+            outcomes[kept] += 1
+
+        check()
+        assert outcomes[True] >= 20 and outcomes[False] >= 20, outcomes
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_face_rule_non_finite_offsets(self, bad):
+        # As ``test_one_row_step_non_finite_offsets``: every row in turn, with
+        # row 0 violated by the guess; neither rule keeps a point.
+        box = np.vstack([np.eye(2), -np.eye(2)])
+        pre = PrefactoredQp(2.0 * np.eye(2), ineq_normals=box)
+        q = np.array([-4.0, 0.5])
+        x = -(pre.hinv @ q)
+        for row in range(4):
+            ineq_b = np.ones(4)
+            ineq_b[row] = bad
+            _, status, _ = self.face_rule(pre, q, ineq_b)
+            step = pre._one_row_step(pre.stacked @ x, q, ineq_b, np.zeros(0), x)
+            assert status != "optimal"
+            assert step is None or step.status != "optimal"
 
 
 @st.composite

@@ -34,7 +34,7 @@ from ocorobust.plant import (
 )
 from ocorobust.simkit import PiecewiseSchedule, closed_loop
 
-from conftest import assert_benchmark_matches_per_row
+from conftest import assert_benchmark_matches_per_row, assert_records_agree, faces_off
 
 HORIZON = 60
 
@@ -174,3 +174,59 @@ def test_drawn_models_step_map_matches_oracle(both_paths):
 
     check()
     assert len(both_paths) >= 10 * 2 * 29
+
+
+def test_drawn_models_faces_match_their_fallback(monkeypatch):
+    # Each model runs in both variants as it stands and again with the faces
+    # off (``faces_off``: the projector's fallback from the same rows, the
+    # faces' reference): every column within 1e-12 (1 + |.|) and every flag
+    # the same. A face is kept only where the projector's one-row step from
+    # the same rows is "optimal".
+    outcomes, real = Counter(), oco._face_rows
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(drawn_models())
+    def check(drawn):
+        cfg, targets = drawn
+        try:
+            model, tables, manifold = build(cfg)
+        except OcoRobustError:
+            return
+        n, m = model.n, model.m
+
+        def face_rows(mapped, projector, out, viol, z_parts):
+            face = real(mapped, projector, out, viol, z_parts)
+            eta = out[mapped.eta]
+            step = projector._one_row_step(projector.stacked @ eta, out[mapped.linear],
+                                           manifold.sbar.offsets, projector.no_eq, eta)
+            if step is None or step.status != "optimal":
+                assert face is None
+            outcomes["face" if face is not None else "declined"] += 1
+            return face
+
+        # targets up to 4.5 times the X box: most optima sit on S-bar, some
+        # at its corners, where two rows bind and the faces fall back
+        targets = 3.0 * targets
+        first = QuadraticCost(np.eye(n), np.eye(m), targets[0], np.zeros(m))
+        schedule = PiecewiseSchedule(((0, first), (HORIZON // 3, first.with_ref_x(targets[1])),
+                                      (2 * HORIZON // 3, first.with_ref_x(targets[2]))))
+        zeta0 = optimal_steady_state(manifold, first, model)
+        gamma = 1.0 / cost_curvature(first, model)[1]
+        for variant in ("explicit", "optimized"):
+            builder = (oco.QuadraticRolloutBuilder(model, np.eye(n), np.eye(m))
+                       if variant == "optimized" else None)
+            controller = oco.ControllerConfig(gamma=gamma, rollout_builder=builder)
+
+            def run():
+                plant = GreedyAdversaryPlant(model, schedule, zeta0[0])
+                return closed_loop(model, tables, manifold, controller, plant, HORIZON, zeta0)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(oco, "_face_rows", face_rows)
+                with_faces = run()
+            with monkeypatch.context() as patch:
+                faces_off(patch)
+                assert_records_agree(with_faces, run(), rel=1e-12)
+
+    check()
+    assert outcomes["face"] >= 500 and outcomes["declined"] >= 100, outcomes

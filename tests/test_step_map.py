@@ -42,6 +42,8 @@ from conftest import (
     assert_records_agree,
     assert_steps_agree,
     count_calls,
+    count_faces,
+    faces_off,
     guess_kept,
     row_state,
     row_step,
@@ -310,15 +312,18 @@ class TestOneStep:
 
     def test_optimized_reach_gap_comes_from_the_rows(self, monkeypatch):
         # Where the projection keeps the map's guess, the rollout's reach gap
-        # is the map's gap rows; where it does not, theta_hat - pred of the
-        # projected theta_hat. Seed 3 of the vehicle has both kinds. The gap
-        # is the one the step's ``OptimizedRows`` rows decide the input on,
-        # or the one ``additional_input_optimized`` gets.
-        gaps, real = [], oco.additional_input_optimized
-        step, real_rows = oco.step_row, oco.OptimizedRows.additional_input
+        # is the map's gap rows; where a face decides the projection, the
+        # face's gap rows (``oco._face_rows``); elsewhere theta_hat - pred of
+        # the projected theta_hat. Seed 3 of the vehicle has the first two
+        # kinds, and with the faces off (``faces_off``) the first and the
+        # last. The gap is the one the step's ``OptimizedRows`` rows decide
+        # the input on, or the one ``additional_input_optimized`` gets.
+        gaps, faces, real = [], [], oco.additional_input_optimized
+        step, real_rows, real_face = oco.step_row, oco.OptimizedRows.additional_input, oco._face_rows
 
         def observed(record, i, model, tables, manifold, x_meas, grad_prev, options,
                      step_map=None, ref=None):
+            faces.clear()
             step(record, i, model, tables, manifold, x_meas, grad_prev, options, step_map, ref)
             out = row_step(record, i)
             x_meas, candidate = np.asarray(x_meas, float), record.plan[i - 1, model.m:]
@@ -329,6 +334,10 @@ class TestOneStep:
             if np.array_equal(theta_hat, rows[step_map.theta]):
                 assert np.array_equal(d, rows[step_map.gap]), "rows"
                 kinds.append("rows")
+            elif faces and faces[-1] is not None:
+                assert np.array_equal(theta_hat, faces[-1][step_map.theta]), "face"
+                assert np.array_equal(d, faces[-1][step_map.gap]), "face"
+                kinds.append("face")
             else:
                 assert np.array_equal(d, theta_hat - pred), "projected"
                 kinds.append("projected")
@@ -343,11 +352,22 @@ class TestOneStep:
                 gaps.append(out[rows.gap])
             return got
 
+        def face_rows(*args):
+            faces.append(real_face(*args))
+            return faces[-1]
+
         kinds = []
         monkeypatch.setattr(oco, "additional_input_optimized", recorded)
         monkeypatch.setattr(oco.OptimizedRows, "additional_input", from_rows)
+        monkeypatch.setattr(oco, "_face_rows", face_rows)
         monkeypatch.setattr(oco, "step_row", observed)
         vehicle.run_scenario("optimized", seed=3)
+        assert len(kinds) == 299 and 0 < kinds.count("face") < kinds.count("rows")
+        assert "projected" not in kinds
+        kinds.clear()
+        with monkeypatch.context() as patch:
+            faces_off(patch)
+            vehicle.run_scenario("optimized", seed=3)
         assert len(kinds) == 299 and 0 < kinds.count("projected") < kinds.count("rows")
 
     @pytest.mark.parametrize("variant", ["optimized", "explicit"])
@@ -523,6 +543,7 @@ class TestFallbackBranches:
         names = ("_projected", "additional_input_explicit", "max_beta")
         with monkeypatch.context() as patch:
             calls = count_calls(patch, *names)
+            faces = count_faces(patch)
             mapped = run()
         with monkeypatch.context() as patch:
             patch.setattr(simkit, "_takes_map", lambda cost: False)
@@ -532,6 +553,13 @@ class TestFallbackBranches:
         trace = mapped[0]
         lowered = int(np.count_nonzero(trace.beta[1:] < 1.0))
         if branch == "binding":
+            # The faces decide every binding step; with them off, the
+            # projector's fallback does, and the run is the same.
+            assert sum(faces) > 0 and calls["_projected"] == 0
+            with monkeypatch.context() as patch:
+                faces_off(patch)
+                calls = count_calls(patch, *names)
+                assert_runs_agree(run(), oracle)
             assert calls["_projected"] > 0
         elif branch == "beta_below_one":
             assert calls["_projected"] == 0

@@ -256,10 +256,8 @@ class QuadraticStepMap:
             base=base, linear=linear, pred=pred_rows, theta=theta, gap=gap, g=g,
             reach=base + both[nv:], head=head, eta=eta, u=u))
         self.plan = slice(self.head.start, self.eta.stop)  # [candidate + g; eta]
-        # The rows' change per unit of S-bar row j's multiplier while row j
-        # is active: eta moves along d_j = -H^-1 a_j (column j of
-        # ``projector.hinv_cn``), and the stationarity rows gain a_j. Stored
-        # by column, each one contiguous.
+        # The faces: d_j is column j of ``projector.hinv_cn``. Stored by
+        # column, so that a step's one face is contiguous.
         projector = manifold.projector
         d = projector.hinv_cn
         theta_d = manifold.g_k @ d

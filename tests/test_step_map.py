@@ -319,7 +319,8 @@ class TestOneStep:
         # last. The gap is the one the step's ``OptimizedRows`` rows decide
         # the input on, or the one ``additional_input_optimized`` gets.
         gaps, faces, real = [], [], oco.additional_input_optimized
-        step, real_rows, real_face = oco.step_row, oco.OptimizedRows.additional_input, oco._face_rows
+        step, real_rows = oco.step_row, oco.OptimizedRows.additional_input
+        real_face = oco._face_rows
 
         def observed(record, i, model, tables, manifold, x_meas, grad_prev, options,
                      step_map=None, ref=None):

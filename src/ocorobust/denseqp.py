@@ -16,21 +16,18 @@ symmetrised; ``matlin.spd_inverse``), H^-1 C', the Gram matrix C H^-1 C' of
 the stacked normals C, and the KKT inverse of the equality rows alone. In a
 closed loop the inequality rows rarely bind, so ``solve`` has one fast path:
 the equality-constrained optimum, kept when no row binds and the KKT check
-passes. When it fails on a solver with inequality rows only, GI's first
-iteration (the most violated row made active) is tried from it; otherwise GI
-runs cold. A caller that forms the guess itself (the controller's rollout
-map) hands it to the same test and fallback (``_from_guess``); one that also
-forms the guess's stacked products (the controller's step map, which
-composes them into its own rows) hands those to the same rule (``keeps``,
-or ``kkt_status`` with equality rows: the controller's optimized rows) and a
-rejected guess to the fallback (``_rejected``). GI's first iteration is
-written once: ``first_row`` picks the row and the step, and
-``row_multipliers`` applies GI's stopping test to the other rows of the
-point reached; ``_one_row_step`` forms that point from its own products,
-the controller's step map from its rows moved along one face (its one-row
-step's law), and ``kkt_status`` decides it for both. ``guess_rows`` makes
-and tests the guess for many linear terms at once. No state is kept
-between solves.
+passes; otherwise GI runs from the unconstrained optimum. A caller that
+forms the guess itself (the controller's rollout map) hands it to the same
+test and to GI (``_from_guess``); one that also forms the guess's stacked
+products (the controller's step map, which composes them into its own rows)
+hands those to the same rule (``keeps``, or ``kkt_status`` with equality
+rows: the controller's optimized rows). GI's first iteration from a
+rejected guess, on a solver with inequality rows only, is written here for
+the controller's step map, which forms its point from its rows moved along
+one face: ``first_row`` picks the row and the step, ``row_multipliers``
+applies GI's stopping test to the other rows of the point reached, and
+``kkt_status`` decides it. ``guess_rows`` makes and tests the guess for many
+linear terms at once. No state is kept between solves.
 
 One rule, ``kkt_status``, makes every decision on one point, a guess or the
 result of a GI step: the KKT residual, the status it leaves, and for a guess
@@ -81,11 +78,9 @@ class PrefactoredQp:
     alone are precomputed, so the equality-constrained optimum is the closed
     form [x; nu] = K_q q + K_b b_eq (with no equalities, x = -H^-1 q). ``solve``
     returns it when no inequality row is violated beyond GI's stopping test
-    and the KKT check passes (``kkt_status``). With no equality rows and a
-    violated row, it next tries GI's one-row step from it (``_one_row_step``).
-    In every other case (two or more binding rows, or rank-deficient and
-    possibly inconsistent equalities) it runs the GI iteration from the
-    unconstrained optimum.
+    and the KKT check passes (``kkt_status``). In every other case (a
+    binding row, or rank-deficient and possibly inconsistent equalities) it
+    runs the GI iteration from the unconstrained optimum.
 
     ``tol``, fixed at construction, bounds the KKT residual of an "optimal"
     solve; a row passes GI's stopping test with a slack of at least
@@ -149,35 +144,13 @@ class PrefactoredQp:
         ``oco.QuadraticStepMap``'s and ``oco.RolloutMap``'s rows). Returns
         (solution, kept): kept is True when ``kkt_status`` finds the guess,
         with zero inequality multipliers, "optimal"; it is then the solution.
-        A rejected guess goes on, with its product ``stacked @ x``, to
-        ``_fallback``; it is not formed or tested again.
+        A rejected guess goes on to GI from the unconstrained optimum
+        (``_cold``).
         """
-        prod = self.stacked @ x
-        guess = self._assemble(prod, linear, ineq_b, eq_b, x, None, nu, "optimal")
+        guess = self._assemble(self.stacked @ x, linear, ineq_b, eq_b, x, None, nu, "optimal")
         if guess is not None and guess.status == "optimal":
             return guess, True
-        return self._fallback(prod, linear, ineq_b, eq_b, x, guess is None), False
-
-    def _rejected(self, linear, x, viol, ineq_b):
-        """``solve``'s answer from the unconstrained optimum x of ``linear``
-        that ``keeps`` rejected on rows the caller formed (``viol``, its row
-        residuals A x - b; ``oco.QuadraticStepMap``'s rows), on a solver with
-        inequality rows only: ``_from_guess``'s fallback from a rejected
-        guess, with ``stacked @ x`` formed here."""
-        return self._fallback(self.stacked @ x, linear, ineq_b, self.no_eq, x,
-                              float(np.maximum.reduce(viol)) > self.stop_tol)
-
-    def _fallback(self, prod, linear, ineq_b, eq_b, x, row_failed):
-        """``solve``'s answer after the guess x was rejected (``row_failed``
-        is True when a row failed GI's stopping test, as ``kkt_status``
-        tests it; ``prod`` is ``stacked @ x``): GI's one-row step from x on a
-        solver without equality rows when a row failed, else, or when that
-        step fails, GI from the unconstrained optimum (``_cold``)."""
-        if row_failed and not self.meq:
-            step = self._one_row_step(prod, linear, ineq_b, eq_b, x)
-            if step is not None and step.status == "optimal":
-                return step
-        return self._cold(linear, ineq_b, eq_b)
+        return self._cold(linear, ineq_b, eq_b), False
 
     def _cold(self, linear, ineq_b, eq_b):
         """The GI iteration from the unconstrained optimum, with its status
@@ -198,26 +171,6 @@ class PrefactoredQp:
                 lam[j - self.meq] = u
         return self._assemble(self.stacked @ x, linear, ineq_b, eq_b, x, lam, nu, status)
 
-    def _one_row_step(self, prod, linear, ineq_b, eq_b, x):
-        """GI's first iteration from the failed guess x (no equality rows):
-        row j becomes active and x steps along z = H^-1 C_j' by t
-        (``first_row``), with multiplier t. ``prod`` is ``stacked @ x``.
-        Returns the point as ``_assemble`` checks it when ``first_row`` takes
-        a step and every other row then passes GI's stopping test
-        (``row_multipliers``), else None.
-        """
-        n = x.size
-        first = self.first_row(prod[n:] - ineq_b)
-        if first is None:
-            return None
-        j, step = first
-        x = x + step * self.hinv_cn[:, j]
-        prod = self.stacked @ x
-        lam = self.row_multipliers(prod[n:] - ineq_b, j, step)
-        if lam is None:
-            return None
-        return self._assemble(prod, linear, ineq_b, eq_b, x, lam, self.no_eq, "optimal")
-
     def first_row(self, viol):
         """GI's first iteration from a guess with the row residuals ``viol``
         = A x - b, on a solver with inequality rows only: (j, t), the most
@@ -226,8 +179,9 @@ class PrefactoredQp:
         (``hinv_cn[:, j]``), which is also row j's multiplier. None unless
         row j fails GI's stopping test with a finite residual and z'C_j' is
         above GI's drop tolerance: a NaN row is the argmax, and a +inf row
-        would step without end. ``_one_row_step`` and the controller's face
-        rows (``oco.QuadraticStepMap``) both step by it."""
+        would step without end. The controller's face rows
+        (``oco._face_rows``) step by it; ``_gi_core`` takes the same row and
+        step in its first iteration."""
         j = int(np.argmax(viol))
         top = float(viol[j])
         ztn = float(self.cn[j] @ self.hinv_cn[:, j])
@@ -239,8 +193,9 @@ class PrefactoredQp:
         """The multipliers of the point row j's step (``first_row``) reached,
         with the row residuals ``viol`` there: ``step`` in row j and zero
         elsewhere, or None when another row fails GI's stopping test (GI
-        zeroes the active row's slack in its test). ``kkt_status`` with
-        them then decides the point."""
+        zeroes the active row's slack in its test; a None here is where GI
+        would go on to a second iteration). ``kkt_status`` with them then
+        decides the point."""
         viol = viol.copy()
         viol[j] = 0.0
         if not float(np.maximum.reduce(viol)) <= self.stop_tol:

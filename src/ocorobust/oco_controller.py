@@ -206,15 +206,15 @@ class QuadraticStepMap:
 
     While one row j of S-bar is active, the projection's solution is the
     guess moved along one fixed direction: eta + lam_j d_j, with d_j = -H_p^-1
-    a_j and lam_j the row's multiplier (GI's one-row step, Goldfarb & Idnani
+    a_j and lam_j the row's multiplier (GI's first iteration, Goldfarb & Idnani
     1983), so every row moves by lam_j times a fixed column: the map's
     affine law on that face (Bemporad, Morari, Dua & Pistikopoulos,
     *Automatica* 2002). ``faces`` holds these columns, one per row of S-bar,
     each the image of d_j under the same composition as the rows (with a_j
     added to the stationarity rows); a separate array, so ``matrix`` keeps
-    its bits. ``face_rounding`` bounds how far they and the projector's own
-    one-row step may round the face point's KKT terms (``_face_rows``, which
-    takes a rejected guess's step from them).
+    its bits. ``face_rounding`` bounds how far they may round the face
+    point's KKT terms against the projector's own products at that point
+    (``_face_rows``, which takes a rejected guess's step from them).
     """
 
     def __init__(self, tables, manifold, cost, gamma):
@@ -272,7 +272,7 @@ class QuadraticStepMap:
         faces[self.eta] = d
         faces[self.u] = both_d[:m]
         self.faces = faces
-        # How far these rows and the projector's own one-row step, from z =
+        # How far these rows and the projector's own products, from z =
         # [x_meas; candidate; ref_x; ref_u; 1] and the multiplier lam, may
         # round a face point's stationarity norm and its row residuals, per
         # unit of |z| + lam: the row sums of |H| |eta rows| + |linear rows|
@@ -603,19 +603,15 @@ def ogd_step(tables, manifold, grad_prev, gamma, pred_state, v, q0):
 
 def project_manifold(manifold, linear):
     """Euclidean projection onto the shrunk manifold of the (x, u) point whose
-    projection QP has the linear term ``linear`` = -2 (G_K' x + u).
+    projection QP has the linear term ``linear`` = -2 (G_K' x + u): the
+    steady state (theta, eta) of its solution.
 
-    Solved in u-coordinates with x = G_K u substituted, which is exact.
+    Solved in u-coordinates with x = G_K u substituted, which is exact, to
+    the projector's KKT tolerance. A failed solve raises with its KKT
+    residual, since a solve whose residual misses the tolerance reports
+    "max_iter" (``PrefactoredQp.kkt_status``).
     """
-    return _projected(manifold, manifold.projector.solve(
-        linear, ineq_offsets=manifold.sbar.offsets))
-
-
-def _projected(manifold, sol):
-    """The steady state (theta, eta) of the projection QP's solution ``sol``,
-    solved to the projector's KKT tolerance; a failed solve raises with its
-    KKT residual, since a solve whose residual misses the tolerance reports
-    "max_iter" (``PrefactoredQp.kkt_status``)."""
+    sol = manifold.projector.solve(linear, ineq_offsets=manifold.sbar.offsets)
     if sol.status != "optimal":
         raise InfeasibleError(f"manifold projection failed: {sol.status} "
                               f"(KKT residual {sol.kkt_residual:.3g}, "
@@ -721,16 +717,15 @@ def max_beta(tables, model, x_meas, base_seq, g, tol=None, _base=None, _growth=N
 
 def _face_rows(mapped, projector, out, viol, z_parts):
     """The rows of a step whose projection guess the projector rejected, at
-    the point its one-row step reaches (``PrefactoredQp.first_row``: row j,
-    multiplier lam, from the guess's ``viol`` rows): ``out`` + lam times
-    face j of ``mapped`` (a ``QuadraticStepMap`` or ``OptimizedRows``).
-    Kept where the projector's rule decides the point as it decides its own
-    one-row step: every other row passes GI's stopping test
-    (``row_multipliers``) and ``kkt_status`` finds it "optimal" with room
-    for the rows' rounding: ``face_rounding`` times |z| + lam, the row
-    residuals' part also times lam for the complementarity term lam viol_j
-    (z is the concatenation of ``z_parts``). Else None, and the step takes
-    ``PrefactoredQp._rejected``.
+    the point GI's first iteration reaches from it (``PrefactoredQp.first_row``:
+    row j, multiplier lam, from the guess's ``viol`` rows): ``out`` + lam
+    times face j of ``mapped`` (a ``QuadraticStepMap`` or ``OptimizedRows``).
+    Kept where GI would stop there and the projector's rule keeps the point:
+    every other row passes GI's stopping test (``row_multipliers``) and
+    ``kkt_status`` finds it "optimal" with room for the rows' rounding:
+    ``face_rounding`` times |z| + lam, the row residuals' part also times
+    lam for the complementarity term lam viol_j (z is the concatenation of
+    ``z_parts``). Else None, and the step projects with ``project_manifold``.
     """
     first = projector.first_row(viol)
     if first is None:
@@ -812,11 +807,12 @@ def step_row(rows, i, model, tables, manifold, x_meas, grad_prev, options, step_
     map, which holds the map's rows with the rollout's composed in. The
     projection keeps the map's guess when the projector's rule keeps it on
     the ``grad`` and ``viol`` rows (``PrefactoredQp.keeps``, its one rule
-    ``kkt_status`` in numpy). A rejected guess takes the point of the
-    projector's one-row step from the rows, moved along one face
-    (``_face_rows``), where the same rule keeps that point; the step then
-    goes on from those rows as from a kept guess's. Any other rejected
-    guess goes on to the one-row step or GI (``PrefactoredQp._rejected``).
+    ``kkt_status`` in numpy). A rejected guess takes the point of GI's
+    first iteration from the rows, moved along one face (``_face_rows``),
+    where GI would stop there and the same rule keeps that point; the step
+    then goes on from those rows as from a kept guess's. Any other rejected
+    guess is projected as the gradient path projects (``project_manifold``),
+    from the rows' linear term.
     The explicit variant then takes g, beta = 1, the plan and u from the
     rows where they settle the step (``_rows_settle``). The optimized
     variant takes g, its growth and its KKT residual from the rows where
@@ -862,9 +858,7 @@ def step_row(rows, i, model, tables, manifold, x_meas, grad_prev, options, step_
             if not projector.keeps(out[mapped.grad], viol):
                 face = _face_rows(mapped, projector, out, viol, (x_meas, candidate, *refs))
                 if face is None:
-                    sol = projector._rejected(out[mapped.linear], out[mapped.eta], viol,
-                                              manifold.sbar.offsets)
-                    theta_hat, eta_hat = _projected(manifold, sol)
+                    theta_hat, eta_hat = project_manifold(manifold, out[mapped.linear])
                 out = face
             if out is not None:
                 theta_hat, eta_hat = out[mapped.theta], out[mapped.eta]

@@ -463,8 +463,8 @@ def count_calls(monkeypatch, *names):
 
 def faces_off(patch):
     """Turn the step's face rows off (``oco._face_rows``): every rejected
-    projection guess then takes ``PrefactoredQp._rejected``, the one-row
-    step or GI, as the faces' reference."""
+    projection guess then takes ``oco.project_manifold``, whose solve runs
+    GI from the unconstrained optimum, as the faces' reference."""
     patch.setattr(oco, "_face_rows", lambda *args: None)
 
 

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 
 import numpy as np
@@ -155,8 +156,16 @@ class TestOgdStep:
         # solve relabelled so shows as such
         _, _, manifold = di_bundle
         sol = QpSolution(x=np.zeros(1), kkt_residual=2.79e-9, status="max_iter")
+
+        class MaxIter(PrefactoredQp):
+            def solve(self, *args, **kwargs):
+                return sol
+
+        manifold = copy.copy(manifold)
+        real = manifold.projector
+        manifold.projector = MaxIter(real.hessian, ineq_normals=real.ineq_normals, tol=real.tol)
         with pytest.raises(InfeasibleError) as info:
-            oco._projected(manifold, sol)
+            oco.project_manifold(manifold, np.zeros(1))
         assert str(info.value) == ("manifold projection failed: max_iter "
                                    "(KKT residual 2.79e-09, tol 1e-09)")
 

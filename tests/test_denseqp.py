@@ -265,7 +265,7 @@ def cold_gi(pre, q, ineq_b, eq_b):
 
 def solve_tracing_gi(pre, q, ineq_b=None, eq_b=None):
     """``pre.solve`` and whether it ran the GI iteration (False: the
-    equality-constrained guess, or GI's one-row step from it, was kept)."""
+    equality-constrained guess was kept)."""
     with mock.patch.object(denseqp, "_gi_core", wraps=denseqp._gi_core) as gi:
         sol = pre.solve(q, ineq_offsets=ineq_b, eq_offsets=eq_b)
     return sol, gi.called
@@ -366,8 +366,6 @@ class TestPrefactoredQpOracle:
 
     def test_inequality_only_guess_is_gi_start(self):
         # With no equalities the kept guess is bit for bit what cold GI returns.
-        # (A solve with a positive multiplier and no GI run took the one-row
-        # step; the one-row tests below check those.)
         rng = np.random.default_rng(36)
         kept = 0
         for _ in range(50):
@@ -412,11 +410,11 @@ class TestPrefactoredQpOracle:
             ineq_b = np.concatenate([b, b[:1], 2.5 * b[1:2], b[2:3] + 0.2])
             pre, sol, ran_gi = check_against_oracle(h, rng.standard_normal(n) * 3, ineq_n,
                                                     ineq_b, np.zeros((0, n)), np.zeros(0))
-            # the unconstrained optimum is kept exactly when no row binds; one
-            # binding row may come from GI's one-row step, two need GI
+            # the unconstrained optimum is kept exactly when no row binds;
+            # a binding row is GI's
             assert pre.eq_optimum
             binding = np.count_nonzero(sol.ineq_multipliers > 0)
-            assert ran_gi == (binding > 0) or binding == 1
+            assert ran_gi == (binding > 0)
 
     def test_rank_deficient_consistent_equalities(self):
         rng = np.random.default_rng(33)
@@ -467,13 +465,43 @@ class TestPrefactoredQpOracle:
                                                   np.zeros((0, n)), np.zeros(0))
             assert sol.status == "infeasible" and ran_gi
 
-    # GI's one-row step from the failed guess (inequality rows only). The
-    # reference for a one-row answer is GI itself, stopped after one
-    # iteration: it ends "optimal" exactly when one added row settles the QP.
+    # GI's first iteration from a rejected guess (inequality rows only):
+    # ``first_row`` and ``row_multipliers``, the rule the controller's face
+    # rows apply. The reference is GI itself, stopped after one iteration:
+    # it ends "optimal" exactly when one added row settles the QP. ``solve``
+    # runs GI in full from a rejected guess.
 
     @staticmethod
     def one_iteration_gi(pre, q, ineq_b):
         return denseqp._gi_core(pre, -(pre.hinv @ q), -ineq_b, 1)
+
+    @classmethod
+    def one_iteration_kept(cls, pre, q, ineq_b):
+        """(kept, active) of one iteration of GI from the guess: kept when
+        it ends "optimal" and its point, with its multipliers, passes the
+        solver's KKT check (``_assemble``, as ``_cold`` checks GI's answer)."""
+        x1, active, mult, _, status = cls.one_iteration_gi(pre, q, ineq_b)
+        if status != "optimal":
+            return False, active
+        lam = np.zeros(ineq_b.size)
+        lam[active] = mult
+        point = pre._assemble(pre.stacked @ x1, q, ineq_b, pre.no_eq, x1, lam, pre.no_eq,
+                              "optimal")
+        return point.status == "optimal", active
+
+    @staticmethod
+    def first_iteration(pre, q, ineq_b):
+        """``first_row`` and ``row_multipliers`` from the guess x = -H^-1 q,
+        on the solver's own products: (j, point, multipliers), multipliers
+        None when another row fails GI's stopping test; None when
+        ``first_row`` takes no step."""
+        x = -(pre.hinv @ q)
+        first = pre.first_row(pre.ineq_normals @ x - ineq_b)
+        if first is None:
+            return None
+        j, step = first
+        x1 = x + step * pre.hinv_cn[:, j]
+        return j, x1, pre.row_multipliers(pre.ineq_normals @ x1 - ineq_b, j, step)
 
     @staticmethod
     def assert_close(got, want, rel=1e-12):
@@ -485,22 +513,17 @@ class TestPrefactoredQpOracle:
         h, q, ineq_n, ineq_b, _, _ = data.draw(qp_instances())
         n = q.size
         q = 3.0 * q  # pushes the unconstrained optimum out more often
-        pre, sol, ran_gi = check_against_oracle(h, q, ineq_n, ineq_b, np.zeros((0, n)),
-                                                np.zeros(0))
+        pre, sol, _ = check_against_oracle(h, q, ineq_n, ineq_b, np.zeros((0, n)), np.zeros(0))
         if sol.status != "optimal" or not sol.ineq_multipliers.any():
             return
         x1, active, mult, _, status = self.one_iteration_gi(pre, q, ineq_b)
-        _, act_gi, *_ = denseqp._gi_core(pre, -(pre.hinv @ q), -ineq_b)
         if status == "optimal":
-            # one active row: the step is GI's first iteration, kept
-            assert not ran_gi and len(active) == 1
+            # one active row: the solution is GI's first iteration
+            assert len(active) == 1
             self.assert_close(sol.x, x1)
             lam = np.zeros(ineq_b.size)
             lam[active[0]] = mult[0]
             self.assert_close(sol.ineq_multipliers, lam)
-        elif len(act_gi) >= 2:
-            # two or more active rows: the step hands over to GI
-            assert ran_gi
 
     def test_one_row_steps_match_gi(self):
         # Random boxes and slabs with the unconstrained optimum outside; both
@@ -513,51 +536,60 @@ class TestPrefactoredQpOracle:
             ineq_n = rng.standard_normal((int(rng.integers(1, 7)), n))
             ineq_b = rng.uniform(0.0, 1.0, ineq_n.shape[0])
             q = rng.standard_normal(n) * 4
-            pre, sol, ran_gi = check_against_oracle(h, q, ineq_n, ineq_b, np.zeros((0, n)),
-                                                    np.zeros(0))
+            pre, sol, _ = check_against_oracle(h, q, ineq_n, ineq_b, np.zeros((0, n)),
+                                               np.zeros(0))
             x1, active, mult, _, status = self.one_iteration_gi(pre, q, ineq_b)
             if not sol.ineq_multipliers.any():
                 continue
             if status == "optimal":
                 stepped += 1
-                assert not ran_gi and sol.status == "optimal"
+                assert sol.status == "optimal"
                 self.assert_close(sol.x, x1)
                 assert sol.ineq_multipliers[active[0]] == pytest.approx(mult[0], rel=1e-12)
                 assert np.count_nonzero(sol.ineq_multipliers) == 1
             else:
                 handed_over += 1
-                assert ran_gi
         assert stepped > 10 and handed_over > 10
 
     def test_one_row_step_ties_take_the_lowest_index(self):
         # Rows 1 and 3 are the same halfspace, equally violated: GI's argmin
-        # and the step both take row 1.
+        # and ``first_row`` both take row 1, where one iteration of GI
+        # stops; the solve is GI's.
         pre = PrefactoredQp(2.0 * np.eye(2), ineq_normals=np.array(
             [[0.0, 1.0], [1.0, 0.0], [-1.0, 0.0], [1.0, 0.0]]))
         q, ineq_b = np.array([-4.0, 0.0]), np.array([1.0, 1.0, 1.0, 1.0])
-        sol, ran_gi = solve_tracing_gi(pre, q, ineq_b)
         x_gi, active, mult, _, status = self.one_iteration_gi(pre, q, ineq_b)
-        assert not ran_gi and status == "optimal" and active == [1]
+        assert status == "optimal" and active == [1]
+        j, x1, lam = self.first_iteration(pre, q, ineq_b)
+        assert j == 1 and np.array_equal(lam, [0.0, mult[0], 0.0, 0.0])
+        assert np.array_equal(x1, x_gi) and np.allclose(x1, [1.0, 0.0], rtol=0.0, atol=1e-15)
+        sol, ran_gi = solve_tracing_gi(pre, q, ineq_b)
+        x_full, active, mult, _, status = denseqp._gi_core(pre, -(pre.hinv @ q), -ineq_b)
+        assert ran_gi and status == "optimal" and active == [1]
+        assert np.array_equal(sol.x, x_full)
         assert np.array_equal(sol.ineq_multipliers, [0.0, mult[0], 0.0, 0.0])
-        assert np.allclose(sol.x, [1.0, 0.0], rtol=0.0, atol=1e-15)
-        self.assert_close(sol.x, x_gi)
 
     def test_two_active_rows_hand_over_to_gi(self):
-        # The optimum is the box corner: the step's point violates the other
-        # row, so GI answers, as the oracle does.
+        # The optimum is the box corner: the point of GI's first iteration
+        # violates the other row, so ``row_multipliers`` declines it where
+        # one iteration of GI goes on, and the solve is GI's in full, as the
+        # oracle's.
         box = np.vstack([np.eye(2), -np.eye(2)])
         q, ineq_b = np.array([-4.0, -3.0]), np.ones(4)
         pre, sol, ran_gi = check_against_oracle(2.0 * np.eye(2), q, box, ineq_b,
                                                 np.zeros((0, 2)), np.zeros(0))
         assert ran_gi and np.count_nonzero(sol.ineq_multipliers) == 2
-        assert pre._one_row_step(pre.stacked @ (-(pre.hinv @ q)), q, ineq_b, np.zeros(0),
-                                 -(pre.hinv @ q)) is None
+        _, active, _, _, status = self.one_iteration_gi(pre, q, ineq_b)
+        j, _, lam = self.first_iteration(pre, q, ineq_b)
+        assert status == "max_iter" and active == [j] == [0] and lam is None
+        x_full, active, mult, _, status = denseqp._gi_core(pre, -(pre.hinv @ q), -ineq_b)
+        assert status == "optimal" and sorted(active) == [0, 1]
+        assert np.array_equal(sol.x, x_full)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_one_row_step_non_finite_offsets(self, bad):
-        # Every row in turn, with row 0 violated by the guess: a step the
-        # solver returns has `_assemble`'s status at its point, and the solve
+        # Every row in turn, with row 0 violated by the guess: the solve
         # ends "non_finite" as cold GI plus `_assemble` do.
         box = np.vstack([np.eye(2), -np.eye(2)])
         pre = PrefactoredQp(2.0 * np.eye(2), ineq_normals=box)
@@ -566,11 +598,6 @@ class TestPrefactoredQpOracle:
         for row in range(4):
             ineq_b = np.ones(4)
             ineq_b[row] = bad
-            step = pre._one_row_step(pre.stacked @ x, q, ineq_b, np.zeros(0), x)
-            if step is not None:
-                full = pre._assemble(pre.stacked @ step.x, q, ineq_b, np.zeros(0), step.x,
-                                     step.ineq_multipliers, np.zeros(0), "optimal")
-                assert step.status == full.status != "optimal"
             # the reference: cold GI, its non-optimal exit named "non_finite",
             # then `_assemble`
             x_gi, active, mult, _, status = denseqp._gi_core(pre, x, -ineq_b)
@@ -590,7 +617,7 @@ class TestPrefactoredQpOracle:
         """(j, status, near) of the face rule from the guess x = -H^-1 q:
         status None when another row fails GI's stopping test, and near
         whether the rule's point lies within its room of a bound, where it
-        may decide otherwise than ``_one_row_step``; (None, None, False)
+        may decide otherwise than one iteration of GI; (None, None, False)
         when ``first_row`` takes no step."""
         n = q.size
         x = -(pre.hinv @ q)
@@ -618,9 +645,9 @@ class TestPrefactoredQpOracle:
         return j, status, near or abs(res - pre.tol) <= 2.0 * room
 
     def test_drawn_face_rule_matches_one_row_step(self):
-        # Drawn inequality-only QPs whose guess fails: the face rule and the
-        # one-row step take the row one iteration of GI takes (the lowest
-        # index on ties), and keep the same points except within the room.
+        # Drawn inequality-only QPs whose guess fails: the face rule takes
+        # the row one iteration of GI takes (the lowest index on ties), and
+        # keeps the points that iteration keeps, except within the room.
         outcomes = Counter()
 
         @settings(max_examples=300, derandomize=True, database=None, deadline=None)
@@ -633,12 +660,8 @@ class TestPrefactoredQpOracle:
             if not ineq_b.size or not np.max(pre.ineq_normals @ x - ineq_b) > pre.stop_tol:
                 return
             j, status, near = self.face_rule(pre, q, ineq_b)
-            _, active, *_ = self.one_iteration_gi(pre, q, ineq_b)
-            step = pre._one_row_step(pre.stacked @ x, q, ineq_b, np.zeros(0), x)
+            kept, active = self.one_iteration_kept(pre, q, ineq_b)
             assert j == (active[0] if active else None)
-            if step is not None:
-                assert np.flatnonzero(step.ineq_multipliers).tolist() == [j]
-            kept = step is not None and step.status == "optimal"
             if (status == "optimal") != kept:
                 assert near
             outcomes[kept] += 1
@@ -650,18 +673,17 @@ class TestPrefactoredQpOracle:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_face_rule_non_finite_offsets(self, bad):
         # As ``test_one_row_step_non_finite_offsets``: every row in turn, with
-        # row 0 violated by the guess; neither rule keeps a point.
+        # row 0 violated by the guess; neither the face rule nor one
+        # iteration of GI keeps a point.
         box = np.vstack([np.eye(2), -np.eye(2)])
         pre = PrefactoredQp(2.0 * np.eye(2), ineq_normals=box)
         q = np.array([-4.0, 0.5])
-        x = -(pre.hinv @ q)
         for row in range(4):
             ineq_b = np.ones(4)
             ineq_b[row] = bad
             _, status, _ = self.face_rule(pre, q, ineq_b)
-            step = pre._one_row_step(pre.stacked @ x, q, ineq_b, np.zeros(0), x)
             assert status != "optimal"
-            assert step is None or step.status != "optimal"
+            assert not self.one_iteration_kept(pre, q, ineq_b)[0]
 
 
 @st.composite

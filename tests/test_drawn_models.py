@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.linalg import solve_discrete_are
 
+from ocorobust import denseqp
 from ocorobust import oco_controller as oco
 from ocorobust.convexsets import HPolytope, Zonotope
 from ocorobust.errors import OcoRobustError
@@ -178,10 +179,10 @@ def test_drawn_models_step_map_matches_oracle(both_paths):
 
 def test_drawn_models_faces_match_their_fallback(monkeypatch):
     # Each model runs in both variants as it stands and again with the faces
-    # off (``faces_off``: the projector's fallback from the same rows, the
-    # faces' reference): every column within 1e-12 (1 + |.|) and every flag
-    # the same. A face is kept only where the projector's one-row step from
-    # the same rows is "optimal".
+    # off (``faces_off``: the projector's GI, the faces' reference): every
+    # column within 1e-12 (1 + |.|) and every flag the same. A face is kept
+    # only where one iteration of GI from the same rows' guess ends
+    # "optimal" at a point the projector's KKT check keeps.
     outcomes, real = Counter(), oco._face_rows
 
     @settings(max_examples=40, derandomize=True, database=None, deadline=None)
@@ -196,10 +197,13 @@ def test_drawn_models_faces_match_their_fallback(monkeypatch):
 
         def face_rows(mapped, projector, out, viol, z_parts):
             face = real(mapped, projector, out, viol, z_parts)
-            eta = out[mapped.eta]
-            step = projector._one_row_step(projector.stacked @ eta, out[mapped.linear],
-                                           manifold.sbar.offsets, projector.no_eq, eta)
-            if step is None or step.status != "optimal":
+            eta, linear, offsets = out[mapped.eta], out[mapped.linear], manifold.sbar.offsets
+            x1, active, mult, _, status = denseqp._gi_core(projector, eta, -offsets, 1)
+            lam = np.zeros(offsets.size)
+            lam[active] = mult
+            point = projector._assemble(projector.stacked @ x1, linear, offsets,
+                                        projector.no_eq, x1, lam, projector.no_eq, status)
+            if point.status != "optimal":
                 assert face is None
             outcomes["face" if face is not None else "declined"] += 1
             return face

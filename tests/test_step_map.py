@@ -541,7 +541,7 @@ class TestFallbackBranches:
     @pytest.mark.parametrize("branch", BRANCHES)
     def test_whole_run_matches_the_oracle(self, branch, di_bundle, monkeypatch):
         run = branch_run(di_bundle, branch)
-        names = ("_projected", "additional_input_explicit", "max_beta")
+        names = ("project_manifold", "additional_input_explicit", "max_beta")
         with monkeypatch.context() as patch:
             calls = count_calls(patch, *names)
             faces = count_faces(patch)
@@ -555,15 +555,16 @@ class TestFallbackBranches:
         lowered = int(np.count_nonzero(trace.beta[1:] < 1.0))
         if branch == "binding":
             # The faces decide every binding step; with them off, the
-            # projector's fallback does, and the run is the same.
-            assert sum(faces) > 0 and calls["_projected"] == 0
+            # projection (``project_manifold``, the projector's GI) does, and
+            # the run is the same.
+            assert sum(faces) > 0 and calls["project_manifold"] == 0
             with monkeypatch.context() as patch:
                 faces_off(patch)
                 calls = count_calls(patch, *names)
                 assert_runs_agree(run(), oracle)
-            assert calls["_projected"] > 0
+            assert calls["project_manifold"] > 0
         elif branch == "beta_below_one":
-            assert calls["_projected"] == 0
+            assert calls["project_manifold"] == 0
             assert 0 < lowered <= calls["max_beta"] < 119
         else:
             # Every reach gap is tiny but not zero, and the map's rows settle
@@ -573,7 +574,7 @@ class TestFallbackBranches:
             theta, pred = trace.theta_hat[1:], trace.pred_state[1:]
             gap = np.linalg.norm(theta - pred, axis=1)
             assert np.all((gap > 0.0) & (gap <= 1e-12))
-            assert calls["_projected"] == calls["additional_input_explicit"] == 0
+            assert calls["project_manifold"] == calls["additional_input_explicit"] == 0
             assert calls["max_beta"] == 0
             assert (oracle_calls["additional_input_explicit"] == oracle_calls["max_beta"]
                     == 119)
@@ -612,10 +613,10 @@ class TestFallbackBranches:
 
 class TestCensus:
     def test_sweep_design_solves_only_rejected_guesses(self, monkeypatch):
-        # On the bundled sweep design, the projector's fallback (one-row step
-        # or GI) runs only on steps whose guess its rule (``keeps``, on one
-        # step's map rows) rejected, and ``solve`` never runs; the steps run
-        # ahead had their guesses kept by the same rule on a block's rows.
+        # On the bundled sweep design, the projector's GI (``_cold``) runs
+        # only on steps whose guess its rule (``keeps``, on one step's map
+        # rows) rejected, and ``solve`` never runs; the steps run ahead had
+        # their guesses kept by the same rule on a block's rows.
         cfg = cli.load_config(CONFIGS / "regret_sweep.cfg", command="regret-sweep")
         sw = cfg["sweep"]
         model = build_model(cli._model_config(cfg))
@@ -635,9 +636,9 @@ class TestCensus:
                     batches.append(kept)
                 return kept
 
-            def _fallback(self, *args, **kwargs):
+            def _cold(self, *args, **kwargs):
                 fallbacks.append(1)
-                return super()._fallback(*args, **kwargs)
+                return super()._cold(*args, **kwargs)
 
             def solve(self, *args, **kwargs):
                 solves.append(1)
@@ -801,8 +802,9 @@ class TestFailures:
         # Both paths decide the projection in the projector: its guess test
         # in ``solve`` and its rule on the map's rows (one step's or a
         # block's) reject every guess, so every step runs step by step, every
-        # step goes on to the fallback (from ``solve`` on the oracle path,
-        # from the map's guess on the map's), and its third fallback fails.
+        # step goes on to GI (``_cold``, from ``solve`` on both paths: the
+        # map's rows take ``project_manifold`` where no face settles them),
+        # and its third GI run fails.
         manifold = copy.copy(di_bundle[2])
         real = manifold.projector
         calls = []
@@ -816,11 +818,11 @@ class TestFailures:
             def keeps(self, grad, *args, **kwargs):
                 return np.zeros(np.shape(grad)[:-1], bool)
 
-            def _fallback(self, *args, **kwargs):
+            def _cold(self, *args, **kwargs):
                 calls.append(1)
                 if len(calls) == 3:
                     return QpSolution(x=np.zeros(1), kkt_residual=np.inf, status="infeasible")
-                return super()._fallback(*args, **kwargs)
+                return super()._cold(*args, **kwargs)
 
         manifold.projector = FailsThird(real.hessian, ineq_normals=real.ineq_normals,
                                         tol=real.tol)

@@ -155,13 +155,13 @@ class TestSoftSafety:
         rollout = setup.builder.rollout(2, 45.0, 0.0)
         rollout_map, rows, offsets = slack_rollout(setup.builder, 45.0, d)
         fallbacks = []
-        real = denseqp.PrefactoredQp._fallback
+        real = denseqp.PrefactoredQp._cold
 
         def counted(pre, *args):
             fallbacks.append(pre)
             return real(pre, *args)
 
-        monkeypatch.setattr(denseqp.PrefactoredQp, "_fallback", counted)
+        monkeypatch.setattr(denseqp.PrefactoredQp, "_cold", counted)
         g, kkt, fallback = oco.additional_input_optimized(
             model, rollout, np.zeros(2), np.zeros(20), np.zeros(2), d, setup.params.c_g)
         assert fallbacks == [rollout_map.solver]
@@ -250,9 +250,9 @@ class TestBenchmarkPath:
         assert "guess_rows" in events[last:]
 
     def test_rows_on_facets_and_corners(self, setup):
-        # Targets on a ring far outside S-bar: the guess fails, and the rows
-        # take the one-row step (one facet) or cold GI (a corner); each row
-        # still equals the single solve.
+        # Targets on a ring far outside S-bar: the guess fails, and each row
+        # takes cold GI, which settles some on one facet and some on a
+        # corner; each row still equals the single solve.
         model, manifold = setup.model, setup.manifold
         angles = np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False)
         near = [vehicle.PHASE1_COST.with_ref_x([0.0, d]) for d in (-4.0, 0.0, 2.0)]
@@ -261,12 +261,19 @@ class TestBenchmarkPath:
             for a in angles], dtype=object)
         benchmark = SteadyStateBenchmark(manifold, model, costs[0])
         ref_x, ref_u = np.array([c.ref_x for c in costs]), np.array([c.ref_u for c in costs])
-        with mock.patch.object(denseqp, "_gi_core", wraps=denseqp._gi_core) as gi:
+        real_gi, sizes = denseqp._gi_core, []
+
+        def gi(*args):
+            x, active, *rest = real_gi(*args)
+            sizes.append(len(active))
+            return (x, active, *rest)
+
+        with mock.patch.object(denseqp, "_gi_core", gi):
             theta, eta = benchmark.steady_states(ref_x, ref_u, np.arange(len(costs)))
         linears = -(ref_x @ benchmark.ref_x_map + ref_u @ benchmark.ref_u_map)
         _, kept = benchmark.solver.guess_rows(linears, manifold.sbar.offsets)
         assert kept[:3].all() and not kept[3:].any()
-        assert 0 < gi.call_count < len(costs) - 3  # some corners, some one-row steps
+        assert len(sizes) == len(costs) - 3 and {1, 2} <= set(sizes)  # facets and corners
         for i, cost in enumerate(costs):
             want_theta, want_eta = optimal_steady_state(manifold, cost, model)
             assert np.linalg.norm(theta[i] - want_theta) <= 1e-12 * np.linalg.norm(want_theta)
@@ -318,11 +325,11 @@ class TestRolloutBuilderMaps:
     def test_every_rollout_decided_by_the_rows(self, setup, monkeypatch):
         # Optimized seeds 0..9: every step's rollout guess is kept, from the
         # step's ``OptimizedRows`` rows or from the rollout map's (no rollout
-        # reaches the solver's fallback), and the c_g cap still sends 17
+        # reaches the solver's GI), and the c_g cap still sends 17
         # steps to the explicit input, reported in g_fallback.
         decided, fallbacks = [], []
         solvers = {id(m.solver) for m in setup.builder.maps.values()}
-        real = {name: getattr(denseqp.PrefactoredQp, name) for name in ("_from_guess", "_fallback")}
+        real = {name: getattr(denseqp.PrefactoredQp, name) for name in ("_from_guess", "_cold")}
         real_rows = oco.OptimizedRows.additional_input
 
         def from_rows(rows, *args):
@@ -337,14 +344,14 @@ class TestRolloutBuilderMaps:
                 decided.append(kept)
             return sol, kept
 
-        def fallback(pre, *args):
+        def cold(pre, *args):
             if id(pre) in solvers:
                 fallbacks.append(1)
-            return real["_fallback"](pre, *args)
+            return real["_cold"](pre, *args)
 
         monkeypatch.setattr(oco.OptimizedRows, "additional_input", from_rows)
         monkeypatch.setattr(denseqp.PrefactoredQp, "_from_guess", from_guess)
-        monkeypatch.setattr(denseqp.PrefactoredQp, "_fallback", fallback)
+        monkeypatch.setattr(denseqp.PrefactoredQp, "_cold", cold)
         capped = 0
         for seed in range(10):
             trace, _, _ = vehicle.run_scenario("optimized", seed=seed, setup=setup)

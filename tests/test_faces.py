@@ -1,13 +1,13 @@
-"""The face rows against the projector's fallback they stand in for.
+"""The face rows against the projector's GI they stand in for.
 
 A map step whose projection guess the projector rejects takes the point
-GI's one-row step reaches from the map's own rows: the rows plus the row's
-multiplier times one face (``oco._face_rows``), kept where the projector's
-rule keeps that point. Every face-decided step must agree with the same
-step from the same row with the faces off (``conftest.faces_off``: the
-step goes to ``oco.project_manifold``, and the projector's GI answers it):
-theta_hat, eta_hat, g, the plan
-and u within 1e-12 (1 + |.|), g_fallback the same, and beta the same where
+GI's first iteration reaches from the map's own rows: the rows plus the
+row's multiplier times one face (``oco._face_rows``), kept where GI would
+stop there and the projector's rule keeps that point. Every face-decided
+step must agree with the same step from the same row with the faces off
+(``conftest.faces_off``: the step goes to ``oco.project_manifold``, and
+the projector's GI answers it): theta_hat, eta_hat, g, the plan and u
+within 1e-12 (1 + |.|), g_fallback the same, and beta the same where
 either side is 1 and within 1e-12 (1 + beta) below 1; over whole runs,
 every column within 1e-12 and every flag the same. The census pins which
 steps the faces decide.

@@ -384,8 +384,9 @@ def cmd_run(args):
             if metrics.get("phase2_standoff_gap_m") is not None:
                 report_lines.append(
                     f"  phase2 standoff gap [m]: {metrics['phase2_standoff_gap_m']:.3f}")
-            report_lines.append(
-                f"  phase3 settled speed [km/h]: {metrics['phase3_settled_speed_kmh']:.3f}")
+            if metrics["phase3_settled_speed_kmh"] is not None:
+                report_lines.append(
+                    f"  phase3 settled speed [km/h]: {metrics['phase3_settled_speed_kmh']:.3f}")
     (out_dir / "invariants.txt").write_text("\n".join(report_lines) + "\n")
     summary = (f"run scenario={scenario} seeds={n_seeds} horizon={horizon} "
                f"violations={total_violations} mean_regret={np.mean(regrets):.6g}")

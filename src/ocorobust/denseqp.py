@@ -20,8 +20,9 @@ passes; otherwise GI runs from the unconstrained optimum. A caller that
 forms the guess itself (the controller's rollout map) hands it to the same
 test and to GI (``_from_guess``); one that also forms the guess's stacked
 products (the controller's step map, which composes them into its own rows)
-hands those to the same rule (``keeps``, or ``kkt_status`` with equality
-rows: the controller's optimized rows). GI's first iteration from a
+hands those to the same rule (``kkt_status`` for one step, with equality
+rows for the controller's optimized rows; ``keeps`` for a block of steps).
+GI's first iteration from a
 rejected guess, on a solver with inequality rows only, is written here for
 the controller's step map, which forms its point from its rows moved along
 one face: ``first_row`` picks the row and the step, ``row_multipliers``
@@ -33,7 +34,7 @@ One rule, ``kkt_status``, makes every decision on one point, a guess or the
 result of a GI step: the KKT residual, the status it leaves, and for a guess
 GI's stopping test, with ``room`` for a caller whose products may round
 otherwise than the solver's (the controller's optimized rows). ``keeps`` is
-the same rule in numpy for many guesses at once.
+the same rule in numpy for a block of guesses at once.
 
 A solver is built for one KKT tolerance ``tol``: ``DEFAULT_TOL``, except the
 projector that ``plant.SteadyStateManifold`` builds with
@@ -224,10 +225,12 @@ class PrefactoredQp:
         only, from its stacked products: the stationarity rows ``grad`` = H x
         + q and the row residuals ``viol`` = A x - b, for one guess (1-D) or
         one guess per row (2-D), formed by ``guess_rows`` or by the caller
-        (``oco.QuadraticStepMap``'s rows, which compose them into the map).
+        (the rows of a block of ``oco.QuadraticStepMap`` steps, for
+        ``oco.settled_rows``; tests also call it on one guess).
 
-        ``kkt_status``'s rule for a guess, in numpy for many rows (the
-        scalar form is cheaper on one point with equality rows): every row
+        ``kkt_status``'s rule for a guess, in numpy for a block of rows; the
+        scalar form is cheaper on one point, so a serial controller step
+        decides its one guess with ``kkt_status``. Every row
         passes GI's stopping test and every KKT term of the zero-multiplier
         point is within tol, so a NaN or inf term rejects the guess: NaN
         fails the first test and the gradient bound, a row at -inf (whose

@@ -109,6 +109,14 @@ def _stack_rows(owner, blocks, *above):
     return np.vstack([*above, *blocks.values()])
 
 
+def _block_starts(*blocks):
+    """The segment starts of ``np.maximum.reduceat`` that take the maximum
+    of each row block ``blocks`` (slices, in order, none empty, the last
+    ending before the rows do) at the even entries of its result: each
+    block's start and stop."""
+    return np.array([at for block in blocks for at in (block.start, block.stop)])
+
+
 class RolloutMap:
     """A rollout QP over the additional input sequence g, with the fixed
     affine map of what a step needs from it.
@@ -194,12 +202,17 @@ class QuadraticStepMap:
     theta - pred, the least-norm input g = S_c^+ d and the stage residuals
     base + R_u g of the blended plan (``explicit_map``), the plan [candidate
     + g; eta] and the input plan[:m] + K x_meas. So are the guess's stacked
-    products, on which the projector decides it (``PrefactoredQp.keeps``):
-    the stationarity rows H_p eta + linear and the S-bar rows A eta - b,
-    composed here from ``manifold.projector.stacked``. One product of
-    ``matrix`` with [z; 1] gives them all; the slices ``base``, ``linear``,
-    ``pred``, ``theta``, ``gap``, ``g``, ``reach``, ``eta``, ``plan``,
-    ``u``, ``grad`` and ``viol`` pick them from it. ``step`` keeps a row
+    products, on which the projector decides it (``PrefactoredQp.kkt_status``
+    for one step, ``keeps`` for a block): the stationarity rows H_p eta +
+    linear and the S-bar rows A eta - b, composed here from
+    ``manifold.projector.stacked``. One product of ``matrix`` with [z; 1]
+    gives them all; the slices ``base``, ``linear``, ``pred``, ``theta``,
+    ``gap``, ``g``, ``reach``, ``eta``, ``plan``, ``u``, ``grad`` and
+    ``viol`` pick them from it. ``block_starts`` holds the start and stop
+    of the ``base`` and ``reach`` blocks, so that one
+    ``np.maximum.reduceat`` of a step's rows gives the candidate's worst
+    stage residual and the plan's largest one at beta = 1 (its entries 0
+    and 2). ``step`` keeps a row
     only where its condition holds, and takes the module functions
     everywhere else. The optimized variant takes its rows from the map's
     ``OptimizedRows`` for its rollout map (``optimized``).
@@ -256,6 +269,7 @@ class QuadraticStepMap:
             base=base, linear=linear, pred=pred_rows, theta=theta, gap=gap, g=g,
             reach=base + both[nv:], head=head, eta=eta, u=u))
         self.plan = slice(self.head.start, self.eta.stop)  # [candidate + g; eta]
+        self.block_starts = _block_starts(self.base, self.reach)
         # The faces: d_j is column j of ``projector.hinv_cn``. Stored by
         # column, so that a step's one face is contiguous.
         projector = manifold.projector
@@ -350,7 +364,9 @@ class OptimizedRows:
     as the step map's product does (see ``QuadraticStepMap``; only the step
     map's last rows, when their count is not a multiple of 4, are grouped
     otherwise here: its ``u`` rows on the bundled double integrator). One
-    product of ``matrix`` (``rows_at``) gives them all.
+    product of ``matrix`` (``rows_at``) gives them all, and ``block_starts``
+    the segments of the ``base`` and ``reach`` blocks here, as the step
+    map's do there.
 
     Where a face of S-bar decides the projection (see ``QuadraticStepMap``),
     theta_hat and d move along the step map's ``faces`` columns, and so does
@@ -403,6 +419,7 @@ class OptimizedRows:
         for name in ("grad", "viol", "base", "linear", "pred", "theta", "gap", "plan",
                      "face_rounding"):
             setattr(self, name, getattr(step_map, name))
+        self.block_starts = _block_starts(self.base, self.reach)
         self.has_viol = mineq > 0
         self.rollout_map = rollout_map
         # How far the rollout map's own product and the solver's, from w,
@@ -762,8 +779,9 @@ def settled_rows(step_map, manifold, x_meas, outs, gap_norms, tol):
     """Which steps of a block ``step`` would take whole from the step map's
     rows ``outs`` (one row per step, at the step's ``x_meas`` and candidate):
     those with a finite ``x_meas`` (``as_vector``) whose guess the projector
-    keeps on the rows ``grad`` and ``viol`` (``PrefactoredQp.keeps``, as
-    ``step`` decides it) and whose rows settle the explicit step
+    keeps on the rows ``grad`` and ``viol`` (``PrefactoredQp.keeps``, the
+    block form of the rule ``kkt_status`` with which ``step`` decides one
+    step) and whose rows settle the explicit step
     (``_rows_settle``, on the norms ``gap_norms`` of the rows' reach gaps).
     The explicit variant's steps only; a step with gamma <= 0 fails before
     its rows.
@@ -805,14 +823,17 @@ def step_row(rows, i, model, tables, manifold, x_meas, grad_prev, options, step_
     With a map, the step makes one product: of the map, or in the
     optimized variant of the map's ``OptimizedRows`` for the step's rollout
     map, which holds the map's rows with the rollout's composed in. The
-    projection keeps the map's guess when the projector's rule keeps it on
-    the ``grad`` and ``viol`` rows (``PrefactoredQp.keeps``, its one rule
-    ``kkt_status`` in numpy). A rejected guess takes the point of GI's
+    projection keeps the map's guess when the projector's one rule on one
+    point finds it "optimal" on the ``grad`` and ``viol`` rows
+    (``PrefactoredQp.kkt_status``, with no multipliers). A rejected guess
+    takes the point of GI's
     first iteration from the rows, moved along one face (``_face_rows``),
     where GI would stop there and the same rule keeps that point; the step
     then goes on from those rows as from a kept guess's. Any other rejected
     guess is projected as the gradient path projects (``project_manifold``),
-    from the rows' linear term.
+    from the rows' linear term. From the rows of a kept guess or a face,
+    one segment maximum (``block_starts``) gives the candidate's worst stage
+    residual and the plan's largest at beta = 1.
     The explicit variant then takes g, beta = 1, the plan and u from the
     rows where they settle the step (``_rows_settle``). The optimized
     variant takes g, its growth and its KKT residual from the rows where
@@ -855,14 +876,17 @@ def step_row(rows, i, model, tables, manifold, x_meas, grad_prev, options, step_
             out = mapped.rows_at(x_meas, candidate, *refs)
             base_vals, pred = out[mapped.base], out[mapped.pred]
             projector, viol = manifold.projector, out[mapped.viol]
-            if not projector.keeps(out[mapped.grad], viol):
+            kept = projector.kkt_status(out[mapped.grad], viol)
+            if kept is None or kept[1] != "optimal":
                 face = _face_rows(mapped, projector, out, viol, (x_meas, candidate, *refs))
                 if face is None:
                     theta_hat, eta_hat = project_manifold(manifold, out[mapped.linear])
                 out = face
             if out is not None:
                 theta_hat, eta_hat = out[mapped.theta], out[mapped.eta]
-        worst = float(np.maximum.reduce(base_vals))
+                worst, _, reach, _ = np.maximum.reduceat(out, mapped.block_starts).tolist()
+        if out is None:
+            worst = float(np.maximum.reduce(base_vals))
 
         kkt, fallback, g, growth, plan, u = None, False, None, None, None, None
         c_g = None if rollout is None else options.effective_c_g(model)
@@ -875,8 +899,7 @@ def step_row(rows, i, model, tables, manifold, x_meas, grad_prev, options, step_
                 if decided is not None:
                     g, growth, kkt = decided
             if ((rollout is None or g is not None)
-                    and _rows_settle(gap_norm, worst, float(np.maximum.reduce(out[mapped.reach])),
-                                     model.membership_tol)):
+                    and _rows_settle(gap_norm, worst, reach, model.membership_tol)):
                 g, plan, u = out[mapped.g], out[mapped.plan], out[mapped.u]
                 beta = 1.0
         if g is None:

@@ -470,10 +470,10 @@ def closed_loop(model, tables, manifold, controller, plant, horizon, zeta0,
                                         t) from exc
 
         w = plant.advance(record.u[t])
-        ref_x, ref_u = ((cost_t.ref_x, cost_t.ref_u) if ref_t is None
-                        else (ref_t[:model.n], ref_t[model.n:]))
-        record.fill(t, x_true=x_true, x_meas=x_meas, w=w, v=v, ref_x=ref_x, ref_u=ref_u,
-                    pair=pair)
+        record.x_true[t], record.x_meas[t], record.w[t], record.v[t] = x_true, x_meas, w, v
+        record.ref_x[t], record.ref_u[t] = ((cost_t.ref_x, cost_t.ref_u) if ref_t is None
+                                            else (ref_t[:model.n], ref_t[model.n:]))
+        record.pair[t] = pair
         if abort_on_violation:
             _abort_at_violation(record, t, t + 1, monitors)
         t += 1

@@ -264,6 +264,7 @@ def _rk4_step(state, u):
 
 
 _REDUCED_A, _REDUCED_B = reduced_dynamics()
+_B_Y, _B_V = np.diag(_REDUCED_B).tolist()
 
 
 def _linear_truth_step(state, u):
@@ -341,12 +342,20 @@ class _RoadPlant:
     def advance(self, u):
         """Integrate the truth; the process disturbance is the residual of
         the reduced linear model, which the loop's resid_ok monitor checks
-        against the disturbance box."""
+        against the disturbance box: [p_y+; speed+ - Delta_bar] - (A x + B u)
+        at the observed x_true, with the reduced model's A = I and B =
+        diag(tau Delta_bar, tau) (``reduced_dynamics``). It is formed on
+        floats in the operation order of ``model.a @ x + model.b @ u``: each
+        row of a 2 x 2 product sums 0.0 and its two terms in order, so the
+        zero terms keep that product's signed zeros and its NaN from 0 * inf.
+        """
         new_truth = self.truth_step(self.truth, u)
         self.leader_px += TAU * self.leader_speed
         self.truth, self.prev_gap_meas = new_truth, self.gap_meas
-        return np.array([new_truth[1], new_truth[2] - DELTA_BAR]) - (
-            self.model.a @ self.x_true + self.model.b @ u)
+        (y, s), (steer, accel) = self.x_true.tolist(), u.tolist()
+        model_y = (0.0 + y + 0.0 * s) + (0.0 + _B_Y * steer + 0.0 * accel)
+        model_s = (0.0 + 0.0 * y + s) + (0.0 + 0.0 * steer + _B_V * accel)
+        return np.array([new_truth[1] - model_y, (new_truth[2] - DELTA_BAR) - model_s])
 
 
 def run_scenario(variant="optimized", seed=0, params=None, horizon_steps=300,
@@ -384,7 +393,9 @@ def _finalize_metrics(metrics, trace):
     gaps = np.asarray(metrics["gap_m"])
     phases = np.asarray(metrics["phase"])
     metrics["min_gap_m"] = float(gaps.min())
-    metrics["phase3_settled_speed_kmh"] = float(speeds[-window:].mean())
+    # the settled speed is the mean speed of the last window, all in phase 3
+    settled = len(phases) >= window and np.all(phases[-window:] == 3)
+    metrics["phase3_settled_speed_kmh"] = float(speeds[-window:].mean()) if settled else None
     p3 = metrics["phase3_start"]
     # the standoff is the mean gap of the window before phase 3, all in phase 2
     sel = slice(p3 - window, p3) if p3 is not None and p3 >= window else None

@@ -653,6 +653,17 @@ class TestVehicleRuns:
                        "failed: ref has non-finite entries\n")
         assert len((tmp_path / "o" / "trace_partial.csv").read_text().splitlines()) == 1 + 60
 
+    def test_settled_speed_line_only_with_a_phase3_window(self, tmp_path):
+        # 40 steps hold no phase 3, so invariants.txt has no settled speed;
+        # 250 steps end with a whole window of it.
+        for horizon, listed in ((40, False), (250, True)):
+            cfg = write_cfg(tmp_path, VEHICLE_SHORT.replace("horizon = 40",
+                                                            f"horizon = {horizon}"))
+            out = tmp_path / f"h{horizon}"
+            assert main(["run", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+            report = (out / "invariants.txt").read_text()
+            assert ("  phase3 settled speed [km/h]: " in report) == listed
+
     def test_explicit_zero_c_g_is_kept(self, tmp_path, capsys):
         # c_g = 0.0 is a value, not an absent key: both verbs reject it
         cfg = write_cfg(tmp_path, VEHICLE_SHORT.replace("c_g = 1000.0", "c_g = 0.0"))

@@ -509,7 +509,7 @@ class TestPrefactoredQpOracle:
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(st.data())
-    def test_drawn_one_row_steps(self, data):
+    def test_drawn_one_active_row_solves_match_one_gi_iteration(self, data):
         h, q, ineq_n, ineq_b, _, _ = data.draw(qp_instances())
         n = q.size
         q = 3.0 * q  # pushes the unconstrained optimum out more often
@@ -525,7 +525,7 @@ class TestPrefactoredQpOracle:
             lam[active[0]] = mult[0]
             self.assert_close(sol.ineq_multipliers, lam)
 
-    def test_one_row_steps_match_gi(self):
+    def test_one_active_row_solves_match_one_gi_iteration(self):
         # Random boxes and slabs with the unconstrained optimum outside; both
         # outcomes are exercised.
         rng = np.random.default_rng(37)
@@ -551,7 +551,7 @@ class TestPrefactoredQpOracle:
                 handed_over += 1
         assert stepped > 10 and handed_over > 10
 
-    def test_one_row_step_ties_take_the_lowest_index(self):
+    def test_first_row_ties_take_the_lowest_index(self):
         # Rows 1 and 3 are the same halfspace, equally violated: GI's argmin
         # and ``first_row`` both take row 1, where one iteration of GI
         # stops; the solve is GI's.
@@ -588,7 +588,7 @@ class TestPrefactoredQpOracle:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_one_row_step_non_finite_offsets(self, bad):
+    def test_solve_non_finite_offsets_match_cold_gi(self, bad):
         # Every row in turn, with row 0 violated by the guess: the solve
         # ends "non_finite" as cold GI plus `_assemble` do.
         box = np.vstack([np.eye(2), -np.eye(2)])
@@ -644,7 +644,7 @@ class TestPrefactoredQpOracle:
         res, status = pre.kkt_status(grad, viol, lam_vec, room=room)
         return j, status, near or abs(res - pre.tol) <= 2.0 * room
 
-    def test_drawn_face_rule_matches_one_row_step(self):
+    def test_drawn_face_rule_matches_one_gi_iteration(self):
         # Drawn inequality-only QPs whose guess fails: the face rule takes
         # the row one iteration of GI takes (the lowest index on ties), and
         # keeps the points that iteration keeps, except within the room.
@@ -672,7 +672,7 @@ class TestPrefactoredQpOracle:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_face_rule_non_finite_offsets(self, bad):
-        # As ``test_one_row_step_non_finite_offsets``: every row in turn, with
+        # As ``test_solve_non_finite_offsets_match_cold_gi``: every row in turn, with
         # row 0 violated by the guess; neither the face rule nor one
         # iteration of GI keeps a point.
         box = np.vstack([np.eye(2), -np.eye(2)])

@@ -505,6 +505,50 @@ class TestOptimizedRows:
                 assert_runs_agree(fused, run())
 
 
+def bundled_rows():
+    """Every map whose rows the bundled configs' steps read: the vehicle's
+    two step maps and the ``OptimizedRows`` of each for each of its three
+    rollout maps, and the double integrator's step map and its
+    ``OptimizedRows`` for the rollout builder ``cli`` builds for its
+    optimized variant. Built here, so no shared map keeps them."""
+    setup = vehicle.vehicle_setup()
+    maps = [pair.step_map for pair in setup.pairs]
+    rows = maps + [oco.OptimizedRows(step_map, rollout_map) for step_map in maps
+                   for rollout_map in setup.builder.maps.values()]
+    cfg = cli.load_config(CONFIGS / "double_integrator.cfg", command="run")
+    model = build_model(cli._model_config(cfg))
+    tables = build_tightening(model)
+    manifold = steady_state_manifold(model, model.p_rpi, shrink=cfg["controller"]["shrink"])
+    cost = cli._schedule(cfg).cost_at(0)
+    step_map = oco.QuadraticStepMap(tables, manifold, cost, cfg["controller"]["gamma"])
+    return rows + [step_map, oco.OptimizedRows(
+        step_map, oco.QuadraticRolloutBuilder(model, cost.q_x, cost.q_u))]
+
+
+class TestBlockMaxima:
+    def test_segment_maxima_are_the_blocks_maxima(self):
+        # The step takes the candidate's worst stage residual and the reach
+        # maximum from one ``np.maximum.reduceat`` over ``block_starts``:
+        # its even entries must be the maxima of the ``base`` and ``reach``
+        # blocks, on rows with NaN and infinite entries too. Every segment
+        # starts inside the rows and none is empty (``reduceat`` would give
+        # a neighbour's value), so an empty block such as an equality-only
+        # rollout's ``rollout_viol`` is never one.
+        rng = np.random.default_rng(36)
+        for rows in bundled_rows():
+            size, starts = len(rows.matrix), rows.block_starts
+            assert np.all((starts >= 0) & (starts < size)) and np.all(np.diff(starts) > 0)
+            blocks = (rows.base, rows.reach)
+            for _ in range(100):
+                out = rng.standard_normal(size) * 10.0 ** rng.integers(-6, 7)
+                bad = rng.choice(size, int(rng.integers(0, 6)), replace=False)
+                out[bad] = rng.choice([np.nan, np.inf, -np.inf], bad.size)
+                for block, got in zip(blocks, np.maximum.reduceat(out, starts)[::2],
+                                      strict=True):
+                    want = np.maximum.reduce(out[block])
+                    assert got == want or (np.isnan(got) and np.isnan(want))
+
+
 # Runs that reach each fallback branch of the map's step: the state
 # reference the cost jumps to at step 30 (None: no jump) and the noise.
 BRANCHES = {

@@ -383,6 +383,35 @@ class TestTruthAndSensors:
             assert all(type(v) is float for v in got)
             assert np.array_equal(got, rk4_reference(state, u))
 
+    @pytest.mark.parametrize("linear_truth", [False, True])
+    def test_plant_residual_is_the_model_forms(self, setup, linear_truth):
+        # ``advance`` forms w on floats; it must be [truth'_y, truth'_v -
+        # Delta_bar] - (A x_true + B u) with the model's own products, to the
+        # bit, signed zeros included: drawn states and inputs inside the
+        # boxes, at magnitudes down to 1e-12 of their bounds, with +-0.0
+        # entries.
+        model = setup.model
+        params = vehicle.VehicleParams(linear_truth=linear_truth)
+        truth_step = vehicle._linear_truth_step if linear_truth else vehicle._rk4_step
+        plant = vehicle._RoadPlant(model, params, 0, setup.builder, 1)
+        x_hi = np.array([4.5, 130.0 / 3.6 - vehicle.DELTA_BAR])
+        x_lo = np.array([-1.5, -vehicle.DELTA_BAR])
+        u_hi = np.array([vehicle.STEER_BOUND_RAD, vehicle.ACCEL_BOUND])
+        rng = np.random.default_rng(36)
+        for _ in range(2000):
+            x = rng.uniform(x_lo, x_hi) * 10.0 ** rng.integers(-12, 1, 2)
+            u = rng.uniform(-u_hi, u_hi) * 10.0 ** rng.integers(-12, 1, 2)
+            for z in (x, u):
+                zero = rng.random(2) < 0.25
+                z[zero] = rng.choice([0.0, -0.0], int(zero.sum()))
+            truth = (float(rng.uniform(0.0, 900.0)), float(x[0]),
+                     float(x[1] + vehicle.DELTA_BAR))
+            plant.truth, plant.x_true = truth, x.copy()
+            w = plant.advance(u.copy())
+            new = truth_step(truth, u)
+            want = np.array([new[1], new[2] - vehicle.DELTA_BAR]) - (model.a @ x + model.b @ u)
+            assert np.array_equal(w.view(np.int64), want.view(np.int64))
+
     def test_sensor_rows_match_per_step_draws(self):
         sensors = vehicle._Sensors(11, 0.7, 40)
         rngs = [np.random.default_rng(k) for k in np.random.SeedSequence(11).spawn(3)]
@@ -511,6 +540,23 @@ class TestScenario:
         assert np.all(np.diff(phases) >= 0)
         assert metrics["phase2_start"] is not None
         assert metrics["phase3_start"] == int(round(20.0 / vehicle.TAU))
+
+    @pytest.mark.parametrize("horizon", [120, 220, 250])
+    def test_settled_speed_only_over_a_whole_phase3_window(self, setup, horizon):
+        # The settled speed is the mean of the last 5 s of speeds, all in
+        # phase 3: none at 120 steps (no phase 3) and 220 (the window would
+        # mix phase 2 in); at 250 the window is phase 3 from its first step.
+        _, _, metrics = vehicle.run_scenario("explicit", seed=0, horizon_steps=horizon,
+                                             setup=setup)
+        window = int(round(5.0 / vehicle.TAU))
+        phases = np.array(metrics["phase"])
+        if horizon < 250:
+            assert metrics["phase3_settled_speed_kmh"] is None
+            assert (metrics["phase3_start"] is None) == (horizon == 120)
+        else:
+            assert np.all(phases[-window:] == 3) and phases[-window - 1] == 2
+            assert metrics["phase3_settled_speed_kmh"] == float(
+                np.mean(metrics["speed_kmh"][-window:]))
 
     def test_c_g_below_norm_bound_rejected(self):
         with pytest.raises(OcoRobustError, match="c_g"):

@@ -109,14 +109,6 @@ def _stack_rows(owner, blocks, *above):
     return np.vstack([*above, *blocks.values()])
 
 
-def _block_starts(*blocks):
-    """The segment starts of ``np.maximum.reduceat`` that take the maximum
-    of each row block ``blocks`` (slices, in order, none empty, the last
-    ending before the rows do) at the even entries of its result: each
-    block's start and stop."""
-    return np.array([at for block in blocks for at in (block.start, block.stop)])
-
-
 class RolloutMap:
     """A rollout QP over the additional input sequence g, with the fixed
     affine map of what a step needs from it.
@@ -202,17 +194,14 @@ class QuadraticStepMap:
     theta - pred, the least-norm input g = S_c^+ d and the stage residuals
     base + R_u g of the blended plan (``explicit_map``), the plan [candidate
     + g; eta] and the input plan[:m] + K x_meas. So are the guess's stacked
-    products, on which the projector decides it (``PrefactoredQp.kkt_status``
-    for one step, ``keeps`` for a block): the stationarity rows H_p eta +
-    linear and the S-bar rows A eta - b, composed here from
-    ``manifold.projector.stacked``. One product of ``matrix`` with [z; 1]
-    gives them all; the slices ``base``, ``linear``, ``pred``, ``theta``,
-    ``gap``, ``g``, ``reach``, ``eta``, ``plan``, ``u``, ``grad`` and
-    ``viol`` pick them from it. ``block_starts`` holds the start and stop
-    of the ``base`` and ``reach`` blocks, so that one
-    ``np.maximum.reduceat`` of a step's rows gives the candidate's worst
-    stage residual and the plan's largest one at beta = 1 (its entries 0
-    and 2). ``step`` keeps a row
+    products, on which the projector decides it (``PrefactoredQp.kkt_status``):
+    the stationarity rows H_p eta + linear and the S-bar rows A eta - b,
+    composed here from ``manifold.projector.stacked``. One product of
+    ``matrix`` with [z; 1] gives them all; the slices ``base``, ``linear``,
+    ``pred``, ``theta``, ``gap``, ``g``, ``reach``, ``eta``, ``plan``,
+    ``u``, ``grad`` and ``viol`` pick them from it, and the entries 0 and 2
+    of ``np.maximum.reduceat`` over ``block_starts`` (no segment empty) are
+    the maxima of ``base`` and ``reach``. ``step`` keeps a row
     only where its condition holds, and takes the module functions
     everywhere else. The optimized variant takes its rows from the map's
     ``OptimizedRows`` for its rollout map (``optimized``).
@@ -269,7 +258,8 @@ class QuadraticStepMap:
             base=base, linear=linear, pred=pred_rows, theta=theta, gap=gap, g=g,
             reach=base + both[nv:], head=head, eta=eta, u=u))
         self.plan = slice(self.head.start, self.eta.stop)  # [candidate + g; eta]
-        self.block_starts = _block_starts(self.base, self.reach)
+        self.block_starts = np.array([self.base.start, self.base.stop, self.reach.start,
+                                      self.reach.stop])
         # The faces: d_j is column j of ``projector.hinv_cn``. Stored by
         # column, so that a step's one face is contiguous.
         projector = manifold.projector
@@ -364,9 +354,8 @@ class OptimizedRows:
     as the step map's product does (see ``QuadraticStepMap``; only the step
     map's last rows, when their count is not a multiple of 4, are grouped
     otherwise here: its ``u`` rows on the bundled double integrator). One
-    product of ``matrix`` (``rows_at``) gives them all, and ``block_starts``
-    the segments of the ``base`` and ``reach`` blocks here, as the step
-    map's do there.
+    product of ``matrix`` (``rows_at``) gives them all; ``block_starts`` as
+    the step map's.
 
     Where a face of S-bar decides the projection (see ``QuadraticStepMap``),
     theta_hat and d move along the step map's ``faces`` columns, and so does
@@ -419,7 +408,8 @@ class OptimizedRows:
         for name in ("grad", "viol", "base", "linear", "pred", "theta", "gap", "plan",
                      "face_rounding"):
             setattr(self, name, getattr(step_map, name))
-        self.block_starts = _block_starts(self.base, self.reach)
+        self.block_starts = np.array([self.base.start, self.base.stop, self.reach.start,
+                                      self.reach.stop])
         self.has_viol = mineq > 0
         self.rollout_map = rollout_map
         # How far the rollout map's own product and the solver's, from w,
@@ -780,8 +770,7 @@ def settled_rows(step_map, manifold, x_meas, outs, gap_norms, tol):
     rows ``outs`` (one row per step, at the step's ``x_meas`` and candidate):
     those with a finite ``x_meas`` (``as_vector``) whose guess the projector
     keeps on the rows ``grad`` and ``viol`` (``PrefactoredQp.keeps``, the
-    block form of the rule ``kkt_status`` with which ``step`` decides one
-    step) and whose rows settle the explicit step
+    block form of ``step``'s rule) and whose rows settle the explicit step
     (``_rows_settle``, on the norms ``gap_norms`` of the rows' reach gaps).
     The explicit variant's steps only; a step with gamma <= 0 fails before
     its rows.
@@ -823,17 +812,15 @@ def step_row(rows, i, model, tables, manifold, x_meas, grad_prev, options, step_
     With a map, the step makes one product: of the map, or in the
     optimized variant of the map's ``OptimizedRows`` for the step's rollout
     map, which holds the map's rows with the rollout's composed in. The
-    projection keeps the map's guess when the projector's one rule on one
-    point finds it "optimal" on the ``grad`` and ``viol`` rows
-    (``PrefactoredQp.kkt_status``, with no multipliers). A rejected guess
-    takes the point of GI's
+    projection keeps the map's guess when the projector's one rule finds it
+    "optimal" on the ``grad`` and ``viol`` rows (``PrefactoredQp.kkt_status``).
+    A rejected guess takes the point of GI's
     first iteration from the rows, moved along one face (``_face_rows``),
     where GI would stop there and the same rule keeps that point; the step
     then goes on from those rows as from a kept guess's. Any other rejected
     guess is projected as the gradient path projects (``project_manifold``),
-    from the rows' linear term. From the rows of a kept guess or a face,
-    one segment maximum (``block_starts``) gives the candidate's worst stage
-    residual and the plan's largest at beta = 1.
+    from the rows' linear term. The rows' ``base`` and ``reach`` maxima come
+    from one segment maximum (``block_starts``).
     The explicit variant then takes g, beta = 1, the plan and u from the
     rows where they settle the step (``_rows_settle``). The optimized
     variant takes g, its growth and its KKT residual from the rows where

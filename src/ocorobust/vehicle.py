@@ -342,13 +342,10 @@ class _RoadPlant:
     def advance(self, u):
         """Integrate the truth; the process disturbance is the residual of
         the reduced linear model, which the loop's resid_ok monitor checks
-        against the disturbance box: [p_y+; speed+ - Delta_bar] - (A x + B u)
-        at the observed x_true, with the reduced model's A = I and B =
-        diag(tau Delta_bar, tau) (``reduced_dynamics``). It is formed on
-        floats in the operation order of ``model.a @ x + model.b @ u``: each
-        row of a 2 x 2 product sums 0.0 and its two terms in order, so the
-        zero terms keep that product's signed zeros and its NaN from 0 * inf.
-        """
+        against the disturbance box. It is formed on floats, from the reduced
+        model's A = I and B = diag(tau Delta_bar, tau), in the operation order
+        of ``model.a @ x_true + model.b @ u``: each row of a 2 x 2 product sums
+        0.0 and its two terms, so the signed zeros and NaNs are that form's."""
         new_truth = self.truth_step(self.truth, u)
         self.leader_px += TAU * self.leader_speed
         self.truth, self.prev_gap_meas = new_truth, self.gap_meas

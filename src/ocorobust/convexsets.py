@@ -16,7 +16,7 @@ import numpy as np
 
 from .denseqp import polytope_is_empty
 from .errors import DimensionMismatch
-from .matlin import as_matrix, as_vector, numeric_rank
+from .matlin import as_matrix, as_vector, numeric_rank, row_norms, row_reduce
 
 DEFAULT_MEMBERSHIP_TOL = 1e-9
 # Every zonotope threshold is this times the set's own scale, so a set and its
@@ -34,8 +34,7 @@ class HPolytope:
             raise DimensionMismatch(
                 f"{self.normals.shape[0]} normals but {self.offsets.shape[0]} offsets"
             )
-        row_norms = np.linalg.norm(self.normals, axis=1)
-        if self.normals.shape[0] and row_norms.min() <= 0.0:
+        if self.normals.shape[0] and row_norms(self.normals).min() <= 0.0:
             raise ValueError("zero normal row in polytope")
         self.dim = self.normals.shape[1]
 
@@ -66,7 +65,7 @@ class HPolytope:
 
         A row with a NaN entry gets NaN, which no ``<= tol`` test accepts.
         """
-        return (points @ self.normals.T - self.offsets).max(axis=1)
+        return row_reduce(np.maximum, points @ self.normals.T - self.offsets)
 
     def is_compact(self):
         """Nonempty and bounded, by exact feasibility QPs.
@@ -84,8 +83,7 @@ class HPolytope:
                    for row in np.vstack([eye, -eye]))
 
     def contains_origin_interior(self):
-        row_norms = np.linalg.norm(self.normals, axis=1)
-        return bool(np.all(self.offsets / row_norms > 0.0))
+        return bool(np.all(self.offsets / row_norms(self.normals) > 0.0))
 
     def __repr__(self):
         return f"HPolytope(dim={self.dim}, facets={self.normals.shape[0]})"
@@ -280,12 +278,12 @@ class ZonotopeMembership:
         reach = self.inradius + floor - ZONOTOPE_RTOL * scale
         starts = np.arange(0, len(d), ROW_BLOCK)
         if reach > 0.0 and len(d):
-            below = np.sqrt(np.einsum("ij,ij->i", d, d)) < reach
+            below = row_norms(d) < reach
             starts = starts[~np.logical_and.reduceat(below, starts)]
         if self.span is None:
             return self._facet_margins(d, starts, floor)
         along = d @ self.span
-        off_span = np.linalg.norm(d - along @ self.span.T, axis=1)
+        off_span = row_norms(d - along @ self.span.T)
         if not along.shape[1]:
             return np.maximum(off_span, floor)
         return np.maximum(off_span, self._facet_margins(along, starts, floor))
@@ -296,7 +294,8 @@ class ZonotopeMembership:
         out = np.full(len(d), floor)
         for lo in starts:
             rows = slice(lo, lo + ROW_BLOCK)
-            out[rows] = np.maximum((d[rows] @ self.normals.T - self.offsets).max(axis=1), floor)
+            out[rows] = np.maximum(row_reduce(np.maximum, d[rows] @ self.normals.T - self.offsets),
+                                   floor)
         return out
 
 

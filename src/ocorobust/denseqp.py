@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, FactorizationError
-from .matlin import as_matrix, as_vector, numeric_rank, spd_inverse
+from .matlin import as_matrix, as_vector, numeric_rank, row_reduce, spd_inverse
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 10000
@@ -234,11 +234,16 @@ class PrefactoredQp:
         passes GI's stopping test and every KKT term of the zero-multiplier
         point is within tol, so a NaN or inf term rejects the guess: NaN
         fails the first test and the gradient bound, a row at -inf (whose
-        complementarity term 0 * -inf is NaN) the second.
+        complementarity term 0 * -inf is NaN) the second. A block's rows are
+        reduced along the step axis (``matlin.row_reduce``), to the same bits.
         """
-        return ((np.maximum.reduce(viol, -1) <= self.stop_tol)
-                & (np.minimum.reduce(viol, -1) > -np.inf)
-                & (np.sqrt(np.add.reduce(grad * grad, -1)) <= self.tol))
+        if viol.ndim == 1:
+            worst, least = np.maximum.reduce(viol), np.minimum.reduce(viol)
+            grad_sq = np.add.reduce(grad * grad)
+        else:
+            worst, least = row_reduce(np.maximum, viol), row_reduce(np.minimum, viol)
+            grad_sq = row_reduce(np.add, grad * grad)
+        return (worst <= self.stop_tol) & (least > -np.inf) & (np.sqrt(grad_sq) <= self.tol)
 
     def _assemble(self, prod, linear, ineq_b, eq_b, x, lam, nu, status):
         """The point (x, lam, nu) as a solution, with ``kkt_status``'s

@@ -123,3 +123,40 @@ def spectral_norm_upper(m):
     widened by the backward-error margin."""
     m = as_matrix(m, "m")
     return float(np.linalg.svd(m, compute_uv=False)[0] + _backward_error(m))
+
+
+def row_reduce(ufunc, rows):
+    """``ufunc.reduce(rows, axis=1)`` of a (count, k) block laid out row by
+    row (C order), to the bit, for ``np.maximum``, ``np.minimum``,
+    ``np.add``, ``np.logical_and`` and ``np.logical_or``.
+
+    numpy reduces a block of many short rows one row at a time, at a cost
+    per row well above the arithmetic's, and a step-major (k, count) block
+    one vector op per entry of a row; so the block is reduced along its
+    first axis, from a contiguous step-major copy (none when ``rows`` is
+    the transpose of a C-ordered array). That form takes each row's entries
+    in the row's own order, as numpy's row loop does for sums of up to 7
+    terms and for maxima and minima of up to 8 entries; on longer rows
+    numpy pairs them. Pairing changes a sum's rounding, and of a maximum or
+    minimum only the sign of a zero and the payload of a NaN. So rows of
+    fewer than 2 entries and sums of 8 or more terms are reduced row by
+    row, and a maximum or minimum that comes out zero or NaN, like a sum
+    that comes out NaN, is taken again from its own row.
+    """
+    rows = np.asarray(rows)
+    if rows.shape[1] < 2 or (ufunc is np.add and rows.shape[1] >= 8):
+        return ufunc.reduce(np.ascontiguousarray(rows), axis=1)
+    out = ufunc.reduce(np.ascontiguousarray(rows.T), axis=0)
+    if out.dtype.kind == "f":
+        kept = ~np.isnan(out) if ufunc is np.add else np.abs(out) > 0.0
+        if not kept.all():
+            redo = ~kept
+            out[redo] = ufunc.reduce(np.ascontiguousarray(rows[redo]), axis=1)
+    return out
+
+
+def row_norms(rows):
+    """``np.linalg.norm(rows, axis=1)`` of a real (count, k) block, to the
+    bit: the square root of ``row_reduce``'s sums of squares."""
+    rows = np.asarray(rows)
+    return np.sqrt(row_reduce(np.add, rows * rows))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .denseqp import PrefactoredQp
 from .errors import InfeasibleError, InitializationError, OcoRobustError, StepError
-from .matlin import as_vector
+from .matlin import as_vector, row_reduce
 from .plant import membership_zu, stage_values, stage_values_linear
 
 # The optimized variant skips its rollout QP at a reach gap this small: the
@@ -544,7 +544,7 @@ class LiftedSteps:
         # each chunk's first row: one every steps - 1 rows along each stretch
         # between hops (rows whose reference differs from the row before's),
         # so a chunk ends on the next one's first row, a hop at the latest
-        hops = np.flatnonzero((refs[1:] != refs[:-1]).any(axis=1)) + 1
+        hops = np.flatnonzero(row_reduce(np.logical_or, refs[1:] != refs[:-1])) + 1
         cuts = [0, *hops.tolist(), rows - 1]
         firsts = list(range(rows)) if rows < 2 else [
             lo for a, b in zip(cuts, cuts[1:]) for lo in range(a, b, steps - 1)]
@@ -773,12 +773,14 @@ def settled_rows(step_map, manifold, x_meas, outs, gap_norms, tol):
     block form of ``step``'s rule) and whose rows settle the explicit step
     (``_rows_settle``, on the norms ``gap_norms`` of the rows' reach gaps).
     The explicit variant's steps only; a step with gamma <= 0 fails before
-    its rows.
+    its rows. The rows it reads (``grad`` to ``reach``) are reduced along
+    the step axis from one step-major copy (``matlin.row_reduce``).
     """
-    return (np.logical_and.reduce(np.isfinite(x_meas), axis=1)
-            & manifold.projector.keeps(outs[:, step_map.grad], outs[:, step_map.viol])
-            & _rows_settle(gap_norms, np.maximum.reduce(outs[:, step_map.base], axis=1),
-                           np.maximum.reduce(outs[:, step_map.reach], axis=1), tol))
+    rows = np.ascontiguousarray(outs[:, :step_map.reach.stop].T).T
+    return (row_reduce(np.logical_and, np.isfinite(x_meas))
+            & manifold.projector.keeps(rows[:, step_map.grad], rows[:, step_map.viol])
+            & _rows_settle(gap_norms, row_reduce(np.maximum, rows[:, step_map.base]),
+                           row_reduce(np.maximum, rows[:, step_map.reach]), tol))
 
 
 def step(state, model, tables, manifold, x_meas, grad_prev, options, step_map=None,

@@ -25,6 +25,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import oco_controller as oco
 from .errors import DimensionMismatch, OcoRobustError, StepError
+from .matlin import row_norms, row_reduce
 from .plant import QuadraticCost, SteadyStateBenchmark, optimal_steady_state
 
 TUBE_TOL = 1e-6
@@ -53,20 +54,23 @@ class DisturbancePolicy:
 class _Sampler:
     """A run's disturbance streams, drawn whole when built: ``w`` holds
     ``horizon`` rows of W and ``v`` holds ``horizon + 1`` rows of V, one
-    generator call per stream. Every row stays in its set."""
+    generator call per stream. Every row stays in its set. Only
+    ``uniform_box`` draws, so only it spawns the policy's seed into the two
+    streams' generators."""
 
     def __init__(self, policy, w_set, v_set, horizon):
-        w_seed, v_seed = np.random.SeedSequence(policy.seed).spawn(2)
-        self.w = self._draw(policy, w_set, np.random.default_rng(w_seed), horizon)
-        self.v = self._draw(policy, v_set, np.random.default_rng(v_seed), horizon + 1)
+        seeds = ((None, None) if policy.kind != "uniform_box"
+                 else np.random.SeedSequence(policy.seed).spawn(2))
+        self.w = self._draw(policy, w_set, seeds[0], horizon)
+        self.v = self._draw(policy, v_set, seeds[1], horizon + 1)
 
     @staticmethod
-    def _draw(policy, z, rng, count):
+    def _draw(policy, z, seed, count):
         if policy.kind == "zero":
             return np.zeros((count, z.dim))
         if policy.kind == "worst_corner":
             return np.tile(policy.scale * z.corner(), (count, 1))
-        return z.samples(rng, count, scale=policy.scale)
+        return z.samples(np.random.default_rng(seed), count, scale=policy.scale)
 
 
 @dataclass
@@ -189,8 +193,8 @@ class RunRecord(oco.ControllerRows):
         model, _, manifold, _ = monitors
         pair, ref_x, ref_u = self.pair, self.ref_x, self.ref_u
         new = np.ones(len(pair), bool)
-        new[1:] = ((pair[1:] != pair[:-1]) | (ref_x[1:] != ref_x[:-1]).any(axis=1)
-                   | (ref_u[1:] != ref_u[:-1]).any(axis=1))
+        new[1:] = ((pair[1:] != pair[:-1]) | row_reduce(np.logical_or, ref_x[1:] != ref_x[:-1])
+                   | row_reduce(np.logical_or, ref_u[1:] != ref_u[:-1]))
         theta, eta = np.empty_like(self.x_true), np.empty_like(self.u)
         self.cost, self.benchmark_cost = np.empty((2, len(pair)))
         for p, entry in enumerate(self.pairs):
@@ -209,17 +213,17 @@ class RunRecord(oco.ControllerRows):
             dx = np.stack([self.x_true[mine], theta[mine]]) - ref_x[mine]
             dv = np.stack([self.u[mine], eta[mine] + theta[mine] @ model.k.T]) - ref_u[mine]
             self.cost[mine], self.benchmark_cost[mine] = (
-                0.5 * ((dx @ benchmark.q_x) * dx).sum(axis=2)
-                + 0.5 * ((dv @ benchmark.q_u) * dv).sum(axis=2))
+                0.5 * _form_sums((dx @ benchmark.q_x) * dx)
+                + 0.5 * _form_sums((dv @ benchmark.q_u) * dv))
         self.benchmark_theta, self.benchmark_eta = theta, eta
         # Each total is 0.0 + x[0] + x[1] + ... added in step order, one
         # cumsum row per total (np.sum would pair the terms); the path's
         # terms, one fewer, start a column later.
         terms = np.zeros((4, len(pair) + 1))
         terms[0, 1:] = self.cost - self.benchmark_cost
-        terms[1, 2:] = np.linalg.norm(np.diff(np.hstack([theta, eta]), axis=0), axis=1)
-        terms[2, 1:] = np.linalg.norm(self.w, axis=1)
-        terms[3, 1:] = np.linalg.norm(self.v, axis=1)
+        terms[1, 2:] = row_norms(np.diff(np.hstack([theta, eta]), axis=0))
+        terms[2, 1:] = row_norms(self.w)
+        terms[3, 1:] = row_norms(self.v)
         return RegretLedger(*np.cumsum(terms, axis=1)[:, -1].tolist())
 
     def _take(self, rows):
@@ -239,6 +243,12 @@ class RunRecord(oco.ControllerRows):
         return TraceRecord(int(self.t[i]), self.x_true[i], self.x_meas[i], self.u[i],
                            self.w[i], self.v[i], self.diagnostics(i),
                            {name: bool(column[i]) for name, column in self.flags.items()})
+
+
+def _form_sums(terms):
+    """``terms.sum(axis=2)`` of the (2, rows, k) terms of ``finish``'s two
+    quadratic forms, each row reduced along the step axis."""
+    return row_reduce(np.add, terms.reshape(-1, terms.shape[2])).reshape(terms.shape[:2])
 
 
 def _step_flags(record, monitors, lo, hi):
@@ -265,7 +275,7 @@ def _step_flags(record, monitors, lo, hi):
     state_ok, input_ok, plan_ok, resid_ok = tables.monitor.within(
         [record.x_true[rows], record.u[rows], record.x_meas[rows], record.u_pred[rows],
          record.w[rows] - model.w_set.center], tol)
-    dist = np.linalg.norm(record.theta_hat[rows] - record.pred_state[rows], axis=1)
+    dist = row_norms(record.theta_hat[rows] - record.pred_state[rows])
     # The tube compares step t's prediction with G_K u_ss of step t - 1; step
     # 0 has no predecessor and passes.
     tube_ok = np.ones(hi - lo, bool)
@@ -614,8 +624,8 @@ class _LtiPlant:
         gap norm, g_norm).
         """
         v, w = self.v[t:stop], self.w[t:stop]
-        finite = np.concatenate([[True], np.logical_and.reduce(np.isfinite(w[:-1]), axis=1)])
-        finite &= np.logical_and.reduce(np.isfinite(v), axis=1)
+        finite = np.concatenate([[True], row_reduce(np.logical_and, np.isfinite(w[:-1]))])
+        finite &= row_reduce(np.logical_and, np.isfinite(v))
         rows = len(finite) if finite.all() else int(np.argmin(finite))
         lifted = step_map.lifted(self.model.a, self.model.b)
         if lifted.steps == 1:
@@ -702,13 +712,13 @@ def invariant_report(trace, model, window_margin=BETA_WINDOW_MARGIN,
     marginal = int(np.count_nonzero(flags.get("tube_marginal", False)))
     later = trace.t >= 1
     betas = trace.beta[later]
-    dists = np.linalg.norm(trace.theta_hat[later] - trace.pred_state[later], axis=1)
+    dists = row_norms(trace.theta_hat[later] - trace.pred_state[later])
     win = model.mu + 1
     windows = win_viol = 0
     max_active = 0.0
     if len(betas) >= win:
         prods = np.prod(sliding_window_view(1.0 - betas, win), axis=1)
-        active = sliding_window_view(dists > distance_floor, win).any(axis=1)
+        active = row_reduce(np.logical_or, sliding_window_view(dists > distance_floor, win))
         windows = len(prods)
         win_viol = int(np.count_nonzero(active & (prods > 1.0 - window_margin)))
         max_active = float(prods[active].max(initial=0.0))

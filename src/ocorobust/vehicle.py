@@ -282,8 +282,8 @@ class _RoadPlant:
     the optimized run's rollout builder, with the last ``observe``'s context.
     """
 
-    def __init__(self, model, params, seed, builder, steps):
-        self.model, self.params, self.builder = model, params, builder
+    def __init__(self, params, seed, builder, steps):
+        self.params, self.builder = params, builder
         self.sensors = _Sensors(seed, params.sensor_noise_scale, steps)
         self.truth_step = _linear_truth_step if params.linear_truth else _rk4_step
         self.truth = (0.0, 0.0, kmh_to_ms(params.initial_speed_kmh))
@@ -372,7 +372,7 @@ def run_scenario(variant="optimized", seed=0, params=None, horizon_steps=300,
     setup = setup or vehicle_setup(params)
     model, tables, manifold = setup.model, setup.tables, setup.manifold
 
-    plant = _RoadPlant(model, params, seed, setup.builder, horizon_steps)
+    plant = _RoadPlant(params, seed, setup.builder, horizon_steps)
     controller = oco.ControllerConfig(gamma=params.gamma, c_g=params.c_g,
                                       rollout_builder=plant if variant == "optimized" else None)
     first = setup.pairs[0]  # phase 1's

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ocorobust.errors import FactorizationError
 from ocorobust.matlin import (
     numeric_rank,
     power_norm_certificate,
+    row_norms,
+    row_reduce,
     spd_inverse,
     spectral_norm_upper,
     symmetric_eig_bounds,
@@ -136,3 +141,90 @@ class TestSpectrumBounds:
             symmetric_eig_bounds([[1.0, np.nan], [np.nan, 1.0]])
         with pytest.raises(ValueError):
             spectral_norm_upper([[np.inf, 0.0]])
+
+
+FLOAT_REDUCTIONS = (np.maximum, np.minimum, np.add)
+# NaNs of both signs and other payloads, besides numpy's own.
+NANS = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000123,
+                 0xFFF0000000000001], np.uint64).view(np.float64)
+SPECIAL = [0.0, -0.0, -1.0, 1.0, np.inf, -np.inf, *NANS]
+
+
+def same_bits(got, want):
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and np.array_equal(got.view(np.uint8), want.view(np.uint8)))
+
+
+def layouts(rows):
+    """The block as C-ordered rows, as the transpose of a step-major array
+    (``row_reduce`` copies neither) and as a column slice of a wider block."""
+    wide = np.hstack([rows, np.ones((len(rows), 3))])
+    return rows, np.ascontiguousarray(rows.T).T, wide[:, :rows.shape[1]]
+
+
+def assert_row_reduce_exact(rows):
+    """``row_reduce`` and ``row_norms`` against numpy's row-by-row reductions
+    of the C-ordered block, bit for bit, in every layout."""
+    rows = np.ascontiguousarray(rows)
+    for ufunc in FLOAT_REDUCTIONS:
+        try:
+            want = ufunc.reduce(rows, axis=1)
+        except ValueError:  # a maximum or minimum of no entries
+            for block in layouts(rows):
+                with pytest.raises(ValueError):
+                    row_reduce(ufunc, block)
+            continue
+        for block in layouts(rows):
+            assert same_bits(row_reduce(ufunc, block), want), ufunc.__name__
+    signs = rows > 0.0
+    for ufunc in (np.logical_and, np.logical_or):
+        for block in layouts(signs):
+            assert same_bits(row_reduce(ufunc, block), ufunc.reduce(signs, axis=1))
+    for block in layouts(rows):
+        assert same_bits(row_norms(block), np.linalg.norm(rows, axis=1))
+
+
+class TestRowReduce:
+    @seed(3701)
+    @settings(max_examples=400, database=None, deadline=None)
+    @given(st.data())
+    def test_drawn_blocks_match_row_by_row(self, data):
+        # 400 drawn blocks of 0-30 rows of 0-24 entries. A block's entries
+        # are any floats and SPECIAL ones (+-0.0, +-inf and NaNs of several
+        # payloads), or +-0.0 and negative ones only, so that zero and NaN
+        # maxima and minima, where step-major order and numpy's paired row
+        # loop can differ, come up at every width.
+        shape = (data.draw(st.integers(0, 30)), data.draw(st.integers(0, 24)))
+        entries = data.draw(st.sampled_from([
+            st.one_of(st.floats(), st.sampled_from(SPECIAL)),
+            st.sampled_from([0.0, -0.0, -1.0, -np.inf])]))
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert_row_reduce_exact(data.draw(arrays(np.float64, shape, elements=entries)))
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 5, 7, 8, 9, 20, 50])
+    def test_random_rows_every_width(self, width):
+        # Sums of 8 or more terms take numpy's row loop (its pairwise sums
+        # round differently from a step-major sum), shorter ones the
+        # step-major form.
+        rng = np.random.default_rng(width)
+        rows = rng.standard_normal((400, width)) * 10.0 ** rng.integers(-8, 8, (400, width))
+        assert_row_reduce_exact(rows)
+        if width >= 8:
+            stepwise = np.add.reduce(np.ascontiguousarray(rows.T), axis=0)
+            assert not np.array_equal(stepwise, np.add.reduce(rows, axis=1))
+
+    def test_zero_maximum_keeps_numpy_sign(self):
+        # numpy's row loop pairs the nine entries, so this row's maximum is
+        # -0.0, while the step-major form gives 0.0; the row is taken again.
+        row = [-1.0, -1.0, -1.0, 0.0, -0.0, 0.0, -1.0, -0.0, 0.0]
+        rows = np.array([row] * 3)
+        assert np.signbit(np.maximum.reduce(rows, axis=1)).all()
+        assert not np.signbit(np.maximum.reduce(np.ascontiguousarray(rows.T), axis=0)).any()
+        assert_row_reduce_exact(rows)
+
+    @pytest.mark.parametrize("width", [0, 1, 4, 12])
+    def test_blocks_of_no_rows(self, width):
+        # (0, k) blocks: empty results, or numpy's ValueError for a maximum
+        # of no entries (k = 0).
+        assert_row_reduce_exact(np.zeros((0, width)))
+        assert row_reduce(np.add, np.zeros((0, width))).shape == (0,)

@@ -656,11 +656,13 @@ class TestFallbackBranches:
 
 
 class TestCensus:
-    def test_sweep_design_solves_only_rejected_guesses(self, monkeypatch):
-        # On the bundled sweep design, the projector's GI (``_cold``) runs
-        # only on steps whose guess its rule (``keeps``, on one step's map
-        # rows) rejected, and ``solve`` never runs; the steps run ahead had
-        # their guesses kept by the same rule on a block's rows.
+    @staticmethod
+    def census(monkeypatch):
+        """The bundled sweep design's seed-0 sweep with a projector that
+        records each step's guess verdict (``kkt_status`` on a guess, lam
+        None), each block's verdicts (``keeps``), its GI runs (``_cold``) and
+        its ``solve`` calls, and with ``step_row`` and ``_face_rows``
+        counted; returns (steps, those counts)."""
         cfg = cli.load_config(CONFIGS / "regret_sweep.cfg", command="regret-sweep")
         sw = cfg["sweep"]
         model = build_model(cli._model_config(cfg))
@@ -672,12 +674,15 @@ class TestCensus:
         verdicts, fallbacks, solves, batches = [], [], [], []
 
         class Census(PrefactoredQp):
+            def kkt_status(self, grad, viol=None, lam=None, *args, **kwargs):
+                checked = super().kkt_status(grad, viol, lam, *args, **kwargs)
+                if lam is None:  # one step's guess
+                    verdicts.append(checked is not None and checked[1] == "optimal")
+                return checked
+
             def keeps(self, grad, viol, *args, **kwargs):
                 kept = super().keeps(grad, viol, *args, **kwargs)
-                if np.ndim(viol) == 1:  # one step's rows
-                    verdicts.append(bool(kept))
-                else:
-                    batches.append(kept)
+                batches.append(kept)
                 return kept
 
             def _cold(self, *args, **kwargs):
@@ -694,17 +699,38 @@ class TestCensus:
             model=model, manifold=manifold, base_cost=schedule.cost_at(0),
             direction=tuple(sw["direction"]), levels=tuple(sw["path_levels"]),
             hop_size=sw["hop_size"], horizon=sw["horizon"])
-        serial = count_calls(monkeypatch, "step_row")
+        serial = count_calls(monkeypatch, "step_row", "_face_rows")
         result = simkit.regret_scaling_experiment(
             model, tables, manifold, controller, generator,
             dist_levels=list(sw["noise_levels"]), seeds=[0], horizon=sw["horizon"])
         steps = len(result.rows) * (sw["horizon"] - 1)
+        return steps, serial, verdicts, fallbacks, solves, batches
+
+    def check(self, steps, serial, verdicts, fallbacks, solves, batches):
         ahead = steps - serial["step_row"]
         # every step's guess is tested: step by step once, or in its block
         assert len(verdicts) == serial["step_row"]
-        assert len(fallbacks) == verdicts.count(False) and not solves
+        # a rejected guess goes to the faces, which settle it without GI
+        assert serial["_face_rows"] == verdicts.count(False)
+        assert not fallbacks and not solves
         assert ahead <= sum(int(np.count_nonzero(kept)) for kept in batches)
         assert sum(verdicts) + ahead > 0.9 * steps
+
+    def test_sweep_design_solves_only_rejected_guesses(self, monkeypatch):
+        # On the bundled sweep design, the projector's GI (``_cold``) and
+        # ``solve`` never run: a step decides its guess with ``kkt_status``
+        # on its map rows (the faces take the rejected ones), and the steps
+        # run ahead had their guesses kept by the same rule on a block's
+        # rows (``keeps``).
+        self.check(*self.census(monkeypatch))
+
+    def test_serial_sweep_design_tests_each_guess_once(self, monkeypatch):
+        # The same design with every step taken step by step: one guess
+        # verdict per step, and no block.
+        monkeypatch.setattr(simkit, "_runs_ahead", lambda plant, controller: False)
+        steps, serial, *counts = self.census(monkeypatch)
+        assert serial["step_row"] == steps and not counts[-1]
+        self.check(steps, serial, *counts)
 
 
 def run_pair(monkeypatch, run):

@@ -393,7 +393,7 @@ class TestTruthAndSensors:
         model = setup.model
         params = vehicle.VehicleParams(linear_truth=linear_truth)
         truth_step = vehicle._linear_truth_step if linear_truth else vehicle._rk4_step
-        plant = vehicle._RoadPlant(model, params, 0, setup.builder, 1)
+        plant = vehicle._RoadPlant(params, 0, setup.builder, 1)
         x_hi = np.array([4.5, 130.0 / 3.6 - vehicle.DELTA_BAR])
         x_lo = np.array([-1.5, -vehicle.DELTA_BAR])
         u_hi = np.array([vehicle.STEER_BOUND_RAD, vehicle.ACCEL_BOUND])
@@ -466,9 +466,8 @@ class TestScenario:
     def test_plants_on_one_setup_keep_their_own_context(self, setup):
         # Observed alternately, a plant near the leader (phase 2) and one far
         # behind it (phase 1) each take their own phase's rollout map.
-        near = vehicle._RoadPlant(setup.model, vehicle.VehicleParams(initial_gap_m=90.0), 0,
-                                  setup.builder, 3)
-        far = vehicle._RoadPlant(setup.model, setup.params, 1, setup.builder, 3)
+        near = vehicle._RoadPlant(vehicle.VehicleParams(initial_gap_m=90.0), 0, setup.builder, 3)
+        far = vehicle._RoadPlant(setup.params, 1, setup.builder, 3)
         for t in range(3):
             near.observe(t)
             far.observe(t)

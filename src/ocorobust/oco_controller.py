@@ -24,8 +24,8 @@ from .plant import membership_zu, stage_values, stage_values_linear
 # S_c's null space, which the rollout cost shapes, so solving would report a
 # spurious cap fallback.
 DEGENERATE_TOL = 1e-12
-RUN_AHEAD_STEPS = 32  # the most rows of a LiftedSteps chunk; see also simkit.closed_loop
-RUN_AHEAD_GROWTH = 100.0  # the largest norm of F^j a chunk may use (see LiftedSteps)
+RUN_AHEAD_STEPS = 32  # the most steps of a block after one cut short; see simkit.closed_loop
+RUN_AHEAD_GROWTH = 100.0  # the largest norm of F^j a LiftedSteps chunk may use
 RUN_AHEAD_BLOCK = 1024  # the most rows of a LiftedSteps.run call; see simkit.closed_loop
 _ONE = np.ones(1)
 
@@ -464,50 +464,63 @@ class LiftedSteps:
 
     Such a step's u and next candidate plan[m:] are the map's ``u`` and
     ``plan`` rows, affine in [x_meas; candidate; ref_x; ref_u; 1], so a
-    step is affine in s = [x; candidate]: s+ = F s + E [v; w] + C r,
-    with r = [ref_x; ref_u; 1] of the cost the step reads, and the states of
-    a chunk of steps that read one r are MPC's stacked prediction form
-    (Maciejowski, *Predictive Control with Constraints*, 2002, ch. 2):
+    step is affine in s = [x; candidate]: s_(j+1) = F s_j + d_j, with the
+    drive d_j = E [v_j; w_j] + C r_j and r_j = [ref_x; ref_u; 1] of the cost
+    step j reads. ``drive`` holds [E C]', so one product gives every row's
+    drive, whatever references the rows hold, and the states
 
-        s_j = F^j s_0 + sum_{i<j} F^(j-1-i) (E e_i + C r).
+        s_j = F^j s_0 + sum_{i<j} F^(j-1-i) d_i
 
-    ``free`` stacks [F^j | (F^0 + ... + F^(j-1)) C] for j < ``steps``.
-    Gamma is block Toeplitz, so ``forced`` holds only its blocks (F^k E)',
-    k = steps - 2 down to 0, and ``windows`` indexes row j's noise [e_(j-steps+1);
-    ...; e_(j-1)] (zero before e_0) in a padded copy of the noise. A chunk's
-    states are then two products, and ``run`` chains chunks over a run of
-    any length, each from the last state of the one before. The object keeps
-    only these arrays: ``run`` takes the map, which owns it, for its rows.
+    are the prefix scan of the rows [s_0; d_0; d_1; ...] under that
+    recurrence: rounds y[k:] += y[:-k] (F^k)', k = 1, 2, 4, ... below the
+    row count (Hillis & Steele, *CACM* 1986; Blelloch, 1990), with ``powers``
+    holding each (F^k)'. The object keeps only these arrays: ``run`` takes
+    the map, which owns it, for its rows.
 
-    Rounding in F^j grows with its norm, so a chunk stops before the first
-    power whose Frobenius norm exceeds RUN_AHEAD_GROWTH: ``steps`` is the
-    smallest j >= 1 with ||F^j||_F > RUN_AHEAD_GROWTH, at most
-    RUN_AHEAD_STEPS. Where F itself exceeds it, ``steps`` is 1: a chunk
-    cannot advance, so ``run`` takes one step, from its start state.
+    Rounding in F^j grows with its norm, so ``steps`` is the smallest j >= 1
+    with ||F^j||_F > RUN_AHEAD_GROWTH, at most RUN_AHEAD_BLOCK, and ``run``
+    scans chunks of at most ``steps`` rows, each from the last state of the
+    chunk before: within a chunk, an error moves only through F^d with d <
+    ``steps``. Where F itself exceeds it, ``steps`` is 1: a chunk cannot
+    advance, so ``run`` takes one step, from its start state.
     """
 
     def __init__(self, step_map, a, b):
         matrix, (n, m) = step_map.matrix, b.shape
-        ns, cols = n + step_map.g.stop - step_map.g.start, matrix.shape[1]
+        ns = n + step_map.g.stop - step_map.g.start
         # s+ - [A x + w; 0], from [x_meas; candidate; r]
         step = np.vstack([b @ matrix[step_map.u], matrix[step_map.plan][m:]])
         f = step[:, :ns].copy()
         f[:n, :n] += a
-        e = np.hstack([step[:, :n], np.eye(ns, n)])  # the columns of v and w
-        powers = [np.eye(ns)]
-        while len(powers) < RUN_AHEAD_STEPS:
-            power = f @ powers[-1]
-            if not math.sqrt(np.vdot(power, power)) <= RUN_AHEAD_GROWTH:
-                break
-            powers.append(power)
-        powers = np.array(powers)
-        reach = powers @ step[:, ns:]  # F^j C
-        sums = np.cumsum(np.concatenate([np.zeros((1,) + reach.shape[1:]), reach[:-1]]), axis=0)
-        self.steps = steps = len(powers)
-        self.free = np.concatenate([powers, sums], axis=2).reshape(steps * ns, cols)
-        self.forced = (powers[-2::-1] @ e).transpose(0, 2, 1).reshape(-1, ns)
-        width = 2 * n * (steps - 1)
-        self.windows = np.arange(steps)[:, None] * (2 * n) + np.arange(width)
+        self.drive = np.hstack([step[:, :n], np.eye(ns, n), step[:, ns:]]).T  # v, w, r
+        # The powers F^1 ... F^h come by doubling up to h^2 >= RUN_AHEAD_BLOCK,
+        # and F^h, F^(2 h), ... by doubling too, each stack tested before it
+        # doubles, so a growing F stops before it overflows. Past h,
+        # ||F^(q h + i)||_F^2 is the inner product of F^i' F^i and F^(q h)
+        # F^(q h)': one product of the two stacks of grams. Up to the first
+        # power over the bound both grams are at most RUN_AHEAD_GROWTH^2 in
+        # norm, so those sums are within about ns^2 eps RUN_AHEAD_GROWTH^4 of
+        # the squares, against a bound of RUN_AHEAD_GROWTH^2.
+        def over(powers):  # NaN is over
+            return ~(np.einsum("ijk,ijk->i", powers, powers) <= RUN_AHEAD_GROWTH ** 2)
+
+        near = f[None]  # F^1 ... F^h
+        failed = over(near)
+        while not failed.any() and len(near) ** 2 < RUN_AHEAD_BLOCK:
+            near = np.concatenate((near, near @ near[-1]))
+            failed = over(near)
+        h, far = len(near), near[-1:]  # F^h, F^(2 h), ...
+        if not failed.any():  # j = (q + 1) h + i + 1 for far[q] and near[i]
+            count = -(-RUN_AHEAD_BLOCK // h) - 1
+            while len(far) < count and not over(far).any():
+                far = np.concatenate((far, far @ far[-1]))
+            sums = (np.matmul(far[:count], far[:count].transpose(0, 2, 1)).reshape(-1, ns * ns)
+                    @ np.matmul(near.transpose(0, 2, 1), near).reshape(h, -1).T)
+            failed = np.concatenate((failed, ~(sums.ravel() <= RUN_AHEAD_GROWTH ** 2)))
+        self.steps = min(int(np.argmax(failed)) + 1 if failed.any() else RUN_AHEAD_BLOCK,
+                         RUN_AHEAD_BLOCK)
+        self.powers = [(near[k - 1] if k <= h else far[k // h - 1]).T
+                       for k in (1 << i for i in range((self.steps - 1).bit_length()))]
 
     def run(self, step_map, x, candidate, refs, v, w):
         """The ``len(v)`` steps (at most 1 when ``steps`` is 1) from the plant
@@ -516,46 +529,31 @@ class LiftedSteps:
         step reads) and the noise rows ``v`` and ``w`` (the last w is not
         read), and their rows of ``step_map``, the map this object was built
         for, whose weights every reference belongs to; nothing is checked.
-        The steps go in chunks of at most ``steps`` rows, each from the state
-        of the chunk before's last row, so a chunk of k rows advances k - 1
-        steps; a chunk also ends at each row whose reference differs from the
-        row before's, so that every step a chunk advances reads one reference.
-        Non-finite noise makes every later row non-finite, so the caller ends
-        the run before it.
+        The states are scanned in chunks of at most ``steps`` rows, each from
+        the last row of the chunk before, so a chunk of k rows advances k - 1
+        steps. Non-finite noise makes every later row non-finite, so the
+        caller ends the run before it.
 
-        A chunk's noise windows take ``steps`` x 2 n (``steps`` - 1) floats,
-        whatever the run's length; per row, the run's other temporaries take
-        about the map's row and column counts in floats: 1.1 KB per row on
-        the bundled double integrator (with ``settled_rows``' check, by
-        tracemalloc), about four times a ``RunRecord`` row, so
-        ``simkit.closed_loop`` asks for at most RUN_AHEAD_BLOCK rows.
+        Its temporaries take about the map's row and column counts in floats
+        per row: on the bundled double integrator 1.0 KB per row, and 1.7 KB
+        with ``settled_rows``' check (tracemalloc peaks of a 1024-row block
+        through ``simkit._LtiPlant.ahead``), four and seven times a
+        ``RunRecord`` row, so ``simkit.closed_loop`` asks for at most
+        RUN_AHEAD_BLOCK rows.
 
         Returns per step: x, x_meas, the map's rows, the plan, u, and
         (reach gap norm, g_norm).
         """
-        rows, (n, ns), steps = len(v), (x.size, self.forced.shape[1]), self.steps
-        states = np.empty((rows, ns))
-        e = np.concatenate((v[:-1], w[:rows - 1]), axis=1)  # e_i = [v_i; w_i]
-        window = np.zeros((2 * steps - 2, 2 * n))  # a chunk's noise, zero before its e_0
+        rows, n, ns, steps = len(v), x.size, self.drive.shape[1], self.steps
         z = np.empty((rows, step_map.matrix.shape[1]))
         z[:, ns:-1], z[:, -1] = refs, 1.0
-        start = np.empty(z.shape[1])  # a chunk's first [x; candidate; ref; 1]
-        start[:n], start[n:ns] = x, candidate
-        # each chunk's first row: one every steps - 1 rows along each stretch
-        # between hops (rows whose reference differs from the row before's),
-        # so a chunk ends on the next one's first row, a hop at the latest
-        hops = np.flatnonzero(row_reduce(np.logical_or, refs[1:] != refs[:-1])) + 1
-        cuts = [0, *hops.tolist(), rows - 1]
-        firsts = list(range(rows)) if rows < 2 else [
-            lo for a, b in zip(cuts, cuts[1:]) for lo in range(a, b, steps - 1)]
-        for lo, hi in zip(firsts, firsts[1:] + [rows - 1]):  # a chunk: rows lo to hi
-            k = hi - lo + 1
-            start[ns:] = z[lo, ns:]
-            states[lo:hi + 1] = (self.free[:k * ns] @ start).reshape(k, ns)
-            if k > 1:
-                window[steps - 1:steps + k - 2] = e[lo:hi]
-                states[lo:hi + 1] += window.take(self.windows[:k]) @ self.forced
-            start[:ns] = states[hi]  # the next chunk's first state
+        states = np.empty((rows, ns))  # the scan's rows: s_0, then each d_j
+        states[:1] = np.concatenate((x, candidate))
+        states[1:] = np.concatenate((v[:-1], w[:rows - 1], z[:-1, ns:]), axis=1) @ self.drive
+        for lo in range(0, rows - 1, steps - 1) if rows > 1 else ():
+            chunk = states[lo:lo + steps]  # its first row is a state, the others drives
+            for i, power in enumerate(self.powers[:(len(chunk) - 1).bit_length()]):
+                chunk[1 << i:] += chunk[:-(1 << i)] @ power
         z[:, :n] = x_meas = states[:, :n] + v
         z[:, n:ns] = states[:, n:]
         outs = z @ step_map.matrix.T

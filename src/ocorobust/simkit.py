@@ -614,9 +614,9 @@ class _LtiPlant:
         The block's first step is taken as ``oco.step_row`` takes it, from
         the map's product at the plant's state, so it is the step-by-step step
         to the bit; its other steps come in closed form from the map's
-        ``LiftedSteps``, in chained chunks of at most its ``steps`` rows (one
-        map product, one check and one record fill serve the whole block).
-        Where ``steps`` is 1, the block is its first step. It ends before
+        ``LiftedSteps``, one scan of at most its ``steps`` rows per chunk (one
+        drive product, one map product, one check and one record fill serve
+        the whole block). Where ``steps`` is 1, the block is its first step. It ends before
         the first step whose v is not finite and after the first step whose
         w is not finite, and so holds no step at all when v_t is not finite.
 

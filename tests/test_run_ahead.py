@@ -17,6 +17,7 @@ same step with the same message and partial record.
 
 import dataclasses
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -244,9 +245,9 @@ def test_level_8_sweep_run_is_one_block(monkeypatch):
 
 
 def test_lifted_steps_across_hops(di_bundle):
-    # LiftedSteps.run over references that hop (at a chunk's first rows, on
-    # two rows in a row and at the last row) against the same steps one by
-    # one from the map's product at each row's own reference.
+    # LiftedSteps.run over references that hop (on two rows in a row and at
+    # the last row), all in one chunk, against the same steps one by one from
+    # the map's product at each row's own reference.
     model, tables, manifold = di_bundle
     m, rows = model.m, 70
     cost = coupled_cost(2, 1, [0.3, 0.0], [0.2])
@@ -258,7 +259,7 @@ def test_lifted_steps_across_hops(di_bundle):
     refs = np.array([np.concatenate((c.ref_x, c.ref_u)) for c in costs])
     step_map = oco.QuadraticStepMap(tables, manifold, cost, 0.3)
     lifted = step_map.lifted(model.a, model.b)
-    assert 2 < lifted.steps < rows
+    assert lifted.steps >= rows
     rng = np.random.default_rng(8)
     v, w = model.v_set.samples(rng, rows), model.w_set.samples(rng, rows)
     zeta = optimal_steady_state(manifold, cost, model)
@@ -278,6 +279,196 @@ def test_lifted_steps_across_hops(di_bundle):
         candidate = out[step_map.plan][m:]
     for name, column, value in zip(("x", "x_meas", "outs", "plans", "u", "norms"), got, want):
         assert_close(column, value, REL, name)
+
+
+COLUMNS = ("x", "x_meas", "outs", "plans", "u", "norms")
+
+
+def stepwise(model, step_map, x, candidate, refs, v, w):
+    """``LiftedSteps.run``'s six columns from the map's product at each row,
+    one step at a time."""
+    m, want = model.m, [[] for _ in COLUMNS]
+    for j, ref in enumerate(refs):
+        x_meas = x + v[j]
+        out = step_map.rows_at(x_meas, candidate, ref)
+        gap, g = out[step_map.gap], out[step_map.g]
+        for column, value in zip(want, (x, x_meas, out, out[step_map.plan], out[step_map.u],
+                                        [math.sqrt(gap @ gap), math.sqrt(g @ g)])):
+            column.append(value)
+        x = model.a @ x + model.b @ out[step_map.u] + w[j]
+        candidate = out[step_map.plan][m:]
+    return want
+
+
+def hop_refs(cost, rows, hops):
+    """One [ref_x; ref_u] row per step: ``cost``'s, with ref_x ``hops[j]``
+    from row j on."""
+    refs = np.tile(np.concatenate((cost.ref_x, cost.ref_u)), (rows, 1))
+    for j in sorted(hops):
+        refs[j:, :len(cost.ref_x)] = hops[j]
+    return refs
+
+
+def lifted_start(model, tables, manifold, cost, rows, seed):
+    """A run's start at ``cost``'s optimal steady state, its initial plan's
+    candidate, and ``rows`` rows of drawn v and w."""
+    zeta = optimal_steady_state(manifold, cost, model)
+    candidate = oco.initialize(model, tables, manifold, zeta, zeta[0]).plan[model.m:]
+    rng = np.random.default_rng(seed)
+    return zeta[0], candidate, model.v_set.samples(rng, rows), model.w_set.samples(rng, rows)
+
+
+def non_contracting(scale, box, noise):
+    """test_non_contracting_model's model for ``scale`` times its A, and
+    its first and last weights."""
+    a = scale * np.array([[-1.447, 4.85], [-1.195, -0.441]])
+    b = np.array([[0.748], [0.689]])
+    p = solve_discrete_are(a, b, np.eye(2), np.eye(1))
+    k = -np.linalg.solve(np.eye(1) + b.T @ p @ b, b.T @ p @ a)
+    model, tables, manifold = build(ModelConfig(
+        a=a, b=b, k=k, mu=5, x_set=HPolytope.box([-box, -box], [box, box]),
+        u_set=HPolytope.box([-box], [box]), w_set=Zonotope.box([noise, noise]),
+        v_set=Zonotope.box([noise, noise])))
+    first = QuadraticCost(np.eye(2), np.eye(1), [0.5, 0.0], [0.0])
+    last = QuadraticCost(2.0 * np.eye(2), np.eye(1), [0.2, 0.0], [0.0])
+    return model, tables, manifold, first, last
+
+
+def test_lifted_steps_chain_chunks():
+    # On the non-contracting model (||F^12||_F > RUN_AHEAD_GROWTH on the
+    # map of its first weights), 80 rows go in chained chunks of at most 12
+    # rows, each scanned from the last state of the chunk before, with hops
+    # inside chunks and on two rows in a row; they agree with the steps one
+    # by one.
+    model, tables, manifold, first, _ = non_contracting(1.0, 5.0, 0.01)
+    rows = 80
+    step_map = oco.QuadraticStepMap(tables, manifold, first, 0.5)
+    lifted = step_map.lifted(model.a, model.b)
+    assert lifted.steps == 12 and rows > 6 * lifted.steps
+    refs = hop_refs(first, rows, {5: [-0.5, 0.0], 11: [0.4, 0.1], 12: [0.5, 0.0],
+                                  23: [-0.2, 0.0], 40: [0.1, -0.1], rows - 1: [0.5, 0.0]})
+    x, candidate, v, w = lifted_start(model, tables, manifold, first, rows, 12)
+    got = lifted.run(step_map, x, candidate, refs, v, w)
+    for name, column, value in zip(COLUMNS, got, stepwise(model, step_map, x, candidate,
+                                                          refs, v, w)):
+        assert_close(column, value, REL, name)
+
+
+def test_lifted_steps_full_block():
+    # A block of RUN_AHEAD_BLOCK rows on the bundled double integrator's map
+    # is one chunk, scanned in ten rounds (k = 1 ... 512), with hops at the
+    # rounds' boundaries; it agrees with the steps one by one.
+    _, model, tables, manifold, schedule, controller = generic_setup("double_integrator", "run")
+    rows, cost = oco.RUN_AHEAD_BLOCK, schedule.cost_at(0)
+    step_map = oco.QuadraticStepMap(tables, manifold, cost, controller.gamma)
+    lifted = step_map.lifted(model.a, model.b)
+    assert lifted.steps == rows and len(lifted.powers) == 10
+    targets = [[0.6, 0.0], [-0.6, 0.0], [0.3, 0.05]]
+    refs = hop_refs(cost, rows, {j: targets[i % 3] for i, j in enumerate(
+        (1, 2, 3, 4, 5, 8, 9, 512, 513, 1023))})
+    x, candidate, v, w = lifted_start(model, tables, manifold, cost, rows, 5)
+    got = lifted.run(step_map, x, candidate, refs, v, w)
+    for name, column, value in zip(COLUMNS, got, stepwise(model, step_map, x, candidate,
+                                                          refs, v, w)):
+        assert_close(column, value, REL, name)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_lifted_steps_non_finite_w(di_bundle, value):
+    # A non-finite w at row 17 of one chunk: rows 0..17 are finite and agree
+    # with the steps one by one, and every later row of every column holds a
+    # non-finite entry.
+    model, tables, manifold = di_bundle
+    rows, bad = 40, 17
+    cost = coupled_cost(2, 1, [0.3, 0.0], [0.2])
+    step_map = oco.QuadraticStepMap(tables, manifold, cost, 0.3)
+    refs = hop_refs(cost, rows, {9: [0.1, 0.05]})
+    x, candidate, v, w = lifted_start(model, tables, manifold, cost, rows, 17)
+    w[bad, 1] = value
+    with np.errstate(all="ignore"):
+        got = step_map.lifted(model.a, model.b).run(step_map, x, candidate, refs, v, w)
+    want = stepwise(model, step_map, x, candidate, refs[:bad + 1], v, w)
+    for name, column, expected in zip(COLUMNS, got, want):
+        column = column.reshape(rows, -1)
+        assert np.isfinite(column[:bad + 1]).all(), name
+        assert_close(column[:bad + 1], expected, REL, name)
+        assert not np.isfinite(column[bad + 1:]).all(axis=1).any(), name
+
+
+def first_power_over(f):
+    """The smallest j >= 1 with ||F^j||_F > RUN_AHEAD_GROWTH, at most
+    RUN_AHEAD_BLOCK, by a plain power loop, and the powers F^1, F^2, F^4, ...
+    below it."""
+    power, doubling = np.eye(len(f)), []
+    for j in range(1, oco.RUN_AHEAD_BLOCK + 1):
+        power = f @ power
+        if not np.linalg.norm(power) <= oco.RUN_AHEAD_GROWTH:
+            return j, doubling
+        if j & (j - 1) == 0 and j < oco.RUN_AHEAD_BLOCK:
+            doubling.append(power)
+    return oco.RUN_AHEAD_BLOCK, doubling
+
+
+def settled_step(model, step_map):
+    """F of the settled step s+ = F s + E [v; w] + C r, column by column
+    from the map's rows at zero noise and reference."""
+    n, m, ref = model.n, model.m, np.zeros(model.n + model.m)
+    ns = n + step_map.g.stop - step_map.g.start
+
+    def step(s):
+        out = step_map.rows_at(s[:n], s[n:], ref)
+        return np.concatenate((model.a @ s[:n] + model.b @ out[step_map.u],
+                               out[step_map.plan][m:]))
+
+    origin = step(np.zeros(ns))
+    return np.column_stack([step(unit) - origin for unit in np.eye(ns)])
+
+
+def test_steps_is_the_first_power_over_the_growth_bound():
+    # ``steps`` against a plain power loop on the bundled double integrator's
+    # and the regret sweep's maps (contracting: RUN_AHEAD_BLOCK) and on both
+    # non-contracting models (12 and 7; 1 and 1, where F^1024 would
+    # overflow, so building it must warn of nothing), and ``powers`` against
+    # the loop's F^1, F^2, F^4, ... below ``steps``.
+    maps = []
+    for name, command in (("double_integrator", "run"), ("regret_sweep", "regret-sweep")):
+        _, model, tables, manifold, schedule, controller = generic_setup(name, command)
+        maps.append((model, oco.QuadraticStepMap(tables, manifold, schedule.cost_at(0),
+                                                 controller.gamma)))
+    for scale, box, noise in ((1.0, 5.0, 0.01), (8.0, 50.0, 0.001)):
+        model, tables, manifold, first, last = non_contracting(scale, box, noise)
+        maps += [(model, oco.QuadraticStepMap(tables, manifold, cost, 0.5))
+                 for cost in (first, last)]
+    found = []
+    for model, step_map in maps:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lifted = oco.LiftedSteps(step_map, model.a, model.b)
+        steps, doubling = first_power_over(settled_step(model, step_map))
+        found.append(lifted.steps)
+        assert lifted.steps == steps
+        assert len(lifted.powers) == len(doubling)
+        for power, want in zip(lifted.powers, doubling):
+            assert_close(power.T, want, 1e-10, "power")
+    assert found == [oco.RUN_AHEAD_BLOCK] * 2 + [12, 7, 1, 1]
+
+
+@pytest.mark.parametrize("growth", [1e12, 1e40])
+def test_steps_past_the_doubled_powers(monkeypatch, growth):
+    # A bound raised so far that the first power over it comes after F^32,
+    # where the gram products find it, on the non-contracting model's first
+    # map (its spectral radius is about 1.42): ``steps`` and ``powers``
+    # against the plain power loop.
+    model, tables, manifold, first, _ = non_contracting(1.0, 5.0, 0.01)
+    step_map = oco.QuadraticStepMap(tables, manifold, first, 0.5)
+    monkeypatch.setattr(oco, "RUN_AHEAD_GROWTH", growth)
+    lifted = oco.LiftedSteps(step_map, model.a, model.b)
+    steps, doubling = first_power_over(settled_step(model, step_map))
+    assert 32 < lifted.steps == steps < oco.RUN_AHEAD_BLOCK
+    assert len(lifted.powers) == len(doubling) > 5
+    for power, want in zip(lifted.powers, doubling):
+        assert_close(power.T / np.linalg.norm(want), want / np.linalg.norm(want), 1e-10,
+                     "power")
 
 
 def test_rejected_steps_keep_work_linear(monkeypatch):
@@ -357,13 +548,13 @@ def test_fresh_weight_arrays_keep_work_linear(monkeypatch):
 
 
 def test_one_step_blocks_keep_the_scan_linear(monkeypatch):
-    # With RUN_AHEAD_GROWTH below ||F||_F, every chunk is one row, so every
-    # block is its first step, kept, on a stretch it does not reach the end
-    # of: the next block's scan of the schedule stops RUN_AHEAD_STEPS steps
-    # on, not at the stretch's end, and the cost_at calls stay linear in
-    # the horizon. (The scaled-A models of test_non_contracting_model have
-    # one-row chunks too, but run only steps 1 to 3 ahead.) The run is the
-    # step-by-step run to the bit.
+    # With RUN_AHEAD_GROWTH below ||F||_F, LiftedSteps.steps is 1 and a
+    # chunk cannot advance, so every block is its first step, kept, on a
+    # stretch it does not reach the end of: the next block's scan of the
+    # schedule stops RUN_AHEAD_STEPS steps on, not at the stretch's end, and
+    # the cost_at calls stay linear in the horizon. (The scaled-A models of
+    # test_non_contracting_model have steps = 1 too, but run only steps 1 to
+    # 3 ahead.) The run is the step-by-step run to the bit.
     cfg, model, tables, manifold, schedule, controller = generic_setup(
         "double_integrator", "run")
     cost, calls, blocks, horizon = schedule.cost_at(0), [], [], 600

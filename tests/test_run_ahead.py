@@ -245,9 +245,9 @@ def test_level_8_sweep_run_is_one_block(monkeypatch):
 
 
 def test_lifted_steps_across_hops(di_bundle):
-    # LiftedSteps.run over references that hop (on two rows in a row and at
-    # the last row), all in one chunk, against the same steps one by one from
-    # the map's product at each row's own reference.
+    # LiftedSteps.run over references that hop (at row 5, on two rows in a
+    # row and at the last row), all in one chunk, against the same steps one
+    # by one from the map's product at each row's own reference.
     model, tables, manifold = di_bundle
     m, rows = model.m, 70
     cost = coupled_cost(2, 1, [0.3, 0.0], [0.2])
